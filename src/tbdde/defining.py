@@ -244,10 +244,10 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
             return NewtonReport(False, k, history, res_hist, final_cond, mode,
                                 failure_reason="diverged")
         J = jacobian(model, v, L, mode=mode)
-        final_cond = linalg.cond_estimate(J)
         try:
-            step = linalg.solve(J, -r)
-        except NearSingular:
+            step, final_cond = linalg.solve_with_cond(J, -r)
+        except NearSingular as exc:
+            final_cond = exc.cond
             return NewtonReport(False, k, history, res_hist, final_cond, mode,
                                 failure_reason="singular_jacobian")
         vnew = v.pack() + opts.damping * step

@@ -10,7 +10,14 @@ class InputError(TbddeError):
 
 
 class NearSingular(TbddeError):
-    """A linear system is too ill-conditioned to solve reliably."""
+    """A linear system is too ill-conditioned to solve reliably.
+
+    ``cond`` is the condition estimate that was refused.
+    """
+
+    def __init__(self, message: str, cond: float = float("nan")):
+        super().__init__(message)
+        self.cond = cond
 
 
 class RankDeficiencyMismatch(TbddeError):

@@ -33,12 +33,13 @@ def _square(A) -> np.ndarray:
     return A
 
 
-def solve(A, b) -> np.ndarray:
-    """Solve A x = b, refusing near-singular systems.
+def solve_with_cond(A, b):
+    """Solve A x = b and return (x, cond(A)), refusing near-singular systems.
 
-    Raises NearSingular when the condition estimate exceeds 1/sqrt(eps); a
-    Newton iteration hitting this must abort with a diagnostic rather than
-    trust the step.
+    Raises NearSingular, carrying the estimate in its ``cond`` attribute,
+    when the condition estimate exceeds 1/sqrt(eps); a Newton iteration
+    hitting this must abort with a diagnostic rather than trust the step.
+    One SVD serves both the guard and the returned condition number.
     """
     A = _square(A).astype(float)
     b = np.asarray(b, dtype=float)
@@ -46,8 +47,14 @@ def solve(A, b) -> np.ndarray:
         raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
     c = cond_estimate(A)
     if not np.isfinite(c) or c > COND_LIMIT:
-        raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}")
-    return np.linalg.solve(A, b)
+        raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}",
+                           cond=c)
+    return np.linalg.solve(A, b), c
+
+
+def solve(A, b) -> np.ndarray:
+    """Solve A x = b, refusing near-singular systems (see solve_with_cond)."""
+    return solve_with_cond(A, b)[0]
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
@@ -84,7 +91,8 @@ def bordered_solve(A, col_border, row_border, rhs, beta: float):
 
     The standard device for solving inside the range of a rank-(n-1) matrix:
     when rhs lies in range(A) the scalar s comes out ~0 and x is the unique
-    solution of A x = rhs pinned by r^T x = beta.
+    solution of A x = rhs pinned by r^T x = beta.  A near-singular bordered
+    matrix (a bad border choice) raises NearSingular.
     """
     A = _square(A).astype(float)
     n = A.shape[0]
@@ -95,12 +103,7 @@ def bordered_solve(A, col_border, row_border, rhs, beta: float):
     M[:n, :n] = A
     M[:n, n] = col
     M[n, :n] = row
-    b = np.append(rhs, beta)
-    c = cond_estimate(M)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise NearSingular(
-            f"bordered matrix condition {c:.3e}: bad border choice?")
-    sol = np.linalg.solve(M, b)
+    sol = solve(M, np.append(rhs, beta))
     return sol[:n], float(sol[n])
 
 

@@ -3,14 +3,19 @@
 Three independent lines of evidence: the quadratic nondegeneracy conditions
 (transversality, the 2x2 degeneracy determinant, the chain normalization),
 a double root of the characteristic function Delta(z) = det(zI - f1 - f2
-e^{-z}) at z = 0, and a best-effort scan for other eigenvalues near the
-imaginary axis.
+e^{-z}) at z = 0, and a spectral scan for other roots near the imaginary
+axis.  The scan takes the eigenvalues of a Chebyshev collocation of the
+DDE's infinitesimal generator and polishes them together by Newton on
+Delta, so the roots in its box come from one eigenvalue problem rather
+than from wherever Newton starts on a grid happen to converge.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,29 +60,21 @@ def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> com
     return complex(linalg.det(M))
 
 
-def characteristic_derivative(model: DdeModel, x, lam, mu, z: complex,
-                              h: float | None = None) -> complex:
-    """d Delta / dz by central differences in the complex plane."""
-    if h is None:
-        h = _EPS ** (1.0 / 3.0) * max(1.0, abs(z))
-    return (characteristic(model, x, lam, mu, z + h)
-            - characteristic(model, x, lam, mu, z - h)) / (2.0 * h)
-
-
 def double_zero_check(model: DdeModel, x, lam: float, mu: float,
                       tol: float = 1e-8):
     """Certify an algebraically double, at-most-double root of Delta at z = 0.
 
     Delta(0) is exact; Delta'(0) uses a complex step (Delta is entire and
     real on the real axis, so the step is subtraction free); Delta''(0) uses
-    a second central difference.  Passes when |Delta(0)| <= tol,
-    |Delta'(0)| <= tol and |Delta''(0)| > sqrt(tol).
+    a second central difference.  Passes when x is an equilibrium
+    (|f| <= 1e-8; otherwise also warns), |Delta(0)| <= tol, |Delta'(0)| <= tol
+    and |Delta''(0)| > sqrt(tol).
     """
     x = np.asarray(x, dtype=float)
-    res = eval_f(model, x, x, lam, mu)
-    if np.max(np.abs(res)) > 1e-8:
-        import warnings
-        warnings.warn(f"x is not an equilibrium (|f| = {np.max(np.abs(res)):.2e})")
+    res = float(np.max(np.abs(eval_f(model, x, x, lam, mu))))
+    equilibrium = res <= 1e-8
+    if not equilibrium:
+        warnings.warn(f"x is not an equilibrium (|f| = {res:.2e})")
 
     d0 = characteristic(model, x, lam, mu, 0.0).real
     hc = 1e-100
@@ -86,46 +83,89 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float,
     d2 = (characteristic(model, x, lam, mu, h).real
           - 2.0 * characteristic(model, x, lam, mu, 0.0).real
           + characteristic(model, x, lam, mu, -h).real) / (h * h)
-    ok = abs(d0) <= tol and abs(d1) <= tol and abs(d2) > np.sqrt(tol)
+    ok = (equilibrium and abs(d0) <= tol and abs(d1) <= tol
+          and abs(d2) > np.sqrt(tol))
     return d0, d1, d2, ok
 
 
-def spectral_scan(model: DdeModel, x, lam: float, mu: float,
-                  box=((-1.0, 1.0), (-8.0, 8.0)), grid: int = 12,
-                  re_margin: float = 0.05):
-    """Best-effort root scan of Delta over a rectangle in the complex plane.
+def _chebyshev_diff(N: int) -> np.ndarray:
+    """Differentiation matrix on the N+1 Chebyshev points cos(pi j / N) of [-1, 1]."""
+    t = np.cos(np.pi * np.arange(N + 1) / N)
+    c = np.ones(N + 1)
+    c[0] = c[N] = 2.0
+    c *= (-1.0) ** np.arange(N + 1)
+    dt = t[:, None] - t[None, :]
+    D = np.outer(c, 1.0 / c) / (dt + np.eye(N + 1))
+    return D - np.diag(D.sum(axis=1))
 
-    Seeds complex Newton iterations from a grid and deduplicates converged
-    roots.  Non-exhaustive by construction; its purpose is to warn when some
-    root other than the double zero sits near the imaginary axis, which the
-    existence theory assumes away.
+
+def _delta(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Delta at every entry of z, by one stacked determinant."""
+    M = (z[:, None, None] * np.eye(f1.shape[0]) - f1
+         - np.exp(-z)[:, None, None] * f2)
+    return np.linalg.det(M)
+
+
+def spectral_scan(model: DdeModel, x, lam: float, mu: float,
+                  box=((-1.0, 1.0), (-8.0, 8.0)), re_margin: float = 0.05):
+    """Roots of Delta in a rectangle of the complex plane, and those near the axis.
+
+    The roots are the eigenvalues of the infinitesimal generator of the
+    linearized DDE (delay 1, as in ``characteristic``).  The generator is
+    discretized by Chebyshev collocation on [-1, 0] (Breda, Maset and
+    Vermiglio, SIAM J. Sci. Comput. 27, 2005): the first block row imposes
+    phi'(0) = f1 phi(0) + f2 phi(-1), the others are the differentiation
+    matrix.  The number of Chebyshev intervals, N = max(12, ceil(2 max|Im|)),
+    grows with the height of the box.  The eigenvalues inside the box
+    widened by 0.5 are then polished together by complex Newton on Delta,
+    and a polished root inside the widened box is kept when |Delta| <= 1e-10.
+    ``warn`` lists the roots other than the double zero with
+    |Re z| <= re_margin, which the existence theory assumes away.
     """
     x = np.asarray(x, dtype=float)
+    n = model.n
+    f1 = jac_x(model, x, x, lam, mu)
+    f2 = jac_y(model, x, x, lam, mu)
     (re_lo, re_hi), (im_lo, im_hi) = box
+
+    def inside(z):
+        return ((re_lo - 0.5 <= z.real) & (z.real <= re_hi + 0.5)
+                & (im_lo - 0.5 <= z.imag) & (z.imag <= im_hi + 0.5))
+
+    N = max(12, math.ceil(2.0 * max(abs(im_lo), abs(im_hi))))
+    A = np.kron(2.0 * _chebyshev_diff(N), np.eye(n))
+    A[:n] = 0.0
+    A[:n, :n] = f1
+    A[:n, -n:] = f2
+    z = np.linalg.eigvals(A)
+    z = z[inside(z)]
+
+    # an iterate stops when its step is negligible, when Delta' vanishes, or
+    # when it escapes far outside the box; the acceptance test below then
+    # decides whether it is a root
+    escape = 10.0 + max(abs(re_lo), abs(re_hi), abs(im_lo), abs(im_hi))
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(60):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        za = z[idx]
+        h = _EPS ** (1.0 / 3.0) * np.maximum(1.0, np.abs(za))
+        d, dp, dm = _delta(f1, f2, np.concatenate([za, za + h, za - h])).reshape(3, -1)
+        dz = (dp - dm) / (2.0 * h)
+        flat = dz == 0
+        step = d / np.where(flat, 1.0, dz)
+        znew = za - step
+        out = ~flat & (np.abs(znew) > escape)
+        small = np.abs(step) < 1e-12 * np.maximum(1.0, np.abs(znew))
+        z[idx] = np.where(flat, za, znew)
+        active[idx] = ~(flat | out | small)
+    z = z[(np.abs(_delta(f1, f2, z)) <= 1e-10) & inside(z)]
+
     roots = []
-    for re in np.linspace(re_lo, re_hi, grid):
-        for im in np.linspace(im_lo, im_hi, grid):
-            z = complex(re, im)
-            escape = 10.0 + max(abs(re_lo), abs(re_hi), abs(im_lo), abs(im_hi))
-            escaped = False
-            for _ in range(60):
-                dz = characteristic_derivative(model, x, lam, mu, z)
-                if dz == 0:
-                    break
-                step = characteristic(model, x, lam, mu, z) / dz
-                z = z - step
-                if abs(z) > escape:
-                    escaped = True
-                    break
-                if abs(step) < 1e-12 * max(1.0, abs(z)):
-                    break
-            if escaped or abs(characteristic(model, x, lam, mu, z)) > 1e-10:
-                continue
-            if not (re_lo - 0.5 <= z.real <= re_hi + 0.5
-                    and im_lo - 0.5 <= z.imag <= im_hi + 0.5):
-                continue
-            if not any(abs(z - r) < 1e-6 for r in roots):
-                roots.append(z)
+    for r in z.tolist():
+        if not any(abs(r - q) < 1e-6 for q in roots):
+            roots.append(r)
     roots.sort(key=lambda r: (abs(r), r.imag))
     warn = [r for r in roots if abs(r) > 1e-6 and abs(r.real) <= re_margin]
     return roots, warn

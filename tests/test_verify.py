@@ -1,10 +1,12 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tbdde import (ConditionIFailed, DdeModel, TbCandidate, characteristic,
                    compute_basis, double_zero_check, eval_f, jac_x, jac_y,
                    predator_prey, quadratic_check, spectral_scan, synthetic_tb)
-from tbdde.verify import characteristic_derivative
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -24,6 +26,38 @@ def scalar_model(delayed):
 def pp_equilibrium(D, K=2.0):
     x1 = (1.0 - np.sqrt(1.0 - 4.0 * D * D)) / (2.0 * D)
     return np.array([x1, (1.0 - x1 / K) * (1.0 + x1 * x1)])
+
+
+def double_zero_scalar():
+    """x' = lambda + 2x + mu x(t-1) - x^2: a double zero at x = 1/2, mu = -1."""
+    return DdeModel(n=1, tau=1.0,
+                    f=lambda x, y, l, u: l + 2.0 * x + u * y - x ** 2,
+                    d1=lambda x, y, l, u: np.array([[2.0 - 2.0 * x[0]]]),
+                    d2=lambda x, y, l, u: np.array([[u]]))
+
+
+def synthetic_with_hidden_component():
+    """synthetic-tb plus x2' = x0 - (pi/2) x2(t-1), whose factor of Delta,
+    z + (pi/2) exp(-z), vanishes at z = +-i pi/2."""
+    base = synthetic_tb()
+
+    def d1(x, y, l, u):
+        J = np.zeros((3, 3))
+        J[:2, :2] = base.d1(x[:2], y[:2], l, u)
+        J[2, 0] = 1.0
+        return J
+
+    def d2(x, y, l, u):
+        J = np.zeros((3, 3))
+        J[:2, :2] = base.d2(x[:2], y[:2], l, u)
+        J[2, 2] = -0.5 * np.pi
+        return J
+
+    return DdeModel(
+        n=3, tau=1.0,
+        f=lambda x, y, l, u: np.append(base.f(x[:2], y[:2], l, u),
+                                       x[0] - 0.5 * np.pi * y[2]),
+        d1=d1, d2=d2)
 
 
 @pytest.fixture
@@ -50,7 +84,9 @@ class TestCharacteristic:
     def test_complex_step_vs_central_difference(self, pp):
         hc = 1e-100
         cs = characteristic(pp, TB_X, 0.5, 2.0, 1j * hc).imag / hc
-        cd = characteristic_derivative(pp, TB_X, 0.5, 2.0, 0.0).real
+        h = np.finfo(float).eps ** (1.0 / 3.0)
+        cd = ((characteristic(pp, TB_X, 0.5, 2.0, h)
+               - characteristic(pp, TB_X, 0.5, 2.0, -h)) / (2.0 * h)).real
         assert cs == pytest.approx(cd, abs=1e-6 * max(1.0, abs(cs)))
 
 
@@ -77,12 +113,26 @@ class TestDoubleZeroCheck:
         with pytest.warns(UserWarning):
             double_zero_check(pp, [1.3, 1.3], 0.5, 2.0)
 
+    def test_off_equilibrium_fails(self):
+        # Delta has a double zero at x = 0.5 for every lambda, but x is an
+        # equilibrium only at lambda = -1/4; at lambda = 3, |f| = 3.25
+        m = double_zero_scalar()
+        with pytest.warns(UserWarning, match="not an equilibrium"):
+            d0, d1, _, ok = double_zero_check(m, [0.5], 3.0, -1.0)
+        assert abs(d0) <= 1e-12 and abs(d1) <= 1e-10
+        assert not ok
+        with pytest.warns(UserWarning, match="not an equilibrium"):
+            v = quadratic_check(m, TbCandidate(x=np.array([0.5]), phi1=np.array([1.0]),
+                                               phi2=np.array([0.0]), lam=3.0, mu=-1.0),
+                                compute_basis(np.array([[1.0]]), np.array([[-1.0]])))
+        assert not v.char_ok and not v.passed
+
 
 class TestSpectralScan:
     def test_scalar_undelayed_single_root(self):
         m = scalar_model(delayed=False)
         roots, warn = spectral_scan(m, [0.0], 0.0, 0.0,
-                                    box=((-2.0, 0.0), (-1.0, 1.0)), grid=6)
+                                    box=((-2.0, 0.0), (-1.0, 1.0)))
         assert len(roots) == 1
         assert roots[0] == pytest.approx(-1.0, abs=1e-9)
         assert not warn
@@ -90,12 +140,62 @@ class TestSpectralScan:
     def test_scalar_delayed_principal_pair(self):
         m = scalar_model(delayed=True)
         roots, _ = spectral_scan(m, [0.0], 0.0, 0.0,
-                                 box=((-1.0, 1.0), (0.0, 8.0)), grid=8)
+                                 box=((-1.0, 1.0), (0.0, 8.0)))
         assert any(abs(r - DELAYED_SCALAR_ROOT) < 1e-8 for r in roots)
+
+    def test_scalar_delayed_default_box_exact(self):
+        # every other root of z + exp(-z) has Re z < -2
+        roots, warn = spectral_scan(scalar_model(delayed=True), [0.0], 0.0, 0.0)
+        assert len(roots) == 2 and not warn
+        want = sorted([DELAYED_SCALAR_ROOT, DELAYED_SCALAR_ROOT.conjugate()],
+                      key=lambda z: z.imag)
+        for got, z in zip(sorted(roots, key=lambda z: z.imag), want):
+            assert abs(got - z) <= 1e-12
+
+    @pytest.mark.parametrize("omega,im_hi", [(0.5 * np.pi, 8.0), (2.5 * np.pi, 8.0),
+                                             (8.5 * np.pi, 28.0)],
+                             ids=["pi/2", "5pi/2", "17pi/2"])
+    def test_imaginary_pair_warns(self, omega, im_hi):
+        # x' = -omega x(t-1) has roots +-i omega.  5 pi / 2 sits near the
+        # edge of the default box; at 17 pi / 2 the collocation size has to
+        # grow with the box (a fixed N = 12 misses that pair)
+        m = DdeModel(n=1, tau=1.0, f=lambda x, y, l, u: -omega * y,
+                     d1=lambda x, y, l, u: np.zeros((1, 1)),
+                     d2=lambda x, y, l, u: np.array([[-omega]]))
+        _, warn = spectral_scan(m, [0.0], 0.0, 0.0,
+                                box=((-1.0, 1.0), (-im_hi, im_hi)))
+        assert len(warn) == 2
+        got = sorted(warn, key=lambda z: z.imag)
+        assert abs(got[0] + 1j * omega) <= 1e-10
+        assert abs(got[1] - 1j * omega) <= 1e-10
+
+    @pytest.mark.parametrize("a", [0.3, 2.0, 6.0])
+    def test_scalar_delayed_all_branches(self, a):
+        # the roots of z + a exp(-z) are the branches W_k(-a) of Lambert W;
+        # the scan must return every one inside the box widened by 0.5
+        mpmath = pytest.importorskip("mpmath")
+        want = {complex(mpmath.lambertw(-a, k)) for k in range(-8, 9)}
+        want = [z for z in want if abs(z.real) <= 1.5 and abs(z.imag) <= 8.5]
+        m = DdeModel(n=1, tau=1.0, f=lambda x, y, l, u: -a * y)
+        roots, _ = spectral_scan(m, [0.0], 0.0, 0.0)
+        assert len(roots) == len(want) > 0
+        for z in want:
+            assert min(abs(z - r) for r in roots) <= 1e-10
+
+    def test_hidden_axis_pair_beside_double_zero(self):
+        m = synthetic_with_hidden_component()
+        x = np.zeros(3)
+        assert double_zero_check(m, x, 0.0, 0.0)[3]
+        roots, warn = spectral_scan(m, x, 0.0, 0.0)
+        assert any(abs(r) < 1e-6 for r in roots)
+        got = sorted(warn, key=lambda z: z.imag)
+        assert len(got) == 2
+        assert abs(got[0] + 0.5j * np.pi) <= 1e-10
+        assert abs(got[1] - 0.5j * np.pi) <= 1e-10
 
     def test_tb_point_contains_zero(self, pp):
         roots, _ = spectral_scan(pp, TB_X, 0.5, 2.0,
-                                 box=((-1.0, 1.0), (-8.0, 8.0)), grid=8)
+                                 box=((-1.0, 1.0), (-8.0, 8.0)))
         assert any(abs(r) < 1e-8 for r in roots)
 
 
@@ -207,3 +307,22 @@ class TestQuadraticCheck:
         fmu = np.array([0.25, 0.0])
         res = (f1 + f2) @ v.nu + v.c_lam_mu * flam + fmu
         assert np.max(np.abs(res)) <= 1e-9
+
+
+class TestSyntheticOracle:
+    def test_exact_derivation_matches(self):
+        pytest.importorskip("sympy")
+        script = Path(__file__).resolve().parents[1] / "tools" / "synthetic_oracle.py"
+        ref = runpy.run_path(str(script))
+        m = synthetic_tb()
+        sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
+                          phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
+        f1 = jac_x(m, sol.x, sol.x, 0.0, 0.0)
+        f2 = jac_y(m, sol.x, sol.x, 0.0, 0.0)
+        v = quadratic_check(m, sol, compute_basis(f1, f2))
+        assert v.d0 == pytest.approx(float(ref["d0"]), abs=1e-12)
+        assert v.c_lam_mu == pytest.approx(float(ref["clm"]), abs=1e-12)
+        assert v.cond_iii_value == pytest.approx(float(ref["cond_iii"]), abs=1e-12)
+        nu = np.array([float(c) for c in ref["nu"]])
+        assert np.max(np.abs(v.nu - nu)) <= 1e-12
+        assert abs(complex(ref["w"]) - DELAYED_SCALAR_ROOT) <= 1e-15

@@ -1,7 +1,10 @@
 """Exact-arithmetic derivation of the synthetic-tb reference data.
 
-Run once (needs sympy + mpmath, which are development-only dependencies) and
-copy the printed values into tests/reference_synthetic.py.  The construction
+Needs sympy + mpmath, which are development-only dependencies.  Run it as
+``python3 tools/synthetic_oracle.py`` to print the values; the values frozen
+in tests/test_verify.py (test_synthetic_frozen_values, DELAYED_SCALAR_ROOT)
+came from it, and TestSyntheticOracle there runs it and compares d0, c_lam_mu,
+nu, cond_iii and the root of z + exp(-z) with the package.  The construction
 mirrors the basis normalization conventions of tbdde.eigenstructure but is
 carried out symbolically, so it is an independent oracle for the floating
 point implementation.
