@@ -17,9 +17,10 @@ Typical use::
 """
 
 from .errors import (ConditionIFailed, DegenerateNormalization, InputError,
-                     MissingDerivatives, NearSingular, RankDeficiencyMismatch,
-                     SingularNuSystem, TbddeError)
-from .model import DdeModel, eval_f, jac_x, jac_y, param_der, second_dirder
+                     NearSingular, RankDeficiencyMismatch, SingularNuSystem,
+                     TbddeError)
+from .model import (DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der,
+                    second_dirder)
 from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
 from .defining import (Functionals, NewtonOptions, NewtonReport, TbCandidate,
                        jacobian, newton_solve, residual)
@@ -34,11 +35,11 @@ __all__ = [
     "DdeModel", "EigenBasis", "Functionals", "NewtonOptions", "NewtonReport",
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
-    "RankDeficiencyMismatch", "DegenerateNormalization", "MissingDerivatives",
+    "RankDeficiencyMismatch", "DegenerateNormalization",
     "ConditionIFailed", "SingularNuSystem",
     "build", "registry",
     "characteristic", "compute_basis", "double_zero_check", "eval_f",
-    "jac_x", "jac_y", "jacobian", "newton_solve", "param_der",
+    "hessian_blocks", "jac_x", "jac_y", "jacobian", "newton_solve", "param_der",
     "predator_prey", "quadratic_check", "residual", "second_dirder",
     "spectral_scan", "synthetic_tb", "tb_existence_test",
 ]

@@ -2,7 +2,8 @@
 
 Runs are driven by a JSON config file (see README for the schema) so results
 are reproducible.  Exit codes: 0 converged and verified, 2 Newton failed to
-converge, 3 converged but a verification condition failed, 4 config error.
+converge, 3 converged but a verification condition failed, 4 config or
+usage error.
 """
 
 from __future__ import annotations
@@ -99,16 +100,10 @@ def _options(cfg: dict, args) -> NewtonOptions:
         opts.tol_step = float(cfg["tol_step"])
     if "max_iter" in cfg:
         opts.max_iter = int(cfg["max_iter"])
-    if "jacobian_mode" in cfg:
-        opts.jacobian_mode = str(cfg["jacobian_mode"])
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         opts.tol_res = args.tol
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         opts.max_iter = args.max_iter
-    if getattr(args, "jacobian", None) is not None:
-        opts.jacobian_mode = args.jacobian
-    if opts.jacobian_mode not in ("auto", "analytic", "fd"):
-        raise InputError(f"bad jacobian mode {opts.jacobian_mode!r}")
     return opts
 
 
@@ -131,7 +126,6 @@ def _report_dict(report) -> dict:
         "iterations": int(report.iterations),
         "residual_history": [float(r) for r in report.residual_history],
         "final_cond": float(report.final_cond),
-        "jacobian_mode": report.jacobian_mode,
         "failure_reason": report.failure_reason,
         "solution": _candidate_dict(report.solution),
     }
@@ -218,7 +212,7 @@ def cmd_solve(args) -> int:
         print(json.dumps(result, indent=2))
         return code
     rep = result["report"]
-    print(f"model: {cfg['model']}   jacobian: {rep['jacobian_mode']}")
+    print(f"model: {cfg['model']}")
     print(f"{'iter':>4}  {'|H|_inf':>12}")
     for k, r in enumerate(rep["residual_history"]):
         print(f"{k:>4}  {r:12.4e}")
@@ -380,22 +374,29 @@ def cmd_list_models(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with the config-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tbdde",
         description="Compute quadratic Takens-Bogdanov points of delay "
                     "differential equations by Newton iteration on a reduced "
                     "defining system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON run config")
+    def add_common(p, newton=True):
+        p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
-        p.add_argument("--max-iter", type=int, dest="max_iter")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--jacobian", choices=("analytic", "fd"))
+        if newton:
+            p.add_argument("--max-iter", type=int, dest="max_iter")
+            p.add_argument("--tol", type=float)
 
     p = sub.add_parser("solve", help="run Newton from the configured initial value")
     add_common(p)
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="verify a candidate point without solving")
-    add_common(p)
+    add_common(p, newton=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("list-models", help="list registered models")
@@ -417,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InputError, MissingDerivatives, NearSingular
-from .model import DdeModel, eval_f, jac_x, jac_y, param_der, second_dirder
-
-_EPS = np.finfo(float).eps
+from .errors import InputError, NearSingular
+from .model import DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,6 @@ class NewtonOptions:
     tol_res: float = 1e-12
     tol_step: float = 1e-13
     max_iter: int = 50
-    jacobian_mode: str = "auto"   # auto | analytic | fd
-    damping: float = 1.0          # 1.0 = pure Newton
 
 
 @dataclass
@@ -74,7 +70,6 @@ class NewtonReport:
     iterate_history: list
     residual_history: list
     final_cond: float
-    jacobian_mode: str
     failure_reason: str | None = None
 
     @property
@@ -101,64 +96,15 @@ def residual(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
     ])
 
 
-def _dirder_matrices(model, x, lam, mu, vec):
-    """Directional-derivative matrices of f1 and f2 along state directions.
+def jacobian(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
+    """Jacobian of the defining system at v, assembled block by block.
 
-    Returns (M1, M2) where M1[:, j] = (f11 + f12 + f21 + f22)[vec, e_j] and
-    M2[:, j] = (f21 + f22)[vec, e_j]; these are the x-column blocks the chain
-    rows contribute.
+    The x-columns of the chain and normalization rows are contractions of
+    the second-derivative matrices Dx, Dy along phi1 and phi2
+    (``hessian_blocks``), so any model works: suppliers are used where
+    present and finite differences of f1, f2 stand in for the rest.
     """
     n = model.n
-    cols1 = np.zeros((n, n))
-    cols2 = np.zeros((n, n))
-    e = np.eye(n)
-    for j in range(n):
-        t11 = second_dirder(model, "11", x, x, lam, mu, vec, e[j])
-        t12 = second_dirder(model, "12", x, x, lam, mu, vec, e[j])
-        t21 = second_dirder(model, "21", x, x, lam, mu, vec, e[j])
-        t22 = second_dirder(model, "22", x, x, lam, mu, vec, e[j])
-        cols1[:, j] = t11 + t12 + t21 + t22
-        cols2[:, j] = t21 + t22
-    return cols1, cols2
-
-
-def _row_dirder(model, x, lam, mu, row, vec):
-    """x-gradient of the scalar row @ f2 @ vec, as a length-n row."""
-    n = model.n
-    out = np.zeros(n)
-    e = np.eye(n)
-    for j in range(n):
-        t21 = second_dirder(model, "21", x, x, lam, mu, vec, e[j])
-        t22 = second_dirder(model, "22", x, x, lam, mu, vec, e[j])
-        out[j] = row @ (t21 + t22)
-    return out
-
-
-def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
-             mode: str = "analytic") -> np.ndarray:
-    """Jacobian of the defining system at v.
-
-    "analytic" assembles the block matrix from the model's derivative
-    suppliers (all must be present); "fd" forward-differences the residual
-    column by column.
-    """
-    n = model.n
-    if mode == "fd":
-        base = v.pack()
-        r0 = residual(model, v, L)
-        J = np.zeros((3 * n + 2, 3 * n + 2))
-        for j in range(3 * n + 2):
-            h = np.sqrt(_EPS) * max(1.0, abs(base[j]))
-            vp = base.copy()
-            vp[j] += h
-            J[:, j] = (residual(model, TbCandidate.unpack(vp, n), L) - r0) / h
-        return J
-    if mode != "analytic":
-        raise InputError(f"unknown jacobian mode {mode!r}")
-    if not model.has_all_derivatives:
-        raise MissingDerivatives(
-            "analytic Jacobian needs every derivative supplier on the model")
-
     x, p1, p2 = v.x, v.phi1, v.phi2
     lam, mu = v.lam, v.mu
     l1, l2 = L.l1, L.l2
@@ -173,8 +119,8 @@ def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
     f1mu = param_der(model, "1mu", x, x, lam, mu)
     f2mu = param_der(model, "2mu", x, x, lam, mu)
 
-    M1_p1, M2_p1 = _dirder_matrices(model, x, lam, mu, p1)
-    M1_p2, _ = _dirder_matrices(model, x, lam, mu, p2)
+    Dx1, Dy1 = hessian_blocks(model, x, lam, mu, p1)
+    Dx2, Dy2 = hessian_blocks(model, x, lam, mu, p2)
 
     J = np.zeros((3 * n + 2, 3 * n + 2))
     r1, r2, r3 = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
@@ -185,29 +131,24 @@ def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
     J[r1, clam] = flam
     J[r1, cmu] = fmu
 
-    J[r2, cx] = M1_p1
+    J[r2, cx] = Dx1 + Dy1
     J[r2, c1] = S
     J[r2, clam] = (f1lam + f2lam) @ p1
     J[r2, cmu] = (f1mu + f2mu) @ p1
 
-    J[r3, cx] = M1_p2 - M2_p1
+    J[r3, cx] = Dx2 + Dy2 - Dy1
     J[r3, c1] = -B2
     J[r3, c2] = S
     J[r3, clam] = (f1lam + f2lam) @ p2 - f2lam @ p1
     J[r3, cmu] = (f1mu + f2mu) @ p2 - f2mu @ p1
 
-    # scalar normalization rows: gradients of l-weighted f2 contractions
-    g_l2_p1 = _row_dirder(model, x, lam, mu, l2, p1)
-    g_l1_p1 = _row_dirder(model, x, lam, mu, l1, p1)
-    g_l1_p2 = _row_dirder(model, x, lam, mu, l1, p2)
-    g_l2_p2 = _row_dirder(model, x, lam, mu, l2, p2)
-
-    J[3 * n, cx] = -0.5 * g_l2_p1 + g_l1_p1
+    # scalar normalization rows: the x-gradient of l @ f2 @ p is l @ Dy(p)
+    J[3 * n, cx] = (l1 - 0.5 * l2) @ Dy1
     J[3 * n, c1] = l1 - 0.5 * l2 @ f2 + l1 @ f2
     J[3 * n, clam] = -0.5 * l2 @ f2lam @ p1 + l1 @ f2lam @ p1
     J[3 * n, cmu] = -0.5 * l2 @ f2mu @ p1 + l1 @ f2mu @ p1
 
-    J[3 * n + 1, cx] = (-0.5 * g_l1_p1 + g_l1_p2 + g_l2_p1 / 6.0 - 0.5 * g_l2_p2)
+    J[3 * n + 1, cx] = (l2 / 6.0 - 0.5 * l1) @ Dy1 + (l1 - 0.5 * l2) @ Dy2
     J[3 * n + 1, c1] = -0.5 * l1 @ f2 + l2 @ f2 / 6.0
     J[3 * n + 1, c2] = l1 + l1 @ f2 - 0.5 * l2 @ f2
     J[3 * n + 1, clam] = (-0.5 * l1 @ f2lam @ p1 + l1 @ f2lam @ p2
@@ -227,9 +168,6 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     the problem being solved.
     """
     opts = opts or NewtonOptions()
-    mode = opts.jacobian_mode
-    if mode == "auto":
-        mode = "analytic" if model.has_all_derivatives else "fd"
 
     v = v0
     r = residual(model, v, L)
@@ -239,18 +177,18 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
 
     for k in range(opts.max_iter):
         if res_hist[-1] <= opts.tol_res:
-            return NewtonReport(True, k, history, res_hist, final_cond, mode)
+            return NewtonReport(True, k, history, res_hist, final_cond)
         if res_hist[-1] > 1e12 or not np.isfinite(res_hist[-1]):
-            return NewtonReport(False, k, history, res_hist, final_cond, mode,
+            return NewtonReport(False, k, history, res_hist, final_cond,
                                 failure_reason="diverged")
-        J = jacobian(model, v, L, mode=mode)
+        J = jacobian(model, v, L)
         try:
             step, final_cond = linalg.solve_with_cond(J, -r)
         except NearSingular as exc:
             final_cond = exc.cond
-            return NewtonReport(False, k, history, res_hist, final_cond, mode,
+            return NewtonReport(False, k, history, res_hist, final_cond,
                                 failure_reason="singular_jacobian")
-        vnew = v.pack() + opts.damping * step
+        vnew = v.pack() + step
         v = TbCandidate.unpack(vnew, model.n)
         r = residual(model, v, L)
         history.append(v)
@@ -258,9 +196,8 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
         if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
             converged = res_hist[-1] <= max(opts.tol_res, 1e-8)
             return NewtonReport(converged, k + 1, history, res_hist, final_cond,
-                                mode,
                                 failure_reason=None if converged else "stalled")
 
     converged = res_hist[-1] <= opts.tol_res
     return NewtonReport(converged, opts.max_iter, history, res_hist, final_cond,
-                        mode, failure_reason=None if converged else "max_iter")
+                        failure_reason=None if converged else "max_iter")

@@ -28,10 +28,6 @@ class DegenerateNormalization(TbddeError):
     """The basis normalization equations admit no usable solution."""
 
 
-class MissingDerivatives(TbddeError):
-    """Analytic Jacobian requested but the model lacks derivative suppliers."""
-
-
 class ConditionIFailed(TbddeError):
     """The transversality quantity psi2*f_lambda vanishes."""
 

@@ -8,7 +8,9 @@ values untouched, so the stored ``tau`` is informational only.
 Derivatives are served analytically when the model supplies them and by
 central finite differences otherwise.  First derivatives use a step of
 ``eps**(1/3)``, second derivatives ``eps**(1/4)``, both relative to the
-magnitude of the perturbed component.
+magnitude of the perturbed component.  Second derivatives along a direction
+also come as whole matrices (``hessian_blocks``), from which the defining
+system's Jacobian and the certificate take their blocks.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class DdeModel:
         if not self.tau > 0:
             raise InputError(f"delay must be positive, got {self.tau}")
 
-    @property
-    def has_all_derivatives(self) -> bool:
-        """True when every supplier needed by the analytic Jacobian is present."""
-        return all(
-            getattr(self, a) is not None
-            for a in ("d1", "d2", "dlam", "dmu", "d11", "d12", "d21", "d22",
-                      "d1lam", "d2lam", "d1mu", "d2mu")
-        )
-
 
 def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -122,6 +115,26 @@ def jac_y(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     return _fd_jac(lambda yv: eval_f(model, x, yv, lam, mu), y)
 
 
+def _slot_diff(model: DdeModel, slot: str, mats: str, x, y, lam: float, mu: float,
+               u) -> np.ndarray:
+    """Central difference along ``u`` of a sum of first-derivative matrices.
+
+    ``slot`` "1" moves x and "2" moves the delayed state y; ``mats`` names the
+    matrices summed, "1" for ``jac_x`` and "2" for ``jac_y``.  The step is
+    ``eps**(1/4)`` relative to the moved argument and to max|u|.
+    """
+    unorm = np.max(np.abs(u))
+    if unorm == 0.0:
+        return np.zeros((model.n, model.n))
+    h = H2 * max(1.0, np.max(np.abs(x if slot == "1" else y))) / unorm
+
+    def mat(s):
+        xs, ys = (x + s * u, y) if slot == "1" else (x, y + s * u)
+        return sum((jac_x if m == "1" else jac_y)(model, xs, ys, lam, mu) for m in mats)
+
+    return (mat(h) - mat(-h)) / (2.0 * h)
+
+
 def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
                   u, w) -> np.ndarray:
     """Bilinear second-derivative action.
@@ -142,22 +155,37 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     supplier = getattr(model, "d" + which)
     if supplier is not None:
         return np.asarray(supplier(x, y, lam, mu, u, w), dtype=float)
-
-    unorm = np.max(np.abs(u))
-    if unorm == 0.0:
-        return np.zeros(model.n)
     # which[0] names the differencing slot, which[1] the matrix being differenced
-    diff_in_x = which[0] == "1"
-    base = x if diff_in_x else y
-    mat = jac_x if which[1] == "1" else jac_y
-    h = H2 * max(1.0, np.max(np.abs(base))) / unorm
-    if diff_in_x:
-        jp = mat(model, x + h * u, y, lam, mu)
-        jm = mat(model, x - h * u, y, lam, mu)
-    else:
-        jp = mat(model, x, y + h * u, lam, mu)
-        jm = mat(model, x, y - h * u, lam, mu)
-    return (jp - jm) / (2.0 * h) @ w
+    return _slot_diff(model, which[0], which[1], x, y, lam, mu, u) @ w
+
+
+def hessian_blocks(model: DdeModel, x, lam: float, mu: float, u):
+    """Second-derivative matrices (Dx, Dy) along ``u`` at y = x.
+
+    Dx @ w = (f11 + f12)[u, w] and Dy @ w = (f21 + f22)[u, w]: Dx is the
+    derivative of ``jac_x + jac_y`` along ``u`` in the x slot, Dy in the
+    delayed slot, and (Dx + Dy) @ w is the second derivative of
+    g(x) = f(x, x) along u and w.  Columns come from the d11..d22 suppliers
+    where present; the matrices a slot has no supplier for are differenced
+    once, together.
+    """
+    x = _check_vec(model, x, "x")
+    u = _check_vec(model, u, "u")
+    e = np.eye(model.n)
+    out = []
+    for slot in "12":
+        D = np.zeros((model.n, model.n))
+        missing = ""
+        for m in "12":
+            supplier = getattr(model, "d" + slot + m)
+            if supplier is None:
+                missing += m
+            else:
+                D += np.column_stack([supplier(x, x, lam, mu, u, ej) for ej in e])
+        if missing:
+            D += _slot_diff(model, slot, missing, x, x, lam, mu, u)
+        out.append(D)
+    return out[0], out[1]
 
 
 def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):

@@ -23,7 +23,7 @@ from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
 from .errors import ConditionIFailed, NearSingular, SingularNuSystem
-from .model import DdeModel, eval_f, jac_x, jac_y, param_der, second_dirder
+from .model import DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der
 
 _EPS = np.finfo(float).eps
 
@@ -42,7 +42,6 @@ class TbVerdict:
     psi2_nu: float               # reported, not enforced (see quadratic_check)
     char_values: tuple           # (Delta(0), Delta'(0), Delta''(0))
     char_ok: bool
-    jac_cond: float = np.nan
     tol: float = np.nan
 
     @property
@@ -60,15 +59,23 @@ def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> com
     return complex(linalg.det(M))
 
 
+def _delta(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Delta at every entry of z, by one stacked determinant."""
+    M = (z[:, None, None] * np.eye(f1.shape[0]) - f1
+         - np.exp(-z)[:, None, None] * f2)
+    return np.linalg.det(M)
+
+
 def double_zero_check(model: DdeModel, x, lam: float, mu: float,
                       tol: float = 1e-8):
     """Certify an algebraically double, at-most-double root of Delta at z = 0.
 
     Delta(0) is exact; Delta'(0) uses a complex step (Delta is entire and
     real on the real axis, so the step is subtraction free); Delta''(0) uses
-    a second central difference.  Passes when x is an equilibrium
-    (|f| <= 1e-8; otherwise also warns), |Delta(0)| <= tol, |Delta'(0)| <= tol
-    and |Delta''(0)| > sqrt(tol).
+    a second central difference.  f1 and f2 are evaluated once, and Delta at
+    the four points by one stacked determinant.  Passes when x is an
+    equilibrium (|f| <= 1e-8; otherwise also warns), |Delta(0)| <= tol,
+    |Delta'(0)| <= tol and |Delta''(0)| > sqrt(tol).
     """
     x = np.asarray(x, dtype=float)
     res = float(np.max(np.abs(eval_f(model, x, x, lam, mu))))
@@ -76,13 +83,14 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float,
     if not equilibrium:
         warnings.warn(f"x is not an equilibrium (|f| = {res:.2e})")
 
-    d0 = characteristic(model, x, lam, mu, 0.0).real
+    f1 = jac_x(model, x, x, lam, mu)
+    f2 = jac_y(model, x, x, lam, mu)
     hc = 1e-100
-    d1 = characteristic(model, x, lam, mu, 1j * hc).imag / hc
     h = _EPS ** 0.25
-    d2 = (characteristic(model, x, lam, mu, h).real
-          - 2.0 * characteristic(model, x, lam, mu, 0.0).real
-          + characteristic(model, x, lam, mu, -h).real) / (h * h)
+    at0, atc, atp, atm = _delta(f1, f2, np.array([0.0, 1j * hc, h, -h]))
+    d0 = at0.real
+    d1 = atc.imag / hc
+    d2 = (atp.real - 2.0 * at0.real + atm.real) / (h * h)
     ok = (equilibrium and abs(d0) <= tol and abs(d1) <= tol
           and abs(d2) > np.sqrt(tol))
     return d0, d1, d2, ok
@@ -97,13 +105,6 @@ def _chebyshev_diff(N: int) -> np.ndarray:
     dt = t[:, None] - t[None, :]
     D = np.outer(c, 1.0 / c) / (dt + np.eye(N + 1))
     return D - np.diag(D.sum(axis=1))
-
-
-def _delta(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Delta at every entry of z, by one stacked determinant."""
-    M = (z[:, None, None] * np.eye(f1.shape[0]) - f1
-         - np.exp(-z)[:, None, None] * f2)
-    return np.linalg.det(M)
 
 
 def spectral_scan(model: DdeModel, x, lam: float, mu: float,
@@ -171,14 +172,6 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
     return roots, warn
 
 
-def _bilinear_sum(model, x, lam, mu, first, second, left_pair):
-    """(f_i1 + f_i2)[first, second] for i = 1 (left_pair) or i = 2."""
-    a = "11" if left_pair else "21"
-    b = "12" if left_pair else "22"
-    return (second_dirder(model, a, x, x, lam, mu, first, second)
-            + second_dirder(model, b, x, x, lam, mu, first, second))
-
-
 def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
                     tol: float | None = None) -> TbVerdict:
     """Evaluate the quadratic nondegeneracy conditions at a converged point.
@@ -220,24 +213,18 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         raise SingularNuSystem(str(exc)) from exc
     psi2_nu = float(q2 @ nu)
 
-    def A1(w):
-        return _bilinear_sum(model, x, lam, mu, p1, w, left_pair=True)
+    # bilinear blocks as matrices: A1 @ w = (f11 + f12)[phi1, w], A2 the
+    # delayed-slot pair; B1, B2 the same along nu plus the parameter terms
+    A1, A2 = hessian_blocks(model, x, lam, mu, p1)
+    B1, B2 = hessian_blocks(model, x, lam, mu, nu)
+    B1 = B1 + c * f1lam + f1mu
+    B2 = B2 + c * f2lam + f2mu
+    A, B = A1 + A2, B1 + B2
 
-    def A2(w):
-        return _bilinear_sum(model, x, lam, mu, p1, w, left_pair=False)
-
-    def B1(w):
-        return (_bilinear_sum(model, x, lam, mu, nu, w, left_pair=True)
-                + c * f1lam @ w + f1mu @ w)
-
-    def B2(w):
-        return (_bilinear_sum(model, x, lam, mu, nu, w, left_pair=False)
-                + c * f2lam @ w + f2mu @ w)
-
-    m11 = q2 @ (A1(p1) + A2(p1))
-    m12 = q2 @ (B1(p1) + B2(p1))
-    m21 = q1 @ (A1(p1) + A2(p1)) + q2 @ (A1(p2) + A2(p2)) - q2 @ A2(p1)
-    m22 = q1 @ (B1(p1) + B2(p1)) + q2 @ (B1(p2) + B2(p2)) - q2 @ B2(p1)
+    m11 = q2 @ A @ p1
+    m12 = q2 @ B @ p1
+    m21 = q1 @ A @ p1 + q2 @ A @ p2 - q2 @ A2 @ p1
+    m22 = q1 @ B @ p1 + q2 @ B @ p2 - q2 @ B2 @ p1
     d0 = float(linalg.det2x2(m11, m12, m21, m22))
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)

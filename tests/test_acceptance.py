@@ -114,7 +114,7 @@ def test_05_existence_discrimination(solved):
     _ok(5, "existence test passes at the solution, fails at D shifted by 0.05")
 
 
-def test_06_jacobian_agreement_and_conditioning(solved):
+def test_06_jacobian_agreement_and_conditioning(solved, fd_jacobian):
     model = predator_prey()
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -122,13 +122,13 @@ def test_06_jacobian_agreement_and_conditioning(solved):
         d = rng.standard_normal(8)
         d *= 0.1 * rng.uniform() / np.linalg.norm(d)
         v = TbCandidate.unpack(solved.pack() + d, 2)
-        Ja = jacobian(model, v, L10, mode="analytic")
-        Jf = jacobian(model, v, L10, mode="fd")
+        Ja = jacobian(model, v, L10)
+        Jf = fd_jacobian(model, v, L10)
         worst = max(worst, float(np.max(np.abs(Ja - Jf)) / np.max(np.abs(Ja))))
     assert worst <= 1e-5
-    cond = linalg.cond_estimate(jacobian(model, solved, L10, mode="analytic"))
+    cond = linalg.cond_estimate(jacobian(model, solved, L10))
     assert np.isfinite(cond) and cond < 1e8
-    _ok(6, f"analytic and FD Jacobians agree to {worst:.1e}; "
+    _ok(6, f"block and whole-residual FD Jacobians agree to {worst:.1e}; "
            f"condition at the solution {cond:.1e}")
 
 

@@ -65,11 +65,21 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["report"]["failure_reason"] == "max_iter"
 
-    def test_fd_jacobian_flag(self, capsys):
-        code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]),
-                           "--json", "--jacobian", "fd")
-        assert code == 0
-        assert json.loads(out)["report"]["jacobian_mode"] == "fd"
+    def test_missing_config_flag_exit_4(self, capsys):
+        code, _, err = run(capsys, "solve")
+        assert code == 4
+        assert "--config" in err
+
+    def test_unknown_flag_exit_4(self, capsys):
+        code, _, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]),
+                         "--jacobian", "fd")
+        assert code == 4
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_unknown_model_exit_4(self, capsys, tmp_path):
         cfg = json.loads(SOLVE_FIXTURES[0].read_text())
@@ -116,6 +126,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--config",
                            str(FIXTURES / "verify_pp_point.json"))
         assert code == 0 and "verdict: PASS" in out
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iter", "3"]])
+    def test_newton_flags_rejected_exit_4(self, capsys, flag):
+        code, out, _ = run(capsys, "verify", "--config",
+                           str(FIXTURES / "verify_pp_point.json"), *flag)
+        assert code == 4 and out == ""
 
 
 class TestScan:

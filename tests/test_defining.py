@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tbdde import (DdeModel, Functionals, InputError, MissingDerivatives,
-                   NewtonOptions, TbCandidate, jacobian, newton_solve,
-                   predator_prey, residual, synthetic_tb)
+from tbdde import (DdeModel, Functionals, InputError, NewtonOptions,
+                   TbCandidate, jacobian, newton_solve, predator_prey, residual,
+                   synthetic_tb)
 from tbdde import linalg
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
@@ -18,6 +18,31 @@ TABLE1 = [
     (([1.5, 1.5], [1.5, 1.5], [1.5, 1.5], 0.6, 1.6), 7),
     (([3.0, 1.5], [1.2, 0.5], [1.8, -1.8], 0.45, 1.9), 6),
 ]
+
+
+def first_order(model):
+    """The same model with only f, d1 and d2: every other derivative is differenced."""
+    return DdeModel(n=model.n, tau=model.tau, f=model.f, d1=model.d1, d2=model.d2)
+
+
+def coupled3():
+    """A 3-d model with x-x, x-y and y-y curvature that supplies only f, d1, d2."""
+    def f(x, y, lam, mu):
+        return np.array([-x[0] + lam * y[1] + x[0] * y[2],
+                         mu * x[1] - y[0] ** 2 + np.sin(x[2]),
+                         x[0] * x[1] - y[2] + lam * mu * y[0] + x[2] * y[1]])
+
+    def d1(x, y, lam, mu):
+        return np.array([[-1.0 + y[2], 0.0, 0.0],
+                         [0.0, mu, np.cos(x[2])],
+                         [x[1], x[0], y[1]]])
+
+    def d2(x, y, lam, mu):
+        return np.array([[0.0, lam, x[0]],
+                         [-2.0 * y[0], 0.0, 0.0],
+                         [lam * mu, x[2], -1.0]])
+
+    return DdeModel(n=3, tau=1.0, f=f, d1=d1, d2=d2, name="coupled3")
 
 
 def candidate(row):
@@ -70,23 +95,40 @@ class TestResidual:
 
 
 class TestJacobian:
-    def test_analytic_vs_fd_near_solution(self, pp):
+    def test_analytic_vs_fd_near_solution(self, pp, fd_jacobian):
         rng = np.random.default_rng(1)
         for _ in range(5):
             v = TbCandidate.unpack(V_STAR.pack() + 0.1 * rng.uniform(-1, 1, 8), 2)
-            Ja = jacobian(pp, v, L10, mode="analytic")
-            Jf = jacobian(pp, v, L10, mode="fd")
+            Ja = jacobian(pp, v, L10)
+            Jf = fd_jacobian(pp, v, L10)
             assert np.max(np.abs(Ja - Jf)) <= 1e-5 * np.max(np.abs(Ja))
 
+    def test_first_order_model_vs_fd(self, pp, fd_jacobian):
+        # second and parameter derivatives all come from differences of d1, d2
+        model = first_order(pp)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            v = TbCandidate.unpack(V_STAR.pack() + 0.1 * rng.uniform(-1, 1, 8), 2)
+            Jb = jacobian(model, v, L10)
+            Jf = fd_jacobian(model, v, L10)
+            assert np.max(np.abs(Jb - Jf)) <= 1e-5 * np.max(np.abs(Jb))
+            Ja = jacobian(pp, v, L10)
+            assert np.max(np.abs(Jb - Ja)) <= 1e-5 * np.max(np.abs(Ja))
+
+    def test_three_dimensional_first_order_model_vs_fd(self, fd_jacobian):
+        model = coupled3()
+        L = Functionals(l1=[1.0, -0.5, 0.25], l2=[0.3, 1.0, -0.7])
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            v = TbCandidate.unpack(rng.uniform(-1.0, 1.0, 11), 3)
+            Jb = jacobian(model, v, L)
+            Jf = fd_jacobian(model, v, L)
+            assert np.max(np.abs(Jb - Jf)) <= 1e-5 * np.max(np.abs(Jb))
+
     def test_condition_finite_at_solution(self, pp):
-        J = jacobian(pp, V_STAR, L10, mode="analytic")
+        J = jacobian(pp, V_STAR, L10)
         c = linalg.cond_estimate(J)
         assert np.isfinite(c) and c < 1e6
-
-    def test_missing_suppliers_rejected(self, pp):
-        bare = DdeModel(n=2, tau=1.0, f=pp.f)
-        with pytest.raises(MissingDerivatives):
-            jacobian(bare, V_STAR, L10, mode="analytic")
 
     def test_no_delay_model_zero_x_columns_in_scalar_rows(self):
         # without a delayed term the normalization rows reduce to l1.phi1 - 1
@@ -102,7 +144,7 @@ class TestJacobian:
                      d1lam=zero2, d2lam=zero2, d1mu=zero2, d2mu=zero2)
         v = TbCandidate(x=np.array([0.2, -0.4]), phi1=np.array([1.0, 0.3]),
                         phi2=np.array([0.5, -0.2]), lam=0.1, mu=0.2)
-        J = jacobian(m, v, L10, mode="analytic")
+        J = jacobian(m, v, L10)
         assert np.max(np.abs(J[6, :2])) == 0.0
         assert np.max(np.abs(J[7, :2])) == 0.0
 
@@ -132,12 +174,24 @@ class TestNewton:
         for s in sols[1:]:
             assert np.max(np.abs(s - sols[0])) <= 1e-9
 
-    def test_fd_mode_also_converges(self, pp):
-        opts = NewtonOptions(jacobian_mode="fd")
-        report = newton_solve(pp, candidate(TABLE1[0][0]), L10, opts)
+    def test_first_order_model_converges(self, pp):
+        report = newton_solve(first_order(pp), candidate(TABLE1[0][0]), L10)
         assert report.converged
-        assert report.jacobian_mode == "fd"
-        assert np.max(np.abs(report.solution.pack() - V_STAR.pack())) <= 1e-8
+        assert np.max(np.abs(report.solution.pack() - V_STAR.pack())) <= 1e-9
+
+    def test_bare_model_converges_from_every_nearby_start(self, pp):
+        # f alone: every derivative is a finite difference, so the residual
+        # levels off near 1e-11 and tol_res=1e-10 is what it can meet
+        bare = DdeModel(n=2, tau=1.0, f=pp.f)
+        base = candidate(TABLE1[0][0]).pack()
+        rng = np.random.default_rng(0)
+        opts = NewtonOptions(tol_res=1e-10)
+        for _ in range(200):
+            start = base + 0.02 * np.maximum(1.0, np.abs(base)) * rng.uniform(-1, 1, 8)
+            report = newton_solve(bare, TbCandidate.unpack(start, 2), L10, opts)
+            assert report.converged
+            assert report.residual_history[-1] <= 1e-10
+            assert np.max(np.abs(report.solution.pack() - V_STAR.pack())) <= 1e-8
 
     def test_divergence_reported(self, pp):
         far = TbCandidate(x=np.array([100.0, 100.0]), phi1=np.array([100.0, 100.0]),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tbdde import (DdeModel, InputError, eval_f, jac_x, jac_y, param_der,
-                   predator_prey, second_dirder)
+from tbdde import (DdeModel, InputError, eval_f, hessian_blocks, jac_x, jac_y,
+                   param_der, predator_prey, second_dirder)
 
 TB_ARGS = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
@@ -114,6 +114,36 @@ class TestSecondDerivatives:
             got = second_dirder(bare, which, x, x, 0.5, 2.0, u, w)
             want = second_dirder(pp, which, x, x, 0.5, 2.0, u, w)
             assert got == pytest.approx(want, abs=1e-6)
+
+
+class TestHessianBlocks:
+    @pytest.mark.parametrize("fields", [
+        ("d1", "d2", "d11", "d12", "d21", "d22"), ("d11", "d22"), ()],
+        ids=["suppliers", "partial", "bare"])
+    def test_columns_are_second_dirders(self, pp, fields):
+        model = DdeModel(n=2, tau=1.0, f=pp.f,
+                         **{name: getattr(pp, name) for name in fields})
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.8, 1.4, 2)
+        u = rng.standard_normal(2)
+        Dx, Dy = hessian_blocks(model, x, 0.5, 2.0, u)
+        for j, ej in enumerate(np.eye(2)):
+            def sd(which):
+                return second_dirder(model, which, x, x, 0.5, 2.0, u, ej)
+            assert Dx[:, j] == pytest.approx(sd("11") + sd("12"), rel=1e-9, abs=1e-9)
+            assert Dy[:, j] == pytest.approx(sd("21") + sd("22"), rel=1e-9, abs=1e-9)
+
+    def test_bare_matches_suppliers(self, pp):
+        bare = DdeModel(n=2, tau=1.0, f=pp.f)
+        u = np.array([0.3, -1.1])
+        for got, want in zip(hessian_blocks(bare, TB_ARGS[0], 0.5, 2.0, u),
+                             hessian_blocks(pp, TB_ARGS[0], 0.5, 2.0, u)):
+            assert got == pytest.approx(want, abs=1e-6)
+
+    def test_zero_direction(self):
+        bare = DdeModel(n=2, tau=1.0, f=predator_prey().f)
+        Dx, Dy = hessian_blocks(bare, TB_ARGS[0], 0.5, 2.0, np.zeros(2))
+        assert not np.any(Dx) and not np.any(Dy)
 
 
 class TestParamDerivatives:

@@ -15,7 +15,9 @@ class TestRegistry:
             model = build(name)
             assert isinstance(model, DdeModel)
             assert model.name == name
-            assert model.has_all_derivatives
+            assert all(getattr(model, f) is not None
+                       for f in ("d1", "d2", "dlam", "dmu", "d11", "d12", "d21",
+                                 "d22", "d1lam", "d2lam", "d1mu", "d2mu"))
 
     def test_build_with_constants(self):
         model = build("predator-prey", {"r": 2.0, "tau": 0.5})
