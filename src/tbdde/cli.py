@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__, models
 from .defining import Functionals, NewtonOptions, TbCandidate, newton_solve
-from .eigenstructure import compute_basis, tb_existence_test
+from .eigenstructure import compute_basis
 from .errors import InputError, TbddeError
 from .model import jac_x, jac_y
 from .verify import quadratic_check
@@ -382,7 +383,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call.
+
+    Parsing leaves no state in it: each call gets a fresh namespace, so an
+    in-process caller pays for building the parser once, not per command.
+    Being shared, the returned parser must not be modified.
+    """
     parser = _Parser(
         prog="tbdde",
         description="Compute quadratic Takens-Bogdanov points of delay "
@@ -390,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "defining system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, newton=True):
+    def add_common(p, with_json=True, newton=True):
         p.add_argument("--config", required=True, help="JSON run config")
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
+        if with_json:
+            p.add_argument("--json", action="store_true",
+                           help="emit machine-readable JSON")
         if newton:
             p.add_argument("--max-iter", type=int, dest="max_iter")
             p.add_argument("--tol", type=float)
@@ -403,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("scan", help="run a grid of initial guesses")
-    add_common(p)
+    add_common(p, with_json=False)
     p.add_argument("--csv", help="write per-run results to this CSV file")
     p.set_defaults(func=cmd_scan)
 

@@ -163,9 +163,10 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     """Undamped Newton on the defining system.
 
     Stops when the residual infinity norm drops below tol_res, or the step
-    is negligible relative to the iterate, or max_iter is hit.  A near
-    singular Jacobian aborts the run; regularizing would silently change
-    the problem being solved.
+    is negligible relative to the iterate, or max_iter is hit.  ``converged``
+    means the residual met tol_res: a negligible step above it ends the run
+    as "stalled".  A near singular Jacobian aborts the run; regularizing
+    would silently change the problem being solved.
     """
     opts = opts or NewtonOptions()
 
@@ -194,7 +195,7 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
         history.append(v)
         res_hist.append(float(np.max(np.abs(r))))
         if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
-            converged = res_hist[-1] <= max(opts.tol_res, 1e-8)
+            converged = res_hist[-1] <= opts.tol_res
             return NewtonReport(converged, k + 1, history, res_hist, final_cond,
                                 failure_reason=None if converged else "stalled")
 

@@ -46,12 +46,20 @@ class TbExistence:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Coefficient vectors of the double-zero eigenspace basis and its dual."""
+    """Coefficient vectors of the double-zero eigenspace basis and its dual.
+
+    The basis also carries the linearization it was built from, (f1, f2),
+    and the existence test of that linearization, so a certificate taken
+    with it needs neither matrix nor decomposition again.
+    """
 
     phi1: np.ndarray
     phi2: np.ndarray
     psi1: np.ndarray  # row vector
     psi2: np.ndarray  # row vector
+    f1: np.ndarray
+    f2: np.ndarray
+    existence: TbExistence
 
     def residuals(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """The six chain/normalization identities as residual magnitudes."""
@@ -71,22 +79,23 @@ class EigenBasis:
         ])
 
 
-def _unit_chain(f1: np.ndarray, f2: np.ndarray, beta_phi2=0.0, beta_psi1=0.0):
-    """Unit-scale chain vectors before normalization.
+def _existence(f2, S, rank: int, phi1, psi2, tol: float, phi2=None) -> TbExistence:
+    """Conditions (ii) and (iii) of the existence test, given condition (i).
 
-    Returns (phi1, phi2p, psi2, psi1p) with phi1, psi2 unit norm and the
-    generalized vectors pinned (phi1.phi2p = beta_phi2, psi1p.psi2 =
-    beta_psi1) by bordered solves.  The left null vector transposed is the
-    one safe column border: phi1 itself lies in range(S) at a T-B point.
+    S = f1 + f2 has rank n-1 with unit null vectors phi1 (right) and psi2
+    (left).  ``phi2`` solves S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0;
+    it is computed here when not given and (ii) holds.
     """
-    S = f1 + f2
     B = f2 + np.eye(f2.shape[0])
-    report, phi1, psi2 = linalg.rank_and_nullspace(S)
-    if phi1 is None:
-        raise DegenerateNormalization("matrix has full rank: no zero eigenvalue")
-    phi2p, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1, beta_phi2)
-    psi1p, _ = linalg.bordered_solve(S.T, phi1, psi2, B.T @ psi2, beta_psi1)
-    return phi1, phi2p, psi2, psi1p
+    scale = max(1.0, np.max(np.abs(S)))
+    range_value = float(psi2 @ (B @ phi1))
+    if abs(range_value) > tol * scale:
+        return TbExistence(True, False, False, rank, range_value, np.nan, tol)
+    if phi2 is None:
+        phi2, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1, 0.0)
+    nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
+    return TbExistence(True, True, abs(nd_value) > tol * scale, rank, range_value,
+                       nd_value, tol)
 
 
 def tb_existence_test(f1, f2, tol: float = DEFAULT_TOL) -> TbExistence:
@@ -95,45 +104,47 @@ def tb_existence_test(f1, f2, tol: float = DEFAULT_TOL) -> TbExistence:
     (i) rank(f1+f2) = n-1; (ii) (f2+I) phi1 in range(f1+f2), tested through
     the left null vector; (iii) the chain terminates: (f2+I) phi2 - f2 phi1/2
     is NOT in the range.  The imaginary-axis spectral hypothesis is reported
-    as a caveat, not verified here.
+    as a caveat, not verified here.  ``compute_basis`` runs the same test on
+    the decomposition it makes anyway (``EigenBasis.existence``).
     """
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
-    n = f1.shape[0]
     S = f1 + f2
-    B = f2 + np.eye(n)
-    scale = max(1.0, np.max(np.abs(S)))
     report, phi1, psi2 = linalg.rank_and_nullspace(S)
     if phi1 is None:
         return TbExistence(False, False, False, report.rank, np.nan, np.nan, tol)
-    range_value = float(psi2 @ (B @ phi1))
-    range_ok = abs(range_value) <= tol * scale
-    if not range_ok:
-        return TbExistence(True, False, False, report.rank, range_value, np.nan, tol)
-    phi2, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1, 0.0)
-    nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
-    nondegenerate = abs(nd_value) > tol * scale
-    return TbExistence(True, True, nondegenerate, report.rank, range_value,
-                       nd_value, tol)
+    return _existence(f2, S, report.rank, phi1, psi2, tol)
 
 
 def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> EigenBasis:
     """Construct the normalized double-zero basis from (f1, f2).
 
-    Construction order: unit null vectors from (1), (3); generalized vectors
-    from (2), (4) via bordered solves; then the normalization identities (5)
-    and (6) determine the common scales.  With phi1 = c*ph1, psi2 = d*ps2,
+    Construction order: unit null vectors from (1), (3) by one SVD of
+    S = f1 + f2; generalized vectors from (2), (4) via bordered solves pinned
+    by phi1.phi2p = beta_phi2 and psi1p.psi2 = beta_psi1 (the left null
+    vector transposed is the one safe column border: phi1 itself lies in
+    range(S) at a T-B point); then the normalization identities (5) and (6)
+    determine the common scales.  With phi1 = c*ph1, psi2 = d*ps2,
     psi1 = d*ps1p and phi2 = c*ph2p + t*ph1 the identities reduce to
 
         (5):  c*d*alpha = 1        (the psi2-range term vanishes at a T-B point)
         (6):  c*d*gamma + d*t*alpha = 0
 
     so c*d = 1/alpha and t follows; the magnitude split between c and d is a
-    convention (square root), with c > 0 keeping the sign rule on phi1.
+    convention (square root), with c > 0 keeping the sign rule on phi1.  The
+    existence test reuses the SVD, and phi2p too when it is pinned at 0.
     """
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
-    ph1, ph2p, ps2, ps1p = _unit_chain(f1, f2, beta_phi2, beta_psi1)
+    S = f1 + f2
+    B = f2 + np.eye(f2.shape[0])
+    report, ph1, ps2 = linalg.rank_and_nullspace(S)
+    if ph1 is None:
+        raise DegenerateNormalization("matrix has full rank: no zero eigenvalue")
+    ph2p, _ = linalg.bordered_solve(S, ps2, ph1, B @ ph1, beta_phi2)
+    ps1p, _ = linalg.bordered_solve(S.T, ph1, ps2, B.T @ ps2, beta_psi1)
+    existence = _existence(f2, S, report.rank, ph1, ps2, DEFAULT_TOL,
+                           None if beta_phi2 else ph2p)
 
     alpha = ps1p @ ph1 - 0.5 * ps2 @ f2 @ ph1 + ps1p @ f2 @ ph1
     gamma = (ps1p @ ph2p - 0.5 * ps1p @ f2 @ ph1 + ps1p @ f2 @ ph2p
@@ -151,4 +162,7 @@ def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> Eig
         phi2=c * ph2p + t * ph1,
         psi1=d * ps1p,
         psi2=d * ps2,
+        f1=f1,
+        f2=f2,
+        existence=existence,
     )

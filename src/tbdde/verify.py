@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .defining import TbCandidate
-from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
+from .eigenstructure import EigenBasis, TbExistence
 from .errors import ConditionIFailed, NearSingular, SingularNuSystem
 from .model import DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der
 
@@ -72,19 +72,23 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float,
 
     Delta(0) is exact; Delta'(0) uses a complex step (Delta is entire and
     real on the real axis, so the step is subtraction free); Delta''(0) uses
-    a second central difference.  f1 and f2 are evaluated once, and Delta at
-    the four points by one stacked determinant.  Passes when x is an
+    a second central difference.  f, f1 and f2 are evaluated once, and Delta
+    at the four points by one stacked determinant.  Passes when x is an
     equilibrium (|f| <= 1e-8; otherwise also warns), |Delta(0)| <= tol,
     |Delta'(0)| <= tol and |Delta''(0)| > sqrt(tol).
     """
     x = np.asarray(x, dtype=float)
-    res = float(np.max(np.abs(eval_f(model, x, x, lam, mu))))
+    return _double_zero(eval_f(model, x, x, lam, mu), jac_x(model, x, x, lam, mu),
+                        jac_y(model, x, x, lam, mu), tol)
+
+
+def _double_zero(f: np.ndarray, f1: np.ndarray, f2: np.ndarray, tol: float):
+    """``double_zero_check`` on an evaluated point: f and its f1, f2."""
+    res = float(np.max(np.abs(f)))
     equilibrium = res <= 1e-8
     if not equilibrium:
         warnings.warn(f"x is not an equilibrium (|f| = {res:.2e})")
 
-    f1 = jac_x(model, x, x, lam, mu)
-    f2 = jac_y(model, x, x, lam, mu)
     hc = 1e-100
     h = _EPS ** 0.25
     at0, atc, atp, atm = _delta(f1, f2, np.array([0.0, 1j * hc, h, -h]))
@@ -182,14 +186,17 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     side constraint psi2.nu = 0 is not always attainable by shifting along
     phi1 (psi2.phi1 vanishes at a double-zero point), so psi2.nu is computed
     and reported instead of enforced.
+
+    ``basis`` must be the one built at ``solution``: its linearization
+    (f1, f2) and existence test are the point's, and the double-zero check
+    uses them too, so the point's f1 and f2 are evaluated once, by the caller.
     """
     x, lam, mu = solution.x, solution.lam, solution.mu
-    f1 = jac_x(model, x, x, lam, mu)
-    f2 = jac_y(model, x, x, lam, mu)
+    f1, f2 = basis.f1, basis.f2
     if tol is None:
         tol = 1e-8 * max(1.0, np.max(np.abs(f1)) + np.max(np.abs(f2)))
 
-    existence = tb_existence_test(f1, f2)
+    existence = basis.existence
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
     flam = param_der(model, "lam", x, x, lam, mu)
@@ -228,7 +235,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     d0 = float(linalg.det2x2(m11, m12, m21, m22))
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
-    cv = double_zero_check(model, x, lam, mu, tol=max(tol, 1e-10))
+    cv = _double_zero(eval_f(model, x, x, lam, mu), f1, f2, max(tol, 1e-10))
 
     return TbVerdict(
         existence=existence,

@@ -1,5 +1,8 @@
 """Shared test helpers."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -29,3 +32,26 @@ def _fd_jacobian(model, v, L):
 def fd_jacobian():
     """The whole-residual forward-difference Jacobian, as a function (model, v, L)."""
     return _fd_jacobian
+
+
+def _counted(model, fields=("f", "d1", "d2")):
+    """A copy of ``model`` whose named callbacks count their calls.
+
+    Returns (model, counts); ``counts[field]`` is the number of calls so far.
+    """
+    counts = Counter()
+
+    def wrap(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    wrapped = {f: wrap(f, getattr(model, f)) for f in fields}
+    return dataclasses.replace(model, **wrapped), counts
+
+
+@pytest.fixture
+def counted_model():
+    """Wrap a model's callbacks in call counters, as a function (model, fields)."""
+    return _counted

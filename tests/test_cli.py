@@ -13,6 +13,33 @@ SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
 
 POINT = {"x": [1.0, 1.0], "lambda": 0.5, "mu": 2.0}
 
+# `tbdde verify --json` verdicts on the two verify fixtures, frozen
+VERDICTS = {
+    "verify_pp_point": {
+        "existence": {"rank_ok": True, "range_ok": True, "nondegenerate": True,
+                      "rank": 1, "range_value": 0.0, "nondegeneracy_value": -2.0,
+                      "passed": True},
+        "cond_i_value": 0.7071067811865475, "cond_i_ok": True,
+        "d0": 0.0883883476483184, "d0_ok": True,
+        "cond_iii_value": 0.9999999999999998, "cond_iii_ok": True,
+        "c_lam_mu": -0.0, "nu": [0.0, 0.5], "psi2_nu": -0.35355339059327373,
+        "char_values": [0.0, 0.0, 2.0000000000000027], "char_ok": True,
+        "tol": 1e-08, "passed": True,
+    },
+    "verify_pp_off": {
+        "existence": {"rank_ok": True, "range_ok": False, "nondegenerate": False,
+                      "rank": 1, "range_value": -0.19611613513818393,
+                      "nondegeneracy_value": None, "passed": False},
+        "cond_i_value": 0.7140741917751114, "cond_i_ok": True,
+        "d0": 0.11784276895768488, "d0_ok": True,
+        "cond_iii_value": 1.04, "cond_iii_ok": True,
+        "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.5],
+        "psi2_nu": -0.3570370958875557,
+        "char_values": [0.0, 0.09999999999999984, 2.000000000001023],
+        "char_ok": False, "tol": 1e-08, "passed": False,
+    },
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -109,7 +136,7 @@ class TestVerify:
                            str(FIXTURES / "verify_pp_point.json"), "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["verdict"]["passed"] is True
+        assert payload["verdict"] == VERDICTS["verify_pp_point"]
         assert json.loads(json.dumps(payload)) == payload
 
     @pytest.mark.filterwarnings("ignore:x is not an equilibrium")
@@ -119,7 +146,7 @@ class TestVerify:
                            str(FIXTURES / "verify_pp_off.json"), "--json")
         assert code == 3
         payload = json.loads(out)
-        assert payload["verdict"]["passed"] is False
+        assert payload["verdict"] == VERDICTS["verify_pp_off"]
         assert payload["verdict"]["existence"]["range_ok"] is False
 
     def test_plain_output_has_verdict_line(self, capsys):
@@ -132,6 +159,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--config",
                            str(FIXTURES / "verify_pp_point.json"), *flag)
         assert code == 4 and out == ""
+
+    def test_point_evaluated_once(self, capsys, monkeypatch, counted_model):
+        # one linearization per point: f, f1 = d1 and f2 = d2 are evaluated
+        # once, and S = f1 + f2 is decomposed once, for basis and certificate
+        from tbdde import linalg, models
+
+        counts = {}
+        build = models.build
+
+        def counted_build(*args, **kwargs):
+            model, counts["model"] = counted_model(build(*args, **kwargs))
+            return model
+
+        svd = linalg.rank_and_nullspace
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] = counts.get("svd", 0) + 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(models, "build", counted_build)
+        monkeypatch.setattr(linalg, "rank_and_nullspace", counted_svd)
+        code, _, _ = run(capsys, "verify", "--config",
+                         str(FIXTURES / "verify_pp_point.json"), "--json")
+        assert code == 0
+        assert dict(counts["model"]) == {"f": 1, "d1": 1, "d2": 1}
+        assert counts["svd"] == 1
 
 
 class TestScan:
@@ -180,6 +233,13 @@ class TestScan:
                          write_config(tmp_path, cfg))
         assert code == 4
 
+    def test_json_flag_rejected_exit_4(self, capsys):
+        # scan writes CSV only, so it has no --json to accept and ignore
+        code, out, err = run(capsys, "scan", "--config",
+                             str(FIXTURES / "scan_pp.json"), "--json")
+        assert code == 4 and out == ""
+        assert "--json" in err
+
     def test_bad_axis_key_exit_4(self, capsys, tmp_path):
         cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
         cfg["scan"] = {"x[5]": {"min": 0, "max": 1, "count": 2}}
@@ -198,6 +258,45 @@ class TestListModels:
         code, out, _ = run(capsys, "list-models", "--json")
         assert code == 0
         assert json.loads(out) == ["predator-prey", "synthetic-tb"]
+
+
+def test_parser_built_once_and_stateless(capsys, tmp_path):
+    """Commands run through the shared parser give what a fresh parser gives."""
+    assert cli.build_parser() is cli.build_parser()
+    solve_cfg = str(SOLVE_FIXTURES[0])
+    cfg_tol = json.loads(SOLVE_FIXTURES[0].read_text())
+    cfg_tol["tol_res"] = 1e-6
+    sequence = [
+        ["solve", "--config", solve_cfg, "--json", "--tol", "1e-3"],
+        ["solve", "--config", solve_cfg, "--json"],
+        ["solve", "--config", write_config(tmp_path, cfg_tol), "--json"],
+        ["verify", "--config", str(FIXTURES / "verify_pp_point.json"), "--json"],
+        ["solve", "--config", solve_cfg, "--no-such-flag"],
+        ["list-models", "--json"],
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        doc = json.loads(out) if out else None
+        if isinstance(doc, dict):
+            doc.pop("timestamp", None)
+        return code, doc, err
+
+    shared = [outcome(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+
+    # the loose tolerances stop Newton before the point certifies: exit 3
+    codes = [code for code, _, _ in shared]
+    assert codes == [3, 0, 3, 0, 4, 0]
+    tols = [shared[k][1]["report"]["residual_history"][-1] for k in range(3)]
+    assert 1e-6 < tols[0] <= 1e-3 and tols[1] <= 1e-12 and 1e-12 < tols[2] <= 1e-6
+    for argv in sequence[:4] + sequence[5:]:
+        assert (vars(cli.build_parser().parse_args(argv))
+                == vars(cli.build_parser.__wrapped__().parse_args(argv)))
 
 
 def test_console_entry_point_installed(monkeypatch, capsys):

@@ -193,6 +193,15 @@ class TestNewton:
             assert report.residual_history[-1] <= 1e-10
             assert np.max(np.abs(report.solution.pack() - V_STAR.pack())) <= 1e-8
 
+    def test_stalled_step_above_tol_res_not_converged(self, pp):
+        # the step falls below tol_step while the residual (about 2e-11) is
+        # still above the requested tol_res: that is a stall, not convergence
+        opts = NewtonOptions(tol_res=1e-15, tol_step=1e-3)
+        report = newton_solve(pp, candidate(TABLE1[0][0]), L10, opts)
+        assert not report.converged
+        assert report.failure_reason == "stalled"
+        assert report.residual_history[-1] > opts.tol_res
+
     def test_divergence_reported(self, pp):
         far = TbCandidate(x=np.array([100.0, 100.0]), phi1=np.array([100.0, 100.0]),
                           phi2=np.array([100.0, 100.0]), lam=100.0, mu=100.0)
