@@ -2,7 +2,7 @@
 
 Typical use::
 
-    from tbdde import models, defining, eigenstructure, verify
+    from tbdde import models, defining, eigenstructure, verify, jac_x, jac_y
 
     model = models.predator_prey()
     L = defining.Functionals(l1=[1, 0], l2=[1, 0])
@@ -10,8 +10,8 @@ Typical use::
                               lam=0.4, mu=1.0)
     report = defining.newton_solve(model, v0, L)
     sol = report.solution
-    f1 = model.d1(sol.x, sol.x, sol.lam, sol.mu)
-    f2 = model.d2(sol.x, sol.x, sol.lam, sol.mu)
+    f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)   # tau-scaled, FD fallback
+    f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
     basis = eigenstructure.compute_basis(f1, f2)
     verdict = verify.quadratic_check(model, sol, basis)
 """

@@ -9,11 +9,14 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import datetime
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -35,10 +38,8 @@ OUTPUT_DIR_ENV = "TBDDE_OUTPUT_DIR"
 
 
 def _out_path(path: str) -> str:
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+    # joining keeps an absolute path, and an unset directory keeps any path
+    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), path)
 
 
 def _load_config(path: str) -> dict:
@@ -54,11 +55,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _vector(cfg: dict, key: str, n: int, required=True):
+def _vector(cfg: dict, key: str, n: int):
     if key not in cfg:
-        if required:
-            raise InputError(f"config field {key!r} is missing")
-        return None
+        raise InputError(f"config field {key!r} is missing")
     v = cfg[key]
     if not isinstance(v, list) or len(v) != n:
         raise InputError(f"config field {key!r} must be a list of {n} numbers")
@@ -68,39 +67,36 @@ def _vector(cfg: dict, key: str, n: int, required=True):
         raise InputError(f"config field {key!r}: {exc}") from exc
 
 
+#: JSON keys of result fields whose attribute names differ; configs use them too
+_KEYS = {"lam": "lambda"}
+
+
 def _candidate(section: dict, n: int, label: str) -> TbCandidate:
     if not isinstance(section, dict):
         raise InputError(f"config field {label!r} must be an object")
-    x = _vector(section, "x", n)
-    phi1 = _vector(section, "phi1", n)
-    phi2 = _vector(section, "phi2", n)
-    for key in ("lambda", "mu"):
+    x, phi1, phi2 = (_vector(section, key, n) for key in ("x", "phi1", "phi2"))
+    scalars = {}
+    for name in ("lam", "mu"):
+        key = _KEYS.get(name, name)
         if key not in section:
             raise InputError(f"config field {label}.{key} is missing")
-    return TbCandidate(x=x, phi1=phi1, phi2=phi2,
-                       lam=float(section["lambda"]), mu=float(section["mu"]))
+        scalars[name] = float(section[key])
+    return TbCandidate(x=x, phi1=phi1, phi2=phi2, **scalars)
 
 
 def _functionals(cfg: dict, n: int, phi1_guess: np.ndarray) -> Functionals:
-    l1 = _vector(cfg, "l1", n, required=False)
-    l2 = _vector(cfg, "l2", n, required=False)
-    if l1 is None or l2 is None:
-        # default: unit row where the initial phi1 guess is largest
-        e = np.zeros(n)
-        e[int(np.argmax(np.abs(phi1_guess)))] = 1.0
-        l1 = e if l1 is None else l1
-        l2 = e if l2 is None else l2
+    # default: unit row where the initial phi1 guess is largest
+    e = np.zeros(n)
+    e[int(np.argmax(np.abs(phi1_guess)))] = 1.0
+    l1, l2 = (_vector(cfg, key, n) if key in cfg else e for key in ("l1", "l2"))
     return Functionals(l1=l1, l2=l2)
 
 
 def _options(cfg: dict, args) -> NewtonOptions:
     opts = NewtonOptions()
-    if "tol_res" in cfg:
-        opts.tol_res = float(cfg["tol_res"])
-    if "tol_step" in cfg:
-        opts.tol_step = float(cfg["tol_step"])
-    if "max_iter" in cfg:
-        opts.max_iter = int(cfg["max_iter"])
+    for f in dataclasses.fields(opts):   # config keys are the option names
+        if f.name in cfg:
+            setattr(opts, f.name, type(f.default)(cfg[f.name]))
     if args.tol is not None:
         opts.tol_res = args.tol
     if args.max_iter is not None:
@@ -114,101 +110,68 @@ def _build_model(cfg: dict):
     return models.build(str(cfg["model"]), cfg.get("model_constants"))
 
 
-def _candidate_dict(v: TbCandidate) -> dict:
-    return {"x": [float(a) for a in v.x],
-            "phi1": [float(a) for a in v.phi1],
-            "phi2": [float(a) for a in v.phi2],
-            "lambda": float(v.lam), "mu": float(v.mu)}
+@functools.cache
+def _schema(cls) -> tuple:
+    """(attribute, JSON key) pairs of a result dataclass, ``passed`` included."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if isinstance(getattr(cls, "passed", None), property):
+        names.append("passed")
+    return tuple((name, _KEYS.get(name, name)) for name in names)
 
 
-def _report_dict(report) -> dict:
-    return {
-        "converged": bool(report.converged),
-        "iterations": int(report.iterations),
-        "residual_history": [float(r) for r in report.residual_history],
-        "final_cond": float(report.final_cond),
-        "failure_reason": report.failure_reason,
-        "solution": _candidate_dict(report.solution),
-    }
-
-
-def _verdict_dict(verdict) -> dict:
-    ex = verdict.existence
-    return {
-        "existence": {
-            "rank_ok": bool(ex.rank_ok), "range_ok": bool(ex.range_ok),
-            "nondegenerate": bool(ex.nondegenerate), "rank": int(ex.rank),
-            "range_value": _f(ex.range_value),
-            "nondegeneracy_value": _f(ex.nondegeneracy_value),
-            "passed": bool(ex.passed),
-        },
-        "cond_i_value": _f(verdict.cond_i_value),
-        "cond_i_ok": bool(verdict.cond_i_ok),
-        "d0": _f(verdict.d0), "d0_ok": bool(verdict.d0_ok),
-        "cond_iii_value": _f(verdict.cond_iii_value),
-        "cond_iii_ok": bool(verdict.cond_iii_ok),
-        "c_lam_mu": _f(verdict.c_lam_mu),
-        "nu": [float(a) for a in verdict.nu],
-        "psi2_nu": _f(verdict.psi2_nu),
-        "char_values": [_f(c) for c in verdict.char_values],
-        "char_ok": bool(verdict.char_ok),
-        "tol": _f(verdict.tol),
-        "passed": bool(verdict.passed),
-    }
-
-
-def _f(x) -> float | None:
-    x = float(x)
-    return None if not np.isfinite(x) else x
+def _json(obj):
+    """The JSON value of a result: dataclasses field by field, arrays and
+    tuples as lists, non-finite floats as null."""
+    t = type(obj)
+    if t is float or t is np.float64:
+        return float(obj) if math.isfinite(obj) else None
+    if t is bool or t is int or t is str or obj is None:
+        return obj
+    if t is np.ndarray or t is list or t is tuple:
+        # a finite float, the usual element, is its own JSON value
+        return [a if type(a) is float and math.isfinite(a) else _json(a)
+                for a in (obj.tolist() if t is np.ndarray else obj)]
+    if t is dict:
+        return {k: _json(v) for k, v in obj.items()}
+    if isinstance(obj, np.generic):
+        return _json(obj.item())
+    return {key: _json(getattr(obj, name)) for name, key in _schema(t)}
 
 
 def _verify_solution(model, solution):
-    """(verdict or None, error string or None) for a converged point."""
+    """(verdict or None, error string or None, exit code) for a point."""
     try:
         f1 = jac_x(model, solution.x, solution.x, solution.lam, solution.mu)
         f2 = jac_y(model, solution.x, solution.x, solution.lam, solution.mu)
-        basis = compute_basis(f1, f2)
-        return quadratic_check(model, solution, basis), None
+        verdict = quadratic_check(model, solution, compute_basis(f1, f2))
     except TbddeError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}", EXIT_NOT_VERIFIED
+    return verdict, None, EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED
 
 
 def _run_one(cfg: dict, args, initial: TbCandidate | None = None):
-    """Solve + verify for one config; returns (result dict, exit code)."""
+    """Solve + verify for one config: (report, verdict, verify error, exit code)."""
     model = _build_model(cfg)
     v0 = initial if initial is not None else _candidate(
         cfg.get("initial"), model.n, "initial")
     L = _functionals(cfg, model.n, v0.phi1)
-    opts = _options(cfg, args)
-    report = newton_solve(model, v0, L, opts)
-
-    verdict_d = None
-    verify_error = None
-    if report.converged:
-        verdict, verify_error = _verify_solution(model, report.solution)
-        if verdict is not None:
-            verdict_d = _verdict_dict(verdict)
-
-    result = {
-        "config": cfg,
-        "tool_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "report": _report_dict(report),
-        "verdict": verdict_d,
-        "verify_error": verify_error,
-    }
+    report = newton_solve(model, v0, L, _options(cfg, args))
     if not report.converged:
-        code = EXIT_NOT_CONVERGED
-    elif verdict_d is None or not verdict_d["passed"]:
-        code = EXIT_NOT_VERIFIED
-    else:
-        code = EXIT_OK
-    return result, code
+        return report, None, None, EXIT_NOT_CONVERGED
+    return (report, *_verify_solution(model, report.solution))
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    result, code = _run_one(cfg, args)
+    report, verdict, error, code = _run_one(cfg, args)
+    result = _json({
+        "config": cfg,
+        "tool_version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "report": report,
+        "verdict": verdict,
+        "verify_error": error,
+    })
     if args.json:
         print(json.dumps(result, indent=2))
         return code
@@ -220,11 +183,8 @@ def cmd_solve(args) -> int:
     if rep["converged"]:
         sol = rep["solution"]
         print(f"converged in {rep['iterations']} iterations")
-        print(f"x       = {sol['x']}")
-        print(f"lambda  = {sol['lambda']}")
-        print(f"mu      = {sol['mu']}")
-        print(f"phi1    = {sol['phi1']}")
-        print(f"phi2    = {sol['phi2']}")
+        for key in ("x", "lambda", "mu", "phi1", "phi2"):
+            print(f"{key:<8}= {sol[key]}")
         if result["verdict"] is not None:
             v = result["verdict"]
             print(f"verified: {v['passed']}  (d0 = {v['d0']}, "
@@ -237,45 +197,21 @@ def cmd_solve(args) -> int:
     return code
 
 
-_GRID_COMPONENTS = ("x", "phi1", "phi2")
-
-
-def _grid_axis(key: str, spec, n: int):
-    """Map a scan key like "x[0]", "lambda" to a setter and values."""
+def _pack_index(key: str, spec, n: int):
+    """Map a scan key like "x[0]", "lambda" to its index in ``TbCandidate.pack()``."""
     if not isinstance(spec, dict) or not {"min", "max", "count"} <= set(spec):
         raise InputError(f"scan axis {key!r} needs min/max/count")
-    count = int(spec["count"])
-    if count < 1:
+    if int(spec["count"]) < 1:
         raise InputError(f"scan axis {key!r}: count must be >= 1")
-    values = np.linspace(float(spec["min"]), float(spec["max"]), count)
-
     if key in ("lambda", "mu"):
-        field = key
-        idx = None
-    elif "[" in key and key.endswith("]"):
-        field, rest = key.split("[", 1)
-        if field not in _GRID_COMPONENTS:
-            raise InputError(f"unknown scan component {key!r}")
-        idx = int(rest[:-1])
-        if not 0 <= idx < n:
-            raise InputError(f"scan index out of range in {key!r}")
-    else:
+        return 3 * n + (key == "mu")
+    field, _, rest = key.partition("[")
+    if field not in ("x", "phi1", "phi2") or not rest.endswith("]"):
         raise InputError(f"unknown scan component {key!r}")
-    return field, idx, values
-
-
-def _apply_axes(base: TbCandidate, assignment) -> TbCandidate:
-    x, p1, p2 = base.x.copy(), base.phi1.copy(), base.phi2.copy()
-    lam, mu = base.lam, base.mu
-    vecs = {"x": x, "phi1": p1, "phi2": p2}
-    for (field, idx, _), value in assignment:
-        if field == "lambda":
-            lam = float(value)
-        elif field == "mu":
-            mu = float(value)
-        else:
-            vecs[field][idx] = float(value)
-    return TbCandidate(x=x, phi1=p1, phi2=p2, lam=lam, mu=mu)
+    idx = int(rest[:-1])
+    if not 0 <= idx < n:
+        raise InputError(f"scan index out of range in {key!r}")
+    return ("x", "phi1", "phi2").index(field) * n + idx
 
 
 def cmd_scan(args) -> int:
@@ -284,45 +220,40 @@ def cmd_scan(args) -> int:
     scan = cfg.get("scan")
     if not isinstance(scan, dict) or not scan:
         raise InputError("scan requires a non-empty 'scan' object in the config")
-    base = _candidate(cfg.get("initial"), model.n, "initial")
-    axes = [_grid_axis(k, scan[k], model.n) for k in sorted(scan)]
+    base = _candidate(cfg.get("initial"), model.n, "initial").pack()
+    keys = sorted(scan)
+    axes = [_pack_index(k, scan[k], model.n) for k in keys]
+    grids = [np.linspace(float(scan[k]["min"]), float(scan[k]["max"]),
+                         int(scan[k]["count"])) for k in keys]
 
     rows = []
     distinct = []
-    any_converged = False
-    for index, values in enumerate(itertools.product(*(a[2] for a in axes))):
-        v0 = _apply_axes(base, list(zip(axes, values)))
-        result, code = _run_one(cfg, args, initial=v0)
-        rep = result["report"]
-        sol = rep["solution"]
-        if rep["converged"]:
-            any_converged = True
-            packed = np.array(sol["x"] + sol["phi1"] + sol["phi2"]
-                              + [sol["lambda"], sol["mu"]])
+    for index, values in enumerate(itertools.product(*grids)):
+        v0 = base.copy()
+        v0[axes] = values
+        report, verdict, _, code = _run_one(
+            cfg, args, initial=TbCandidate.unpack(v0, model.n))
+        sol = report.solution
+        if report.converged:
+            packed = sol.pack()
             if not any(np.max(np.abs(packed - d)) < 1e-6 for d in distinct):
                 distinct.append(packed)
         rows.append({
             "index": index,
-            **{k: float(val) for k, val in zip(sorted(scan), values)},
-            "converged": rep["converged"],
-            "iterations": rep["iterations"],
-            "final_residual": rep["residual_history"][-1],
-            **{f"x{i}": sol["x"][i] for i in range(model.n)},
-            "lambda": sol["lambda"],
-            "mu": sol["mu"],
-            "verified": bool(result["verdict"] and result["verdict"]["passed"]),
+            **{k: float(val) for k, val in zip(keys, values)},
+            "converged": report.converged,
+            "iterations": report.iterations,
+            "final_residual": report.residual_history[-1],
+            **{f"x{i}": a for i, a in enumerate(sol.x.tolist())},
+            "lambda": sol.lam,
+            "mu": sol.mu,
+            "verified": verdict is not None and bool(verdict.passed),
             "exit_code": code,
         })
 
-    fieldnames = list(rows[0].keys())
-    if args.csv:
-        path = _out_path(args.csv)
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fieldnames)
-            w.writeheader()
-            w.writerows(rows)
-    else:
-        w = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
+    with (open(_out_path(args.csv), "w", newline="") if args.csv
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
 
@@ -331,7 +262,7 @@ def cmd_scan(args) -> int:
     for d in distinct:
         print(f"#   x={d[:model.n].tolist()} lambda={d[-2]} mu={d[-1]}",
               file=sys.stderr)
-    return EXIT_OK if any_converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if distinct else EXIT_NOT_CONVERGED
 
 
 def cmd_verify(args) -> int:
@@ -339,39 +270,29 @@ def cmd_verify(args) -> int:
     model = _build_model(cfg)
     section = cfg.get("point", cfg.get("initial"))
     point = _candidate(section, model.n, "point")
-    verdict, err = _verify_solution(model, point)
-    if verdict is None:
-        payload = {"config": cfg, "tool_version": __version__,
-                   "verdict": None, "verify_error": err}
-        code = EXIT_NOT_VERIFIED
-    else:
-        payload = {"config": cfg, "tool_version": __version__,
-                   "verdict": _verdict_dict(verdict), "verify_error": None}
-        code = EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED
+    verdict, err, code = _verify_solution(model, point)
+    payload = _json({"config": cfg, "tool_version": __version__,
+                     "verdict": verdict, "verify_error": err})
     if args.json:
         print(json.dumps(payload, indent=2))
+    elif verdict is None:
+        print(f"verification error: {err}")
     else:
-        if verdict is None:
-            print(f"verification error: {err}")
-        else:
-            v = payload["verdict"]
-            print(f"existence: {v['existence']['passed']}")
-            print(f"cond (i)  psi2.f_lambda = {v['cond_i_value']}: {v['cond_i_ok']}")
-            print(f"cond (ii) d0 = {v['d0']}: {v['d0_ok']}")
-            print(f"cond (iii) value = {v['cond_iii_value']}: {v['cond_iii_ok']}")
-            print(f"char Delta(0), Delta'(0), Delta''(0) = {v['char_values']}: "
-                  f"{v['char_ok']}")
-            print(f"verdict: {'PASS' if v['passed'] else 'FAIL'}")
+        v = payload["verdict"]
+        print(f"existence: {v['existence']['passed']}")
+        print(f"cond (i)  psi2.f_lambda = {v['cond_i_value']}: {v['cond_i_ok']}")
+        print(f"cond (ii) d0 = {v['d0']}: {v['d0_ok']}")
+        print(f"cond (iii) value = {v['cond_iii_value']}: {v['cond_iii_ok']}")
+        print(f"char Delta(0), Delta'(0), Delta''(0) = {v['char_values']}: "
+              f"{v['char_ok']}")
+        print(f"equilibrium |f|_inf = {v['equilibrium_residual']}")
+        print(f"verdict: {'PASS' if v['passed'] else 'FAIL'}")
     return code
 
 
 def cmd_list_models(args) -> int:
     names = models.registry()
-    if args.json:
-        print(json.dumps(names))
-    else:
-        for name in names:
-            print(name)
+    print(json.dumps(names) if args.json else "\n".join(names))
     return EXIT_OK
 
 

@@ -10,11 +10,12 @@ from nearby starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from .eigenstructure import normalization
 from .errors import InputError, NearSingular
 from .model import DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der
 
@@ -65,16 +66,14 @@ class NewtonOptions:
 
 @dataclass
 class NewtonReport:
+    """How a Newton run ended: ``solution`` is its last iterate."""
+
     converged: bool
     iterations: int
-    iterate_history: list
     residual_history: list
     final_cond: float
-    failure_reason: str | None = None
-
-    @property
-    def solution(self) -> TbCandidate:
-        return self.iterate_history[-1]
+    failure_reason: str | None
+    solution: TbCandidate
 
 
 def residual(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
@@ -84,15 +83,12 @@ def residual(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
     f1 = jac_x(model, x, x, lam, mu)
     f2 = jac_y(model, x, x, lam, mu)
     S = f1 + f2
-    l1, l2 = L.l1, L.l2
-    b4 = l1 @ p1 - 0.5 * l2 @ f2 @ p1 + l1 @ f2 @ p1 - 1.0
-    b5 = (l1 @ p2 - 0.5 * l1 @ f2 @ p1 + l1 @ f2 @ p2
-          + l2 @ f2 @ p1 / 6.0 - 0.5 * l2 @ f2 @ p2)
+    b4, b5 = normalization(L.l1, L.l2, f2, p1, p2)
     return np.concatenate([
         eval_f(model, x, x, lam, mu),
         S @ p1,
         S @ p2 - (f2 @ p1 + p1),
-        [b4, b5],
+        [b4 - 1.0, b5],
     ])
 
 
@@ -172,33 +168,28 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
 
     v = v0
     r = residual(model, v, L)
-    history = [v]
     res_hist = [float(np.max(np.abs(r)))]
     final_cond = np.nan
 
     for k in range(opts.max_iter):
         if res_hist[-1] <= opts.tol_res:
-            return NewtonReport(True, k, history, res_hist, final_cond)
+            return NewtonReport(True, k, res_hist, final_cond, None, v)
         if res_hist[-1] > 1e12 or not np.isfinite(res_hist[-1]):
-            return NewtonReport(False, k, history, res_hist, final_cond,
-                                failure_reason="diverged")
+            return NewtonReport(False, k, res_hist, final_cond, "diverged", v)
         J = jacobian(model, v, L)
         try:
             step, final_cond = linalg.solve_with_cond(J, -r)
         except NearSingular as exc:
-            final_cond = exc.cond
-            return NewtonReport(False, k, history, res_hist, final_cond,
-                                failure_reason="singular_jacobian")
+            return NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian", v)
         vnew = v.pack() + step
         v = TbCandidate.unpack(vnew, model.n)
         r = residual(model, v, L)
-        history.append(v)
         res_hist.append(float(np.max(np.abs(r))))
         if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
             converged = res_hist[-1] <= opts.tol_res
-            return NewtonReport(converged, k + 1, history, res_hist, final_cond,
-                                failure_reason=None if converged else "stalled")
+            return NewtonReport(converged, k + 1, res_hist, final_cond,
+                                None if converged else "stalled", v)
 
     converged = res_hist[-1] <= opts.tol_res
-    return NewtonReport(converged, opts.max_iter, history, res_hist, final_cond,
-                        failure_reason=None if converged else "max_iter")
+    return NewtonReport(converged, opts.max_iter, res_hist, final_cond,
+                        None if converged else "max_iter", v)

@@ -7,9 +7,9 @@ chain vectors satisfy
     (1) S phi1 = 0                      (3) psi2 S = 0
     (2) S phi2 = (f2 + I) phi1          (4) psi1 S = psi2 (f2 + I)
 
-and two normalization identities, (5) and (6) below, fix the remaining scale
-freedom.  The basis functions on the delay interval are affine in theta with
-these coefficient vectors, which is why finite vectors suffice.
+and the normalization identities (5) and (6) of ``normalization`` fix the
+remaining scale freedom.  The basis functions on the delay interval are
+affine in theta with these coefficient vectors, so finite vectors suffice.
 """
 
 from __future__ import annotations
@@ -23,6 +23,17 @@ from .errors import DegenerateNormalization
 
 #: relative tolerance for rank/range decisions in the existence test
 DEFAULT_TOL = 1e-8
+
+
+def normalization(q1, q2, f2, p1, p2):
+    """Left-hand sides of the normalization identities (5) = 1 and (6) = 0.
+
+    The basis puts (psi1, psi2, phi1, phi2) in (q1, q2, p1, p2); the defining
+    system puts its row functionals (l1, l2) in place of (psi1, psi2).
+    """
+    return (q1 @ p1 - 0.5 * q2 @ f2 @ p1 + q1 @ f2 @ p1,
+            q1 @ p2 - 0.5 * q1 @ f2 @ p1 + q1 @ f2 @ p2
+            + q2 @ f2 @ p1 / 6.0 - 0.5 * q2 @ f2 @ p2)
 
 
 @dataclass(frozen=True)
@@ -66,16 +77,14 @@ class EigenBasis:
         S = f1 + f2
         B = f2 + np.eye(f2.shape[0])
         p1, p2, q1, q2 = self.phi1, self.phi2, self.psi1, self.psi2
-        r5 = q1 @ p1 - 0.5 * q2 @ f2 @ p1 + q1 @ f2 @ p1 - 1.0
-        r6 = (q1 @ p2 - 0.5 * q1 @ f2 @ p1 + q1 @ f2 @ p2
-              + q2 @ f2 @ p1 / 6.0 - 0.5 * q2 @ f2 @ p2)
+        n5, n6 = normalization(q1, q2, f2, p1, p2)
         return np.array([
             np.max(np.abs(S @ p1)),
             np.max(np.abs(S @ p2 - B @ p1)),
             np.max(np.abs(q2 @ S)),
             np.max(np.abs(q1 @ S - q2 @ B)),
-            abs(r5),
-            abs(r6),
+            abs(n5 - 1.0),
+            abs(n6),
         ])
 
 
@@ -146,9 +155,7 @@ def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> Eig
     existence = _existence(f2, S, report.rank, ph1, ps2, DEFAULT_TOL,
                            None if beta_phi2 else ph2p)
 
-    alpha = ps1p @ ph1 - 0.5 * ps2 @ f2 @ ph1 + ps1p @ f2 @ ph1
-    gamma = (ps1p @ ph2p - 0.5 * ps1p @ f2 @ ph1 + ps1p @ f2 @ ph2p
-             + ps2 @ f2 @ ph1 / 6.0 - 0.5 * ps2 @ f2 @ ph2p)
+    alpha, gamma = normalization(ps1p, ps2, f2, ph1, ph2p)
     if abs(alpha) < 1e-12 * max(1.0, np.max(np.abs(f2))):
         raise DegenerateNormalization(
             f"normalization coefficient {alpha:.3e} too small: identities "

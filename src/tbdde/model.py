@@ -2,8 +2,11 @@
 
 A model describes ``x'(t) = f(x(t), x(t - tau), lambda, mu)`` with a single
 constant delay.  All spectral and defining-system computations work in the
-timescale where the delay equals one, which leaves equilibria and parameter
-values untouched, so the stored ``tau`` is informational only.
+timescale where the delay equals one: with t = tau*s the equation becomes
+``x'(s) = tau * f(x(s), x(s - 1), lambda, mu)``.  Every value this module
+serves (f and all its derivatives) is therefore tau times the model's
+callback, which leaves equilibria and parameter values untouched but
+changes the linearization, and with it the chain conditions and Delta.
 
 Derivatives are served analytically when the model supplies them and by
 central finite differences otherwise.  First derivatives use a step of
@@ -75,11 +78,17 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     return v
 
 
+def _delay1(model: DdeModel, out) -> np.ndarray:
+    """A callback result in delay-1 time: ``tau * out``, exactly ``out`` at tau = 1."""
+    out = np.asarray(out, dtype=float)
+    return out if model.tau == 1.0 else model.tau * out
+
+
 def eval_f(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """Evaluate the right-hand side; with ``x == y`` this is the steady-state residual."""
     x = _check_vec(model, x, "x")
     y = _check_vec(model, y, "y")
-    out = np.asarray(model.f(x, y, lam, mu), dtype=float)
+    out = _delay1(model, model.f(x, y, lam, mu))
     if out.shape != (model.n,):
         raise InputError(f"model f returned shape {out.shape}, expected ({model.n},)")
     return out
@@ -102,7 +111,7 @@ def jac_x(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     x = _check_vec(model, x, "x")
     y = _check_vec(model, y, "y")
     if model.d1 is not None:
-        return np.asarray(model.d1(x, y, lam, mu), dtype=float)
+        return _delay1(model, model.d1(x, y, lam, mu))
     return _fd_jac(lambda xv: eval_f(model, xv, y, lam, mu), x)
 
 
@@ -111,7 +120,7 @@ def jac_y(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     x = _check_vec(model, x, "x")
     y = _check_vec(model, y, "y")
     if model.d2 is not None:
-        return np.asarray(model.d2(x, y, lam, mu), dtype=float)
+        return _delay1(model, model.d2(x, y, lam, mu))
     return _fd_jac(lambda yv: eval_f(model, x, yv, lam, mu), y)
 
 
@@ -154,7 +163,7 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
 
     supplier = getattr(model, "d" + which)
     if supplier is not None:
-        return np.asarray(supplier(x, y, lam, mu, u, w), dtype=float)
+        return _delay1(model, supplier(x, y, lam, mu, u, w))
     # which[0] names the differencing slot, which[1] the matrix being differenced
     return _slot_diff(model, which[0], which[1], x, y, lam, mu, u) @ w
 
@@ -181,7 +190,8 @@ def hessian_blocks(model: DdeModel, x, lam: float, mu: float, u):
             if supplier is None:
                 missing += m
             else:
-                D += np.column_stack([supplier(x, x, lam, mu, u, ej) for ej in e])
+                D += _delay1(model, np.column_stack([supplier(x, x, lam, mu, u, ej)
+                                                     for ej in e]))
         if missing:
             D += _slot_diff(model, slot, missing, x, x, lam, mu, u)
         out.append(D)
@@ -195,11 +205,9 @@ def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
     x = _check_vec(model, x, "x")
     y = _check_vec(model, y, "y")
 
-    attr = {"lam": "dlam", "mu": "dmu", "1lam": "d1lam", "2lam": "d2lam",
-            "1mu": "d1mu", "2mu": "d2mu"}[which]
-    supplier = getattr(model, attr)
+    supplier = getattr(model, "d" + which)
     if supplier is not None:
-        return np.asarray(supplier(x, y, lam, mu), dtype=float)
+        return _delay1(model, supplier(x, y, lam, mu))
 
     wrt_lam = which.endswith("lam")
     p = lam if wrt_lam else mu

@@ -138,7 +138,7 @@ class SyntheticTbParams:
 
 
 def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
-    """Polynomial DDE with a designed quadratic double-zero point at the origin.
+    """Polynomial DDE whose origin is a designed quadratic double zero at tau = 1.
 
     f = A x + B y + lam*p + mu*q + lam*C x + mu*E y + quadratics, with
     A = [[-1, 1], [0, 0]], B = [[1, 0], [0, 0]], p = (0, 1), q = (1, 1),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ class TbVerdict:
     c_lam_mu: float
     nu: np.ndarray
     psi2_nu: float               # reported, not enforced (see quadratic_check)
+    equilibrium_residual: float  # |f(x, x)|_inf; char_ok needs <= 1e-8
     char_values: tuple           # (Delta(0), Delta'(0), Delta''(0))
     char_ok: bool
     tol: float = np.nan
@@ -51,7 +51,8 @@ class TbVerdict:
 
 
 def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> complex:
-    """Delta(z) = det(zI - f1 - f2 exp(-z)) at the equilibrium x."""
+    """Delta(z) = det(zI - f1 - f2 exp(-z)) at the equilibrium x, in delay-1 time:
+    a root z is tau times a root s of the model's det(sI - A - B exp(-s tau))."""
     x = np.asarray(x, dtype=float)
     f1 = jac_x(model, x, x, lam, mu)
     f2 = jac_y(model, x, x, lam, mu)
@@ -74,30 +75,27 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float,
     real on the real axis, so the step is subtraction free); Delta''(0) uses
     a second central difference.  f, f1 and f2 are evaluated once, and Delta
     at the four points by one stacked determinant.  Passes when x is an
-    equilibrium (|f| <= 1e-8; otherwise also warns), |Delta(0)| <= tol,
-    |Delta'(0)| <= tol and |Delta''(0)| > sqrt(tol).
+    equilibrium (|f| <= 1e-8), |Delta(0)| <= tol, |Delta'(0)| <= tol and
+    |Delta''(0)| > sqrt(tol).  Returns (Delta(0), Delta'(0), Delta''(0), ok);
+    ``TbVerdict.equilibrium_residual`` reports |f|.
     """
     x = np.asarray(x, dtype=float)
     return _double_zero(eval_f(model, x, x, lam, mu), jac_x(model, x, x, lam, mu),
-                        jac_y(model, x, x, lam, mu), tol)
+                        jac_y(model, x, x, lam, mu), tol)[1:]
 
 
 def _double_zero(f: np.ndarray, f1: np.ndarray, f2: np.ndarray, tol: float):
-    """``double_zero_check`` on an evaluated point: f and its f1, f2."""
+    """``double_zero_check`` on an evaluated point (f, f1, f2), led by |f|_inf."""
     res = float(np.max(np.abs(f)))
-    equilibrium = res <= 1e-8
-    if not equilibrium:
-        warnings.warn(f"x is not an equilibrium (|f| = {res:.2e})")
-
     hc = 1e-100
     h = _EPS ** 0.25
     at0, atc, atp, atm = _delta(f1, f2, np.array([0.0, 1j * hc, h, -h]))
     d0 = at0.real
     d1 = atc.imag / hc
     d2 = (atp.real - 2.0 * at0.real + atm.real) / (h * h)
-    ok = (equilibrium and abs(d0) <= tol and abs(d1) <= tol
+    ok = (res <= 1e-8 and abs(d0) <= tol and abs(d1) <= tol
           and abs(d2) > np.sqrt(tol))
-    return d0, d1, d2, ok
+    return res, d0, d1, d2, ok
 
 
 def _chebyshev_diff(N: int) -> np.ndarray:
@@ -116,7 +114,8 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
     """Roots of Delta in a rectangle of the complex plane, and those near the axis.
 
     The roots are the eigenvalues of the infinitesimal generator of the
-    linearized DDE (delay 1, as in ``characteristic``).  The generator is
+    linearized DDE in delay-1 time, as in ``characteristic``, so they are
+    tau times the roots in the model's own time.  The generator is
     discretized by Chebyshev collocation on [-1, 0] (Breda, Maset and
     Vermiglio, SIAM J. Sci. Comput. 27, 2005): the first block row imposes
     phi'(0) = f1 phi(0) + f2 phi(-1), the others are the differentiation
@@ -235,14 +234,14 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     d0 = float(linalg.det2x2(m11, m12, m21, m22))
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
-    cv = _double_zero(eval_f(model, x, x, lam, mu), f1, f2, max(tol, 1e-10))
+    res, *cv = _double_zero(eval_f(model, x, x, lam, mu), f1, f2, max(tol, 1e-10))
 
     return TbVerdict(
         existence=existence,
         cond_i_value=cond_i, cond_i_ok=abs(cond_i) > tol,
         d0=d0, d0_ok=abs(d0) > tol,
         cond_iii_value=cond_iii, cond_iii_ok=abs(cond_iii) > tol,
-        c_lam_mu=c, nu=nu, psi2_nu=psi2_nu,
+        c_lam_mu=c, nu=nu, psi2_nu=psi2_nu, equilibrium_residual=res,
         char_values=(float(cv[0]), float(cv[1]), float(cv[2])), char_ok=cv[3],
         tol=tol,
     )

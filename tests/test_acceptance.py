@@ -167,7 +167,6 @@ def test_09_synthetic_reference_point():
            f"(exact 3*sqrt(2))")
 
 
-@pytest.mark.filterwarnings("ignore:x is not an equilibrium")
 def test_10_cli_contract(capsys):
     for k in range(1, 5):
         code = cli.main(["solve", "--config",

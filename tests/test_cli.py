@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,32 +14,46 @@ SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
 
 POINT = {"x": [1.0, 1.0], "lambda": 0.5, "mu": 2.0}
 
+SPECTRAL_CAVEAT = ("the test assumes no other eigenvalue on the imaginary axis; "
+                   "run a spectral scan to check")
+
 # `tbdde verify --json` verdicts on the two verify fixtures, frozen
 VERDICTS = {
     "verify_pp_point": {
         "existence": {"rank_ok": True, "range_ok": True, "nondegenerate": True,
                       "rank": 1, "range_value": 0.0, "nondegeneracy_value": -2.0,
+                      "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT,
                       "passed": True},
         "cond_i_value": 0.7071067811865475, "cond_i_ok": True,
         "d0": 0.0883883476483184, "d0_ok": True,
         "cond_iii_value": 0.9999999999999998, "cond_iii_ok": True,
         "c_lam_mu": -0.0, "nu": [0.0, 0.5], "psi2_nu": -0.35355339059327373,
+        "equilibrium_residual": 0.0,
         "char_values": [0.0, 0.0, 2.0000000000000027], "char_ok": True,
         "tol": 1e-08, "passed": True,
     },
     "verify_pp_off": {
         "existence": {"rank_ok": True, "range_ok": False, "nondegenerate": False,
                       "rank": 1, "range_value": -0.19611613513818393,
-                      "nondegeneracy_value": None, "passed": False},
+                      "nondegeneracy_value": None, "tol": 1e-08,
+                      "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
         "cond_i_value": 0.7140741917751114, "cond_i_ok": True,
         "d0": 0.11784276895768488, "d0_ok": True,
         "cond_iii_value": 1.04, "cond_iii_ok": True,
         "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.5],
         "psi2_nu": -0.3570370958875557,
+        "equilibrium_residual": 0.09999999999999998,
         "char_values": [0.0, 0.09999999999999984, 2.000000000001023],
         "char_ok": False, "tol": 1e-08, "passed": False,
     },
 }
+
+
+def strict_json(text):
+    """Parse a document that must be standard JSON: no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):
@@ -59,7 +74,7 @@ class TestSolve:
     def test_fixture_converges_and_verifies(self, capsys, fixture):
         code, out, _ = run(capsys, "solve", "--config", str(fixture), "--json")
         assert code == 0
-        result = json.loads(out)
+        result = strict_json(out)
         # the emitted document survives a serialization round trip unchanged
         assert json.loads(json.dumps(result)) == result
         rep = result["report"]
@@ -70,6 +85,19 @@ class TestSolve:
         assert sol["lambda"] == pytest.approx(POINT["lambda"], abs=1e-9)
         assert sol["mu"] == pytest.approx(POINT["mu"], abs=1e-9)
         assert result["verdict"]["passed"] is True
+
+    def test_converged_start_emits_strict_json(self, capsys, tmp_path):
+        # Newton stops before its first step, so no condition number was
+        # computed: final_cond is null, not NaN
+        cfg = json.loads((FIXTURES / "verify_pp_point.json").read_text())
+        cfg["initial"] = cfg.pop("point")
+        cfg.update(l1=[1.0, 0.0], l2=[1.0, 0.0])
+        code, out, _ = run(capsys, "solve", "--config",
+                           write_config(tmp_path, cfg), "--json")
+        assert code == 0
+        rep = strict_json(out)["report"]
+        assert rep["iterations"] == 0 and rep["final_cond"] is None
+        assert rep["solution"] == cfg["initial"]
 
     def test_plain_output_lists_iterations(self, capsys):
         code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]))
@@ -84,13 +112,13 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--config",
                            write_config(tmp_path, cfg), "--json")
         assert code == 2
-        assert not json.loads(out)["report"]["converged"]
+        assert not strict_json(out)["report"]["converged"]
 
     def test_max_iter_flag_caps_iterations(self, capsys):
         code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]),
                            "--json", "--max-iter", "2")
         assert code == 2
-        assert json.loads(out)["report"]["failure_reason"] == "max_iter"
+        assert strict_json(out)["report"]["failure_reason"] == "max_iter"
 
     def test_missing_config_flag_exit_4(self, capsys):
         code, _, err = run(capsys, "solve")
@@ -135,19 +163,33 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--config",
                            str(FIXTURES / "verify_pp_point.json"), "--json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["verdict"] == VERDICTS["verify_pp_point"]
         assert json.loads(json.dumps(payload)) == payload
 
-    @pytest.mark.filterwarnings("ignore:x is not an equilibrium")
     def test_wrong_parameter_exit_3(self, capsys):
         # same state but the death rate moved off the bifurcation value
         code, out, _ = run(capsys, "verify", "--config",
                            str(FIXTURES / "verify_pp_off.json"), "--json")
         assert code == 3
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["verdict"] == VERDICTS["verify_pp_off"]
         assert payload["verdict"]["existence"]["range_ok"] is False
+
+    def test_off_equilibrium_reported_on_every_call(self, capsys):
+        # the residual is a verdict field, so a repeated in-process verify
+        # reports it as the first one did, and no warning is raised
+        path = str(FIXTURES / "verify_pp_off.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                code, out, _ = run(capsys, "verify", "--config", path, "--json")
+                assert code == 3
+                assert strict_json(out)["verdict"]["equilibrium_residual"] == (
+                    pytest.approx(0.1, rel=1e-12))
+                code, out, _ = run(capsys, "verify", "--config", path)
+                assert code == 3
+                assert "equilibrium |f|_inf = 0.0999999999" in out
 
     def test_plain_output_has_verdict_line(self, capsys):
         code, out, _ = run(capsys, "verify", "--config",
@@ -212,10 +254,10 @@ class TestScan:
             row = next(csv.DictReader(fh))
         solve_code, out, _ = run(capsys, "solve", "--config",
                                  str(FIXTURES / "solve_pp_1.json"), "--json")
-        sol = json.loads(out)["report"]["solution"]
+        sol = strict_json(out)["report"]["solution"]
         assert solve_code == 0
         assert float(row["x0"]) == pytest.approx(sol["x"][0], abs=1e-12)
-        assert int(row["iterations"]) == json.loads(out)["report"]["iterations"]
+        assert int(row["iterations"]) == strict_json(out)["report"]["iterations"]
 
     def test_output_dir_env_redirects_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -277,7 +319,7 @@ def test_parser_built_once_and_stateless(capsys, tmp_path):
 
     def outcome(argv):
         code, out, err = run(capsys, *argv)
-        doc = json.loads(out) if out else None
+        doc = strict_json(out) if out else None
         if isinstance(doc, dict):
             doc.pop("timestamp", None)
         return code, doc, err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbdde import (DdeModel, Functionals, InputError, NewtonOptions,
                    TbCandidate, jacobian, newton_solve, predator_prey, residual,
@@ -43,6 +44,27 @@ def coupled3():
                          [lam * mu, x[2], -1.0]])
 
     return DdeModel(n=3, tau=1.0, f=f, d1=d1, d2=d2, name="coupled3")
+
+
+def scalar_tb(tau):
+    """x' = lambda + 2x + mu x(t - tau) - x^2 and its exact TB point.
+
+    In delay-1 time f1 = tau (2 - 2x) and f2 = tau mu, so Delta'(0) = 1 + f2
+    and Delta(0) = -(f1 + f2) vanish at mu = -1/tau, x = 1 - 1/(2 tau); the
+    equilibrium gives lambda.  With l1 = l2 = 1 the normalizations fix
+    phi1 = 2 and phi2 = -4/3 for every tau.
+    """
+    model = DdeModel(n=1, tau=tau,
+                     f=lambda x, y, l, u: l + 2.0 * x + u * y - x ** 2,
+                     d1=lambda x, y, l, u: np.array([[2.0 - 2.0 * x[0]]]),
+                     d2=lambda x, y, l, u: np.array([[u]]))
+    x, mu = 1.0 - 0.5 / tau, -1.0 / tau
+    exact = TbCandidate(x=np.array([x]), phi1=np.array([2.0]),
+                        phi2=np.array([-4.0 / 3.0]), lam=x * x - (2.0 + mu) * x, mu=mu)
+    return model, exact
+
+
+L_SCALAR = Functionals(l1=[1.0], l2=[1.0])
 
 
 def candidate(row):
@@ -231,3 +253,30 @@ class TestNewton:
             report = newton_solve(m, v0, L10)
             assert report.converged
             assert np.max(np.abs(report.solution.pack() - target.pack())) <= 1e-10
+
+
+class TestDelay:
+    def test_tau_two_converges_to_delay_point(self):
+        model, exact = scalar_tb(2.0)
+        assert exact.pack().tolist() == [0.75, 2.0, -4.0 / 3.0, -0.5625, -0.5]
+        v0 = TbCandidate.unpack(exact.pack() + [-0.05, 0.1, 0.05, 0.03, 0.04], 1)
+        report = newton_solve(model, v0, L_SCALAR)
+        assert report.converged
+        assert np.max(np.abs(report.solution.pack() - exact.pack())) <= 1e-12
+
+    def test_delay_one_point_is_not_a_root_at_tau_two(self):
+        # the point of the same equation with delay 1
+        model, _ = scalar_tb(2.0)
+        _, point = scalar_tb(1.0)
+        assert point.pack().tolist() == [0.5, 2.0, -4.0 / 3.0, -0.25, -1.0]
+        assert np.max(np.abs(residual(model, point, L_SCALAR))) >= 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.floats(0.25, 4.0),
+           offset=st.lists(st.floats(-0.05, 0.05), min_size=5, max_size=5))
+    def test_newton_point_matches_closed_form(self, tau, offset):
+        model, exact = scalar_tb(tau)
+        start = exact.pack() + np.array(offset) * np.maximum(1.0, np.abs(exact.pack()))
+        report = newton_solve(model, TbCandidate.unpack(start, 1), L_SCALAR)
+        assert report.converged
+        assert np.max(np.abs(report.solution.pack() - exact.pack())) <= 1e-10

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,26 @@ class TestParamDerivatives:
             got = param_der(bare, which, x, x, 0.5, 2.0)
             want = param_der(pp, which, x, x, 0.5, 2.0)
             assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("fields", ["all", "f only"])
+def test_tau_scales_every_value_once(pp, fields):
+    # in delay-1 time the model's callbacks are multiplied by tau; scaling
+    # by 2 is exact, so the values are exactly twice those at tau = 1, also
+    # where a finite difference of a scaled value stands in for a supplier
+    one = pp if fields == "all" else DdeModel(n=2, tau=1.0, f=pp.f)
+    two = dataclasses.replace(one, tau=2.0)
+    x, y, lam, mu = [1.1, 0.9], [0.8, 1.2], 0.45, 1.9
+    u, w = np.array([0.3, -0.7]), np.array([1.0, 0.4])
+    values = [lambda m: np.stack(hessian_blocks(m, np.array(x), lam, mu, u))]
+    values += [lambda m, fn=fn: fn(m, x, y, lam, mu) for fn in (eval_f, jac_x, jac_y)]
+    values += [lambda m, k=k: param_der(m, k, x, y, lam, mu)
+               for k in ("lam", "mu", "1lam", "1mu")]   # "2lam", "2mu" vanish here
+    values += [lambda m, k=k: second_dirder(m, k, x, y, lam, mu, u, w)
+               for k in ("11", "12", "21", "22")]
+    for value in values:
+        assert np.any(value(one))
+        assert np.array_equal(value(two), 2.0 * value(one))
 
 
 def test_invalid_construction():

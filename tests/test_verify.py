@@ -1,4 +1,5 @@
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,10 @@ def pp_equilibrium(D, K=2.0):
     return np.array([x1, (1.0 - x1 / K) * (1.0 + x1 * x1)])
 
 
-def double_zero_scalar():
-    """x' = lambda + 2x + mu x(t-1) - x^2: a double zero at x = 1/2, mu = -1."""
-    return DdeModel(n=1, tau=1.0,
+def double_zero_scalar(tau=1.0):
+    """x' = lambda + 2x + mu x(t-tau) - x^2: a double zero at x = 1 - 1/(2 tau),
+    mu = -1/tau (x = 1/2, mu = -1 for tau = 1)."""
+    return DdeModel(n=1, tau=tau,
                     f=lambda x, y, l, u: l + 2.0 * x + u * y - x ** 2,
                     d1=lambda x, y, l, u: np.array([[2.0 - 2.0 * x[0]]]),
                     d2=lambda x, y, l, u: np.array([[u]]))
@@ -109,22 +111,22 @@ class TestDoubleZeroCheck:
         d0, _, _, ok = double_zero_check(m, [0.0], 0.0, 0.0)
         assert not ok and d0 == pytest.approx(1.0, abs=1e-9)
 
-    def test_warns_off_equilibrium(self, pp):
-        with pytest.warns(UserWarning):
-            double_zero_check(pp, [1.3, 1.3], 0.5, 2.0)
+    def test_off_equilibrium_fails_without_warning(self, pp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not double_zero_check(pp, [1.3, 1.3], 0.5, 2.0)[3]
 
     def test_off_equilibrium_fails(self):
         # Delta has a double zero at x = 0.5 for every lambda, but x is an
         # equilibrium only at lambda = -1/4; at lambda = 3, |f| = 3.25
         m = double_zero_scalar()
-        with pytest.warns(UserWarning, match="not an equilibrium"):
-            d0, d1, _, ok = double_zero_check(m, [0.5], 3.0, -1.0)
+        d0, d1, _, ok = double_zero_check(m, [0.5], 3.0, -1.0)
         assert abs(d0) <= 1e-12 and abs(d1) <= 1e-10
         assert not ok
-        with pytest.warns(UserWarning, match="not an equilibrium"):
-            v = quadratic_check(m, TbCandidate(x=np.array([0.5]), phi1=np.array([1.0]),
-                                               phi2=np.array([0.0]), lam=3.0, mu=-1.0),
-                                compute_basis(np.array([[1.0]]), np.array([[-1.0]])))
+        v = quadratic_check(m, TbCandidate(x=np.array([0.5]), phi1=np.array([1.0]),
+                                           phi2=np.array([0.0]), lam=3.0, mu=-1.0),
+                            compute_basis(np.array([[1.0]]), np.array([[-1.0]])))
+        assert v.equilibrium_residual == 3.25
         assert not v.char_ok and not v.passed
 
 
@@ -289,6 +291,23 @@ class TestQuadraticCheck:
                           lam=2.0, mu=0.5)
         with pytest.raises(ConditionIFailed):
             quadratic_check(swapped, sol, basis)
+
+    @pytest.mark.parametrize("tau, point, passes", [
+        (2.0, (0.75, -0.5625, -0.5), True),    # the tau = 2 point
+        (2.0, (0.5, -0.25, -1.0), False),      # the tau = 1 point, at tau = 2
+        (1.0, (0.5, -0.25, -1.0), True),
+    ], ids=["tau2-point", "tau1-point-at-tau2", "tau1-point"])
+    def test_certificate_uses_the_delay(self, tau, point, passes):
+        # Delta'(0) = 1 + tau mu: the tau = 1 point is a double zero only
+        # when the delay is 1
+        m = double_zero_scalar(tau)
+        x, lam, mu = point
+        sol = TbCandidate(x=np.array([x]), phi1=np.array([1.0]),
+                          phi2=np.array([0.0]), lam=lam, mu=mu)
+        v = quadratic_check(m, sol, self.basis_for(m, sol.x, lam, mu))
+        assert v.equilibrium_residual == 0.0
+        assert v.char_ok == passes and v.passed == passes
+        assert v.char_values[1] == pytest.approx(1.0 + tau * mu, abs=1e-9)
 
     def test_d0_invariant_under_pinning_offset(self, pp):
         sol = TB_SOL
