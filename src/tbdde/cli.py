@@ -42,10 +42,15 @@ def _out_path(path: str) -> str:
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), path)
 
 
+def _non_finite(constant: str):
+    # json.load's hook for the NaN, Infinity and -Infinity it accepts
+    raise InputError(f"config number {constant} is not finite")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_non_finite)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -55,16 +60,24 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(value, label: str, kind=float):
+    """``kind(value)`` for the config field ``label``, which must be finite."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"config field {label!r}: {exc}") from exc
+    if not math.isfinite(number):
+        raise InputError(f"config field {label!r} must be finite, got {value!r}")
+    return number
+
+
 def _vector(cfg: dict, key: str, n: int):
     if key not in cfg:
         raise InputError(f"config field {key!r} is missing")
     v = cfg[key]
     if not isinstance(v, list) or len(v) != n:
         raise InputError(f"config field {key!r} must be a list of {n} numbers")
-    try:
-        return np.array([float(e) for e in v])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"config field {key!r}: {exc}") from exc
+    return np.array([_number(e, key) for e in v])
 
 
 #: JSON keys of result fields whose attribute names differ; configs use them too
@@ -80,7 +93,7 @@ def _candidate(section: dict, n: int, label: str) -> TbCandidate:
         key = _KEYS.get(name, name)
         if key not in section:
             raise InputError(f"config field {label}.{key} is missing")
-        scalars[name] = float(section[key])
+        scalars[name] = _number(section[key], f"{label}.{key}")
     return TbCandidate(x=x, phi1=phi1, phi2=phi2, **scalars)
 
 
@@ -96,11 +109,13 @@ def _options(cfg: dict, args) -> NewtonOptions:
     opts = NewtonOptions()
     for f in dataclasses.fields(opts):   # config keys are the option names
         if f.name in cfg:
-            setattr(opts, f.name, type(f.default)(cfg[f.name]))
+            setattr(opts, f.name, _number(cfg[f.name], f.name, type(f.default)))
     if args.tol is not None:
         opts.tol_res = args.tol
     if args.max_iter is not None:
         opts.max_iter = args.max_iter
+    if opts.max_iter < 0:
+        raise InputError(f"max_iter must be >= 0, got {opts.max_iter}")
     return opts
 
 
@@ -178,7 +193,7 @@ def cmd_solve(args) -> int:
     rep = result["report"]
     print(f"model: {cfg['model']}")
     print(f"{'iter':>4}  {'|H|_inf':>12}")
-    for k, r in enumerate(rep["residual_history"]):
+    for k, r in enumerate(report.residual_history):   # inf and NaN included
         print(f"{k:>4}  {r:12.4e}")
     if rep["converged"]:
         sol = rep["solution"]
@@ -201,14 +216,14 @@ def _pack_index(key: str, spec, n: int):
     """Map a scan key like "x[0]", "lambda" to its index in ``TbCandidate.pack()``."""
     if not isinstance(spec, dict) or not {"min", "max", "count"} <= set(spec):
         raise InputError(f"scan axis {key!r} needs min/max/count")
-    if int(spec["count"]) < 1:
+    if _number(spec["count"], f"scan.{key}.count", int) < 1:
         raise InputError(f"scan axis {key!r}: count must be >= 1")
     if key in ("lambda", "mu"):
         return 3 * n + (key == "mu")
     field, _, rest = key.partition("[")
     if field not in ("x", "phi1", "phi2") or not rest.endswith("]"):
         raise InputError(f"unknown scan component {key!r}")
-    idx = int(rest[:-1])
+    idx = _number(rest[:-1], f"scan.{key}", int)
     if not 0 <= idx < n:
         raise InputError(f"scan index out of range in {key!r}")
     return ("x", "phi1", "phi2").index(field) * n + idx
@@ -223,8 +238,9 @@ def cmd_scan(args) -> int:
     base = _candidate(cfg.get("initial"), model.n, "initial").pack()
     keys = sorted(scan)
     axes = [_pack_index(k, scan[k], model.n) for k in keys]
-    grids = [np.linspace(float(scan[k]["min"]), float(scan[k]["max"]),
-                         int(scan[k]["count"])) for k in keys]
+    grids = [np.linspace(_number(scan[k]["min"], f"scan.{k}.min"),
+                         _number(scan[k]["max"], f"scan.{k}.max"),
+                         _number(scan[k]["count"], f"scan.{k}.count", int)) for k in keys]
 
     rows = []
     distinct = []

@@ -6,6 +6,10 @@ scalar normalizations built from a fixed pair of row functionals l1, l2.
 A regular root of this system is exactly a quadratic Takens-Bogdanov point
 together with its eigendata, so plain undamped Newton converges quadratically
 from nearby starts.
+
+The system is written once, in ``_system``, linear in its data f, S phi1,
+S phi2, f2 phi1, f2 phi2, phi1, phi2 (S = f1 + f2): ``residual`` applies it
+to the data and ``jacobian`` to their derivatives, so J = dH by construction.
 """
 
 from __future__ import annotations
@@ -76,82 +80,60 @@ class NewtonReport:
     solution: TbCandidate
 
 
+def _system(f, a, b, g1, g2, p1, p2, L: Functionals) -> np.ndarray:
+    """H less the -1 of block 4 on its data; dH on their derivative tables.
+
+    A datum's table has one row per component and one column per unknown.
+    """
+    n5, n6 = normalization(L.l1, L.l2, p1, p2, g1, g2)
+    return np.concatenate([f, a, b - (g1 + p1), n5[None], n6[None]])
+
+
 def residual(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
-    """H(v): five stacked blocks, all derivatives taken at (x, x, lam, mu)."""
-    x, p1, p2 = v.x, v.phi1, v.phi2
-    lam, mu = v.lam, v.mu
-    f1 = jac_x(model, x, x, lam, mu)
-    f2 = jac_y(model, x, x, lam, mu)
+    """H(v), ``_system`` on the data at (x, x, lam, mu) with 1 taken off block 4."""
+    x, p1, p2, lam, mu = v.x, v.phi1, v.phi2, v.lam, v.mu
+    f1, f2 = jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)
     S = f1 + f2
-    b4, b5 = normalization(L.l1, L.l2, f2, p1, p2)
-    return np.concatenate([
-        eval_f(model, x, x, lam, mu),
-        S @ p1,
-        S @ p2 - (f2 @ p1 + p1),
-        [b4 - 1.0, b5],
-    ])
+    h = _system(eval_f(model, x, x, lam, mu), S @ p1, S @ p2, f2 @ p1, f2 @ p2,
+                p1, p2, L)
+    h[3 * model.n] -= 1.0
+    return h
 
 
 def jacobian(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
-    """Jacobian of the defining system at v, assembled block by block.
+    """Jacobian of the defining system at v: ``_system`` on a derivative table.
 
-    The x-columns of the chain and normalization rows are contractions of
-    the second-derivative matrices Dx, Dy along phi1 and phi2
+    Each datum of ``_system`` is replaced by its derivative along the
+    unknowns (x, phi1, phi2, lambda, mu).  The x-derivatives of S phi and
+    f2 phi are the second-derivative matrices Dx(phi) + Dy(phi) and Dy(phi)
     (``hessian_blocks``), so any model works: suppliers are used where
     present and finite differences of f1, f2 stand in for the rest.
     """
     n = model.n
-    x, p1, p2 = v.x, v.phi1, v.phi2
-    lam, mu = v.lam, v.mu
-    l1, l2 = L.l1, L.l2
-    f1 = jac_x(model, x, x, lam, mu)
-    f2 = jac_y(model, x, x, lam, mu)
+    x, p1, p2, lam, mu = v.x, v.phi1, v.phi2, v.lam, v.mu
+    f1, f2 = jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)
     S = f1 + f2
-    B2 = f2 + np.eye(n)
-    flam = param_der(model, "lam", x, x, lam, mu)
-    fmu = param_der(model, "mu", x, x, lam, mu)
-    f1lam = param_der(model, "1lam", x, x, lam, mu)
     f2lam = param_der(model, "2lam", x, x, lam, mu)
-    f1mu = param_der(model, "1mu", x, x, lam, mu)
     f2mu = param_der(model, "2mu", x, x, lam, mu)
-
+    Slam = param_der(model, "1lam", x, x, lam, mu) + f2lam
+    Smu = param_der(model, "1mu", x, x, lam, mu) + f2mu
     Dx1, Dy1 = hessian_blocks(model, x, lam, mu, p1)
     Dx2, Dy2 = hessian_blocks(model, x, lam, mu, p2)
+    O, I, o = np.zeros((n, n)), np.eye(n), np.zeros(n)
 
-    J = np.zeros((3 * n + 2, 3 * n + 2))
-    r1, r2, r3 = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
-    cx, c1, c2 = r1, r2, r3
-    clam, cmu = 3 * n, 3 * n + 1
+    def table(dx, dp1, dp2, dlam, dmu):
+        return np.column_stack([dx, dp1, dp2, dlam, dmu])
 
-    J[r1, cx] = S
-    J[r1, clam] = flam
-    J[r1, cmu] = fmu
-
-    J[r2, cx] = Dx1 + Dy1
-    J[r2, c1] = S
-    J[r2, clam] = (f1lam + f2lam) @ p1
-    J[r2, cmu] = (f1mu + f2mu) @ p1
-
-    J[r3, cx] = Dx2 + Dy2 - Dy1
-    J[r3, c1] = -B2
-    J[r3, c2] = S
-    J[r3, clam] = (f1lam + f2lam) @ p2 - f2lam @ p1
-    J[r3, cmu] = (f1mu + f2mu) @ p2 - f2mu @ p1
-
-    # scalar normalization rows: the x-gradient of l @ f2 @ p is l @ Dy(p)
-    J[3 * n, cx] = (l1 - 0.5 * l2) @ Dy1
-    J[3 * n, c1] = l1 - 0.5 * l2 @ f2 + l1 @ f2
-    J[3 * n, clam] = -0.5 * l2 @ f2lam @ p1 + l1 @ f2lam @ p1
-    J[3 * n, cmu] = -0.5 * l2 @ f2mu @ p1 + l1 @ f2mu @ p1
-
-    J[3 * n + 1, cx] = (l2 / 6.0 - 0.5 * l1) @ Dy1 + (l1 - 0.5 * l2) @ Dy2
-    J[3 * n + 1, c1] = -0.5 * l1 @ f2 + l2 @ f2 / 6.0
-    J[3 * n + 1, c2] = l1 + l1 @ f2 - 0.5 * l2 @ f2
-    J[3 * n + 1, clam] = (-0.5 * l1 @ f2lam @ p1 + l1 @ f2lam @ p2
-                          + l2 @ f2lam @ p1 / 6.0 - 0.5 * l2 @ f2lam @ p2)
-    J[3 * n + 1, cmu] = (-0.5 * l1 @ f2mu @ p1 + l1 @ f2mu @ p2
-                         + l2 @ f2mu @ p1 / 6.0 - 0.5 * l2 @ f2mu @ p2)
-    return J
+    return _system(
+        table(S, O, O, param_der(model, "lam", x, x, lam, mu),
+              param_der(model, "mu", x, x, lam, mu)),
+        table(Dx1 + Dy1, S, O, Slam @ p1, Smu @ p1),
+        table(Dx2 + Dy2, O, S, Slam @ p2, Smu @ p2),
+        table(Dy1, f2, O, f2lam @ p1, f2mu @ p1),
+        table(Dy2, O, f2, f2lam @ p2, f2mu @ p2),
+        table(O, I, O, o, o),
+        table(O, O, I, o, o),
+        L)
 
 
 def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,

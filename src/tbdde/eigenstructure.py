@@ -25,15 +25,16 @@ from .errors import DegenerateNormalization
 DEFAULT_TOL = 1e-8
 
 
-def normalization(q1, q2, f2, p1, p2):
+def normalization(q1, q2, p1, p2, g1, g2):
     """Left-hand sides of the normalization identities (5) = 1 and (6) = 0.
 
     The basis puts (psi1, psi2, phi1, phi2) in (q1, q2, p1, p2); the defining
-    system puts its row functionals (l1, l2) in place of (psi1, psi2).
+    system puts its row functionals (l1, l2) in place of (psi1, psi2).  With
+    g = f2 p both sides are linear in (p, g): on derivative tables of p and g
+    they give the identities' gradients.
     """
-    return (q1 @ p1 - 0.5 * q2 @ f2 @ p1 + q1 @ f2 @ p1,
-            q1 @ p2 - 0.5 * q1 @ f2 @ p1 + q1 @ f2 @ p2
-            + q2 @ f2 @ p1 / 6.0 - 0.5 * q2 @ f2 @ p2)
+    return (q1 @ p1 - 0.5 * q2 @ g1 + q1 @ g1,
+            q1 @ p2 - 0.5 * q1 @ g1 + q1 @ g2 + q2 @ g1 / 6.0 - 0.5 * q2 @ g2)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class EigenBasis:
         S = f1 + f2
         B = f2 + np.eye(f2.shape[0])
         p1, p2, q1, q2 = self.phi1, self.phi2, self.psi1, self.psi2
-        n5, n6 = normalization(q1, q2, f2, p1, p2)
+        n5, n6 = normalization(q1, q2, p1, p2, f2 @ p1, f2 @ p2)
         return np.array([
             np.max(np.abs(S @ p1)),
             np.max(np.abs(S @ p2 - B @ p1)),
@@ -155,7 +156,7 @@ def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> Eig
     existence = _existence(f2, S, report.rank, ph1, ps2, DEFAULT_TOL,
                            None if beta_phi2 else ph2p)
 
-    alpha, gamma = normalization(ps1p, ps2, f2, ph1, ph2p)
+    alpha, gamma = normalization(ps1p, ps2, ph1, ph2p, f2 @ ph1, f2 @ ph2p)
     if abs(alpha) < 1e-12 * max(1.0, np.max(np.abs(f2))):
         raise DegenerateNormalization(
             f"normalization coefficient {alpha:.3e} too small: identities "

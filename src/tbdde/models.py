@@ -230,5 +230,5 @@ def build(name: str, constants: dict | None = None) -> DdeModel:
         raise InputError(f"unknown model {name!r}; available: {registry()}")
     try:
         return _BUILDERS[name](dict(constants or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad model constants for {name!r}: {exc}") from exc

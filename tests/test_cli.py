@@ -114,6 +114,21 @@ class TestSolve:
         assert code == 2
         assert not strict_json(out)["report"]["converged"]
 
+    def test_non_finite_history_plain_exit_2(self, capsys, tmp_path):
+        # a finite start whose residual overflows: the plain table prints inf
+        # and NaN where the JSON document has null
+        cfg = json.loads(SOLVE_FIXTURES[0].read_text())
+        cfg["initial"]["x"] = [1e200, 1.1]
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, _ = run(capsys, "solve", "--config", path, "--json")
+            assert code == 2
+            assert strict_json(out)["report"]["failure_reason"] == "diverged"
+            code, out, _ = run(capsys, "solve", "--config", path)
+        assert code == 2
+        assert "did not converge: diverged" in out
+
     def test_max_iter_flag_caps_iterations(self, capsys):
         code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]),
                            "--json", "--max-iter", "2")
@@ -156,6 +171,38 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--config",
                          write_config(tmp_path, cfg))
         assert code == 4
+
+
+BAD_CONFIGS = {
+    # id: (command, path of the replaced config field, its value)
+    "lambda-string": ("solve", ("initial", "lambda"), "abc"),
+    "lambda-null": ("solve", ("initial", "lambda"), None),
+    "lambda-nan": ("solve", ("initial", "lambda"), float("nan")),
+    "x-infinity": ("solve", ("initial", "x"), [float("-inf"), 1.1]),
+    "l1-overflow": ("solve", ("l1",), ["1e999", 0.0]),
+    "max-iter-string": ("solve", ("max_iter",), "abc"),
+    "max-iter-negative": ("solve", ("max_iter",), -1),
+    "tol-res-list": ("solve", ("tol_res",), [1]),
+    "constants-string": ("solve", ("model_constants",), "x"),
+    "constants-infinity": ("solve", ("model_constants",), {"D": float("inf")}),
+    "scan-axis-index": ("scan", ("scan",), {"x[a]": {"min": 0, "max": 1, "count": 2}}),
+    "scan-min-string": ("scan", ("scan", "lambda", "min"), "abc"),
+    "scan-count-string": ("scan", ("scan", "lambda", "count"), "abc"),
+}
+
+
+@pytest.mark.parametrize("command, path, value", BAD_CONFIGS.values(),
+                         ids=list(BAD_CONFIGS))
+def test_bad_config_value_exit_4(capsys, tmp_path, command, path, value):
+    base = SOLVE_FIXTURES[0] if command == "solve" else FIXTURES / "scan_pp.json"
+    cfg = json.loads(base.read_text())
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
+    assert code == 4 and out == ""
+    assert "config error" in err and "Traceback" not in err
 
 
 class TestVerify:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tbdde import (DdeModel, Functionals, InputError, NewtonOptions,
                    TbCandidate, jacobian, newton_solve, predator_prey, residual,
@@ -26,7 +26,7 @@ def first_order(model):
     return DdeModel(n=model.n, tau=model.tau, f=model.f, d1=model.d1, d2=model.d2)
 
 
-def coupled3():
+def coupled3(tau=1.0):
     """A 3-d model with x-x, x-y and y-y curvature that supplies only f, d1, d2."""
     def f(x, y, lam, mu):
         return np.array([-x[0] + lam * y[1] + x[0] * y[2],
@@ -43,7 +43,7 @@ def coupled3():
                          [-2.0 * y[0], 0.0, 0.0],
                          [lam * mu, x[2], -1.0]])
 
-    return DdeModel(n=3, tau=1.0, f=f, d1=d1, d2=d2, name="coupled3")
+    return DdeModel(n=3, tau=tau, f=f, d1=d1, d2=d2, name="coupled3")
 
 
 def scalar_tb(tau):
@@ -137,15 +137,24 @@ class TestJacobian:
             Ja = jacobian(pp, v, L10)
             assert np.max(np.abs(Jb - Ja)) <= 1e-5 * np.max(np.abs(Ja))
 
-    def test_three_dimensional_first_order_model_vs_fd(self, fd_jacobian):
-        model = coupled3()
-        L = Functionals(l1=[1.0, -0.5, 0.25], l2=[0.3, 1.0, -0.7])
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            v = TbCandidate.unpack(rng.uniform(-1.0, 1.0, 11), 3)
-            Jb = jacobian(model, v, L)
-            Jf = fd_jacobian(model, v, L)
-            assert np.max(np.abs(Jb - Jf)) <= 1e-5 * np.max(np.abs(Jb))
+    # fd_jacobian is a plain function, so sharing it between examples is safe
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tau=st.floats(0.25, 4.0),
+           l1=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           l2=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_three_dimensional_first_order_model_vs_fd(self, fd_jacobian, tau,
+                                                        l1, l2, seed):
+        # the normalization rows at any delay, with distinct functionals
+        assume(np.max(np.abs(l1)) >= 0.1 and np.max(np.abs(l2)) >= 0.1)
+        assume(np.max(np.abs(np.subtract(l1, l2))) >= 0.1)
+        model = coupled3(tau)
+        L = Functionals(l1=l1, l2=l2)
+        v = TbCandidate.unpack(np.random.default_rng(seed).uniform(-1.0, 1.0, 11), 3)
+        Jb = jacobian(model, v, L)
+        Jf = fd_jacobian(model, v, L)
+        assert np.max(np.abs(Jb - Jf)) <= 1e-5 * np.max(np.abs(Jb))
 
     def test_condition_finite_at_solution(self, pp):
         J = jacobian(pp, V_STAR, L10)
