@@ -61,13 +61,13 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, label: str, kind=float):
-    """``kind(value)`` for the config field ``label``, which must be finite."""
+    """``kind(value)`` for the config field or flag ``label``; must be finite."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"config field {label!r}: {exc}") from exc
+        raise InputError(f"{label!r}: {exc}") from exc
     if not math.isfinite(number):
-        raise InputError(f"config field {label!r} must be finite, got {value!r}")
+        raise InputError(f"{label!r} must be finite, got {value!r}")
     return number
 
 
@@ -107,15 +107,15 @@ def _functionals(cfg: dict, n: int, phi1_guess: np.ndarray) -> Functionals:
 
 def _options(cfg: dict, args) -> NewtonOptions:
     opts = NewtonOptions()
+    flags = {"tol_res": (args.tol, "--tol"), "max_iter": (args.max_iter, "--max-iter")}
     for f in dataclasses.fields(opts):   # config keys are the option names
-        if f.name in cfg:
+        flag, label = flags.get(f.name, (None, None))
+        if flag is not None:
+            setattr(opts, f.name, _number(flag, label, type(f.default)))
+        elif f.name in cfg:
             setattr(opts, f.name, _number(cfg[f.name], f.name, type(f.default)))
-    if args.tol is not None:
-        opts.tol_res = args.tol
-    if args.max_iter is not None:
-        opts.max_iter = args.max_iter
-    if opts.max_iter < 0:
-        raise InputError(f"max_iter must be >= 0, got {opts.max_iter}")
+        if getattr(opts, f.name) < 0:
+            raise InputError(f"{f.name} must be >= 0, got {getattr(opts, f.name)}")
     return opts
 
 

@@ -70,7 +70,14 @@ class NewtonOptions:
 
 @dataclass
 class NewtonReport:
-    """How a Newton run ended: ``solution`` is its last iterate."""
+    """How a Newton run ended: ``solution`` is its last iterate.
+
+    ``final_cond`` is the condition number the last step was guarded with
+    (nan if no step was taken): the Frobenius bound ||J||_F ||J^-1||_F,
+    between cond_2(J) and (3n+2) cond_2(J), when that bound proved the step
+    safe, and the exact cond_2(J) otherwise, as when the step was refused
+    (see ``linalg.solve_with_cond``).
+    """
 
     converged: bool
     iterations: int
@@ -136,6 +143,7 @@ def jacobian(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
         L)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
                  opts: NewtonOptions | None = None) -> NewtonReport:
     """Undamped Newton on the defining system.
@@ -144,7 +152,9 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     is negligible relative to the iterate, or max_iter is hit.  ``converged``
     means the residual met tol_res: a negligible step above it ends the run
     as "stalled".  A near singular Jacobian aborts the run; regularizing
-    would silently change the problem being solved.
+    would silently change the problem being solved.  numpy's floating-point
+    warnings are off while the model is evaluated: an iterate that runs far
+    out ends the run as "diverged" instead.
     """
     opts = opts or NewtonOptions()
 

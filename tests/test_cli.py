@@ -114,19 +114,18 @@ class TestSolve:
         assert code == 2
         assert not strict_json(out)["report"]["converged"]
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_history_plain_exit_2(self, capsys, tmp_path):
         # a finite start whose residual overflows: the plain table prints inf
-        # and NaN where the JSON document has null
+        # and NaN where the JSON document has null, and numpy prints nothing
         cfg = json.loads(SOLVE_FIXTURES[0].read_text())
         cfg["initial"]["x"] = [1e200, 1.1]
         path = write_config(tmp_path, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, _ = run(capsys, "solve", "--config", path, "--json")
-            assert code == 2
-            assert strict_json(out)["report"]["failure_reason"] == "diverged"
-            code, out, _ = run(capsys, "solve", "--config", path)
-        assert code == 2
+        code, out, err = run(capsys, "solve", "--config", path, "--json")
+        assert code == 2 and err == ""
+        assert strict_json(out)["report"]["failure_reason"] == "diverged"
+        code, out, err = run(capsys, "solve", "--config", path)
+        assert code == 2 and err == ""
         assert "did not converge: diverged" in out
 
     def test_max_iter_flag_caps_iterations(self, capsys):
@@ -174,7 +173,8 @@ class TestSolve:
 
 
 BAD_CONFIGS = {
-    # id: (command, path of the replaced config field, its value)
+    # id: (command, path of the replaced config field, its value); a path of
+    # None leaves the config as it is and passes the value as extra flags
     "lambda-string": ("solve", ("initial", "lambda"), "abc"),
     "lambda-null": ("solve", ("initial", "lambda"), None),
     "lambda-nan": ("solve", ("initial", "lambda"), float("nan")),
@@ -183,6 +183,10 @@ BAD_CONFIGS = {
     "max-iter-string": ("solve", ("max_iter",), "abc"),
     "max-iter-negative": ("solve", ("max_iter",), -1),
     "tol-res-list": ("solve", ("tol_res",), [1]),
+    "tol-res-negative": ("solve", ("tol_res",), -1e-12),
+    "tol-step-negative": ("solve", ("tol_step",), -1.0),
+    "tol-flag-nan": ("solve", None, ["--tol", "nan"]),
+    "tol-flag-negative": ("solve", None, ["--tol", "-1"]),
     "constants-string": ("solve", ("model_constants",), "x"),
     "constants-infinity": ("solve", ("model_constants",), {"D": float("inf")}),
     "scan-axis-index": ("scan", ("scan",), {"x[a]": {"min": 0, "max": 1, "count": 2}}),
@@ -196,11 +200,16 @@ BAD_CONFIGS = {
 def test_bad_config_value_exit_4(capsys, tmp_path, command, path, value):
     base = SOLVE_FIXTURES[0] if command == "solve" else FIXTURES / "scan_pp.json"
     cfg = json.loads(base.read_text())
-    section = cfg
-    for key in path[:-1]:
-        section = section[key]
-    section[path[-1]] = value
-    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
+    if path is None:
+        flags = value
+    else:
+        flags = []
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
+                         *flags)
     assert code == 4 and out == ""
     assert "config error" in err and "Traceback" not in err
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tbdde import NearSingular, RankDeficiencyMismatch
 from tbdde import linalg
@@ -66,6 +67,47 @@ class TestSolve:
             b = rng.standard_normal(n)
             x = linalg.solve(A, b)
             assert np.max(np.abs(A @ x - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(NearSingular) as exc:
+            linalg.solve_with_cond(np.array([[bad, 1.0], [1.0, 1.0]]), np.ones(2))
+        assert np.isnan(exc.value.cond)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_scale_decided_exactly(self, scale):
+        # the Frobenius norm of A under- or overflows here
+        _, c = linalg.solve_with_cond(scale * np.eye(2), np.ones(2))
+        assert c == 1.0
+        with pytest.raises(NearSingular) as exc:
+            linalg.solve_with_cond(scale * np.diag([1.0, 1e-10]), np.ones(2))
+        assert exc.value.cond == pytest.approx(1e10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), log_cond=st.floats(0.0, 12.0),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_guard_refuses_exactly_what_the_svd_refuses(self, n, log_cond,
+                                                        log_scale, seed):
+        # A = U diag(sigma) V^T with cond_2 = 10**log_cond (1 when n = 1)
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        inner = rng.uniform(0.0, log_cond, size=max(n - 2, 0))
+        log_sigma = np.concatenate([[0.0], -inner, [-log_cond]])[:n]
+        A = (U * 10.0 ** (log_scale + log_sigma)) @ V.T
+        b = rng.standard_normal(n)
+        exact = linalg.cond_estimate(A)
+        assume(abs(exact / linalg.COND_LIMIT - 1.0) > 1e-6)
+        if exact > linalg.COND_LIMIT:
+            with pytest.raises(NearSingular) as exc:
+                linalg.solve_with_cond(A, b)
+            assert exc.value.cond == exact
+        else:
+            x, c = linalg.solve_with_cond(A, b)
+            assert np.array_equal(x, np.linalg.solve(A, b))
+            # cond_2 <= c <= n cond_2, up to rounding of order n cond_2 eps
+            slack = 10 * n * exact * np.finfo(float).eps
+            assert exact * (1.0 - slack) <= c <= n * exact * (1.0 + slack)
 
 
 class TestRankAndNullspace:
@@ -195,3 +237,6 @@ class TestCondEstimate:
 
     def test_singular(self):
         assert linalg.cond_estimate(np.zeros((2, 2))) == np.inf
+
+    def test_non_finite(self):
+        assert np.isnan(linalg.cond_estimate(np.array([[np.nan, 1.0], [1.0, 1.0]])))
