@@ -153,8 +153,13 @@ def _json(obj):
     return {key: _json(getattr(obj, name)) for name, key in _schema(t)}
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _verify_solution(model, solution):
-    """(verdict or None, error string or None, exit code) for a point."""
+    """(verdict or None, error string or None, exit code) for a point.
+
+    numpy's floating-point warnings are off, as in Newton: a point far out
+    gives a non-finite linearization, which is a verify error.
+    """
     try:
         f1 = jac_x(model, solution.x, solution.x, solution.lam, solution.mu)
         f2 = jac_y(model, solution.x, solution.x, solution.lam, solution.mu)

@@ -73,10 +73,12 @@ class NewtonReport:
     """How a Newton run ended: ``solution`` is its last iterate.
 
     ``final_cond`` is the condition number the last step was guarded with
-    (nan if no step was taken): the Frobenius bound ||J||_F ||J^-1||_F,
-    between cond_2(J) and (3n+2) cond_2(J), when that bound proved the step
-    safe, and the exact cond_2(J) otherwise, as when the step was refused
-    (see ``linalg.solve_with_cond``).
+    (nan if no step was taken): an upper bound on cond_2(J) when one proved
+    the step safe, and the exact cond_2(J) otherwise, as when the step was
+    refused (see ``linalg.SolveGuard``).  The bound is the anchored one,
+    from the inverse of an earlier Jacobian of the run, which has no fixed
+    ratio to cond_2(J), or else the Frobenius bound ||J||_F ||J^-1||_F,
+    between cond_2(J) and (3n+2) cond_2(J).
     """
 
     converged: bool
@@ -154,10 +156,13 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     as "stalled".  A near singular Jacobian aborts the run; regularizing
     would silently change the problem being solved.  numpy's floating-point
     warnings are off while the model is evaluated: an iterate that runs far
-    out ends the run as "diverged" instead.
+    out ends the run as "diverged" instead.  One ``linalg.SolveGuard``
+    guards every step of the run, so successive Jacobians share inverses;
+    the steps are ``np.linalg.solve``'s all the same.
     """
     opts = opts or NewtonOptions()
 
+    guard = linalg.SolveGuard()
     v = v0
     r = residual(model, v, L)
     res_hist = [float(np.max(np.abs(r)))]
@@ -170,7 +175,7 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
             return NewtonReport(False, k, res_hist, final_cond, "diverged", v)
         J = jacobian(model, v, L)
         try:
-            step, final_cond = linalg.solve_with_cond(J, -r)
+            step, final_cond = guard.solve(J, -r)
         except NearSingular as exc:
             return NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian", v)
         vnew = v.pack() + step

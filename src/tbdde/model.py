@@ -18,6 +18,7 @@ system's Jacobian and the certificate take their blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,8 +68,8 @@ class DdeModel:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"state dimension must be >= 1, got {self.n}")
-        if not self.tau > 0:
-            raise InputError(f"delay must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise InputError(f"delay must be positive and finite, got {self.tau}")
 
 
 def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:

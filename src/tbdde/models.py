@@ -15,7 +15,8 @@ Two models ship with the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,8 +42,8 @@ class PredatorPreyParams:
 
     def __post_init__(self):
         for name in ("r", "K", "a", "mu_growth", "D", "tau"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be positive and finite")
 
 
 def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
@@ -135,6 +136,11 @@ class SyntheticTbParams:
     a5: float = 1.0   # x2*y1 in the second component
     a6: float = -1.0  # y1^2 in the second component
     tau: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InputError(f"{f.name} must be finite")
 
 
 def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:

@@ -62,9 +62,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a number literal json parses to inf; json.dumps cannot write it, so
+# write_config writes a value equal to this string unquoted
+OVERFLOW = "1e400"
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace(json.dumps(OVERFLOW), OVERFLOW))
     return str(path)
 
 
@@ -189,6 +194,8 @@ BAD_CONFIGS = {
     "tol-flag-negative": ("solve", None, ["--tol", "-1"]),
     "constants-string": ("solve", ("model_constants",), "x"),
     "constants-infinity": ("solve", ("model_constants",), {"D": float("inf")}),
+    "tau-overflow": ("solve", ("model_constants",), {"tau": OVERFLOW}),
+    "r-overflow": ("solve", ("model_constants",), {"r": OVERFLOW}),
     "scan-axis-index": ("scan", ("scan",), {"x[a]": {"min": 0, "max": 1, "count": 2}}),
     "scan-min-string": ("scan", ("scan", "lambda", "min"), "abc"),
     "scan-count-string": ("scan", ("scan", "lambda", "count"), "abc"),
@@ -246,6 +253,23 @@ class TestVerify:
                 code, out, _ = run(capsys, "verify", "--config", path)
                 assert code == 3
                 assert "equilibrium |f|_inf = 0.0999999999" in out
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    def test_non_finite_linearization_is_a_verify_error(self, capsys, tmp_path,
+                                                        as_json):
+        # f1 and f2 overflow this far out: the point fails verification
+        # with a typed error, and nothing is written to stderr
+        cfg = json.loads((FIXTURES / "verify_pp_point.json").read_text())
+        cfg["point"]["x"] = [1e200, 1e200]
+        code, out, err = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                             *(["--json"] if as_json else []))
+        assert code == 3 and err == ""
+        if as_json:
+            payload = strict_json(out)
+            assert payload["verdict"] is None
+            assert payload["verify_error"].startswith("NearSingular")
+        else:
+            assert out.startswith("verification error: NearSingular")
 
     def test_plain_output_has_verdict_line(self, capsys):
         code, out, _ = run(capsys, "verify", "--config",

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from tbdde import (DdeModel, Functionals, InputError, NewtonOptions,
-                   TbCandidate, jacobian, newton_solve, predator_prey, residual,
-                   synthetic_tb)
+from tbdde import (DdeModel, DegenerateNormalization, Functionals, InputError,
+                   NewtonOptions, TbCandidate, compute_basis, jac_x, jac_y,
+                   jacobian, newton_solve, predator_prey, quadratic_check,
+                   residual, synthetic_tb)
 from tbdde import linalg
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
@@ -188,6 +189,26 @@ class TestNewton:
         assert abs(report.iterations - ref_iters) <= 2
         assert np.max(np.abs(report.solution.pack() - V_STAR.pack())) <= 1e-9
 
+    @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
+    def test_steps_share_inverses(self, pp, row, monkeypatch):
+        # one guard per run: later steps are proved safe from an earlier
+        # step's inverse, and every step is still np.linalg.solve's
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: inverses.append(A) or inv(A))
+        report = newton_solve(pp, candidate(row), L10)
+        v, history = candidate(row), []
+        while True:
+            r = residual(pp, v, L10)
+            history.append(float(np.max(np.abs(r))))
+            if history[-1] <= NewtonOptions().tol_res:
+                break
+            v = TbCandidate.unpack(v.pack() + np.linalg.solve(jacobian(pp, v, L10), -r), 2)
+        assert report.converged and report.iterations == len(history) - 1
+        assert report.residual_history == history
+        assert np.array_equal(report.solution.pack(), v.pack())
+        assert 1 <= len(inverses) < report.iterations
+
     def test_exact_solution_fixed_point(self, pp):
         report = newton_solve(pp, V_STAR, L10)
         assert report.converged and report.iterations <= 1
@@ -289,3 +310,51 @@ class TestDelay:
         report = newton_solve(model, TbCandidate.unpack(start, 1), L_SCALAR)
         assert report.converged
         assert np.max(np.abs(report.solution.pack() - exact.pack())) <= 1e-10
+
+
+SYNTHETIC_STAR = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
+                             phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
+
+SCALED_MODELS = {
+    # builder, TB point, d0 there, how close Newton gets to the point, and
+    # (l1, l2): l2 f2 phi1 = 0 at the point, so identity (5) fixes the scale
+    # of phi1 through l1 alone and no rescaling makes it degenerate
+    "predator-prey": (predator_prey, V_STAR, np.sqrt(2.0) / 16.0, 1e-9,
+                      [1.0, 0.0], [1.0, 0.0]),
+    "synthetic-tb": (synthetic_tb, SYNTHETIC_STAR, 3.0 * np.sqrt(2.0), 1e-10,
+                     [1.0, 0.0], [0.0, 1.0]),
+}
+
+
+class TestFunctionalScaling:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(SCALED_MODELS)),
+           log_factors=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+           offset=st.lists(st.floats(-0.05, 0.05), min_size=8, max_size=8))
+    def test_point_and_d0_do_not_depend_on_the_scale_of_l1_l2(
+            self, name, log_factors, signs, offset):
+        build, exact, d0, tol, l1, l2 = SCALED_MODELS[name]
+        model = build()
+        a, b = (sign * 10.0 ** e for sign, e in zip(signs, log_factors))
+        start = exact.pack() + np.array(offset) * np.maximum(1.0, np.abs(exact.pack()))
+        start[2:6] /= a   # at the point, phi1 and phi2 scale by 1/a
+        L = Functionals(l1=a * np.array(l1), l2=b * np.array(l2))
+        report = newton_solve(model, TbCandidate.unpack(start, 2), L)
+        assert report.converged
+        sol = report.solution
+        assert np.max(np.abs(sol.x - exact.x)) <= tol
+        assert max(abs(sol.lam - exact.lam), abs(sol.mu - exact.mu)) <= tol
+        f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
+        f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
+        try:
+            verdict = quadratic_check(model, sol, compute_basis(f1, f2))
+        except DegenerateNormalization:
+            # compute_basis ranks S = f1 + f2 with the absolute tolerance
+            # n eps sigma_max, which a point that met tol_res = 1e-12 can
+            # miss: S then reads as full rank although its sigma_min is at
+            # the level the residual allows
+            sigma = np.linalg.svd(f1 + f2, compute_uv=False)
+            assert sigma[-1] <= 1e-10 * sigma[0]
+        else:
+            assert verdict.d0 == pytest.approx(d0, rel=1e-8)

@@ -1,4 +1,6 @@
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,15 @@ def cofactor_det(A):
         minor = [row[:j] + row[j + 1:] for row in A[1:]]
         total += (-1) ** j * A[0][j] * cofactor_det(minor)
     return total
+
+
+def with_cond(rng, n, log_cond, log_scale):
+    """A = U diag(sigma) V^T with cond_2 = 10**log_cond (1 when n = 1)."""
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    inner = rng.uniform(0.0, log_cond, size=max(n - 2, 0))
+    log_sigma = np.concatenate([[0.0], -inner, [-log_cond]])[:n]
+    return (U * 10.0 ** (log_scale + log_sigma)) @ V.T
 
 
 class TestSolve:
@@ -88,13 +99,8 @@ class TestSolve:
            log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_guard_refuses_exactly_what_the_svd_refuses(self, n, log_cond,
                                                         log_scale, seed):
-        # A = U diag(sigma) V^T with cond_2 = 10**log_cond (1 when n = 1)
         rng = np.random.default_rng(seed)
-        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        inner = rng.uniform(0.0, log_cond, size=max(n - 2, 0))
-        log_sigma = np.concatenate([[0.0], -inner, [-log_cond]])[:n]
-        A = (U * 10.0 ** (log_scale + log_sigma)) @ V.T
+        A = with_cond(rng, n, log_cond, log_scale)
         b = rng.standard_normal(n)
         exact = linalg.cond_estimate(A)
         assume(abs(exact / linalg.COND_LIMIT - 1.0) > 1e-6)
@@ -108,6 +114,52 @@ class TestSolve:
             # cond_2 <= c <= n cond_2, up to rounding of order n cond_2 eps
             slack = 10 * n * exact * np.finfo(float).eps
             assert exact * (1.0 - slack) <= c <= n * exact * (1.0 + slack)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), log_cond=st.floats(0.0, 12.0),
+           log_scale=st.floats(-3.0, 3.0), log_shift=st.floats(-16.0, 0.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_anchored_guard_refuses_exactly_what_the_svd_refuses(
+            self, n, log_cond, log_scale, log_shift, seed):
+        # as above, with the guard anchored at the inverse of a perturbed A:
+        # a small shift lets the anchored bound decide, a large one does not
+        rng = np.random.default_rng(seed)
+        A = with_cond(rng, n, log_cond, log_scale)
+        G = rng.standard_normal((n, n))
+        shifted = A + 10.0 ** log_shift * np.linalg.norm(A) / np.linalg.norm(G) * G
+        b = rng.standard_normal(n)
+        exact = linalg.cond_estimate(A)
+        assume(abs(exact / linalg.COND_LIMIT - 1.0) > 1e-6)
+        guard = linalg.SolveGuard()
+        with contextlib.suppress(NearSingular):
+            guard.solve(shifted, b)
+        if exact > linalg.COND_LIMIT:
+            with pytest.raises(NearSingular) as exc:
+                guard.solve(A, b)
+            assert exc.value.cond == exact
+        else:
+            x, c = guard.solve(A, b)
+            assert np.array_equal(x, np.linalg.solve(A, b))
+            slack = 10 * n * exact * np.finfo(float).eps
+            assert exact * (1.0 - slack) <= c
+
+    def test_close_anchor_proves_without_an_inverse(self):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
+        b = rng.standard_normal(20)
+        guard = linalg.SolveGuard()
+        with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+            _, c0 = guard.solve(A, b)
+            assert inv.call_count == 1
+            near = A + 1e-8 * rng.standard_normal((20, 20))
+            x, c = guard.solve(near, b)
+            assert inv.call_count == 1
+            # a far matrix takes a fresh inverse and its Frobenius bound
+            far = A + 10.0 * rng.standard_normal((20, 20))
+            assert guard.solve(far, b)[1] == linalg.solve_with_cond(far, b)[1]
+            assert inv.call_count == 3
+        assert np.array_equal(x, np.linalg.solve(near, b))
+        assert linalg.cond_estimate(near) <= c <= 2.0 * c0
 
 
 class TestRankAndNullspace:
@@ -144,6 +196,12 @@ class TestRankAndNullspace:
             # sign convention
             for v in (right, left):
                 assert v[int(np.argmax(np.abs(v)))] > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(NearSingular) as exc:
+            linalg.rank_and_nullspace(np.array([[bad, 1.0], [1.0, 1.0]]))
+        assert np.isnan(exc.value.cond)
 
     def test_singular_values_sorted(self):
         rng = np.random.default_rng(9)

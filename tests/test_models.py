@@ -38,6 +38,19 @@ class TestRegistry:
         with pytest.raises(InputError):
             PredatorPreyParams(tau=0.0)
 
+    @pytest.mark.parametrize("params, field", [
+        (PredatorPreyParams, "tau"), (PredatorPreyParams, "r"),
+        (SyntheticTbParams, "a3"), (SyntheticTbParams, "tau")])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_constants_rejected(self, params, field, value):
+        with pytest.raises(InputError, match=field):
+            params(**{field: value})
+
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_non_finite_delay_rejected(self, tau):
+        with pytest.raises(InputError):
+            DdeModel(n=1, tau=tau, f=lambda x, y, lam, mu: x)
+
 
 class TestSuppliedDerivatives:
     """Every analytic derivative supplier must agree with finite differences
