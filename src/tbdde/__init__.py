@@ -19,8 +19,8 @@ Typical use::
 from .errors import (ConditionIFailed, DegenerateNormalization, InputError,
                      NearSingular, RankDeficiencyMismatch, SingularNuSystem,
                      TbddeError)
-from .model import (DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der,
-                    second_dirder)
+from .model import (DdeModel, Linearization, eval_f, hessian_blocks, jac_x, jac_y,
+                    linearize, param_der, second_dirder)
 from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
 from .defining import (Functionals, NewtonOptions, NewtonReport, TbCandidate,
                        jacobian, newton_solve, residual)
@@ -32,14 +32,16 @@ from .models import (PredatorPreyParams, SyntheticTbParams, build,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DdeModel", "EigenBasis", "Functionals", "NewtonOptions", "NewtonReport",
+    "DdeModel", "EigenBasis", "Functionals", "Linearization", "NewtonOptions",
+    "NewtonReport",
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
     "RankDeficiencyMismatch", "DegenerateNormalization",
     "ConditionIFailed", "SingularNuSystem",
     "build", "registry",
     "characteristic", "compute_basis", "double_zero_check", "eval_f",
-    "hessian_blocks", "jac_x", "jac_y", "jacobian", "newton_solve", "param_der",
+    "hessian_blocks", "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",
+    "param_der",
     "predator_prey", "quadratic_check", "residual", "second_dirder",
     "spectral_scan", "synthetic_tb", "tb_existence_test",
 ]

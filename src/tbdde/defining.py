@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .eigenstructure import normalization
 from .errors import InputError, NearSingular
-from .model import DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der
+from .model import DdeModel, Linearization, linearize
 
 
 @dataclass(frozen=True)
@@ -98,50 +98,73 @@ def _system(f, a, b, g1, g2, p1, p2, L: Functionals) -> np.ndarray:
     return np.concatenate([f, a, b - (g1 + p1), n5[None], n6[None]])
 
 
-def residual(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
-    """H(v), ``_system`` on the data at (x, x, lam, mu) with 1 taken off block 4."""
-    x, p1, p2, lam, mu = v.x, v.phi1, v.phi2, v.lam, v.mu
-    f1, f2 = jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)
-    S = f1 + f2
-    h = _system(eval_f(model, x, x, lam, mu), S @ p1, S @ p2, f2 @ p1, f2 @ p2,
-                p1, p2, L)
+def _linearize(model: DdeModel, v: TbCandidate, L: Functionals) -> Linearization:
+    """The linearization at v, after checking v's and L's vectors against model.n."""
+    for label, vec in (("x", v.x), ("phi1", v.phi1), ("phi2", v.phi2),
+                       ("l1", L.l1), ("l2", L.l2)):
+        if np.shape(vec) != (model.n,):
+            raise InputError(f"{label} must have length {model.n}, "
+                             f"got shape {np.shape(vec)}")
+    return linearize(model, v.x, v.lam, v.mu)
+
+
+def residual(model: DdeModel, v: TbCandidate, L: Functionals,
+             lin: Linearization | None = None) -> np.ndarray:
+    """H(v), ``_system`` on the data at (x, x, lam, mu) with 1 taken off block 4.
+
+    ``lin`` is the linearization at v when the caller has it (``newton_solve``
+    shares one between the residual and the Jacobian at each iterate); it is
+    evaluated, and v and L checked, when it is not given.
+    """
+    if lin is None:
+        lin = _linearize(model, v, L)
+    p1, p2, f2 = v.phi1, v.phi2, lin.f2
+    S = lin.f1 + f2
+    h = _system(lin.f, S @ p1, S @ p2, f2 @ p1, f2 @ p2, p1, p2, L)
     h[3 * model.n] -= 1.0
     return h
 
 
-def jacobian(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
+def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
+             lin: Linearization | None = None) -> np.ndarray:
     """Jacobian of the defining system at v: ``_system`` on a derivative table.
 
     Each datum of ``_system`` is replaced by its derivative along the
     unknowns (x, phi1, phi2, lambda, mu).  The x-derivatives of S phi and
     f2 phi are the second-derivative matrices Dx(phi) + Dy(phi) and Dy(phi)
-    (``hessian_blocks``), so any model works: suppliers are used where
-    present and finite differences of f1, f2 stand in for the rest.
+    (``Linearization.hessian_blocks``), so any model works: suppliers are
+    used where present and finite differences of f1, f2 stand in for the
+    rest.  ``lin`` is as for ``residual``: f1 and f2 are its.
     """
+    if lin is None:
+        lin = _linearize(model, v, L)
     n = model.n
-    x, p1, p2, lam, mu = v.x, v.phi1, v.phi2, v.lam, v.mu
-    f1, f2 = jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)
-    S = f1 + f2
-    f2lam = param_der(model, "2lam", x, x, lam, mu)
-    f2mu = param_der(model, "2mu", x, x, lam, mu)
-    Slam = param_der(model, "1lam", x, x, lam, mu) + f2lam
-    Smu = param_der(model, "1mu", x, x, lam, mu) + f2mu
-    Dx1, Dy1 = hessian_blocks(model, x, lam, mu, p1)
-    Dx2, Dy2 = hessian_blocks(model, x, lam, mu, p2)
-    O, I, o = np.zeros((n, n)), np.eye(n), np.zeros(n)
+    p1, p2, f2 = np.asarray(v.phi1, dtype=float), np.asarray(v.phi2, dtype=float), lin.f2
+    S = lin.f1 + f2
+    flam, fmu, f1lam, f2lam, f1mu, f2mu = lin.param_derivatives()
+    Slam = f1lam + f2lam
+    Smu = f1mu + f2mu
+    Dx1, Dy1 = lin.hessian_blocks(p1)
+    Dx2, Dy2 = lin.hessian_blocks(p2)
+    I = np.eye(n)
+    columns = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), 3 * n, 3 * n + 1)
 
     def table(dx, dp1, dp2, dlam, dmu):
-        return np.column_stack([dx, dp1, dp2, dlam, dmu])
+        """A datum's derivative table; None stands for a zero block."""
+        T = np.zeros((n, 3 * n + 2))
+        for j, block in zip(columns, (dx, dp1, dp2, dlam, dmu)):
+            if block is not None:
+                T[:, j] = block
+        return T
 
     return _system(
-        table(S, O, O, param_der(model, "lam", x, x, lam, mu),
-              param_der(model, "mu", x, x, lam, mu)),
-        table(Dx1 + Dy1, S, O, Slam @ p1, Smu @ p1),
-        table(Dx2 + Dy2, O, S, Slam @ p2, Smu @ p2),
-        table(Dy1, f2, O, f2lam @ p1, f2mu @ p1),
-        table(Dy2, O, f2, f2lam @ p2, f2mu @ p2),
-        table(O, I, O, o, o),
-        table(O, O, I, o, o),
+        table(S, None, None, flam, fmu),
+        table(Dx1 + Dy1, S, None, Slam @ p1, Smu @ p1),
+        table(Dx2 + Dy2, None, S, Slam @ p2, Smu @ p2),
+        table(Dy1, f2, None, f2lam @ p1, f2mu @ p1),
+        table(Dy2, None, f2, f2lam @ p2, f2mu @ p2),
+        table(None, I, None, None, None),
+        table(None, None, I, None, None),
         L)
 
 
@@ -158,13 +181,16 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     warnings are off while the model is evaluated: an iterate that runs far
     out ends the run as "diverged" instead.  One ``linalg.SolveGuard``
     guards every step of the run, so successive Jacobians share inverses;
-    the steps are ``np.linalg.solve``'s all the same.
+    the steps are ``np.linalg.solve``'s all the same.  Each iterate's
+    linearization (f, f1, f2) is evaluated once and shared by its residual
+    and its Jacobian; v0's and L's vectors are checked once, at the start.
     """
     opts = opts or NewtonOptions()
 
     guard = linalg.SolveGuard()
     v = v0
-    r = residual(model, v, L)
+    lin = _linearize(model, v, L)
+    r = residual(model, v, L, lin)
     res_hist = [float(np.max(np.abs(r)))]
     final_cond = np.nan
 
@@ -173,14 +199,15 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
             return NewtonReport(True, k, res_hist, final_cond, None, v)
         if res_hist[-1] > 1e12 or not np.isfinite(res_hist[-1]):
             return NewtonReport(False, k, res_hist, final_cond, "diverged", v)
-        J = jacobian(model, v, L)
+        J = jacobian(model, v, L, lin)
         try:
             step, final_cond = guard.solve(J, -r)
         except NearSingular as exc:
             return NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian", v)
         vnew = v.pack() + step
         v = TbCandidate.unpack(vnew, model.n)
-        r = residual(model, v, L)
+        lin = linearize(model, v.x, v.lam, v.mu)
+        r = residual(model, v, L, lin)
         res_hist.append(float(np.max(np.abs(r))))
         if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
             converged = res_hist[-1] <= opts.tol_res

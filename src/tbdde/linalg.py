@@ -82,7 +82,8 @@ class SolveGuard:
             return np.inf
         n = A.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            E = X.dot(A) - np.eye(n)
+            E = X.dot(A)
+            E.flat[::n + 1] -= 1.0
         q = _frobenius(E) + n * _EPS * self._inverse_norm * norm
         return norm * self._inverse_norm / (1.0 - q) if q < 1.0 else np.inf
 

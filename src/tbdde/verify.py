@@ -22,7 +22,7 @@ from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import EigenBasis, TbExistence
 from .errors import ConditionIFailed, NearSingular, SingularNuSystem
-from .model import DdeModel, eval_f, hessian_blocks, jac_x, jac_y, param_der
+from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
 _EPS = np.finfo(float).eps
 
@@ -189,21 +189,19 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, and the double-zero check
     uses them too, so the point's f1 and f2 are evaluated once, by the caller.
+    With f they make the point's ``Linearization``, whose table gives the
+    six parameter derivatives and the second-derivative blocks.
     """
-    x, lam, mu = solution.x, solution.lam, solution.mu
+    x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
     f1, f2 = basis.f1, basis.f2
+    lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu), f1, f2)
     if tol is None:
         tol = 1e-8 * max(1.0, np.max(np.abs(f1)) + np.max(np.abs(f2)))
 
     existence = basis.existence
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
-    flam = param_der(model, "lam", x, x, lam, mu)
-    fmu = param_der(model, "mu", x, x, lam, mu)
-    f1lam = param_der(model, "1lam", x, x, lam, mu)
-    f2lam = param_der(model, "2lam", x, x, lam, mu)
-    f1mu = param_der(model, "1mu", x, x, lam, mu)
-    f2mu = param_der(model, "2mu", x, x, lam, mu)
+    flam, fmu, f1lam, f2lam, f1mu, f2mu = lin.param_derivatives()
 
     cond_i = float(q2 @ flam)
     if abs(cond_i) <= tol:
@@ -221,8 +219,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
 
     # bilinear blocks as matrices: A1 @ w = (f11 + f12)[phi1, w], A2 the
     # delayed-slot pair; B1, B2 the same along nu plus the parameter terms
-    A1, A2 = hessian_blocks(model, x, lam, mu, p1)
-    B1, B2 = hessian_blocks(model, x, lam, mu, nu)
+    A1, A2 = lin.hessian_blocks(p1)
+    B1, B2 = lin.hessian_blocks(nu)
     B1 = B1 + c * f1lam + f1mu
     B2 = B2 + c * f2lam + f2mu
     A, B = A1 + A2, B1 + B2
@@ -234,7 +232,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     d0 = float(linalg.det2x2(m11, m12, m21, m22))
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
-    res, *cv = _double_zero(eval_f(model, x, x, lam, mu), f1, f2, max(tol, 1e-10))
+    res, *cv = _double_zero(lin.f, f1, f2, max(tol, 1e-10))
 
     return TbVerdict(
         existence=existence,

@@ -22,6 +22,45 @@ TABLE1 = [
 ]
 
 
+def lifted(n, seed=0):
+    """synthetic-tb on (x0, x1) plus n - 2 stable delayed components driven by x0.
+
+    x_k' = -a_k x_k + b_k x_k(t-1) + c_k x0 + e_k x0^2 with a_k in [1, 2] and
+    |b_k| <= 1/2, supplying only f, d1 and d2; the origin at lambda = mu = 0
+    stays a TB point.  Returns the model and its exact point for L10: the
+    synthetic chain (2/3, 0), (4/27, 4/3) continued into each component by
+    the rows of S phi1 = 0 and S phi2 = (f2 + I) phi1.
+    """
+    base = synthetic_tb()
+    rng = np.random.default_rng(seed)
+    a, b, c, e = (rng.uniform(lo, hi, n - 2)
+                  for lo, hi in ((1.0, 2.0), (-0.5, 0.5), (-1.0, 1.0), (-1.0, 1.0)))
+    rows = np.arange(2, n)
+
+    def f(x, y, lam, mu):
+        return np.concatenate([base.f(x[:2], y[:2], lam, mu),
+                               -a * x[2:] + b * y[2:] + c * x[0] + e * x[0] ** 2])
+
+    def d1(x, y, lam, mu):
+        J = np.zeros((n, n))
+        J[:2, :2] = base.d1(x[:2], y[:2], lam, mu)
+        J[rows, rows] = -a
+        J[2:, 0] = c + 2.0 * e * x[0]
+        return J
+
+    def d2(x, y, lam, mu):
+        J = np.zeros((n, n))
+        J[:2, :2] = base.d2(x[:2], y[:2], lam, mu)
+        J[rows, rows] = b
+        return J
+
+    p1 = np.concatenate([[2.0 / 3.0, 0.0], c * (2.0 / 3.0) / (a - b)])
+    p2 = np.concatenate([[4.0 / 27.0, 4.0 / 3.0],
+                         (c * 4.0 / 27.0 - (b + 1.0) * p1[2:]) / (a - b)])
+    exact = TbCandidate(x=np.zeros(n), phi1=p1, phi2=p2, lam=0.0, mu=0.0)
+    return DdeModel(n=n, tau=1.0, f=f, d1=d1, d2=d2, name=f"lifted-n{n}"), exact
+
+
 def first_order(model):
     """The same model with only f, d1 and d2: every other derivative is differenced."""
     return DdeModel(n=model.n, tau=model.tau, f=model.f, d1=model.d1, d2=model.d2)
@@ -66,6 +105,7 @@ def scalar_tb(tau):
 
 
 L_SCALAR = Functionals(l1=[1.0], l2=[1.0])
+L_LIFTED = Functionals(l1=np.eye(6)[0], l2=np.eye(6)[0])
 
 
 def candidate(row):
@@ -92,6 +132,27 @@ class TestCandidate:
     def test_functionals_not_both_zero(self):
         with pytest.raises(InputError):
             Functionals(l1=[0.0, 0.0], l2=[0.0, 0.0])
+
+
+BAD_SHAPES = {
+    # the vectors of a candidate and of the functionals, against model.n = 2
+    "l1-length": (V_STAR, Functionals(l1=np.ones(3), l2=[1.0, 0.0])),
+    "l2-length": (V_STAR, Functionals(l1=[1.0, 0.0], l2=np.ones(1))),
+    "l1-2d": (V_STAR, Functionals(l1=[[1.0, 0.0]], l2=[1.0, 0.0])),
+    "phi1-length": (TbCandidate(x=V_STAR.x, phi1=np.ones(3), phi2=V_STAR.phi2,
+                                lam=0.5, mu=2.0), L10),
+    "phi2-2d": (TbCandidate(x=V_STAR.x, phi1=V_STAR.phi1, phi2=np.ones((2, 1)),
+                            lam=0.5, mu=2.0), L10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("solve", ["newton_solve", "residual", "jacobian"])
+def test_vector_of_wrong_shape_is_input_error(pp, case, solve):
+    v, L = BAD_SHAPES[case]
+    fn = {"newton_solve": newton_solve, "residual": residual, "jacobian": jacobian}[solve]
+    with pytest.raises(InputError, match=case.split("-")[0]):
+        fn(pp, v, L)
 
 
 class TestResidual:
@@ -208,6 +269,32 @@ class TestNewton:
         assert report.residual_history == history
         assert np.array_equal(report.solution.pack(), v.pack())
         assert 1 <= len(inverses) < report.iterations
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_linearization_per_iterate_lifted(self, counted_model, seed):
+        # the Jacobian reuses the residual's f1 = d1 and f2 = d2 at its
+        # iterate: per step, 12 of each for the table (x +- h phi and
+        # y +- h phi for phi1, phi2; lambda +- h, mu +- h) and one for the
+        # next residual; f is evaluated at lambda +- h, mu +- h and once
+        # for the next residual
+        model, exact = lifted(6, seed)
+        assert np.max(np.abs(residual(model, exact, L_LIFTED))) <= 1e-14
+        model, counts = counted_model(model)
+        start = exact.pack() + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 20)
+        report = newton_solve(model, TbCandidate.unpack(start, 6), L_LIFTED)
+        k = report.iterations
+        assert report.converged and k >= 3
+        assert counts["d1"] == counts["d2"] == 1 + 13 * k
+        assert counts["f"] == 1 + 5 * k
+
+    @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
+    def test_one_linearization_per_iterate_predator_prey(self, pp, counted_model, row):
+        # with every derivative supplied, d1 and d2 run once per iterate
+        model, counts = counted_model(pp)
+        report = newton_solve(model, candidate(row), L10)
+        k = report.iterations
+        assert report.converged
+        assert counts["d1"] == counts["d2"] == counts["f"] == 1 + k
 
     def test_exact_solution_fixed_point(self, pp):
         report = newton_solve(pp, V_STAR, L10)
@@ -358,3 +445,57 @@ class TestFunctionalScaling:
             assert sigma[-1] <= 1e-10 * sigma[0]
         else:
             assert verdict.d0 == pytest.approx(d0, rel=1e-8)
+
+
+def reparametrized(s, a, b, swap=False):
+    """synthetic-tb with lambda -> s (lambda - a), mu -> mu - b, supplying f, d1, d2.
+
+    Its TB point is the origin at (lambda, mu) = (a, b), and f_lambda is s
+    times synthetic-tb's, so c_lam_mu = -1/s there.  ``swap`` exchanges the
+    two parameter slots: the point moves to (b, a).
+    """
+    base = synthetic_tb()
+
+    def wrap(fn):
+        if swap:
+            return lambda x, y, lam, mu: fn(x, y, s * (mu - a), lam - b)
+        return lambda x, y, lam, mu: fn(x, y, s * (lam - a), mu - b)
+
+    return DdeModel(n=2, tau=1.0, f=wrap(base.f), d1=wrap(base.d1), d2=wrap(base.d2))
+
+
+class TestParameterSwap:
+    @settings(max_examples=40, deadline=None)
+    @given(log_s=st.floats(-1.0, 1.0), sign=st.sampled_from([-1.0, 1.0]),
+           a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           offset=st.lists(st.floats(-0.05, 0.05), min_size=8, max_size=8))
+    def test_swapped_parameters_swap_the_point_and_invert_c(self, log_s, sign, a, b,
+                                                             offset):
+        s = sign * 10.0 ** log_s
+        assume(abs(abs(s) - 1.0) >= 0.05)   # c = -1/s away from +-1
+        L = L10
+        exact = SYNTHETIC_STAR.pack() + [0, 0, 0, 0, 0, 0, a, b]
+        start = exact + np.array(offset) * np.maximum(1.0, np.abs(exact))
+        swapped_start = start[[0, 1, 2, 3, 4, 5, 7, 6]]
+        sol = newton_solve(reparametrized(s, a, b), TbCandidate.unpack(start, 2), L)
+        sol_sw = newton_solve(reparametrized(s, a, b, swap=True),
+                              TbCandidate.unpack(swapped_start, 2), L)
+        assert sol.converged and sol_sw.converged
+        got, got_sw = sol.solution.pack(), sol_sw.solution.pack()
+        assert np.max(np.abs(got - exact)) <= 1e-10
+        assert np.max(np.abs(got_sw - got[[0, 1, 2, 3, 4, 5, 7, 6]])) <= 1e-10
+
+        # certified at the exact point in either orientation: the rank
+        # tolerance of compute_basis can call S at Newton's point full rank
+        verdicts = []
+        for swap, (lam, mu) in ((False, (a, b)), (True, (b, a))):
+            model = reparametrized(s, a, b, swap)
+            point = TbCandidate(x=np.zeros(2), phi1=SYNTHETIC_STAR.phi1,
+                                phi2=SYNTHETIC_STAR.phi2, lam=lam, mu=mu)
+            f1 = jac_x(model, point.x, point.x, lam, mu)
+            f2 = jac_y(model, point.x, point.x, lam, mu)
+            verdicts.append(quadratic_check(model, point, compute_basis(f1, f2)))
+        c, c_sw = (v.c_lam_mu for v in verdicts)
+        assert verdicts[0].passed and verdicts[1].passed
+        assert c == pytest.approx(-1.0 / s, rel=1e-8)
+        assert c_sw == pytest.approx(1.0 / c, rel=1e-12)

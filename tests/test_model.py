@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tbdde import (DdeModel, InputError, eval_f, hessian_blocks, jac_x, jac_y,
-                   param_der, predator_prey, second_dirder)
+                   linearize, param_der, predator_prey, second_dirder)
 
 TB_ARGS = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
@@ -188,6 +188,28 @@ def test_tau_scales_every_value_once(pp, fields):
     for value in values:
         assert np.any(value(one))
         assert np.array_equal(value(two), 2.0 * value(one))
+
+
+@pytest.mark.parametrize("fields", [
+    ("d1", "d2", "dlam", "dmu", "d11", "d12", "d21", "d22", "d1lam", "d2lam",
+     "d1mu", "d2mu"), ("d1", "d2"), ("d11", "d22", "d1lam"), ()],
+    ids=["suppliers", "first-order", "partial", "bare"])
+def test_linearization_serves_the_public_values(pp, fields):
+    # one point's linearization and its table give exactly what the public
+    # functions give at y = x, whichever derivatives the model supplies
+    model = DdeModel(n=2, tau=1.5, f=pp.f, **{name: getattr(pp, name) for name in fields})
+    x, lam, mu, u = np.array([1.1, 0.9]), 0.45, 1.9, np.array([0.3, -0.7])
+    lin = linearize(model, list(x), lam, mu)
+    assert np.array_equal(lin.x, x)
+    for got, fn in zip((lin.f, lin.f1, lin.f2), (eval_f, jac_x, jac_y)):
+        assert np.array_equal(got, fn(model, x, x, lam, mu))
+    for got, which in zip(lin.param_derivatives(),
+                          ("lam", "mu", "1lam", "2lam", "1mu", "2mu")):
+        assert np.array_equal(got, param_der(model, which, x, x, lam, mu))
+    for got, want in zip(lin.hessian_blocks(u), hessian_blocks(model, x, lam, mu, u)):
+        assert np.array_equal(got, want)
+    with pytest.raises(InputError):
+        linearize(model, [1.0], lam, mu)
 
 
 def test_invalid_construction():
