@@ -193,7 +193,7 @@ def cmd_solve(args) -> int:
         "verify_error": error,
     })
     if args.json:
-        print(json.dumps(result, indent=2))
+        print(json.dumps(result))
         return code
     rep = result["report"]
     print(f"model: {cfg['model']}")
@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
     payload = _json({"config": cfg, "tool_version": __version__,
                      "verdict": verdict, "verify_error": err})
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     elif verdict is None:
         print(f"verification error: {err}")
     else:

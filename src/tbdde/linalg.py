@@ -19,6 +19,13 @@ Algorithms, 2nd ed., 2002, section 6 and Thm 7.2):
 
 Either bound within the limit accepts only systems the exact condition
 number accepts too (up to rounding, of relative order n cond_2(A) eps).
+
+Newton on the defining system does not solve every step here: from state
+dimension 24 up, ``defining`` eliminates the Jacobian's blocks with one
+(n+1)-square bordered inverse and proves the step safe with a third bound
+of this kind, ||J||_F times a bound on ||J^-1||_F from that elimination.
+Where that bound cannot prove a step safe, the step comes to the guard
+here, which decides it as above.
 """
 
 from __future__ import annotations

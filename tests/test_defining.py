@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -6,7 +8,7 @@ from tbdde import (DdeModel, DegenerateNormalization, Functionals, InputError,
                    NewtonOptions, TbCandidate, compute_basis, jac_x, jac_y,
                    jacobian, newton_solve, predator_prey, quadratic_check,
                    residual, synthetic_tb)
-from tbdde import linalg
+from tbdde import defining, linalg
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
 
@@ -105,7 +107,6 @@ def scalar_tb(tau):
 
 
 L_SCALAR = Functionals(l1=[1.0], l2=[1.0])
-L_LIFTED = Functionals(l1=np.eye(6)[0], l2=np.eye(6)[0])
 
 
 def candidate(row):
@@ -270,22 +271,32 @@ class TestNewton:
         assert np.array_equal(report.solution.pack(), v.pack())
         assert 1 <= len(inverses) < report.iterations
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_one_linearization_per_iterate_lifted(self, counted_model, seed):
+    @pytest.mark.parametrize("n, seed", [
+        pytest.param(6, 0, id="0"), pytest.param(6, 1, id="1"), pytest.param(6, 2, id="2"),
+        pytest.param(32, 0, id="n32-0"), pytest.param(32, 1, id="n32-1")])
+    def test_one_linearization_per_iterate_lifted(self, counted_model, monkeypatch, n, seed):
         # the Jacobian reuses the residual's f1 = d1 and f2 = d2 at its
         # iterate: per step, 12 of each for the table (x +- h phi and
         # y +- h phi for phi1, phi2; lambda +- h, mu +- h) and one for the
         # next residual; f is evaluated at lambda +- h, mu +- h and once
-        # for the next residual
-        model, exact = lifted(6, seed)
-        assert np.max(np.abs(residual(model, exact, L_LIFTED))) <= 1e-14
+        # for the next residual.  At n = 32 every step is the structured
+        # one, which calls no callback either; at n = 6 every step is the
+        # dense guard's.
+        dense = []
+        guarded = linalg.SolveGuard.solve
+        monkeypatch.setattr(linalg.SolveGuard, "solve",
+                            lambda self, A, b: dense.append(A) or guarded(self, A, b))
+        model, exact = lifted(n, seed)
+        L = Functionals(l1=np.eye(n)[0], l2=np.eye(n)[0])
+        assert np.max(np.abs(residual(model, exact, L))) <= 1e-14
         model, counts = counted_model(model)
-        start = exact.pack() + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 20)
-        report = newton_solve(model, TbCandidate.unpack(start, 6), L_LIFTED)
+        start = exact.pack() + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 3 * n + 2)
+        report = newton_solve(model, TbCandidate.unpack(start, n), L)
         k = report.iterations
         assert report.converged and k >= 3
         assert counts["d1"] == counts["d2"] == 1 + 13 * k
         assert counts["f"] == 1 + 5 * k
+        assert len(dense) == (0 if n >= defining._STRUCTURED_N else k)
 
     @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
     def test_one_linearization_per_iterate_predator_prey(self, pp, counted_model, row):
@@ -370,6 +381,59 @@ class TestNewton:
             report = newton_solve(m, v0, L10)
             assert report.converged
             assert np.max(np.abs(report.solution.pack() - target.pack())) <= 1e-10
+
+
+class TestStructuredStep:
+    """From n = _STRUCTURED_N up, Newton's step is the block elimination's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(defining._STRUCTURED_N, 40), seed=st.integers(0, 2 ** 16),
+           tau=st.floats(0.5, 2.0), radius=st.floats(0.01, 0.1))
+    def test_matches_the_dense_step(self, n, seed, tau, radius):
+        # along a dense-step Newton loop: every structured step is proved
+        # safe, its bound is at least cond_2(J), and it is the dense step to
+        # 1e-12; newton_solve takes the same number of steps to the same point
+        model, exact = lifted(n, seed)
+        model = dataclasses.replace(model, tau=tau)
+        L = Functionals(l1=np.eye(n)[0], l2=np.eye(n)[0])
+        start = exact.pack() + radius * np.random.default_rng(seed).uniform(-1, 1, 3 * n + 2)
+        v, border, history = TbCandidate.unpack(start, n), np.full(n, n ** -0.5), []
+        while True:
+            r = residual(model, v, L)
+            history.append(float(np.max(np.abs(r))))
+            if history[-1] <= NewtonOptions().tol_res:
+                break
+            assert len(history) <= 10
+            J = jacobian(model, v, L)
+            dense = np.linalg.solve(J, -r)
+            step, bound, border = defining._structured_step(J, r, v.phi1, border)
+            assert step is not None
+            assert bound >= linalg.cond_estimate(J)
+            assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
+            v = TbCandidate.unpack(v.pack() + dense, n)
+        report = newton_solve(model, TbCandidate.unpack(start, n), L)
+        assert report.converged and report.iterations == len(history) - 1
+        assert np.max(np.abs(report.solution.pack() - v.pack())) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["zero-phi", "cond-above-limit"])
+    def test_degenerate_iterate_is_refused_by_the_dense_guard(self, case):
+        # phi1 = phi2 = 0 leaves gamma undefined; l1 = l2 = 1e-8 e0 scales
+        # the normalization rows, so cond_2(J) is about 2e9 at the exact point
+        n = 32
+        model, exact = lifted(n, 0)
+        scale = 1.0 if case == "zero-phi" else 1e-8
+        L = Functionals(l1=scale * np.eye(n)[0], l2=scale * np.eye(n)[0])
+        v = (dataclasses.replace(exact, phi1=np.zeros(n), phi2=np.zeros(n))
+             if case == "zero-phi" else exact)
+        J, r = jacobian(model, v, L), residual(model, v, L)
+        cond = linalg.cond_estimate(J)
+        assert cond > linalg.COND_LIMIT and not np.isnan(cond)
+        step, bound, border = defining._structured_step(J, r, v.phi1, np.full(n, n ** -0.5))
+        assert step is None and bound >= cond
+        assert np.all(np.isfinite(border))
+        report = newton_solve(model, v, L)
+        assert report.failure_reason == "singular_jacobian" and report.iterations == 0
+        assert report.final_cond == cond
 
 
 class TestDelay:
