@@ -247,33 +247,40 @@ def cmd_scan(args) -> int:
                          _number(scan[k]["max"], f"scan.{k}.max"),
                          _number(scan[k]["count"], f"scan.{k}.count", int)) for k in keys]
 
-    rows = []
-    distinct = []
-    for index, values in enumerate(itertools.product(*grids)):
-        v0 = base.copy()
-        v0[axes] = values
-        report, verdict, _, code = _run_one(
-            cfg, args, initial=TbCandidate.unpack(v0, model.n))
-        sol = report.solution
-        if report.converged:
-            packed = sol.pack()
-            if not any(np.max(np.abs(packed - d)) < 1e-6 for d in distinct):
-                distinct.append(packed)
-        rows.append({
-            "index": index,
-            **{k: float(val) for k, val in zip(keys, values)},
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_residual": report.residual_history[-1],
-            **{f"x{i}": a for i, a in enumerate(sol.x.tolist())},
-            "lambda": sol.lam,
-            "mu": sol.mu,
-            "verified": verdict is not None and bool(verdict.passed),
-            "exit_code": code,
-        })
+    # the CSV target is opened before the grid runs, so a bad path costs no
+    # run; in append mode, so a config error in the grid leaves a file intact
+    try:
+        out = open(_out_path(args.csv), "a", newline="") if args.csv else None
+    except OSError as exc:
+        raise InputError(f"cannot write CSV {args.csv}: {exc}") from exc
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        rows = []
+        distinct = []
+        for index, values in enumerate(itertools.product(*grids)):
+            v0 = base.copy()
+            v0[axes] = values
+            report, verdict, _, code = _run_one(
+                cfg, args, initial=TbCandidate.unpack(v0, model.n))
+            sol = report.solution
+            if report.converged:
+                packed = sol.pack()
+                if not any(np.max(np.abs(packed - d)) < 1e-6 for d in distinct):
+                    distinct.append(packed)
+            rows.append({
+                "index": index,
+                **{k: float(val) for k, val in zip(keys, values)},
+                "converged": report.converged,
+                "iterations": report.iterations,
+                "final_residual": report.residual_history[-1],
+                **{f"x{i}": a for i, a in enumerate(sol.x.tolist())},
+                "lambda": sol.lam,
+                "mu": sol.mu,
+                "verified": verdict is not None and bool(verdict.passed),
+                "exit_code": code,
+            })
 
-    with (open(_out_path(args.csv), "w", newline="") if args.csv
-          else contextlib.nullcontext(sys.stdout)) as fh:
+        if out:
+            out.truncate(0)
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)

@@ -76,14 +76,12 @@ class NewtonReport:
     ``final_cond`` is the condition number the last step was guarded with
     (nan if no step was taken): an upper bound on cond_2(J) when one proved
     the step safe, and the exact cond_2(J) otherwise, as when the step was
-    refused (see ``linalg.SolveGuard``).  From n = 24 up the bound is the
-    structured step's, ||J||_F times a bound on ||J^-1||_F from the block
+    refused (see ``linalg.solve_with_cond``).  From n = 24 up the bound is
+    the structured step's, ||J||_F times a bound on ||J^-1||_F from the block
     elimination (``_structured_step``); on the lifted models at n = 8..48 it
     was 9 to 190 times cond_2(J).  Below n = 24, or where that bound cannot
-    prove the step safe, it is the anchored one, from the inverse of an
-    earlier Jacobian of the run, which has no fixed ratio to cond_2(J), or
-    else the Frobenius bound ||J||_F ||J^-1||_F, between cond_2(J) and
-    (3n+2) cond_2(J).
+    prove the step safe, it is the Frobenius bound ||J||_F ||J^-1||_F,
+    between cond_2(J) and (3n+2) cond_2(J).
     """
 
     converged: bool
@@ -200,7 +198,7 @@ def _structured_step(J: np.ndarray, r: np.ndarray, phi1: np.ndarray, beta: np.nd
     entries' map to the slacks and R the normalization rows' first 3n
     columns.  So cond_2(J) <= ||J||_F (||X||_F + ||F E^-1||_F ||G||_F),
     from the blocks of X and Z, which are M^-1 and M^-1 K M^-1 products,
-    up to rounding in the computed inverses, as for ``linalg``'s bounds.
+    up to rounding in the computed inverses, as for ``linalg``'s bound.
 
     Returns (step, bound, next beta).  The step is None, leaving the step
     to the dense guard, when phi1 is zero or not finite, M or E is
@@ -263,17 +261,14 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     warnings are off while the model is evaluated: an iterate that runs far
     out ends the run as "diverged" instead.  From n = _STRUCTURED_N up, a
     step is the structured one (``_structured_step``), taken when its bound
-    proves it safe.  Otherwise, and at every step below that n, one
-    ``linalg.SolveGuard`` guards the step, shared by the run so that
-    successive Jacobians share inverses, and the step is
-    ``np.linalg.solve``'s.  Either way a step is refused exactly when the
-    exact cond_2(J) exceeds ``linalg.COND_LIMIT``.  Each iterate's
+    proves it safe.  Otherwise, and at every step below that n, the step
+    is ``linalg.solve_with_cond``'s.  Either way a step is refused exactly
+    when the exact cond_2(J) exceeds ``linalg.COND_LIMIT``.  Each iterate's
     linearization (f, f1, f2) is evaluated once and shared by its residual
     and its Jacobian; v0's and L's vectors are checked once, at the start.
     """
     opts = opts or NewtonOptions()
 
-    guard = linalg.SolveGuard()
     structured = model.n >= _STRUCTURED_N
     border = np.full(model.n, model.n ** -0.5)   # any fixed unit vector to start
     v = v0
@@ -293,7 +288,7 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
             step, final_cond, border = _structured_step(J, r, v.phi1, border)
         if step is None:
             try:
-                step, final_cond = guard.solve(J, -r)
+                step, final_cond = linalg.solve_with_cond(J, -r)
             except NearSingular as exc:
                 return NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian", v)
         vnew = v.pack() + step

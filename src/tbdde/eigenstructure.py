@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateNormalization
+from .errors import DegenerateNormalization, InputError
 
 #: relative tolerance for rank/range decisions in the existence test
 DEFAULT_TOL = 1e-8
@@ -89,6 +89,15 @@ class EigenBasis:
         ])
 
 
+def _pair(f1, f2):
+    """(f1, f2) as float arrays; InputError unless square and of one shape."""
+    f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
+    if f1.ndim != 2 or f1.shape[0] != f1.shape[1] or f1.shape != f2.shape:
+        raise InputError(f"f1 and f2 must be square matrices of one shape, "
+                         f"got {f1.shape} and {f2.shape}")
+    return f1, f2
+
+
 def _existence(f2, S, rank: int, phi1, psi2, tol: float, phi2=None) -> TbExistence:
     """Conditions (ii) and (iii) of the existence test, given condition (i).
 
@@ -117,8 +126,7 @@ def tb_existence_test(f1, f2, tol: float = DEFAULT_TOL) -> TbExistence:
     as a caveat, not verified here.  ``compute_basis`` runs the same test on
     the decomposition it makes anyway (``EigenBasis.existence``).
     """
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
+    f1, f2 = _pair(f1, f2)
     S = f1 + f2
     report, phi1, psi2 = linalg.rank_and_nullspace(S)
     if phi1 is None:
@@ -144,8 +152,7 @@ def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> Eig
     convention (square root), with c > 0 keeping the sign rule on phi1.  The
     existence test reuses the SVD, and phi2p too when it is pinned at 0.
     """
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
+    f1, f2 = _pair(f1, f2)
     S = f1 + f2
     B = f2 + np.eye(f2.shape[0])
     report, ph1, ps2 = linalg.rank_and_nullspace(S)

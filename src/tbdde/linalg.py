@@ -5,27 +5,13 @@ bindings: solve with a condition guard, numerical rank with one-dimensional
 nullspaces, bordered solves of rank-(n-1) systems, determinants, and the
 exact 2-norm condition number.  Sizes of interest are n up to a few hundred.
 
-The solve guard proves most systems safe without an SVD, from one of two
-upper bounds on cond_2(A) (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 2002, section 6 and Thm 7.2):
-
-* the Frobenius bound ||A||_F ||A^-1||_F, between cond_2(A) and
-  n cond_2(A), for one inverse;
-* the anchored bound ||A||_F ||X||_F / (1 - q), for one matrix product,
-  from an inverse X of an earlier, nearby matrix: with E = X A - I and
-  q = ||E||_F + n eps ||X||_F ||A||_F < 1 (the second term bounds the
-  rounding in forming X A), the Banach perturbation lemma gives
-  ||A^-1||_F <= ||X||_F / (1 - q).
-
-Either bound within the limit accepts only systems the exact condition
-number accepts too (up to rounding, of relative order n cond_2(A) eps).
-
-Newton on the defining system does not solve every step here: from state
-dimension 24 up, ``defining`` eliminates the Jacobian's blocks with one
-(n+1)-square bordered inverse and proves the step safe with a third bound
-of this kind, ||J||_F times a bound on ||J^-1||_F from that elimination.
-Where that bound cannot prove a step safe, the step comes to the guard
-here, which decides it as above.
+The solve guard proves most systems safe without an SVD, from the
+Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, section 6): it accepts
+only systems the exact condition number accepts too, up to rounding of
+relative order n cond_2(A) eps.  From state dimension 24 up, Newton on the
+defining system takes most steps in ``defining`` instead, by block
+elimination, proved safe by a bound of the same kind.
 """
 
 from __future__ import annotations
@@ -61,91 +47,34 @@ def _frobenius(A: np.ndarray) -> float:
     return math.sqrt(np.vdot(A, A))
 
 
-class SolveGuard:
-    """The condition guard of a sequence of solves with nearby matrices.
-
-    ``solve`` returns what ``solve_with_cond`` returns, refuses exactly what
-    it refuses and computes x the same way.  Only c may differ: the guard
-    keeps the last inverse it formed, with its Frobenius norm, and first
-    tries the anchored bound from it, which costs one matrix product.  When
-    that bound cannot prove a matrix safe, the guard forms a fresh inverse,
-    which becomes the anchor, and tries the Frobenius bound; the exact
-    cond_2 decides last.
-    """
-
-    def __init__(self):
-        self._inverse = None          # the anchor X
-        self._inverse_norm = np.nan   # ||X||_F
-
-    def _anchored_bound(self, A: np.ndarray, norm: float) -> float:
-        """||A||_F ||X||_F / (1 - q) if q < 1 (module docstring), else inf.
-
-        Scale cannot make it too small: for n >= 2, q < 1 needs
-        ||X||_F ||A||_F >= ||X A||_F > sqrt(2) - 1, so the argument of the
-        Frobenius bound carries over; a 1 x 1 system with q < 1 is safe.
-        """
-        X = self._inverse
-        if X is None or X.shape != A.shape:
-            return np.inf
-        n = A.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = X.dot(A)
-            E.flat[::n + 1] -= 1.0
-        q = _frobenius(E) + n * _EPS * self._inverse_norm * norm
-        return norm * self._inverse_norm / (1.0 - q) if q < 1.0 else np.inf
-
-    def _frobenius_bound(self, A: np.ndarray, norm: float) -> float:
-        """||A||_F ||A^-1||_F, with A^-1 the new anchor; inf or nan if not formed.
-
-        Scale cannot make it too small: ||A^-1||_F >= 1/||A||_F, so where the
-        squares summed for ||A||_F underflow, those for ||A^-1||_F overflow, or
-        (within a factor 2 of underflow) the subnormal sum keeps 15 digits.
-        """
-        try:
-            inverse = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            return np.inf
-        self._inverse, self._inverse_norm = inverse, _frobenius(inverse)
-        return norm * self._inverse_norm
-
-    def solve(self, A, b):
-        """Solve A x = b and return (x, c), refusing near-singular systems.
-
-        c is the first of the anchored bound, the Frobenius bound and the
-        exact cond_2(A) (``cond_estimate``) that is within COND_LIMIT.
-        Raises NearSingular, carrying the exact value (nan for a non-finite
-        A), when cond_2(A) exceeds it.  x is ``np.linalg.solve(A, b)``.
-        """
-        A = _square(A).astype(float)
-        b = np.asarray(b, dtype=float)
-        if b.shape != (A.shape[0],):
-            raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
-        norm = _frobenius(A)
-        c = self._anchored_bound(A, norm)
-        if not c <= COND_LIMIT:
-            c = self._frobenius_bound(A, norm)
-        if not c <= COND_LIMIT:
-            c = cond_estimate(A)
-            if not c <= COND_LIMIT:
-                raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}",
-                                   cond=c)
-        return np.linalg.solve(A, b), c
-
-
 def solve_with_cond(A, b):
     """Solve A x = b and return (x, c), refusing near-singular systems.
 
-    c is first the Frobenius bound ||A||_F ||A^-1||_F, which lies between
-    cond_2(A) and n cond_2(A); within COND_LIMIT it proves the system safe.
-    Otherwise the exact cond_2(A) (``cond_estimate``) decides and is returned
-    as c.  Raises NearSingular, carrying that exact value in its ``cond``
-    attribute (nan for a non-finite A), when cond_2(A) exceeds 1/sqrt(eps);
-    a Newton iteration hitting this must abort with a diagnostic rather than
-    trust the step.  x is ``np.linalg.solve(A, b)`` on either path.  This is
-    ``SolveGuard().solve``: a sequence of nearby systems, such as Newton's,
-    shares one ``SolveGuard`` instead and pays for fewer inverses.
+    c is first the Frobenius bound ||A||_F ||A^-1||_F, from one inverse,
+    which lies between cond_2(A) and n cond_2(A); within COND_LIMIT it
+    proves the system safe.  Scale cannot make it too small: ||A^-1||_F >=
+    1/||A||_F, so where the squares summed for ||A||_F underflow, those for
+    ||A^-1||_F overflow, or (within a factor 2 of underflow) the subnormal
+    sum keeps 15 digits.  Otherwise the exact cond_2(A) (``cond_estimate``)
+    decides and is returned as c.  Raises NearSingular, carrying that exact
+    value in its ``cond`` attribute (nan for a non-finite A), when cond_2(A)
+    exceeds COND_LIMIT; a Newton iteration hitting this must abort with a
+    diagnostic rather than trust the step.  x is ``np.linalg.solve(A, b)``.
     """
-    return SolveGuard().solve(A, b)
+    A = _square(A).astype(float)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.shape[0],):
+        raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
+    try:
+        c = _frobenius(A) * _frobenius(np.linalg.inv(A))
+    except np.linalg.LinAlgError:
+        c = np.inf
+    if not c <= COND_LIMIT:
+        c = cond_estimate(A)
+        if not c <= COND_LIMIT:
+            raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}",
+                               cond=c)
+    return np.linalg.solve(A, b), c
 
 
 def solve(A, b) -> np.ndarray:
@@ -191,13 +120,16 @@ def bordered_solve(A, col_border, row_border, rhs, beta: float):
     The standard device for solving inside the range of a rank-(n-1) matrix:
     when rhs lies in range(A) the scalar s comes out ~0 and x is the unique
     solution of A x = rhs pinned by r^T x = beta.  A near-singular bordered
-    matrix (a bad border choice) raises NearSingular.
+    matrix (a bad border choice) raises NearSingular, and a border or rhs
+    not of length n raises InputError.
     """
     A = _square(A).astype(float)
     n = A.shape[0]
-    col = np.asarray(col_border, dtype=float).reshape(n)
-    row = np.asarray(row_border, dtype=float).reshape(n)
-    rhs = np.asarray(rhs, dtype=float).reshape(n)
+    col, row, rhs = (np.asarray(v, dtype=float).ravel()
+                     for v in (col_border, row_border, rhs))
+    if not col.size == row.size == rhs.size == n:
+        raise InputError(f"borders and rhs must have length {n}, "
+                         f"got {col.size}, {row.size} and {rhs.size}")
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = col
@@ -220,7 +152,7 @@ def cond_estimate(A) -> float:
     """Exact 2-norm condition number: +inf if A is singular, nan if not finite.
 
     Computed from the singular values; the solve guard calls it only when
-    neither of its bounds can prove a system safe.
+    the Frobenius bound cannot prove a system safe.
     """
     A = _square(A)
     if not np.isfinite(A).all():

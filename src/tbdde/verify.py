@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import EigenBasis, TbExistence
-from .errors import ConditionIFailed, NearSingular, SingularNuSystem
+from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
 _EPS = np.finfo(float).eps
@@ -124,13 +124,16 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
     widened by 0.5 are then polished together by complex Newton on Delta,
     and a polished root inside the widened box is kept when |Delta| <= 1e-10.
     ``warn`` lists the roots other than the double zero with
-    |Re z| <= re_margin, which the existence theory assumes away.
+    |Re z| <= re_margin, which the existence theory assumes away.  A box
+    not finite, or with a low end above its high end, raises InputError.
     """
+    (re_lo, re_hi), (im_lo, im_hi) = box
+    if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
+        raise InputError(f"box must be finite, each low end <= its high end, got {box}")
     x = np.asarray(x, dtype=float)
     n = model.n
     f1 = jac_x(model, x, x, lam, mu)
     f2 = jac_y(model, x, x, lam, mu)
-    (re_lo, re_hi), (im_lo, im_hi) = box
 
     def inside(z):
         return ((re_lo - 0.5 <= z.real) & (z.real <= re_hi + 0.5)

@@ -348,6 +348,21 @@ class TestScan:
         assert code == 0
         assert os.path.exists(tmp_path / "rel.csv")
 
+    def test_unwritable_csv_exit_4_before_the_grid(self, capsys, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
+        code, out, err = run(capsys, "scan", "--config", str(FIXTURES / "scan_pp.json"),
+                             "--csv", str(tmp_path / "missing" / "out.csv"))
+        assert code == 4 and out == "" and not runs
+        assert err.startswith("config error: cannot write CSV")
+
+    def test_config_error_in_the_grid_keeps_the_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "old.csv"
+        out_csv.write_text("old rows\n")
+        code, _, _ = run(capsys, "scan", "--config", str(FIXTURES / "scan_pp.json"),
+                         "--csv", str(out_csv), "--tol", "-1")
+        assert code == 4 and out_csv.read_text() == "old rows\n"
+
     def test_empty_grid_exit_4(self, capsys, tmp_path):
         cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
         cfg["scan"] = {}

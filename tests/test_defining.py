@@ -252,12 +252,9 @@ class TestNewton:
         assert np.max(np.abs(report.solution.pack() - V_STAR.pack())) <= 1e-9
 
     @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
-    def test_steps_share_inverses(self, pp, row, monkeypatch):
-        # one guard per run: later steps are proved safe from an earlier
-        # step's inverse, and every step is still np.linalg.solve's
-        inverses = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda A: inverses.append(A) or inv(A))
+    def test_steps_are_plain_newton_with_frobenius_cond(self, pp, row):
+        # every step is np.linalg.solve's, and final_cond is the Frobenius
+        # bound of the last Jacobian: between cond_2(J) and (3n+2) cond_2(J)
         report = newton_solve(pp, candidate(row), L10)
         v, history = candidate(row), []
         while True:
@@ -265,11 +262,14 @@ class TestNewton:
             history.append(float(np.max(np.abs(r))))
             if history[-1] <= NewtonOptions().tol_res:
                 break
-            v = TbCandidate.unpack(v.pack() + np.linalg.solve(jacobian(pp, v, L10), -r), 2)
+            J = jacobian(pp, v, L10)
+            v = TbCandidate.unpack(v.pack() + np.linalg.solve(J, -r), 2)
         assert report.converged and report.iterations == len(history) - 1
         assert report.residual_history == history
         assert np.array_equal(report.solution.pack(), v.pack())
-        assert 1 <= len(inverses) < report.iterations
+        exact, m = linalg.cond_estimate(J), J.shape[0]
+        slack = 10 * m * exact * np.finfo(float).eps
+        assert exact * (1.0 - slack) <= report.final_cond <= m * exact * (1.0 + slack)
 
     @pytest.mark.parametrize("n, seed", [
         pytest.param(6, 0, id="0"), pytest.param(6, 1, id="1"), pytest.param(6, 2, id="2"),
@@ -283,9 +283,9 @@ class TestNewton:
         # one, which calls no callback either; at n = 6 every step is the
         # dense guard's.
         dense = []
-        guarded = linalg.SolveGuard.solve
-        monkeypatch.setattr(linalg.SolveGuard, "solve",
-                            lambda self, A, b: dense.append(A) or guarded(self, A, b))
+        guarded = linalg.solve_with_cond
+        monkeypatch.setattr(linalg, "solve_with_cond",
+                            lambda A, b: dense.append(A) or guarded(A, b))
         model, exact = lifted(n, seed)
         L = Functionals(l1=np.eye(n)[0], l2=np.eye(n)[0])
         assert np.max(np.abs(residual(model, exact, L))) <= 1e-14

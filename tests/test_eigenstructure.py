@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tbdde import (DegenerateNormalization, compute_basis, eval_f, jac_x,
-                   jac_y, predator_prey, synthetic_tb, tb_existence_test)
+from tbdde import (DegenerateNormalization, InputError, compute_basis, eval_f,
+                   jac_x, jac_y, predator_prey, synthetic_tb, tb_existence_test)
 
 F1_PP = np.array([[0.0, -0.5], [0.0, 0.0]])
 F2_PP = np.zeros((2, 2))
@@ -42,6 +42,15 @@ class TestExistenceTest:
     def test_spectral_caveat_reported(self):
         ex = tb_existence_test(F1_PP, F2_PP)
         assert "imaginary axis" in ex.spectral_caveat
+
+
+@pytest.mark.parametrize("check", [tb_existence_test, compute_basis])
+@pytest.mark.parametrize("f1, f2", [
+    (np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
+    (np.ones(2), np.ones(2))], ids=["sizes", "non-square", "vectors"])
+def test_malformed_pair_rejected(check, f1, f2):
+    with pytest.raises(InputError, match="square matrices of one shape"):
+        check(f1, f2)
 
 
 class TestComputeBasis:

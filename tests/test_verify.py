@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbdde import (ConditionIFailed, DdeModel, TbCandidate, characteristic,
-                   compute_basis, double_zero_check, eval_f, jac_x, jac_y,
-                   predator_prey, quadratic_check, spectral_scan, synthetic_tb)
+from tbdde import (ConditionIFailed, DdeModel, InputError, TbCandidate,
+                   characteristic, compute_basis, double_zero_check, eval_f,
+                   jac_x, jac_y, predator_prey, quadratic_check, spectral_scan,
+                   synthetic_tb)
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -194,6 +195,14 @@ class TestSpectralScan:
         assert len(got) == 2
         assert abs(got[0] + 0.5j * np.pi) <= 1e-10
         assert abs(got[1] - 0.5j * np.pi) <= 1e-10
+
+    @pytest.mark.parametrize("box", [((-1.0, 1.0), (np.inf, 8.0)),
+                                     ((-1.0, np.nan), (-8.0, 8.0)),
+                                     ((1.0, -1.0), (-8.0, 8.0))],
+                             ids=["inf", "nan", "inverted"])
+    def test_bad_box_rejected(self, box):
+        with pytest.raises(InputError, match="box"):
+            spectral_scan(scalar_model(delayed=True), [0.0], 0.0, 0.0, box=box)
 
     def test_tb_point_contains_zero(self, pp):
         roots, _ = spectral_scan(pp, TB_X, 0.5, 2.0,
