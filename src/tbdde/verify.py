@@ -7,12 +7,17 @@ e^{-z}) at z = 0, and a spectral scan for other roots near the imaginary
 axis.  The scan takes the eigenvalues of a Chebyshev collocation of the
 DDE's infinitesimal generator and polishes them together by Newton on
 Delta, so the roots in its box come from one eigenvalue problem rather
-than from wherever Newton starts on a grid happen to converge.
+than from wherever Newton starts on a grid happen to converge.  The
+collocation only seeds that Newton, so its number of intervals N is the
+smallest whose stand-in for e^{-z} is within a relative 1e-3 of it on the
+box, at most 64 and at most the former max(12, ceil(2 max|Im z|)), which
+stays the fallback where no smaller N reaches 1e-3.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +30,8 @@ from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
 _EPS = np.finfo(float).eps
+#: spectral_scan's largest collocation matrix, n (N + 1) square
+_MAX_COLLOCATION = 4096
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,21 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float,
     |Delta''(0)| > sqrt(tol).  Returns (Delta(0), Delta'(0), Delta''(0), ok);
     ``TbVerdict.equilibrium_residual`` reports |f|.
     """
+    return _double_zero(*_finite_point(model, x, lam, mu, eval_f, jac_x, jac_y), tol)[1:]
+
+
+def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
+    """Each of ``funcs`` (``eval_f``, ``jac_x``, ``jac_y``) at the equilibrium x.
+
+    They are evaluated under np.errstate, and a non-finite value raises
+    NearSingular with ``cond`` nan, as ``linalg.rank_and_nullspace`` does.
+    """
     x = np.asarray(x, dtype=float)
-    return _double_zero(eval_f(model, x, x, lam, mu), jac_x(model, x, x, lam, mu),
-                        jac_y(model, x, x, lam, mu), tol)[1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = [fn(model, x, x, lam, mu) for fn in funcs]
+    if not all(np.isfinite(v).all() for v in out):
+        raise NearSingular(f"the linearization at x = {x} is not finite", cond=np.nan)
+    return out
 
 
 def _double_zero(f: np.ndarray, f1: np.ndarray, f2: np.ndarray, tol: float):
@@ -109,6 +128,78 @@ def _chebyshev_diff(N: int) -> np.ndarray:
     return D - np.diag(D.sum(axis=1))
 
 
+def _stand_in_fits(N: int, lo: complex, hi: complex) -> bool:
+    """Whether the collocation's stand-in for e^{-z} fits on the rectangle [lo, hi].
+
+    Collocation on N intervals replaces e^{-z} by r_N(z) = e_N^T (zI - E)^-1 d,
+    with E = 2 D_N[1:, 1:] and d = 2 D_N[1:, 0].  It fits when no eigenvalue
+    of E (a pole of r_N) lies in the rectangle and |r_N(z) e^z - 1| <= 1e-3
+    on its boundary, sampled every 0.25 or closer; r_N e^z - 1 is then analytic
+    inside, so the maximum-modulus principle bounds it there too.  The
+    boundary is solved for a few points at a time, in the real 2N-square form
+    of zI - E, so that the check needs no more memory than a scan does.
+    """
+    D = 2.0 * _chebyshev_diff(N)
+    E, d = D[1:, 1:], D[1:, 0]
+    poles = np.linalg.eigvals(E)
+    if np.any((lo.real <= poles.real) & (poles.real <= hi.real)
+              & (lo.imag <= poles.imag) & (poles.imag <= hi.imag)):
+        return False
+    corners = (lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag))
+    chunk = max(1, 2048 // (N * N))
+    eye = np.eye(N)
+    rhs = np.concatenate([d, np.zeros(N)])[:, None]
+    for z0, z1 in zip(corners, corners[1:] + corners[:1]):
+        m = max(1, math.ceil(abs(z1 - z0) / 0.25))
+        for k in range(0, m, chunk):
+            z = z0 + (z1 - z0) / m * np.arange(k, min(k + chunk, m))
+            x, y = z.real[:, None, None], z.imag[:, None, None]
+            R = np.empty((z.size, 2 * N, 2 * N))
+            R[:, :N, :N] = R[:, N:, N:] = x * eye - E
+            R[:, :N, N:] = -y * eye
+            R[:, N:, :N] = y * eye
+            u = np.linalg.solve(R, rhs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = np.abs((u[:, N - 1, 0] + 1j * u[:, -1, 0]) * np.exp(z) - 1.0)
+            if not np.all(err <= 1e-3):
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)
+def _collocation_size(box) -> int:
+    """The number of Chebyshev intervals N that ``spectral_scan`` uses on ``box``.
+
+    The collocation's eigenvalues are the roots of det(zI - f1 - r_N(z) f2),
+    where r_N stands in for e^{-z} (``_stand_in_fits``) and depends on N and
+    the box only, not on the model.  N is the smallest in [4, min(N0, 64)]
+    whose stand-in fits on the box widened by 0.5, where N0 = max(12,
+    ceil(2 max|Im z|)); where none fits, N0 itself.  ``box`` is a tuple
+    ((re_lo, re_hi), (im_lo, im_hi)) of floats.
+    """
+    (re_lo, re_hi), (im_lo, im_hi) = box
+    fallback = max(12, math.ceil(2.0 * max(abs(im_lo), abs(im_hi))))
+    lo, hi = complex(re_lo - 0.5, im_lo - 0.5), complex(re_hi + 0.5, im_hi + 0.5)
+    return next((N for N in range(4, min(fallback, 64) + 1)
+                 if _stand_in_fits(N, lo, hi)), fallback)
+
+
+def _kron_rows(N: int, n: int) -> np.ndarray:
+    """kron(2 D_N, I_n) with its first block row zeroed: the collocation
+    matrix of every model of dimension n, but for f1 and f2."""
+    A = np.kron(2.0 * _chebyshev_diff(N), np.eye(n))
+    A[:n] = 0.0
+    return A
+
+
+@functools.lru_cache(maxsize=8)
+def _collocation_rows(N: int, n: int) -> np.ndarray:
+    """``_kron_rows``, kept read-only for the next scan of the same size."""
+    A = _kron_rows(N, n)
+    A.flags.writeable = False
+    return A
+
+
 def spectral_scan(model: DdeModel, x, lam: float, mu: float,
                   box=((-1.0, 1.0), (-8.0, 8.0)), re_margin: float = 0.05):
     """Roots of Delta in a rectangle of the complex plane, and those near the axis.
@@ -119,29 +210,34 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
     discretized by Chebyshev collocation on [-1, 0] (Breda, Maset and
     Vermiglio, SIAM J. Sci. Comput. 27, 2005): the first block row imposes
     phi'(0) = f1 phi(0) + f2 phi(-1), the others are the differentiation
-    matrix.  The number of Chebyshev intervals, N = max(12, ceil(2 max|Im|)),
-    grows with the height of the box.  The eigenvalues inside the box
-    widened by 0.5 are then polished together by complex Newton on Delta,
-    and a polished root inside the widened box is kept when |Delta| <= 1e-10.
-    ``warn`` lists the roots other than the double zero with
-    |Re z| <= re_margin, which the existence theory assumes away.  A box
-    not finite, or with a low end above its high end, raises InputError.
+    matrix.  The number of Chebyshev intervals N is the smallest, from 4 up
+    to N0 = max(12, ceil(2 max|Im|)) but at most 64, for which the
+    collocation's stand-in for e^{-z} is within a relative 1e-3 of it on the
+    box widened by 0.5; where none is, N = N0 (``_collocation_size``).  A
+    collocation matrix of more than 4096 rows raises InputError.  The
+    eigenvalues inside the widened box are then polished together by complex
+    Newton on Delta, and a polished root inside the widened box is kept when
+    |Delta| <= 1e-10.  ``warn`` lists the roots other than the double zero
+    with |Re z| <= re_margin, which the existence theory assumes away.  A box
+    not finite, or with a low end above its high end, raises InputError, and
+    a non-finite linearization raises NearSingular.
     """
     (re_lo, re_hi), (im_lo, im_hi) = box
     if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
         raise InputError(f"box must be finite, each low end <= its high end, got {box}")
-    x = np.asarray(x, dtype=float)
     n = model.n
-    f1 = jac_x(model, x, x, lam, mu)
-    f2 = jac_y(model, x, x, lam, mu)
+    N = _collocation_size(((float(re_lo), float(re_hi)), (float(im_lo), float(im_hi))))
+    if n * (N + 1) > _MAX_COLLOCATION:
+        raise InputError(f"box {box} needs N = {N} Chebyshev intervals: a collocation "
+                         f"matrix of {n * (N + 1)} > {_MAX_COLLOCATION} rows")
+    f1, f2 = _finite_point(model, x, lam, mu, jac_x, jac_y)
 
     def inside(z):
         return ((re_lo - 0.5 <= z.real) & (z.real <= re_hi + 0.5)
                 & (im_lo - 0.5 <= z.imag) & (z.imag <= im_hi + 0.5))
 
-    N = max(12, math.ceil(2.0 * max(abs(im_lo), abs(im_hi))))
-    A = np.kron(2.0 * _chebyshev_diff(N), np.eye(n))
-    A[:n] = 0.0
+    # only small matrices are kept, so that the cache holds at most 4 MB
+    A = _collocation_rows(N, n).copy() if n * (N + 1) <= 256 else _kron_rows(N, n)
     A[:n, :n] = f1
     A[:n, -n:] = f2
     z = np.linalg.eigvals(A)

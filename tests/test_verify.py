@@ -1,14 +1,17 @@
+import math
 import runpy
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tbdde import (ConditionIFailed, DdeModel, InputError, TbCandidate,
+from tbdde import (ConditionIFailed, DdeModel, InputError, NearSingular, TbCandidate,
                    characteristic, compute_basis, double_zero_check, eval_f,
                    jac_x, jac_y, predator_prey, quadratic_check, spectral_scan,
-                   synthetic_tb)
+                   synthetic_tb, verify)
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -61,6 +64,58 @@ def synthetic_with_hidden_component():
         f=lambda x, y, l, u: np.append(base.f(x[:2], y[:2], l, u),
                                        x[0] - 0.5 * np.pi * y[2]),
         d1=d1, d2=d2)
+
+
+def lifted_linear(n, seed, hidden=False):
+    """The linearization of a lifted model at its double zero, as a linear model.
+
+    synthetic-tb's f1 and f2 on (x0, x1), plus n - 2 components
+    x_k' = -a_k x_k + b_k x_k(t-1) + c_k x0 with a_k in [1, 2] and |b_k| <= 1/2,
+    whose roots have Re z < -0.3.  A hidden last component,
+    x_k' = -(pi/2) x_k(t-1) + c_k x0, adds the roots +-i pi/2.
+    """
+    base = synthetic_tb()
+    rng = np.random.default_rng([seed, n, int(hidden)])
+    a, b, c = (rng.uniform(lo, hi, n - 2) for lo, hi in ((1.0, 2.0), (-0.5, 0.5), (-1.0, 1.0)))
+    if hidden:
+        a[-1], b[-1] = 0.0, -0.5 * np.pi
+    F1, F2 = np.zeros((n, n)), np.zeros((n, n))
+    F1[:2, :2] = jac_x(base, np.zeros(2), np.zeros(2), 0.0, 0.0)
+    F2[:2, :2] = jac_y(base, np.zeros(2), np.zeros(2), 0.0, 0.0)
+    rows = np.arange(2, n)
+    F1[rows, rows], F2[rows, rows], F1[2:, 0] = -a, b, c
+    return DdeModel(n=n, tau=1.0, f=lambda x, y, l, u: F1 @ x + F2 @ y,
+                    d1=lambda x, y, l, u: F1, d2=lambda x, y, l, u: F2)
+
+
+def todays_size(box):
+    """The collocation size before it was derived from the stand-in's error."""
+    return max(12, math.ceil(2.0 * max(abs(box[1][0]), abs(box[1][1]))))
+
+
+def stand_in_error(N, box, h):
+    """max |r_N(z) e^z - 1| on the boundary of ``box`` widened by 0.5, sampled
+    every h, where r_N(z) = e_N^T (zI - E)^-1 d is solved for point by point;
+    inf when an eigenvalue of E lies inside the widened box."""
+    D = 2.0 * verify._chebyshev_diff(N)
+    E, d = D[1:, 1:], D[1:, 0]
+    (a, b), (c, e) = box
+    a, b, c, e = a - 0.5, b + 0.5, c - 0.5, e + 0.5
+    poles = np.linalg.eigvals(E)
+    if np.any((a <= poles.real) & (poles.real <= b) & (c <= poles.imag) & (poles.imag <= e)):
+        return np.inf
+    corners = [complex(a, c), complex(b, c), complex(b, e), complex(a, e)]
+    worst = 0.0
+    for z0, z1 in zip(corners, corners[1:] + corners[:1]):
+        m = math.ceil(abs(z1 - z0) / h)
+        for z in z0 + (z1 - z0) * np.arange(m) / m:
+            r = np.linalg.solve(z * np.eye(N) - E, d.astype(complex))[-1]
+            worst = max(worst, abs(r * np.exp(z) - 1.0))
+    return worst
+
+
+def same_roots(got, want, tol=1e-8):
+    return len(got) == len(want) and all(min(abs(g - w) for w in want) <= tol for g in got)
 
 
 @pytest.fixture
@@ -208,6 +263,84 @@ class TestSpectralScan:
         roots, _ = spectral_scan(pp, TB_X, 0.5, 2.0,
                                  box=((-1.0, 1.0), (-8.0, 8.0)))
         assert any(abs(r) < 1e-8 for r in roots)
+
+
+class TestCollocationSize:
+    @pytest.mark.parametrize("box,want", [
+        (((-1.0, 1.0), (-8.0, 8.0)), 11),
+        (((-1.0, 1.0), (-28.0, 28.0)), 23),
+        (((-1.0, 1.0), (0.0, 8.0)), None),
+        (((-2.0, 0.0), (-1.0, 1.0)), None),
+        (((-5.0, 1.0), (-3.0, 3.0)), None),
+    ], ids=["default", "28", "upper-half", "small", "left"])
+    def test_smallest_size_that_fits(self, box, want):
+        # the chosen N keeps the stand-in within 1e-3 on a boundary sample 4x
+        # denser than the rule's own; N - 1 does not, unless N is the floor
+        N = verify._collocation_size(box)
+        assert want is None or N == want
+        assert 4 <= N <= todays_size(box)
+        assert stand_in_error(N, box, 0.0625) <= 1e-3
+        assert N == 4 or stand_in_error(N - 1, box, 0.0625) > 1e-3
+
+    @pytest.mark.parametrize("box", [((-1.0, 1.0), (-8.0, 8.0)), ((-1.0, 1.0), (-28.0, 28.0)),
+                                     ((-1.0, 1.0), (-300.0, 300.0)), ((-10.0, 2.0), (-4.0, 4.0)),
+                                     ((-20.0, 1.0), (-2.0, 2.0)), ((0.0, 0.0), (0.0, 0.0)),
+                                     ((-1.0, 1e6), (-1.0, 1.0)), ((-1e6, 1.0), (-1.0, 1.0))])
+    def test_never_above_todays_size(self, box):
+        assert verify._collocation_size(box) <= todays_size(box)
+
+    def test_deep_left_box_keeps_todays_size_at_once(self, monkeypatch):
+        # deep in the left half plane e^{-z} is huge, and no collocation
+        # reaches 1e-3 of it in double precision: the stand-in's error stalls
+        # near 1e-2 from N = 40 to 64.  The rule tries no N above today's 16
+        box = ((-30.0, 1.0), (-8.0, 8.0))
+        tried = []
+        fits = verify._stand_in_fits
+        monkeypatch.setattr(verify, "_stand_in_fits", lambda N, lo, hi: tried.append(N)
+                            or fits(N, lo, hi))
+        verify._collocation_size.cache_clear()
+        assert verify._collocation_size(box) == todays_size(box) == 16
+        assert tried == list(range(4, 17))
+        for N in (40, 64):
+            assert 1e-3 < stand_in_error(N, box, 0.1) < 1e-1
+
+    def test_infeasible_box_is_an_input_error(self, pp, counted_model):
+        # today's N at this box is 2e6: a matrix of 4e6 rows, refused before
+        # the model is evaluated or anything of that size allocated
+        model, counts = counted_model(pp)
+        with pytest.raises(InputError, match="4096"):
+            spectral_scan(model, [1.0, 1.0], 0.5, 2.0, box=((-1.0, 1.0), (-1e6, 1e6)))
+        assert not counts
+
+    def test_collocation_rows_read_only(self):
+        A = verify._collocation_rows(11, 3)
+        assert not A.flags.writeable
+        assert A.shape == (36, 36) and not A[:3].any()
+        want = np.kron(2.0 * verify._chebyshev_diff(11), np.eye(3))
+        assert np.array_equal(A[3:], want[3:])
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 8), hidden=st.booleans(), seed=st.integers(0, 2 ** 16),
+           height=st.floats(1.0, 30.0))
+    def test_same_roots_as_todays_size(self, n, hidden, seed, height):
+        m = lifted_linear(n, seed, hidden and n > 2)
+        box = ((-1.0, 1.0), (-height, height))
+        roots, warn = spectral_scan(m, np.zeros(n), 0.0, 0.0, box=box)
+        with mock.patch.object(verify, "_collocation_size", todays_size):
+            want_roots, want_warn = spectral_scan(m, np.zeros(n), 0.0, 0.0, box=box)
+        assert same_roots(roots, want_roots) and same_roots(warn, want_warn)
+        assert len(warn) == (2 if hidden and n > 2 and height >= np.pi / 2 - 0.5 else 0)
+
+
+class TestNonFiniteLinearization:
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [1e200, 1e200]], ids=["nan", "overflow"])
+    @pytest.mark.parametrize("check", [spectral_scan, double_zero_check])
+    def test_near_singular_without_warning(self, pp, check, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearSingular, match="not finite") as exc:
+                check(pp, x, 0.5, 2.0)
+        assert np.isnan(exc.value.cond)
 
 
 class TestQuadraticCheck:
