@@ -30,8 +30,8 @@ from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
 _EPS = np.finfo(float).eps
-#: spectral_scan's largest collocation matrix, n (N + 1) square
-_MAX_COLLOCATION = 4096
+#: spectral_scan's most Chebyshev intervals, N0 of a box with |Im| up to 512
+_MAX_INTERVALS = 1024
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def _stand_in_fits(N: int, lo: complex, hi: complex) -> bool:
     of E (a pole of r_N) lies in the rectangle and |r_N(z) e^z - 1| <= 1e-3
     on its boundary, sampled every 0.25 or closer; r_N e^z - 1 is then analytic
     inside, so the maximum-modulus principle bounds it there too.  The
-    boundary is solved for a few points at a time, in the real 2N-square form
-    of zI - E, so that the check needs no more memory than a scan does.
+    boundary is solved for a few points at a time, so that the check needs
+    little memory whatever the box.
     """
     D = 2.0 * _chebyshev_diff(N)
     E, d = D[1:, 1:], D[1:, 0]
@@ -146,21 +146,15 @@ def _stand_in_fits(N: int, lo: complex, hi: complex) -> bool:
               & (lo.imag <= poles.imag) & (poles.imag <= hi.imag)):
         return False
     corners = (lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag))
-    chunk = max(1, 2048 // (N * N))
-    eye = np.eye(N)
-    rhs = np.concatenate([d, np.zeros(N)])[:, None]
+    chunk = max(1, 4096 // (N * N))
+    eye, rhs = np.eye(N), d.astype(complex)[:, None]
     for z0, z1 in zip(corners, corners[1:] + corners[:1]):
         m = max(1, math.ceil(abs(z1 - z0) / 0.25))
         for k in range(0, m, chunk):
             z = z0 + (z1 - z0) / m * np.arange(k, min(k + chunk, m))
-            x, y = z.real[:, None, None], z.imag[:, None, None]
-            R = np.empty((z.size, 2 * N, 2 * N))
-            R[:, :N, :N] = R[:, N:, N:] = x * eye - E
-            R[:, :N, N:] = -y * eye
-            R[:, N:, :N] = y * eye
-            u = np.linalg.solve(R, rhs)
+            r = np.linalg.solve(z[:, None, None] * eye - E, rhs)[:, -1, 0]
             with np.errstate(over="ignore", invalid="ignore"):
-                err = np.abs((u[:, N - 1, 0] + 1j * u[:, -1, 0]) * np.exp(z) - 1.0)
+                err = np.abs(r * np.exp(z) - 1.0)
             if not np.all(err <= 1e-3):
                 return False
     return True
@@ -184,22 +178,6 @@ def _collocation_size(box) -> int:
                  if _stand_in_fits(N, lo, hi)), fallback)
 
 
-def _kron_rows(N: int, n: int) -> np.ndarray:
-    """kron(2 D_N, I_n) with its first block row zeroed: the collocation
-    matrix of every model of dimension n, but for f1 and f2."""
-    A = np.kron(2.0 * _chebyshev_diff(N), np.eye(n))
-    A[:n] = 0.0
-    return A
-
-
-@functools.lru_cache(maxsize=8)
-def _collocation_rows(N: int, n: int) -> np.ndarray:
-    """``_kron_rows``, kept read-only for the next scan of the same size."""
-    A = _kron_rows(N, n)
-    A.flags.writeable = False
-    return A
-
-
 def spectral_scan(model: DdeModel, x, lam: float, mu: float,
                   box=((-1.0, 1.0), (-8.0, 8.0)), re_margin: float = 0.05):
     """Roots of Delta in a rectangle of the complex plane, and those near the axis.
@@ -213,31 +191,35 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
     matrix.  The number of Chebyshev intervals N is the smallest, from 4 up
     to N0 = max(12, ceil(2 max|Im|)) but at most 64, for which the
     collocation's stand-in for e^{-z} is within a relative 1e-3 of it on the
-    box widened by 0.5; where none is, N = N0 (``_collocation_size``).  A
-    collocation matrix of more than 4096 rows raises InputError.  The
-    eigenvalues inside the widened box are then polished together by complex
-    Newton on Delta, and a polished root inside the widened box is kept when
-    |Delta| <= 1e-10.  ``warn`` lists the roots other than the double zero
-    with |Re z| <= re_margin, which the existence theory assumes away.  A box
-    not finite, or with a low end above its high end, raises InputError, and
-    a non-finite linearization raises NearSingular.
+    box widened by 0.5; where none is, N = N0 (``_collocation_size``).  A box
+    that needs N > 1024 (|Im| above 512) raises InputError.  The eigenvalues
+    inside the widened box are then polished together by complex Newton on
+    Delta, and a polished root inside the widened box is kept when
+    |Delta| <= 1e-10.  Where that test sits at rounding level, as on a real
+    root far in the left half plane of a larger model, whether the root is
+    kept can change with N: such a root may be reported at the former N0
+    and not at the N used now, or the other way round.  ``warn`` lists the
+    roots other than the double zero with |Re z| <= re_margin, which the
+    existence theory assumes away.  A box not finite, or with a low end
+    above its high end, raises InputError, and a non-finite linearization
+    raises NearSingular.
     """
     (re_lo, re_hi), (im_lo, im_hi) = box
     if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
         raise InputError(f"box must be finite, each low end <= its high end, got {box}")
     n = model.n
     N = _collocation_size(((float(re_lo), float(re_hi)), (float(im_lo), float(im_hi))))
-    if n * (N + 1) > _MAX_COLLOCATION:
-        raise InputError(f"box {box} needs N = {N} Chebyshev intervals: a collocation "
-                         f"matrix of {n * (N + 1)} > {_MAX_COLLOCATION} rows")
+    if N > _MAX_INTERVALS:
+        raise InputError(f"box {box} needs N = {N} > {_MAX_INTERVALS} Chebyshev intervals, "
+                         f"a collocation matrix of {n * (N + 1)} rows for n = {n}")
     f1, f2 = _finite_point(model, x, lam, mu, jac_x, jac_y)
 
     def inside(z):
         return ((re_lo - 0.5 <= z.real) & (z.real <= re_hi + 0.5)
                 & (im_lo - 0.5 <= z.imag) & (z.imag <= im_hi + 0.5))
 
-    # only small matrices are kept, so that the cache holds at most 4 MB
-    A = _collocation_rows(N, n).copy() if n * (N + 1) <= 256 else _kron_rows(N, n)
+    A = np.kron(2.0 * _chebyshev_diff(N), np.eye(n))
+    A[:n] = 0.0
     A[:n, :n] = f1
     A[:n, -n:] = f2
     z = np.linalg.eigvals(A)
