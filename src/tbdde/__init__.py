@@ -19,8 +19,8 @@ Typical use::
 from .errors import (ConditionIFailed, DegenerateNormalization, InputError,
                      NearSingular, RankDeficiencyMismatch, SingularNuSystem,
                      TbddeError)
-from .model import (DdeModel, Linearization, eval_f, hessian_blocks, jac_x, jac_y,
-                    linearize, param_der, second_dirder)
+from .model import (DdeModel, Linearization, eval_f, jac_x, jac_y, linearize,
+                    param_der, second_dirder)
 from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
 from .defining import (Functionals, NewtonOptions, NewtonReport, TbCandidate,
                        jacobian, newton_solve, residual)
@@ -40,7 +40,7 @@ __all__ = [
     "ConditionIFailed", "SingularNuSystem",
     "build", "registry",
     "characteristic", "compute_basis", "double_zero_check", "eval_f",
-    "hessian_blocks", "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",
+    "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",
     "param_der",
     "predator_prey", "quadratic_check", "residual", "second_dirder",
     "spectral_scan", "synthetic_tb", "tb_existence_test",

@@ -61,13 +61,15 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, label: str, kind=float):
-    """``kind(value)`` for the config field or flag ``label``; must be finite."""
+    """``kind(value)`` for the config field or flag ``label``: finite, not a
+    boolean, and for ``int`` equal to ``value`` unless that is a string."""
     try:
         number = kind(value)
+        ok = math.isfinite(number) and (isinstance(value, str) or number == value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{label!r}: {exc}") from exc
-    if not math.isfinite(number):
-        raise InputError(f"{label!r} must be finite, got {value!r}")
+    if isinstance(value, bool) or not ok:
+        raise InputError(f"{label!r} must be a finite {kind.__name__}, got {value!r}")
     return number
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateNormalization, InputError
 
-#: relative tolerance for rank/range decisions in the existence test
+#: relative tolerance of the certificate's decisions: the existence test's
+#: range and nondegeneracy conditions here, and those of ``verify``
 DEFAULT_TOL = 1e-8
 
 
@@ -73,21 +74,6 @@ class EigenBasis:
     f2: np.ndarray
     existence: TbExistence
 
-    def residuals(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-        """The six chain/normalization identities as residual magnitudes."""
-        S = f1 + f2
-        B = f2 + np.eye(f2.shape[0])
-        p1, p2, q1, q2 = self.phi1, self.phi2, self.psi1, self.psi2
-        n5, n6 = normalization(q1, q2, p1, p2, f2 @ p1, f2 @ p2)
-        return np.array([
-            np.max(np.abs(S @ p1)),
-            np.max(np.abs(S @ p2 - B @ p1)),
-            np.max(np.abs(q2 @ S)),
-            np.max(np.abs(q1 @ S - q2 @ B)),
-            abs(n5 - 1.0),
-            abs(n6),
-        ])
-
 
 def _pair(f1, f2):
     """(f1, f2) as float arrays; InputError unless square and of one shape."""
@@ -98,7 +84,7 @@ def _pair(f1, f2):
     return f1, f2
 
 
-def _existence(f2, S, rank: int, phi1, psi2, tol: float, phi2=None) -> TbExistence:
+def _existence(f2, S, rank: int, phi1, psi2, phi2=None) -> TbExistence:
     """Conditions (ii) and (iii) of the existence test, given condition (i).
 
     S = f1 + f2 has rank n-1 with unit null vectors phi1 (right) and psi2
@@ -106,43 +92,44 @@ def _existence(f2, S, rank: int, phi1, psi2, tol: float, phi2=None) -> TbExisten
     it is computed here when not given and (ii) holds.
     """
     B = f2 + np.eye(f2.shape[0])
-    scale = max(1.0, np.max(np.abs(S)))
+    tol = DEFAULT_TOL * max(1.0, np.max(np.abs(S)))
     range_value = float(psi2 @ (B @ phi1))
-    if abs(range_value) > tol * scale:
-        return TbExistence(True, False, False, rank, range_value, np.nan, tol)
+    if abs(range_value) > tol:
+        return TbExistence(True, False, False, rank, range_value, np.nan, DEFAULT_TOL)
     if phi2 is None:
         phi2, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1, 0.0)
     nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
-    return TbExistence(True, True, abs(nd_value) > tol * scale, rank, range_value,
-                       nd_value, tol)
+    return TbExistence(True, True, abs(nd_value) > tol, rank, range_value,
+                       nd_value, DEFAULT_TOL)
 
 
-def tb_existence_test(f1, f2, tol: float = DEFAULT_TOL) -> TbExistence:
+def tb_existence_test(f1, f2) -> TbExistence:
     """Check the three double-zero conditions on (f1, f2).
 
     (i) rank(f1+f2) = n-1; (ii) (f2+I) phi1 in range(f1+f2), tested through
     the left null vector; (iii) the chain terminates: (f2+I) phi2 - f2 phi1/2
-    is NOT in the range.  The imaginary-axis spectral hypothesis is reported
-    as a caveat, not verified here.  ``compute_basis`` runs the same test on
-    the decomposition it makes anyway (``EigenBasis.existence``).
+    is NOT in the range, both to DEFAULT_TOL relative to max(1, max|f1+f2|).
+    The imaginary-axis spectral hypothesis is reported as a caveat, not
+    verified here.  ``compute_basis`` runs the same test on the
+    decomposition it makes anyway (``EigenBasis.existence``).
     """
     f1, f2 = _pair(f1, f2)
     S = f1 + f2
-    report, phi1, psi2 = linalg.rank_and_nullspace(S)
+    rank, phi1, psi2 = linalg.rank_and_nullspace(S)
     if phi1 is None:
-        return TbExistence(False, False, False, report.rank, np.nan, np.nan, tol)
-    return _existence(f2, S, report.rank, phi1, psi2, tol)
+        return TbExistence(False, False, False, rank, np.nan, np.nan, DEFAULT_TOL)
+    return _existence(f2, S, rank, phi1, psi2)
 
 
-def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> EigenBasis:
+def compute_basis(f1, f2) -> EigenBasis:
     """Construct the normalized double-zero basis from (f1, f2).
 
     Construction order: unit null vectors from (1), (3) by one SVD of
     S = f1 + f2; generalized vectors from (2), (4) via bordered solves pinned
-    by phi1.phi2p = beta_phi2 and psi1p.psi2 = beta_psi1 (the left null
-    vector transposed is the one safe column border: phi1 itself lies in
-    range(S) at a T-B point); then the normalization identities (5) and (6)
-    determine the common scales.  With phi1 = c*ph1, psi2 = d*ps2,
+    by phi1.phi2p = 0 and psi1p.psi2 = 0 (the left null vector transposed is
+    the one safe column border: phi1 itself lies in range(S) at a T-B
+    point); then the normalization identities (5) and (6) determine the
+    common scales.  With phi1 = c*ph1, psi2 = d*ps2,
     psi1 = d*ps1p and phi2 = c*ph2p + t*ph1 the identities reduce to
 
         (5):  c*d*alpha = 1        (the psi2-range term vanishes at a T-B point)
@@ -150,18 +137,17 @@ def compute_basis(f1, f2, beta_phi2: float = 0.0, beta_psi1: float = 0.0) -> Eig
 
     so c*d = 1/alpha and t follows; the magnitude split between c and d is a
     convention (square root), with c > 0 keeping the sign rule on phi1.  The
-    existence test reuses the SVD, and phi2p too when it is pinned at 0.
+    existence test reuses the SVD and phi2p.
     """
     f1, f2 = _pair(f1, f2)
     S = f1 + f2
     B = f2 + np.eye(f2.shape[0])
-    report, ph1, ps2 = linalg.rank_and_nullspace(S)
+    rank, ph1, ps2 = linalg.rank_and_nullspace(S)
     if ph1 is None:
         raise DegenerateNormalization("matrix has full rank: no zero eigenvalue")
-    ph2p, _ = linalg.bordered_solve(S, ps2, ph1, B @ ph1, beta_phi2)
-    ps1p, _ = linalg.bordered_solve(S.T, ph1, ps2, B.T @ ps2, beta_psi1)
-    existence = _existence(f2, S, report.rank, ph1, ps2, DEFAULT_TOL,
-                           None if beta_phi2 else ph2p)
+    ph2p, _ = linalg.bordered_solve(S, ps2, ph1, B @ ph1, 0.0)
+    ps1p, _ = linalg.bordered_solve(S.T, ph1, ps2, B.T @ ps2, 0.0)
+    existence = _existence(f2, S, rank, ph1, ps2, ph2p)
 
     alpha, gamma = normalization(ps1p, ps2, ph1, ph2p, f2 @ ph1, f2 @ ph2p)
     if abs(alpha) < 1e-12 * max(1.0, np.max(np.abs(f2))):

@@ -17,7 +17,6 @@ elimination, proved safe by a bound of the same kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,6 @@ from .errors import InputError, NearSingular, RankDeficiencyMismatch
 _EPS = float(np.finfo(float).eps)
 #: solve() refuses systems whose exact 2-norm condition number exceeds this
 COND_LIMIT = 1.0 / np.sqrt(_EPS)
-
-
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    singular_values: np.ndarray
-    tol_used: float
 
 
 def _square(A) -> np.ndarray:
@@ -88,8 +80,9 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def rank_and_nullspace(A, tol: float | None = None):
-    """Numerical rank plus, when rank = n-1, the unit right/left null vectors.
+def rank_and_nullspace(A):
+    """(rank, right, left): the number of singular values above n eps max(s),
+    and when it is n-1 the unit right/left null vectors.
 
     The theory requires a geometrically simple zero, so rank < n-1 is an
     error.  For full rank the null vectors are None.  A non-finite A has no
@@ -100,18 +93,13 @@ def rank_and_nullspace(A, tol: float | None = None):
     if not np.isfinite(A).all():
         raise NearSingular("matrix has non-finite entries", cond=np.nan)
     U, s, Vt = np.linalg.svd(A)
-    if tol is None:
-        tol = n * _EPS * (s[0] if s[0] > 0 else 1.0)
-    rank = int(np.sum(s > tol))
-    report = RankReport(rank=rank, singular_values=s, tol_used=tol)
+    rank = int(np.sum(s > n * _EPS * (s[0] if s[0] > 0 else 1.0)))
     if rank < n - 1:
         raise RankDeficiencyMismatch(
             f"rank {rank} < n-1 = {n - 1}: zero eigenvalue is not simple")
     if rank == n:
-        return report, None, None
-    right = _sign_fix(Vt[-1])
-    left = _sign_fix(U[:, -1])
-    return report, right, left
+        return rank, None, None
+    return rank, _sign_fix(Vt[-1]), _sign_fix(U[:, -1])
 
 
 def bordered_solve(A, col_border, row_border, rhs, beta: float):
@@ -142,10 +130,6 @@ def det(A):
     """Determinant; complex input supported (characteristic function needs it)."""
     A = _square(A)
     return np.linalg.det(A)
-
-
-def det2x2(m11, m12, m21, m22):
-    return m11 * m22 - m12 * m21
 
 
 def cond_estimate(A) -> float:

@@ -22,14 +22,14 @@ from their suppliers or from f, f1, f2 at lambda +- h and mu +- h, and the
 second-derivative matrices along a direction phi from the bilinear
 suppliers or from f1, f2 at (x +- h phi, x) and (x, x +- h phi).  The
 public functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
-``param_der``, ``hessian_blocks``) check their arguments and then run the
-same code on a single value.
+``param_der``) check their arguments and then run the same code on a single
+value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -73,7 +73,6 @@ class DdeModel:
     d1mu: Optional[VecFunc] = None
     d2mu: Optional[VecFunc] = None
     name: str = "unnamed"
-    constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -156,7 +155,7 @@ def _slot_diff(model: DdeModel, slot: str, mats: str, x, y, lam, mu, u, h) -> np
 
 
 def _blocks(model: DdeModel, x, lam, mu, u):
-    """(Dx, Dy) along ``u`` at y = x (see ``hessian_blocks``)."""
+    """(Dx, Dy) along ``u`` at y = x (see ``Linearization.hessian_blocks``)."""
     out = []
     e, h = None, _step(x, u)   # y = x: both slots move by the same step
     for slot in "12":
@@ -235,7 +234,11 @@ class Linearization(NamedTuple):
         return tuple(_param(model, which, x, x, lam, mu) for which in _PARAM_KEYS)
 
     def hessian_blocks(self, u) -> tuple:
-        """(Dx, Dy) along the float vector ``u`` (see the function ``hessian_blocks``)."""
+        """(Dx, Dy) along the float vector ``u``: Dx @ w = (f11 + f12)[u, w] and
+        Dy @ w = (f21 + f22)[u, w], the derivatives of f1 + f2 along ``u`` in
+        the x slot and in the delayed slot, so (Dx + Dy) @ w is the second
+        derivative of g(x) = f(x, x) along u and w.
+        """
         return _blocks(self.model, self.x, self.lam, self.mu, u)
 
 
@@ -289,21 +292,6 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     # which[0] names the differencing slot, which[1] the matrix being differenced
     return _slot_diff(model, which[0], which[1], x, y, lam, mu, u,
                       _step(x if which[0] == "1" else y, u)) @ w
-
-
-def hessian_blocks(model: DdeModel, x, lam: float, mu: float, u):
-    """Second-derivative matrices (Dx, Dy) along ``u`` at y = x.
-
-    Dx @ w = (f11 + f12)[u, w] and Dy @ w = (f21 + f22)[u, w]: Dx is the
-    derivative of f1 + f2 along ``u`` in the x slot, Dy in the delayed
-    slot, and (Dx + Dy) @ w is the second derivative of g(x) = f(x, x)
-    along u and w.  Columns come from the d11..d22 suppliers where present,
-    one call per column; the matrices a slot has no supplier for are
-    differenced together, from f1, f2 evaluated once at each moved point,
-    (x +- h u, x) for Dx and (x, x +- h u) for Dy, with one step h.
-    ``Linearization.hessian_blocks`` is the same without the checks.
-    """
-    return _blocks(model, _check_vec(model, x, "x"), lam, mu, _check_vec(model, u, "u"))
 
 
 def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):

@@ -4,9 +4,9 @@ Two models ship with the package:
 
 * ``predator-prey`` -- a delayed predator-prey system with Holling-type
   response.  With growth rate, interference and conversion constants at 1
-  it has a double-zero point at prey = predator = 1 for death rate 1/2 and
-  carrying capacity 2; the death rate D plays the first free parameter and
-  the carrying capacity K the second.
+  it has a double-zero point at prey = predator = 1 for death rate D = 1/2
+  and carrying capacity K = 2.  D and K are not constants of the model: they
+  are the free parameters lambda and mu, which the solver varies.
 * ``synthetic-tb`` -- a polynomial two-dimensional DDE engineered so the
   origin at zero parameters is a quadratic double-zero point with exactly
   representable eigendata; its reference quantities were derived in exact
@@ -26,24 +26,21 @@ from .model import DdeModel
 
 @dataclass(frozen=True)
 class PredatorPreyParams:
-    """Constants of the delayed predator-prey system.
+    """Constants of the delayed predator-prey system: r, a, mu_growth and tau.
 
-    D and K are the two free bifurcation parameters; the values stored here
-    are only defaults (the solver varies them).  r, a, mu_growth, tau stay
-    fixed.
+    The death rate D and the carrying capacity K are not among them: they are
+    the free parameters lambda and mu, which the solver varies.
     """
 
     r: float = 1.0
-    K: float = 2.0
     a: float = 1.0
     mu_growth: float = 1.0
-    D: float = 0.5
     tau: float = 1.0
 
     def __post_init__(self):
-        for name in ("r", "K", "a", "mu_growth", "D", "tau"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InputError(f"{name} must be positive and finite")
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise InputError(f"{f.name} must be positive and finite")
 
 
 def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
@@ -117,7 +114,6 @@ def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
         d11=d11, d12=d12, d21=d21, d22=d22,
         d1lam=d1lam, d2lam=d2lam, d1mu=d1mu, d2mu=d2mu,
         name="predator-prey",
-        constants={"r": r, "a": a, "mu_growth": m, "tau": params.tau},
     )
 
 
@@ -215,7 +211,6 @@ def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
         d11=d11, d12=d12, d21=d21, d22=d22,
         d1lam=d1lam, d2lam=d2lam, d1mu=d1mu, d2mu=d2mu,
         name="synthetic-tb",
-        constants={"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5, "a6": a6},
     )
 
 

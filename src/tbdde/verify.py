@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .defining import TbCandidate
-from .eigenstructure import EigenBasis, TbExistence
+from .eigenstructure import DEFAULT_TOL, EigenBasis, TbExistence
 from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
@@ -49,7 +49,7 @@ class TbVerdict:
     equilibrium_residual: float  # |f(x, x)|_inf; char_ok needs <= 1e-8
     char_values: tuple           # (Delta(0), Delta'(0), Delta''(0))
     char_ok: bool
-    tol: float = np.nan
+    tol: float
 
     @property
     def passed(self) -> bool:
@@ -74,8 +74,7 @@ def _delta(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.det(M)
 
 
-def double_zero_check(model: DdeModel, x, lam: float, mu: float,
-                      tol: float = 1e-8):
+def double_zero_check(model: DdeModel, x, lam: float, mu: float):
     """Certify an algebraically double, at-most-double root of Delta at z = 0.
 
     Delta(0) is exact; Delta'(0) uses a complex step (Delta is entire and
@@ -83,10 +82,11 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float,
     a second central difference.  f, f1 and f2 are evaluated once, and Delta
     at the four points by one stacked determinant.  Passes when x is an
     equilibrium (|f| <= 1e-8), |Delta(0)| <= tol, |Delta'(0)| <= tol and
-    |Delta''(0)| > sqrt(tol).  Returns (Delta(0), Delta'(0), Delta''(0), ok);
-    ``TbVerdict.equilibrium_residual`` reports |f|.
+    |Delta''(0)| > sqrt(tol), for tol = DEFAULT_TOL.  Returns (Delta(0),
+    Delta'(0), Delta''(0), ok); ``TbVerdict.equilibrium_residual`` reports |f|.
     """
-    return _double_zero(*_finite_point(model, x, lam, mu, eval_f, jac_x, jac_y), tol)[1:]
+    return _double_zero(*_finite_point(model, x, lam, mu, eval_f, jac_x, jac_y),
+                        DEFAULT_TOL)[1:]
 
 
 def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
@@ -179,7 +179,7 @@ def _collocation_size(box) -> int:
 
 
 def spectral_scan(model: DdeModel, x, lam: float, mu: float,
-                  box=((-1.0, 1.0), (-8.0, 8.0)), re_margin: float = 0.05):
+                  box=((-1.0, 1.0), (-8.0, 8.0))):
     """Roots of Delta in a rectangle of the complex plane, and those near the axis.
 
     The roots are the eigenvalues of the infinitesimal generator of the
@@ -199,7 +199,7 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
     root far in the left half plane of a larger model, whether the root is
     kept can change with N: such a root may be reported at the former N0
     and not at the N used now, or the other way round.  ``warn`` lists the
-    roots other than the double zero with |Re z| <= re_margin, which the
+    roots other than the double zero with |Re z| <= 0.05, which the
     existence theory assumes away.  A box not finite, or with a low end
     above its high end, raises InputError, and a non-finite linearization
     raises NearSingular.
@@ -252,12 +252,12 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float,
         if not any(abs(r - q) < 1e-6 for q in roots):
             roots.append(r)
     roots.sort(key=lambda r: (abs(r), r.imag))
-    warn = [r for r in roots if abs(r) > 1e-6 and abs(r.real) <= re_margin]
+    warn = [r for r in roots if abs(r) > 1e-6 and abs(r.real) <= 0.05]
     return roots, warn
 
 
-def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
-                    tol: float | None = None) -> TbVerdict:
+def quadratic_check(model: DdeModel, solution: TbCandidate,
+                    basis: EigenBasis) -> TbVerdict:
     """Evaluate the quadratic nondegeneracy conditions at a converged point.
 
     Computes the parameter-direction ratio c_lam_mu, the response vector nu
@@ -265,7 +265,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     degeneracy determinant d0.  nu is pinned by phi1.nu = 0; the textbook
     side constraint psi2.nu = 0 is not always attainable by shifting along
     phi1 (psi2.phi1 vanishes at a double-zero point), so psi2.nu is computed
-    and reported instead of enforced.
+    and reported instead of enforced.  ``TbVerdict.tol`` reports the
+    tolerance of these conditions and of the double-zero check.
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, and the double-zero check
@@ -276,8 +277,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
     f1, f2 = basis.f1, basis.f2
     lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu), f1, f2)
-    if tol is None:
-        tol = 1e-8 * max(1.0, np.max(np.abs(f1)) + np.max(np.abs(f2)))
+    tol = DEFAULT_TOL * max(1.0, np.max(np.abs(f1)) + np.max(np.abs(f2)))
 
     existence = basis.existence
     p1, p2 = basis.phi1, basis.phi2
@@ -310,10 +310,10 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     m12 = q2 @ B @ p1
     m21 = q1 @ A @ p1 + q2 @ A @ p2 - q2 @ A2 @ p1
     m22 = q1 @ B @ p1 + q2 @ B @ p2 - q2 @ B2 @ p1
-    d0 = float(linalg.det2x2(m11, m12, m21, m22))
+    d0 = float(m11 * m22 - m12 * m21)
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
-    res, *cv = _double_zero(lin.f, f1, f2, max(tol, 1e-10))
+    res, *cv = _double_zero(lin.f, f1, f2, tol)
 
     return TbVerdict(
         existence=existence,

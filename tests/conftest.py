@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tbdde import TbCandidate, residual
+from tbdde.eigenstructure import normalization
 
 
 def _fd_jacobian(model, v, L):
@@ -32,6 +33,29 @@ def _fd_jacobian(model, v, L):
 def fd_jacobian():
     """The whole-residual forward-difference Jacobian, as a function (model, v, L)."""
     return _fd_jacobian
+
+
+def _basis_residuals(basis, f1, f2):
+    """The six chain/normalization identities of ``basis`` on (f1, f2) as
+    residual magnitudes: (1)-(4) of ``tbdde.eigenstructure``, then (5) - 1 and (6)."""
+    S = f1 + f2
+    B = f2 + np.eye(f2.shape[0])
+    p1, p2, q1, q2 = basis.phi1, basis.phi2, basis.psi1, basis.psi2
+    n5, n6 = normalization(q1, q2, p1, p2, f2 @ p1, f2 @ p2)
+    return np.array([
+        np.max(np.abs(S @ p1)),
+        np.max(np.abs(S @ p2 - B @ p1)),
+        np.max(np.abs(q2 @ S)),
+        np.max(np.abs(q1 @ S - q2 @ B)),
+        abs(n5 - 1.0),
+        abs(n6),
+    ])
+
+
+@pytest.fixture
+def basis_residuals():
+    """The basis identities' residual magnitudes, as a function (basis, f1, f2)."""
+    return _basis_residuals
 
 
 def _counted(model, fields=("f", "d1", "d2")):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -187,18 +188,25 @@ BAD_CONFIGS = {
     "l1-overflow": ("solve", ("l1",), ["1e999", 0.0]),
     "max-iter-string": ("solve", ("max_iter",), "abc"),
     "max-iter-negative": ("solve", ("max_iter",), -1),
+    "max-iter-fraction": ("solve", ("max_iter",), 2.7),
+    "max-iter-bool": ("solve", ("max_iter",), True),
+    "tol-res-bool": ("solve", ("tol_res",), True),
     "tol-res-list": ("solve", ("tol_res",), [1]),
     "tol-res-negative": ("solve", ("tol_res",), -1e-12),
     "tol-step-negative": ("solve", ("tol_step",), -1.0),
     "tol-flag-nan": ("solve", None, ["--tol", "nan"]),
     "tol-flag-negative": ("solve", None, ["--tol", "-1"]),
     "constants-string": ("solve", ("model_constants",), "x"),
-    "constants-infinity": ("solve", ("model_constants",), {"D": float("inf")}),
+    "constants-infinity": ("solve", ("model_constants",), {"a": float("inf")}),
+    "constants-D": ("solve", ("model_constants",), {"D": 0.1}),
+    "constants-K": ("solve", ("model_constants",), {"K": 7}),
     "tau-overflow": ("solve", ("model_constants",), {"tau": OVERFLOW}),
     "r-overflow": ("solve", ("model_constants",), {"r": OVERFLOW}),
     "scan-axis-index": ("scan", ("scan",), {"x[a]": {"min": 0, "max": 1, "count": 2}}),
     "scan-min-string": ("scan", ("scan", "lambda", "min"), "abc"),
     "scan-count-string": ("scan", ("scan", "lambda", "count"), "abc"),
+    "scan-count-fraction": ("scan", ("scan", "lambda", "count"), 2.5),
+    "x-bool": ("solve", ("initial", "x"), [True, 1.1]),
 }
 
 
@@ -219,6 +227,10 @@ def test_bad_config_value_exit_4(capsys, tmp_path, command, path, value):
                          *flags)
     assert code == 4 and out == ""
     assert "config error" in err and "Traceback" not in err
+    if path is not None and (type(value) is bool or type(value) is float
+                             and math.isfinite(value)):
+        # a rejected finite or boolean number is named by its key
+        assert path[-1] in err
 
 
 class TestVerify:

@@ -117,14 +117,14 @@ class TestSolve:
 class TestRankAndNullspace:
     def test_hand_example(self):
         A = np.array([[0.0, -0.5], [0.0, 0.0]])
-        report, right, left = linalg.rank_and_nullspace(A)
-        assert report.rank == 1
+        rank, right, left = linalg.rank_and_nullspace(A)
+        assert rank == 1
         assert right == pytest.approx([1.0, 0.0])
         assert left == pytest.approx([0.0, 1.0])
 
     def test_full_rank(self):
-        report, right, left = linalg.rank_and_nullspace(np.eye(4))
-        assert report.rank == 4 and right is None and left is None
+        rank, right, left = linalg.rank_and_nullspace(np.eye(4))
+        assert rank == 4 and right is None and left is None
 
     def test_rank_deficiency_mismatch(self):
         with pytest.raises(RankDeficiencyMismatch):
@@ -138,8 +138,8 @@ class TestRankAndNullspace:
             U = rng.standard_normal((n, n - 1))
             V = rng.standard_normal((n - 1, n))
             A = U @ V
-            report, right, left = linalg.rank_and_nullspace(A)
-            assert report.rank == n - 1
+            rank, right, left = linalg.rank_and_nullspace(A)
+            assert rank == n - 1
             scale = np.max(np.abs(A))
             assert np.max(np.abs(A @ right)) <= 1e-10 * scale
             assert np.max(np.abs(left @ A)) <= 1e-10 * scale
@@ -154,13 +154,6 @@ class TestRankAndNullspace:
         with pytest.raises(NearSingular) as exc:
             linalg.rank_and_nullspace(np.array([[bad, 1.0], [1.0, 1.0]]))
         assert np.isnan(exc.value.cond)
-
-    def test_singular_values_sorted(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((5, 5))
-        report, _, _ = linalg.rank_and_nullspace(A)
-        s = report.singular_values
-        assert np.all(np.diff(s) <= 0)
 
 
 class TestBorderedSolve:
@@ -217,12 +210,6 @@ class TestDet:
     def test_triangular_zero_diagonal(self):
         # det(-f1 - f2) at the predator-prey double-zero point
         assert linalg.det(np.array([[0.0, 0.5], [0.0, 0.0]])) == 0.0
-
-    def test_2x2_cross_check(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            a, b, c, d = rng.standard_normal(4)
-            assert linalg.det2x2(a, b, c, d) == pytest.approx(a * d - b * c)
 
     def test_cofactor_oracle_3x3(self):
         rng = np.random.default_rng(3)

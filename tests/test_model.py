@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tbdde import (DdeModel, InputError, eval_f, hessian_blocks, jac_x, jac_y,
-                   linearize, param_der, predator_prey, second_dirder)
+from tbdde import (DdeModel, InputError, eval_f, jac_x, jac_y, linearize, param_der,
+                   predator_prey, second_dirder)
 
 TB_ARGS = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
@@ -128,7 +128,7 @@ class TestHessianBlocks:
         rng = np.random.default_rng(12)
         x = rng.uniform(0.8, 1.4, 2)
         u = rng.standard_normal(2)
-        Dx, Dy = hessian_blocks(model, x, 0.5, 2.0, u)
+        Dx, Dy = linearize(model, x, 0.5, 2.0).hessian_blocks(u)
         for j, ej in enumerate(np.eye(2)):
             def sd(which):
                 return second_dirder(model, which, x, x, 0.5, 2.0, u, ej)
@@ -138,13 +138,13 @@ class TestHessianBlocks:
     def test_bare_matches_suppliers(self, pp):
         bare = DdeModel(n=2, tau=1.0, f=pp.f)
         u = np.array([0.3, -1.1])
-        for got, want in zip(hessian_blocks(bare, TB_ARGS[0], 0.5, 2.0, u),
-                             hessian_blocks(pp, TB_ARGS[0], 0.5, 2.0, u)):
+        for got, want in zip(linearize(bare, TB_ARGS[0], 0.5, 2.0).hessian_blocks(u),
+                             linearize(pp, TB_ARGS[0], 0.5, 2.0).hessian_blocks(u)):
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_zero_direction(self):
         bare = DdeModel(n=2, tau=1.0, f=predator_prey().f)
-        Dx, Dy = hessian_blocks(bare, TB_ARGS[0], 0.5, 2.0, np.zeros(2))
+        Dx, Dy = linearize(bare, TB_ARGS[0], 0.5, 2.0).hessian_blocks(np.zeros(2))
         assert not np.any(Dx) and not np.any(Dy)
 
 
@@ -179,7 +179,7 @@ def test_tau_scales_every_value_once(pp, fields):
     two = dataclasses.replace(one, tau=2.0)
     x, y, lam, mu = [1.1, 0.9], [0.8, 1.2], 0.45, 1.9
     u, w = np.array([0.3, -0.7]), np.array([1.0, 0.4])
-    values = [lambda m: np.stack(hessian_blocks(m, np.array(x), lam, mu, u))]
+    values = [lambda m: np.stack(linearize(m, x, lam, mu).hessian_blocks(u))]
     values += [lambda m, fn=fn: fn(m, x, y, lam, mu) for fn in (eval_f, jac_x, jac_y)]
     values += [lambda m, k=k: param_der(m, k, x, y, lam, mu)
                for k in ("lam", "mu", "1lam", "1mu")]   # "2lam", "2mu" vanish here
@@ -198,7 +198,7 @@ def test_linearization_serves_the_public_values(pp, fields):
     # one point's linearization and its table give exactly what the public
     # functions give at y = x, whichever derivatives the model supplies
     model = DdeModel(n=2, tau=1.5, f=pp.f, **{name: getattr(pp, name) for name in fields})
-    x, lam, mu, u = np.array([1.1, 0.9]), 0.45, 1.9, np.array([0.3, -0.7])
+    x, lam, mu = np.array([1.1, 0.9]), 0.45, 1.9
     lin = linearize(model, list(x), lam, mu)
     assert np.array_equal(lin.x, x)
     for got, fn in zip((lin.f, lin.f1, lin.f2), (eval_f, jac_x, jac_y)):
@@ -206,8 +206,6 @@ def test_linearization_serves_the_public_values(pp, fields):
     for got, which in zip(lin.param_derivatives(),
                           ("lam", "mu", "1lam", "2lam", "1mu", "2mu")):
         assert np.array_equal(got, param_der(model, which, x, x, lam, mu))
-    for got, want in zip(lin.hessian_blocks(u), hessian_blocks(model, x, lam, mu, u)):
-        assert np.array_equal(got, want)
     with pytest.raises(InputError):
         linearize(model, [1.0], lam, mu)
 

@@ -21,7 +21,11 @@ class TestRegistry:
 
     def test_build_with_constants(self):
         model = build("predator-prey", {"r": 2.0, "tau": 0.5})
-        assert model.constants["r"] == 2.0
+        base = build("predator-prey", {"tau": 0.5})
+        x, y = np.array([1.3, 0.7]), np.array([0.9, 1.1])
+        # r scales the logistic term r x1 (1 - x1/K), and every value is tau times f
+        diff = eval_f(model, x, y, 0.5, 2.0) - eval_f(base, x, y, 0.5, 2.0)
+        assert diff == pytest.approx([0.5 * 1.3 * (1.0 - 1.3 / 2.0), 0.0], abs=1e-15)
         assert model.tau == 0.5
 
     def test_unknown_name(self):
@@ -32,9 +36,15 @@ class TestRegistry:
         with pytest.raises(InputError):
             build("predator-prey", {"bogus": 1.0})
 
+    @pytest.mark.parametrize("constants", [{"D": 0.1}, {"K": 7.0}])
+    def test_free_parameters_are_not_constants(self, constants):
+        # D and K are lambda and mu, the Newton unknowns
+        with pytest.raises(InputError, match="bad model constants"):
+            build("predator-prey", constants)
+
     def test_positivity_validated(self):
         with pytest.raises(InputError):
-            PredatorPreyParams(D=-0.1)
+            PredatorPreyParams(r=-0.1)
         with pytest.raises(InputError):
             PredatorPreyParams(tau=0.0)
 
