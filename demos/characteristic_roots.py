@@ -4,25 +4,35 @@ A delay system has infinitely many characteristic roots.  At a double-zero
 bifurcation point exactly two of them collide at the origin; the scan below
 finds the roots in a box from a Chebyshev collocation of the DDE's generator,
 polished by Newton on Delta, and the certificate confirms the collision by
-checking Delta(0) = Delta'(0) = 0 with Delta''(0) bounded away from zero.
+the existence test: its range value (Delta'(0) without Delta's scale)
+vanishes and its nondegeneracy value (Delta''(0)/2, likewise) does not.
 
 Run:  python3 demos/characteristic_roots.py
 """
 
 import numpy as np
 
-from tbdde import double_zero_check, predator_prey, spectral_scan
+from tbdde import characteristic, double_zero_check, predator_prey, spectral_scan
 
 model = predator_prey()
 x = np.array([1.0, 1.0])
 D, K = 0.5, 2.0
 
-d0, d1, d2, ok = double_zero_check(model, x, D, K)
+res, range_value, nd_value, ok = double_zero_check(model, x, D, K)
 print("double-zero certificate at the bifurcation point:")
-print(f"  Delta(0)   = {d0:+.3e}")
-print(f"  Delta'(0)  = {d1:+.3e}")
-print(f"  Delta''(0) = {d2:+.3e}")
+print(f"  |f|_inf             = {res:.3e}")
+print(f"  range value         = {range_value:+.3e}")
+print(f"  nondegeneracy value = {nd_value:+.3e}")
 print(f"  certified: {ok}")
+
+# Delta itself, by a complex step and a second difference, for illustration:
+# its size carries the scale of the other roots, so nothing is decided on it
+h = 1e-4
+d = [characteristic(model, x, D, K, z) for z in (0.0, h, -h)]
+print("Delta itself (illustration, not part of the certificate):")
+print(f"  Delta(0)   = {d[0].real:+.3e}")
+print(f"  Delta'(0)  = {characteristic(model, x, D, K, 1e-100j).imag / 1e-100:+.3e}")
+print(f"  Delta''(0) = {(d[1] - 2.0 * d[0] + d[2]).real / h ** 2:+.3e}")
 
 roots, warnings = spectral_scan(model, x, D, K, box=((-1.0, 1.0), (-8.0, 8.0)))
 print()

@@ -53,5 +53,8 @@ print(f"transversality  psi2.f_D = {verdict.cond_i_value:+.6f} "
 print(f"determinant           d0 = {verdict.d0:+.6f} (ok: {verdict.d0_ok})")
 print(f"chain condition          = {verdict.cond_iii_value:+.6f} "
       f"(ok: {verdict.cond_iii_ok})")
-print(f"char. eq. (D, D', D'')   = {verdict.char_values}")
+print(f"double zero (existence)  = {verdict.existence.passed} "
+      f"(nondegeneracy value {verdict.existence.nondegeneracy_value:+.6f})")
+print(f"equilibrium |f|_inf      = {verdict.equilibrium_residual:.3e} "
+      f"(ok: {verdict.equilibrium_ok}, tol {verdict.tol:.1e})")
 print(f"quadratic double-zero point certified: {verdict.passed}")

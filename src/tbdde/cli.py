@@ -210,8 +210,7 @@ def cmd_solve(args) -> int:
         if result["verdict"] is not None:
             v = result["verdict"]
             print(f"verified: {v['passed']}  (d0 = {v['d0']}, "
-                  f"c_lam_mu = {v['c_lam_mu']}, "
-                  f"Delta = {v['char_values']})")
+                  f"c_lam_mu = {v['c_lam_mu']}, tol = {v['tol']})")
         elif result["verify_error"]:
             print(f"verification error: {result['verify_error']}")
     else:
@@ -309,14 +308,14 @@ def cmd_verify(args) -> int:
         print(f"verification error: {err}")
     else:
         v = payload["verdict"]
-        print(f"existence: {v['existence']['passed']}")
+        ex = v["existence"]
+        print(f"existence: {ex['passed']}  (rank {ex['rank']}, range value "
+              f"{ex['range_value']}, nondegeneracy value {ex['nondegeneracy_value']})")
         print(f"cond (i)  psi2.f_lambda = {v['cond_i_value']}: {v['cond_i_ok']}")
         print(f"cond (ii) d0 = {v['d0']}: {v['d0_ok']}")
         print(f"cond (iii) value = {v['cond_iii_value']}: {v['cond_iii_ok']}")
-        print(f"char Delta(0), Delta'(0), Delta''(0) = {v['char_values']}: "
-              f"{v['char_ok']}")
-        print(f"equilibrium |f|_inf = {v['equilibrium_residual']}")
-        print(f"verdict: {'PASS' if v['passed'] else 'FAIL'}")
+        print(f"equilibrium |f|_inf = {v['equilibrium_residual']}: {v['equilibrium_ok']}")
+        print(f"verdict: {'PASS' if v['passed'] else 'FAIL'}  (tol = {v['tol']})")
     return code
 
 

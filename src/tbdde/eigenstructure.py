@@ -21,9 +21,8 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateNormalization, InputError
 
-#: relative tolerance of the certificate's decisions: the existence test's
-#: range and nondegeneracy conditions here, and those of ``verify``
-DEFAULT_TOL = 1e-8
+#: the certificate's relative tolerance, ``linalg.DEFAULT_TOL`` itself
+DEFAULT_TOL = linalg.DEFAULT_TOL
 
 
 def normalization(q1, q2, p1, p2, g1, g2):
@@ -44,9 +43,9 @@ class TbExistence:
     range_ok: bool
     nondegenerate: bool
     rank: int
-    range_value: float
-    nondegeneracy_value: float
-    tol: float
+    range_value: float           # -g'(0) of tb_existence_test
+    nondegeneracy_value: float   # -g''(0) / 2; nan unless range_ok
+    tol: float                   # the point's one threshold (see _existence)
     spectral_caveat: str = (
         "the test assumes no other eigenvalue on the imaginary axis; "
         "run a spectral scan to check"
@@ -84,41 +83,46 @@ def _pair(f1, f2):
     return f1, f2
 
 
-def _existence(f2, S, rank: int, phi1, psi2, phi2=None) -> TbExistence:
-    """Conditions (ii) and (iii) of the existence test, given condition (i).
+def _existence(f1, f2, S, rank: int, phi1, psi2, phi2=None) -> TbExistence:
+    """The existence test on (f1, f2), given the rank of S = f1 + f2.
 
-    S = f1 + f2 has rank n-1 with unit null vectors phi1 (right) and psi2
-    (left).  ``phi2`` solves S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0;
-    it is computed here when not given and (ii) holds.
+    When the rank is n-1, phi1 (right) and psi2 (left) are the unit null
+    vectors and ``phi2`` solves S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0;
+    it is computed here when not given and (ii) holds.  tol = DEFAULT_TOL
+    max(1, max|f1| + max|f2|) is the point's one threshold: (ii) and (iii)
+    here, and every condition of ``verify``, are decided against it.
     """
+    tol = DEFAULT_TOL * max(1.0, float(np.max(np.abs(f1)) + np.max(np.abs(f2))))
+    if phi1 is None:
+        return TbExistence(False, False, False, rank, np.nan, np.nan, tol)
     B = f2 + np.eye(f2.shape[0])
-    tol = DEFAULT_TOL * max(1.0, np.max(np.abs(S)))
     range_value = float(psi2 @ (B @ phi1))
     if abs(range_value) > tol:
-        return TbExistence(True, False, False, rank, range_value, np.nan, DEFAULT_TOL)
+        return TbExistence(True, False, False, rank, range_value, np.nan, tol)
     if phi2 is None:
-        phi2, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1, 0.0)
+        phi2, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1)
     nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
-    return TbExistence(True, True, abs(nd_value) > tol, rank, range_value,
-                       nd_value, DEFAULT_TOL)
+    return TbExistence(True, True, abs(nd_value) > tol, rank, range_value, nd_value, tol)
 
 
 def tb_existence_test(f1, f2) -> TbExistence:
     """Check the three double-zero conditions on (f1, f2).
 
-    (i) rank(f1+f2) = n-1; (ii) (f2+I) phi1 in range(f1+f2), tested through
-    the left null vector; (iii) the chain terminates: (f2+I) phi2 - f2 phi1/2
-    is NOT in the range, both to DEFAULT_TOL relative to max(1, max|f1+f2|).
-    The imaginary-axis spectral hypothesis is reported as a caveat, not
-    verified here.  ``compute_basis`` runs the same test on the
-    decomposition it makes anyway (``EigenBasis.existence``).
+    (i) rank(f1+f2) = n-1 (``linalg.rank_and_nullspace``); (ii) (f2+I) phi1
+    in range(f1+f2), tested through the left null vector; (iii) the chain
+    terminates: (f2+I) phi2 - f2 phi1/2 is NOT in the range.  The values of
+    (ii) and (iii) are -g'(0) and -g''(0)/2 for g(z), the last component of
+    the solution of [[M(z), psi2^T], [phi1^T, 0]] (v, g) = (0, 1) with
+    M(z) = zI - f1 - f2 e^{-z} (Govaerts, Numerical Methods for Bifurcations
+    of Dynamical Equilibria, SIAM 2000): g = det M / det of that matrix is
+    the characteristic function without the scale of its other roots.  The
+    imaginary-axis spectral hypothesis is reported as a caveat, not verified
+    here.  ``compute_basis`` runs the same test on the decomposition it
+    makes anyway (``EigenBasis.existence``).
     """
     f1, f2 = _pair(f1, f2)
     S = f1 + f2
-    rank, phi1, psi2 = linalg.rank_and_nullspace(S)
-    if phi1 is None:
-        return TbExistence(False, False, False, rank, np.nan, np.nan, DEFAULT_TOL)
-    return _existence(f2, S, rank, phi1, psi2)
+    return _existence(f1, f2, S, *linalg.rank_and_nullspace(S))
 
 
 def compute_basis(f1, f2) -> EigenBasis:
@@ -145,9 +149,9 @@ def compute_basis(f1, f2) -> EigenBasis:
     rank, ph1, ps2 = linalg.rank_and_nullspace(S)
     if ph1 is None:
         raise DegenerateNormalization("matrix has full rank: no zero eigenvalue")
-    ph2p, _ = linalg.bordered_solve(S, ps2, ph1, B @ ph1, 0.0)
-    ps1p, _ = linalg.bordered_solve(S.T, ph1, ps2, B.T @ ps2, 0.0)
-    existence = _existence(f2, S, rank, ph1, ps2, ph2p)
+    ph2p, _ = linalg.bordered_solve(S, ps2, ph1, B @ ph1)
+    ps1p, _ = linalg.bordered_solve(S.T, ph1, ps2, B.T @ ps2)
+    existence = _existence(f1, f2, S, rank, ph1, ps2, ph2p)
 
     alpha, gamma = normalization(ps1p, ps2, ph1, ph2p, f2 @ ph1, f2 @ ph2p)
     if abs(alpha) < 1e-12 * max(1.0, np.max(np.abs(f2))):

@@ -25,6 +25,9 @@ from .errors import InputError, NearSingular, RankDeficiencyMismatch
 _EPS = float(np.finfo(float).eps)
 #: solve() refuses systems whose exact 2-norm condition number exceeds this
 COND_LIMIT = 1.0 / np.sqrt(_EPS)
+#: relative tolerance of the certificate: the rank cut here, and the
+#: threshold ``eigenstructure`` derives from it for every other decision
+DEFAULT_TOL = 1e-8
 
 
 def _square(A) -> np.ndarray:
@@ -81,8 +84,8 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 
 
 def rank_and_nullspace(A):
-    """(rank, right, left): the number of singular values above n eps max(s),
-    and when it is n-1 the unit right/left null vectors.
+    """(rank, right, left): the number of singular values above DEFAULT_TOL
+    max(1, max(s)), and when it is n-1 the unit right/left null vectors.
 
     The theory requires a geometrically simple zero, so rank < n-1 is an
     error.  For full rank the null vectors are None.  A non-finite A has no
@@ -93,7 +96,7 @@ def rank_and_nullspace(A):
     if not np.isfinite(A).all():
         raise NearSingular("matrix has non-finite entries", cond=np.nan)
     U, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > n * _EPS * (s[0] if s[0] > 0 else 1.0)))
+    rank = int(np.sum(s > DEFAULT_TOL * max(1.0, s[0])))
     if rank < n - 1:
         raise RankDeficiencyMismatch(
             f"rank {rank} < n-1 = {n - 1}: zero eigenvalue is not simple")
@@ -102,12 +105,12 @@ def rank_and_nullspace(A):
     return rank, _sign_fix(Vt[-1]), _sign_fix(U[:, -1])
 
 
-def bordered_solve(A, col_border, row_border, rhs, beta: float):
-    """Solve the bordered system [[A, c],[r^T, 0]] (x, s) = (rhs, beta).
+def bordered_solve(A, col_border, row_border, rhs):
+    """Solve the bordered system [[A, c],[r^T, 0]] (x, s) = (rhs, 0).
 
     The standard device for solving inside the range of a rank-(n-1) matrix:
     when rhs lies in range(A) the scalar s comes out ~0 and x is the unique
-    solution of A x = rhs pinned by r^T x = beta.  A near-singular bordered
+    solution of A x = rhs pinned by r^T x = 0.  A near-singular bordered
     matrix (a bad border choice) raises NearSingular, and a border or rhs
     not of length n raises InputError.
     """
@@ -122,7 +125,7 @@ def bordered_solve(A, col_border, row_border, rhs, beta: float):
     M[:n, :n] = A
     M[:n, n] = col
     M[n, :n] = row
-    sol = solve(M, np.append(rhs, beta))
+    sol = solve(M, np.append(rhs, 0.0))
     return sol[:n], float(sol[n])
 
 

@@ -39,8 +39,9 @@ class PredatorPreyParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 < getattr(self, f.name) < math.inf:
-                raise InputError(f"{f.name} must be positive and finite")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not 0 < value < math.inf:
+                raise InputError(f"{f.name} must be a positive finite number, got {value!r}")
 
 
 def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
@@ -135,8 +136,9 @@ class SyntheticTbParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InputError(f"{f.name} must be finite")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise InputError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:

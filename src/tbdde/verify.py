@@ -1,10 +1,12 @@
 """Post-solution certification of a computed double-zero point.
 
-Three independent lines of evidence: the quadratic nondegeneracy conditions
-(transversality, the 2x2 degeneracy determinant, the chain normalization),
-a double root of the characteristic function Delta(z) = det(zI - f1 - f2
-e^{-z}) at z = 0, and a spectral scan for other roots near the imaginary
-axis.  The scan takes the eigenvalues of a Chebyshev collocation of the
+The verdict decides, against the existence test's one threshold per point,
+that the point is an equilibrium, that the characteristic function
+Delta(z) = det(zI - f1 - f2 e^{-z}) has a double root at z = 0 (the
+existence test alone decides this), and that the quadratic nondegeneracy
+conditions hold (transversality, the 2x2 degeneracy determinant, the chain
+normalization).  A separate spectral scan looks for other roots near the
+imaginary axis.  It takes the eigenvalues of a Chebyshev collocation of the
 DDE's infinitesimal generator and polishes them together by Newton on
 Delta, so the roots in its box come from one eigenvalue problem rather
 than from wherever Newton starts on a grid happen to converge.  The
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .defining import TbCandidate
-from .eigenstructure import DEFAULT_TOL, EigenBasis, TbExistence
+from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
 from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
@@ -36,7 +38,7 @@ _MAX_INTERVALS = 1024
 
 @dataclass(frozen=True)
 class TbVerdict:
-    existence: TbExistence
+    existence: TbExistence       # the one decision about the double zero
     cond_i_value: float          # psi2 @ f_lambda
     cond_i_ok: bool
     d0: float
@@ -46,15 +48,14 @@ class TbVerdict:
     c_lam_mu: float
     nu: np.ndarray
     psi2_nu: float               # reported, not enforced (see quadratic_check)
-    equilibrium_residual: float  # |f(x, x)|_inf; char_ok needs <= 1e-8
-    char_values: tuple           # (Delta(0), Delta'(0), Delta''(0))
-    char_ok: bool
-    tol: float
+    equilibrium_residual: float  # |f(x, x)|_inf
+    equilibrium_ok: bool         # equilibrium_residual <= tol
+    tol: float                   # every *_ok's threshold, existence.tol
 
     @property
     def passed(self) -> bool:
         return (self.existence.passed and self.cond_i_ok and self.d0_ok
-                and self.cond_iii_ok and self.char_ok)
+                and self.cond_iii_ok and self.equilibrium_ok)
 
 
 def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> complex:
@@ -75,18 +76,20 @@ def _delta(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def double_zero_check(model: DdeModel, x, lam: float, mu: float):
-    """Certify an algebraically double, at-most-double root of Delta at z = 0.
+    """Certify an equilibrium with a double zero at z = 0, without a basis.
 
-    Delta(0) is exact; Delta'(0) uses a complex step (Delta is entire and
-    real on the real axis, so the step is subtraction free); Delta''(0) uses
-    a second central difference.  f, f1 and f2 are evaluated once, and Delta
-    at the four points by one stacked determinant.  Passes when x is an
-    equilibrium (|f| <= 1e-8), |Delta(0)| <= tol, |Delta'(0)| <= tol and
-    |Delta''(0)| > sqrt(tol), for tol = DEFAULT_TOL.  Returns (Delta(0),
-    Delta'(0), Delta''(0), ok); ``TbVerdict.equilibrium_residual`` reports |f|.
+    f, f1 and f2 are evaluated once; ``tb_existence_test`` on (f1, f2) decides
+    the double zero, and x is an equilibrium when |f|_inf <= its threshold
+    ``TbExistence.tol``.  Returns (|f|_inf, range_value, nondegeneracy_value,
+    ok), the middle two the existence test's.  A non-finite linearization
+    raises NearSingular, and f1 + f2 of rank below n-1 raises
+    RankDeficiencyMismatch, as in the existence test.
     """
-    return _double_zero(*_finite_point(model, x, lam, mu, eval_f, jac_x, jac_y),
-                        DEFAULT_TOL)[1:]
+    f, f1, f2 = _finite_point(model, x, lam, mu, eval_f, jac_x, jac_y)
+    existence = tb_existence_test(f1, f2)
+    res = float(np.max(np.abs(f)))
+    return (res, existence.range_value, existence.nondegeneracy_value,
+            res <= existence.tol and existence.passed)
 
 
 def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
@@ -101,20 +104,6 @@ def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
     if not all(np.isfinite(v).all() for v in out):
         raise NearSingular(f"the linearization at x = {x} is not finite", cond=np.nan)
     return out
-
-
-def _double_zero(f: np.ndarray, f1: np.ndarray, f2: np.ndarray, tol: float):
-    """``double_zero_check`` on an evaluated point (f, f1, f2), led by |f|_inf."""
-    res = float(np.max(np.abs(f)))
-    hc = 1e-100
-    h = _EPS ** 0.25
-    at0, atc, atp, atm = _delta(f1, f2, np.array([0.0, 1j * hc, h, -h]))
-    d0 = at0.real
-    d1 = atc.imag / hc
-    d2 = (atp.real - 2.0 * at0.real + atm.real) / (h * h)
-    ok = (res <= 1e-8 and abs(d0) <= tol and abs(d1) <= tol
-          and abs(d2) > np.sqrt(tol))
-    return res, d0, d1, d2, ok
 
 
 def _chebyshev_diff(N: int) -> np.ndarray:
@@ -265,21 +254,22 @@ def quadratic_check(model: DdeModel, solution: TbCandidate,
     degeneracy determinant d0.  nu is pinned by phi1.nu = 0; the textbook
     side constraint psi2.nu = 0 is not always attainable by shifting along
     phi1 (psi2.phi1 vanishes at a double-zero point), so psi2.nu is computed
-    and reported instead of enforced.  ``TbVerdict.tol`` reports the
-    tolerance of these conditions and of the double-zero check.
+    and reported instead of enforced.  Each condition, and the equilibrium
+    test |f|_inf <= tol, is decided against the existence test's threshold,
+    which ``TbVerdict.tol`` reports; the existence test alone decides the
+    double zero.
 
     ``basis`` must be the one built at ``solution``: its linearization
-    (f1, f2) and existence test are the point's, and the double-zero check
-    uses them too, so the point's f1 and f2 are evaluated once, by the caller.
+    (f1, f2) and existence test are the point's, so the point's f1 and f2
+    are evaluated once, by the caller.
     With f they make the point's ``Linearization``, whose table gives the
     six parameter derivatives and the second-derivative blocks.
     """
     x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
     f1, f2 = basis.f1, basis.f2
     lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu), f1, f2)
-    tol = DEFAULT_TOL * max(1.0, np.max(np.abs(f1)) + np.max(np.abs(f2)))
-
     existence = basis.existence
+    tol = existence.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
     flam, fmu, f1lam, f2lam, f1mu, f2mu = lin.param_derivatives()
@@ -293,7 +283,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate,
     S = f1 + f2
     try:
         nu, _ = linalg.bordered_solve(S, basis.psi2 / np.linalg.norm(basis.psi2),
-                                      p1, -(c * flam + fmu), 0.0)
+                                      p1, -(c * flam + fmu))
     except NearSingular as exc:
         raise SingularNuSystem(str(exc)) from exc
     psi2_nu = float(q2 @ nu)
@@ -313,14 +303,13 @@ def quadratic_check(model: DdeModel, solution: TbCandidate,
     d0 = float(m11 * m22 - m12 * m21)
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
-    res, *cv = _double_zero(lin.f, f1, f2, tol)
+    res = float(np.max(np.abs(lin.f)))
 
     return TbVerdict(
         existence=existence,
         cond_i_value=cond_i, cond_i_ok=abs(cond_i) > tol,
         d0=d0, d0_ok=abs(d0) > tol,
         cond_iii_value=cond_iii, cond_iii_ok=abs(cond_iii) > tol,
-        c_lam_mu=c, nu=nu, psi2_nu=psi2_nu, equilibrium_residual=res,
-        char_values=(float(cv[0]), float(cv[1]), float(cv[2])), char_ok=cv[3],
-        tol=tol,
+        c_lam_mu=c, nu=nu, psi2_nu=psi2_nu,
+        equilibrium_residual=res, equilibrium_ok=res <= tol, tol=tol,
     )

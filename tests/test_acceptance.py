@@ -140,11 +140,12 @@ def test_07_quadratic_convergence(reports):
 
 
 def test_08_double_zero_certificate(solved):
-    d0, d1, d2, ok = double_zero_check(predator_prey(), solved.x,
-                                       solved.lam, solved.mu)
+    res, range_value, nd_value, ok = double_zero_check(predator_prey(), solved.x,
+                                                       solved.lam, solved.mu)
     assert ok
-    assert abs(d0) <= 1e-10 and abs(d1) <= 1e-8 and abs(d2) >= 1e-4
-    _ok(8, f"Delta(0)={d0:.1e}, Delta'(0)={d1:.1e}, Delta''(0)={d2:.3f}")
+    assert res <= 1e-10 and abs(range_value) <= 1e-8 and abs(nd_value) >= 1e-4
+    _ok(8, f"|f|={res:.1e}, range value {range_value:.1e}, "
+           f"nondegeneracy value {nd_value:.3f}")
 
 
 def test_09_synthetic_reference_point():

@@ -29,8 +29,7 @@ VERDICTS = {
         "d0": 0.0883883476483184, "d0_ok": True,
         "cond_iii_value": 0.9999999999999998, "cond_iii_ok": True,
         "c_lam_mu": -0.0, "nu": [0.0, 0.5], "psi2_nu": -0.35355339059327373,
-        "equilibrium_residual": 0.0,
-        "char_values": [0.0, 0.0, 2.0000000000000027], "char_ok": True,
+        "equilibrium_residual": 0.0, "equilibrium_ok": True,
         "tol": 1e-08, "passed": True,
     },
     "verify_pp_off": {
@@ -43,9 +42,8 @@ VERDICTS = {
         "cond_iii_value": 1.04, "cond_iii_ok": True,
         "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.5],
         "psi2_nu": -0.3570370958875557,
-        "equilibrium_residual": 0.09999999999999998,
-        "char_values": [0.0, 0.09999999999999984, 2.000000000001023],
-        "char_ok": False, "tol": 1e-08, "passed": False,
+        "equilibrium_residual": 0.09999999999999998, "equilibrium_ok": False,
+        "tol": 1e-08, "passed": False,
     },
 }
 
@@ -231,6 +229,15 @@ def test_bad_config_value_exit_4(capsys, tmp_path, command, path, value):
                              and math.isfinite(value)):
         # a rejected finite or boolean number is named by its key
         assert path[-1] in err
+
+
+def test_boolean_model_constant_exit_4(capsys, tmp_path):
+    # JSON false is not the number 0 in model_constants either
+    cfg = json.loads(SOLVE_FIXTURES[0].read_text())
+    cfg.update(model="synthetic-tb", model_constants={"a1": False})
+    code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 4 and out == ""
+    assert "config error" in err and "a1" in err
 
 
 class TestVerify:
@@ -438,9 +445,10 @@ def test_parser_built_once_and_stateless(capsys, tmp_path):
         fresh.append(outcome(argv))
     assert shared == fresh
 
-    # the loose tolerances stop Newton before the point certifies: exit 3
+    # --tol 1e-3 stops Newton before the point certifies: exit 3.  The run
+    # with tol_res = 1e-6 overshoots to within 1e-10 of the point and certifies
     codes = [code for code, _, _ in shared]
-    assert codes == [3, 0, 3, 0, 4, 0]
+    assert codes == [3, 0, 0, 0, 4, 0]
     tols = [shared[k][1]["report"]["residual_history"][-1] for k in range(3)]
     assert 1e-6 < tols[0] <= 1e-3 and tols[1] <= 1e-12 and 1e-12 < tols[2] <= 1e-6
     for argv in sequence[:4] + sequence[5:]:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tbdde import (DdeModel, DegenerateNormalization, Functionals, InputError,
-                   NewtonOptions, TbCandidate, compute_basis, jac_x, jac_y,
-                   jacobian, newton_solve, predator_prey, quadratic_check,
+                   NewtonOptions, TbCandidate, characteristic, compute_basis, jac_x,
+                   jac_y, jacobian, newton_solve, predator_prey, quadratic_check,
                    residual, synthetic_tb)
 from tbdde import defining, linalg
 
@@ -436,6 +436,54 @@ class TestStructuredStep:
         assert report.final_cond == cond
 
 
+class TestNewtonPointsCertify:
+    """Newton's points on lifted models certify at any n: the certificate's
+    rank cut and thresholds are relative, and nothing scales with Delta.
+
+    The model is lifted(n, [0, n, 0]) and start k is the exact point plus
+    0.1 times row k of a uniform [-1, 1] draw from seed [0, 2, n].
+    """
+
+    @staticmethod
+    def verdicts(n, starts):
+        model, exact = lifted(n, [0, n, 0])
+        L = Functionals(l1=np.eye(n)[0], l2=np.eye(n)[0])
+        noise = np.random.default_rng([0, 2, n]).uniform(-1.0, 1.0, (max(starts) + 1, 3 * n + 2))
+        for k in starts:
+            report = newton_solve(model, TbCandidate.unpack(exact.pack() + 0.1 * noise[k], n), L)
+            assert report.converged
+            sol = report.solution
+            assert np.max(np.abs(sol.pack() - exact.pack())) <= 1e-10
+            f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
+            f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
+            yield model, sol, f1 + f2, quadratic_check(model, sol, compute_basis(f1, f2))
+
+    def test_near_rank_n_minus_2_by_rounding_certifies(self):
+        # sigma_min/sigma_max of f1 + f2 lies above n eps at these points,
+        # where a rank cut at n eps sigma_max called f1 + f2 regular
+        n, ratios = 32, []
+        for _, _, S, verdict in self.verdicts(n, [3, 6, 20, 34]):
+            s = np.linalg.svd(S, compute_uv=False)
+            ratios.append(s[-1] / s[0])
+            assert verdict.passed and verdict.tol == verdict.existence.tol
+        assert any(n * np.finfo(float).eps < r < 1e-8 for r in ratios)
+
+    def test_double_zero_decided_without_the_scale_of_delta(self):
+        # Delta'(0) is above 1e-8 at these points, with range_value below
+        # 1e-12: Delta carries the scale of the other 31 roots, so an
+        # absolute test on Delta failed them
+        slopes = []
+        for model, sol, _, verdict in self.verdicts(32, [0, 13, 28, 37]):
+            assert verdict.passed
+            assert abs(verdict.existence.range_value) <= 1e-12
+            slopes.append(characteristic(model, sol.x, sol.lam, sol.mu, 1e-100j).imag / 1e-100)
+        assert max(abs(d) for d in slopes) > 1e-8
+
+    def test_n128_certifies(self):
+        for _, _, _, verdict in self.verdicts(128, [0, 1]):
+            assert verdict.passed
+
+
 class TestDelay:
     def test_tau_two_converges_to_delay_point(self):
         model, exact = scalar_tb(2.0)
@@ -549,8 +597,7 @@ class TestParameterSwap:
         assert np.max(np.abs(got - exact)) <= 1e-10
         assert np.max(np.abs(got_sw - got[[0, 1, 2, 3, 4, 5, 7, 6]])) <= 1e-10
 
-        # certified at the exact point in either orientation: the rank
-        # tolerance of compute_basis can call S at Newton's point full rank
+        # certified at the exact point in either orientation
         verdicts = []
         for swap, (lam, mu) in ((False, (a, b)), (True, (b, a))):
             model = reparametrized(s, a, b, swap)

@@ -126,6 +126,15 @@ class TestRankAndNullspace:
         rank, right, left = linalg.rank_and_nullspace(np.eye(4))
         assert rank == 4 and right is None and left is None
 
+    @pytest.mark.parametrize("s, rank", [
+        ([1.0, 1e-12], 1), ([1.0, 2e-8], 2), ([1e-3, 1e-9], 1), ([1e-3, 2e-8], 2),
+        ([1e4, 5e-5], 1), ([1e4, 2e-4], 2)])
+    def test_rank_cut_is_relative(self, s, rank):
+        # the cut is 1e-8 max(1, sigma_max); one at n eps sigma_max, 4.4e-16
+        # in the first case, gave that case rank 2
+        A = np.array([[0.6, 0.8], [-0.8, 0.6]]) @ np.diag(s)
+        assert linalg.rank_and_nullspace(A)[0] == rank
+
     def test_rank_deficiency_mismatch(self):
         with pytest.raises(RankDeficiencyMismatch):
             linalg.rank_and_nullspace(np.zeros((2, 2)))
@@ -161,17 +170,13 @@ class TestBorderedSolve:
     e1 = np.array([1.0, 0.0])
 
     def test_rhs_in_range(self):
-        x, s = linalg.bordered_solve(self.A, self.e1, self.e1, [0.0, 1.0], 0.0)
+        x, s = linalg.bordered_solve(self.A, self.e1, self.e1, [0.0, 1.0])
         assert x == pytest.approx([0.0, 1.0]) and s == pytest.approx(0.0, abs=1e-14)
 
     def test_rhs_not_in_range(self):
-        x, s = linalg.bordered_solve(self.A, self.e1, self.e1, [1.0, 0.0], 0.0)
+        x, s = linalg.bordered_solve(self.A, self.e1, self.e1, [1.0, 0.0])
         assert x == pytest.approx([0.0, 0.0], abs=1e-14)
         assert s == pytest.approx(1.0)
-
-    def test_nonzero_beta(self):
-        x, s = linalg.bordered_solve(self.A, self.e1, self.e1, [0.0, 1.0], 1.0)
-        assert x == pytest.approx([1.0, 1.0]) and s == pytest.approx(0.0, abs=1e-14)
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(17)
@@ -182,7 +187,7 @@ class TestBorderedSolve:
             A = U @ V
             _, right, left = linalg.rank_and_nullspace(A)
             rhs = A @ rng.standard_normal(n)  # guaranteed in range
-            x, s = linalg.bordered_solve(A, left, right, rhs, 0.0)
+            x, s = linalg.bordered_solve(A, left, right, rhs)
             res = np.concatenate([A @ x + left * s - rhs, [right @ x]])
             scale = max(1.0, np.max(np.abs(rhs)))
             assert np.max(np.abs(res)) <= 1e-10 * scale
@@ -194,13 +199,13 @@ class TestBorderedSolve:
         ([1.0, 0.0], [1.0, 0.0], [0.0, 1.0, 2.0])])
     def test_wrong_length_rejected(self, col, row, rhs):
         with pytest.raises(InputError, match="length 2"):
-            linalg.bordered_solve(self.A, col, row, rhs, 0.0)
+            linalg.bordered_solve(self.A, col, row, rhs)
 
     def test_bad_border_rejected(self):
         # column border inside range(A) leaves the bordered matrix singular
         A = np.diag([0.0, 1.0])
         with pytest.raises(NearSingular):
-            linalg.bordered_solve(A, [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], 0.0)
+            linalg.bordered_solve(A, [0.0, 1.0], [0.0, 1.0], [0.0, 0.0])
 
 
 class TestDet:

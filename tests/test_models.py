@@ -42,6 +42,12 @@ class TestRegistry:
         with pytest.raises(InputError, match="bad model constants"):
             build("predator-prey", constants)
 
+    @pytest.mark.parametrize("name, constants", [
+        ("predator-prey", {"tau": True}), ("synthetic-tb", {"a1": False})])
+    def test_boolean_constants_rejected(self, name, constants):
+        with pytest.raises(InputError, match=next(iter(constants))):
+            build(name, constants)
+
     def test_positivity_validated(self):
         with pytest.raises(InputError):
             PredatorPreyParams(r=-0.1)

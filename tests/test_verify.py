@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import runpy
 import warnings
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbdde import (ConditionIFailed, DdeModel, InputError, NearSingular, TbCandidate,
-                   characteristic, compute_basis, double_zero_check, eval_f,
-                   jac_x, jac_y, predator_prey, quadratic_check, spectral_scan,
-                   synthetic_tb, verify)
+                   build, characteristic, compute_basis, double_zero_check, eval_f,
+                   jac_x, jac_y, linalg, predator_prey, quadratic_check, spectral_scan,
+                   synthetic_tb, tb_existence_test, verify)
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -147,22 +148,22 @@ class TestCharacteristic:
 
 class TestDoubleZeroCheck:
     def test_tb_point_passes(self, pp):
-        d0, d1, d2, ok = double_zero_check(pp, TB_X, 0.5, 2.0)
+        res, range_value, nd_value, ok = double_zero_check(pp, TB_X, 0.5, 2.0)
         assert ok
-        assert abs(d0) <= 1e-12
-        assert abs(d1) <= 1e-10
-        assert abs(d2) > 1e-4
+        assert res == 0.0 and range_value == 0.0
+        assert nd_value == pytest.approx(-2.0, abs=1e-12)
 
     def test_perturbed_parameters_fail(self, pp):
         D = 0.45
         x = pp_equilibrium(D)
-        _, _, _, ok = double_zero_check(pp, x, D, 2.0)
-        assert not ok
+        res, _, _, ok = double_zero_check(pp, x, D, 2.0)
+        assert res <= 1e-15 and not ok
 
     def test_scalar_undelayed_fails(self):
+        # an equilibrium whose f1 + f2 = -1 is regular: no zero root
         m = scalar_model(delayed=False)
-        d0, _, _, ok = double_zero_check(m, [0.0], 0.0, 0.0)
-        assert not ok and d0 == pytest.approx(1.0, abs=1e-9)
+        res, range_value, _, ok = double_zero_check(m, [0.0], 0.0, 0.0)
+        assert not ok and res == 0.0 and np.isnan(range_value)
 
     def test_off_equilibrium_fails_without_warning(self, pp):
         with warnings.catch_warnings():
@@ -173,14 +174,49 @@ class TestDoubleZeroCheck:
         # Delta has a double zero at x = 0.5 for every lambda, but x is an
         # equilibrium only at lambda = -1/4; at lambda = 3, |f| = 3.25
         m = double_zero_scalar()
-        d0, d1, _, ok = double_zero_check(m, [0.5], 3.0, -1.0)
-        assert abs(d0) <= 1e-12 and abs(d1) <= 1e-10
+        res, range_value, nd_value, ok = double_zero_check(m, [0.5], 3.0, -1.0)
+        assert res == 3.25 and range_value == 0.0 and nd_value == 0.5
         assert not ok
         v = quadratic_check(m, TbCandidate(x=np.array([0.5]), phi1=np.array([1.0]),
                                            phi2=np.array([0.0]), lam=3.0, mu=-1.0),
                             compute_basis(np.array([[1.0]]), np.array([[-1.0]])))
-        assert v.equilibrium_residual == 3.25
-        assert not v.char_ok and not v.passed
+        assert v.equilibrium_residual == 3.25 and v.existence.passed
+        assert not v.equilibrium_ok and not v.passed
+
+
+class TestBorderedCharacteristic:
+    """The existence test's values are the derivatives at 0 of Govaerts' g(z),
+    the last component of the solution of [[M(z), psi2^T], [phi1^T, 0]] (v, g)
+    = (0, 1), M(z) = zI - f1 - f2 e^{-z}: g'(0) = -range_value and g''(0) =
+    -2 nondegeneracy_value.  g is Delta / det B, Delta's double root without
+    its scale, and its stencil here is the oracle of that identity."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 16), tau=st.floats(0.5, 2.0),
+           shift=st.just(0.0) | st.floats(-1.0, 1.0))
+    def test_existence_values_are_derivatives_of_g(self, n, seed, tau, shift):
+        # shift moves a coupling x1' = shift (x0(t-1) - x0(t)) behind the
+        # delay: f1 + f2 stays the same, and (ii) fails unless shift = 0
+        m = dataclasses.replace(lifted_linear(n, seed), tau=tau)
+        x = np.zeros(n)
+        E = np.outer(np.eye(n)[1], np.eye(n)[0])
+        f1 = jac_x(m, x, x, 0.0, 0.0) - shift * E
+        f2 = jac_y(m, x, x, 0.0, 0.0) + shift * E
+        existence = tb_existence_test(f1, f2)
+        _, phi1, psi2 = linalg.rank_and_nullspace(f1 + f2)
+
+        def g(z):
+            B = np.zeros((n + 1, n + 1), dtype=complex)
+            B[:n, :n] = z * np.eye(n) - f1 - f2 * np.exp(-z)
+            B[:n, n], B[n, :n] = psi2, phi1
+            return np.linalg.solve(B, np.eye(n + 1)[n])[n]
+
+        hc, h = 1e-100, np.finfo(float).eps ** 0.25
+        slope = g(1j * hc).imag / hc
+        assert abs(slope + existence.range_value) <= 1e-8 * max(1.0, abs(existence.range_value))
+        if existence.range_ok:
+            curvature = ((g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)).real
+            assert curvature == pytest.approx(-2.0 * existence.nondegeneracy_value, rel=1e-5)
 
 
 class TestSpectralScan:
@@ -454,16 +490,24 @@ class TestQuadraticCheck:
         (1.0, (0.5, -0.25, -1.0), True),
     ], ids=["tau2-point", "tau1-point-at-tau2", "tau1-point"])
     def test_certificate_uses_the_delay(self, tau, point, passes):
-        # Delta'(0) = 1 + tau mu: the tau = 1 point is a double zero only
-        # when the delay is 1
+        # the range value is 1 + tau mu, Delta'(0) at n = 1: the tau = 1
+        # point is a double zero only when the delay is 1
         m = double_zero_scalar(tau)
         x, lam, mu = point
         sol = TbCandidate(x=np.array([x]), phi1=np.array([1.0]),
                           phi2=np.array([0.0]), lam=lam, mu=mu)
         v = quadratic_check(m, sol, self.basis_for(m, sol.x, lam, mu))
-        assert v.equilibrium_residual == 0.0
-        assert v.char_ok == passes and v.passed == passes
-        assert v.char_values[1] == pytest.approx(1.0 + tau * mu, abs=1e-9)
+        assert v.equilibrium_residual == 0.0 and v.equilibrium_ok
+        assert v.existence.range_ok == passes and v.passed == passes
+        assert v.existence.range_value == pytest.approx(1.0 + tau * mu, abs=1e-9)
+
+    def test_one_threshold_per_point(self):
+        # at tau = 8, max|f1| + max|f2| = 4: the existence test and every
+        # other condition are decided against 4e-8, which both tol report
+        m = build("predator-prey", {"tau": 8.0})
+        v = quadratic_check(m, TB_SOL, self.basis_for(m, TB_X, 0.5, 2.0))
+        assert v.passed
+        assert v.tol == v.existence.tol == pytest.approx(4e-8, rel=1e-15)
 
     def test_nu_residual(self, pp):
         basis = self.basis_for(pp, TB_X, 0.5, 2.0)
