@@ -5,21 +5,22 @@ that the point is an equilibrium, that the characteristic function
 Delta(z) = det(zI - f1 - f2 e^{-z}) has a double root at z = 0 (the
 existence test alone decides this), and that the quadratic nondegeneracy
 conditions hold (transversality, the 2x2 degeneracy determinant, the chain
-normalization).  A separate spectral scan looks for other roots near the
-imaginary axis.  It takes the eigenvalues of a Chebyshev collocation of the
-DDE's infinitesimal generator and polishes them together by Newton on
-Delta, so the roots in its box come from one eigenvalue problem rather
-than from wherever Newton starts on a grid happen to converge.  The
-collocation only seeds that Newton, so its number of intervals N is the
-smallest whose stand-in for e^{-z} is within a relative 1e-3 of it on the
-box, at most 64 and at most the former max(12, ceil(2 max|Im z|)), which
-stays the fallback where no smaller N reaches 1e-3.
+normalization).
+
+A separate spectral scan checks that no other root lies on the imaginary
+axis, the strip |Re z| <= delta = 1e-3 (the former scan warned on a band of
+0.05).  It excludes the axis rather than finding roots in a box: every root
+near it has |z| <= R = |f1|_2 + |f2|_2 e^delta; a trapezoid rule for the
+argument principle counts the roots in a disk around 0; and a rectangle
+around i w holds no root where sigma_min(M(i w)) exceeds a Weyl bound on how
+much M(z) = zI - f1 - f2 e^{-z} changes on it.  This holds up to the
+rounding of the SVDs, and the count only where it rounds to an integer with
+room to spare (Rump, Acta Numerica 19, 2010).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +32,16 @@ from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
 from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
-_EPS = np.finfo(float).eps
-#: spectral_scan's most Chebyshev intervals, N0 of a box with |Im| up to 512
-_MAX_INTERVALS = 1024
+#: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
+_DELTA = 1e-3
+#: spectral_scan's largest bound R on the roots near the axis
+_R_MAX = 512.0
+#: trapezoid nodes of spectral_scan's disk count
+_NODES = 64
+#: spectral_scan's first exclusion intervals have half-width <= this / (1 + |f2|_2 e^delta)
+_H_START = 0.25
+#: and its last <= this
+_H_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,13 +76,6 @@ def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> com
     return complex(linalg.det(M))
 
 
-def _delta(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Delta at every entry of z, by one stacked determinant."""
-    M = (z[:, None, None] * np.eye(f1.shape[0]) - f1
-         - np.exp(-z)[:, None, None] * f2)
-    return np.linalg.det(M)
-
-
 def double_zero_check(model: DdeModel, x, lam: float, mu: float):
     """Certify an equilibrium with a double zero at z = 0, without a basis.
 
@@ -106,143 +107,133 @@ def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
     return out
 
 
-def _chebyshev_diff(N: int) -> np.ndarray:
-    """Differentiation matrix on the N+1 Chebyshev points cos(pi j / N) of [-1, 1]."""
-    t = np.cos(np.pi * np.arange(N + 1) / N)
-    c = np.ones(N + 1)
-    c[0] = c[N] = 2.0
-    c *= (-1.0) ** np.arange(N + 1)
-    dt = t[:, None] - t[None, :]
-    D = np.outer(c, 1.0 / c) / (dt + np.eye(N + 1))
-    return D - np.diag(D.sum(axis=1))
+def _log_det_slope(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """tr(M(z)^-1 M'(z)) = Delta'(z) / Delta(z) at every entry of z, by one
+    stacked solve, where M(z) = zI - f1 - f2 e^{-z}; inf where M(z) is
+    exactly singular, that is at an exact root."""
+    e = np.exp(-z)[:, None, None]
+    eye = np.eye(f1.shape[0])
+    M, dM = z[:, None, None] * eye - f1 - e * f2, eye + e * f2
+    try:
+        return np.trace(np.linalg.solve(M, dM), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        regular = np.linalg.det(M) != 0
+        out = np.full(z.shape, np.inf, dtype=complex)
+        out[regular] = np.trace(np.linalg.solve(M[regular], dM[regular]), axis1=1, axis2=2)
+        return out
 
 
-def _stand_in_fits(N: int, lo: complex, hi: complex) -> bool:
-    """Whether the collocation's stand-in for e^{-z} fits on the rectangle [lo, hi].
+def _sigma_min(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sigma_min(M(z)) at every entry of z, by batched SVDs of at most 2^20
+    matrix entries each."""
+    n = f1.shape[0]
+    out = np.empty(z.shape)
+    step = max(1, 2 ** 20 // (n * n))
+    for k in range(0, z.size, step):
+        zk = z[k:k + step]
+        M = zk[:, None, None] * np.eye(n) - f1 - np.exp(-zk)[:, None, None] * f2
+        out[k:k + step] = np.linalg.svd(M, compute_uv=False)[:, -1]
+    return out
 
-    Collocation on N intervals replaces e^{-z} by r_N(z) = e_N^T (zI - E)^-1 d,
-    with E = 2 D_N[1:, 1:] and d = 2 D_N[1:, 0].  It fits when no eigenvalue
-    of E (a pole of r_N) lies in the rectangle and |r_N(z) e^z - 1| <= 1e-3
-    on its boundary, sampled every 0.25 or closer; r_N e^z - 1 is then analytic
-    inside, so the maximum-modulus principle bounds it there too.  The
-    boundary is solved for a few points at a time, so that the check needs
-    little memory whatever the box.
+
+def spectral_scan(model: DdeModel, x, lam: float, mu: float):
+    """The roots of Delta on the imaginary axis, found by excluding the rest of it.
+
+    Delta(z) = det M(z), M(z) = zI - f1 - f2 e^{-z}, is in delay-1 time as in
+    ``characteristic``.  "On the axis" means |Re z| <= delta = 1e-3.
+
+    1. A root with Re z >= -delta has z v = f1 v + e^{-z} f2 v for a unit v,
+       so |z| <= R = |f1|_2 + |f2|_2 e^delta.  Roots come in conjugate pairs,
+       so Im z >= 0 is enough.  R > 512 raises InputError before any SVD of M.
+    2. The roots in |z| < rho are counted by a 64-point trapezoid rule for
+       (1/2 pi i) * contour integral of tr(M^-1 M') = Delta'/Delta, which
+       converges exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).
+       rho starts at 0.3 and halves until the count is within 0.01 of 2,
+       the double zero, or of 0.  A count not within 0.01 of 0, 1 or 2 by
+       rho = 4 delta raises NearSingular; one root is polished from rho/4.
+    3. On Im z in [sqrt(rho^2 - delta^2), R], [-delta, delta] x [w - h, w + h]
+       holds no root when sigma_min(M(i w)) > delta + |f2|_2 (e^delta - 1)
+       + (1 + |f2|_2 e^delta) h, which bounds |M(z) - M(i w)|_2 there (Weyl:
+       sigma_min(A + E) >= sigma_min(A) - |E|_2).  sigma_min(M(i w)) is the
+       distance to the DDE's pseudospectra (Michiels, Green, Wagenknecht and
+       Niculescu, Linear Algebra Appl. 418, 2006).  What is not excluded is
+       bisected, one batch of SVDs per level, down to h = 1e-3.
+    4. Each run of intervals left gives one seed, where sigma_min is least,
+       for Newton on log Delta (step 1 / tr(M^-1 M')).  It ends at a root
+       when |Re z| <= delta and sigma_min(M(z)) <= 1e-12 (|z| + |f1|_2 +
+       |f2|_2 e^{-Re z}), a bound on |M(z)|_2: scale-invariant, and unlike
+       sigma_min / sigma_max, it holds at n = 1.  A run whose Newton ends
+       elsewhere is dropped, as near a root just off the strip.
+
+    The exclusion holds up to the rounding of the SVDs and norms, and the
+    count only where it rounds with room to spare; a verified version would
+    bound both (Rump, Acta Numerica 19, 2010).  Returns (roots, warn):
+    ``warn`` the axis roots other than the double zero, both of each pair,
+    by modulus; ``roots`` is ``warn`` and, first, 0j when the disk holds the
+    double zero.  A non-finite linearization raises NearSingular.
     """
-    D = 2.0 * _chebyshev_diff(N)
-    E, d = D[1:, 1:], D[1:, 0]
-    poles = np.linalg.eigvals(E)
-    if np.any((lo.real <= poles.real) & (poles.real <= hi.real)
-              & (lo.imag <= poles.imag) & (poles.imag <= hi.imag)):
-        return False
-    corners = (lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag))
-    chunk = max(1, 4096 // (N * N))
-    eye, rhs = np.eye(N), d.astype(complex)[:, None]
-    for z0, z1 in zip(corners, corners[1:] + corners[:1]):
-        m = max(1, math.ceil(abs(z1 - z0) / 0.25))
-        for k in range(0, m, chunk):
-            z = z0 + (z1 - z0) / m * np.arange(k, min(k + chunk, m))
-            r = np.linalg.solve(z[:, None, None] * eye - E, rhs)[:, -1, 0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = np.abs(r * np.exp(z) - 1.0)
-            if not np.all(err <= 1e-3):
-                return False
-    return True
-
-
-@functools.lru_cache(maxsize=64)
-def _collocation_size(box) -> int:
-    """The number of Chebyshev intervals N that ``spectral_scan`` uses on ``box``.
-
-    The collocation's eigenvalues are the roots of det(zI - f1 - r_N(z) f2),
-    where r_N stands in for e^{-z} (``_stand_in_fits``) and depends on N and
-    the box only, not on the model.  N is the smallest in [4, min(N0, 64)]
-    whose stand-in fits on the box widened by 0.5, where N0 = max(12,
-    ceil(2 max|Im z|)); where none fits, N0 itself.  ``box`` is a tuple
-    ((re_lo, re_hi), (im_lo, im_hi)) of floats.
-    """
-    (re_lo, re_hi), (im_lo, im_hi) = box
-    fallback = max(12, math.ceil(2.0 * max(abs(im_lo), abs(im_hi))))
-    lo, hi = complex(re_lo - 0.5, im_lo - 0.5), complex(re_hi + 0.5, im_hi + 0.5)
-    return next((N for N in range(4, min(fallback, 64) + 1)
-                 if _stand_in_fits(N, lo, hi)), fallback)
-
-
-def spectral_scan(model: DdeModel, x, lam: float, mu: float,
-                  box=((-1.0, 1.0), (-8.0, 8.0))):
-    """Roots of Delta in a rectangle of the complex plane, and those near the axis.
-
-    The roots are the eigenvalues of the infinitesimal generator of the
-    linearized DDE in delay-1 time, as in ``characteristic``, so they are
-    tau times the roots in the model's own time.  The generator is
-    discretized by Chebyshev collocation on [-1, 0] (Breda, Maset and
-    Vermiglio, SIAM J. Sci. Comput. 27, 2005): the first block row imposes
-    phi'(0) = f1 phi(0) + f2 phi(-1), the others are the differentiation
-    matrix.  The number of Chebyshev intervals N is the smallest, from 4 up
-    to N0 = max(12, ceil(2 max|Im|)) but at most 64, for which the
-    collocation's stand-in for e^{-z} is within a relative 1e-3 of it on the
-    box widened by 0.5; where none is, N = N0 (``_collocation_size``).  A box
-    that needs N > 1024 (|Im| above 512) raises InputError.  The eigenvalues
-    inside the widened box are then polished together by complex Newton on
-    Delta, and a polished root inside the widened box is kept when
-    |Delta| <= 1e-10.  Where that test sits at rounding level, as on a real
-    root far in the left half plane of a larger model, whether the root is
-    kept can change with N: such a root may be reported at the former N0
-    and not at the N used now, or the other way round.  ``warn`` lists the
-    roots other than the double zero with |Re z| <= 0.05, which the
-    existence theory assumes away.  A box not finite, or with a low end
-    above its high end, raises InputError, and a non-finite linearization
-    raises NearSingular.
-    """
-    (re_lo, re_hi), (im_lo, im_hi) = box
-    if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
-        raise InputError(f"box must be finite, each low end <= its high end, got {box}")
-    n = model.n
-    N = _collocation_size(((float(re_lo), float(re_hi)), (float(im_lo), float(im_hi))))
-    if N > _MAX_INTERVALS:
-        raise InputError(f"box {box} needs N = {N} > {_MAX_INTERVALS} Chebyshev intervals, "
-                         f"a collocation matrix of {n * (N + 1)} rows for n = {n}")
     f1, f2 = _finite_point(model, x, lam, mu, jac_x, jac_y)
+    norm1, norm2 = np.linalg.norm(np.stack([f1, f2]), 2, axis=(1, 2))
+    R = norm1 + norm2 * math.exp(_DELTA)
+    if not R <= _R_MAX:
+        raise InputError(f"the roots near the imaginary axis have |z| <= R = {R:.6g}, "
+                         f"above the {_R_MAX:g} that spectral_scan covers")
 
-    def inside(z):
-        return ((re_lo - 0.5 <= z.real) & (z.real <= re_hi + 0.5)
-                & (im_lo - 0.5 <= z.imag) & (z.imag <= im_hi + 0.5))
-
-    A = np.kron(2.0 * _chebyshev_diff(N), np.eye(n))
-    A[:n] = 0.0
-    A[:n, :n] = f1
-    A[:n, -n:] = f2
-    z = np.linalg.eigvals(A)
-    z = z[inside(z)]
-
-    # an iterate stops when its step is negligible, when Delta' vanishes, or
-    # when it escapes far outside the box; the acceptance test below then
-    # decides whether it is a root
-    escape = 10.0 + max(abs(re_lo), abs(re_hi), abs(im_lo), abs(im_hi))
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(60):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+    rho = 0.3
+    while True:
+        nodes = rho * np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
+        with np.errstate(invalid="ignore"):
+            count = complex(np.mean(_log_det_slope(f1, f2, nodes) * nodes))
+        k = round(count.real) if cmath.isfinite(count) else -1
+        if abs(count - k) > 0.01:
+            k = -1
+        if k in (0, 2) or rho / 2 < 4 * _DELTA:
             break
-        za = z[idx]
-        h = _EPS ** (1.0 / 3.0) * np.maximum(1.0, np.abs(za))
-        d, dp, dm = _delta(f1, f2, np.concatenate([za, za + h, za - h])).reshape(3, -1)
-        dz = (dp - dm) / (2.0 * h)
-        flat = dz == 0
-        step = d / np.where(flat, 1.0, dz)
-        znew = za - step
-        out = ~flat & (np.abs(znew) > escape)
-        small = np.abs(step) < 1e-12 * np.maximum(1.0, np.abs(znew))
-        z[idx] = np.where(flat, za, znew)
-        active[idx] = ~(flat | out | small)
-    z = z[(np.abs(_delta(f1, f2, z)) <= 1e-10) & inside(z)]
+        rho /= 2
+    if k not in (0, 1, 2):
+        raise NearSingular(f"the roots of Delta in |z| < {rho:.3g} count to {count:.3g}, "
+                           "not to an integer up to 2", cond=np.nan)
 
-    roots = []
-    for r in z.tolist():
-        if not any(abs(r - q) < 1e-6 for q in roots):
-            roots.append(r)
-    roots.sort(key=lambda r: (abs(r), r.imag))
-    warn = [r for r in roots if abs(r) > 1e-6 and abs(r.real) <= 0.05]
-    return roots, warn
+    a = _DELTA + norm2 * math.expm1(_DELTA)
+    b = 1.0 + norm2 * math.exp(_DELTA)
+    lo = math.sqrt(rho * rho - _DELTA * _DELTA)
+    m = math.ceil(max(0.0, R - lo) * b / (2 * _H_START))
+    h = (R - lo) / (2 * m) if m else 0.0
+    w, s = lo + h * (2 * np.arange(m) + 1), np.empty(0)
+    while w.size:
+        s = _sigma_min(f1, f2, 1j * w)
+        w, s = w[s <= a + b * h], s[s <= a + b * h]
+        if h <= _H_MIN:
+            break
+        h /= 2
+        w = (w[:, None] + np.array([-h, h])).ravel()   # stays sorted
+    runs = np.flatnonzero(np.diff(w) > 3.0 * h) + 1
+    seeds = [1j * c[np.argmin(t)] for c, t in zip(np.split(w, runs), np.split(s, runs))
+             if c.size]
+    disk = np.array([False] * len(seeds) + [True] * (k == 1))
+    z = np.array(seeds + [rho / 4] * (k == 1), dtype=complex)
+
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(50):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        slope = _log_det_slope(f1, f2, z[idx])
+        step = np.divide(1.0, slope, out=np.zeros(idx.size, dtype=complex),
+                         where=np.isfinite(slope) & (slope != 0))
+        z[idx] -= step
+        active[idx] = ((np.abs(step) > 1e-12 * np.maximum(1.0, np.abs(z[idx])))
+                       & (np.abs(z[idx].real) <= 1.0))
+    z = z[(np.abs(z.real) <= _DELTA) & ((np.abs(z) < rho) == disk)]
+    scale = np.abs(z) + norm1 + norm2 * np.exp(-z.real)
+    warn = []
+    for r in z[_sigma_min(f1, f2, z) <= 1e-12 * scale].tolist():
+        r = complex(r.real, abs(r.imag))
+        if not any(abs(r - q) <= 1e-8 * max(1.0, abs(r)) for q in warn):
+            warn.append(r)
+    warn += [r.conjugate() for r in warn if r.imag > 0]
+    warn.sort(key=lambda r: (abs(r), r.imag))
+    return ([0j] if k == 2 else []) + warn, warn
 
 
 def quadratic_check(model: DdeModel, solution: TbCandidate,

@@ -3,7 +3,6 @@ import math
 import runpy
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tbdde import (ConditionIFailed, DdeModel, InputError, NearSingular, TbCandidate,
                    build, characteristic, compute_basis, double_zero_check, eval_f,
                    jac_x, jac_y, linalg, predator_prey, quadratic_check, spectral_scan,
-                   synthetic_tb, tb_existence_test, verify)
+                   synthetic_tb, tb_existence_test)
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -90,16 +89,78 @@ def lifted_linear(n, seed, hidden=False, turns=0):
                     d1=lambda x, y, l, u: F1, d2=lambda x, y, l, u: F2)
 
 
+DEFAULT_BOX = ((-1.0, 1.0), (-8.0, 8.0))
+
+
+def linear_model(f1, f2):
+    """x' = f1 x + f2 x(t-1), with both matrices supplied."""
+    f1, f2 = np.atleast_2d(f1).astype(float), np.atleast_2d(f2).astype(float)
+    return DdeModel(n=f1.shape[0], tau=1.0, f=lambda x, y, l, u: f1 @ x + f2 @ y,
+                    d1=lambda x, y, l, u: f1, d2=lambda x, y, l, u: f2)
+
+
 def todays_size(box):
-    """The collocation size before it was derived from the stand-in's error."""
+    """The collocation oracle's number of Chebyshev intervals on ``box``."""
     return max(12, math.ceil(2.0 * max(abs(box[1][0]), abs(box[1][1]))))
+
+
+def chebyshev_diff(N):
+    """Differentiation matrix on the N+1 Chebyshev points cos(pi j / N) of [-1, 1]."""
+    t = np.cos(np.pi * np.arange(N + 1) / N)
+    c = np.ones(N + 1)
+    c[0] = c[N] = 2.0
+    c *= (-1.0) ** np.arange(N + 1)
+    D = np.outer(c, 1.0 / c) / (t[:, None] - t[None, :] + np.eye(N + 1))
+    return D - np.diag(D.sum(axis=1))
+
+
+def collocation_roots(model, x, lam, mu, box=DEFAULT_BOX):
+    """The oracle: every root of Delta in ``box`` widened by 0.5, found in a box
+    rather than by excluding the axis.
+
+    The seeds are the eigenvalues of a Chebyshev collocation of the DDE's
+    infinitesimal generator on [-1, 0] with N = todays_size(box) intervals
+    (Breda, Maset and Vermiglio, SIAM J. Sci. Comput. 27, 2005): the first
+    block row imposes phi'(0) = f1 phi(0) + f2 phi(-1), the others are the
+    differentiation matrix.  They are polished together by Newton on Delta
+    with central differences, and a result is kept when |Delta| is at
+    rounding level, 1e-10 |M|^n with |M| <= |z| + |f1|_2 + |f2|_2 |e^{-z}|
+    (Hadamard).  Sorted by modulus, duplicates within 1e-6 dropped.
+    """
+    x = np.asarray(x, dtype=float)
+    f1, f2 = jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)
+    n, N = model.n, todays_size(box)
+    (re_lo, re_hi), (im_lo, im_hi) = box
+    A = np.kron(2.0 * chebyshev_diff(N), np.eye(n))
+    A[:n] = 0.0
+    A[:n, :n], A[:n, -n:] = f1, f2
+
+    def delta(z):
+        return np.linalg.det(z[:, None, None] * np.eye(n) - f1
+                             - np.exp(-z)[:, None, None] * f2)
+
+    z = np.linalg.eigvals(A)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(z))
+            d, dp, dm = delta(np.concatenate([z, z + h, z - h])).reshape(3, -1)
+            z = z - d * 2.0 * h / (dp - dm)
+        norm = np.abs(z) + np.linalg.norm(f1, 2) + np.linalg.norm(f2, 2) * np.abs(np.exp(-z))
+        z = z[(re_lo - 0.5 <= z.real) & (z.real <= re_hi + 0.5) & (im_lo - 0.5 <= z.imag)
+              & (z.imag <= im_hi + 0.5) & (np.abs(delta(z)) <= 1e-10 * norm ** n)]
+    roots = []
+    for r in sorted(z.tolist(), key=lambda r: (abs(r), r.imag)):
+        if not any(abs(r - q) < 1e-6 for q in roots):
+            roots.append(r)
+    return roots
 
 
 def stand_in_error(N, box, h):
     """max |r_N(z) e^z - 1| on the boundary of ``box`` widened by 0.5, sampled
-    every h, where r_N(z) = e_N^T (zI - E)^-1 d is solved for point by point;
-    inf when an eigenvalue of E lies inside the widened box."""
-    D = 2.0 * verify._chebyshev_diff(N)
+    every h, where r_N(z) = e_N^T (zI - E)^-1 d, E = 2 D_N[1:, 1:] and
+    d = 2 D_N[1:, 0], is the collocation's stand-in for e^{-z}; inf when an
+    eigenvalue of E lies inside the widened box."""
+    D = 2.0 * chebyshev_diff(N)
     E, d = D[1:, 1:], D[1:, 0]
     (a, b), (c, e) = box
     a, b, c, e = a - 0.5, b + 0.5, c - 0.5, e + 0.5
@@ -220,85 +281,116 @@ class TestBorderedCharacteristic:
 
 
 class TestSpectralScan:
+    # the box tests of the former collocation scan run on the oracle
     def test_scalar_undelayed_single_root(self):
         m = scalar_model(delayed=False)
-        roots, warn = spectral_scan(m, [0.0], 0.0, 0.0,
-                                    box=((-2.0, 0.0), (-1.0, 1.0)))
+        roots = collocation_roots(m, [0.0], 0.0, 0.0, box=((-2.0, 0.0), (-1.0, 1.0)))
         assert len(roots) == 1
         assert roots[0] == pytest.approx(-1.0, abs=1e-9)
-        assert not warn
+        assert spectral_scan(m, [0.0], 0.0, 0.0) == ([], [])
 
     def test_scalar_delayed_principal_pair(self):
         m = scalar_model(delayed=True)
-        roots, _ = spectral_scan(m, [0.0], 0.0, 0.0,
-                                 box=((-1.0, 1.0), (0.0, 8.0)))
+        roots = collocation_roots(m, [0.0], 0.0, 0.0, box=((-1.0, 1.0), (0.0, 8.0)))
         assert any(abs(r - DELAYED_SCALAR_ROOT) < 1e-8 for r in roots)
 
     def test_scalar_delayed_default_box_exact(self):
-        # every other root of z + exp(-z) has Re z < -2
-        roots, warn = spectral_scan(scalar_model(delayed=True), [0.0], 0.0, 0.0)
-        assert len(roots) == 2 and not warn
+        # every other root of z + exp(-z) has Re z < -2, and none is near the axis
+        m = scalar_model(delayed=True)
+        roots = collocation_roots(m, [0.0], 0.0, 0.0)
+        assert len(roots) == 2
         want = sorted([DELAYED_SCALAR_ROOT, DELAYED_SCALAR_ROOT.conjugate()],
                       key=lambda z: z.imag)
         for got, z in zip(sorted(roots, key=lambda z: z.imag), want):
             assert abs(got - z) <= 1e-12
-
-    @pytest.mark.parametrize("omega,im_hi", [(0.5 * np.pi, 8.0), (2.5 * np.pi, 8.0),
-                                             (8.5 * np.pi, 28.0)],
-                             ids=["pi/2", "5pi/2", "17pi/2"])
-    def test_imaginary_pair_warns(self, omega, im_hi):
-        # x' = -omega x(t-1) has roots +-i omega.  5 pi / 2 sits near the
-        # edge of the default box; at 17 pi / 2 the collocation size has to
-        # grow with the box (a fixed N = 12 misses that pair)
-        m = DdeModel(n=1, tau=1.0, f=lambda x, y, l, u: -omega * y,
-                     d1=lambda x, y, l, u: np.zeros((1, 1)),
-                     d2=lambda x, y, l, u: np.array([[-omega]]))
-        _, warn = spectral_scan(m, [0.0], 0.0, 0.0,
-                                box=((-1.0, 1.0), (-im_hi, im_hi)))
-        assert len(warn) == 2
-        got = sorted(warn, key=lambda z: z.imag)
-        assert abs(got[0] + 1j * omega) <= 1e-10
-        assert abs(got[1] - 1j * omega) <= 1e-10
+        assert spectral_scan(m, [0.0], 0.0, 0.0) == ([], [])
 
     @pytest.mark.parametrize("a", [0.3, 2.0, 6.0])
     def test_scalar_delayed_all_branches(self, a):
         # the roots of z + a exp(-z) are the branches W_k(-a) of Lambert W;
-        # the scan must return every one inside the box widened by 0.5
+        # the oracle must return every one inside the box widened by 0.5
         mpmath = pytest.importorskip("mpmath")
         want = {complex(mpmath.lambertw(-a, k)) for k in range(-8, 9)}
         want = [z for z in want if abs(z.real) <= 1.5 and abs(z.imag) <= 8.5]
         m = DdeModel(n=1, tau=1.0, f=lambda x, y, l, u: -a * y)
-        roots, _ = spectral_scan(m, [0.0], 0.0, 0.0)
+        roots = collocation_roots(m, [0.0], 0.0, 0.0)
         assert len(roots) == len(want) > 0
         for z in want:
             assert min(abs(z - r) for r in roots) <= 1e-10
+
+    def test_tb_point_contains_zero(self, pp):
+        roots = collocation_roots(pp, TB_X, 0.5, 2.0)
+        assert any(abs(r) < 1e-8 for r in roots)
+
+    @pytest.mark.parametrize("omega", [0.5 * np.pi, 2.5 * np.pi, 8.5 * np.pi],
+                             ids=["pi/2", "5pi/2", "17pi/2"])
+    def test_imaginary_pair_warns(self, omega):
+        # x' = -omega x(t-1) has roots +-i omega, and R = omega e^delta bounds
+        # the search: no box to outgrow
+        m = DdeModel(n=1, tau=1.0, f=lambda x, y, l, u: -omega * y,
+                     d1=lambda x, y, l, u: np.zeros((1, 1)),
+                     d2=lambda x, y, l, u: np.array([[-omega]]))
+        roots, warn = spectral_scan(m, [0.0], 0.0, 0.0)
+        assert len(warn) == 2 and roots == warn
+        got = sorted(warn, key=lambda z: z.imag)
+        assert abs(got[0] + 1j * omega) <= 1e-10
+        assert abs(got[1] - 1j * omega) <= 1e-10
 
     def test_hidden_axis_pair_beside_double_zero(self):
         m = synthetic_with_hidden_component()
         x = np.zeros(3)
         assert double_zero_check(m, x, 0.0, 0.0)[3]
         roots, warn = spectral_scan(m, x, 0.0, 0.0)
-        assert any(abs(r) < 1e-6 for r in roots)
+        assert roots == [0j] + warn
         got = sorted(warn, key=lambda z: z.imag)
         assert len(got) == 2
         assert abs(got[0] + 0.5j * np.pi) <= 1e-10
         assert abs(got[1] - 0.5j * np.pi) <= 1e-10
 
-    @pytest.mark.parametrize("box", [((-1.0, 1.0), (np.inf, 8.0)),
-                                     ((-1.0, np.nan), (-8.0, 8.0)),
-                                     ((1.0, -1.0), (-8.0, 8.0))],
-                             ids=["inf", "nan", "inverted"])
-    def test_bad_box_rejected(self, box):
-        with pytest.raises(InputError, match="box"):
-            spectral_scan(scalar_model(delayed=True), [0.0], 0.0, 0.0, box=box)
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_hidden_pair_of_a_larger_model(self, n):
+        # a product of n - 1 factors of Delta made the former |Delta| <= 1e-10
+        # acceptance drop +-i pi/2 from n = 24
+        roots, warn = spectral_scan(lifted_linear(n, 0, hidden=True), np.zeros(n), 0.0, 0.0)
+        assert roots == [0j] + warn and len(warn) == 2
+        assert abs(warn[0] + 0.5j * np.pi) <= 1e-10
+        assert abs(warn[1] - 0.5j * np.pi) <= 1e-10
 
-    def test_tb_point_contains_zero(self, pp):
-        roots, _ = spectral_scan(pp, TB_X, 0.5, 2.0,
-                                 box=((-1.0, 1.0), (-8.0, 8.0)))
-        assert any(abs(r) < 1e-8 for r in roots)
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_seventeen_pi_halves_without_a_box(self, n):
+        omega = 8.5 * np.pi
+        roots, warn = spectral_scan(lifted_linear(n, 3, True, 4), np.zeros(n), 0.0, 0.0)
+        assert roots == [0j] + warn and len(warn) == 2
+        assert abs(warn[0] + 1j * omega) <= 1e-10
+        assert abs(warn[1] - 1j * omega) <= 1e-10
+
+    def test_large_model_proved_clear(self):
+        n = 128
+        assert spectral_scan(lifted_linear(n, 0), np.zeros(n), 0.0, 0.0) == ([0j], [])
+
+    def test_tb_point_roots_are_the_double_zero(self, pp):
+        assert spectral_scan(pp, TB_X, 0.5, 2.0) == ([0j], [])
+
+    @pytest.mark.parametrize("f1,f2,want", [
+        (np.zeros((1, 1)), np.zeros((1, 1)), [0j]),
+        (np.diag([0.0, -1.0]), np.zeros((2, 2)), [0j]),
+        (np.array([[1.0]]), np.array([[-1.0]]), []),
+    ], ids=["simple-zero", "fold", "double-zero"])
+    def test_roots_at_zero(self, f1, f2, want):
+        # one root in the disk is an axis root like any other; two are the
+        # double zero, reported in roots only
+        roots, warn = spectral_scan(linear_model(f1, f2), np.zeros(len(f1)), 0.0, 0.0)
+        assert warn == want and roots == (want or [0j])
+
+    def test_triple_zero_is_near_singular(self):
+        with pytest.raises(NearSingular, match="count to 3"):
+            spectral_scan(linear_model(np.zeros((3, 3)), np.zeros((3, 3))),
+                          np.zeros(3), 0.0, 0.0)
 
 
 class TestCollocationSize:
+    """The oracle's fixed N and its stand-in for e^{-z}."""
+
     @pytest.mark.parametrize("box,want", [
         (((-1.0, 1.0), (-8.0, 8.0)), 11),
         (((-1.0, 1.0), (-28.0, 28.0)), 23),
@@ -307,43 +399,59 @@ class TestCollocationSize:
         (((-5.0, 1.0), (-3.0, 3.0)), None),
     ], ids=["default", "28", "upper-half", "small", "left"])
     def test_smallest_size_that_fits(self, box, want):
-        # the chosen N keeps the stand-in within 1e-3 on a boundary sample 4x
-        # denser than the rule's own; N - 1 does not, unless N is the floor
-        N = verify._collocation_size(box)
-        assert want is None or N == want
-        assert 4 <= N <= todays_size(box)
+        # the oracle's N keeps the stand-in within 1e-3 on a boundary sample
+        # every 0.0625; where it is known, the smallest N that does is below
+        N = todays_size(box)
         assert stand_in_error(N, box, 0.0625) <= 1e-3
-        assert N == 4 or stand_in_error(N - 1, box, 0.0625) > 1e-3
+        if want is not None:
+            assert want <= N
+            assert stand_in_error(want, box, 0.0625) <= 1e-3 < stand_in_error(want - 1, box, 0.0625)
 
     @pytest.mark.parametrize("box", [((-1.0, 1.0), (-8.0, 8.0)), ((-1.0, 1.0), (-28.0, 28.0)),
                                      ((-1.0, 1.0), (-300.0, 300.0)), ((-10.0, 2.0), (-4.0, 4.0)),
                                      ((-20.0, 1.0), (-2.0, 2.0)), ((0.0, 0.0), (0.0, 0.0)),
                                      ((-1.0, 1e6), (-1.0, 1.0)), ((-1e6, 1.0), (-1.0, 1.0))])
     def test_never_above_todays_size(self, box):
-        assert verify._collocation_size(box) <= todays_size(box)
+        # no more intervals than today's size are needed: with it the oracle
+        # finds every Lambert-W root of z + a exp(-z) in the widened box
+        mpmath = pytest.importorskip("mpmath")
+        (re_lo, re_hi), (im_lo, im_hi) = box
+        found = 0
+        for a in (0.3, 6.0):
+            want = {complex(mpmath.lambertw(-a, k)) for k in range(-60, 61)}
+            want = [z for z in want if re_lo - 0.5 <= z.real <= re_hi + 0.5
+                    and im_lo - 0.5 <= z.imag <= im_hi + 0.5]
+            roots = collocation_roots(linear_model(0.0, -a), [0.0], 0.0, 0.0, box=box)
+            assert len(roots) == len(want)
+            for z in want:
+                assert min(abs(z - r) for r in roots) <= 1e-10
+            found += len(want)
+        assert found > 0
 
-    def test_deep_left_box_keeps_todays_size_at_once(self, monkeypatch):
+    def test_deep_left_box_keeps_todays_size_at_once(self):
         # deep in the left half plane e^{-z} is huge, and no collocation
         # reaches 1e-3 of it in double precision: the stand-in's error stalls
-        # near 1e-2 from N = 40 to 64.  The rule tries no N above today's 16
+        # near 1e-2 from N = 40 to 64.  The oracle keeps today's 16, and its
+        # polish still finds the roots
         box = ((-30.0, 1.0), (-8.0, 8.0))
-        tried = []
-        fits = verify._stand_in_fits
-        monkeypatch.setattr(verify, "_stand_in_fits", lambda N, lo, hi: tried.append(N)
-                            or fits(N, lo, hi))
-        verify._collocation_size.cache_clear()
-        assert verify._collocation_size(box) == todays_size(box) == 16
-        assert tried == list(range(4, 17))
+        assert todays_size(box) == 16
         for N in (40, 64):
             assert 1e-3 < stand_in_error(N, box, 0.1) < 1e-1
+        mpmath = pytest.importorskip("mpmath")
+        want = [complex(mpmath.lambertw(-1.0, k)) for k in (-2, -1, 0, 1)]
+        roots = collocation_roots(scalar_model(delayed=True), [0.0], 0.0, 0.0, box=box)
+        assert len(roots) == len(want)
+        for z in want:
+            assert min(abs(z - r) for r in roots) <= 1e-10
 
-    def test_infeasible_box_is_an_input_error(self, pp, counted_model):
-        # today's N at this box is 2e6, refused before the model is evaluated
-        # or anything of that size allocated
-        model, counts = counted_model(pp)
-        with pytest.raises(InputError, match="N = 2000000 > 1024"):
-            spectral_scan(model, [1.0, 1.0], 0.5, 2.0, box=((-1.0, 1.0), (-1e6, 1e6)))
-        assert not counts
+    def test_infeasible_box_is_an_input_error(self, monkeypatch):
+        # R = 600 e^delta bounds the roots near the axis: above 512 it is
+        # refused before any SVD of M(z) is taken
+        svd = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd.append(a))
+        with pytest.raises(InputError, match=r"R = 600\.6"):
+            spectral_scan(linear_model(0.0, -600.0), [0.0], 0.0, 0.0)
+        assert not svd
 
     def test_large_model_on_the_default_box_is_not_refused(self):
         # n = 400 needs 4800 rows at N = 11; the size check lets it through
@@ -356,30 +464,31 @@ class TestCollocationSize:
         with pytest.raises(NearSingular, match="not finite"):
             spectral_scan(model, np.zeros(n), 0.0, 0.0)
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(2, 8), hidden=st.booleans(), turns=st.integers(0, 4),
-           seed=st.integers(0, 2 ** 16), height=st.floats(1.0, 30.0))
-    def test_same_roots_as_todays_size(self, n, hidden, turns, seed, height):
-        # a root whose |Delta| is near the 1e-10 acceptance, as +-i w can be
-        # for turns > 0, may be kept at one N and dropped at another, so each
-        # size must find the roots that the other finds well inside it, with
-        # |Delta| <= 1e-12
+           seed=st.integers(0, 2 ** 16))
+    def test_same_roots_as_todays_size(self, n, hidden, turns, seed):
+        # warn holds exactly the oracle's roots on the axis, |Re z| <= 5e-4
+        # and |Delta| at rounding level, other than the double zero, which
+        # the oracle's polish leaves split by up to about 1e-5; the oracle's
+        # box reaches past R
         hidden = hidden and n > 2
         m = lifted_linear(n, seed, hidden, turns)
-        box = ((-1.0, 1.0), (-height, height))
-        roots, warn = spectral_scan(m, np.zeros(n), 0.0, 0.0, box=box)
-        with mock.patch.object(verify, "_collocation_size", todays_size):
-            want_roots, want_warn = spectral_scan(m, np.zeros(n), 0.0, 0.0, box=box)
+        x = np.zeros(n)
+        roots, warn = spectral_scan(m, x, 0.0, 0.0)
+        f1, f2 = jac_x(m, x, x, 0.0, 0.0), jac_y(m, x, x, 0.0, 0.0)
+        top = math.ceil(np.linalg.norm(f1, 2) + np.linalg.norm(f2, 2)) + 1.0
+        want = [z for z in collocation_roots(m, x, 0.0, 0.0, box=((-1.0, 1.0), (-top, top)))
+                if abs(z.real) <= 5e-4 and abs(z) > 1e-3]
 
         def covers(found, others):
             return all(min((abs(r - q) for q in found), default=np.inf) <= 1e-8
-                       for r in others
-                       if abs(characteristic(m, np.zeros(n), 0.0, 0.0, r)) <= 1e-12)
+                       for r in others)
 
-        assert covers(roots, want_roots) and covers(want_roots, roots)
-        assert covers(warn, want_warn) and covers(want_warn, warn)
+        assert roots == [0j] + warn
+        assert covers(warn, want) and covers(want, warn)
         if turns == 0:
-            assert len(warn) == (2 if hidden and height >= np.pi / 2 - 0.5 else 0)
+            assert len(warn) == (2 if hidden else 0)
 
 
 class TestNonFiniteLinearization:
