@@ -9,13 +9,10 @@ normalization).
 
 A separate spectral scan checks that no other root lies on the imaginary
 axis, the strip |Re z| <= delta = 1e-3 (the former scan warned on a band of
-0.05).  It excludes the axis rather than finding roots in a box: every root
-near it has |z| <= R = |f1|_2 + |f2|_2 e^delta; a trapezoid rule for the
-argument principle counts the roots in a disk around 0; and a rectangle
-around i w holds no root where sigma_min(M(i w)) exceeds a Weyl bound on how
-much M(z) = zI - f1 - f2 e^{-z} changes on it.  This holds up to the
-rounding of the SVDs, and the count only where it rounds to an integer with
-room to spare (Rump, Acta Numerica 19, 2010).
+0.05), by excluding it: the roots near it have |z| <= R = |f1|_2 + |f2|_2
+e^delta, a trapezoid rule for the argument principle counts and locates
+those near 0, and a Weyl bound on sigma_min(M(i w)) clears the rest, up to
+rounding (Rump, Acta Numerica 19, 2010).
 """
 
 from __future__ import annotations
@@ -36,12 +33,10 @@ from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 _DELTA = 1e-3
 #: spectral_scan's largest bound R on the roots near the axis
 _R_MAX = 512.0
-#: trapezoid nodes of spectral_scan's disk count
-_NODES = 64
-#: spectral_scan's first exclusion intervals have half-width <= this / (1 + |f2|_2 e^delta)
-_H_START = 0.25
-#: and its last <= this
-_H_MIN = 1e-3
+#: trapezoid nodes of spectral_scan's disk count, and its Newton steps per seed
+_NODES, _NEWTON_STEPS = 64, 50
+#: half-widths of spectral_scan's first and last exclusion intervals
+_H_START, _H_MIN = 0.25, 1e-3
 
 
 @dataclass(frozen=True)
@@ -145,29 +140,36 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     1. A root with Re z >= -delta has z v = f1 v + e^{-z} f2 v for a unit v,
        so |z| <= R = |f1|_2 + |f2|_2 e^delta.  Roots come in conjugate pairs,
        so Im z >= 0 is enough.  R > 512 raises InputError before any SVD of M.
-    2. The roots in |z| < rho are counted by a 64-point trapezoid rule for
-       (1/2 pi i) * contour integral of tr(M^-1 M') = Delta'/Delta, which
-       converges exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).
-       rho starts at 0.3 and halves until the count is within 0.01 of 2,
-       the double zero, or of 0.  A count not within 0.01 of 0, 1 or 2 by
-       rho = 4 delta raises NearSingular; one root is polished from rho/4.
+    2. A 64-point trapezoid rule for (1/2 pi i) * contour integral of z^p
+       tr(M^-1 M') = z^p Delta'/Delta on |z| = rho counts the roots inside
+       (p = 0) and sums them and their squares (p = 1, 2); it converges
+       exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).  Two
+       roots solve t^2 - s1 t + (s1^2 - s2) / 2 = 0, and are the double zero
+       when both are within delta of 0.  rho halves from 0.3 until the count
+       is within 0.01 of 0, or of 2 with the double zero, so a pair +-i w
+       near it is left outside.  A count not within 0.01 of 0, 1 or 2 by
+       rho = 4 delta raises NearSingular; other roots there seed step 4.
     3. On Im z in [sqrt(rho^2 - delta^2), R], [-delta, delta] x [w - h, w + h]
-       holds no root when sigma_min(M(i w)) > delta + |f2|_2 (e^delta - 1)
-       + (1 + |f2|_2 e^delta) h, which bounds |M(z) - M(i w)|_2 there (Weyl:
-       sigma_min(A + E) >= sigma_min(A) - |E|_2).  sigma_min(M(i w)) is the
-       distance to the DDE's pseudospectra (Michiels, Green, Wagenknecht and
-       Niculescu, Linear Algebra Appl. 418, 2006).  What is not excluded is
-       bisected, one batch of SVDs per level, down to h = 1e-3.
-    4. Each run of intervals left gives one seed, where sigma_min is least,
-       for Newton on log Delta (step 1 / tr(M^-1 M')).  It ends at a root
-       when |Re z| <= delta and sigma_min(M(z)) <= 1e-12 (|z| + |f1|_2 +
-       |f2|_2 e^{-Re z}), a bound on |M(z)|_2: scale-invariant, and unlike
-       sigma_min / sigma_max, it holds at n = 1.  A run whose Newton ends
-       elsewhere is dropped, as near a root just off the strip.
+       holds no root when sigma_min(M(i w)) > a + b h, a = delta + |f2|_2
+       (e^delta - 1), b = 1 + |f2|_2 e^delta, which bounds |M(z) - M(i w)|_2
+       there (Weyl: sigma_min(A + E) >= sigma_min(A) - |E|_2).
+       sigma_min(M(i w)) is the distance to the DDE's pseudospectra
+       (Michiels, Green, Wagenknecht and Niculescu, Linear Algebra Appl. 418,
+       2006).  So each centre w clears its own radius (sigma_min - a) / b:
+       intervals of half-width 0.25 lose that much from their middle, and the
+       two pieces left go on, one batch of SVDs per round, down to half-width
+       1e-3.  The SVDs follow sigma_min, not the worst case b allows.
+    4. Newton on log Delta (step 1 / tr(M^-1 M')) starts from every piece
+       left.  A run that converges to |Re z| > delta, near a root off the
+       strip, or, from step 3, into the disk, is dropped.  One that converges
+       in the strip is a root when sigma_min(M(z)) <= 1e-12 (1 + |z| +
+       |f1|_2 + |f2|_2 e^{-Re z}), 1 plus a bound on |M(z)|_2: relative where
+       M is large, and unlike sigma_min / sigma_max, it holds at n = 1.  Any
+       other run raises NearSingular: it does not show the axis clear.
 
     The exclusion holds up to the rounding of the SVDs and norms, and the
     count only where it rounds with room to spare; a verified version would
-    bound both (Rump, Acta Numerica 19, 2010).  Returns (roots, warn):
+    bound both (Rump).  Returns (roots, warn):
     ``warn`` the axis roots other than the double zero, both of each pair,
     by modulus; ``roots`` is ``warn`` and, first, 0j when the disk holds the
     double zero.  A non-finite linearization raises NearSingular.
@@ -183,57 +185,63 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     while True:
         nodes = rho * np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
         with np.errstate(invalid="ignore"):
-            count = complex(np.mean(_log_det_slope(f1, f2, nodes) * nodes))
+            sums = (_log_det_slope(f1, f2, nodes) * nodes) @ nodes[:, None] ** range(3)
+        count, s1, s2 = (complex(v) / _NODES for v in sums)
         k = round(count.real) if cmath.isfinite(count) else -1
-        if abs(count - k) > 0.01:
-            k = -1
-        if k in (0, 2) or rho / 2 < 4 * _DELTA:
+        k = k if abs(count - k) <= 0.01 else -1
+        d = cmath.sqrt(2 * s2 - s1 * s1) / 2 if k == 2 else 0
+        disk = [s1] if k == 1 else [s1 / 2 + d, s1 / 2 - d] if k == 2 else []
+        double_zero = k == 2 and max(map(abs, disk)) <= _DELTA
+        if double_zero or k == 0 or rho / 2 < 4 * _DELTA:
             break
         rho /= 2
     if k not in (0, 1, 2):
         raise NearSingular(f"the roots of Delta in |z| < {rho:.3g} count to {count:.3g}, "
                            "not to an integer up to 2", cond=np.nan)
+    disk = [] if double_zero else disk
 
-    a = _DELTA + norm2 * math.expm1(_DELTA)
-    b = 1.0 + norm2 * math.exp(_DELTA)
+    a, b = _DELTA + norm2 * math.expm1(_DELTA), 1.0 + norm2 * math.exp(_DELTA)
     lo = math.sqrt(rho * rho - _DELTA * _DELTA)
-    m = math.ceil(max(0.0, R - lo) * b / (2 * _H_START))
-    h = (R - lo) / (2 * m) if m else 0.0
-    w, s = lo + h * (2 * np.arange(m) + 1), np.empty(0)
-    while w.size:
-        s = _sigma_min(f1, f2, 1j * w)
-        w, s = w[s <= a + b * h], s[s <= a + b * h]
-        if h <= _H_MIN:
-            break
-        h /= 2
-        w = (w[:, None] + np.array([-h, h])).ravel()   # stays sorted
-    runs = np.flatnonzero(np.diff(w) > 3.0 * h) + 1
-    seeds = [1j * c[np.argmin(t)] for c, t in zip(np.split(w, runs), np.split(s, runs))
-             if c.size]
-    disk = np.array([False] * len(seeds) + [True] * (k == 1))
-    z = np.array(seeds + [rho / 4] * (k == 1), dtype=complex)
+    edges = np.linspace(lo, R, math.ceil(max(0.0, R - lo) / (2 * _H_START)) + 1)
+    left, right, seeds = edges[:-1], edges[1:], [disk]
+    while left.size:
+        c, h = (left + right) / 2, (right - left) / 2
+        r = np.maximum((_sigma_min(f1, f2, 1j * c) - a) / b, 0.0)
+        live, last = r < h, h <= _H_MIN
+        seeds.append(1j * c[live & last])
+        live &= ~last
+        c, r = c[live], r[live]
+        left = np.concatenate([left[live], c + r])
+        right = np.concatenate([c - r, right[live]])
+    z = np.concatenate(seeds).astype(complex)
+    in_disk = np.arange(z.size) < len(disk)
 
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(50):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        slope = _log_det_slope(f1, f2, z[idx])
-        step = np.divide(1.0, slope, out=np.zeros(idx.size, dtype=complex),
-                         where=np.isfinite(slope) & (slope != 0))
-        z[idx] -= step
-        active[idx] = ((np.abs(step) > 1e-12 * np.maximum(1.0, np.abs(z[idx])))
-                       & (np.abs(z[idx].real) <= 1.0))
-    z = z[(np.abs(z.real) <= _DELTA) & ((np.abs(z) < rho) == disk)]
-    scale = np.abs(z) + norm1 + norm2 * np.exp(-z.real)
+    done = np.zeros(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            idx = np.flatnonzero(~done)
+            if not idx.size:
+                break
+            step = 1.0 / _log_det_slope(f1, f2, z[idx])
+            z[idx] -= step
+            done[idx] = np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(z[idx]))
+    keep = done & (np.abs(z.real) <= _DELTA) & (in_disk | (np.abs(z) >= rho))
+    root = np.zeros(z.shape, dtype=bool)
+    root[keep] = _sigma_min(f1, f2, z[keep]) <= 1e-12 * (
+        1.0 + np.abs(z[keep]) + norm1 + norm2 * np.exp(-z[keep].real))
+    lost = ~done | (keep != root) | (in_disk & (np.abs(z) >= rho))
+    if lost.any():
+        raise NearSingular(f"Newton ended at {z[lost][0]:.6g}, not at a root of Delta "
+                           "nor off the imaginary axis", cond=np.nan)
+    z = z[root]
     warn = []
-    for r in z[_sigma_min(f1, f2, z) <= 1e-12 * scale].tolist():
+    for r in z.tolist():
         r = complex(r.real, abs(r.imag))
         if not any(abs(r - q) <= 1e-8 * max(1.0, abs(r)) for q in warn):
             warn.append(r)
     warn += [r.conjugate() for r in warn if r.imag > 0]
     warn.sort(key=lambda r: (abs(r), r.imag))
-    return ([0j] if k == 2 else []) + warn, warn
+    return ([0j] if double_zero else []) + warn, warn
 
 
 def quadratic_check(model: DdeModel, solution: TbCandidate,

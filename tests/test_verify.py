@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tbdde import verify
 from tbdde import (ConditionIFailed, DdeModel, InputError, NearSingular, TbCandidate,
                    build, characteristic, compute_basis, double_zero_check, eval_f,
                    jac_x, jac_y, linalg, predator_prey, quadratic_check, spectral_scan,
@@ -371,16 +372,47 @@ class TestSpectralScan:
     def test_tb_point_roots_are_the_double_zero(self, pp):
         assert spectral_scan(pp, TB_X, 0.5, 2.0) == ([0j], [])
 
-    @pytest.mark.parametrize("f1,f2,want", [
-        (np.zeros((1, 1)), np.zeros((1, 1)), [0j]),
-        (np.diag([0.0, -1.0]), np.zeros((2, 2)), [0j]),
-        (np.array([[1.0]]), np.array([[-1.0]]), []),
-    ], ids=["simple-zero", "fold", "double-zero"])
-    def test_roots_at_zero(self, f1, f2, want):
+    @pytest.mark.parametrize("f1,f2,want,double", [
+        (np.zeros((1, 1)), np.zeros((1, 1)), [0j], False),
+        (np.diag([0.0, -1.0]), np.zeros((2, 2)), [0j], False),
+        (np.array([[1.0]]), np.array([[-1.0]]), [], True),
+        (np.array([[0.0, 0.1], [-0.1, 0.0]]), np.zeros((2, 2)), [-0.1j, 0.1j], False),
+        (np.array([[0.0, 0.01], [-0.01, 0.0]]), np.zeros((2, 2)), [-0.01j, 0.01j], False),
+        (np.diag([0.002, -0.002]), np.zeros((2, 2)), [], False),
+    ], ids=["simple-zero", "fold", "double-zero", "pair-0.1", "pair-0.01", "split"])
+    def test_roots_at_zero(self, f1, f2, want, double):
         # one root in the disk is an axis root like any other; two are the
-        # double zero, reported in roots only
+        # double zero, reported in roots only, when both are within delta of
+        # 0: a small Hopf pair +-i w or a real pair +-0.002 is not it
         roots, warn = spectral_scan(linear_model(f1, f2), np.zeros(len(f1)), 0.0, 0.0)
-        assert warn == want and roots == (want or [0j])
+        assert len(warn) == len(want)
+        assert all(abs(r - q) <= 1e-12 for r, q in zip(warn, want))
+        assert roots == [0j] * double + warn
+
+    def test_newton_that_does_not_converge_is_near_singular(self, monkeypatch):
+        # one Newton step cannot reach +-i pi/2 to 1e-12: no root and no
+        # proof of a clear axis, so the scan refuses instead of dropping it
+        monkeypatch.setattr(verify, "_NEWTON_STEPS", 1)
+        with pytest.raises(NearSingular, match="not at a root"):
+            spectral_scan(lifted_linear(3, 0, hidden=True), np.zeros(3), 0.0, 0.0)
+
+    def test_strong_delayed_coupling_stays_cheap(self, monkeypatch):
+        # |f2|_2 = 102: each centre clears its own radius, so the exclusion
+        # takes a few hundred matrices, where a grid sized for the worst
+        # case, (R - rho)(1 + |f2|_2 e^delta) / 0.5 intervals, took 21,717
+        svd, matrices = np.linalg.svd, []
+
+        def counted(M, *args, **kwargs):
+            matrices.append(len(M) if M.ndim == 3 else 1)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        omega = 32.5 * np.pi
+        roots, warn = spectral_scan(lifted_linear(8, 3, True, 16), np.zeros(8), 0.0, 0.0)
+        assert roots == [0j] + warn and len(warn) == 2
+        assert abs(warn[0] + 1j * omega) <= 1e-10
+        assert abs(warn[1] - 1j * omega) <= 1e-10
+        assert sum(matrices) < 2000
 
     def test_triple_zero_is_near_singular(self):
         with pytest.raises(NearSingular, match="count to 3"):
