@@ -13,17 +13,24 @@ central finite differences otherwise.  First derivatives use a step of
 ``eps**(1/3)``, second derivatives ``eps**(1/4)``, both relative to the
 magnitude of the perturbed component.
 
+Every second and parameter derivative is a derivative of f1 = df/dx or
+f2 = df/dy along one direction (dx, dy, dlam, dmu) of (x, y, lambda, mu),
+which the suppliers ``d1dir`` and ``d2dir`` return as matrices: along x
+alone ``d1dir`` gives f11[dx, .], along lambda alone f1_lambda.  One
+function, ``_dirder``, serves all of them from those two suppliers; for a
+missing one it takes one central difference of f1 or f2 along the same
+direction.
+
 A ``Linearization`` is the model at one steady state (x, x, lambda, mu):
-f, f1 = df/dx and f2 = df/dy, evaluated once, which the defining system's
-residual and Jacobian and the certificate share.  The second and parameter
-derivatives at that point come from its table, in one pass that calls each
-supplier or callback once per point it needs: the parameter derivatives
-from their suppliers or from f, f1, f2 at lambda +- h and mu +- h, and the
-second-derivative matrices along a direction phi from the bilinear
-suppliers or from f1, f2 at (x +- h phi, x) and (x, x +- h phi).  The
-public functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
+f, f1 and f2, evaluated once, which the defining system's residual and
+Jacobian and the certificate share.  Its table gives the parameter
+derivatives and the second-derivative matrices along a vector phi: f1 and
+f2 along lambda and mu, and f1 + f2 along (phi, 0, 0, 0) and
+(0, phi, 0, 0), each supplier called once per direction.  The public
+functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
 ``param_der``) check their arguments and then run the same code on a single
-value.
+value.  Every supplier's result must have its documented shape, or the call
+raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -51,10 +58,13 @@ class DdeModel:
     """Right-hand side of a two-parameter DDE plus optional derivative suppliers.
 
     Every supplier takes the same leading arguments ``(x, y, lam, mu)`` where
-    ``y`` stands for the delayed state.  Bilinear second-derivative suppliers
-    take two extra direction vectors ``u, w``; the first direction is always
-    contracted against the slot named first (``d12(x, y, lam, mu, u, w)``
-    means ``d^2 f / dx dy [u, w]`` with ``u`` an x-direction).
+    ``y`` stands for the delayed state.  ``d1`` and ``d2`` return the n x n
+    matrices f1 = df/dx and f2 = df/dy, ``dlam`` and ``dmu`` the vectors
+    df/dlam and df/dmu.  ``d1dir`` and ``d2dir`` take a direction
+    ``(dx, dy, dlam, dmu)`` after them, vectors dx, dy of length n and
+    numbers dlam, dmu, and return the derivative of f1 (resp. f2) along it
+    as an n x n matrix: along (u, 0, 0, 0), ``d1dir(...) @ w`` is
+    d^2 f / dx^2 [u, w].
     """
 
     n: int
@@ -64,15 +74,14 @@ class DdeModel:
     d2: Optional[VecFunc] = None
     dlam: Optional[VecFunc] = None
     dmu: Optional[VecFunc] = None
-    d11: Optional[VecFunc] = None
-    d12: Optional[VecFunc] = None
-    d21: Optional[VecFunc] = None
-    d22: Optional[VecFunc] = None
-    d1lam: Optional[VecFunc] = None
-    d2lam: Optional[VecFunc] = None
-    d1mu: Optional[VecFunc] = None
-    d2mu: Optional[VecFunc] = None
+    d1dir: Optional[VecFunc] = None
+    d2dir: Optional[VecFunc] = None
     name: str = "unnamed"
+
+    # The suppliers d1dir and d2dir replaced.  Not fields, so the constructor
+    # rejects them; they stay, always None, because bench/tracer.py reads
+    # them (ROADMAP item 5 deletes them).
+    d11 = d12 = d21 = d22 = d1lam = d2lam = d1mu = d2mu = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -88,9 +97,12 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     return v
 
 
-def _delay1(model: DdeModel, out) -> np.ndarray:
-    """A callback result in delay-1 time: ``tau * out``, exactly ``out`` at tau = 1."""
+def _checked(model: DdeModel, name: str, out, shape: tuple) -> np.ndarray:
+    """A callback's result in delay-1 time (``tau * out``, exactly ``out`` at
+    tau = 1), which must have ``shape``; ``name`` names the callback."""
     out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise InputError(f"model {name} returned shape {out.shape}, expected {shape}")
     return out if model.tau == 1.0 else model.tau * out
 
 
@@ -98,10 +110,7 @@ def _delay1(model: DdeModel, out) -> np.ndarray:
 #    of length model.n
 
 def _f(model: DdeModel, x, y, lam, mu) -> np.ndarray:
-    out = _delay1(model, model.f(x, y, lam, mu))
-    if out.shape != (model.n,):
-        raise InputError(f"model f returned shape {out.shape}, expected ({model.n},)")
-    return out
+    return _checked(model, "f", model.f(x, y, lam, mu), (model.n,))
 
 
 def _fd_jac(func, base: np.ndarray) -> np.ndarray:
@@ -121,84 +130,82 @@ def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
     """f1 (``slot`` "1", the x slot) or f2 ("2", the delayed slot)."""
     supplier = model.d1 if slot == "1" else model.d2
     if supplier is not None:
-        return _delay1(model, supplier(x, y, lam, mu))
+        return _checked(model, "d" + slot, supplier(x, y, lam, mu), (model.n, model.n))
     if slot == "1":
         return _fd_jac(lambda xv: _f(model, xv, y, lam, mu), x)
     return _fd_jac(lambda yv: _f(model, x, yv, lam, mu), y)
 
 
-def _step(base, u):
-    """The step h for differencing along ``u`` from ``base``, None for u = 0.
+def _dirder(model: DdeModel, mats: str, x, y, lam, mu,
+            dx=None, dy=None, dlam=None, dmu=None) -> np.ndarray:
+    """The derivative along the direction (dx, dy, dlam, dmu) of the sum of
+    the first-derivative matrices ``mats`` names: "1" for f1, "2" for f2.
 
-    ``eps**(1/4)`` relative to max|base| and to max|u|.
+    A component left None is zero.  Each matrix comes from ``d1dir`` or
+    ``d2dir`` when supplied.  The missing ones are summed at
+    (x, y, lam, mu) +- h (dx, dy, dlam, dmu) and differenced once, with
+    h = eps**(1/4) max(1, max|moved base|) / max|direction|, where the moved
+    base is each of x, y, lam, mu that the direction moves.
     """
-    unorm = np.abs(u).max()
-    return None if unorm == 0.0 else H2 * max(1.0, np.abs(base).max()) / unorm
-
-
-def _slot_diff(model: DdeModel, slot: str, mats: str, x, y, lam, mu, u, h) -> np.ndarray:
-    """Central difference along ``u`` of a sum of first-derivative matrices.
-
-    ``slot`` "1" moves x and "2" moves the delayed state y, by +- h u (h from
-    ``_step``); ``mats`` names the matrices summed, "1" for f1 and "2" for
-    f2, each evaluated once per moved point.
-    """
-    if h is None:
-        return np.zeros((model.n, model.n))
-
-    def mat(s):
-        xs, ys = (x + s * u, y) if slot == "1" else (x, y + s * u)
-        out = _first(model, mats[0], xs, ys, lam, mu)
-        return out + _first(model, mats[1], xs, ys, lam, mu) if len(mats) == 2 else out
-
-    return (mat(h) - mat(-h)) / (2.0 * h)
-
-
-def _blocks(model: DdeModel, x, lam, mu, u):
-    """(Dx, Dy) along ``u`` at y = x (see ``Linearization.hessian_blocks``)."""
-    out = []
-    e, h = None, _step(x, u)   # y = x: both slots move by the same step
-    for slot in "12":
-        D, missing = None, ""
-        for m in "12":
-            supplier = getattr(model, "d" + slot + m)
+    D, missing = None, mats
+    if model.d1dir is not None or model.d2dir is not None:
+        missing, zero = "", np.zeros(model.n)
+        args = (x, y, lam, mu, zero if dx is None else dx, zero if dy is None else dy,
+                dlam or 0.0, dmu or 0.0)
+        for m in mats:
+            supplier = model.d1dir if m == "1" else model.d2dir
             if supplier is None:
                 missing += m
                 continue
-            # column j of the supplier's matrix along u is its value at (u, e_j)
-            e = np.eye(model.n) if e is None else e
-            M = np.empty((model.n, model.n))
-            for j in range(model.n):
-                M[:, j] = supplier(x, x, lam, mu, u, e[j])
-            M = _delay1(model, M)
+            M = _checked(model, f"d{m}dir", supplier(*args), (model.n, model.n))
             D = M if D is None else D + M
-        if missing:
-            M = _slot_diff(model, slot, missing, x, x, lam, mu, u, h)
-            D = M if D is None else D + M
-        out.append(D)
-    return out[0], out[1]
+        if not missing:
+            return D
+    top, size = 1.0, 0.0
+    if dx is not None:
+        top, size = max(top, np.abs(x).max()), max(size, np.abs(dx).max())
+    if dy is not None:
+        top, size = max(top, np.abs(y).max()), max(size, np.abs(dy).max())
+    if dlam is not None:
+        top, size = max(top, abs(lam)), max(size, abs(dlam))
+    if dmu is not None:
+        top, size = max(top, abs(mu)), max(size, abs(dmu))
+    if size == 0.0:
+        M = np.zeros((model.n, model.n))
+    else:
+        h = H2 * top / size
+        hi, lo = [x, y, lam, mu], [x, y, lam, mu]
+        if dx is not None:
+            hi[0], lo[0] = x + h * dx, x - h * dx
+        if dy is not None:
+            hi[1], lo[1] = y + h * dy, y - h * dy
+        if dlam is not None:
+            hi[2], lo[2] = lam + h * dlam, lam - h * dlam
+        if dmu is not None:
+            hi[3], lo[3] = mu + h * dmu, mu - h * dmu
+        if len(missing) == 1:
+            M = _first(model, missing, *hi) - _first(model, missing, *lo)
+        else:
+            M = ((_first(model, "1", *hi) + _first(model, "2", *hi))
+                 - (_first(model, "1", *lo) + _first(model, "2", *lo)))
+        M = M / (2.0 * h)
+    return M if D is None else D + M
 
 
 def _param(model: DdeModel, which: str, x, y, lam, mu):
-    """One parameter derivative (see ``param_der``), from its supplier or by differences."""
-    supplier = getattr(model, "d" + which)
+    """One parameter derivative (see ``param_der``), from a supplier or by differences."""
+    if which in ("1lam", "2lam"):
+        return _dirder(model, which[0], x, y, lam, mu, dlam=1.0)
+    if which in ("1mu", "2mu"):
+        return _dirder(model, which[0], x, y, lam, mu, dmu=1.0)
+    supplier = model.dlam if which == "lam" else model.dmu
     if supplier is not None:
-        return _delay1(model, supplier(x, y, lam, mu))
+        return _checked(model, "d" + which, supplier(x, y, lam, mu), (model.n,))
+    p = lam if which == "lam" else mu
+    h = H1 * max(1.0, abs(p))
 
-    wrt_lam = which.endswith("lam")
-    p = lam if wrt_lam else mu
-    if which in ("lam", "mu"):
-        h = H1 * max(1.0, abs(p))
-
-        def g(pv):
-            return _f(model, x, y, pv, mu) if wrt_lam else _f(model, x, y, lam, pv)
-    else:
-        h = H2 * max(1.0, abs(p))
-        slot = which[0]
-
-        def g(pv):
-            return (_first(model, slot, x, y, pv, mu) if wrt_lam
-                    else _first(model, slot, x, y, lam, pv))
+    def g(pv):
+        return _f(model, x, y, pv, mu) if which == "lam" else _f(model, x, y, lam, pv)
 
     return (g(p + h) - g(p - h)) / (2.0 * h)
 
@@ -226,9 +233,9 @@ class Linearization(NamedTuple):
     def param_derivatives(self) -> tuple:
         """(f_lam, f_mu, f1_lam, f2_lam, f1_mu, f2_mu): vectors, then matrices.
 
-        Each comes from its supplier when present; otherwise f (step
-        eps**(1/3)) or f1, f2 (step eps**(1/4)) are evaluated once at
-        lam +- h or mu +- h and differenced.
+        f_lam and f_mu come from ``dlam`` and ``dmu`` or differences of f
+        (step eps**(1/3)); the matrices are f1 and f2 along lam and mu
+        (``_dirder``).
         """
         model, x, lam, mu = self.model, self.x, self.lam, self.mu
         return tuple(_param(model, which, x, x, lam, mu) for which in _PARAM_KEYS)
@@ -239,7 +246,9 @@ class Linearization(NamedTuple):
         the x slot and in the delayed slot, so (Dx + Dy) @ w is the second
         derivative of g(x) = f(x, x) along u and w.
         """
-        return _blocks(self.model, self.x, self.lam, self.mu, u)
+        model, x, lam, mu = self.model, self.x, self.lam, self.mu
+        return (_dirder(model, "12", x, x, lam, mu, dx=u),
+                _dirder(model, "12", x, x, lam, mu, dy=u))
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
@@ -275,8 +284,8 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
 
     ``which`` selects the slot pair: "11" is d^2 f/dx^2 [u, w], "12" is
     d^2 f/dx dy [u, w] with ``u`` in the x slot, "21" the mirror image, "22"
-    the pure delayed-slot second derivative.  The fallback differences the
-    first-derivative matrix along ``u`` and contracts with ``w``.
+    the pure delayed-slot second derivative: the derivative along ``u`` in
+    slot ``which[0]`` of f1 or f2 (``which[1]``), applied to ``w``.
     """
     which = str(which)
     if which not in _SECOND_KEYS:
@@ -285,22 +294,18 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     y = _check_vec(model, y, "y")
     u = _check_vec(model, u, "u")
     w = _check_vec(model, w, "w")
-
-    supplier = getattr(model, "d" + which)
-    if supplier is not None:
-        return _delay1(model, supplier(x, y, lam, mu, u, w))
-    # which[0] names the differencing slot, which[1] the matrix being differenced
-    return _slot_diff(model, which[0], which[1], x, y, lam, mu, u,
-                      _step(x if which[0] == "1" else y, u)) @ w
+    if which[0] == "1":
+        return _dirder(model, which[1], x, y, lam, mu, dx=u) @ w
+    return _dirder(model, which[1], x, y, lam, mu, dy=u) @ w
 
 
 def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
     """Parameter derivatives: "lam"/"mu" give vectors, "1lam" etc. matrices.
 
-    A supplier is used when present.  Otherwise "lam"/"mu" difference f and
-    "1lam", "2lam", "1mu", "2mu" difference f1 or f2, each evaluated once
-    at p +- h for the parameter p.  ``Linearization.param_derivatives``
-    gives all six at a steady state.
+    "lam"/"mu" come from ``dlam``/``dmu`` when supplied, else differences
+    of f at p +- h for the parameter p; "1lam", "2lam", "1mu", "2mu" are
+    f1 or f2 along the parameter (``d1dir``/``d2dir``, else differences).
+    ``Linearization.param_derivatives`` gives all six at a steady state.
     """
     if which not in _PARAM_KEYS:
         raise InputError(f"which must be one of {_PARAM_KEYS}, got {which!r}")

@@ -83,37 +83,27 @@ def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
     def dmu(x, y, D, K):
         return np.array([r * x[0] ** 2 / K ** 2, 0.0])
 
-    def d11(x, y, D, K, u, w):
-        return np.array([-(2.0 * r / K) * u[0] * w[0], 0.0])
+    # d1dir and d2dir work on Python floats: numpy scalar arithmetic would
+    # cost more than building the matrix
+    def d1dir(x, y, D, K, dx, dy, dD, dK):
+        K, dD, dK, dx0, dy0 = float(K), float(dD), float(dK), dx.item(0), dy.item(0)
+        g1 = gp(y.item(0))
+        return np.array([
+            [-(2.0 * r / K) * dx0 + 2.0 * r * x.item(0) / K ** 2 * dK, -g1 * dy0],
+            [0.0, m * g1 * dy0 - dD],
+        ])
 
-    def d12(x, y, D, K, u, w):
-        # u in the x slot, w in the delayed slot
-        return np.array([-gp(y[0]) * u[1] * w[0], m * gp(y[0]) * u[1] * w[0]])
-
-    def d21(x, y, D, K, u, w):
-        return d12(x, y, D, K, w, u)
-
-    def d22(x, y, D, K, u, w):
-        return np.array([-x[1] * gpp(y[0]) * u[0] * w[0],
-                         x[1] * m * gpp(y[0]) * u[0] * w[0]])
-
-    def d1lam(x, y, D, K):
-        return np.array([[0.0, 0.0], [0.0, -1.0]])
-
-    def d2lam(x, y, D, K):
-        return np.zeros((2, 2))
-
-    def d1mu(x, y, D, K):
-        return np.array([[2.0 * r * x[0] / K ** 2, 0.0], [0.0, 0.0]])
-
-    def d2mu(x, y, D, K):
-        return np.zeros((2, 2))
+    def d2dir(x, y, D, K, dx, dy, dD, dK):
+        x1, dx1, dy0 = x.item(1), dx.item(1), dy.item(0)
+        g1, g2 = gp(y.item(0)), gpp(y.item(0))
+        return np.array([
+            [-g1 * dx1 - x1 * g2 * dy0, 0.0],
+            [m * g1 * dx1 + x1 * m * g2 * dy0, 0.0],
+        ])
 
     return DdeModel(
         n=2, tau=params.tau, f=f,
-        d1=d1, d2=d2, dlam=dlam, dmu=dmu,
-        d11=d11, d12=d12, d21=d21, d22=d22,
-        d1lam=d1lam, d2lam=d2lam, d1mu=d1mu, d2mu=d2mu,
+        d1=d1, d2=d2, dlam=dlam, dmu=dmu, d1dir=d1dir, d2dir=d2dir,
         name="predator-prey",
     )
 
@@ -183,35 +173,21 @@ def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
     def dmu(x, y, lam, mu):
         return q + E @ y
 
-    def d11(x, y, lam, mu, u, w):
-        return np.array([2.0 * a1 * u[0] * w[0], 2.0 * a4 * u[1] * w[1]])
+    def d1dir(x, y, lam, mu, dx, dy, dlam, dmu):
+        return dlam * C + np.array([
+            [2.0 * a1 * dx[0] + a2 * dy[0], 0.0],
+            [0.0, 2.0 * a4 * dx[1] + a5 * dy[0]],
+        ])
 
-    def d12(x, y, lam, mu, u, w):
-        return np.array([a2 * u[0] * w[0], a5 * u[1] * w[0]])
-
-    def d21(x, y, lam, mu, u, w):
-        return d12(x, y, lam, mu, w, u)
-
-    def d22(x, y, lam, mu, u, w):
-        return np.array([2.0 * a3 * u[1] * w[1], 2.0 * a6 * u[0] * w[0]])
-
-    def d1lam(x, y, lam, mu):
-        return C
-
-    def d2lam(x, y, lam, mu):
-        return np.zeros((2, 2))
-
-    def d1mu(x, y, lam, mu):
-        return np.zeros((2, 2))
-
-    def d2mu(x, y, lam, mu):
-        return E
+    def d2dir(x, y, lam, mu, dx, dy, dlam, dmu):
+        return dmu * E + np.array([
+            [a2 * dx[0], 2.0 * a3 * dy[1]],
+            [a5 * dx[1] + 2.0 * a6 * dy[0], 0.0],
+        ])
 
     return DdeModel(
         n=2, tau=params.tau, f=f,
-        d1=d1, d2=d2, dlam=dlam, dmu=dmu,
-        d11=d11, d12=d12, d21=d21, d22=d22,
-        d1lam=d1lam, d2lam=d2lam, d1mu=d1mu, d2mu=d2mu,
+        d1=d1, d2=d2, dlam=dlam, dmu=dmu, d1dir=d1dir, d2dir=d2dir,
         name="synthetic-tb",
     )
 

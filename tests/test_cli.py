@@ -47,6 +47,33 @@ VERDICTS = {
     },
 }
 
+# `tbdde solve --json` Newton reports on the four solve fixtures, frozen:
+# iterations, residual_history and solution, exactly
+SOLVED = {
+    "solve_pp_1": (6, [4.5054073421920116, 4.329587204852787, 0.16383379455546054,
+                       0.0013517276263422416, 3.7035034922854414e-06,
+                       1.908029289995131e-11, 4.68299741185087e-22],
+                   {"x": [1.0, 1.0], "phi1": [1.0, -4.68299741185087e-22],
+                    "phi2": [2.281370591769786e-23, -2.0], "lambda": 0.5, "mu": 2.0}),
+    "solve_pp_2": (7, [5.017737167428111, 3.087738861904549, 0.6471880036342155,
+                       0.1788878995287151, 0.02368785213156592, 0.0005362347672801682,
+                       2.8726131015962683e-07, 8.260059305147019e-14],
+                   {"x": [1.0, 1.0], "phi1": [0.9999999999999999, 3.871711652340449e-23],
+                    "phi2": [1.9033007297638725e-24, -1.9999999999999998],
+                    "lambda": 0.5, "mu": 1.9999999999998348}),
+    "solve_pp_3": (8, [3.5048076923076925, 0.8384989750934503, 0.44587512843631916,
+                       0.33733194324434435, 0.11694767233508567, 0.003562023055279096,
+                       2.4101530342631365e-05, 9.664066213943556e-10,
+                       1.2737961047857211e-20],
+                   {"x": [1.0, 1.0], "phi1": [1.0, 1.2737961047857211e-20],
+                    "phi2": [2.8254114811724603e-21, -2.0], "lambda": 0.5, "mu": 2.0}),
+    "solve_pp_4": (7, [4.47221052631579, 3.2652539442677213, 0.5287176282615771,
+                       0.11175897200640394, 0.007473637821121091, 6.2684560743805955e-06,
+                       9.378587827642536e-11, 4.0119875295955735e-21],
+                   {"x": [1.0, 1.0], "phi1": [1.0, -2.2540671692070004e-22],
+                    "phi2": [4.0119875295955735e-21, -2.0], "lambda": 0.5, "mu": 2.0}),
+}
+
 
 def strict_json(text):
     """Parse a document that must be standard JSON: no NaN or Infinity."""
@@ -84,6 +111,8 @@ class TestSolve:
         rep = result["report"]
         assert rep["converged"]
         assert rep["residual_history"][-1] <= 1e-12
+        assert (rep["iterations"], rep["residual_history"], rep["solution"]) \
+            == SOLVED[fixture.stem]
         sol = rep["solution"]
         assert sol["x"] == pytest.approx(POINT["x"], abs=1e-9)
         assert sol["lambda"] == pytest.approx(POINT["lambda"], abs=1e-9)

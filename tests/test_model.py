@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from tbdde import (DdeModel, InputError, eval_f, jac_x, jac_y, linearize, param_der,
-                   predator_prey, second_dirder)
+from tbdde import (DdeModel, Functionals, InputError, TbCandidate, eval_f, jac_x, jac_y,
+                   linearize, newton_solve, param_der, predator_prey, second_dirder)
 
 TB_ARGS = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
@@ -120,7 +121,7 @@ class TestSecondDerivatives:
 
 class TestHessianBlocks:
     @pytest.mark.parametrize("fields", [
-        ("d1", "d2", "d11", "d12", "d21", "d22"), ("d11", "d22"), ()],
+        ("d1", "d2", "d1dir", "d2dir"), ("d1dir",), ()],
         ids=["suppliers", "partial", "bare"])
     def test_columns_are_second_dirders(self, pp, fields):
         model = DdeModel(n=2, tau=1.0, f=pp.f,
@@ -191,8 +192,7 @@ def test_tau_scales_every_value_once(pp, fields):
 
 
 @pytest.mark.parametrize("fields", [
-    ("d1", "d2", "dlam", "dmu", "d11", "d12", "d21", "d22", "d1lam", "d2lam",
-     "d1mu", "d2mu"), ("d1", "d2"), ("d11", "d22", "d1lam"), ()],
+    ("d1", "d2", "dlam", "dmu", "d1dir", "d2dir"), ("d1", "d2"), ("d2dir", "dlam"), ()],
     ids=["suppliers", "first-order", "partial", "bare"])
 def test_linearization_serves_the_public_values(pp, fields):
     # one point's linearization and its table give exactly what the public
@@ -215,3 +215,53 @@ def test_invalid_construction():
         DdeModel(n=0, tau=1.0, f=lambda x, y, l, u: x)
     with pytest.raises(InputError):
         DdeModel(n=1, tau=-1.0, f=lambda x, y, l, u: x)
+
+
+def test_replaced_suppliers_are_not_fields(pp):
+    # d1dir and d2dir replaced the bilinear and parameter-matrix suppliers;
+    # their old names stay readable, always None, but cannot be set
+    with pytest.raises(TypeError):
+        DdeModel(n=2, tau=1.0, f=pp.f, d11=lambda x, y, l, u, a, b: np.zeros(2))
+    with pytest.raises(TypeError):
+        dataclasses.replace(pp, d1lam=lambda x, y, l, u: np.zeros((2, 2)))
+    for name in ("d11", "d12", "d21", "d22", "d1lam", "d2lam", "d1mu", "d2mu"):
+        assert getattr(pp, name) is None
+
+
+def _values(model):
+    """Every value of the model layer at one point, each through its own path."""
+    x, lam, mu = TB_ARGS[0], 0.5, 2.0
+    u = np.array([0.3, -1.1])
+    lin = linearize(model, x, lam, mu)
+    lin.hessian_blocks(u)
+    lin.param_derivatives()
+    for which in ("11", "12", "21", "22"):
+        second_dirder(model, which, x, x, lam, mu, u, u)
+    for which in ("lam", "mu", "1lam", "2lam", "1mu", "2mu"):
+        param_der(model, which, x, x, lam, mu)
+    jac_x(model, x, x, lam, mu)
+    jac_y(model, x, x, lam, mu)
+
+
+@pytest.mark.parametrize("name, bad, expected", [
+    ("d1", np.zeros(2), "(2, 2)"), ("d2", np.zeros(2), "(2, 2)"),
+    ("d2", np.zeros((2, 3)), "(2, 2)"), ("dlam", 0.0, "(2,)"),
+    ("dmu", np.zeros(3), "(2,)"), ("d1dir", 0.0, "(2, 2)"),
+    ("d1dir", np.zeros(1), "(2, 2)"), ("d2dir", np.zeros(2), "(2, 2)")],
+    ids=["d1-vector", "d2-vector", "d2-wide", "dlam-scalar", "dmu-long", "d1dir-scalar",
+         "d1dir-short", "d2dir-vector"])
+def test_supplier_shapes_are_checked(pp, name, bad, expected):
+    # a supplier of the wrong shape is an InputError naming it, not a
+    # silent broadcast or an untyped numpy error inside Newton
+    model = dataclasses.replace(pp, **{name: lambda *args: bad})
+    message = f"model {name} returned shape {np.shape(bad)}, expected {expected}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        _values(model)
+
+
+def test_newton_rejects_a_misshapen_supplier(pp):
+    model = dataclasses.replace(pp, d2=lambda x, y, l, u: np.zeros(2))
+    v = TbCandidate(x=np.array([1.1, 1.1]), phi1=np.array([1.0, 0.0]),
+                    phi2=np.array([3.0, 0.0]), lam=0.4, mu=1.0)
+    with pytest.raises(InputError, match="d2 returned shape"):
+        newton_solve(model, v, Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0]))

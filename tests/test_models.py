@@ -1,9 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbdde import (DdeModel, InputError, PredatorPreyParams, SyntheticTbParams,
                    build, eval_f, jac_x, jac_y, param_der, predator_prey,
                    registry, second_dirder, synthetic_tb)
+from tbdde.model import _dirder
+
+# an entry of a direction, at least 0.1 in magnitude
+_entry = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
 
 
 class TestRegistry:
@@ -16,8 +23,7 @@ class TestRegistry:
             assert isinstance(model, DdeModel)
             assert model.name == name
             assert all(getattr(model, f) is not None
-                       for f in ("d1", "d2", "dlam", "dmu", "d11", "d12", "d21",
-                                 "d22", "d1lam", "d2lam", "d1mu", "d2mu"))
+                       for f in ("d1", "d2", "dlam", "dmu", "d1dir", "d2dir"))
 
     def test_build_with_constants(self):
         model = build("predator-prey", {"r": 2.0, "tau": 0.5})
@@ -115,6 +121,24 @@ class TestSuppliedDerivatives:
             for which in ("1lam", "2lam", "1mu", "2mu"):
                 assert param_der(model, which, x, y, lam, mu) == pytest.approx(
                     param_der(bare, which, x, y, lam, mu), rel=1e-4, abs=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["predator-prey", "synthetic-tb"]),
+           point=st.lists(st.floats(0.3, 1.7), min_size=4, max_size=4),
+           params=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=2),
+           direction=st.lists(_entry, min_size=6, max_size=6))
+    def test_directional_suppliers_match_their_fallback(self, name, point, params,
+                                                        direction):
+        # d1dir and d2dir along a direction moving x, y, lambda and mu at
+        # once agree with one central difference of d1 and d2 along it
+        model = build(name)
+        fd = dataclasses.replace(model, d1dir=None, d2dir=None)
+        x, y = np.array(point[:2]), np.array(point[2:])
+        d = dict(dx=np.array(direction[:2]), dy=np.array(direction[2:4]),
+                 dlam=direction[4], dmu=direction[5])
+        for mats in ("1", "2", "12"):
+            assert _dirder(model, mats, x, y, *params, **d) == pytest.approx(
+                _dirder(fd, mats, x, y, *params, **d), rel=1e-4, abs=1e-5)
 
 
 class TestPredatorPreyPoint:

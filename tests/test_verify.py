@@ -565,19 +565,17 @@ class TestQuadraticCheck:
 
     def test_mu_independent_model_zero_ratio(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        zero2 = lambda x, y, l, u: np.zeros((2, 2))
-        zerob = lambda x, y, l, u, a, b: np.zeros(2)
         m = DdeModel(
             n=2, tau=1.0,
             f=lambda x, y, l, u: A @ x + l * np.array([0.0, 1.0])
             + np.array([x[0] ** 2, 0.0]),
             d1=lambda x, y, l, u: A + np.array([[2.0 * x[0], 0.0], [0.0, 0.0]]),
-            d2=zero2,
+            d2=lambda x, y, l, u: np.zeros((2, 2)),
             dlam=lambda x, y, l, u: np.array([0.0, 1.0]),
             dmu=lambda x, y, l, u: np.zeros(2),
-            d11=lambda x, y, l, u, a, b: np.array([2.0 * a[0] * b[0], 0.0]),
-            d12=zerob, d21=zerob, d22=zerob,
-            d1lam=zero2, d2lam=zero2, d1mu=zero2, d2mu=zero2)
+            d1dir=lambda x, y, l, u, dx, dy, dl, du: np.array([[2.0 * dx[0], 0.0],
+                                                               [0.0, 0.0]]),
+            d2dir=lambda x, y, l, u, dx, dy, dl, du: np.zeros((2, 2)))
         sol = TbCandidate(x=np.zeros(2), phi1=np.array([1.0, 0.0]),
                           phi2=np.array([0.0, 1.0]), lam=0.0, mu=0.0)
         basis = self.basis_for(m, sol.x, 0.0, 0.0)
@@ -595,14 +593,8 @@ class TestQuadraticCheck:
             d2=lambda x, y, l, u: base.d2(x, y, u, l),
             dlam=lambda x, y, l, u: base.dmu(x, y, u, l),
             dmu=lambda x, y, l, u: base.dlam(x, y, u, l),
-            d11=lambda x, y, l, u, a, b: base.d11(x, y, u, l, a, b),
-            d12=lambda x, y, l, u, a, b: base.d12(x, y, u, l, a, b),
-            d21=lambda x, y, l, u, a, b: base.d21(x, y, u, l, a, b),
-            d22=lambda x, y, l, u, a, b: base.d22(x, y, u, l, a, b),
-            d1lam=lambda x, y, l, u: base.d1mu(x, y, u, l),
-            d2lam=lambda x, y, l, u: base.d2mu(x, y, u, l),
-            d1mu=lambda x, y, l, u: base.d1lam(x, y, u, l),
-            d2mu=lambda x, y, l, u: base.d2lam(x, y, u, l))
+            d1dir=lambda x, y, l, u, dx, dy, dl, du: base.d1dir(x, y, u, l, dx, dy, du, dl),
+            d2dir=lambda x, y, l, u, dx, dy, dl, du: base.d2dir(x, y, u, l, dx, dy, du, dl))
         sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
                           phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
         b1 = self.basis_for(base, sol.x, 0.0, 0.0)
