@@ -86,10 +86,14 @@ def _vector(cfg: dict, key: str, n: int):
 _KEYS = {"lam": "lambda"}
 
 
-def _candidate(section: dict, n: int, label: str) -> TbCandidate:
+def _candidate(section: dict, n: int, label: str, chain: bool = True) -> TbCandidate:
+    """The candidate in config field ``label``.  With ``chain`` False, as for
+    ``verify``, whose verdict never reads them, phi1 and phi2 may be left out
+    and are then NaN; a given one is checked all the same."""
     if not isinstance(section, dict):
         raise InputError(f"config field {label!r} must be an object")
-    x, phi1, phi2 = (_vector(section, key, n) for key in ("x", "phi1", "phi2"))
+    x, phi1, phi2 = (_vector(section, key, n) if chain or key in section
+                     else np.full(n, np.nan) for key in ("x", "phi1", "phi2"))
     scalars = {}
     for name in ("lam", "mu"):
         key = _KEYS.get(name, name)
@@ -298,7 +302,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     model = _build_model(cfg)
     section = cfg.get("point", cfg.get("initial"))
-    point = _candidate(section, model.n, "point")
+    point = _candidate(section, model.n, "point", chain=False)
     verdict, err, code = _verify_solution(model, point)
     payload = _json({"config": cfg, "tool_version": __version__,
                      "verdict": verdict, "verify_error": err})

@@ -12,7 +12,10 @@ axis, the strip |Re z| <= delta = 1e-3 (the former scan warned on a band of
 0.05), by excluding it: the roots near it have |z| <= R = |f1|_2 + |f2|_2
 e^delta, a trapezoid rule for the argument principle counts and locates
 those near 0, and a Weyl bound on sigma_min(M(i w)) clears the rest, up to
-rounding (Rump, Acta Numerica 19, 2010).
+rounding (Rump, Acta Numerica 19, 2010).  f1 and f2 are real (every
+callback's result is cast to float), so M(conj z) = conj M(z): the roots
+come in conjugate pairs, and the trapezoid rule needs only its nodes with
+Im z >= 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ _DELTA = 1e-3
 _R_MAX = 512.0
 #: trapezoid nodes of spectral_scan's disk count, and its Newton steps per seed
 _NODES, _NEWTON_STEPS = 64, 50
+#: the count's unit nodes with Im >= 0, e^{2 pi i k / _NODES} for k = 0 .. _NODES / 2,
+#: and their weights in the whole rule (1 on the real axis, 2 for a node and
+#: its conjugate, over _NODES) times their powers 1, 2, 3
+_UNIT = np.exp(2j * np.pi * np.arange(_NODES // 2 + 1) / _NODES)
+_UNIT_WEIGHTS = (np.r_[1.0, np.full(_NODES // 2 - 1, 2.0), 1.0] / _NODES)[:, None] \
+    * _UNIT[:, None] ** np.arange(1, 4)
 #: half-widths of spectral_scan's first and last exclusion intervals
 _H_START, _H_MIN = 0.25, 1e-3
 
@@ -118,6 +127,17 @@ def _log_det_slope(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
         return out
 
 
+def _disk_sums(f1: np.ndarray, f2: np.ndarray, rho: float) -> tuple:
+    """(count, s1, s2): the _NODES-point trapezoid rule for (1 / 2 pi i) times
+    the contour integral of z^p Delta'(z) / Delta(z) over |z| = rho, p = 0, 1, 2,
+    as the real part of its weighted sum over the nodes with Im z >= 0 (step 2
+    of ``spectral_scan``).  A node at an exact root makes the sums non-finite.
+    """
+    with np.errstate(invalid="ignore"):
+        sums = (_log_det_slope(f1, f2, rho * _UNIT) @ _UNIT_WEIGHTS).real
+    return tuple(float(v) * rho ** p for p, v in enumerate(sums, 1))
+
+
 def _sigma_min(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sigma_min(M(z)) at every entry of z, by batched SVDs of at most 2^20
     matrix entries each."""
@@ -143,7 +163,11 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     2. A 64-point trapezoid rule for (1/2 pi i) * contour integral of z^p
        tr(M^-1 M') = z^p Delta'/Delta on |z| = rho counts the roots inside
        (p = 0) and sums them and their squares (p = 1, 2); it converges
-       exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).  Two
+       exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).  f1 and
+       f2 are real, as ``model._checked`` casts every callback's result to
+       float, so the term at a node's conjugate is the conjugate of the term
+       at the node: the rule is evaluated at its 33 nodes with Im z >= 0, and
+       the count and sums are real by symmetry (``_disk_sums``).  Two
        roots solve t^2 - s1 t + (s1^2 - s2) / 2 = 0, and are the double zero
        when both are within delta of 0.  rho halves from 0.3 until the count
        is within 0.01 of 0, or of 2 with the double zero, so a pair +-i w
@@ -183,11 +207,8 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
 
     rho = 0.3
     while True:
-        nodes = rho * np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
-        with np.errstate(invalid="ignore"):
-            sums = (_log_det_slope(f1, f2, nodes) * nodes) @ nodes[:, None] ** range(3)
-        count, s1, s2 = (complex(v) / _NODES for v in sums)
-        k = round(count.real) if cmath.isfinite(count) else -1
+        count, s1, s2 = _disk_sums(f1, f2, rho)
+        k = round(count) if math.isfinite(count) else -1
         k = k if abs(count - k) <= 0.01 else -1
         d = cmath.sqrt(2 * s2 - s1 * s1) / 2 if k == 2 else 0
         disk = [s1] if k == 1 else [s1 / 2 + d, s1 / 2 - d] if k == 2 else []
@@ -227,8 +248,9 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
             done[idx] = np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(z[idx]))
     keep = done & (np.abs(z.real) <= _DELTA) & (in_disk | (np.abs(z) >= rho))
     root = np.zeros(z.shape, dtype=bool)
-    root[keep] = _sigma_min(f1, f2, z[keep]) <= 1e-12 * (
-        1.0 + np.abs(z[keep]) + norm1 + norm2 * np.exp(-z[keep].real))
+    if keep.any():
+        root[keep] = _sigma_min(f1, f2, z[keep]) <= 1e-12 * (
+            1.0 + np.abs(z[keep]) + norm1 + norm2 * np.exp(-z[keep].real))
     lost = ~done | (keep != root) | (in_disk & (np.abs(z) >= rho))
     if lost.any():
         raise NearSingular(f"Newton ended at {z[lost][0]:.6g}, not at a root of Delta "

@@ -278,6 +278,23 @@ class TestVerify:
         assert payload["verdict"] == VERDICTS["verify_pp_point"]
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_point_without_chain_vectors(self, capsys, tmp_path):
+        # the verdict reads x, lambda and mu only, so phi1 and phi2 are optional
+        code, out, _ = run(capsys, "verify", "--config",
+                           write_config(tmp_path, {"model": "predator-prey",
+                                                   "point": POINT}), "--json")
+        assert code == 0
+        assert strict_json(out)["verdict"] == VERDICTS["verify_pp_point"]
+
+    @pytest.mark.parametrize("key, value", [("phi1", [1.0]), ("phi2", [0.0, "abc"]),
+                                            ("phi1", [True, 0.0])],
+                             ids=["short", "string", "bool"])
+    def test_given_chain_vector_is_checked(self, capsys, tmp_path, key, value):
+        cfg = {"model": "predator-prey", "point": {**POINT, key: value}}
+        code, out, err = run(capsys, "verify", "--config", write_config(tmp_path, cfg))
+        assert code == 4 and out == ""
+        assert "config error" in err and key in err
+
     def test_wrong_parameter_exit_3(self, capsys):
         # same state but the death rate moved off the bifurcation value
         code, out, _ = run(capsys, "verify", "--config",

@@ -414,6 +414,37 @@ class TestSpectralScan:
         assert abs(warn[1] - 1j * omega) <= 1e-10
         assert sum(matrices) < 2000
 
+    def test_disk_count_solves_the_upper_half_circle(self, monkeypatch):
+        # M(conj z) = conj M(z) for real f1 and f2, so the 64-node count
+        # solves only its 33 nodes with Im z >= 0; this plain model's axis is
+        # cleared by SVDs alone, so the disk's one radius is the only solve
+        solve, matrices = np.linalg.solve, []
+
+        def counted(M, *args, **kwargs):
+            matrices.append(len(M))
+            return solve(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        assert spectral_scan(lifted_linear(8, 0), np.zeros(8), 0.0, 0.0) == ([0j], [])
+        assert matrices == [33]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
+           scale=st.sampled_from([0.1, 1.0, 3.0]), rho=st.sampled_from([0.3, 0.0375]))
+    def test_disk_sums_are_the_whole_trapezoid_rule(self, n, seed, scale, rho):
+        # the half-circle sums equal the plain 64-node rule over all of
+        # |z| = rho, to rounding relative to the terms summed
+        rng = np.random.default_rng(seed)
+        f1, f2 = scale * rng.normal(size=(2, n, n))
+        z = rho * np.exp(2j * np.pi * np.arange(64) / 64)
+        slope = np.array([np.trace(np.linalg.solve(
+            zk * np.eye(n) - f1 - np.exp(-zk) * f2, np.eye(n) + np.exp(-zk) * f2))
+            for zk in z])
+        got = verify._disk_sums(f1, f2, rho)
+        for p in range(3):
+            terms = slope * z ** (p + 1) / 64
+            assert abs(got[p] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
     def test_triple_zero_is_near_singular(self):
         with pytest.raises(NearSingular, match="count to 3"):
             spectral_scan(linear_model(np.zeros((3, 3)), np.zeros((3, 3))),
