@@ -2,18 +2,16 @@
 
 Typical use::
 
-    from tbdde import models, defining, eigenstructure, verify, jac_x, jac_y
+    from tbdde import models, defining, eigenstructure, verify
 
     model = models.predator_prey()
     L = defining.Functionals(l1=[1, 0], l2=[1, 0])
     v0 = defining.TbCandidate(x=[1.1, 1.1], phi1=[1, 0], phi2=[3, 0],
                               lam=0.4, mu=1.0)
     report = defining.newton_solve(model, v0, L)
-    sol = report.solution
-    f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)   # tau-scaled, FD fallback
-    f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
-    basis = eigenstructure.compute_basis(f1, f2)
-    verdict = verify.quadratic_check(model, sol, basis)
+    sol, lin = report.solution, report.linearization   # f, f1, f2 at sol
+    basis = eigenstructure.compute_basis(lin.f1, lin.f2)
+    verdict = verify.quadratic_check(model, sol, basis, lin)
 """
 
 from .errors import (ConditionIFailed, DegenerateNormalization, InputError,

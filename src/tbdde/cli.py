@@ -26,7 +26,7 @@ from . import __version__, models
 from .defining import Functionals, NewtonOptions, TbCandidate, newton_solve
 from .eigenstructure import compute_basis
 from .errors import InputError, TbddeError
-from .model import jac_x, jac_y
+from .model import linearize
 from .verify import quadratic_check
 
 EXIT_OK = 0
@@ -35,6 +35,9 @@ EXIT_NOT_VERIFIED = 3
 EXIT_CONFIG = 4
 
 OUTPUT_DIR_ENV = "TBDDE_OUTPUT_DIR"
+
+#: the most runs (the product of its counts) of a scan grid: under an hour at 2 ms a run
+MAX_SCAN_RUNS = 10 ** 6
 
 
 def _out_path(path: str) -> str:
@@ -61,8 +64,8 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, label: str, kind=float):
-    """``kind(value)`` for the config field or flag ``label``: finite, not a
-    boolean, and for ``int`` equal to ``value`` unless that is a string."""
+    """``kind(value)`` for the config field ``label``: finite, not a boolean,
+    and for ``int`` equal to ``value`` unless that is a string."""
     try:
         number = kind(value)
         ok = math.isfinite(number) and (isinstance(value, str) or number == value)
@@ -111,14 +114,10 @@ def _functionals(cfg: dict, n: int, phi1_guess: np.ndarray) -> Functionals:
     return Functionals(l1=l1, l2=l2)
 
 
-def _options(cfg: dict, args) -> NewtonOptions:
+def _options(cfg: dict) -> NewtonOptions:
     opts = NewtonOptions()
-    flags = {"tol_res": (args.tol, "--tol"), "max_iter": (args.max_iter, "--max-iter")}
     for f in dataclasses.fields(opts):   # config keys are the option names
-        flag, label = flags.get(f.name, (None, None))
-        if flag is not None:
-            setattr(opts, f.name, _number(flag, label, type(f.default)))
-        elif f.name in cfg:
+        if f.name in cfg:
             setattr(opts, f.name, _number(cfg[f.name], f.name, type(f.default)))
         if getattr(opts, f.name) < 0:
             raise InputError(f"{f.name} must be >= 0, got {getattr(opts, f.name)}")
@@ -133,8 +132,9 @@ def _build_model(cfg: dict):
 
 @functools.cache
 def _schema(cls) -> tuple:
-    """(attribute, JSON key) pairs of a result dataclass, ``passed`` included."""
-    names = [f.name for f in dataclasses.fields(cls)]
+    """(attribute, JSON key) pairs of a result dataclass, ``passed`` included
+    and fields declared with ``repr=False`` left out."""
+    names = [f.name for f in dataclasses.fields(cls) if f.repr]
     if isinstance(getattr(cls, "passed", None), property):
         names.append("passed")
     return tuple((name, _KEYS.get(name, name)) for name in names)
@@ -160,36 +160,34 @@ def _json(obj):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _verify_solution(model, solution):
-    """(verdict or None, error string or None, exit code) for a point.
-
-    numpy's floating-point warnings are off, as in Newton: a point far out
-    gives a non-finite linearization, which is a verify error.
-    """
+def _verify_solution(model, solution, lin=None):
+    """(verdict or None, error string or None, exit code) for a point, from
+    its linearization ``lin`` (evaluated when not given).  numpy's
+    floating-point warnings are off, as in Newton: a point far out gives a
+    non-finite linearization, which is a verify error."""
     try:
-        f1 = jac_x(model, solution.x, solution.x, solution.lam, solution.mu)
-        f2 = jac_y(model, solution.x, solution.x, solution.lam, solution.mu)
-        verdict = quadratic_check(model, solution, compute_basis(f1, f2))
+        if lin is None:
+            lin = linearize(model, solution.x, solution.lam, solution.mu)
+        verdict = quadratic_check(model, solution, compute_basis(lin.f1, lin.f2), lin)
     except TbddeError as exc:
         return None, f"{type(exc).__name__}: {exc}", EXIT_NOT_VERIFIED
     return verdict, None, EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED
 
 
-def _run_one(cfg: dict, args, initial: TbCandidate | None = None):
-    """Solve + verify for one config: (report, verdict, verify error, exit code)."""
-    model = _build_model(cfg)
-    v0 = initial if initial is not None else _candidate(
-        cfg.get("initial"), model.n, "initial")
-    L = _functionals(cfg, model.n, v0.phi1)
-    report = newton_solve(model, v0, L, _options(cfg, args))
+def _run_one(model, cfg: dict, opts: NewtonOptions, v0: TbCandidate):
+    """Solve from v0 and verify: (report, verdict, verify error, exit code).
+    l1 and l2 default per start, as they follow its phi1."""
+    report = newton_solve(model, v0, _functionals(cfg, model.n, v0.phi1), opts)
     if not report.converged:
         return report, None, None, EXIT_NOT_CONVERGED
-    return (report, *_verify_solution(model, report.solution))
+    return (report, *_verify_solution(model, report.solution, report.linearization))
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    report, verdict, error, code = _run_one(cfg, args)
+    model = _build_model(cfg)
+    v0 = _candidate(cfg.get("initial"), model.n, "initial")
+    report, verdict, error, code = _run_one(model, cfg, _options(cfg), v0)
     result = _json({
         "config": cfg,
         "tool_version": __version__,
@@ -246,11 +244,16 @@ def cmd_scan(args) -> int:
     if not isinstance(scan, dict) or not scan:
         raise InputError("scan requires a non-empty 'scan' object in the config")
     base = _candidate(cfg.get("initial"), model.n, "initial").pack()
+    opts = _options(cfg)
     keys = sorted(scan)
     axes = [_pack_index(k, scan[k], model.n) for k in keys]
+    counts = [_number(scan[k]["count"], f"scan.{k}.count", int) for k in keys]
+    if math.prod(counts) > MAX_SCAN_RUNS:
+        raise InputError(f"scan grid has {math.prod(counts)} runs, the product of "
+                         f"its counts; at most {MAX_SCAN_RUNS} are allowed")
     grids = [np.linspace(_number(scan[k]["min"], f"scan.{k}.min"),
-                         _number(scan[k]["max"], f"scan.{k}.max"),
-                         _number(scan[k]["count"], f"scan.{k}.count", int)) for k in keys]
+                         _number(scan[k]["max"], f"scan.{k}.max"), count)
+             for k, count in zip(keys, counts)]
 
     # the CSV target is opened before the grid runs, so a bad path costs no
     # run; in append mode, so a config error in the grid leaves a file intact
@@ -265,7 +268,7 @@ def cmd_scan(args) -> int:
             v0 = base.copy()
             v0[axes] = values
             report, verdict, _, code = _run_one(
-                cfg, args, initial=TbCandidate.unpack(v0, model.n))
+                model, cfg, opts, TbCandidate.unpack(v0, model.n))
             sol = report.solution
             if report.converged:
                 packed = sol.pack()
@@ -301,8 +304,7 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     model = _build_model(cfg)
-    section = cfg.get("point", cfg.get("initial"))
-    point = _candidate(section, model.n, "point", chain=False)
+    point = _candidate(cfg.get("point"), model.n, "point", chain=False)
     verdict, err, code = _verify_solution(model, point)
     payload = _json({"config": cfg, "tool_version": __version__,
                      "verdict": verdict, "verify_error": err})
@@ -352,14 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "defining system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_json=True, newton=True):
+    def add_common(p, with_json=True):
         p.add_argument("--config", required=True, help="JSON run config")
         if with_json:
             p.add_argument("--json", action="store_true",
                            help="emit machine-readable JSON")
-        if newton:
-            p.add_argument("--max-iter", type=int, dest="max_iter")
-            p.add_argument("--tol", type=float)
 
     p = sub.add_parser("solve", help="run Newton from the configured initial value")
     add_common(p)
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="verify a candidate point without solving")
-    add_common(p, newton=False)
+    add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("list-models", help="list registered models")

@@ -15,7 +15,7 @@ to the data and ``jacobian`` to their derivatives, so J = dH by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,8 @@ class NewtonOptions:
 
 @dataclass
 class NewtonReport:
-    """How a Newton run ended: ``solution`` is its last iterate.
+    """How a Newton run ended: ``solution`` is its last iterate, and
+    ``linearization`` f, f1 and f2 there, for a certificate (not in the JSON).
 
     ``final_cond`` is the condition number the last step was guarded with
     (nan if no step was taken): an upper bound on cond_2(J) when one proved
@@ -90,6 +91,7 @@ class NewtonReport:
     final_cond: float
     failure_reason: str | None
     solution: TbCandidate
+    linearization: Linearization | None = field(default=None, repr=False, compare=False)
 
 
 def _system(f, a, b, g1, g2, p1, p2, L: Functionals) -> np.ndarray:
@@ -279,9 +281,9 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
 
     for k in range(opts.max_iter):
         if res_hist[-1] <= opts.tol_res:
-            return NewtonReport(True, k, res_hist, final_cond, None, v)
+            return NewtonReport(True, k, res_hist, final_cond, None, v, lin)
         if res_hist[-1] > 1e12 or not np.isfinite(res_hist[-1]):
-            return NewtonReport(False, k, res_hist, final_cond, "diverged", v)
+            return NewtonReport(False, k, res_hist, final_cond, "diverged", v, lin)
         J = jacobian(model, v, L, lin)
         step = None
         if structured:
@@ -290,7 +292,8 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
             try:
                 step, final_cond = linalg.solve_with_cond(J, -r)
             except NearSingular as exc:
-                return NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian", v)
+                return NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian", v,
+                                    lin)
         vnew = v.pack() + step
         v = TbCandidate.unpack(vnew, model.n)
         lin = linearize(model, v.x, v.lam, v.mu)
@@ -299,8 +302,8 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
         if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
             converged = res_hist[-1] <= opts.tol_res
             return NewtonReport(converged, k + 1, res_hist, final_cond,
-                                None if converged else "stalled", v)
+                                None if converged else "stalled", v, lin)
 
     converged = res_hist[-1] <= opts.tol_res
     return NewtonReport(converged, opts.max_iter, res_hist, final_cond,
-                        None if converged else "max_iter", v)
+                        None if converged else "max_iter", v, lin)

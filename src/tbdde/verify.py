@@ -266,8 +266,8 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     return ([0j] if double_zero else []) + warn, warn
 
 
-def quadratic_check(model: DdeModel, solution: TbCandidate,
-                    basis: EigenBasis) -> TbVerdict:
+def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
+                    lin: Linearization | None = None) -> TbVerdict:
     """Evaluate the quadratic nondegeneracy conditions at a converged point.
 
     Computes the parameter-direction ratio c_lam_mu, the response vector nu
@@ -282,13 +282,15 @@ def quadratic_check(model: DdeModel, solution: TbCandidate,
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, so the point's f1 and f2
-    are evaluated once, by the caller.
-    With f they make the point's ``Linearization``, whose table gives the
-    six parameter derivatives and the second-derivative blocks.
+    are evaluated once, by the caller.  ``lin`` is the point's
+    ``Linearization`` when the caller has it (a ``NewtonReport`` carries
+    one); f is evaluated to make it when it is not given.  Its table gives
+    the six parameter derivatives and the second-derivative blocks.
     """
-    x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
     f1, f2 = basis.f1, basis.f2
-    lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu), f1, f2)
+    if lin is None:
+        x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
+        lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu), f1, f2)
     existence = basis.existence
     tol = existence.tol
     p1, p2 = basis.phi1, basis.phi2

@@ -99,6 +99,23 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+@pytest.fixture
+def built_models(monkeypatch, counted_model):
+    """The f/d1/d2 call counts of each model ``models.build`` returns from now on."""
+    from tbdde import models
+
+    counters = []
+    build = models.build
+
+    def counted_build(*args, **kwargs):
+        model, counts = counted_model(build(*args, **kwargs))
+        counters.append(counts)
+        return model
+
+    monkeypatch.setattr(models, "build", counted_build)
+    return counters
+
+
 class TestSolve:
     @pytest.mark.parametrize("fixture", SOLVE_FIXTURES,
                              ids=[p.stem for p in SOLVE_FIXTURES])
@@ -161,11 +178,33 @@ class TestSolve:
         assert code == 2 and err == ""
         assert "did not converge: diverged" in out
 
-    def test_max_iter_flag_caps_iterations(self, capsys):
-        code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]),
-                           "--json", "--max-iter", "2")
+    def test_max_iter_flag_caps_iterations(self, capsys, tmp_path):
+        # max_iter is set in the config, the one source of Newton options
+        cfg = json.loads(SOLVE_FIXTURES[0].read_text())
+        cfg["max_iter"] = 2
+        code, out, _ = run(capsys, "solve", "--config", write_config(tmp_path, cfg),
+                           "--json")
         assert code == 2
-        assert strict_json(out)["report"]["failure_reason"] == "max_iter"
+        rep = strict_json(out)["report"]
+        assert rep["failure_reason"] == "max_iter" and rep["iterations"] == 2
+
+    def test_json_keys(self, capsys):
+        # the linearization a report carries for the certificate is not written
+        _, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]), "--json")
+        result = strict_json(out)
+        assert list(result) == ["config", "tool_version", "timestamp", "report",
+                                "verdict", "verify_error"]
+        assert list(result["report"]) == ["converged", "iterations", "residual_history",
+                                          "final_cond", "failure_reason", "solution"]
+
+    def test_point_evaluated_once_per_iterate(self, capsys, built_models):
+        # the certificate reuses Newton's last linearization: f, f1 = d1 and
+        # f2 = d2 are evaluated once per iterate, the start included
+        code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]), "--json")
+        assert code == 0
+        iterates = strict_json(out)["report"]["iterations"] + 1
+        assert [dict(c) for c in built_models] == [{"f": iterates, "d1": iterates,
+                                                    "d2": iterates}]
 
     def test_missing_config_flag_exit_4(self, capsys):
         code, _, err = run(capsys, "solve")
@@ -206,8 +245,7 @@ class TestSolve:
 
 
 BAD_CONFIGS = {
-    # id: (command, path of the replaced config field, its value); a path of
-    # None leaves the config as it is and passes the value as extra flags
+    # id: (command, path of the replaced config field, its value)
     "lambda-string": ("solve", ("initial", "lambda"), "abc"),
     "lambda-null": ("solve", ("initial", "lambda"), None),
     "lambda-nan": ("solve", ("initial", "lambda"), float("nan")),
@@ -221,8 +259,8 @@ BAD_CONFIGS = {
     "tol-res-list": ("solve", ("tol_res",), [1]),
     "tol-res-negative": ("solve", ("tol_res",), -1e-12),
     "tol-step-negative": ("solve", ("tol_step",), -1.0),
-    "tol-flag-nan": ("solve", None, ["--tol", "nan"]),
-    "tol-flag-negative": ("solve", None, ["--tol", "-1"]),
+    "tol-res-nan-string": ("solve", ("tol_res",), "nan"),
+    "tol-res-negative-string": ("solve", ("tol_res",), "-1"),
     "constants-string": ("solve", ("model_constants",), "x"),
     "constants-infinity": ("solve", ("model_constants",), {"a": float("inf")}),
     "constants-D": ("solve", ("model_constants",), {"D": 0.1}),
@@ -233,6 +271,7 @@ BAD_CONFIGS = {
     "scan-min-string": ("scan", ("scan", "lambda", "min"), "abc"),
     "scan-count-string": ("scan", ("scan", "lambda", "count"), "abc"),
     "scan-count-fraction": ("scan", ("scan", "lambda", "count"), 2.5),
+    "scan-count-huge": ("scan", ("scan", "lambda", "count"), 1e13),
     "x-bool": ("solve", ("initial", "x"), [True, 1.1]),
 }
 
@@ -242,20 +281,14 @@ BAD_CONFIGS = {
 def test_bad_config_value_exit_4(capsys, tmp_path, command, path, value):
     base = SOLVE_FIXTURES[0] if command == "solve" else FIXTURES / "scan_pp.json"
     cfg = json.loads(base.read_text())
-    if path is None:
-        flags = value
-    else:
-        flags = []
-        section = cfg
-        for key in path[:-1]:
-            section = section[key]
-        section[path[-1]] = value
-    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
-                         *flags)
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
     assert code == 4 and out == ""
     assert "config error" in err and "Traceback" not in err
-    if path is not None and (type(value) is bool or type(value) is float
-                             and math.isfinite(value)):
+    if type(value) is bool or type(value) is float and math.isfinite(value):
         # a rejected finite or boolean number is named by its key
         assert path[-1] in err
 
@@ -343,35 +376,33 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iter", "3"]])
     def test_newton_flags_rejected_exit_4(self, capsys, flag):
-        code, out, _ = run(capsys, "verify", "--config",
-                           str(FIXTURES / "verify_pp_point.json"), *flag)
-        assert code == 4 and out == ""
+        # Newton options are config keys only: no command, verify included,
+        # takes them as flags
+        for command, config in (("solve", SOLVE_FIXTURES[0]),
+                                ("scan", FIXTURES / "scan_pp.json"),
+                                ("verify", FIXTURES / "verify_pp_point.json")):
+            code, out, err = run(capsys, command, "--config", str(config), *flag)
+            assert code == 4 and out == ""
+            assert "unrecognized arguments" in err and flag[0] in err
 
-    def test_point_evaluated_once(self, capsys, monkeypatch, counted_model):
+    def test_point_evaluated_once(self, capsys, monkeypatch, built_models):
         # one linearization per point: f, f1 = d1 and f2 = d2 are evaluated
         # once, and S = f1 + f2 is decomposed once, for basis and certificate
-        from tbdde import linalg, models
+        from tbdde import linalg
 
-        counts = {}
-        build = models.build
-
-        def counted_build(*args, **kwargs):
-            model, counts["model"] = counted_model(build(*args, **kwargs))
-            return model
-
+        svds = []
         svd = linalg.rank_and_nullspace
 
         def counted_svd(*args, **kwargs):
-            counts["svd"] = counts.get("svd", 0) + 1
+            svds.append(args)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(models, "build", counted_build)
         monkeypatch.setattr(linalg, "rank_and_nullspace", counted_svd)
         code, _, _ = run(capsys, "verify", "--config",
                          str(FIXTURES / "verify_pp_point.json"), "--json")
         assert code == 0
-        assert dict(counts["model"]) == {"f": 1, "d1": 1, "d2": 1}
-        assert counts["svd"] == 1
+        assert [dict(c) for c in built_models] == [{"f": 1, "d1": 1, "d2": 1}]
+        assert len(svds) == 1
 
 
 class TestScan:
@@ -422,11 +453,34 @@ class TestScan:
         assert err.startswith("config error: cannot write CSV")
 
     def test_config_error_in_the_grid_keeps_the_csv(self, capsys, tmp_path):
+        # l1 is read per start, after the CSV target is opened
+        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
+        cfg["l1"] = [1.0]
         out_csv = tmp_path / "old.csv"
         out_csv.write_text("old rows\n")
-        code, _, _ = run(capsys, "scan", "--config", str(FIXTURES / "scan_pp.json"),
-                         "--csv", str(out_csv), "--tol", "-1")
-        assert code == 4 and out_csv.read_text() == "old rows\n"
+        code, _, err = run(capsys, "scan", "--config", write_config(tmp_path, cfg),
+                           "--csv", str(out_csv))
+        assert code == 4 and "'l1'" in err
+        assert out_csv.read_text() == "old rows\n"
+
+    def test_model_built_once(self, capsys, tmp_path, built_models):
+        # one model, and one set of Newton options, serve every grid point
+        code, _, err = run(capsys, "scan", "--config", str(FIXTURES / "scan_pp.json"),
+                           "--csv", str(tmp_path / "scan.csv"))
+        assert code == 0 and err.startswith("# 9 runs")
+        assert len(built_models) == 1
+
+    def test_grid_of_too_many_runs_exit_4_before_the_grid(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # each axis fits, but the product of the counts is over the bound
+        runs = []
+        monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
+        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
+        cfg["scan"]["lambda"]["count"] = 1000
+        cfg["scan"]["mu"]["count"] = cli.MAX_SCAN_RUNS // 1000 + 1
+        code, out, err = run(capsys, "scan", "--config", write_config(tmp_path, cfg))
+        assert code == 4 and out == "" and not runs
+        assert f"{1000 * (cli.MAX_SCAN_RUNS // 1000 + 1)} runs" in err
 
     def test_empty_grid_exit_4(self, capsys, tmp_path):
         cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
@@ -466,10 +520,11 @@ def test_parser_built_once_and_stateless(capsys, tmp_path):
     """Commands run through the shared parser give what a fresh parser gives."""
     assert cli.build_parser() is cli.build_parser()
     solve_cfg = str(SOLVE_FIXTURES[0])
-    cfg_tol = json.loads(SOLVE_FIXTURES[0].read_text())
+    cfg_loose, cfg_tol = (json.loads(SOLVE_FIXTURES[0].read_text()) for _ in range(2))
+    cfg_loose["tol_res"] = 1e-3
     cfg_tol["tol_res"] = 1e-6
     sequence = [
-        ["solve", "--config", solve_cfg, "--json", "--tol", "1e-3"],
+        ["solve", "--config", write_config(tmp_path, cfg_loose, "loose.json"), "--json"],
         ["solve", "--config", solve_cfg, "--json"],
         ["solve", "--config", write_config(tmp_path, cfg_tol), "--json"],
         ["verify", "--config", str(FIXTURES / "verify_pp_point.json"), "--json"],
@@ -491,7 +546,7 @@ def test_parser_built_once_and_stateless(capsys, tmp_path):
         fresh.append(outcome(argv))
     assert shared == fresh
 
-    # --tol 1e-3 stops Newton before the point certifies: exit 3.  The run
+    # tol_res = 1e-3 stops Newton before the point certifies: exit 3.  The run
     # with tol_res = 1e-6 overshoots to within 1e-10 of the point and certifies
     codes = [code for code, _, _ in shared]
     assert codes == [3, 0, 0, 0, 4, 0]
