@@ -44,4 +44,4 @@ print(f"  psi2 = {basis.psi2}   (exact (0, sqrt2/2))")
 verdict = quadratic_check(model, report.solution, basis)
 print()
 print(f"parameter ratio c = {verdict.c_lam_mu:+.12f}     (exact -1)")
-print(f"determinant   d0 = {verdict.d0:+.12f}  (exact 3*sqrt2 = {3 * r2:.12f})")
+print(f"determinant   d0 = {verdict.d0:+.12f}  (exact 11*sqrt2/4 = {11 * r2 / 4:.12f})")

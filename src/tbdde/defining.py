@@ -135,22 +135,27 @@ def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
     """Jacobian of the defining system at v: ``_system`` on a derivative table.
 
     Each datum of ``_system`` is replaced by its derivative along the
-    unknowns (x, phi1, phi2, lambda, mu).  The x-derivatives of S phi and
-    f2 phi are the second-derivative matrices Dx(phi) + Dy(phi) and Dy(phi)
-    (``Linearization.hessian_blocks``), so any model works: suppliers are
-    used where present and finite differences of f1, f2 stand in for the
-    rest.  ``lin`` is as for ``residual``: f1 and f2 are its.
+    unknowns (x, phi1, phi2, lambda, mu).  Along x, S phi and f2 phi change
+    by (Dx + Dy)(phi) and Dy(phi) applied to the step, where Dx(phi) and
+    Dy(phi) are f1 + f2 differentiated along (phi, 0, 0, 0) and
+    (0, phi, 0, 0); along lambda and mu, by f1 and f2 differentiated along
+    (0, 0, 1, 0) and (0, 0, 0, 1) (``Linearization.along``).  So any model
+    works: suppliers are used where present and finite differences of f1,
+    f2 stand in for the rest.  ``lin`` is as for ``residual``: f1 and f2
+    are its.
     """
     if lin is None:
         lin = _linearize(model, v, L)
     n = model.n
     p1, p2, f2 = np.asarray(v.phi1, dtype=float), np.asarray(v.phi2, dtype=float), lin.f2
     S = lin.f1 + f2
-    flam, fmu, f1lam, f2lam, f1mu, f2mu = lin.param_derivatives()
+    flam, fmu = lin.param_derivatives()
+    f1lam, f2lam = lin.along(dlam=1.0)
+    f1mu, f2mu = lin.along(dmu=1.0)
     Slam = f1lam + f2lam
     Smu = f1mu + f2mu
-    Dx1, Dy1 = lin.hessian_blocks(p1)
-    Dx2, Dy2 = lin.hessian_blocks(p2)
+    Dx1, Dy1 = np.add(*lin.along(p1)), np.add(*lin.along(dy=p1))
+    Dx2, Dy2 = np.add(*lin.along(p2)), np.add(*lin.along(dy=p2))
     I = np.eye(n)
     columns = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), 3 * n, 3 * n + 1)
 

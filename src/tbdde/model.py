@@ -17,16 +17,15 @@ Every second and parameter derivative is a derivative of f1 = df/dx or
 f2 = df/dy along one direction (dx, dy, dlam, dmu) of (x, y, lambda, mu),
 which the suppliers ``d1dir`` and ``d2dir`` return as matrices: along x
 alone ``d1dir`` gives f11[dx, .], along lambda alone f1_lambda.  One
-function, ``_dirder``, serves all of them from those two suppliers; for a
-missing one it takes one central difference of f1 or f2 along the same
-direction.
+function, ``_dirder``, serves one matrix along one direction, from its
+supplier or, when that is missing, from one central difference of f1 or f2
+along the same direction.
 
 A ``Linearization`` is the model at one steady state (x, x, lambda, mu):
 f, f1 and f2, evaluated once, which the defining system's residual and
-Jacobian and the certificate share.  Its table gives the parameter
-derivatives and the second-derivative matrices along a vector phi: f1 and
-f2 along lambda and mu, and f1 + f2 along (phi, 0, 0, 0) and
-(0, phi, 0, 0), each supplier called once per direction.  The public
+Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
+and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
+differentiated along one direction, each supplier called once.  The public
 functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
 ``param_der``) check their arguments and then run the same code on a single
 value.  Every supplier's result must have its documented shape, or the call
@@ -136,31 +135,23 @@ def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
     return _fd_jac(lambda yv: _f(model, x, yv, lam, mu), y)
 
 
-def _dirder(model: DdeModel, mats: str, x, y, lam, mu,
+def _dirder(model: DdeModel, slot: str, x, y, lam, mu,
             dx=None, dy=None, dlam=None, dmu=None) -> np.ndarray:
-    """The derivative along the direction (dx, dy, dlam, dmu) of the sum of
-    the first-derivative matrices ``mats`` names: "1" for f1, "2" for f2.
+    """f1 (``slot`` "1") or f2 ("2") differentiated along the direction
+    (dx, dy, dlam, dmu), an n x n matrix.
 
-    A component left None is zero.  Each matrix comes from ``d1dir`` or
-    ``d2dir`` when supplied.  The missing ones are summed at
-    (x, y, lam, mu) +- h (dx, dy, dlam, dmu) and differenced once, with
+    A component left None is zero.  The matrix comes from ``d1dir`` or
+    ``d2dir`` when supplied, else from one central difference of f1 or f2
+    at (x, y, lam, mu) +- h (dx, dy, dlam, dmu), with
     h = eps**(1/4) max(1, max|moved base|) / max|direction|, where the moved
     base is each of x, y, lam, mu that the direction moves.
     """
-    D, missing = None, mats
-    if model.d1dir is not None or model.d2dir is not None:
-        missing, zero = "", np.zeros(model.n)
-        args = (x, y, lam, mu, zero if dx is None else dx, zero if dy is None else dy,
-                dlam or 0.0, dmu or 0.0)
-        for m in mats:
-            supplier = model.d1dir if m == "1" else model.d2dir
-            if supplier is None:
-                missing += m
-                continue
-            M = _checked(model, f"d{m}dir", supplier(*args), (model.n, model.n))
-            D = M if D is None else D + M
-        if not missing:
-            return D
+    supplier = model.d1dir if slot == "1" else model.d2dir
+    if supplier is not None:
+        zero = np.zeros(model.n)
+        out = supplier(x, y, lam, mu, zero if dx is None else dx,
+                       zero if dy is None else dy, dlam or 0.0, dmu or 0.0)
+        return _checked(model, f"d{slot}dir", out, (model.n, model.n))
     top, size = 1.0, 0.0
     if dx is not None:
         top, size = max(top, np.abs(x).max()), max(size, np.abs(dx).max())
@@ -171,25 +162,14 @@ def _dirder(model: DdeModel, mats: str, x, y, lam, mu,
     if dmu is not None:
         top, size = max(top, abs(mu)), max(size, abs(dmu))
     if size == 0.0:
-        M = np.zeros((model.n, model.n))
-    else:
-        h = H2 * top / size
-        hi, lo = [x, y, lam, mu], [x, y, lam, mu]
-        if dx is not None:
-            hi[0], lo[0] = x + h * dx, x - h * dx
-        if dy is not None:
-            hi[1], lo[1] = y + h * dy, y - h * dy
-        if dlam is not None:
-            hi[2], lo[2] = lam + h * dlam, lam - h * dlam
-        if dmu is not None:
-            hi[3], lo[3] = mu + h * dmu, mu - h * dmu
-        if len(missing) == 1:
-            M = _first(model, missing, *hi) - _first(model, missing, *lo)
-        else:
-            M = ((_first(model, "1", *hi) + _first(model, "2", *hi))
-                 - (_first(model, "1", *lo) + _first(model, "2", *lo)))
-        M = M / (2.0 * h)
-    return M if D is None else D + M
+        return np.zeros((model.n, model.n))
+    h = H2 * top / size
+    hi, lo = [x, y, lam, mu], [x, y, lam, mu]
+    for i, d in enumerate((dx, dy, dlam, dmu)):
+        if d is not None:
+            e = h * d
+            hi[i], lo[i] = hi[i] + e, lo[i] - e
+    return (_first(model, slot, *hi) - _first(model, slot, *lo)) / (2.0 * h)
 
 
 def _param(model: DdeModel, which: str, x, y, lam, mu):
@@ -210,13 +190,13 @@ def _param(model: DdeModel, which: str, x, y, lam, mu):
     return (g(p + h) - g(p - h)) / (2.0 * h)
 
 
-# -- one point's linearization and its derivative table
+# -- one point's linearization and its derivatives
 
 class Linearization(NamedTuple):
     """The model at the steady state (x, x, lam, mu): f, f1 = df/dx, f2 = df/dy.
 
     ``x`` is a float vector of length ``model.n``.  Build it with
-    ``linearize``, which checks x once; the table methods then run on it
+    ``linearize``, which checks x once; its methods then run on it
     without checking again.  (A named tuple, not a frozen dataclass: every
     command-line run imports the package afresh, and creating a dataclass
     costs about a millisecond.)
@@ -231,24 +211,22 @@ class Linearization(NamedTuple):
     f2: np.ndarray
 
     def param_derivatives(self) -> tuple:
-        """(f_lam, f_mu, f1_lam, f2_lam, f1_mu, f2_mu): vectors, then matrices.
+        """(f_lam, f_mu), from ``dlam`` and ``dmu`` or differences of f
+        (step eps**(1/3))."""
+        model, x, lam, mu = self.model, self.x, self.lam, self.mu
+        return _param(model, "lam", x, x, lam, mu), _param(model, "mu", x, x, lam, mu)
 
-        f_lam and f_mu come from ``dlam`` and ``dmu`` or differences of f
-        (step eps**(1/3)); the matrices are f1 and f2 along lam and mu
-        (``_dirder``).
+    def along(self, dx=None, dy=None, dlam=None, dmu=None) -> tuple:
+        """(f1', f2'): f1 and f2 differentiated along (dx, dy, dlam, dmu), one
+        ``_dirder`` call each; a component left None is zero.
+
+        Along (u, u, 0, 0), (f1' + f2') @ w is the second derivative of
+        g(x) = f(x, x) along u and w; along (0, 0, 1, 0), f1' and f2' are
+        f1_lam and f2_lam.
         """
         model, x, lam, mu = self.model, self.x, self.lam, self.mu
-        return tuple(_param(model, which, x, x, lam, mu) for which in _PARAM_KEYS)
-
-    def hessian_blocks(self, u) -> tuple:
-        """(Dx, Dy) along the float vector ``u``: Dx @ w = (f11 + f12)[u, w] and
-        Dy @ w = (f21 + f22)[u, w], the derivatives of f1 + f2 along ``u`` in
-        the x slot and in the delayed slot, so (Dx + Dy) @ w is the second
-        derivative of g(x) = f(x, x) along u and w.
-        """
-        model, x, lam, mu = self.model, self.x, self.lam, self.mu
-        return (_dirder(model, "12", x, x, lam, mu, dx=u),
-                _dirder(model, "12", x, x, lam, mu, dy=u))
+        return (_dirder(model, "1", x, x, lam, mu, dx, dy, dlam, dmu),
+                _dirder(model, "2", x, x, lam, mu, dx, dy, dlam, dmu))
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
@@ -305,7 +283,8 @@ def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
     "lam"/"mu" come from ``dlam``/``dmu`` when supplied, else differences
     of f at p +- h for the parameter p; "1lam", "2lam", "1mu", "2mu" are
     f1 or f2 along the parameter (``d1dir``/``d2dir``, else differences).
-    ``Linearization.param_derivatives`` gives all six at a steady state.
+    At a steady state, ``Linearization.param_derivatives`` gives the vectors
+    and ``Linearization.along`` the matrices.
     """
     if which not in _PARAM_KEYS:
         raise InputError(f"which must be one of {_PARAM_KEYS}, got {which!r}")

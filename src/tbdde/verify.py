@@ -270,22 +270,41 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
                     lin: Linearization | None = None) -> TbVerdict:
     """Evaluate the quadratic nondegeneracy conditions at a converged point.
 
-    Computes the parameter-direction ratio c_lam_mu, the response vector nu
-    from the bordered singular system, the four bilinear blocks, and the 2x2
-    degeneracy determinant d0.  nu is pinned by phi1.nu = 0; the textbook
-    side constraint psi2.nu = 0 is not always attainable by shifting along
-    phi1 (psi2.phi1 vanishes at a double-zero point), so psi2.nu is computed
-    and reported instead of enforced.  Each condition, and the equilibrium
-    test |f|_inf <= tol, is decided against the existence test's threshold,
-    which ``TbVerdict.tol`` reports; the existence test alone decides the
-    double zero.
+    The conditions are those under which the point, with its chain and
+    parameter values, is a regular root of the defining system: its
+    Jacobian J has no null vector.  Block 1 of a null vector,
+    S dx + f_lam dlam + f_mu dmu = 0 with S = f1 + f2, is solvable only when
+    psi2 (f_lam dlam + f_mu dmu) = 0, so (given condition i,
+    psi2 f_lam != 0) (dlam, dmu) = s (c, 1), c = c_lam_mu =
+    -psi2 f_mu / psi2 f_lam, and dx = a phi1 + s nu, where nu solves the
+    bordered singular system S nu = -(c f_lam + f_mu), phi1.nu = 0.  Along
+    it, S changes by a A + s B and f2 by a A2 + s B2, where
+    (A1, A2) and (B1, B2) are f1 and f2 differentiated along
+    (phi1, phi1, 0, 0) and (nu, nu, c, 1) (``Linearization.along``),
+    A = A1 + A2 and B = B1 + B2.  Blocks 2 and 3 of J are then solvable
+    exactly when
+
+        a m11 + s m12 = 0,  m11 = psi2 A phi1,  m12 = psi2 B phi1,
+        a m21 + s m22 = 0,  m21 = psi1 A phi1 + psi2 A phi2 - psi2 A2 phi1,
+                            m22 = psi1 B phi1 + psi2 B phi2 - psi2 B2 phi1,
+
+    since psi2 S = 0 and psi1 S = psi2 (I + f2).  The normalization rows fix
+    the rest of the null vector, so J is singular exactly when
+    d0 = m11 m22 - m12 m21 vanishes.  nu is pinned by phi1.nu = 0; the
+    textbook side constraint psi2.nu = 0 is not always attainable by
+    shifting along phi1 (psi2.phi1 vanishes at a double-zero point), so
+    psi2.nu is computed and reported instead of enforced.  Each condition,
+    and the equilibrium test |f|_inf <= tol, is decided against the
+    existence test's threshold, which ``TbVerdict.tol`` reports; the
+    existence test alone decides the double zero.
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, so the point's f1 and f2
     are evaluated once, by the caller.  ``lin`` is the point's
     ``Linearization`` when the caller has it (a ``NewtonReport`` carries
-    one); f is evaluated to make it when it is not given.  Its table gives
-    the six parameter derivatives and the second-derivative blocks.
+    one); f is evaluated to make it when it is not given.  The derivatives
+    come from it: f_lam, f_mu and the two directions above, each supplier
+    called once per direction.
     """
     f1, f2 = basis.f1, basis.f2
     if lin is None:
@@ -295,7 +314,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     tol = existence.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
-    flam, fmu, f1lam, f2lam, f1mu, f2mu = lin.param_derivatives()
+    flam, fmu = lin.param_derivatives()
 
     cond_i = float(q2 @ flam)
     if abs(cond_i) <= tol:
@@ -311,12 +330,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         raise SingularNuSystem(str(exc)) from exc
     psi2_nu = float(q2 @ nu)
 
-    # bilinear blocks as matrices: A1 @ w = (f11 + f12)[phi1, w], A2 the
-    # delayed-slot pair; B1, B2 the same along nu plus the parameter terms
-    A1, A2 = lin.hessian_blocks(p1)
-    B1, B2 = lin.hessian_blocks(nu)
-    B1 = B1 + c * f1lam + f1mu
-    B2 = B2 + c * f2lam + f2mu
+    A1, A2 = lin.along(p1, p1)
+    B1, B2 = lin.along(nu, nu, c, 1.0)
     A, B = A1 + A2, B1 + B2
 
     m11 = q2 @ A @ p1

@@ -163,9 +163,9 @@ def test_09_synthetic_reference_point():
     f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
     f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
     verdict = quadratic_check(model, sol, compute_basis(f1, f2))
-    assert abs(verdict.d0 - 3.0 * np.sqrt(2.0)) <= 1e-9
+    assert abs(verdict.d0 - 11.0 * np.sqrt(2.0) / 4.0) <= 1e-9
     _ok(9, f"designed point recovered to 1e-10; d0 = {verdict.d0:.12f} "
-           f"(exact 3*sqrt(2))")
+           f"(exact 11*sqrt(2)/4)")
 
 
 def test_10_cli_contract(capsys):

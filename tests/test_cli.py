@@ -337,6 +337,28 @@ class TestVerify:
         assert payload["verdict"] == VERDICTS["verify_pp_off"]
         assert payload["verdict"]["existence"]["range_ok"] is False
 
+    def test_d0_fails_exactly_where_the_defining_system_is_singular(self, capsys,
+                                                                     tmp_path):
+        # synthetic-tb's origin with a4 = -1.75 is a root of the defining
+        # system with a singular Jacobian: d0 = 0 there, so the point fails;
+        # with a4 = -2.0 the Jacobian is regular and Newton's point passes
+        code, out, _ = run(capsys, "verify", "--config",
+                           str(FIXTURES / "verify_synthetic_singular.json"), "--json")
+        assert code == 3
+        verdict = strict_json(out)["verdict"]
+        assert verdict["existence"]["passed"] and verdict["equilibrium_ok"]
+        assert verdict["cond_i_ok"] and verdict["cond_iii_ok"]
+        assert not verdict["d0_ok"] and abs(verdict["d0"]) <= verdict["tol"]
+        cfg = {"model": "synthetic-tb", "model_constants": {"a4": -2.0},
+               "initial": {"x": [0.05, -0.04], "phi1": [0.7, 0.03],
+                           "phi2": [0.1, 1.3], "lambda": 0.04, "mu": -0.03},
+               "l1": [1.0, 0.0], "l2": [1.0, 0.0]}
+        code, out, _ = run(capsys, "solve", "--config", write_config(tmp_path, cfg), "--json")
+        assert code == 0
+        verdict = strict_json(out)["verdict"]
+        assert verdict["passed"]
+        assert verdict["d0"] == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-9)
+
     def test_off_equilibrium_reported_on_every_call(self, capsys):
         # the residual is a verdict field, so a repeated in-process verify
         # reports it as the first one did, and no warning is raised

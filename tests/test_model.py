@@ -120,6 +120,8 @@ class TestSecondDerivatives:
 
 
 class TestHessianBlocks:
+    """The second-derivative and parameter matrices, from ``Linearization.along``."""
+
     @pytest.mark.parametrize("fields", [
         ("d1", "d2", "d1dir", "d2dir"), ("d1dir",), ()],
         ids=["suppliers", "partial", "bare"])
@@ -128,25 +130,33 @@ class TestHessianBlocks:
                          **{name: getattr(pp, name) for name in fields})
         rng = np.random.default_rng(12)
         x = rng.uniform(0.8, 1.4, 2)
+        lin = linearize(model, x, 0.5, 2.0)
         u = rng.standard_normal(2)
-        Dx, Dy = linearize(model, x, 0.5, 2.0).hessian_blocks(u)
+        (D11, D12), (D21, D22) = lin.along(u), lin.along(dy=u)
         for j, ej in enumerate(np.eye(2)):
-            def sd(which):
-                return second_dirder(model, which, x, x, 0.5, 2.0, u, ej)
-            assert Dx[:, j] == pytest.approx(sd("11") + sd("12"), rel=1e-9, abs=1e-9)
-            assert Dy[:, j] == pytest.approx(sd("21") + sd("22"), rel=1e-9, abs=1e-9)
+            for D, which in ((D11, "11"), (D12, "12"), (D21, "21"), (D22, "22")):
+                assert D[:, j] == pytest.approx(
+                    second_dirder(model, which, x, x, 0.5, 2.0, u, ej), rel=1e-9, abs=1e-9)
+        # one direction moving x, y, lambda and mu at once is the sum of its parts
+        parts = [lin.along(u), lin.along(dy=u), lin.along(dlam=0.7), lin.along(dmu=-1.3)]
+        for k, got in enumerate(lin.along(u, u, 0.7, -1.3)):
+            assert got == pytest.approx(sum(p[k] for p in parts), rel=1e-6, abs=1e-6)
 
     def test_bare_matches_suppliers(self, pp):
         bare = DdeModel(n=2, tau=1.0, f=pp.f)
         u = np.array([0.3, -1.1])
-        for got, want in zip(linearize(bare, TB_ARGS[0], 0.5, 2.0).hessian_blocks(u),
-                             linearize(pp, TB_ARGS[0], 0.5, 2.0).hessian_blocks(u)):
-            assert got == pytest.approx(want, abs=1e-6)
+        for direction in ((u,), (None, u), (u, u, 0.7, -1.3), (None, None, 1.0),
+                          (None, None, None, 1.0)):
+            for got, want in zip(linearize(bare, TB_ARGS[0], 0.5, 2.0).along(*direction),
+                                 linearize(pp, TB_ARGS[0], 0.5, 2.0).along(*direction)):
+                assert got == pytest.approx(want, abs=1e-6)
 
     def test_zero_direction(self):
         bare = DdeModel(n=2, tau=1.0, f=predator_prey().f)
-        Dx, Dy = linearize(bare, TB_ARGS[0], 0.5, 2.0).hessian_blocks(np.zeros(2))
-        assert not np.any(Dx) and not np.any(Dy)
+        lin = linearize(bare, TB_ARGS[0], 0.5, 2.0)
+        for direction in ((np.zeros(2),), (np.zeros(2), np.zeros(2), 0.0, 0.0)):
+            f1d, f2d = lin.along(*direction)
+            assert not np.any(f1d) and not np.any(f2d)
 
 
 class TestParamDerivatives:
@@ -180,7 +190,7 @@ def test_tau_scales_every_value_once(pp, fields):
     two = dataclasses.replace(one, tau=2.0)
     x, y, lam, mu = [1.1, 0.9], [0.8, 1.2], 0.45, 1.9
     u, w = np.array([0.3, -0.7]), np.array([1.0, 0.4])
-    values = [lambda m: np.stack(linearize(m, x, lam, mu).hessian_blocks(u))]
+    values = [lambda m: np.stack(linearize(m, x, lam, mu).along(u, w, 0.3, -0.2))]
     values += [lambda m, fn=fn: fn(m, x, y, lam, mu) for fn in (eval_f, jac_x, jac_y)]
     values += [lambda m, k=k: param_der(m, k, x, y, lam, mu)
                for k in ("lam", "mu", "1lam", "1mu")]   # "2lam", "2mu" vanish here
@@ -203,8 +213,8 @@ def test_linearization_serves_the_public_values(pp, fields):
     assert np.array_equal(lin.x, x)
     for got, fn in zip((lin.f, lin.f1, lin.f2), (eval_f, jac_x, jac_y)):
         assert np.array_equal(got, fn(model, x, x, lam, mu))
-    for got, which in zip(lin.param_derivatives(),
-                          ("lam", "mu", "1lam", "2lam", "1mu", "2mu")):
+    table = lin.param_derivatives() + lin.along(dlam=1.0) + lin.along(dmu=1.0)
+    for got, which in zip(table, ("lam", "mu", "1lam", "2lam", "1mu", "2mu")):
         assert np.array_equal(got, param_der(model, which, x, x, lam, mu))
     with pytest.raises(InputError):
         linearize(model, [1.0], lam, mu)
@@ -233,7 +243,7 @@ def _values(model):
     x, lam, mu = TB_ARGS[0], 0.5, 2.0
     u = np.array([0.3, -1.1])
     lin = linearize(model, x, lam, mu)
-    lin.hessian_blocks(u)
+    lin.along(u, u, 0.3, 1.0)
     lin.param_derivatives()
     for which in ("11", "12", "21", "22"):
         second_dirder(model, which, x, x, lam, mu, u, u)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbdde import verify
-from tbdde import (ConditionIFailed, DdeModel, InputError, NearSingular, TbCandidate,
-                   build, characteristic, compute_basis, double_zero_check, eval_f,
-                   jac_x, jac_y, linalg, predator_prey, quadratic_check, spectral_scan,
-                   synthetic_tb, tb_existence_test)
+from tbdde import (ConditionIFailed, DdeModel, Functionals, InputError, NearSingular,
+                   SyntheticTbParams, TbCandidate, TbddeError, build, characteristic,
+                   compute_basis, double_zero_check, eval_f, jac_x, jac_y, jacobian,
+                   linalg, linearize, predator_prey, quadratic_check, residual,
+                   spectral_scan, synthetic_tb, tb_existence_test)
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -589,10 +590,31 @@ class TestQuadraticCheck:
         v = quadratic_check(m, sol, basis)
         assert v.passed
         assert v.c_lam_mu == pytest.approx(-1.0, abs=1e-12)
-        assert v.d0 == pytest.approx(3.0 * np.sqrt(2.0), abs=1e-9)
+        assert v.d0 == pytest.approx(11.0 * np.sqrt(2.0) / 4.0, abs=1e-9)
         assert v.cond_iii_value == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(v.nu - np.array([0.0, -1.0]))) <= 1e-12
         assert v.psi2_nu == pytest.approx(-np.sqrt(2.0) / 2.0, abs=1e-12)
+
+    def test_two_directions_per_certificate(self, pp):
+        # f1 and f2 are differentiated along phi1 and along J's kernel
+        # direction (nu, nu, c, 1) only: each directional supplier twice,
+        # and nothing else evaluated when the linearization is given
+        calls = {"f": 0, "d1": 0, "d2": 0, "d1dir": 0, "d2dir": 0}
+
+        def counted(name):
+            fn = getattr(pp, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        model = dataclasses.replace(pp, **{name: counted(name) for name in calls})
+        lin = linearize(model, TB_X, 0.5, 2.0)
+        basis = compute_basis(lin.f1, lin.f2)
+        calls.update(dict.fromkeys(calls, 0))
+        assert quadratic_check(model, TB_SOL, basis, lin).passed
+        assert calls == {"f": 0, "d1": 0, "d2": 0, "d1dir": 2, "d2dir": 2}
 
     def test_mu_independent_model_zero_ratio(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -682,6 +704,96 @@ class TestQuadraticCheck:
         fmu = np.array([0.25, 0.0])
         res = (f1 + f2) @ v.nu + v.c_lam_mu * flam + fmu
         assert np.max(np.abs(res)) <= 1e-9
+
+
+def _synthetic_origin(params):
+    """quadratic_check's verdict at synthetic-tb's exact origin (False where it
+    raises) and sigma_min / sigma_max of the defining system's Jacobian there,
+    at the basis chain with the basis's own functionals L = (psi1, psi2)."""
+    model = synthetic_tb(params)
+    lin = linearize(model, np.zeros(2), 0.0, 0.0)
+    try:
+        basis = compute_basis(lin.f1, lin.f2)
+        sol = TbCandidate(lin.x, basis.phi1, basis.phi2, 0.0, 0.0)
+        passed = quadratic_check(model, sol, basis, lin).passed
+    except TbddeError:
+        return False, math.nan
+    L = Functionals(basis.psi1, basis.psi2)
+    assert np.max(np.abs(residual(model, sol, L))) <= 1e-14
+    sigma = np.linalg.svd(jacobian(model, sol, L), compute_uv=False)
+    return passed, sigma[-1] / sigma[0]
+
+
+def _with_quadratic(base, Q):
+    """``base`` plus z^T Q[i] z / 2 in component i, z = (x, y), for symmetric
+    4 x 4 matrices Q[i], with every derivative supplied."""
+    def grad(x, y):
+        return Q @ np.concatenate([x, y])
+
+    def f(x, y, lam, mu):
+        return base.f(x, y, lam, mu) + 0.5 * grad(x, y) @ np.concatenate([x, y])
+
+    def d1(x, y, lam, mu):
+        return base.d1(x, y, lam, mu) + grad(x, y)[:, :2]
+
+    def d2(x, y, lam, mu):
+        return base.d2(x, y, lam, mu) + grad(x, y)[:, 2:]
+
+    def d1dir(x, y, lam, mu, dx, dy, dlam, dmu):
+        return base.d1dir(x, y, lam, mu, dx, dy, dlam, dmu) + grad(dx, dy)[:, :2]
+
+    def d2dir(x, y, lam, mu, dx, dy, dlam, dmu):
+        return base.d2dir(x, y, lam, mu, dx, dy, dlam, dmu) + grad(dx, dy)[:, 2:]
+
+    return dataclasses.replace(base, f=f, d1=d1, d2=d2, d1dir=d1dir, d2dir=d2dir)
+
+
+class TestRegularRoot:
+    """A PASS is a regular root of the defining system: d0 = 0 exactly where
+    its Jacobian J is singular (the solvability argument of quadratic_check)."""
+
+    @pytest.mark.parametrize("name, value, passes", [
+        ("a4", -1.75, False), ("a6", 1.2, False), ("a4", -2.0, True), ("a6", 1.0, True)],
+        ids=["a4=-1.75", "a6=1.2", "a4=-2.0", "a6=1.0"])
+    def test_synthetic_origin(self, name, value, passes):
+        passed, ratio = _synthetic_origin(SyntheticTbParams(**{name: value}))
+        assert passed is passes
+        # d0 = (a1 a5 + a1 + a2 a5 + a2 - 4 a4 a6 + a5^2 + a5 - a6) sqrt(2) / 4
+        # (tools/synthetic_oracle.py): 0 at the first two, -+sqrt(2)/4 at the others
+        assert ratio > 1e-3 if passes else ratio <= 1e-12
+
+    def test_d0_is_a_fixed_multiple_of_det_j(self):
+        # with the linear part, the chain and the functionals fixed, det J is
+        # a fixed multiple of d0 (the solvability argument), whatever the
+        # quadratic terms and whichever slots they couple; synthetic-tb's own
+        # terms cannot show a missing slot, since its delayed-slot terms
+        # along nu leave d0 unchanged
+        base = synthetic_tb(SyntheticTbParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        rng = np.random.default_rng(21)
+        ratios = []
+        for _ in range(12):
+            R = rng.standard_normal((2, 4, 4))
+            model = _with_quadratic(base, R + R.transpose(0, 2, 1))
+            lin = linearize(model, np.zeros(2), 0.0, 0.0)
+            basis = compute_basis(lin.f1, lin.f2)
+            sol = TbCandidate(lin.x, basis.phi1, basis.phi2, 0.0, 0.0)
+            d0 = quadratic_check(model, sol, basis, lin).d0
+            det_j = np.linalg.det(jacobian(model, sol, Functionals(basis.psi1, basis.psi2)))
+            ratios.append(d0 / det_j)
+        # the oracle's ratio for synthetic-tb's own terms: d0 = sqrt(2) P / 4,
+        # det J = 2 P (tools/synthetic_oracle.py)
+        assert ratios == pytest.approx([np.sqrt(2.0) / 8.0] * len(ratios), rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(st.integers(-12, 12).map(lambda k: k / 4.0),
+                           min_size=6, max_size=6),
+           tau=st.integers(1, 16).map(lambda k: k / 4.0))
+    def test_pass_implies_regular_jacobian(self, coeffs, tau):
+        # quarter-integer coefficients and delays make det J = 0 exactly on
+        # a share of the draws, where d0 must read as zero too
+        passed, ratio = _synthetic_origin(SyntheticTbParams(*coeffs, tau=tau))
+        if passed:
+            assert ratio > 1e-8
 
 
 class TestSyntheticOracle:

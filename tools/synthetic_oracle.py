@@ -8,20 +8,51 @@ nu, cond_iii and the root of z + exp(-z) with the package.  The construction
 mirrors the basis normalization conventions of tbdde.eigenstructure but is
 carried out symbolically, so it is an independent oracle for the floating
 point implementation.
+
+The model's quadratic coefficients a1 ... a6 stay symbols until the end.
+Every derivative is taken of the model's equations themselves, and the
+Jacobian of the defining system is derived from its equations, not from the
+certificate's formulas; the script asserts that d0 is a non-zero constant
+times det J for every a1 ... a6, so d0 vanishes exactly where the defining
+system is singular.  The printed values are at the defaults of
+``SyntheticTbParams`` (a1 ... a5 = 1, a6 = -1).
 """
 
 import mpmath
 import sympy as sp
 
-# model data at the designed point (origin, zero parameters)
+a1, a2, a3, a4, a5, a6 = coeffs = sp.symbols("a1:7")
+DEFAULTS = {a1: 1, a2: 1, a3: 1, a4: 1, a5: 1, a6: -1}
+
+# the model, as in tbdde.models.synthetic_tb
+x1, x2, y1, y2, lam, mu = sp.symbols("x1 x2 y1 y2 lam mu")
+X, Y = sp.Matrix([x1, x2]), sp.Matrix([y1, y2])
 A = sp.Matrix([[-1, 1], [0, 0]])
 B = sp.Matrix([[1, 0], [0, 0]])
 p = sp.Matrix([0, 1])       # f_lambda
 q = sp.Matrix([1, 1])       # f_mu
 C = sp.Matrix([[0, 0], [1, 0]])   # f_{1 lambda}
 E = sp.Matrix([[0, 1], [0, 0]])   # f_{2 mu}
-a1, a2, a3, a4, a5, a6 = 1, 1, 1, 1, 1, -1
+f = (A * X + B * Y + lam * p + mu * q + lam * C * X + mu * E * Y
+     + sp.Matrix([a1 * x1 ** 2 + a2 * x1 * y1 + a3 * y2 ** 2,
+                  a4 * x2 ** 2 + a5 * x2 * y1 + a6 * y1 ** 2]))
+F1, F2 = f.jacobian(X), f.jacobian(Y)
+ORIGIN = {x1: 0, x2: 0, y1: 0, y2: 0, lam: 0, mu: 0}
 
+
+def at_origin(M):
+    return M.subs(ORIGIN)
+
+
+def along(M, dx, dy, dlam, dmu):
+    """The matrix M(x, y, lam, mu) differentiated along (dx, dy, dlam, dmu) at the origin."""
+    return at_origin(sum((M.diff(v) * d for v, d in zip(
+        (x1, x2, y1, y2, lam, mu), (*dx, *dy, dlam, dmu))), sp.zeros(2, 2)))
+
+
+f1, f2 = at_origin(F1), at_origin(F2)
+flam, fmu = at_origin(f.diff(lam)), at_origin(f.diff(mu))
+assert f1 == A and f2 == B and flam == p and fmu == q
 S = A + B
 Bp = B + sp.eye(2)
 
@@ -56,18 +87,25 @@ phi2 = c * phi2p + t * phi1_hat
 psi1 = d * psi1p
 psi2 = d * psi2_hat
 
+
+def normalization(l1, l2, ph1, ph2, g1, g2):
+    """Identities (5) and (6) of the defining system, g = f2 phi."""
+    return ((l1 * ph1 - sp.Rational(1, 2) * l2 * g1 + l1 * g1)[0],
+            (l1 * ph2 - sp.Rational(1, 2) * l1 * g1 + l1 * g2
+             + sp.Rational(1, 6) * l2 * g1 - sp.Rational(1, 2) * l2 * g2)[0])
+
+
 # the six identities must hold exactly
 assert sp.simplify(S * phi1) == sp.zeros(2, 1)
 assert sp.simplify(S * phi2 - Bp * phi1) == sp.zeros(2, 1)
 assert sp.simplify(psi2 * S) == sp.zeros(1, 2)
 assert sp.simplify(psi1 * S - psi2 * Bp) == sp.zeros(1, 2)
-e5 = (psi1 * phi1 - sp.Rational(1, 2) * psi2 * B * phi1 + psi1 * B * phi1)[0]
-e6 = (psi1 * phi2 - sp.Rational(1, 2) * psi1 * B * phi1 + psi1 * B * phi2
-      + sp.Rational(1, 6) * psi2 * B * phi1
-      - sp.Rational(1, 2) * psi2 * B * phi2)[0]
+e5, e6 = normalization(psi1, psi2, phi1, phi2, B * phi1, B * phi2)
 assert sp.simplify(e5 - 1) == 0 and sp.simplify(e6) == 0
 
-# quadratic nondegeneracy quantities
+# quadratic nondegeneracy quantities: a null vector of the defining system's
+# Jacobian moves x by a phi1 + s nu and (lam, mu) by s (clm, 1); blocks 2
+# and 3 stay solvable when a (m11, m21) + s (m12, m22) = 0
 clm = -(psi2 * q)[0] / (psi2 * p)[0]
 n1, n2 = sp.symbols("n1 n2")
 nu = sp.Matrix([n1, n2])
@@ -75,48 +113,34 @@ sol = sp.solve([sp.Eq((S * nu + clm * p + q)[i], 0) for i in range(2)]
                + [sp.Eq((phi1.T * nu)[0], 0)], [n1, n2])
 nu = nu.subs(sol)
 
-
-def f11(u, w):
-    return sp.Matrix([2 * a1 * u[0] * w[0], 2 * a4 * u[1] * w[1]])
-
-
-def f12(u, w):   # u in the x slot, w in the delayed slot
-    return sp.Matrix([a2 * u[0] * w[0], a5 * u[1] * w[0]])
-
-
-def f21(u, w):   # u in the delayed slot, w in the x slot
-    return f12(w, u)
-
-
-def f22(u, w):
-    return sp.Matrix([2 * a3 * u[1] * w[1], 2 * a6 * u[0] * w[0]])
-
-
-def A1(w):
-    return f11(phi1, w) + f12(phi1, w)
-
-
-def A2(w):
-    return f21(phi1, w) + f22(phi1, w)
-
-
-def B1(w):
-    return f11(nu, w) + f12(nu, w) + clm * C * w
-
-
-def B2(w):
-    return f21(nu, w) + f22(nu, w) + E * w
-
-
-m11 = (psi2 * (A1(phi1) + A2(phi1)))[0]
-m12 = (psi2 * (B1(phi1) + B2(phi1)))[0]
-m21 = ((psi1 * (A1(phi1) + A2(phi1)))[0]
-       + (psi2 * (A1(phi2) + A2(phi2)))[0] - (psi2 * A2(phi1))[0])
-m22 = ((psi1 * (B1(phi1) + B2(phi1)))[0]
-       + (psi2 * (B1(phi2) + B2(phi2)))[0] - (psi2 * B2(phi1))[0])
-d0 = sp.simplify(m11 * m22 - m12 * m21)
+A1, A2 = along(F1, phi1, phi1, 0, 0), along(F2, phi1, phi1, 0, 0)
+B1, B2 = along(F1, nu, nu, clm, 1), along(F2, nu, nu, clm, 1)
+Am, Bm = A1 + A2, B1 + B2
+m11 = (psi2 * Am * phi1)[0]
+m12 = (psi2 * Bm * phi1)[0]
+m21 = (psi1 * Am * phi1 + psi2 * Am * phi2 - psi2 * A2 * phi1)[0]
+m22 = (psi1 * Bm * phi1 + psi2 * Bm * phi2 - psi2 * B2 * phi1)[0]
+d0_symbolic = sp.expand(m11 * m22 - m12 * m21)
 cond_iii = sp.simplify((psi2 * phi2 - sp.Rational(1, 2) * psi2 * B * phi1
                         + psi2 * B * phi2)[0])
+
+
+def defining_jacobian(l1, l2, ph1, ph2):
+    """det of the Jacobian of the defining system H(x, phi1, phi2, lam, mu),
+    from its equations, at the origin with chain (ph1, ph2) and functionals
+    l1, l2."""
+    u = sp.Matrix(sp.symbols("u1:9"))
+    xs, p1s, p2s = u[0:2, 0], u[2:4, 0], u[4:6, 0]
+    on_diag = {x1: xs[0], x2: xs[1], y1: xs[0], y2: xs[1], lam: u[6], mu: u[7]}
+    fs, f1s, f2s = f.subs(on_diag), F1.subs(on_diag), F2.subs(on_diag)
+    Ss = f1s + f2s
+    n5, n6 = normalization(l1, l2, p1s, p2s, f2s * p1s, f2s * p2s)
+    H = sp.Matrix.vstack(fs, Ss * p1s, Ss * p2s - f2s * p1s - p1s,
+                         sp.Matrix([n5 - 1, n6]))
+    point = dict(zip(u, [0, 0, *ph1, *ph2, 0, 0]))
+    assert sp.simplify(H.subs(point)) == sp.zeros(8, 1)
+    return sp.expand(H.jacobian(u).subs(point).det(method="berkowitz"))
+
 
 # defining-system solution for l1 = l2 = (1, 0)
 l1 = sp.Matrix([[1, 0]])
@@ -132,6 +156,18 @@ tt_v = sp.solve(blk5, tt)[0]
 ph2 = ph2.subs(tt, tt_v)
 assert sp.simplify(S * ph2 - Bp * ph1) == sp.zeros(2, 1)
 
+# d0 is a non-zero constant times det J, for the basis's own functionals
+# (psi1, psi2) and for l1 = l2 = (1, 0)
+det_j = {}
+for name, (l1_, l2_, ph1_, ph2_) in {"psi": (psi1, psi2, phi1, phi2),
+                                     "e1": (l1, l1, ph1, ph2)}.items():
+    det_j[name] = defining_jacobian(l1_, l2_, ph1_, ph2_)
+    ratio = sp.simplify(d0_symbolic / det_j[name])
+    assert ratio != 0 and not ratio.free_symbols & set(coeffs), (name, ratio)
+
+d0 = sp.nsimplify(sp.simplify(d0_symbolic.subs(DEFAULTS)))
+assert sp.simplify(d0 - 11 * sp.sqrt(2) / 4) == 0
+
 print("alpha =", alpha, " gamma =", gamma)
 print("phi1 =", list(phi1), "=", [sp.nsimplify(v) for v in phi1])
 print("phi2 =", list(phi2))
@@ -140,7 +176,9 @@ print("psi2 =", list(psi2))
 print("c_lam_mu =", clm)
 print("nu =", list(nu))
 print("psi2 . nu =", (psi2 * nu)[0])
-print("d0 =", d0, "=", sp.nsimplify(d0), "~", float(d0))
+print("d0(a1..a6) =", sp.factor(d0_symbolic))
+print("det J(a1..a6) =", sp.factor(det_j["psi"]), "with (l1, l2) = (psi1, psi2)")
+print("d0 =", d0, "~", repr(float(d0)))
 print("cond_iii =", cond_iii)
 print("defining-system phi1 =", list(ph1), " phi2 =", list(ph2))
 
