@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import __version__, models
 from .defining import Functionals, NewtonOptions, TbCandidate, newton_solve
 from .eigenstructure import compute_basis
 from .errors import InputError, TbddeError
-from .model import linearize
+from .model import jac_x, jac_y
 from .verify import quadratic_check
 
 EXIT_OK = 0
@@ -64,11 +65,11 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, label: str, kind=float):
-    """``kind(value)`` for the config field ``label``: finite, not a boolean,
-    and for ``int`` equal to ``value`` unless that is a string."""
+    """``kind(value)`` for the config field ``label``: a JSON number equal to
+    it, finite and not a boolean (so no string, and for ``int`` no fraction)."""
     try:
         number = kind(value)
-        ok = math.isfinite(number) and (isinstance(value, str) or number == value)
+        ok = math.isfinite(number) and number == value
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{label!r}: {exc}") from exc
     if isinstance(value, bool) or not ok:
@@ -106,12 +107,16 @@ def _candidate(section: dict, n: int, label: str, chain: bool = True) -> TbCandi
     return TbCandidate(x=x, phi1=phi1, phi2=phi2, **scalars)
 
 
-def _functionals(cfg: dict, n: int, phi1_guess: np.ndarray) -> Functionals:
-    # default: unit row where the initial phi1 guess is largest
-    e = np.zeros(n)
-    e[int(np.argmax(np.abs(phi1_guess)))] = 1.0
-    l1, l2 = (_vector(cfg, key, n) if key in cfg else e for key in ("l1", "l2"))
-    return Functionals(l1=l1, l2=l2)
+def _functionals(cfg: dict, n: int):
+    """l1 and l2, checked once, as a function of a start's phi1 guess: a row
+    the config leaves out is the unit row where that guess is largest."""
+    given = {key: _vector(cfg, key, n) for key in ("l1", "l2") if key in cfg}
+    if len(given) == 2:   # built here, so two zero rows fail before any run
+        fixed = Functionals(**given)
+        return lambda phi1: fixed
+    unit = np.eye(n)
+    return lambda phi1: Functionals(
+        **dict.fromkeys(("l1", "l2"), unit[np.argmax(np.abs(phi1))]) | given)
 
 
 def _options(cfg: dict) -> NewtonOptions:
@@ -162,22 +167,24 @@ def _json(obj):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _verify_solution(model, solution, lin=None):
     """(verdict or None, error string or None, exit code) for a point, from
-    its linearization ``lin`` (evaluated when not given).  numpy's
-    floating-point warnings are off, as in Newton: a point far out gives a
-    non-finite linearization, which is a verify error."""
+    its linearization ``lin`` when given; otherwise f1 and f2 are evaluated
+    for the basis, and f only once it exists.  numpy's floating-point
+    warnings are off, as in Newton: a point far out gives a non-finite
+    linearization, which is a verify error."""
     try:
-        if lin is None:
-            lin = linearize(model, solution.x, solution.lam, solution.mu)
-        verdict = quadratic_check(model, solution, compute_basis(lin.f1, lin.f2), lin)
+        x, lam, mu = solution.x, solution.lam, solution.mu
+        f1, f2 = ((lin.f1, lin.f2) if lin is not None
+                  else (jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)))
+        verdict = quadratic_check(model, solution, compute_basis(f1, f2), lin)
     except TbddeError as exc:
         return None, f"{type(exc).__name__}: {exc}", EXIT_NOT_VERIFIED
     return verdict, None, EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED
 
 
-def _run_one(model, cfg: dict, opts: NewtonOptions, v0: TbCandidate):
-    """Solve from v0 and verify: (report, verdict, verify error, exit code).
-    l1 and l2 default per start, as they follow its phi1."""
-    report = newton_solve(model, v0, _functionals(cfg, model.n, v0.phi1), opts)
+def _run_one(model, functionals, opts: NewtonOptions, v0: TbCandidate):
+    """Solve from v0 with ``functionals(v0.phi1)`` (``_functionals``) and
+    verify: (report, verdict, verify error, exit code)."""
+    report = newton_solve(model, v0, functionals(v0.phi1), opts)
     if not report.converged:
         return report, None, None, EXIT_NOT_CONVERGED
     return (report, *_verify_solution(model, report.solution, report.linearization))
@@ -187,7 +194,8 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     model = _build_model(cfg)
     v0 = _candidate(cfg.get("initial"), model.n, "initial")
-    report, verdict, error, code = _run_one(model, cfg, _options(cfg), v0)
+    report, verdict, error, code = _run_one(model, _functionals(cfg, model.n),
+                                            _options(cfg), v0)
     result = _json({
         "config": cfg,
         "tool_version": __version__,
@@ -228,13 +236,12 @@ def _pack_index(key: str, spec, n: int):
         raise InputError(f"scan axis {key!r}: count must be >= 1")
     if key in ("lambda", "mu"):
         return 3 * n + (key == "mu")
-    field, _, rest = key.partition("[")
-    if field not in ("x", "phi1", "phi2") or not rest.endswith("]"):
+    match = re.fullmatch(r"(x|phi1|phi2)\[([0-9]+)\]", key)
+    if match is None:
         raise InputError(f"unknown scan component {key!r}")
-    idx = _number(rest[:-1], f"scan.{key}", int)
-    if not 0 <= idx < n:
+    if int(match[2]) >= n:
         raise InputError(f"scan index out of range in {key!r}")
-    return ("x", "phi1", "phi2").index(field) * n + idx
+    return ("x", "phi1", "phi2").index(match[1]) * n + int(match[2])
 
 
 def cmd_scan(args) -> int:
@@ -245,55 +252,52 @@ def cmd_scan(args) -> int:
         raise InputError("scan requires a non-empty 'scan' object in the config")
     base = _candidate(cfg.get("initial"), model.n, "initial").pack()
     opts = _options(cfg)
+    functionals = _functionals(cfg, model.n)
     keys = sorted(scan)
     axes = [_pack_index(k, scan[k], model.n) for k in keys]
     counts = [_number(scan[k]["count"], f"scan.{k}.count", int) for k in keys]
-    if math.prod(counts) > MAX_SCAN_RUNS:
-        raise InputError(f"scan grid has {math.prod(counts)} runs, the product of "
+    runs = math.prod(counts)
+    if runs > MAX_SCAN_RUNS:
+        raise InputError(f"scan grid has {runs} runs, the product of "
                          f"its counts; at most {MAX_SCAN_RUNS} are allowed")
     grids = [np.linspace(_number(scan[k]["min"], f"scan.{k}.min"),
                          _number(scan[k]["max"], f"scan.{k}.max"), count)
              for k, count in zip(keys, counts)]
+    # a lambda or mu axis keeps its column's place; the row's solution value fills it
+    fields = list(dict.fromkeys([
+        "index", *keys, "converged", "iterations", "final_residual",
+        *(f"x{i}" for i in range(model.n)), "lambda", "mu", "verified", "exit_code"]))
 
-    # the CSV target is opened before the grid runs, so a bad path costs no
-    # run; in append mode, so a config error in the grid leaves a file intact
+    # every config field is checked by now; the target opens before any run and
+    # gets each row, flushed by line buffering, as its run ends
     try:
-        out = open(_out_path(args.csv), "a", newline="") if args.csv else None
+        out = open(_out_path(args.csv), "w", newline="", buffering=1) if args.csv else None
     except OSError as exc:
         raise InputError(f"cannot write CSV {args.csv}: {exc}") from exc
+    converged, distinct = 0, []
     with out or contextlib.nullcontext(sys.stdout) as fh:
-        rows = []
-        distinct = []
+        w = csv.DictWriter(fh, fieldnames=fields)
+        w.writeheader()
         for index, values in enumerate(itertools.product(*grids)):
             v0 = base.copy()
             v0[axes] = values
             report, verdict, _, code = _run_one(
-                model, cfg, opts, TbCandidate.unpack(v0, model.n))
+                model, functionals, opts, TbCandidate.unpack(v0, model.n))
             sol = report.solution
             if report.converged:
+                converged += 1
                 packed = sol.pack()
                 if not any(np.max(np.abs(packed - d)) < 1e-6 for d in distinct):
                     distinct.append(packed)
-            rows.append({
-                "index": index,
-                **{k: float(val) for k, val in zip(keys, values)},
-                "converged": report.converged,
-                "iterations": report.iterations,
-                "final_residual": report.residual_history[-1],
-                **{f"x{i}": a for i, a in enumerate(sol.x.tolist())},
-                "lambda": sol.lam,
-                "mu": sol.mu,
-                "verified": verdict is not None and bool(verdict.passed),
-                "exit_code": code,
-            })
+            w.writerow({"index": index, **{k: float(val) for k, val in zip(keys, values)},
+                        "converged": report.converged, "iterations": report.iterations,
+                        "final_residual": report.residual_history[-1],
+                        **{f"x{i}": a for i, a in enumerate(sol.x.tolist())},
+                        "lambda": sol.lam, "mu": sol.mu,
+                        "verified": verdict is not None and bool(verdict.passed),
+                        "exit_code": code})
 
-        if out:
-            out.truncate(0)
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
-
-    print(f"# {len(rows)} runs, {sum(r['converged'] for r in rows)} converged, "
+    print(f"# {runs} runs, {converged} converged, "
           f"{len(distinct)} distinct point(s)", file=sys.stderr)
     for d in distinct:
         print(f"#   x={d[:model.n].tolist()} lambda={d[-2]} mu={d[-1]}",
@@ -341,12 +345,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every ``main`` call.
-
-    Parsing leaves no state in it: each call gets a fresh namespace, so an
-    in-process caller pays for building the parser once, not per command.
-    Being shared, the returned parser must not be modified.
-    """
+    """The command-line parser, built on first use and shared by every
+    ``main`` call: parsing leaves no state in it, and it must not be modified."""
     parser = _Parser(
         prog="tbdde",
         description="Compute quadratic Takens-Bogdanov points of delay "

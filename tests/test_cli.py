@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbdde import cli
+from tbdde import TbCandidate, cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
@@ -244,8 +244,11 @@ class TestSolve:
         assert code == 4
 
 
+DELETE = object()
+
 BAD_CONFIGS = {
-    # id: (command, path of the replaced config field, its value)
+    # id: (command, path of the replaced config field, its value); the empty
+    # path replaces the whole config, and the value DELETE deletes the field
     "lambda-string": ("solve", ("initial", "lambda"), "abc"),
     "lambda-null": ("solve", ("initial", "lambda"), None),
     "lambda-nan": ("solve", ("initial", "lambda"), float("nan")),
@@ -273,24 +276,47 @@ BAD_CONFIGS = {
     "scan-count-fraction": ("scan", ("scan", "lambda", "count"), 2.5),
     "scan-count-huge": ("scan", ("scan", "lambda", "count"), 1e13),
     "x-bool": ("solve", ("initial", "x"), [True, 1.1]),
+    # a config number is a JSON number: a numeric string is not one
+    "tol-res-numeric-string": ("solve", ("tol_res",), "1e-10"),
+    "lambda-numeric-string": ("solve", ("initial", "lambda"), "0.4"),
+    "root-list": ("solve", (), []),
+    "model-missing": ("solve", ("model",), DELETE),
+    "initial-without-x": ("solve", ("initial", "x"), DELETE),
+    "initial-without-lambda": ("solve", ("initial", "lambda"), DELETE),
+    "scan-axis-without-max": ("scan", ("scan", "lambda", "max"), DELETE),
+    "scan-count-0": ("scan", ("scan", "lambda", "count"), 0),
+    "scan-axis-y": ("scan", ("scan",), {"y[0]": {"min": 0, "max": 1, "count": 2}}),
 }
 
 
 @pytest.mark.parametrize("command, path, value", BAD_CONFIGS.values(),
                          ids=list(BAD_CONFIGS))
-def test_bad_config_value_exit_4(capsys, tmp_path, command, path, value):
+def test_bad_config_value_exit_4(capsys, tmp_path, monkeypatch, command, path, value):
+    # every config field is checked before any run
+    runs = []
+    monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
     base = SOLVE_FIXTURES[0] if command == "solve" else FIXTURES / "scan_pp.json"
-    cfg = json.loads(base.read_text())
+    cfg = json.loads(base.read_text()) if path else value
     section = cfg
     for key in path[:-1]:
         section = section[key]
-    section[path[-1]] = value
+    if value is DELETE:
+        del section[path[-1]]
+    elif path:
+        section[path[-1]] = value
     code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
-    assert code == 4 and out == ""
+    assert code == 4 and out == "" and not runs
     assert "config error" in err and "Traceback" not in err
-    if type(value) is bool or type(value) is float and math.isfinite(value):
-        # a rejected finite or boolean number is named by its key
+    # a missing field, or a rejected finite or boolean number, is named by its key
+    if value is DELETE or type(value) is bool or (type(value) is float
+                                                  and math.isfinite(value)):
         assert path[-1] in err
+
+
+def test_config_directory_exit_4(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--config", str(tmp_path))
+    assert code == 4 and out == ""
+    assert err.startswith("config error: cannot read config") and "Traceback" not in err
 
 
 def test_boolean_model_constant_exit_4(capsys, tmp_path):
@@ -426,6 +452,20 @@ class TestVerify:
         assert [dict(c) for c in built_models] == [{"f": 1, "d1": 1, "d2": 1}]
         assert len(svds) == 1
 
+    def test_failed_basis_costs_no_f_call(self, capsys, tmp_path, built_models):
+        # the predator-prey equilibrium at D = 0.4, K = 2 is off the TB point:
+        # S = f1 + f2 has full rank, so compute_basis raises, and f, which
+        # only the certificate after it reads, is never evaluated
+        D, K = 0.4, 2.0
+        x1 = (1.0 - math.sqrt(1.0 - 4.0 * D * D)) / (2.0 * D)
+        cfg = {"model": "predator-prey",
+               "point": {"x": [x1, (1.0 - x1 / K) * (1.0 + x1 * x1)], "lambda": D, "mu": K}}
+        code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                           "--json")
+        assert code == 3
+        assert strict_json(out)["verify_error"].startswith("DegenerateNormalization")
+        assert [dict(c) for c in built_models] == [{"d1": 1, "d2": 1}]
+
 
 class TestScan:
     def test_grid_dedupes_to_one_point(self, capsys, tmp_path):
@@ -474,16 +514,78 @@ class TestScan:
         assert code == 4 and out == "" and not runs
         assert err.startswith("config error: cannot write CSV")
 
-    def test_config_error_in_the_grid_keeps_the_csv(self, capsys, tmp_path):
-        # l1 is read per start, after the CSV target is opened
-        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
-        cfg["l1"] = [1.0]
+    def test_config_error_in_the_grid_keeps_the_csv(self, capsys, tmp_path, monkeypatch):
+        # l1 and l2 are checked with every other config field, before the CSV
+        # target is opened and before any run, so a bad one, or two given zero
+        # rows, which fail whatever the start, leave an old file as it was
+        runs = []
+        monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
         out_csv = tmp_path / "old.csv"
         out_csv.write_text("old rows\n")
+        for fields, words in (({"l1": [1.0]}, "'l1'"),
+                              ({"l1": [0.0, 0.0], "l2": [0.0, 0.0]}, "must not both be zero")):
+            cfg = {**json.loads((FIXTURES / "scan_pp.json").read_text()), **fields}
+            code, _, err = run(capsys, "scan", "--config", write_config(tmp_path, cfg),
+                               "--csv", str(out_csv))
+            assert code == 4 and words in err and not runs
+            assert out_csv.read_text() == "old rows\n"
+
+    def test_interrupted_scan_keeps_its_finished_rows(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # each row is written as its run ends: a scan interrupted in run 5
+        # leaves the header and the 4 rows before it, in place of the old file
+        config = str(FIXTURES / "scan_pp.json")
+        full_csv, out_csv = tmp_path / "full.csv", tmp_path / "out.csv"
+        assert run(capsys, "scan", "--config", config, "--csv", str(full_csv))[0] == 0
+        out_csv.write_text("old rows\n")
+        run_one, calls = cli._run_one, []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return run_one(*args)
+
+        monkeypatch.setattr(cli, "_run_one", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["scan", "--config", config, "--csv", str(out_csv)])
+        assert capsys.readouterr().err == ""
+        lines = out_csv.read_text().splitlines(keepends=True)
+        assert len(lines) == 5
+        assert lines == full_csv.read_text().splitlines(keepends=True)[:5]
+
+    def test_vector_components_name_their_columns(self, capsys, tmp_path, monkeypatch):
+        # an axis "x[0]" or "phi1[1]" sets that component of each start and
+        # names its CSV column; every start here converges to the TB point
+        starts = []
+        newton_solve = cli.newton_solve
+
+        def recorded(model, v0, *args):
+            starts.append(v0.pack())
+            return newton_solve(model, v0, *args)
+
+        monkeypatch.setattr(cli, "newton_solve", recorded)
+        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
+        cfg["scan"] = {"x[0]": {"min": 0.9, "max": 1.1, "count": 3},
+                       "phi1[1]": {"min": -0.1, "max": 0.1, "count": 2}}
+        out_csv = str(tmp_path / "scan.csv")
         code, _, err = run(capsys, "scan", "--config", write_config(tmp_path, cfg),
-                           "--csv", str(out_csv))
-        assert code == 4 and "'l1'" in err
-        assert out_csv.read_text() == "old rows\n"
+                           "--csv", out_csv)
+        assert code == 0 and err.startswith("# 6 runs, 6 converged, 1 distinct point(s)")
+        with open(out_csv) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames[:3] == ["index", "phi1[1]", "x[0]"]
+        grid = [(p, x) for p in (-0.1, 0.1) for x in np.linspace(0.9, 1.1, 3).tolist()]
+        assert [(float(r["phi1[1]"]), float(r["x[0]"])) for r in rows] == grid
+        for (p, x), start in zip(grid, starts, strict=True):
+            v = TbCandidate.unpack(start, 2)
+            assert v.x.tolist() == [x, 1.1] and v.phi1.tolist() == [1.0, p]
+            assert v.phi2.tolist() == [3.0, 0.0] and (v.lam, v.mu) == (0.4, 1.0)
+        for r in rows:
+            assert r["converged"] == "True" and r["verified"] == "True"
+            assert [float(r[k]) for k in ("x0", "x1", "lambda", "mu")] == pytest.approx(
+                [1.0, 1.0, 0.5, 2.0], abs=1e-9)
 
     def test_model_built_once(self, capsys, tmp_path, built_models):
         # one model, and one set of Newton options, serve every grid point

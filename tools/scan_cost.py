@@ -28,7 +28,6 @@ import json
 import statistics
 import sys
 import time
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -60,7 +59,6 @@ def cases(tb):
 def main() -> int:
     tb = SimpleNamespace(**{m: importlib.import_module(f"tbdde.{m}") for m in
                             ("defining", "eigenstructure", "model", "models", "verify")})
-    warnings.simplefilter("ignore")   # the package warns through warnings.warn
     ms, wrong = {}, []
     for name, model, x, lam, mu, expected in cases(tb):
         _, warn = tb.verify.spectral_scan(model, x, lam, mu)
