@@ -14,9 +14,8 @@ Typical use::
     verdict = verify.quadratic_check(model, sol, basis, lin)
 """
 
-from .errors import (ConditionIFailed, DegenerateNormalization, InputError,
-                     NearSingular, RankDeficiencyMismatch, SingularNuSystem,
-                     TbddeError)
+from .errors import (DegenerateNormalization, InputError, NearSingular,
+                     RankDeficiencyMismatch, SingularNuSystem, TbddeError)
 from .model import (DdeModel, Linearization, eval_f, jac_x, jac_y, linearize,
                     param_der, second_dirder)
 from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
@@ -35,7 +34,7 @@ __all__ = [
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
     "RankDeficiencyMismatch", "DegenerateNormalization",
-    "ConditionIFailed", "SingularNuSystem",
+    "SingularNuSystem",
     "build", "registry",
     "characteristic", "compute_basis", "double_zero_check", "eval_f",
     "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",

@@ -263,10 +263,9 @@ def cmd_scan(args) -> int:
     grids = [np.linspace(_number(scan[k]["min"], f"scan.{k}.min"),
                          _number(scan[k]["max"], f"scan.{k}.max"), count)
              for k, count in zip(keys, counts)]
-    # a lambda or mu axis keeps its column's place; the row's solution value fills it
-    fields = list(dict.fromkeys([
-        "index", *keys, "converged", "iterations", "final_residual",
-        *(f"x{i}" for i in range(model.n)), "lambda", "mu", "verified", "exit_code"]))
+    starts = [f"start_{k}" for k in keys]
+    fields = ["index", *starts, "converged", "iterations", "final_residual",
+              *(f"x{i}" for i in range(model.n)), "lambda", "mu", "verified", "exit_code"]
 
     # every config field is checked by now; the target opens before any run and
     # gets each row, flushed by line buffering, as its run ends
@@ -289,7 +288,7 @@ def cmd_scan(args) -> int:
                 packed = sol.pack()
                 if not any(np.max(np.abs(packed - d)) < 1e-6 for d in distinct):
                     distinct.append(packed)
-            w.writerow({"index": index, **{k: float(val) for k, val in zip(keys, values)},
+            w.writerow({"index": index, **{k: float(val) for k, val in zip(starts, values)},
                         "converged": report.converged, "iterations": report.iterations,
                         "final_residual": report.residual_history[-1],
                         **{f"x{i}": a for i, a in enumerate(sol.x.tolist())},

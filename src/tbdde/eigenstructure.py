@@ -142,6 +142,12 @@ def compute_basis(f1, f2) -> EigenBasis:
     so c*d = 1/alpha and t follows; the magnitude split between c and d is a
     convention (square root), with c > 0 keeping the sign rule on phi1.  The
     existence test reuses the SVD and phi2p.
+
+    alpha is the existence test's nondegeneracy value: by (2), (4) and the
+    two pins, ps2 (f2+I) ph2p = ps1p S ph2p = ps1p (f2+I) ph1.  So the test
+    decides it, and the cut |alpha| < 1e-12 max(1, max|f2|) below is a
+    numerical guard on that same value before dividing by it, not a second
+    decision.
     """
     f1, f2 = _pair(f1, f2)
     S = f1 + f2

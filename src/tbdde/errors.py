@@ -28,9 +28,5 @@ class DegenerateNormalization(TbddeError):
     """The basis normalization equations admit no usable solution."""
 
 
-class ConditionIFailed(TbddeError):
-    """The transversality quantity psi2*f_lambda vanishes."""
-
-
 class SingularNuSystem(TbddeError):
     """The bordered system for the parameter response vector is ill-conditioned."""

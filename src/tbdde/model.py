@@ -15,17 +15,17 @@ magnitude of the perturbed component.
 
 Every second and parameter derivative is a derivative of f1 = df/dx or
 f2 = df/dy along one direction (dx, dy, dlam, dmu) of (x, y, lambda, mu),
-which the suppliers ``d1dir`` and ``d2dir`` return as matrices: along x
-alone ``d1dir`` gives f11[dx, .], along lambda alone f1_lambda.  One
-function, ``_dirder``, serves one matrix along one direction, from its
-supplier or, when that is missing, from one central difference of f1 or f2
-along the same direction.
+and every request wants both: the supplier ``ddir`` returns the pair
+(f1', f2') of matrices, so along x alone its first matrix is f11[dx, .],
+along lambda alone f1_lambda.  One function, ``_dirder``, serves the pair
+along one direction, from one ``ddir`` call or, when that is missing, from
+one central difference of f1 and f2 at the same shifted points.
 
 A ``Linearization`` is the model at one steady state (x, x, lambda, mu):
 f, f1 and f2, evaluated once, which the defining system's residual and
 Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
 and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
-differentiated along one direction, each supplier called once.  The public
+differentiated along one direction, from one ``_dirder`` call.  The public
 functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
 ``param_der``) check their arguments and then run the same code on a single
 value.  Every supplier's result must have its documented shape, or the call
@@ -59,11 +59,11 @@ class DdeModel:
     Every supplier takes the same leading arguments ``(x, y, lam, mu)`` where
     ``y`` stands for the delayed state.  ``d1`` and ``d2`` return the n x n
     matrices f1 = df/dx and f2 = df/dy, ``dlam`` and ``dmu`` the vectors
-    df/dlam and df/dmu.  ``d1dir`` and ``d2dir`` take a direction
-    ``(dx, dy, dlam, dmu)`` after them, vectors dx, dy of length n and
-    numbers dlam, dmu, and return the derivative of f1 (resp. f2) along it
-    as an n x n matrix: along (u, 0, 0, 0), ``d1dir(...) @ w`` is
-    d^2 f / dx^2 [u, w].
+    df/dlam and df/dmu.  ``ddir`` takes a direction ``(dx, dy, dlam, dmu)``
+    after them, vectors dx, dy of length n and numbers dlam, dmu, and returns
+    the derivatives of f1 and f2 along it as a pair of n x n matrices,
+    anything ``np.asarray`` makes a (2, n, n) array of: along (u, 0, 0, 0),
+    ``ddir(...)[0] @ w`` is d^2 f / dx^2 [u, w].
     """
 
     n: int
@@ -73,13 +73,12 @@ class DdeModel:
     d2: Optional[VecFunc] = None
     dlam: Optional[VecFunc] = None
     dmu: Optional[VecFunc] = None
-    d1dir: Optional[VecFunc] = None
-    d2dir: Optional[VecFunc] = None
+    ddir: Optional[VecFunc] = None
     name: str = "unnamed"
 
-    # The suppliers d1dir and d2dir replaced.  Not fields, so the constructor
-    # rejects them; they stay, always None, because bench/tracer.py reads
-    # them (ROADMAP item 5 deletes them).
+    # The suppliers ddir replaced.  Not fields, so the constructor rejects
+    # them; they stay, always None, because bench/tracer.py reads them
+    # (ROADMAP item 4 deletes them).
     d11 = d12 = d21 = d22 = d1lam = d2lam = d1mu = d2mu = None
 
     def __post_init__(self):
@@ -135,23 +134,23 @@ def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
     return _fd_jac(lambda yv: _f(model, x, yv, lam, mu), y)
 
 
-def _dirder(model: DdeModel, slot: str, x, y, lam, mu,
-            dx=None, dy=None, dlam=None, dmu=None) -> np.ndarray:
-    """f1 (``slot`` "1") or f2 ("2") differentiated along the direction
-    (dx, dy, dlam, dmu), an n x n matrix.
+def _dirder(model: DdeModel, x, y, lam, mu,
+            dx=None, dy=None, dlam=None, dmu=None) -> tuple:
+    """(f1', f2'): f1 and f2 differentiated along the direction
+    (dx, dy, dlam, dmu), two n x n matrices.
 
-    A component left None is zero.  The matrix comes from ``d1dir`` or
-    ``d2dir`` when supplied, else from one central difference of f1 or f2
-    at (x, y, lam, mu) +- h (dx, dy, dlam, dmu), with
+    A component left None is zero.  The pair comes from one ``ddir`` call
+    when supplied, else from one central difference of f1 and f2 at
+    (x, y, lam, mu) +- h (dx, dy, dlam, dmu), with
     h = eps**(1/4) max(1, max|moved base|) / max|direction|, where the moved
     base is each of x, y, lam, mu that the direction moves.
     """
-    supplier = model.d1dir if slot == "1" else model.d2dir
-    if supplier is not None:
+    if model.ddir is not None:
         zero = np.zeros(model.n)
-        out = supplier(x, y, lam, mu, zero if dx is None else dx,
-                       zero if dy is None else dy, dlam or 0.0, dmu or 0.0)
-        return _checked(model, f"d{slot}dir", out, (model.n, model.n))
+        out = model.ddir(x, y, lam, mu, zero if dx is None else dx,
+                         zero if dy is None else dy, dlam or 0.0, dmu or 0.0)
+        out = _checked(model, "ddir", out, (2, model.n, model.n))
+        return out[0], out[1]
     top, size = 1.0, 0.0
     if dx is not None:
         top, size = max(top, np.abs(x).max()), max(size, np.abs(dx).max())
@@ -162,22 +161,22 @@ def _dirder(model: DdeModel, slot: str, x, y, lam, mu,
     if dmu is not None:
         top, size = max(top, abs(mu)), max(size, abs(dmu))
     if size == 0.0:
-        return np.zeros((model.n, model.n))
+        zero = np.zeros((2, model.n, model.n))
+        return zero[0], zero[1]
     h = H2 * top / size
     hi, lo = [x, y, lam, mu], [x, y, lam, mu]
     for i, d in enumerate((dx, dy, dlam, dmu)):
         if d is not None:
             e = h * d
             hi[i], lo[i] = hi[i] + e, lo[i] - e
-    return (_first(model, slot, *hi) - _first(model, slot, *lo)) / (2.0 * h)
+    return ((_first(model, "1", *hi) - _first(model, "1", *lo)) / (2.0 * h),
+            (_first(model, "2", *hi) - _first(model, "2", *lo)) / (2.0 * h))
 
 
 def _param(model: DdeModel, which: str, x, y, lam, mu):
     """One parameter derivative (see ``param_der``), from a supplier or by differences."""
-    if which in ("1lam", "2lam"):
-        return _dirder(model, which[0], x, y, lam, mu, dlam=1.0)
-    if which in ("1mu", "2mu"):
-        return _dirder(model, which[0], x, y, lam, mu, dmu=1.0)
+    if which[0] in "12":   # "1lam": f1 along (0, 0, 1, 0), the pair's first matrix
+        return _dirder(model, x, y, lam, mu, **{"d" + which[1:]: 1.0})[int(which[0]) - 1]
     supplier = model.dlam if which == "lam" else model.dmu
     if supplier is not None:
         return _checked(model, "d" + which, supplier(x, y, lam, mu), (model.n,))
@@ -217,16 +216,15 @@ class Linearization(NamedTuple):
         return _param(model, "lam", x, x, lam, mu), _param(model, "mu", x, x, lam, mu)
 
     def along(self, dx=None, dy=None, dlam=None, dmu=None) -> tuple:
-        """(f1', f2'): f1 and f2 differentiated along (dx, dy, dlam, dmu), one
-        ``_dirder`` call each; a component left None is zero.
+        """(f1', f2'): f1 and f2 differentiated along (dx, dy, dlam, dmu), from
+        one ``_dirder`` call; a component left None is zero.
 
         Along (u, u, 0, 0), (f1' + f2') @ w is the second derivative of
         g(x) = f(x, x) along u and w; along (0, 0, 1, 0), f1' and f2' are
         f1_lam and f2_lam.
         """
         model, x, lam, mu = self.model, self.x, self.lam, self.mu
-        return (_dirder(model, "1", x, x, lam, mu, dx, dy, dlam, dmu),
-                _dirder(model, "2", x, x, lam, mu, dx, dy, dlam, dmu))
+        return _dirder(model, x, x, lam, mu, dx, dy, dlam, dmu)
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
@@ -272,9 +270,9 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     y = _check_vec(model, y, "y")
     u = _check_vec(model, u, "u")
     w = _check_vec(model, w, "w")
-    if which[0] == "1":
-        return _dirder(model, which[1], x, y, lam, mu, dx=u) @ w
-    return _dirder(model, which[1], x, y, lam, mu, dy=u) @ w
+    pair = (_dirder(model, x, y, lam, mu, dx=u) if which[0] == "1"
+            else _dirder(model, x, y, lam, mu, dy=u))
+    return pair[int(which[1]) - 1] @ w
 
 
 def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
@@ -282,7 +280,7 @@ def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
 
     "lam"/"mu" come from ``dlam``/``dmu`` when supplied, else differences
     of f at p +- h for the parameter p; "1lam", "2lam", "1mu", "2mu" are
-    f1 or f2 along the parameter (``d1dir``/``d2dir``, else differences).
+    f1 or f2 along the parameter (``ddir``, else differences).
     At a steady state, ``Linearization.param_derivatives`` gives the vectors
     and ``Linearization.along`` the matrices.
     """

@@ -83,27 +83,22 @@ def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
     def dmu(x, y, D, K):
         return np.array([r * x[0] ** 2 / K ** 2, 0.0])
 
-    # d1dir and d2dir work on Python floats: numpy scalar arithmetic would
-    # cost more than building the matrix
-    def d1dir(x, y, D, K, dx, dy, dD, dK):
-        K, dD, dK, dx0, dy0 = float(K), float(dD), float(dK), dx.item(0), dy.item(0)
-        g1 = gp(y.item(0))
-        return np.array([
-            [-(2.0 * r / K) * dx0 + 2.0 * r * x.item(0) / K ** 2 * dK, -g1 * dy0],
-            [0.0, m * g1 * dy0 - dD],
-        ])
-
-    def d2dir(x, y, D, K, dx, dy, dD, dK):
-        x1, dx1, dy0 = x.item(1), dx.item(1), dy.item(0)
+    # ddir works on Python floats: numpy scalar arithmetic would cost more
+    # than building the matrices
+    def ddir(x, y, D, K, dx, dy, dD, dK):
+        K, dD, dK = float(K), float(dD), float(dK)
+        x1, dx0, dx1, dy0 = x.item(1), dx.item(0), dx.item(1), dy.item(0)
         g1, g2 = gp(y.item(0)), gpp(y.item(0))
         return np.array([
-            [-g1 * dx1 - x1 * g2 * dy0, 0.0],
-            [m * g1 * dx1 + x1 * m * g2 * dy0, 0.0],
+            [[-(2.0 * r / K) * dx0 + 2.0 * r * x.item(0) / K ** 2 * dK, -g1 * dy0],
+             [0.0, m * g1 * dy0 - dD]],
+            [[-g1 * dx1 - x1 * g2 * dy0, 0.0],
+             [m * g1 * dx1 + x1 * m * g2 * dy0, 0.0]],
         ])
 
     return DdeModel(
         n=2, tau=params.tau, f=f,
-        d1=d1, d2=d2, dlam=dlam, dmu=dmu, d1dir=d1dir, d2dir=d2dir,
+        d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir,
         name="predator-prey",
     )
 
@@ -173,21 +168,17 @@ def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
     def dmu(x, y, lam, mu):
         return q + E @ y
 
-    def d1dir(x, y, lam, mu, dx, dy, dlam, dmu):
-        return dlam * C + np.array([
-            [2.0 * a1 * dx[0] + a2 * dy[0], 0.0],
-            [0.0, 2.0 * a4 * dx[1] + a5 * dy[0]],
-        ])
-
-    def d2dir(x, y, lam, mu, dx, dy, dlam, dmu):
-        return dmu * E + np.array([
-            [a2 * dx[0], 2.0 * a3 * dy[1]],
-            [a5 * dx[1] + 2.0 * a6 * dy[0], 0.0],
+    def ddir(x, y, lam, mu, dx, dy, dlam, dmu):
+        return np.array([
+            dlam * C + np.array([[2.0 * a1 * dx[0] + a2 * dy[0], 0.0],
+                                 [0.0, 2.0 * a4 * dx[1] + a5 * dy[0]]]),
+            dmu * E + np.array([[a2 * dx[0], 2.0 * a3 * dy[1]],
+                                [a5 * dx[1] + 2.0 * a6 * dy[0], 0.0]]),
         ])
 
     return DdeModel(
         n=2, tau=params.tau, f=f,
-        d1=d1, d2=d2, dlam=dlam, dmu=dmu, d1dir=d1dir, d2dir=d2dir,
+        d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir,
         name="synthetic-tb",
     )
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
-from .errors import ConditionIFailed, InputError, NearSingular, SingularNuSystem
+from .errors import InputError, NearSingular, SingularNuSystem
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
 #: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
@@ -53,7 +53,7 @@ class TbVerdict:
     existence: TbExistence       # the one decision about the double zero
     cond_i_value: float          # psi2 @ f_lambda
     cond_i_ok: bool
-    d0: float
+    d0: float                    # NaN, as c_lam_mu, nu, psi2_nu, unless cond_i_ok
     d0_ok: bool
     cond_iii_value: float        # psi2.phi2 - psi2 f2 phi1 / 2 + psi2 f2 phi2
     cond_iii_ok: bool
@@ -296,7 +296,10 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     psi2.nu is computed and reported instead of enforced.  Each condition,
     and the equilibrium test |f|_inf <= tol, is decided against the
     existence test's threshold, which ``TbVerdict.tol`` reports; the
-    existence test alone decides the double zero.
+    existence test alone decides the double zero.  Where condition (i)
+    fails, |psi2 f_lam| <= tol, the verdict FAILs with ``cond_i_ok`` False:
+    c, nu and the kernel direction are not formed, so ``c_lam_mu``, ``nu``,
+    ``psi2_nu`` and ``d0`` are NaN and ``d0_ok`` is False.
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, so the point's f1 and f2
@@ -317,28 +320,28 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     flam, fmu = lin.param_derivatives()
 
     cond_i = float(q2 @ flam)
-    if abs(cond_i) <= tol:
-        raise ConditionIFailed(
-            f"psi2 . f_lambda = {cond_i:.3e} within tolerance {tol:.1e}")
-    c = -float(q2 @ fmu) / cond_i
+    if abs(cond_i) > tol:
+        c = -float(q2 @ fmu) / cond_i
+        S = f1 + f2
+        try:
+            nu, _ = linalg.bordered_solve(S, basis.psi2 / np.linalg.norm(basis.psi2),
+                                          p1, -(c * flam + fmu))
+        except NearSingular as exc:
+            raise SingularNuSystem(str(exc)) from exc
+        psi2_nu = float(q2 @ nu)
 
-    S = f1 + f2
-    try:
-        nu, _ = linalg.bordered_solve(S, basis.psi2 / np.linalg.norm(basis.psi2),
-                                      p1, -(c * flam + fmu))
-    except NearSingular as exc:
-        raise SingularNuSystem(str(exc)) from exc
-    psi2_nu = float(q2 @ nu)
+        A1, A2 = lin.along(p1, p1)
+        B1, B2 = lin.along(nu, nu, c, 1.0)
+        A, B = A1 + A2, B1 + B2
 
-    A1, A2 = lin.along(p1, p1)
-    B1, B2 = lin.along(nu, nu, c, 1.0)
-    A, B = A1 + A2, B1 + B2
-
-    m11 = q2 @ A @ p1
-    m12 = q2 @ B @ p1
-    m21 = q1 @ A @ p1 + q2 @ A @ p2 - q2 @ A2 @ p1
-    m22 = q1 @ B @ p1 + q2 @ B @ p2 - q2 @ B2 @ p1
-    d0 = float(m11 * m22 - m12 * m21)
+        m11 = q2 @ A @ p1
+        m12 = q2 @ B @ p1
+        m21 = q1 @ A @ p1 + q2 @ A @ p2 - q2 @ A2 @ p1
+        m22 = q1 @ B @ p1 + q2 @ B @ p2 - q2 @ B2 @ p1
+        d0 = float(m11 * m22 - m12 * m21)
+    else:   # no kernel direction (nu, nu, c, 1) to differentiate along
+        c = psi2_nu = d0 = math.nan
+        nu = np.full(p1.shape, math.nan)
 
     cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
     res = float(np.max(np.abs(lin.f)))

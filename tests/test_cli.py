@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbdde import TbCandidate, cli
+from tbdde import DdeModel, TbCandidate, cli, models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
@@ -148,6 +148,36 @@ class TestSolve:
         rep = strict_json(out)["report"]
         assert rep["iterations"] == 0 and rep["final_cond"] is None
         assert rep["solution"] == cfg["initial"]
+
+    def test_default_rows_reproduce_the_fixture(self, capsys, tmp_path):
+        # solve_pp_1.json's l1 = l2 = (1, 0) are the default rows of its
+        # guess phi1 = (1, 0): left out, they give the same run exactly
+        cfg = json.loads((FIXTURES / "solve_pp_1.json").read_text())
+        del cfg["l1"], cfg["l2"]
+        code, out, _ = run(capsys, "solve", "--config", write_config(tmp_path, cfg), "--json")
+        assert code == 0
+        rep = strict_json(out)["report"]
+        assert (rep["iterations"], rep["residual_history"], rep["solution"]) \
+            == SOLVED["solve_pp_1"]
+
+    def test_given_row_is_kept_beside_a_default_one(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # with only l2 given, l1 is the default row e0 of phi1 = (1, 0), and
+        # l2 is the given row, not the default
+        seen = []
+        newton_solve = cli.newton_solve
+
+        def recorded(model, v0, L, *args):
+            seen.append((L.l1.tolist(), L.l2.tolist()))
+            return newton_solve(model, v0, L, *args)
+
+        monkeypatch.setattr(cli, "newton_solve", recorded)
+        cfg = json.loads((FIXTURES / "solve_pp_1.json").read_text())
+        del cfg["l1"]
+        cfg["l2"] = [0.0, 1.0]
+        code, _, _ = run(capsys, "solve", "--config", write_config(tmp_path, cfg), "--json")
+        assert code in (0, 2, 3)
+        assert seen == [([1.0, 0.0], [0.0, 1.0])]
 
     def test_plain_output_lists_iterations(self, capsys):
         code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]))
@@ -417,6 +447,39 @@ class TestVerify:
         else:
             assert out.startswith("verification error: NearSingular")
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    def test_condition_i_failure_is_a_verdict(self, capsys, tmp_path, monkeypatch,
+                                              as_json):
+        # predator-prey with D and K swapped: psi2 . f_lambda vanishes at the
+        # TB point, so verify exits 3 with a FAIL verdict, not a verify error
+        pp = models.predator_prey()
+
+        def swap(fn):
+            return lambda x, y, lam, mu: fn(x, y, mu, lam)
+
+        swapped = DdeModel(
+            n=2, tau=1.0, f=swap(pp.f), d1=swap(pp.d1), d2=swap(pp.d2),
+            dlam=swap(pp.dmu), dmu=swap(pp.dlam),
+            ddir=lambda x, y, lam, mu, dx, dy, dlam, dmu: pp.ddir(x, y, mu, lam,
+                                                                  dx, dy, dmu, dlam))
+        monkeypatch.setattr(models, "build", lambda *args: swapped)
+        cfg = {"model": "predator-prey",
+               "point": {"x": [1.0, 1.0], "lambda": 2.0, "mu": 0.5}}
+        code, out, err = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                             *(["--json"] if as_json else []))
+        assert code == 3 and err == ""
+        if not as_json:
+            assert "cond (i)  psi2.f_lambda = 0.0: False" in out
+            assert "verdict: FAIL" in out
+            return
+        payload = strict_json(out)
+        assert payload["verify_error"] is None
+        v = payload["verdict"]
+        assert v["passed"] is False and v["cond_i_ok"] is False
+        assert v["existence"]["passed"] and v["cond_iii_ok"] and v["equilibrium_ok"]
+        assert v["d0"] is None and v["d0_ok"] is False
+        assert v["c_lam_mu"] is None and v["psi2_nu"] is None and v["nu"] == [None, None]
+
     def test_plain_output_has_verdict_line(self, capsys):
         code, out, _ = run(capsys, "verify", "--config",
                            str(FIXTURES / "verify_pp_point.json"))
@@ -555,8 +618,9 @@ class TestScan:
         assert lines == full_csv.read_text().splitlines(keepends=True)[:5]
 
     def test_vector_components_name_their_columns(self, capsys, tmp_path, monkeypatch):
-        # an axis "x[0]" or "phi1[1]" sets that component of each start and
-        # names its CSV column; every start here converges to the TB point
+        # an axis "x[0]" or "phi1[1]" sets that component of each start, which
+        # its CSV column "start_x[0]" or "start_phi1[1]" records; every start
+        # here converges to the TB point
         starts = []
         newton_solve = cli.newton_solve
 
@@ -575,9 +639,9 @@ class TestScan:
         with open(out_csv) as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
-        assert reader.fieldnames[:3] == ["index", "phi1[1]", "x[0]"]
+        assert reader.fieldnames[:3] == ["index", "start_phi1[1]", "start_x[0]"]
         grid = [(p, x) for p in (-0.1, 0.1) for x in np.linspace(0.9, 1.1, 3).tolist()]
-        assert [(float(r["phi1[1]"]), float(r["x[0]"])) for r in rows] == grid
+        assert [(float(r["start_phi1[1]"]), float(r["start_x[0]"])) for r in rows] == grid
         for (p, x), start in zip(grid, starts, strict=True):
             v = TbCandidate.unpack(start, 2)
             assert v.x.tolist() == [x, 1.1] and v.phi1.tolist() == [1.0, p]
@@ -586,6 +650,44 @@ class TestScan:
             assert r["converged"] == "True" and r["verified"] == "True"
             assert [float(r[k]) for k in ("x0", "x1", "lambda", "mu")] == pytest.approx(
                 [1.0, 1.0, 0.5, 2.0], abs=1e-9)
+
+    def test_parameter_axes_keep_their_starts(self, capsys, tmp_path):
+        # a lambda or mu axis has its own start_ column, so the solution's
+        # lambda and mu columns do not overwrite where each run started
+        out_csv = str(tmp_path / "scan.csv")
+        code, _, _ = run(capsys, "scan", "--config", str(FIXTURES / "scan_pp.json"),
+                         "--csv", out_csv)
+        assert code == 0
+        with open(out_csv) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "index", "start_lambda", "start_mu", "converged", "iterations",
+            "final_residual", "x0", "x1", "lambda", "mu", "verified", "exit_code"]
+        grid = [(lam, mu) for lam in (0.4, 0.5, 0.6) for mu in (1.5, 2.0, 2.5)]
+        assert [(float(r["start_lambda"]), float(r["start_mu"])) for r in rows] == grid
+        for r in rows:
+            assert [float(r["lambda"]), float(r["mu"])] == pytest.approx([0.5, 2.0],
+                                                                         abs=1e-9)
+
+    def test_default_rows_follow_each_start(self, capsys, tmp_path, monkeypatch):
+        # without l1 and l2 each start gets the unit row at the largest
+        # component of its own phi1 guess: phi1 = (1, 0) picks e0, and
+        # phi1 = (1, 2), moved by the phi1[1] axis, picks e1
+        rows = []
+        newton_solve = cli.newton_solve
+
+        def recorded(model, v0, L, *args):
+            rows.append((L.l1.tolist(), L.l2.tolist()))
+            return newton_solve(model, v0, L, *args)
+
+        monkeypatch.setattr(cli, "newton_solve", recorded)
+        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
+        del cfg["l1"], cfg["l2"]
+        cfg["scan"] = {"phi1[1]": {"min": 0.0, "max": 2.0, "count": 2}}
+        code, _, _ = run(capsys, "scan", "--config", write_config(tmp_path, cfg))
+        assert code in (0, 2)
+        assert rows == [([1.0, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 1.0])]
 
     def test_model_built_once(self, capsys, tmp_path, built_models):
         # one model, and one set of Newton options, serve every grid point

@@ -228,10 +228,10 @@ class TestJacobian:
         # and l1.phi2: no x dependence at all
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         zerov = lambda x, y, l, u: np.zeros(2)
-        zerod = lambda x, y, l, u, dx, dy, dl, du: np.zeros((2, 2))
+        zerod = lambda x, y, l, u, dx, dy, dl, du: np.zeros((2, 2, 2))
         m = DdeModel(n=2, tau=1.0, f=lambda x, y, l, u: A @ x,
                      d1=lambda x, y, l, u: A, d2=lambda x, y, l, u: np.zeros((2, 2)),
-                     dlam=zerov, dmu=zerov, d1dir=zerod, d2dir=zerod)
+                     dlam=zerov, dmu=zerov, ddir=zerod)
         v = TbCandidate(x=np.array([0.2, -0.4]), phi1=np.array([1.0, 0.3]),
                         phi2=np.array([0.5, -0.2]), lam=0.1, mu=0.2)
         J = jacobian(m, v, L10)
@@ -297,14 +297,14 @@ class TestNewton:
     @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
     def test_one_linearization_per_iterate_predator_prey(self, pp, counted_model, row):
         # with every derivative supplied, f, d1 and d2 run once per iterate,
-        # and d1dir and d2dir 6 times per step: along lambda and mu, and
-        # along phi1 and phi2 in each slot
-        model, counts = counted_model(pp, ("f", "d1", "d2", "d1dir", "d2dir"))
+        # and ddir 6 times per step: along lambda and mu, and along phi1 and
+        # phi2 in each slot
+        model, counts = counted_model(pp, ("f", "d1", "d2", "ddir"))
         report = newton_solve(model, candidate(row), L10)
         k = report.iterations
         assert report.converged
         assert counts["d1"] == counts["d2"] == counts["f"] == 1 + k
-        assert counts["d1dir"] == counts["d2dir"] == 6 * k
+        assert counts["ddir"] == 6 * k
 
     def test_exact_solution_fixed_point(self, pp):
         report = newton_solve(pp, V_STAR, L10)

@@ -3,6 +3,7 @@ import pytest
 
 from tbdde import (DegenerateNormalization, InputError, compute_basis, eval_f,
                    jac_x, jac_y, predator_prey, synthetic_tb, tb_existence_test)
+from tbdde.linalg import rank_and_nullspace
 
 F1_PP = np.array([[0.0, -0.5], [0.0, 0.0]])
 F2_PP = np.zeros((2, 2))
@@ -121,3 +122,34 @@ class TestComputeBasis:
     def test_full_rank_rejected(self):
         with pytest.raises(DegenerateNormalization):
             compute_basis(np.eye(2), np.zeros((2, 2)))
+
+    def test_triple_zero_rejected(self):
+        # f1 the nilpotent 3 x 3 Jordan block, f2 = 0: a triple zero, whose
+        # chain does not terminate, so the normalization coefficient is 0
+        f1, f2 = np.diag([1.0, 1.0], 1), np.zeros((3, 3))
+        ex = tb_existence_test(f1, f2)
+        assert ex.rank == 2 and ex.range_ok and not ex.nondegenerate
+        assert ex.nondegeneracy_value == 0.0
+        with pytest.raises(DegenerateNormalization, match="normalization coefficient"):
+            compute_basis(f1, f2)
+
+    def test_normalization_coefficient_is_the_nondegeneracy_value(self):
+        # with the unit null vectors ph1, ps2 of S = f1 + f2 that compute_basis
+        # takes, its basis has phi1 = c ph1 and psi2 = d ps2 with
+        # c d = 1 / alpha; alpha is the existence test's nondegeneracy value,
+        # over random rank-(n-1) pairs with (f2 + I) ph1 in the range of S
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            U, _, Vt = np.linalg.svd(rng.standard_normal((n, n)))
+            S = U @ np.diag(np.r_[rng.uniform(0.5, 2.0, n - 1), 0.0]) @ Vt
+            _, ph1, ps2 = rank_and_nullspace(S)
+            f2 = rng.standard_normal((n, n))
+            f2 -= (ps2 @ (f2 + np.eye(n)) @ ph1) * np.outer(ps2, ph1)
+            f1 = S - f2
+            ex = tb_existence_test(f1, f2)
+            assert ex.passed
+            basis = compute_basis(f1, f2)
+            _, ph1, ps2 = rank_and_nullspace(f1 + f2)
+            alpha = 1.0 / ((basis.phi1 @ ph1) * (basis.psi2 @ ps2))
+            assert alpha == pytest.approx(ex.nondegeneracy_value, rel=1e-12)

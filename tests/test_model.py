@@ -123,7 +123,7 @@ class TestHessianBlocks:
     """The second-derivative and parameter matrices, from ``Linearization.along``."""
 
     @pytest.mark.parametrize("fields", [
-        ("d1", "d2", "d1dir", "d2dir"), ("d1dir",), ()],
+        ("d1", "d2", "ddir"), ("ddir",), ()],
         ids=["suppliers", "partial", "bare"])
     def test_columns_are_second_dirders(self, pp, fields):
         model = DdeModel(n=2, tau=1.0, f=pp.f,
@@ -202,7 +202,7 @@ def test_tau_scales_every_value_once(pp, fields):
 
 
 @pytest.mark.parametrize("fields", [
-    ("d1", "d2", "dlam", "dmu", "d1dir", "d2dir"), ("d1", "d2"), ("d2dir", "dlam"), ()],
+    ("d1", "d2", "dlam", "dmu", "ddir"), ("d1", "d2"), ("ddir", "dlam"), ()],
     ids=["suppliers", "first-order", "partial", "bare"])
 def test_linearization_serves_the_public_values(pp, fields):
     # one point's linearization and its table give exactly what the public
@@ -228,10 +228,15 @@ def test_invalid_construction():
 
 
 def test_replaced_suppliers_are_not_fields(pp):
-    # d1dir and d2dir replaced the bilinear and parameter-matrix suppliers;
-    # their old names stay readable, always None, but cannot be set
+    # ddir replaced the bilinear and parameter-matrix suppliers; their old
+    # names stay readable, always None, but cannot be set.  It also replaced
+    # the pair d1dir, d2dir, whose names are gone
     with pytest.raises(TypeError):
         DdeModel(n=2, tau=1.0, f=pp.f, d11=lambda x, y, l, u, a, b: np.zeros(2))
+    for name in ("d1dir", "d2dir"):
+        with pytest.raises(TypeError):
+            DdeModel(n=2, tau=1.0, f=pp.f, **{name: lambda *args: np.zeros((2, 2))})
+        assert not hasattr(pp, name)
     with pytest.raises(TypeError):
         dataclasses.replace(pp, d1lam=lambda x, y, l, u: np.zeros((2, 2)))
     for name in ("d11", "d12", "d21", "d22", "d1lam", "d2lam", "d1mu", "d2mu"):
@@ -256,10 +261,10 @@ def _values(model):
 @pytest.mark.parametrize("name, bad, expected", [
     ("d1", np.zeros(2), "(2, 2)"), ("d2", np.zeros(2), "(2, 2)"),
     ("d2", np.zeros((2, 3)), "(2, 2)"), ("dlam", 0.0, "(2,)"),
-    ("dmu", np.zeros(3), "(2,)"), ("d1dir", 0.0, "(2, 2)"),
-    ("d1dir", np.zeros(1), "(2, 2)"), ("d2dir", np.zeros(2), "(2, 2)")],
-    ids=["d1-vector", "d2-vector", "d2-wide", "dlam-scalar", "dmu-long", "d1dir-scalar",
-         "d1dir-short", "d2dir-vector"])
+    ("dmu", np.zeros(3), "(2,)"), ("ddir", 0.0, "(2, 2, 2)"),
+    ("ddir", np.zeros((2, 2)), "(2, 2, 2)"), ("ddir", np.zeros((3, 2, 2)), "(2, 2, 2)")],
+    ids=["d1-vector", "d2-vector", "d2-wide", "dlam-scalar", "dmu-long", "ddir-scalar",
+         "ddir-one-matrix", "ddir-three-matrices"])
 def test_supplier_shapes_are_checked(pp, name, bad, expected):
     # a supplier of the wrong shape is an InputError naming it, not a
     # silent broadcast or an untyped numpy error inside Newton

@@ -23,7 +23,7 @@ class TestRegistry:
             assert isinstance(model, DdeModel)
             assert model.name == name
             assert all(getattr(model, f) is not None
-                       for f in ("d1", "d2", "dlam", "dmu", "d1dir", "d2dir"))
+                       for f in ("d1", "d2", "dlam", "dmu", "ddir"))
 
     def test_build_with_constants(self):
         model = build("predator-prey", {"r": 2.0, "tau": 0.5})
@@ -129,16 +129,16 @@ class TestSuppliedDerivatives:
            direction=st.lists(_entry, min_size=6, max_size=6))
     def test_directional_suppliers_match_their_fallback(self, name, point, params,
                                                         direction):
-        # d1dir and d2dir along a direction moving x, y, lambda and mu at
-        # once agree with one central difference of d1 and d2 along it
+        # ddir along a direction moving x, y, lambda and mu at once agrees
+        # with one central difference of d1 and d2 along it
         model = build(name)
-        fd = dataclasses.replace(model, d1dir=None, d2dir=None)
+        fd = dataclasses.replace(model, ddir=None)
         x, y = np.array(point[:2]), np.array(point[2:])
         d = dict(dx=np.array(direction[:2]), dy=np.array(direction[2:4]),
                  dlam=direction[4], dmu=direction[5])
-        for slot in ("1", "2"):
-            assert _dirder(model, slot, x, y, *params, **d) == pytest.approx(
-                _dirder(fd, slot, x, y, *params, **d), rel=1e-4, abs=1e-5)
+        for got, want in zip(_dirder(model, x, y, *params, **d),
+                             _dirder(fd, x, y, *params, **d), strict=True):
+            assert got == pytest.approx(want, rel=1e-4, abs=1e-5)
 
 
 class TestPredatorPreyPoint:

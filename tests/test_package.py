@@ -2,7 +2,7 @@ import tbdde
 
 # the package's public names: a change here is a change to its interface
 PUBLIC = [
-    "ConditionIFailed", "DdeModel", "DegenerateNormalization", "EigenBasis",
+    "DdeModel", "DegenerateNormalization", "EigenBasis",
     "Functionals", "InputError", "Linearization", "NearSingular", "NewtonOptions",
     "NewtonReport", "PredatorPreyParams", "RankDeficiencyMismatch",
     "SingularNuSystem", "SyntheticTbParams", "TbCandidate", "TbExistence",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbdde import verify
-from tbdde import (ConditionIFailed, DdeModel, Functionals, InputError, NearSingular,
+from tbdde import (DdeModel, Functionals, InputError, NearSingular,
                    SyntheticTbParams, TbCandidate, TbddeError, build, characteristic,
                    compute_basis, double_zero_check, eval_f, jac_x, jac_y, jacobian,
                    linalg, linearize, predator_prey, quadratic_check, residual,
@@ -597,9 +597,9 @@ class TestQuadraticCheck:
 
     def test_two_directions_per_certificate(self, pp):
         # f1 and f2 are differentiated along phi1 and along J's kernel
-        # direction (nu, nu, c, 1) only: each directional supplier twice,
+        # direction (nu, nu, c, 1) only: the directional supplier twice,
         # and nothing else evaluated when the linearization is given
-        calls = {"f": 0, "d1": 0, "d2": 0, "d1dir": 0, "d2dir": 0}
+        calls = {"f": 0, "d1": 0, "d2": 0, "ddir": 0}
 
         def counted(name):
             fn = getattr(pp, name)
@@ -614,7 +614,7 @@ class TestQuadraticCheck:
         basis = compute_basis(lin.f1, lin.f2)
         calls.update(dict.fromkeys(calls, 0))
         assert quadratic_check(model, TB_SOL, basis, lin).passed
-        assert calls == {"f": 0, "d1": 0, "d2": 0, "d1dir": 2, "d2dir": 2}
+        assert calls == {"f": 0, "d1": 0, "d2": 0, "ddir": 2}
 
     def test_mu_independent_model_zero_ratio(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -626,9 +626,8 @@ class TestQuadraticCheck:
             d2=lambda x, y, l, u: np.zeros((2, 2)),
             dlam=lambda x, y, l, u: np.array([0.0, 1.0]),
             dmu=lambda x, y, l, u: np.zeros(2),
-            d1dir=lambda x, y, l, u, dx, dy, dl, du: np.array([[2.0 * dx[0], 0.0],
-                                                               [0.0, 0.0]]),
-            d2dir=lambda x, y, l, u, dx, dy, dl, du: np.zeros((2, 2)))
+            ddir=lambda x, y, l, u, dx, dy, dl, du: [[[2.0 * dx[0], 0.0], [0.0, 0.0]],
+                                                     np.zeros((2, 2))])
         sol = TbCandidate(x=np.zeros(2), phi1=np.array([1.0, 0.0]),
                           phi2=np.array([0.0, 1.0]), lam=0.0, mu=0.0)
         basis = self.basis_for(m, sol.x, 0.0, 0.0)
@@ -646,8 +645,7 @@ class TestQuadraticCheck:
             d2=lambda x, y, l, u: base.d2(x, y, u, l),
             dlam=lambda x, y, l, u: base.dmu(x, y, u, l),
             dmu=lambda x, y, l, u: base.dlam(x, y, u, l),
-            d1dir=lambda x, y, l, u, dx, dy, dl, du: base.d1dir(x, y, u, l, dx, dy, du, dl),
-            d2dir=lambda x, y, l, u, dx, dy, dl, du: base.d2dir(x, y, u, l, dx, dy, du, dl))
+            ddir=lambda x, y, l, u, dx, dy, dl, du: base.ddir(x, y, u, l, dx, dy, du, dl))
         sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
                           phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
         b1 = self.basis_for(base, sol.x, 0.0, 0.0)
@@ -656,19 +654,26 @@ class TestQuadraticCheck:
         c2 = quadratic_check(swapped, sol, b2).c_lam_mu
         assert c2 == pytest.approx(1.0 / c1, abs=1e-10)
 
-    def test_condition_i_failure_raises(self, pp):
+    def test_condition_i_failure_is_a_fail_verdict(self, pp, counted_model):
         # swapping D and K for the predator-prey system puts the vanishing
-        # parameter direction in the denominator
-        swapped = DdeModel(
+        # parameter direction in the denominator: the verdict FAILs on
+        # condition (i), and no kernel direction is formed, so f is evaluated
+        # only for the linearization and nothing is differentiated along one
+        swapped, counts = counted_model(DdeModel(
             n=2, tau=1.0,
             f=lambda x, y, l, u: pp.f(x, y, u, l),
             dlam=lambda x, y, l, u: pp.dmu(x, y, u, l),
-            dmu=lambda x, y, l, u: pp.dlam(x, y, u, l))
+            dmu=lambda x, y, l, u: pp.dlam(x, y, u, l)), ("f",))
         basis = self.basis_for(pp, TB_X, 0.5, 2.0)
         sol = TbCandidate(x=TB_X, phi1=TB_SOL.phi1, phi2=TB_SOL.phi2,
                           lam=2.0, mu=0.5)
-        with pytest.raises(ConditionIFailed):
-            quadratic_check(swapped, sol, basis)
+        v = quadratic_check(swapped, sol, basis)
+        assert counts["f"] == 1
+        assert not v.passed and not v.cond_i_ok and abs(v.cond_i_value) <= v.tol
+        assert v.existence.passed and v.cond_iii_ok and v.equilibrium_ok
+        assert math.isnan(v.c_lam_mu) and math.isnan(v.psi2_nu)
+        assert math.isnan(v.d0) and not v.d0_ok
+        assert v.nu.shape == (2,) and np.isnan(v.nu).all()
 
     @pytest.mark.parametrize("tau, point, passes", [
         (2.0, (0.75, -0.5625, -0.5), True),    # the tau = 2 point
@@ -739,13 +744,11 @@ def _with_quadratic(base, Q):
     def d2(x, y, lam, mu):
         return base.d2(x, y, lam, mu) + grad(x, y)[:, 2:]
 
-    def d1dir(x, y, lam, mu, dx, dy, dlam, dmu):
-        return base.d1dir(x, y, lam, mu, dx, dy, dlam, dmu) + grad(dx, dy)[:, :2]
+    def ddir(x, y, lam, mu, dx, dy, dlam, dmu):
+        g = grad(dx, dy)
+        return base.ddir(x, y, lam, mu, dx, dy, dlam, dmu) + np.array([g[:, :2], g[:, 2:]])
 
-    def d2dir(x, y, lam, mu, dx, dy, dlam, dmu):
-        return base.d2dir(x, y, lam, mu, dx, dy, dlam, dmu) + grad(dx, dy)[:, 2:]
-
-    return dataclasses.replace(base, f=f, d1=d1, d2=d2, d1dir=d1dir, d2dir=d2dir)
+    return dataclasses.replace(base, f=f, d1=d1, d2=d2, ddir=ddir)
 
 
 class TestRegularRoot:
