@@ -12,6 +12,8 @@ M(i w) = i w I - f1 - f2 exp(-i w).
 Run:  python3 demos/characteristic_roots.py
 """
 
+import sys
+
 import numpy as np
 
 from tbdde import characteristic, double_zero_check, predator_prey, spectral_scan
@@ -54,3 +56,8 @@ x_off = np.array([x1, (1.0 - x1 / K) * (1.0 + x1 * x1)])
 _, _, _, ok_off = double_zero_check(model, x_off, D_off, K)
 print()
 print(f"certificate at the D = {D_off} equilibrium (should fail): {ok_off}")
+
+# The headline results: the point is certified, the axis holds no other
+# root, and the equilibrium off the bifurcation value fails.
+if not (ok and not warnings and not ok_off):
+    sys.exit("FAILED: the certificate or the axis check gave a wrong answer")

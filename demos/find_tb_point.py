@@ -9,6 +9,8 @@ parameter values simultaneously.
 Run:  python3 demos/find_tb_point.py
 """
 
+import sys
+
 import numpy as np
 
 from tbdde import (Functionals, TbCandidate, compute_basis, jac_x, jac_y,
@@ -27,12 +29,17 @@ starts = [
                 phi2=np.array([1.8, -1.8]), lam=0.45, mu=1.9),
 ]
 
+converged = []
 for k, v0 in enumerate(starts, 1):
     report = newton_solve(model, v0, L)
+    converged.append(report.converged)
     print(f"start #{k}: converged={report.converged} "
           f"in {report.iterations} iterations")
     for i, r in enumerate(report.residual_history):
         print(f"    iter {i:2d}   |H|_inf = {r:.3e}")
+
+if not all(converged):
+    sys.exit("FAILED: a start did not converge")
 
 sol = report.solution
 print()
@@ -58,3 +65,6 @@ print(f"double zero (existence)  = {verdict.existence.passed} "
 print(f"equilibrium |f|_inf      = {verdict.equilibrium_residual:.3e} "
       f"(ok: {verdict.equilibrium_ok}, tol {verdict.tol:.1e})")
 print(f"quadratic double-zero point certified: {verdict.passed}")
+
+if not verdict.passed:
+    sys.exit("FAILED: the point is not certified")

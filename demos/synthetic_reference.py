@@ -8,6 +8,8 @@ reference value, so this script doubles as a quick end-to-end sanity check.
 Run:  python3 demos/synthetic_reference.py
 """
 
+import sys
+
 import numpy as np
 
 from tbdde import (Functionals, TbCandidate, compute_basis, jac_x, jac_y,
@@ -45,3 +47,8 @@ verdict = quadratic_check(model, report.solution, basis)
 print()
 print(f"parameter ratio c = {verdict.c_lam_mu:+.12f}     (exact -1)")
 print(f"determinant   d0 = {verdict.d0:+.12f}  (exact 11*sqrt2/4 = {11 * r2 / 4:.12f})")
+
+# The headline results against their exact values.
+if not (err <= 1e-10 and abs(verdict.c_lam_mu + 1.0) <= 1e-12
+        and abs(verdict.d0 - 11 * r2 / 4) <= 1e-12):
+    sys.exit("FAILED: the solve or the certificate misses its exact value")

@@ -15,7 +15,7 @@ Typical use::
 """
 
 from .errors import (DegenerateNormalization, InputError, NearSingular,
-                     RankDeficiencyMismatch, SingularNuSystem, TbddeError)
+                     RankDeficiencyMismatch, TbddeError)
 from .model import (DdeModel, Linearization, eval_f, jac_x, jac_y, linearize,
                     param_der, second_dirder)
 from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
@@ -34,7 +34,6 @@ __all__ = [
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
     "RankDeficiencyMismatch", "DegenerateNormalization",
-    "SingularNuSystem",
     "build", "registry",
     "characteristic", "compute_basis", "double_zero_check", "eval_f",
     "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",

@@ -51,6 +51,12 @@ def _non_finite(constant: str):
     raise InputError(f"config number {constant} is not finite")
 
 
+#: the top-level config keys, one set for every command: the Newton options'
+#: keys are their names
+_CONFIG_KEYS = frozenset({"model", "model_constants", "initial", "point", "l1", "l2",
+                          "scan", *(f.name for f in dataclasses.fields(NewtonOptions))})
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -61,6 +67,9 @@ def _load_config(path: str) -> dict:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config root must be a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise InputError(f"unknown config field {', '.join(map(repr, unknown))}")
     return cfg
 
 

@@ -61,8 +61,8 @@ class EigenBasis:
     """Coefficient vectors of the double-zero eigenspace basis and its dual.
 
     The basis also carries the linearization it was built from, (f1, f2),
-    and the existence test of that linearization, so a certificate taken
-    with it needs neither matrix nor decomposition again.
+    its existence test and the pseudoinverse ``pinv`` of S = f1 + f2, so a
+    certificate taken with it needs neither matrix nor decomposition again.
     """
 
     phi1: np.ndarray
@@ -72,6 +72,7 @@ class EigenBasis:
     f1: np.ndarray
     f2: np.ndarray
     existence: TbExistence
+    pinv: np.ndarray
 
 
 def _pair(f1, f2):
@@ -128,13 +129,13 @@ def tb_existence_test(f1, f2) -> TbExistence:
 def compute_basis(f1, f2) -> EigenBasis:
     """Construct the normalized double-zero basis from (f1, f2).
 
-    Construction order: unit null vectors from (1), (3) by one SVD of
-    S = f1 + f2; generalized vectors from (2), (4) via bordered solves pinned
-    by phi1.phi2p = 0 and psi1p.psi2 = 0 (the left null vector transposed is
-    the one safe column border: phi1 itself lies in range(S) at a T-B
-    point); then the normalization identities (5) and (6) determine the
-    common scales.  With phi1 = c*ph1, psi2 = d*ps2,
-    psi1 = d*ps1p and phi2 = c*ph2p + t*ph1 the identities reduce to
+    Construction order: unit null vectors ph1, ps2 from (1), (3) by one SVD
+    of S = f1 + f2; X = S^+ (``pinv``) by one bordered solve, of the
+    identity, with column border ps2 (phi1 lies in range(S) at a T-B point);
+    ph2p = X (f2+I) ph1 and ps1p = ps2 (f2+I) X from (2), (4), so ph1.ph2p =
+    ps1p.ps2 = 0; then the normalization identities (5) and (6) determine
+    the common scales.  With phi1 = c*ph1, psi2 = d*ps2, psi1 = d*ps1p and
+    phi2 = c*ph2p + t*ph1 the identities reduce to
 
         (5):  c*d*alpha = 1        (the psi2-range term vanishes at a T-B point)
         (6):  c*d*gamma + d*t*alpha = 0
@@ -143,11 +144,10 @@ def compute_basis(f1, f2) -> EigenBasis:
     convention (square root), with c > 0 keeping the sign rule on phi1.  The
     existence test reuses the SVD and phi2p.
 
-    alpha is the existence test's nondegeneracy value: by (2), (4) and the
-    two pins, ps2 (f2+I) ph2p = ps1p S ph2p = ps1p (f2+I) ph1.  So the test
-    decides it, and the cut |alpha| < 1e-12 max(1, max|f2|) below is a
-    numerical guard on that same value before dividing by it, not a second
-    decision.
+    alpha is the existence test's nondegeneracy value, as ps1p (f2+I) ph1 =
+    ps2 (f2+I) X (f2+I) ph1 = ps2 (f2+I) ph2p: the test decides it, and the
+    cut |alpha| < 1e-12 max(1, max|f2|) below is a numerical guard on that
+    value before dividing by it, not a second decision.
     """
     f1, f2 = _pair(f1, f2)
     S = f1 + f2
@@ -155,8 +155,8 @@ def compute_basis(f1, f2) -> EigenBasis:
     rank, ph1, ps2 = linalg.rank_and_nullspace(S)
     if ph1 is None:
         raise DegenerateNormalization("matrix has full rank: no zero eigenvalue")
-    ph2p, _ = linalg.bordered_solve(S, ps2, ph1, B @ ph1)
-    ps1p, _ = linalg.bordered_solve(S.T, ph1, ps2, B.T @ ps2)
+    X, _ = linalg.bordered_solve(S, ps2, ph1, np.eye(S.shape[0]))
+    ph2p, ps1p = X @ (B @ ph1), (ps2 @ B) @ X
     existence = _existence(f1, f2, S, rank, ph1, ps2, ph2p)
 
     alpha, gamma = normalization(ps1p, ps2, ph1, ph2p, f2 @ ph1, f2 @ ph2p)
@@ -176,4 +176,5 @@ def compute_basis(f1, f2) -> EigenBasis:
         f1=f1,
         f2=f2,
         existence=existence,
+        pinv=X,
     )

@@ -26,7 +26,3 @@ class RankDeficiencyMismatch(TbddeError):
 
 class DegenerateNormalization(TbddeError):
     """The basis normalization equations admit no usable solution."""
-
-
-class SingularNuSystem(TbddeError):
-    """The bordered system for the parameter response vector is ill-conditioned."""

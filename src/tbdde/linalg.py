@@ -5,13 +5,13 @@ bindings: solve with a condition guard, numerical rank with one-dimensional
 nullspaces, bordered solves of rank-(n-1) systems, determinants, and the
 exact 2-norm condition number.  Sizes of interest are n up to a few hundred.
 
-The solve guard proves most systems safe without an SVD, from the
-Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., 2002, section 6): it accepts
-only systems the exact condition number accepts too, up to rounding of
-relative order n cond_2(A) eps.  From state dimension 24 up, Newton on the
-defining system takes most steps in ``defining`` instead, by block
-elimination, proved safe by a bound of the same kind.
+One guard serves both solves: it proves most systems safe without an SVD,
+from the Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, section 6), whose
+inverse is the bordered solve's answer.  It accepts only systems the exact
+condition number accepts too, up to rounding of relative order n cond_2(A)
+eps.  From state dimension 24 up, Newton takes most steps in ``defining``
+instead, by block elimination, proved safe by a bound of the same kind.
 """
 
 from __future__ import annotations
@@ -42,33 +42,38 @@ def _frobenius(A: np.ndarray) -> float:
     return math.sqrt(np.vdot(A, A))
 
 
-def solve_with_cond(A, b):
-    """Solve A x = b and return (x, c), refusing near-singular systems.
-
-    c is first the Frobenius bound ||A||_F ||A^-1||_F, from one inverse,
-    which lies between cond_2(A) and n cond_2(A); within COND_LIMIT it
-    proves the system safe.  Scale cannot make it too small: ||A^-1||_F >=
-    1/||A||_F, so where the squares summed for ||A||_F underflow, those for
-    ||A^-1||_F overflow, or (within a factor 2 of underflow) the subnormal
-    sum keeps 15 digits.  Otherwise the exact cond_2(A) (``cond_estimate``)
-    decides and is returned as c.  Raises NearSingular, carrying that exact
-    value in its ``cond`` attribute (nan for a non-finite A), when cond_2(A)
-    exceeds COND_LIMIT; a Newton iteration hitting this must abort with a
-    diagnostic rather than trust the step.  x is ``np.linalg.solve(A, b)``.
+def _guarded_inverse(A: np.ndarray):
+    """(A^-1, c) for a square float A, refusing near-singular matrices: c is
+    first the Frobenius bound ||A||_F ||A^-1||_F, which lies between
+    cond_2(A) and n cond_2(A); within COND_LIMIT it proves A safe.  Scale
+    cannot make it too small: ||A^-1||_F >= 1/||A||_F, so where the squares
+    summed for ||A||_F underflow, those for ||A^-1||_F overflow, or (within
+    a factor 2 of underflow) the subnormal sum keeps 15 digits.  Otherwise
+    the exact cond_2(A) (``cond_estimate``) decides and is c; above
+    COND_LIMIT it raises NearSingular with it as ``cond`` (nan for a
+    non-finite A).  An exact zero pivot the SVD accepts raises LinAlgError.
     """
-    A = _square(A).astype(float)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.shape[0],):
-        raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
     try:
-        c = _frobenius(A) * _frobenius(np.linalg.inv(A))
+        inv = np.linalg.inv(A)
+        c = _frobenius(A) * _frobenius(inv)
     except np.linalg.LinAlgError:
-        c = np.inf
+        inv, c = None, np.inf
     if not c <= COND_LIMIT:
         c = cond_estimate(A)
         if not c <= COND_LIMIT:
             raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}",
                                cond=c)
+    return (np.linalg.inv(A) if inv is None else inv), c
+
+
+def solve_with_cond(A, b):
+    """(x, c) for A x = b: c and the refusal are ``_guarded_inverse``'s, x is
+    ``np.linalg.solve``'s, so Newton's iterates keep a pivoted solve's rounding."""
+    A = _square(A).astype(float)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.shape[0],):
+        raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
+    c = _guarded_inverse(A)[1]
     return np.linalg.solve(A, b), c
 
 
@@ -110,23 +115,24 @@ def bordered_solve(A, col_border, row_border, rhs):
 
     The standard device for solving inside the range of a rank-(n-1) matrix:
     when rhs lies in range(A) the scalar s comes out ~0 and x is the unique
-    solution of A x = rhs pinned by r^T x = 0.  A near-singular bordered
-    matrix (a bad border choice) raises NearSingular, and a border or rhs
-    not of length n raises InputError.
+    solution of A x = rhs pinned by r^T x = 0.  An (n, k) rhs gives x (n, k)
+    and s (k,), from one guarded inverse; x for the identity, with c and r
+    unit null vectors, is A^+.  A bad border raises NearSingular, and
+    borders not of length n or an rhs not of n rows raise InputError.
     """
     A = _square(A).astype(float)
     n = A.shape[0]
-    col, row, rhs = (np.asarray(v, dtype=float).ravel()
-                     for v in (col_border, row_border, rhs))
-    if not col.size == row.size == rhs.size == n:
+    col, row = (np.asarray(v, dtype=float).ravel() for v in (col_border, row_border))
+    rhs = np.asarray(rhs, dtype=float)
+    if not col.size == row.size == n or rhs.ndim not in (1, 2) or len(rhs) != n:
         raise InputError(f"borders and rhs must have length {n}, "
-                         f"got {col.size}, {row.size} and {rhs.size}")
+                         f"got {col.size}, {row.size} and rhs shape {rhs.shape}")
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = col
     M[n, :n] = row
-    sol = solve(M, np.append(rhs, 0.0))
-    return sol[:n], float(sol[n])
+    sol = _guarded_inverse(M)[0][:, :n] @ rhs
+    return sol[:n], sol[n]
 
 
 def det(A):

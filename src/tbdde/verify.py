@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
-from .errors import InputError, NearSingular, SingularNuSystem
+from .errors import InputError, NearSingular
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
 #: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
@@ -276,10 +276,10 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     S dx + f_lam dlam + f_mu dmu = 0 with S = f1 + f2, is solvable only when
     psi2 (f_lam dlam + f_mu dmu) = 0, so (given condition i,
     psi2 f_lam != 0) (dlam, dmu) = s (c, 1), c = c_lam_mu =
-    -psi2 f_mu / psi2 f_lam, and dx = a phi1 + s nu, where nu solves the
-    bordered singular system S nu = -(c f_lam + f_mu), phi1.nu = 0.  Along
-    it, S changes by a A + s B and f2 by a A2 + s B2, where
-    (A1, A2) and (B1, B2) are f1 and f2 differentiated along
+    -psi2 f_mu / psi2 f_lam, and dx = a phi1 + s nu, where nu = -S^+ (c f_lam
+    + f_mu) (``EigenBasis.pinv``) solves S nu = -(c f_lam + f_mu) pinned by
+    phi1.nu = 0.  Along it, S changes by a A + s B and f2 by a A2 + s B2,
+    where (A1, A2) and (B1, B2) are f1 and f2 differentiated along
     (phi1, phi1, 0, 0) and (nu, nu, c, 1) (``Linearization.along``),
     A = A1 + A2 and B = B1 + B2.  Blocks 2 and 3 of J are then solvable
     exactly when
@@ -290,16 +290,19 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
 
     since psi2 S = 0 and psi1 S = psi2 (I + f2).  The normalization rows fix
     the rest of the null vector, so J is singular exactly when
-    d0 = m11 m22 - m12 m21 vanishes.  nu is pinned by phi1.nu = 0; the
-    textbook side constraint psi2.nu = 0 is not always attainable by
-    shifting along phi1 (psi2.phi1 vanishes at a double-zero point), so
-    psi2.nu is computed and reported instead of enforced.  Each condition,
-    and the equilibrium test |f|_inf <= tol, is decided against the
-    existence test's threshold, which ``TbVerdict.tol`` reports; the
-    existence test alone decides the double zero.  Where condition (i)
-    fails, |psi2 f_lam| <= tol, the verdict FAILs with ``cond_i_ok`` False:
-    c, nu and the kernel direction are not formed, so ``c_lam_mu``, ``nu``,
-    ``psi2_nu`` and ``d0`` are NaN and ``d0_ok`` is False.
+    d0 = m11 m22 - m12 m21 vanishes.  The textbook side constraint
+    psi2.nu = 0 is not always attainable by shifting along phi1 (psi2.phi1
+    vanishes at a double-zero point), so psi2.nu is computed and reported
+    instead of enforced.  On the normalized basis condition (iii) is
+    1 + (phi2.ph1)(psi2 (f2+I) ph1), ph1 = phi1 / |phi1|: the nondegeneracy
+    value over alpha (one number), plus a multiple of the range value, so 1
+    up to rounding where the existence test passes.  Each condition, and the
+    equilibrium test |f|_inf <= tol, is decided against the existence test's
+    threshold, which ``TbVerdict.tol`` reports; the existence test alone
+    decides the double zero.  Where condition (i) fails, |psi2 f_lam| <= tol,
+    the verdict FAILs with ``cond_i_ok`` False: c, nu and the kernel
+    direction are not formed, so ``c_lam_mu``, ``nu``, ``psi2_nu`` and
+    ``d0`` are NaN and ``d0_ok`` is False.
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, so the point's f1 and f2
@@ -322,12 +325,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     cond_i = float(q2 @ flam)
     if abs(cond_i) > tol:
         c = -float(q2 @ fmu) / cond_i
-        S = f1 + f2
-        try:
-            nu, _ = linalg.bordered_solve(S, basis.psi2 / np.linalg.norm(basis.psi2),
-                                          p1, -(c * flam + fmu))
-        except NearSingular as exc:
-            raise SingularNuSystem(str(exc)) from exc
+        nu = -basis.pinv @ (c * flam + fmu)
         psi2_nu = float(q2 @ nu)
 
         A1, A2 = lin.along(p1, p1)

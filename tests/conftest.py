@@ -79,3 +79,30 @@ def _counted(model, fields=("f", "d1", "d2")):
 def counted_model():
     """Wrap a model's callbacks in call counters, as a function (model, fields)."""
     return _counted
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Count the calls to functions of a module from now on, as a function
+    (module, *names) returning the dict of counts by name."""
+    def count(module, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+    return count
+
+
+def _rank_deficient(rng, n):
+    """A random n x n matrix of rank n - 1, its other singular values in [0.5, 2]."""
+    U, _, Vt = np.linalg.svd(rng.standard_normal((n, n)))
+    return U @ np.diag(np.r_[rng.uniform(0.5, 2.0, n - 1), 0.0]) @ Vt
+
+
+@pytest.fixture
+def rank_deficient():
+    """A random rank-(n-1) matrix, as a function (rng, n)."""
+    return _rank_deficient

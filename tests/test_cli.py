@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbdde import DdeModel, TbCandidate, cli, models
+from tbdde import DdeModel, DegenerateNormalization, TbCandidate, cli, models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
@@ -38,7 +38,7 @@ VERDICTS = {
                       "nondegeneracy_value": None, "tol": 1e-08,
                       "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
         "cond_i_value": 0.7140741917751114, "cond_i_ok": True,
-        "d0": 0.11784276895768488, "d0_ok": True,
+        "d0": 0.11784276895768489, "d0_ok": True,
         "cond_iii_value": 1.04, "cond_iii_ok": True,
         "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.5],
         "psi2_nu": -0.3570370958875557,
@@ -236,6 +236,18 @@ class TestSolve:
         assert [dict(c) for c in built_models] == [{"f": iterates, "d1": iterates,
                                                     "d2": iterates}]
 
+    def test_verification_error_plain(self, capsys, monkeypatch):
+        # a converged run whose certificate raises prints the error, exit 3
+        def degenerate(f1, f2):
+            raise DegenerateNormalization("no usable basis")
+
+        monkeypatch.setattr(cli, "compute_basis", degenerate)
+        code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]))
+        assert code == 3
+        assert "converged in 6 iterations" in out
+        assert out.splitlines()[-1] == \
+            "verification error: DegenerateNormalization: no usable basis"
+
     def test_missing_config_flag_exit_4(self, capsys):
         code, _, err = run(capsys, "solve")
         assert code == 4
@@ -316,6 +328,7 @@ BAD_CONFIGS = {
     "scan-axis-without-max": ("scan", ("scan", "lambda", "max"), DELETE),
     "scan-count-0": ("scan", ("scan", "lambda", "count"), 0),
     "scan-axis-y": ("scan", ("scan",), {"y[0]": {"min": 0, "max": 1, "count": 2}}),
+    "max-iter-misspelled": ("solve", ("max_iters",), 1),
 }
 
 
@@ -341,6 +354,20 @@ def test_bad_config_value_exit_4(capsys, tmp_path, monkeypatch, command, path, v
     if value is DELETE or type(value) is bool or (type(value) is float
                                                   and math.isfinite(value)):
         assert path[-1] in err
+
+
+def test_unknown_config_key_is_named(capsys, tmp_path):
+    # a misspelled option would otherwise be ignored and the run go on
+    cfg = json.loads(SOLVE_FIXTURES[0].read_text()) | {"max_iters": 1}
+    code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 4 and out == ""
+    assert err.startswith("config error: unknown config field 'max_iters'")
+
+
+def test_every_command_reads_one_set_of_keys(capsys):
+    # the scan fixture's scan field is a known key to solve as well
+    code, _, _ = run(capsys, "solve", "--config", str(FIXTURES / "scan_pp.json"))
+    assert code == 0
 
 
 def test_config_directory_exit_4(capsys, tmp_path):

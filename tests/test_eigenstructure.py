@@ -40,6 +40,13 @@ class TestExistenceTest:
         f2 = jac_y(model, x, x, D, K)
         assert not tb_existence_test(f1, f2).passed
 
+    def test_one_inverse_where_the_range_test_holds(self, counted_calls):
+        # phi2 of condition (iii) is one bordered solve: one inverse, which
+        # the guard needs anyway, and no second factorization
+        calls = counted_calls(np.linalg, "inv", "solve")
+        assert tb_existence_test(F1_PP, F2_PP).passed
+        assert calls == {"inv": 1, "solve": 0}
+
     def test_spectral_caveat_reported(self):
         ex = tb_existence_test(F1_PP, F2_PP)
         assert "imaginary axis" in ex.spectral_caveat
@@ -153,3 +160,15 @@ class TestComputeBasis:
             _, ph1, ps2 = rank_and_nullspace(f1 + f2)
             alpha = 1.0 / ((basis.phi1 @ ph1) * (basis.psi2 @ ps2))
             assert alpha == pytest.approx(ex.nondegeneracy_value, rel=1e-12)
+
+    def test_pinv_is_the_pseudoinverse(self, rank_deficient):
+        # the S-block of the one bordered inverse is S^+, over random
+        # rank-(n-1) pairs, TB points or not
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            S = rank_deficient(rng, n)
+            f2 = rng.standard_normal((n, n))
+            X = compute_basis(S - f2, f2).pinv
+            want = np.linalg.pinv(S, rcond=1e-10)
+            assert np.max(np.abs(X - want)) <= 1e-11 * np.max(np.abs(want))

@@ -114,6 +114,16 @@ class TestSolve:
             assert exact * (1.0 - slack) <= c <= n * exact * (1.0 + slack)
 
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InputError, match="square matrix"):
+            linalg.solve(np.ones((2, 3)), np.ones(2))
+
+    @pytest.mark.parametrize("b", [np.ones(3), np.ones((2, 1)), 1.0])
+    def test_rhs_shape_rejected(self, b):
+        with pytest.raises(InputError, match="rhs shape"):
+            linalg.solve_with_cond(np.eye(2), b)
+
+
 class TestRankAndNullspace:
     def test_hand_example(self):
         A = np.array([[0.0, -0.5], [0.0, 0.0]])
@@ -200,6 +210,32 @@ class TestBorderedSolve:
     def test_wrong_length_rejected(self, col, row, rhs):
         with pytest.raises(InputError, match="length 2"):
             linalg.bordered_solve(self.A, col, row, rhs)
+
+    def test_matrix_rhs_solves_each_column(self):
+        # an (n, k) rhs gives x of shape (n, k) and s of length k, column j
+        # the vector solve of column j up to the rounding of the product
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 4))
+        _, right, left = linalg.rank_and_nullspace(A)
+        rhs = rng.standard_normal((4, 5))
+        x, s = linalg.bordered_solve(A, left, right, rhs)
+        assert x.shape == (4, 5) and s.shape == (5,)
+        for j in range(5):
+            xj, sj = linalg.bordered_solve(A, left, right, rhs[:, j])
+            assert x[:, j] == pytest.approx(xj, rel=1e-13, abs=1e-13)
+            assert s[j] == pytest.approx(sj, rel=1e-13, abs=1e-13)
+
+    def test_identity_rhs_gives_the_pseudoinverse(self):
+        A = np.diag([0.0, 2.0, -4.0])
+        x, s = linalg.bordered_solve(A, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.eye(3))
+        assert np.array_equal(x, np.diag([0.0, 0.5, -0.25]))
+        assert np.array_equal(s, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("rhs", [np.ones((3, 2)), np.ones((2, 2, 1)), 1.0, np.ones((1, 2))],
+                             ids=["rows", "3-d", "scalar", "row-vector"])
+    def test_rhs_shape_rejected(self, rhs):
+        with pytest.raises(InputError, match="length 2"):
+            linalg.bordered_solve(self.A, self.e1, self.e1, rhs)
 
     def test_bad_border_rejected(self):
         # column border inside range(A) leaves the bordered matrix singular

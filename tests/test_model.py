@@ -220,6 +220,14 @@ def test_linearization_serves_the_public_values(pp, fields):
         linearize(model, [1.0], lam, mu)
 
 
+@pytest.mark.parametrize("call, which", [
+    (lambda pp, which: second_dirder(pp, which, *TB_ARGS, np.ones(2), np.ones(2)), "13"),
+    (lambda pp, which: param_der(pp, which, *TB_ARGS), "1x")], ids=["second", "param"])
+def test_unknown_which_rejected(pp, call, which):
+    with pytest.raises(InputError, match=f"which must be one of .*'{which}'"):
+        call(pp, which)
+
+
 def test_invalid_construction():
     with pytest.raises(InputError):
         DdeModel(n=0, tau=1.0, f=lambda x, y, l, u: x)

@@ -5,7 +5,7 @@ PUBLIC = [
     "DdeModel", "DegenerateNormalization", "EigenBasis",
     "Functionals", "InputError", "Linearization", "NearSingular", "NewtonOptions",
     "NewtonReport", "PredatorPreyParams", "RankDeficiencyMismatch",
-    "SingularNuSystem", "SyntheticTbParams", "TbCandidate", "TbExistence",
+    "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError",
     "build", "characteristic", "compute_basis", "double_zero_check", "eval_f",
     "jac_x", "jac_y", "jacobian", "linearize", "newton_solve", "param_der",
@@ -19,3 +19,9 @@ def test_public_names_frozen_and_resolve():
     assert len(set(tbdde.__all__)) == len(tbdde.__all__)
     for name in tbdde.__all__:
         getattr(tbdde, name)
+
+
+def test_nu_system_error_removed():
+    # nu is a product with the basis's pseudoinverse: no system of its own
+    # to refuse, so no error class for one
+    assert not hasattr(tbdde.errors, "SingularNuSystem")

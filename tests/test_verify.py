@@ -616,6 +616,39 @@ class TestQuadraticCheck:
         assert quadratic_check(model, TB_SOL, basis, lin).passed
         assert calls == {"f": 0, "d1": 0, "d2": 0, "ddir": 2}
 
+    def test_one_inverse_per_certificate(self, pp, counted_calls):
+        # phi2', psi1' and nu are products with the basis's pseudoinverse,
+        # the S-block of one guarded bordered inverse: nothing else is
+        # factored, and nothing solved
+        lin = linearize(pp, TB_X, 0.5, 2.0)
+        calls = counted_calls(np.linalg, "inv", "solve")
+        basis = compute_basis(lin.f1, lin.f2)
+        v = quadratic_check(pp, TB_SOL, basis, lin)
+        assert v.passed and calls == {"inv": 1, "solve": 0}
+        # pinv's rows are orthogonal to phi1 and its columns to psi2
+        assert np.max(np.abs(basis.phi1 @ basis.pinv)) <= 1e-15
+        assert np.max(np.abs(basis.pinv @ basis.psi2)) <= 1e-15
+
+    def test_chain_condition_is_one_plus_the_range_term(self, rank_deficient):
+        # on the normalized basis, with ph1 = phi1 / |phi1|, condition (iii)'s
+        # value is c d n + d t r, n and r the existence test's nondegeneracy
+        # and range values; c d = 1 / alpha and alpha = n make it
+        # 1 + (phi2.ph1)(psi2 (f2+I) ph1), whose second term vanishes where
+        # the range test holds; over random rank-(n-1) pairs
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            n = int(rng.integers(1, 8))
+            S = rank_deficient(rng, n)
+            f2 = rng.standard_normal((n, n))
+            basis = compute_basis(S - f2, f2)
+            p1, p2, q2 = basis.phi1, basis.phi2, basis.psi2
+            ph1 = p1 / np.linalg.norm(p1)
+            want = 1.0 + (p2 @ ph1) * (q2 @ (f2 + np.eye(n)) @ ph1)
+            model = DdeModel(n=n, tau=1.0, f=lambda x, y, l, u: np.zeros(n))
+            sol = TbCandidate(x=np.zeros(n), phi1=p1, phi2=p2, lam=0.0, mu=0.0)
+            got = quadratic_check(model, sol, basis).cond_iii_value
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_mu_independent_model_zero_ratio(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = DdeModel(
