@@ -238,19 +238,20 @@ def cmd_solve(args) -> int:
 
 
 def _pack_index(key: str, spec, n: int):
-    """Map a scan key like "x[0]", "lambda" to its index in ``TbCandidate.pack()``."""
+    """(index in ``TbCandidate.pack()``, count) of a scan axis "x[0]", "lambda", ..."""
     if not isinstance(spec, dict) or not {"min", "max", "count"} <= set(spec):
         raise InputError(f"scan axis {key!r} needs min/max/count")
-    if _number(spec["count"], f"scan.{key}.count", int) < 1:
+    count = _number(spec["count"], f"scan.{key}.count", int)
+    if count < 1:
         raise InputError(f"scan axis {key!r}: count must be >= 1")
     if key in ("lambda", "mu"):
-        return 3 * n + (key == "mu")
+        return 3 * n + (key == "mu"), count
     match = re.fullmatch(r"(x|phi1|phi2)\[([0-9]+)\]", key)
     if match is None:
         raise InputError(f"unknown scan component {key!r}")
     if int(match[2]) >= n:
         raise InputError(f"scan index out of range in {key!r}")
-    return ("x", "phi1", "phi2").index(match[1]) * n + int(match[2])
+    return ("x", "phi1", "phi2").index(match[1]) * n + int(match[2]), count
 
 
 def cmd_scan(args) -> int:
@@ -263,8 +264,10 @@ def cmd_scan(args) -> int:
     opts = _options(cfg)
     functionals = _functionals(cfg, model.n)
     keys = sorted(scan)
-    axes = [_pack_index(k, scan[k], model.n) for k in keys]
-    counts = [_number(scan[k]["count"], f"scan.{k}.count", int) for k in keys]
+    axes, counts = map(list, zip(*(_pack_index(k, scan[k], model.n) for k in keys)))
+    shared = [k for k, i in zip(keys, axes) if axes.count(i) > 1]
+    if shared:
+        raise InputError(f"scan axes {', '.join(map(repr, shared))} name one component")
     runs = math.prod(counts)
     if runs > MAX_SCAN_RUNS:
         raise InputError(f"scan grid has {runs} runs, the product of "

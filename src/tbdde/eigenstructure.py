@@ -84,12 +84,12 @@ def _pair(f1, f2):
     return f1, f2
 
 
-def _existence(f1, f2, S, rank: int, phi1, psi2, phi2=None) -> TbExistence:
+def _existence(f1, f2, rank: int, phi1, psi2, pinv) -> TbExistence:
     """The existence test on (f1, f2), given the rank of S = f1 + f2.
 
     When the rank is n-1, phi1 (right) and psi2 (left) are the unit null
-    vectors and ``phi2`` solves S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0;
-    it is computed here when not given and (ii) holds.  tol = DEFAULT_TOL
+    vectors and phi2 = S^+ (f2+I) phi1, with S^+ = ``pinv``, solves
+    S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0.  tol = DEFAULT_TOL
     max(1, max|f1| + max|f2|) is the point's one threshold: (ii) and (iii)
     here, and every condition of ``verify``, are decided against it.
     """
@@ -100,8 +100,7 @@ def _existence(f1, f2, S, rank: int, phi1, psi2, phi2=None) -> TbExistence:
     range_value = float(psi2 @ (B @ phi1))
     if abs(range_value) > tol:
         return TbExistence(True, False, False, rank, range_value, np.nan, tol)
-    if phi2 is None:
-        phi2, _ = linalg.bordered_solve(S, psi2, phi1, B @ phi1)
+    phi2 = pinv @ (B @ phi1)
     nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
     return TbExistence(True, True, abs(nd_value) > tol, rank, range_value, nd_value, tol)
 
@@ -118,20 +117,20 @@ def tb_existence_test(f1, f2) -> TbExistence:
     of Dynamical Equilibria, SIAM 2000): g = det M / det of that matrix is
     the characteristic function without the scale of its other roots.  The
     imaginary-axis spectral hypothesis is reported as a caveat, not verified
-    here.  ``compute_basis`` runs the same test on the decomposition it
-    makes anyway (``EigenBasis.existence``).
+    here.  It takes one SVD, as ``compute_basis`` does for its
+    ``EigenBasis.existence``, and where phi2's bordered matrix is too
+    ill-conditioned it raises NearSingular (``linalg.rank_and_nullspace``),
+    whether (ii) holds or not.
     """
     f1, f2 = _pair(f1, f2)
-    S = f1 + f2
-    return _existence(f1, f2, S, *linalg.rank_and_nullspace(S))
+    return _existence(f1, f2, *linalg.rank_and_nullspace(f1 + f2))
 
 
 def compute_basis(f1, f2) -> EigenBasis:
     """Construct the normalized double-zero basis from (f1, f2).
 
-    Construction order: unit null vectors ph1, ps2 from (1), (3) by one SVD
-    of S = f1 + f2; X = S^+ (``pinv``) by one bordered solve, of the
-    identity, with column border ps2 (phi1 lies in range(S) at a T-B point);
+    Construction order: one SVD of S = f1 + f2 gives the unit null vectors
+    ph1, ps2 of (1), (3) and X = S^+ (``pinv``), and nothing is inverted;
     ph2p = X (f2+I) ph1 and ps1p = ps2 (f2+I) X from (2), (4), so ph1.ph2p =
     ps1p.ps2 = 0; then the normalization identities (5) and (6) determine
     the common scales.  With phi1 = c*ph1, psi2 = d*ps2, psi1 = d*ps1p and
@@ -142,7 +141,7 @@ def compute_basis(f1, f2) -> EigenBasis:
 
     so c*d = 1/alpha and t follows; the magnitude split between c and d is a
     convention (square root), with c > 0 keeping the sign rule on phi1.  The
-    existence test reuses the SVD and phi2p.
+    existence test reuses the SVD.
 
     alpha is the existence test's nondegeneracy value, as ps1p (f2+I) ph1 =
     ps2 (f2+I) X (f2+I) ph1 = ps2 (f2+I) ph2p: the test decides it, and the
@@ -150,14 +149,12 @@ def compute_basis(f1, f2) -> EigenBasis:
     value before dividing by it, not a second decision.
     """
     f1, f2 = _pair(f1, f2)
-    S = f1 + f2
     B = f2 + np.eye(f2.shape[0])
-    rank, ph1, ps2 = linalg.rank_and_nullspace(S)
+    rank, ph1, ps2, X = linalg.rank_and_nullspace(f1 + f2)
     if ph1 is None:
         raise DegenerateNormalization("matrix has full rank: no zero eigenvalue")
-    X, _ = linalg.bordered_solve(S, ps2, ph1, np.eye(S.shape[0]))
     ph2p, ps1p = X @ (B @ ph1), (ps2 @ B) @ X
-    existence = _existence(f1, f2, S, rank, ph1, ps2, ph2p)
+    existence = _existence(f1, f2, rank, ph1, ps2, X)
 
     alpha, gamma = normalization(ps1p, ps2, ph1, ph2p, f2 @ ph1, f2 @ ph2p)
     if abs(alpha) < 1e-12 * max(1.0, np.max(np.abs(f2))):

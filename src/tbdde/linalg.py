@@ -2,16 +2,17 @@
 
 Everything here is a thin, contract-enforcing layer over numpy's LAPACK
 bindings: solve with a condition guard, numerical rank with one-dimensional
-nullspaces, bordered solves of rank-(n-1) systems, determinants, and the
-exact 2-norm condition number.  Sizes of interest are n up to a few hundred.
+nullspaces and the pseudoinverse, bordered solves of rank-(n-1) systems,
+determinants, and the exact 2-norm condition number.  Sizes of interest are
+n up to a few hundred.
 
-One guard serves both solves: it proves most systems safe without an SVD,
-from the Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., 2002, section 6), whose
-inverse is the bordered solve's answer.  It accepts only systems the exact
-condition number accepts too, up to rounding of relative order n cond_2(A)
-eps.  From state dimension 24 up, Newton takes most steps in ``defining``
-instead, by block elimination, proved safe by a bound of the same kind.
+The solve guard proves most systems safe without an SVD, from the
+Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, section 6): it accepts
+only systems the exact condition number accepts too, up to rounding of
+relative order n cond_2(A) eps.  From state dimension 24 up, Newton takes
+most steps in ``defining`` instead, by block elimination, proved safe by a
+bound of the same kind.  The certificate takes one SVD and no inverse.
 """
 
 from __future__ import annotations
@@ -42,38 +43,30 @@ def _frobenius(A: np.ndarray) -> float:
     return math.sqrt(np.vdot(A, A))
 
 
-def _guarded_inverse(A: np.ndarray):
-    """(A^-1, c) for a square float A, refusing near-singular matrices: c is
-    first the Frobenius bound ||A||_F ||A^-1||_F, which lies between
-    cond_2(A) and n cond_2(A); within COND_LIMIT it proves A safe.  Scale
-    cannot make it too small: ||A^-1||_F >= 1/||A||_F, so where the squares
-    summed for ||A||_F underflow, those for ||A^-1||_F overflow, or (within
-    a factor 2 of underflow) the subnormal sum keeps 15 digits.  Otherwise
-    the exact cond_2(A) (``cond_estimate``) decides and is c; above
-    COND_LIMIT it raises NearSingular with it as ``cond`` (nan for a
-    non-finite A).  An exact zero pivot the SVD accepts raises LinAlgError.
+def solve_with_cond(A, b):
+    """(x, c) for A x = b, refusing near-singular systems: c is first the
+    Frobenius bound ||A||_F ||A^-1||_F, between cond_2(A) and n cond_2(A);
+    within COND_LIMIT it proves A safe.  Scale cannot make it too small:
+    ||A^-1||_F >= 1/||A||_F, so where the squares summed for ||A||_F
+    underflow, those for ||A^-1||_F overflow, or (within a factor 2 of
+    underflow) the subnormal sum keeps 15 digits.  Otherwise the exact
+    cond_2(A) (``cond_estimate``) decides and is c; above COND_LIMIT it
+    raises NearSingular with it as ``cond`` (nan for a non-finite A).  x is
+    ``np.linalg.solve``'s.
     """
+    A = _square(A).astype(float)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.shape[0],):
+        raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
     try:
-        inv = np.linalg.inv(A)
-        c = _frobenius(A) * _frobenius(inv)
+        c = _frobenius(A) * _frobenius(np.linalg.inv(A))
     except np.linalg.LinAlgError:
-        inv, c = None, np.inf
+        c = np.inf
     if not c <= COND_LIMIT:
         c = cond_estimate(A)
         if not c <= COND_LIMIT:
             raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}",
                                cond=c)
-    return (np.linalg.inv(A) if inv is None else inv), c
-
-
-def solve_with_cond(A, b):
-    """(x, c) for A x = b: c and the refusal are ``_guarded_inverse``'s, x is
-    ``np.linalg.solve``'s, so Newton's iterates keep a pivoted solve's rounding."""
-    A = _square(A).astype(float)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.shape[0],):
-        raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
-    c = _guarded_inverse(A)[1]
     return np.linalg.solve(A, b), c
 
 
@@ -89,12 +82,18 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 
 
 def rank_and_nullspace(A):
-    """(rank, right, left): the number of singular values above DEFAULT_TOL
-    max(1, max(s)), and when it is n-1 the unit right/left null vectors.
+    """(rank, right, left, pinv) from one SVD A = U diag(s) V^T.
 
-    The theory requires a geometrically simple zero, so rank < n-1 is an
-    error.  For full rank the null vectors are None.  A non-finite A has no
-    numerical rank: it raises NearSingular with ``cond`` nan.
+    rank counts the singular values above DEFAULT_TOL max(1, max(s)); rank <
+    n-1 is an error (the theory requires a geometrically simple zero), and at
+    full rank the other three are None.  At rank n-1 they are the unit null
+    vectors and pinv = V1 diag(1/s1) U1^T over the first n-1 singular
+    triples: it solves A x = r in range(A) with right.x = 0 (Golub & Van
+    Loan, Matrix Computations, section 5.5).  So does the bordered matrix
+    [[A, left], [right^T, 0]], whose singular values are s_0 ... s_{n-2} and
+    (sqrt(e^2 + 4) +- e)/2, e = s_{n-1}: where its exact cond_2 exceeds
+    COND_LIMIT, NearSingular carries it as ``cond``.  A non-finite A has no
+    numerical rank: NearSingular with ``cond`` nan.
     """
     A = _square(A).astype(float)
     n = A.shape[0]
@@ -106,8 +105,13 @@ def rank_and_nullspace(A):
         raise RankDeficiencyMismatch(
             f"rank {rank} < n-1 = {n - 1}: zero eigenvalue is not simple")
     if rank == n:
-        return rank, None, None
-    return rank, _sign_fix(Vt[-1]), _sign_fix(U[:, -1])
+        return rank, None, None, None
+    sigma = (math.hypot(s[-1], 2.0) + s[-1]) / 2.0   # the other is 1 / sigma
+    c = max(s[0], sigma) * (max(sigma, 1.0 / s[-2]) if n > 1 else sigma)
+    if not c <= COND_LIMIT:
+        raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}", cond=c)
+    pinv = (Vt[:-1].T / s[:-1]) @ U[:, :-1].T
+    return rank, _sign_fix(Vt[-1]), _sign_fix(U[:, -1]), pinv
 
 
 def bordered_solve(A, col_border, row_border, rhs):
@@ -115,24 +119,19 @@ def bordered_solve(A, col_border, row_border, rhs):
 
     The standard device for solving inside the range of a rank-(n-1) matrix:
     when rhs lies in range(A) the scalar s comes out ~0 and x is the unique
-    solution of A x = rhs pinned by r^T x = 0.  An (n, k) rhs gives x (n, k)
-    and s (k,), from one guarded inverse; x for the identity, with c and r
-    unit null vectors, is A^+.  A bad border raises NearSingular, and
-    borders not of length n or an rhs not of n rows raise InputError.
+    solution of A x = rhs pinned by r^T x = 0, which ``rank_and_nullspace``'s
+    pinv gives without this second factorization.  A bad border raises
+    NearSingular, and borders or rhs not vectors of length n InputError.
     """
     A = _square(A).astype(float)
     n = A.shape[0]
     col, row = (np.asarray(v, dtype=float).ravel() for v in (col_border, row_border))
     rhs = np.asarray(rhs, dtype=float)
-    if not col.size == row.size == n or rhs.ndim not in (1, 2) or len(rhs) != n:
+    if not col.size == row.size == n or rhs.shape != (n,):
         raise InputError(f"borders and rhs must have length {n}, "
                          f"got {col.size}, {row.size} and rhs shape {rhs.shape}")
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = col
-    M[n, :n] = row
-    sol = _guarded_inverse(M)[0][:, :n] @ rhs
-    return sol[:n], sol[n]
+    sol = solve(np.block([[A, col[:, None]], [row, 0.0]]), np.append(rhs, 0.0))
+    return sol[:n], float(sol[n])
 
 
 def det(A):

@@ -8,14 +8,13 @@ conditions hold (transversality, the 2x2 degeneracy determinant, the chain
 normalization).
 
 A separate spectral scan checks that no other root lies on the imaginary
-axis, the strip |Re z| <= delta = 1e-3 (the former scan warned on a band of
-0.05), by excluding it: the roots near it have |z| <= R = |f1|_2 + |f2|_2
-e^delta, a trapezoid rule for the argument principle counts and locates
-those near 0, and a Weyl bound on sigma_min(M(i w)) clears the rest, up to
-rounding (Rump, Acta Numerica 19, 2010).  f1 and f2 are real (every
-callback's result is cast to float), so M(conj z) = conj M(z): the roots
-come in conjugate pairs, and the trapezoid rule needs only its nodes with
-Im z >= 0.
+axis, the strip |Re z| <= delta = 1e-3, by excluding it: the roots near it
+have |z| <= R = |f1|_2 + |f2|_2 e^delta, a trapezoid rule for the argument
+principle counts and locates those near 0, and a Weyl bound on
+sigma_min(M(i w)) clears the rest, up to rounding (Rump, Acta Numerica 19,
+2010).  f1 and f2 are real (every callback's result is cast to float), so
+M(conj z) = conj M(z): the roots come in conjugate pairs, and the trapezoid
+rule needs only its nodes with Im z >= 0.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ VERDICTS = {
                       "rank": 1, "range_value": -0.19611613513818393,
                       "nondegeneracy_value": None, "tol": 1e-08,
                       "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
-        "cond_i_value": 0.7140741917751114, "cond_i_ok": True,
-        "d0": 0.11784276895768489, "d0_ok": True,
+        "cond_i_value": 0.7140741917751116, "cond_i_ok": True,
+        "d0": 0.11784276895768496, "d0_ok": True,
         "cond_iii_value": 1.04, "cond_iii_ok": True,
-        "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.5],
-        "psi2_nu": -0.3570370958875557,
+        "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.49999999999999983],
+        "psi2_nu": -0.35703709588755567,
         "equilibrium_residual": 0.09999999999999998, "equilibrium_ok": False,
         "tol": 1e-08, "passed": False,
     },
@@ -755,6 +755,21 @@ class TestScan:
         code, _, _ = run(capsys, "scan", "--config",
                          write_config(tmp_path, cfg))
         assert code == 4
+
+    def test_two_keys_of_one_component_exit_4_before_the_csv(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # "x[0]" and "x[00]" name one unknown: one of them would overwrite the
+        # other's start, so the config is refused before the CSV opens
+        runs = []
+        monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
+        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
+        cfg["scan"] = {"x[0]": {"min": 0.9, "max": 1.1, "count": 2},
+                       "x[00]": {"min": 5.0, "max": 5.0, "count": 1}}
+        out_csv = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "scan", "--config", write_config(tmp_path, cfg),
+                             "--csv", str(out_csv))
+        assert code == 4 and out == "" and not runs and not out_csv.exists()
+        assert "scan axes 'x[00]', 'x[0]' name one component" in err
 
 
 class TestListModels:

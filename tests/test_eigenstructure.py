@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tbdde import (DegenerateNormalization, InputError, compute_basis, eval_f,
-                   jac_x, jac_y, predator_prey, synthetic_tb, tb_existence_test)
+from tbdde import (DegenerateNormalization, InputError, NearSingular, compute_basis,
+                   eval_f, jac_x, jac_y, predator_prey, synthetic_tb,
+                   tb_existence_test)
 from tbdde.linalg import rank_and_nullspace
 
 F1_PP = np.array([[0.0, -0.5], [0.0, 0.0]])
@@ -40,12 +41,12 @@ class TestExistenceTest:
         f2 = jac_y(model, x, x, D, K)
         assert not tb_existence_test(f1, f2).passed
 
-    def test_one_inverse_where_the_range_test_holds(self, counted_calls):
-        # phi2 of condition (iii) is one bordered solve: one inverse, which
-        # the guard needs anyway, and no second factorization
-        calls = counted_calls(np.linalg, "inv", "solve")
+    def test_one_svd_where_the_range_test_holds(self, counted_calls):
+        # phi2 of condition (iii) is a product with the pseudoinverse from
+        # the SVD that gives the rank: no second factorization, no inverse
+        calls = counted_calls(np.linalg, "svd", "inv", "solve")
         assert tb_existence_test(F1_PP, F2_PP).passed
-        assert calls == {"inv": 1, "solve": 0}
+        assert calls == {"svd": 1, "inv": 0, "solve": 0}
 
     def test_spectral_caveat_reported(self):
         ex = tb_existence_test(F1_PP, F2_PP)
@@ -150,20 +151,20 @@ class TestComputeBasis:
             n = int(rng.integers(2, 7))
             U, _, Vt = np.linalg.svd(rng.standard_normal((n, n)))
             S = U @ np.diag(np.r_[rng.uniform(0.5, 2.0, n - 1), 0.0]) @ Vt
-            _, ph1, ps2 = rank_and_nullspace(S)
+            _, ph1, ps2, _ = rank_and_nullspace(S)
             f2 = rng.standard_normal((n, n))
             f2 -= (ps2 @ (f2 + np.eye(n)) @ ph1) * np.outer(ps2, ph1)
             f1 = S - f2
             ex = tb_existence_test(f1, f2)
             assert ex.passed
             basis = compute_basis(f1, f2)
-            _, ph1, ps2 = rank_and_nullspace(f1 + f2)
+            _, ph1, ps2, _ = rank_and_nullspace(f1 + f2)
             alpha = 1.0 / ((basis.phi1 @ ph1) * (basis.psi2 @ ps2))
             assert alpha == pytest.approx(ex.nondegeneracy_value, rel=1e-12)
 
     def test_pinv_is_the_pseudoinverse(self, rank_deficient):
-        # the S-block of the one bordered inverse is S^+, over random
-        # rank-(n-1) pairs, TB points or not
+        # the pinv taken from the SVD of S is S^+, over random rank-(n-1)
+        # pairs, TB points or not
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(1, 8))
@@ -172,3 +173,19 @@ class TestComputeBasis:
             X = compute_basis(S - f2, f2).pinv
             want = np.linalg.pinv(S, rcond=1e-10)
             assert np.max(np.abs(X - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("s1, refused", [(1.2e-8, True), (2e-8, False)])
+    def test_refusal_just_above_the_rank_cut(self, s1, refused):
+        # S = U diag(1, s1, 0) V^T has rank 2 at both s1 (the cut is 1e-8),
+        # and [[S, psi2], [phi1^T, 0]] has cond_2 = 1 / s1: above COND_LIMIT
+        # = 6.7e7 at s1 = 1.2e-8, so the basis is refused with that number,
+        # and below it at s1 = 2e-8, where the basis builds
+        rng = np.random.default_rng(4)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((3, 3)))
+        S, f2 = U @ np.diag([1.0, s1, 0.0]) @ Vt, np.zeros((3, 3))
+        if refused:
+            with pytest.raises(NearSingular) as exc:
+                compute_basis(S, f2)
+            assert exc.value.cond == pytest.approx(1.0 / s1, rel=1e-6)
+        else:
+            assert compute_basis(S, f2).existence.rank == 2

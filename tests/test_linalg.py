@@ -127,14 +127,14 @@ class TestSolve:
 class TestRankAndNullspace:
     def test_hand_example(self):
         A = np.array([[0.0, -0.5], [0.0, 0.0]])
-        rank, right, left = linalg.rank_and_nullspace(A)
+        rank, right, left, _ = linalg.rank_and_nullspace(A)
         assert rank == 1
         assert right == pytest.approx([1.0, 0.0])
         assert left == pytest.approx([0.0, 1.0])
 
     def test_full_rank(self):
-        rank, right, left = linalg.rank_and_nullspace(np.eye(4))
-        assert rank == 4 and right is None and left is None
+        rank, right, left, pinv = linalg.rank_and_nullspace(np.eye(4))
+        assert rank == 4 and right is None and left is None and pinv is None
 
     @pytest.mark.parametrize("s, rank", [
         ([1.0, 1e-12], 1), ([1.0, 2e-8], 2), ([1e-3, 1e-9], 1), ([1e-3, 2e-8], 2),
@@ -157,7 +157,7 @@ class TestRankAndNullspace:
             U = rng.standard_normal((n, n - 1))
             V = rng.standard_normal((n - 1, n))
             A = U @ V
-            rank, right, left = linalg.rank_and_nullspace(A)
+            rank, right, left, _ = linalg.rank_and_nullspace(A)
             assert rank == n - 1
             scale = np.max(np.abs(A))
             assert np.max(np.abs(A @ right)) <= 1e-10 * scale
@@ -195,7 +195,7 @@ class TestBorderedSolve:
             U = rng.standard_normal((n, n - 1))
             V = rng.standard_normal((n - 1, n))
             A = U @ V
-            _, right, left = linalg.rank_and_nullspace(A)
+            _, right, left, _ = linalg.rank_and_nullspace(A)
             rhs = A @ rng.standard_normal(n)  # guaranteed in range
             x, s = linalg.bordered_solve(A, left, right, rhs)
             res = np.concatenate([A @ x + left * s - rhs, [right @ x]])
@@ -210,26 +210,6 @@ class TestBorderedSolve:
     def test_wrong_length_rejected(self, col, row, rhs):
         with pytest.raises(InputError, match="length 2"):
             linalg.bordered_solve(self.A, col, row, rhs)
-
-    def test_matrix_rhs_solves_each_column(self):
-        # an (n, k) rhs gives x of shape (n, k) and s of length k, column j
-        # the vector solve of column j up to the rounding of the product
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 4))
-        _, right, left = linalg.rank_and_nullspace(A)
-        rhs = rng.standard_normal((4, 5))
-        x, s = linalg.bordered_solve(A, left, right, rhs)
-        assert x.shape == (4, 5) and s.shape == (5,)
-        for j in range(5):
-            xj, sj = linalg.bordered_solve(A, left, right, rhs[:, j])
-            assert x[:, j] == pytest.approx(xj, rel=1e-13, abs=1e-13)
-            assert s[j] == pytest.approx(sj, rel=1e-13, abs=1e-13)
-
-    def test_identity_rhs_gives_the_pseudoinverse(self):
-        A = np.diag([0.0, 2.0, -4.0])
-        x, s = linalg.bordered_solve(A, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.eye(3))
-        assert np.array_equal(x, np.diag([0.0, 0.5, -0.25]))
-        assert np.array_equal(s, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("rhs", [np.ones((3, 2)), np.ones((2, 2, 1)), 1.0, np.ones((1, 2))],
                              ids=["rows", "3-d", "scalar", "row-vector"])
