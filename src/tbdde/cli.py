@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, models
 from .defining import Functionals, NewtonOptions, TbCandidate, newton_solve
-from .eigenstructure import compute_basis
+from .eigenstructure import Check, compute_basis
 from .errors import InputError, TbddeError
 from .model import jac_x, jac_y
 from .verify import quadratic_check
@@ -155,8 +155,8 @@ def _schema(cls) -> tuple:
 
 
 def _json(obj):
-    """The JSON value of a result: dataclasses field by field, arrays and
-    tuples as lists, non-finite floats as null."""
+    """The JSON value of a result: dataclasses field by field, a ``Check``
+    as an object, arrays and tuples as lists, non-finite floats as null."""
     t = type(obj)
     if t is float or t is np.float64:
         return float(obj) if math.isfinite(obj) else None
@@ -168,6 +168,8 @@ def _json(obj):
                 for a in (obj.tolist() if t is np.ndarray else obj)]
     if t is dict:
         return {k: _json(v) for k, v in obj.items()}
+    if t is Check:
+        return dict(zip(obj._fields, map(_json, obj)))
     if isinstance(obj, np.generic):
         return _json(obj.item())
     return {key: _json(getattr(obj, name)) for name, key in _schema(t)}
@@ -188,6 +190,18 @@ def _verify_solution(model, solution, lin=None):
     except TbddeError as exc:
         return None, f"{type(exc).__name__}: {exc}", EXIT_NOT_VERIFIED
     return verdict, None, EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED
+
+
+def _print_verdict(verdict: dict | None, error: str | None) -> None:
+    """A run's verify error, or its JSON verdict: one line per check, the
+    existence test's first, then the verdict line."""
+    if verdict is None:
+        print(f"verification error: {error}")
+        return
+    for name, c in (*verdict["existence"]["checks"].items(), *verdict["checks"].items()):
+        print(f"{name:<15} {c['value']}  threshold {c['threshold']}: "
+              f"{'ok' if c['ok'] else 'FAIL'}")
+    print(f"verdict: {'PASS' if verdict['passed'] else 'FAIL'}")
 
 
 def _run_one(model, functionals, opts: NewtonOptions, v0: TbCandidate):
@@ -222,16 +236,10 @@ def cmd_solve(args) -> int:
     for k, r in enumerate(report.residual_history):   # inf and NaN included
         print(f"{k:>4}  {r:12.4e}")
     if rep["converged"]:
-        sol = rep["solution"]
         print(f"converged in {rep['iterations']} iterations")
         for key in ("x", "lambda", "mu", "phi1", "phi2"):
-            print(f"{key:<8}= {sol[key]}")
-        if result["verdict"] is not None:
-            v = result["verdict"]
-            print(f"verified: {v['passed']}  (d0 = {v['d0']}, "
-                  f"c_lam_mu = {v['c_lam_mu']}, tol = {v['tol']})")
-        elif result["verify_error"]:
-            print(f"verification error: {result['verify_error']}")
+            print(f"{key:<8}= {rep['solution'][key]}")
+        _print_verdict(result["verdict"], error)
     else:
         print(f"did not converge: {rep['failure_reason']}")
     return code
@@ -325,18 +333,8 @@ def cmd_verify(args) -> int:
                      "verdict": verdict, "verify_error": err})
     if args.json:
         print(json.dumps(payload))
-    elif verdict is None:
-        print(f"verification error: {err}")
     else:
-        v = payload["verdict"]
-        ex = v["existence"]
-        print(f"existence: {ex['passed']}  (rank {ex['rank']}, range value "
-              f"{ex['range_value']}, nondegeneracy value {ex['nondegeneracy_value']})")
-        print(f"cond (i)  psi2.f_lambda = {v['cond_i_value']}: {v['cond_i_ok']}")
-        print(f"cond (ii) d0 = {v['d0']}: {v['d0_ok']}")
-        print(f"cond (iii) value = {v['cond_iii_value']}: {v['cond_iii_ok']}")
-        print(f"equilibrium |f|_inf = {v['equilibrium_residual']}: {v['equilibrium_ok']}")
-        print(f"verdict: {'PASS' if v['passed'] else 'FAIL'}  (tol = {v['tol']})")
+        _print_verdict(payload["verdict"], err)
     return code
 
 

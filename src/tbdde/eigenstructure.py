@@ -15,14 +15,12 @@ affine in theta with these coefficient vectors, so finite vectors suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateNormalization, InputError
-
-#: the certificate's relative tolerance, ``linalg.DEFAULT_TOL`` itself
-DEFAULT_TOL = linalg.DEFAULT_TOL
 
 
 def normalization(q1, q2, p1, p2, g1, g2):
@@ -37,15 +35,22 @@ def normalization(q1, q2, p1, p2, g1, g2):
             q1 @ p2 - 0.5 * q1 @ g1 + q1 @ g2 + q2 @ g1 / 6.0 - 0.5 * q2 @ g2)
 
 
+class Check(NamedTuple):
+    """One decision of a certificate: ``value`` against ``threshold``, and
+    whether it holds (a named tuple, as ``model.Linearization`` is)."""
+
+    value: float
+    threshold: float
+    ok: bool
+
+
 @dataclass(frozen=True)
 class TbExistence:
-    rank_ok: bool
-    range_ok: bool
-    nondegenerate: bool
-    rank: int
-    range_value: float           # -g'(0) of tb_existence_test
-    nondegeneracy_value: float   # -g''(0) / 2; nan unless range_ok
-    tol: float                   # the point's one threshold (see _existence)
+    """The double-zero decision: the checks "rank", "range" and
+    "nondegeneracy" of ``tb_existence_test``, by name."""
+
+    checks: dict
+    tol: float
     spectral_caveat: str = (
         "the test assumes no other eigenvalue on the imaginary axis; "
         "run a spectral scan to check"
@@ -53,7 +58,7 @@ class TbExistence:
 
     @property
     def passed(self) -> bool:
-        return self.rank_ok and self.range_ok and self.nondegenerate
+        return all(check.ok for check in self.checks.values())
 
 
 @dataclass(frozen=True)
@@ -89,30 +94,32 @@ def _existence(f1, f2, rank: int, phi1, psi2, pinv) -> TbExistence:
 
     When the rank is n-1, phi1 (right) and psi2 (left) are the unit null
     vectors and phi2 = S^+ (f2+I) phi1, with S^+ = ``pinv``, solves
-    S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0.  tol = DEFAULT_TOL
-    max(1, max|f1| + max|f2|) is the point's one threshold: (ii) and (iii)
-    here, and every condition of ``verify``, are decided against it.
+    S phi2 = (f2+I) phi1 pinned by phi1.phi2 = 0.  tol = linalg.DEFAULT_TOL
+    max(1, max|f1| + max|f2|) is the point's one threshold: "range" and
+    "nondegeneracy" here, and every check of ``verify``, are decided against it.
     """
-    tol = DEFAULT_TOL * max(1.0, float(np.max(np.abs(f1)) + np.max(np.abs(f2))))
-    if phi1 is None:
-        return TbExistence(False, False, False, rank, np.nan, np.nan, tol)
-    B = f2 + np.eye(f2.shape[0])
-    range_value = float(psi2 @ (B @ phi1))
-    if abs(range_value) > tol:
-        return TbExistence(True, False, False, rank, range_value, np.nan, tol)
-    phi2 = pinv @ (B @ phi1)
-    nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
-    return TbExistence(True, True, abs(nd_value) > tol, rank, range_value, nd_value, tol)
+    n = f1.shape[0]
+    tol = linalg.DEFAULT_TOL * max(1.0, float(np.max(np.abs(f1)) + np.max(np.abs(f2))))
+    range_value = nd_value = np.nan
+    if phi1 is not None:
+        B = f2 + np.eye(n)
+        range_value = float(psi2 @ (B @ phi1))
+        if abs(range_value) <= tol:
+            phi2 = pinv @ (B @ phi1)
+            nd_value = float(psi2 @ (B @ phi2 - 0.5 * f2 @ phi1))
+    return TbExistence({"rank": Check(rank, n - 1, rank == n - 1),
+                        "range": Check(range_value, tol, abs(range_value) <= tol),
+                        "nondegeneracy": Check(nd_value, tol, abs(nd_value) > tol)}, tol)
 
 
 def tb_existence_test(f1, f2) -> TbExistence:
     """Check the three double-zero conditions on (f1, f2).
 
-    (i) rank(f1+f2) = n-1 (``linalg.rank_and_nullspace``); (ii) (f2+I) phi1
-    in range(f1+f2), tested through the left null vector; (iii) the chain
-    terminates: (f2+I) phi2 - f2 phi1/2 is NOT in the range.  The values of
-    (ii) and (iii) are -g'(0) and -g''(0)/2 for g(z), the last component of
-    the solution of [[M(z), psi2^T], [phi1^T, 0]] (v, g) = (0, 1) with
+    "rank": rank(f1+f2) = n-1 (``linalg.rank_and_nullspace``); "range":
+    (f2+I) phi1 in range(f1+f2), tested through the left null vector;
+    "nondegeneracy": the chain terminates, (f2+I) phi2 - f2 phi1/2 is NOT in
+    the range.  Their values are -g'(0) and -g''(0)/2 for g(z), the last
+    component of the solution of [[M(z), psi2^T], [phi1^T, 0]] (v, g) = (0, 1) with
     M(z) = zI - f1 - f2 e^{-z} (Govaerts, Numerical Methods for Bifurcations
     of Dynamical Equilibria, SIAM 2000): g = det M / det of that matrix is
     the characteristic function without the scale of its other roots.  The
@@ -120,7 +127,7 @@ def tb_existence_test(f1, f2) -> TbExistence:
     here.  It takes one SVD, as ``compute_basis`` does for its
     ``EigenBasis.existence``, and where phi2's bordered matrix is too
     ill-conditioned it raises NearSingular (``linalg.rank_and_nullspace``),
-    whether (ii) holds or not.
+    whether "range" holds or not.
     """
     f1, f2 = _pair(f1, f2)
     return _existence(f1, f2, *linalg.rank_and_nullspace(f1 + f2))

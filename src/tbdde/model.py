@@ -28,8 +28,8 @@ and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
 differentiated along one direction, from one ``_dirder`` call.  The public
 functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
 ``param_der``) check their arguments and then run the same code on a single
-value.  Every supplier's result must have its documented shape, or the call
-raises ``InputError``.
+value.  Every supplier's result must be real and have its documented shape,
+or the call raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import InputError
 
 _EPS = np.finfo(float).eps
+_FLOAT = np.dtype(float)
 H1 = _EPS ** (1.0 / 3.0)   # first-derivative step factor
 H2 = _EPS ** (1.0 / 4.0)   # second-derivative step factor
 
@@ -76,9 +77,8 @@ class DdeModel:
     ddir: Optional[VecFunc] = None
     name: str = "unnamed"
 
-    # The suppliers ddir replaced.  Not fields, so the constructor rejects
-    # them; they stay, always None, because bench/tracer.py reads them
-    # (ROADMAP item 4 deletes them).
+    # The suppliers ddir replaced: not fields, so the constructor rejects
+    # them, and always None; they stay while bench/tracer.py reads them.
     d11 = d12 = d21 = d22 = d1lam = d2lam = d1mu = d2mu = None
 
     def __post_init__(self):
@@ -97,8 +97,15 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
 
 def _checked(model: DdeModel, name: str, out, shape: tuple) -> np.ndarray:
     """A callback's result in delay-1 time (``tau * out``, exactly ``out`` at
-    tau = 1), which must have ``shape``; ``name`` names the callback."""
-    out = np.asarray(out, dtype=float)
+    tau = 1): real numbers of ``shape``; ``name`` names the callback."""
+    try:
+        out = np.asarray(out)
+    except (TypeError, ValueError) as exc:   # a ragged nesting
+        raise InputError(f"model {name} returned no array of numbers: {exc}") from exc
+    if out.dtype is not _FLOAT:   # float64, the usual result, needs no check
+        if out.dtype.kind not in "biuf":
+            raise InputError(f"model {name} returned {out.dtype} values, not real numbers")
+        out = out.astype(float)
     if out.shape != shape:
         raise InputError(f"model {name} returned shape {out.shape}, expected {shape}")
     return out if model.tau == 1.0 else model.tau * out

@@ -4,15 +4,15 @@ The verdict decides, against the existence test's one threshold per point,
 that the point is an equilibrium, that the characteristic function
 Delta(z) = det(zI - f1 - f2 e^{-z}) has a double root at z = 0 (the
 existence test alone decides this), and that the quadratic nondegeneracy
-conditions hold (transversality, the 2x2 degeneracy determinant, the chain
-normalization).
+conditions hold (transversality and the 2x2 degeneracy determinant d0),
+each one named ``Check``; the verdict PASSes when every check holds.
 
 A separate spectral scan checks that no other root lies on the imaginary
 axis, the strip |Re z| <= delta = 1e-3, by excluding it: the roots near it
 have |z| <= R = |f1|_2 + |f2|_2 e^delta, a trapezoid rule for the argument
 principle counts and locates those near 0, and a Weyl bound on
 sigma_min(M(i w)) clears the rest, up to rounding (Rump, Acta Numerica 19,
-2010).  f1 and f2 are real (every callback's result is cast to float), so
+2010).  f1 and f2 are real (``model`` rejects a complex callback result), so
 M(conj z) = conj M(z): the roots come in conjugate pairs, and the trapezoid
 rule needs only its nodes with Im z >= 0.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .defining import TbCandidate
-from .eigenstructure import EigenBasis, TbExistence, tb_existence_test
+from .eigenstructure import Check, EigenBasis, TbExistence, tb_existence_test
 from .errors import InputError, NearSingular
 from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
 
@@ -49,24 +49,22 @@ _H_START, _H_MIN = 0.25, 1e-3
 
 @dataclass(frozen=True)
 class TbVerdict:
-    existence: TbExistence       # the one decision about the double zero
-    cond_i_value: float          # psi2 @ f_lambda
-    cond_i_ok: bool
-    d0: float                    # NaN, as c_lam_mu, nu, psi2_nu, unless cond_i_ok
-    d0_ok: bool
-    cond_iii_value: float        # psi2.phi2 - psi2 f2 phi1 / 2 + psi2 f2 phi2
-    cond_iii_ok: bool
+    """The certificate: ``existence`` and the checks "transversality"
+    (psi2 f_lambda), "d0" and "equilibrium" (|f|_inf); see ``quadratic_check``."""
+
+    existence: TbExistence
+    checks: dict
     c_lam_mu: float
     nu: np.ndarray
-    psi2_nu: float               # reported, not enforced (see quadratic_check)
-    equilibrium_residual: float  # |f(x, x)|_inf
-    equilibrium_ok: bool         # equilibrium_residual <= tol
-    tol: float                   # every *_ok's threshold, existence.tol
+    psi2_nu: float
+
+    @property
+    def d0(self) -> float:
+        return self.checks["d0"].value
 
     @property
     def passed(self) -> bool:
-        return (self.existence.passed and self.cond_i_ok and self.d0_ok
-                and self.cond_iii_ok and self.equilibrium_ok)
+        return self.existence.passed and all(c.ok for c in self.checks.values())
 
 
 def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> complex:
@@ -84,15 +82,16 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float):
 
     f, f1 and f2 are evaluated once; ``tb_existence_test`` on (f1, f2) decides
     the double zero, and x is an equilibrium when |f|_inf <= its threshold
-    ``TbExistence.tol``.  Returns (|f|_inf, range_value, nondegeneracy_value,
-    ok), the middle two the existence test's.  A non-finite linearization
+    ``TbExistence.tol``.  Returns (|f|_inf, range value, nondegeneracy
+    value, ok), the middle two the existence test's.  A non-finite linearization
     raises NearSingular, and f1 + f2 of rank below n-1 raises
     RankDeficiencyMismatch, as in the existence test.
     """
     f, f1, f2 = _finite_point(model, x, lam, mu, eval_f, jac_x, jac_y)
     existence = tb_existence_test(f1, f2)
     res = float(np.max(np.abs(f)))
-    return (res, existence.range_value, existence.nondegeneracy_value,
+    checks = existence.checks
+    return (res, checks["range"].value, checks["nondegeneracy"].value,
             res <= existence.tol and existence.passed)
 
 
@@ -163,8 +162,8 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
        tr(M^-1 M') = z^p Delta'/Delta on |z| = rho counts the roots inside
        (p = 0) and sums them and their squares (p = 1, 2); it converges
        exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).  f1 and
-       f2 are real, as ``model._checked`` casts every callback's result to
-       float, so the term at a node's conjugate is the conjugate of the term
+       f2 are real, as ``model._checked`` rejects a complex callback
+       result, so the term at a node's conjugate is the conjugate of the term
        at the node: the rule is evaluated at its 33 nodes with Im z >= 0, and
        the count and sums are real by symmetry (``_disk_sums``).  Two
        roots solve t^2 - s1 t + (s1^2 - s2) / 2 = 0, and are the double zero
@@ -273,7 +272,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     parameter values, is a regular root of the defining system: its
     Jacobian J has no null vector.  Block 1 of a null vector,
     S dx + f_lam dlam + f_mu dmu = 0 with S = f1 + f2, is solvable only when
-    psi2 (f_lam dlam + f_mu dmu) = 0, so (given condition i,
+    psi2 (f_lam dlam + f_mu dmu) = 0, so (given transversality,
     psi2 f_lam != 0) (dlam, dmu) = s (c, 1), c = c_lam_mu =
     -psi2 f_mu / psi2 f_lam, and dx = a phi1 + s nu, where nu = -S^+ (c f_lam
     + f_mu) (``EigenBasis.pinv``) solves S nu = -(c f_lam + f_mu) pinned by
@@ -292,16 +291,11 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     d0 = m11 m22 - m12 m21 vanishes.  The textbook side constraint
     psi2.nu = 0 is not always attainable by shifting along phi1 (psi2.phi1
     vanishes at a double-zero point), so psi2.nu is computed and reported
-    instead of enforced.  On the normalized basis condition (iii) is
-    1 + (phi2.ph1)(psi2 (f2+I) ph1), ph1 = phi1 / |phi1|: the nondegeneracy
-    value over alpha (one number), plus a multiple of the range value, so 1
-    up to rounding where the existence test passes.  Each condition, and the
-    equilibrium test |f|_inf <= tol, is decided against the existence test's
-    threshold, which ``TbVerdict.tol`` reports; the existence test alone
-    decides the double zero.  Where condition (i) fails, |psi2 f_lam| <= tol,
-    the verdict FAILs with ``cond_i_ok`` False: c, nu and the kernel
-    direction are not formed, so ``c_lam_mu``, ``nu``, ``psi2_nu`` and
-    ``d0`` are NaN and ``d0_ok`` is False.
+    instead of enforced.  "transversality" and "d0" hold when |value| > tol,
+    and "equilibrium" when |f|_inf <= tol, tol = ``existence.tol``; the
+    existence test alone decides the double zero and that its chain ends.
+    Where transversality fails, c, nu and the kernel direction are not
+    formed: ``c_lam_mu``, ``nu``, ``psi2_nu`` and ``d0`` are NaN, and "d0" fails.
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, so the point's f1 and f2
@@ -311,12 +305,11 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     come from it: f_lam, f_mu and the two directions above, each supplier
     called once per direction.
     """
-    f1, f2 = basis.f1, basis.f2
     if lin is None:
         x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
-        lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu), f1, f2)
-    existence = basis.existence
-    tol = existence.tol
+        lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu),
+                            basis.f1, basis.f2)
+    tol = basis.existence.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
     flam, fmu = lin.param_derivatives()
@@ -340,14 +333,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         c = psi2_nu = d0 = math.nan
         nu = np.full(p1.shape, math.nan)
 
-    cond_iii = float(q2 @ p2 - 0.5 * q2 @ f2 @ p1 + q2 @ f2 @ p2)
     res = float(np.max(np.abs(lin.f)))
-
-    return TbVerdict(
-        existence=existence,
-        cond_i_value=cond_i, cond_i_ok=abs(cond_i) > tol,
-        d0=d0, d0_ok=abs(d0) > tol,
-        cond_iii_value=cond_iii, cond_iii_ok=abs(cond_iii) > tol,
-        c_lam_mu=c, nu=nu, psi2_nu=psi2_nu,
-        equilibrium_residual=res, equilibrium_ok=res <= tol, tol=tol,
-    )
+    checks = {"transversality": Check(cond_i, tol, abs(cond_i) > tol),
+              "d0": Check(d0, tol, abs(d0) > tol),
+              "equilibrium": Check(res, tol, res <= tol)}
+    return TbVerdict(basis.existence, checks, c, nu, psi2_nu)

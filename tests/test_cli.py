@@ -18,34 +18,43 @@ POINT = {"x": [1.0, 1.0], "lambda": 0.5, "mu": 2.0}
 SPECTRAL_CAVEAT = ("the test assumes no other eigenvalue on the imaginary axis; "
                    "run a spectral scan to check")
 
+
+def checks(*rows):
+    """A JSON checks table from (name, value, threshold, ok) rows."""
+    return {name: {"value": value, "threshold": threshold, "ok": ok}
+            for name, value, threshold, ok in rows}
+
+
 # `tbdde verify --json` verdicts on the two verify fixtures, frozen
 VERDICTS = {
     "verify_pp_point": {
-        "existence": {"rank_ok": True, "range_ok": True, "nondegenerate": True,
-                      "rank": 1, "range_value": 0.0, "nondegeneracy_value": -2.0,
-                      "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT,
-                      "passed": True},
-        "cond_i_value": 0.7071067811865475, "cond_i_ok": True,
-        "d0": 0.0883883476483184, "d0_ok": True,
-        "cond_iii_value": 0.9999999999999998, "cond_iii_ok": True,
+        "existence": {"checks": checks(("rank", 1, 1, True), ("range", 0.0, 1e-08, True),
+                                       ("nondegeneracy", -2.0, 1e-08, True)),
+                      "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT, "passed": True},
+        "checks": checks(("transversality", 0.7071067811865475, 1e-08, True),
+                         ("d0", 0.0883883476483184, 1e-08, True),
+                         ("equilibrium", 0.0, 1e-08, True)),
         "c_lam_mu": -0.0, "nu": [0.0, 0.5], "psi2_nu": -0.35355339059327373,
-        "equilibrium_residual": 0.0, "equilibrium_ok": True,
-        "tol": 1e-08, "passed": True,
+        "passed": True,
     },
     "verify_pp_off": {
-        "existence": {"rank_ok": True, "range_ok": False, "nondegenerate": False,
-                      "rank": 1, "range_value": -0.19611613513818393,
-                      "nondegeneracy_value": None, "tol": 1e-08,
-                      "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
-        "cond_i_value": 0.7140741917751116, "cond_i_ok": True,
-        "d0": 0.11784276895768496, "d0_ok": True,
-        "cond_iii_value": 1.04, "cond_iii_ok": True,
+        "existence": {"checks": checks(("rank", 1, 1, True),
+                                       ("range", -0.19611613513818393, 1e-08, False),
+                                       ("nondegeneracy", None, 1e-08, False)),
+                      "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
+        "checks": checks(("transversality", 0.7140741917751116, 1e-08, True),
+                         ("d0", 0.11784276895768496, 1e-08, True),
+                         ("equilibrium", 0.09999999999999998, 1e-08, False)),
         "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.49999999999999983],
-        "psi2_nu": -0.35703709588755567,
-        "equilibrium_residual": 0.09999999999999998, "equilibrium_ok": False,
-        "tol": 1e-08, "passed": False,
+        "psi2_nu": -0.35703709588755567, "passed": False,
     },
 }
+
+
+def failed(verdict):
+    """The names of a JSON verdict's failed checks, the existence test's included."""
+    return {name for table in (verdict["existence"]["checks"], verdict["checks"])
+            for name, check in table.items() if not check["ok"]}
 
 # `tbdde solve --json` Newton reports on the four solve fixtures, frozen:
 # iterations, residual_history and solution, exactly
@@ -418,7 +427,12 @@ class TestVerify:
         assert code == 3
         payload = strict_json(out)
         assert payload["verdict"] == VERDICTS["verify_pp_off"]
-        assert payload["verdict"]["existence"]["range_ok"] is False
+        # range and equilibrium fail on their values; nondegeneracy, not
+        # evaluated off the range, fails with a null value, as d0 does where
+        # transversality fails
+        verdict = payload["verdict"]
+        assert failed(verdict) == {"range", "nondegeneracy", "equilibrium"}
+        assert verdict["existence"]["checks"]["nondegeneracy"]["value"] is None
 
     def test_d0_fails_exactly_where_the_defining_system_is_singular(self, capsys,
                                                                      tmp_path):
@@ -429,9 +443,9 @@ class TestVerify:
                            str(FIXTURES / "verify_synthetic_singular.json"), "--json")
         assert code == 3
         verdict = strict_json(out)["verdict"]
-        assert verdict["existence"]["passed"] and verdict["equilibrium_ok"]
-        assert verdict["cond_i_ok"] and verdict["cond_iii_ok"]
-        assert not verdict["d0_ok"] and abs(verdict["d0"]) <= verdict["tol"]
+        assert failed(verdict) == {"d0"}
+        d0 = verdict["checks"]["d0"]
+        assert abs(d0["value"]) <= d0["threshold"] == verdict["existence"]["tol"]
         cfg = {"model": "synthetic-tb", "model_constants": {"a4": -2.0},
                "initial": {"x": [0.05, -0.04], "phi1": [0.7, 0.03],
                            "phi2": [0.1, 1.3], "lambda": 0.04, "mu": -0.03},
@@ -440,7 +454,7 @@ class TestVerify:
         assert code == 0
         verdict = strict_json(out)["verdict"]
         assert verdict["passed"]
-        assert verdict["d0"] == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-9)
+        assert verdict["checks"]["d0"]["value"] == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-9)
 
     def test_off_equilibrium_reported_on_every_call(self, capsys):
         # the residual is a verdict field, so a repeated in-process verify
@@ -451,11 +465,11 @@ class TestVerify:
             for _ in range(2):
                 code, out, _ = run(capsys, "verify", "--config", path, "--json")
                 assert code == 3
-                assert strict_json(out)["verdict"]["equilibrium_residual"] == (
+                assert strict_json(out)["verdict"]["checks"]["equilibrium"]["value"] == (
                     pytest.approx(0.1, rel=1e-12))
                 code, out, _ = run(capsys, "verify", "--config", path)
                 assert code == 3
-                assert "equilibrium |f|_inf = 0.0999999999" in out
+                assert "equilibrium     0.0999999999" in out
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
     def test_non_finite_linearization_is_a_verify_error(self, capsys, tmp_path,
@@ -496,21 +510,20 @@ class TestVerify:
                              *(["--json"] if as_json else []))
         assert code == 3 and err == ""
         if not as_json:
-            assert "cond (i)  psi2.f_lambda = 0.0: False" in out
-            assert "verdict: FAIL" in out
+            assert "transversality  0.0  threshold 1e-08: FAIL" in out
+            assert out.splitlines()[-1] == "verdict: FAIL"
             return
         payload = strict_json(out)
         assert payload["verify_error"] is None
         v = payload["verdict"]
-        assert v["passed"] is False and v["cond_i_ok"] is False
-        assert v["existence"]["passed"] and v["cond_iii_ok"] and v["equilibrium_ok"]
-        assert v["d0"] is None and v["d0_ok"] is False
+        assert v["passed"] is False and failed(v) == {"transversality", "d0"}
+        assert v["checks"]["d0"]["value"] is None
         assert v["c_lam_mu"] is None and v["psi2_nu"] is None and v["nu"] == [None, None]
 
     def test_plain_output_has_verdict_line(self, capsys):
         code, out, _ = run(capsys, "verify", "--config",
                            str(FIXTURES / "verify_pp_point.json"))
-        assert code == 0 and "verdict: PASS" in out
+        assert code == 0 and out.splitlines()[-1] == "verdict: PASS"
 
     @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iter", "3"]])
     def test_newton_flags_rejected_exit_4(self, capsys, flag):

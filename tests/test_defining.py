@@ -464,17 +464,18 @@ class TestNewtonPointsCertify:
         for _, _, S, verdict in self.verdicts(n, [3, 6, 20, 34]):
             s = np.linalg.svd(S, compute_uv=False)
             ratios.append(s[-1] / s[0])
-            assert verdict.passed and verdict.tol == verdict.existence.tol
+            assert verdict.passed
+            assert {c.threshold for c in verdict.checks.values()} == {verdict.existence.tol}
         assert any(n * np.finfo(float).eps < r < 1e-8 for r in ratios)
 
     def test_double_zero_decided_without_the_scale_of_delta(self):
-        # Delta'(0) is above 1e-8 at these points, with range_value below
+        # Delta'(0) is above 1e-8 at these points, with the range value below
         # 1e-12: Delta carries the scale of the other 31 roots, so an
         # absolute test on Delta failed them
         slopes = []
         for model, sol, _, verdict in self.verdicts(32, [0, 13, 28, 37]):
             assert verdict.passed
-            assert abs(verdict.existence.range_value) <= 1e-12
+            assert abs(verdict.existence.checks["range"].value) <= 1e-12
             slopes.append(characteristic(model, sol.x, sol.lam, sol.mu, 1e-100j).imag / 1e-100)
         assert max(abs(d) for d in slopes) > 1e-8
 

@@ -14,19 +14,19 @@ class TestExistenceTest:
     def test_predator_prey_point_passes(self):
         ex = tb_existence_test(F1_PP, F2_PP)
         assert ex.passed
-        assert ex.rank == 1
-        assert ex.range_value == pytest.approx(0.0, abs=1e-12)
+        assert ex.checks["rank"] == (1, 1, True)
+        assert ex.checks["range"].value == pytest.approx(0.0, abs=1e-12)
         # (f2+I) phi2 - f2 phi1 / 2 reduces to phi2 = (0, -2) here
-        assert ex.nondegeneracy_value == pytest.approx(-2.0)
+        assert ex.checks["nondegeneracy"].value == pytest.approx(-2.0)
 
     def test_identity_fails_rank(self):
         ex = tb_existence_test(np.eye(2), np.zeros((2, 2)))
-        assert not ex.passed and not ex.rank_ok and ex.rank == 2
+        assert not ex.passed and ex.checks["rank"] == (2, 1, False)
 
     def test_synthetic_positive_instance(self):
         f1 = np.array([[0.0, 1.0], [0.0, 0.0]])
         ex = tb_existence_test(f1, np.zeros((2, 2)))
-        assert ex.rank_ok and ex.range_ok
+        assert ex.checks["rank"].ok and ex.checks["range"].ok
 
     def test_perturbed_equilibrium_fails(self):
         # equilibrium of the predator-prey system at D = 0.45: prey solves
@@ -42,7 +42,7 @@ class TestExistenceTest:
         assert not tb_existence_test(f1, f2).passed
 
     def test_one_svd_where_the_range_test_holds(self, counted_calls):
-        # phi2 of condition (iii) is a product with the pseudoinverse from
+        # phi2 of the nondegeneracy check is a product with the pseudoinverse from
         # the SVD that gives the rank: no second factorization, no inverse
         calls = counted_calls(np.linalg, "svd", "inv", "solve")
         assert tb_existence_test(F1_PP, F2_PP).passed
@@ -136,8 +136,8 @@ class TestComputeBasis:
         # chain does not terminate, so the normalization coefficient is 0
         f1, f2 = np.diag([1.0, 1.0], 1), np.zeros((3, 3))
         ex = tb_existence_test(f1, f2)
-        assert ex.rank == 2 and ex.range_ok and not ex.nondegenerate
-        assert ex.nondegeneracy_value == 0.0
+        assert ex.checks["rank"].value == 2 and ex.checks["range"].ok
+        assert ex.checks["nondegeneracy"] == (0.0, ex.tol, False)
         with pytest.raises(DegenerateNormalization, match="normalization coefficient"):
             compute_basis(f1, f2)
 
@@ -160,7 +160,7 @@ class TestComputeBasis:
             basis = compute_basis(f1, f2)
             _, ph1, ps2, _ = rank_and_nullspace(f1 + f2)
             alpha = 1.0 / ((basis.phi1 @ ph1) * (basis.psi2 @ ps2))
-            assert alpha == pytest.approx(ex.nondegeneracy_value, rel=1e-12)
+            assert alpha == pytest.approx(ex.checks["nondegeneracy"].value, rel=1e-12)
 
     def test_pinv_is_the_pseudoinverse(self, rank_deficient):
         # the pinv taken from the SVD of S is S^+, over random rank-(n-1)
@@ -188,4 +188,4 @@ class TestComputeBasis:
                 compute_basis(S, f2)
             assert exc.value.cond == pytest.approx(1.0 / s1, rel=1e-6)
         else:
-            assert compute_basis(S, f2).existence.rank == 2
+            assert compute_basis(S, f2).existence.checks["rank"].value == 2

@@ -282,6 +282,26 @@ def test_supplier_shapes_are_checked(pp, name, bad, expected):
         _values(model)
 
 
+@pytest.mark.parametrize("bad, expected", [
+    (lambda v: v * (1.0 + 1e-3j), "complex128 values, not real"),
+    (lambda v: (np.asarray(v) + 1j).tolist(), "complex128 values, not real"),
+    (lambda v: "abc", "<U3 values, not real"),
+    (lambda v: [v[0], [v[1], 0.0]], "no array of numbers")],
+    ids=["complex-array", "complex-list", "string", "ragged"])
+@pytest.mark.parametrize("name", ["f", "ddir"])
+def test_non_real_results_are_input_errors(pp, name, bad, expected):
+    # a complex result is an error, not cast to float with its imaginary part
+    # dropped; one numpy cannot make an array of numbers is one too, and
+    # each names the callback
+    supplier = getattr(pp, name)
+    model = dataclasses.replace(pp, **{name: lambda *args: bad(supplier(*args))})
+    with pytest.raises(InputError, match=re.escape(f"model {name} returned {expected}")):
+        if name == "f":
+            eval_f(model, *TB_ARGS)
+        else:
+            linearize(model, TB_ARGS[0], 0.5, 2.0).along(TB_ARGS[0])
+
+
 def test_newton_rejects_a_misshapen_supplier(pp):
     model = dataclasses.replace(pp, d2=lambda x, y, l, u: np.zeros(2))
     v = TbCandidate(x=np.array([1.1, 1.1]), phi1=np.array([1.0, 0.0]),

@@ -243,15 +243,15 @@ class TestDoubleZeroCheck:
         v = quadratic_check(m, TbCandidate(x=np.array([0.5]), phi1=np.array([1.0]),
                                            phi2=np.array([0.0]), lam=3.0, mu=-1.0),
                             compute_basis(np.array([[1.0]]), np.array([[-1.0]])))
-        assert v.equilibrium_residual == 3.25 and v.existence.passed
-        assert not v.equilibrium_ok and not v.passed
+        assert v.checks["equilibrium"].value == 3.25 and v.existence.passed
+        assert not v.checks["equilibrium"].ok and not v.passed
 
 
 class TestBorderedCharacteristic:
     """The existence test's values are the derivatives at 0 of Govaerts' g(z),
     the last component of the solution of [[M(z), psi2^T], [phi1^T, 0]] (v, g)
-    = (0, 1), M(z) = zI - f1 - f2 e^{-z}: g'(0) = -range_value and g''(0) =
-    -2 nondegeneracy_value.  g is Delta / det B, Delta's double root without
+    = (0, 1), M(z) = zI - f1 - f2 e^{-z}: g'(0) = -range and g''(0) =
+    -2 nondegeneracy.  g is Delta / det B, Delta's double root without
     its scale, and its stencil here is the oracle of that identity."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -259,7 +259,7 @@ class TestBorderedCharacteristic:
            shift=st.just(0.0) | st.floats(-1.0, 1.0))
     def test_existence_values_are_derivatives_of_g(self, n, seed, tau, shift):
         # shift moves a coupling x1' = shift (x0(t-1) - x0(t)) behind the
-        # delay: f1 + f2 stays the same, and (ii) fails unless shift = 0
+        # delay: f1 + f2 stays the same, and "range" fails unless shift = 0
         m = dataclasses.replace(lifted_linear(n, seed), tau=tau)
         x = np.zeros(n)
         E = np.outer(np.eye(n)[1], np.eye(n)[0])
@@ -276,10 +276,12 @@ class TestBorderedCharacteristic:
 
         hc, h = 1e-100, np.finfo(float).eps ** 0.25
         slope = g(1j * hc).imag / hc
-        assert abs(slope + existence.range_value) <= 1e-8 * max(1.0, abs(existence.range_value))
-        if existence.range_ok:
+        range_check = existence.checks["range"]
+        assert abs(slope + range_check.value) <= 1e-8 * max(1.0, abs(range_check.value))
+        if range_check.ok:
             curvature = ((g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)).real
-            assert curvature == pytest.approx(-2.0 * existence.nondegeneracy_value, rel=1e-5)
+            nondegeneracy = existence.checks["nondegeneracy"].value
+            assert curvature == pytest.approx(-2.0 * nondegeneracy, rel=1e-5)
 
 
 class TestSpectralScan:
@@ -579,7 +581,6 @@ class TestQuadraticCheck:
         # f_mu has no component along psi2, so the parameter ratio vanishes
         assert v.c_lam_mu == pytest.approx(0.0, abs=1e-12)
         assert abs(v.d0) > 1e-3
-        assert v.cond_iii_value == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(v.nu - np.array([0.0, 0.5]))) <= 1e-9
 
     def test_synthetic_frozen_values(self):
@@ -591,7 +592,6 @@ class TestQuadraticCheck:
         assert v.passed
         assert v.c_lam_mu == pytest.approx(-1.0, abs=1e-12)
         assert v.d0 == pytest.approx(11.0 * np.sqrt(2.0) / 4.0, abs=1e-9)
-        assert v.cond_iii_value == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(v.nu - np.array([0.0, -1.0]))) <= 1e-12
         assert v.psi2_nu == pytest.approx(-np.sqrt(2.0) / 2.0, abs=1e-12)
 
@@ -629,25 +629,49 @@ class TestQuadraticCheck:
         assert np.max(np.abs(basis.phi1 @ basis.pinv)) <= 1e-15
         assert np.max(np.abs(basis.pinv @ basis.psi2)) <= 1e-15
 
-    def test_chain_condition_is_one_plus_the_range_term(self, rank_deficient):
-        # on the normalized basis, with ph1 = phi1 / |phi1|, condition (iii)'s
-        # value is c d n + d t r, n and r the existence test's nondegeneracy
-        # and range values; c d = 1 / alpha and alpha = n make it
-        # 1 + (phi2.ph1)(psi2 (f2+I) ph1), whose second term vanishes where
-        # the range test holds; over random rank-(n-1) pairs
+    def test_passed_is_the_conjunction_of_the_checks(self, rank_deficient):
+        # over random rank-(n-1) pairs, half with (f2 + I) phi1 in the range of
+        # S, random parameter and second derivatives, and f off zero or
+        # f_lambda zero a quarter of the time each: PASS is every check's ok,
+        # and each ok is its value's relation to its threshold
+        def within(c):
+            return abs(c.value) <= c.threshold
+
+        def above(c):
+            return abs(c.value) > c.threshold
+
+        relation = {"rank": lambda c: c.value == c.threshold, "range": within,
+                    "nondegeneracy": above, "transversality": above, "d0": above,
+                    "equilibrium": within}
         rng = np.random.default_rng(13)
+        outcomes = set()
         for _ in range(500):
             n = int(rng.integers(1, 8))
             S = rank_deficient(rng, n)
             f2 = rng.standard_normal((n, n))
+            if rng.random() < 0.5:
+                _, ph1, ps2, _ = linalg.rank_and_nullspace(S)
+                f2 -= (ps2 @ (f2 + np.eye(n)) @ ph1) * np.outer(ps2, ph1)
             basis = compute_basis(S - f2, f2)
-            p1, p2, q2 = basis.phi1, basis.phi2, basis.psi2
-            ph1 = p1 / np.linalg.norm(p1)
-            want = 1.0 + (p2 @ ph1) * (q2 @ (f2 + np.eye(n)) @ ph1)
-            model = DdeModel(n=n, tau=1.0, f=lambda x, y, l, u: np.zeros(n))
-            sol = TbCandidate(x=np.zeros(n), phi1=p1, phi2=p2, lam=0.0, mu=0.0)
-            got = quadratic_check(model, sol, basis).cond_iii_value
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            f = rng.standard_normal(n) * (rng.random() < 0.25)
+            flam = rng.standard_normal(n) * (rng.random() >= 0.25)
+            fmu, T = rng.standard_normal(n), rng.standard_normal((2, n, n, n))
+            model = DdeModel(n=n, tau=1.0, f=lambda x, y, l, u, f=f: f,
+                             dlam=lambda x, y, l, u, v=flam: v,
+                             dmu=lambda x, y, l, u, v=fmu: v,
+                             ddir=lambda x, y, l, u, dx, dy, dl, du, T=T: T @ (dx + dy))
+            sol = TbCandidate(x=np.zeros(n), phi1=basis.phi1, phi2=basis.phi2,
+                              lam=0.0, mu=0.0)
+            v = quadratic_check(model, sol, basis)
+            checks = {**v.existence.checks, **v.checks}
+            assert list(checks) == list(relation)
+            assert v.passed == all(c.ok for c in checks.values())
+            for name, c in checks.items():
+                assert c.ok == relation[name](c), name
+                outcomes.add((name, c.ok))
+            outcomes.add(("passed", v.passed))
+        assert outcomes == {(name, ok) for name in [*relation, "passed"]
+                            for ok in (False, True)} - {("rank", False)}
 
     def test_mu_independent_model_zero_ratio(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -690,7 +714,7 @@ class TestQuadraticCheck:
     def test_condition_i_failure_is_a_fail_verdict(self, pp, counted_model):
         # swapping D and K for the predator-prey system puts the vanishing
         # parameter direction in the denominator: the verdict FAILs on
-        # condition (i), and no kernel direction is formed, so f is evaluated
+        # transversality, and no kernel direction is formed, so f is evaluated
         # only for the linearization and nothing is differentiated along one
         swapped, counts = counted_model(DdeModel(
             n=2, tau=1.0,
@@ -702,10 +726,12 @@ class TestQuadraticCheck:
                           lam=2.0, mu=0.5)
         v = quadratic_check(swapped, sol, basis)
         assert counts["f"] == 1
-        assert not v.passed and not v.cond_i_ok and abs(v.cond_i_value) <= v.tol
-        assert v.existence.passed and v.cond_iii_ok and v.equilibrium_ok
+        transversality = v.checks["transversality"]
+        assert not v.passed and not transversality.ok
+        assert abs(transversality.value) <= transversality.threshold
+        assert v.existence.passed and v.checks["equilibrium"].ok
         assert math.isnan(v.c_lam_mu) and math.isnan(v.psi2_nu)
-        assert math.isnan(v.d0) and not v.d0_ok
+        assert math.isnan(v.d0) and not v.checks["d0"].ok
         assert v.nu.shape == (2,) and np.isnan(v.nu).all()
 
     @pytest.mark.parametrize("tau, point, passes", [
@@ -721,17 +747,20 @@ class TestQuadraticCheck:
         sol = TbCandidate(x=np.array([x]), phi1=np.array([1.0]),
                           phi2=np.array([0.0]), lam=lam, mu=mu)
         v = quadratic_check(m, sol, self.basis_for(m, sol.x, lam, mu))
-        assert v.equilibrium_residual == 0.0 and v.equilibrium_ok
-        assert v.existence.range_ok == passes and v.passed == passes
-        assert v.existence.range_value == pytest.approx(1.0 + tau * mu, abs=1e-9)
+        assert v.checks["equilibrium"].value == 0.0 and v.checks["equilibrium"].ok
+        assert v.existence.checks["range"].ok == passes and v.passed == passes
+        assert v.existence.checks["range"].value == pytest.approx(1.0 + tau * mu, abs=1e-9)
 
     def test_one_threshold_per_point(self):
         # at tau = 8, max|f1| + max|f2| = 4: the existence test and every
-        # other condition are decided against 4e-8, which both tol report
+        # other check but the rank are decided against 4e-8, existence.tol
         m = build("predator-prey", {"tau": 8.0})
         v = quadratic_check(m, TB_SOL, self.basis_for(m, TB_X, 0.5, 2.0))
         assert v.passed
-        assert v.tol == v.existence.tol == pytest.approx(4e-8, rel=1e-15)
+        assert v.existence.tol == pytest.approx(4e-8, rel=1e-15)
+        thresholds = {c.threshold for c in [*v.existence.checks.values(),
+                                            *v.checks.values()]}
+        assert thresholds == {1, v.existence.tol}
 
     def test_nu_residual(self, pp):
         basis = self.basis_for(pp, TB_X, 0.5, 2.0)
@@ -845,7 +874,6 @@ class TestSyntheticOracle:
         v = quadratic_check(m, sol, compute_basis(f1, f2))
         assert v.d0 == pytest.approx(float(ref["d0"]), abs=1e-12)
         assert v.c_lam_mu == pytest.approx(float(ref["clm"]), abs=1e-12)
-        assert v.cond_iii_value == pytest.approx(float(ref["cond_iii"]), abs=1e-12)
         nu = np.array([float(c) for c in ref["nu"]])
         assert np.max(np.abs(v.nu - nu)) <= 1e-12
         assert abs(complex(ref["w"]) - DELAYED_SCALAR_ROOT) <= 1e-15

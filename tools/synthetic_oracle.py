@@ -4,7 +4,7 @@ Needs sympy + mpmath, which are development-only dependencies.  Run it as
 ``python3 tools/synthetic_oracle.py`` to print the values; the values frozen
 in tests/test_verify.py (test_synthetic_frozen_values, DELAYED_SCALAR_ROOT)
 came from it, and TestSyntheticOracle there runs it and compares d0, c_lam_mu,
-nu, cond_iii and the root of z + exp(-z) with the package.  The construction
+nu and the root of z + exp(-z) with the package.  The construction
 mirrors the basis normalization conventions of tbdde.eigenstructure but is
 carried out symbolically, so it is an independent oracle for the floating
 point implementation.
@@ -121,8 +121,6 @@ m12 = (psi2 * Bm * phi1)[0]
 m21 = (psi1 * Am * phi1 + psi2 * Am * phi2 - psi2 * A2 * phi1)[0]
 m22 = (psi1 * Bm * phi1 + psi2 * Bm * phi2 - psi2 * B2 * phi1)[0]
 d0_symbolic = sp.expand(m11 * m22 - m12 * m21)
-cond_iii = sp.simplify((psi2 * phi2 - sp.Rational(1, 2) * psi2 * B * phi1
-                        + psi2 * B * phi2)[0])
 
 
 def defining_jacobian(l1, l2, ph1, ph2):
@@ -179,7 +177,6 @@ print("psi2 . nu =", (psi2 * nu)[0])
 print("d0(a1..a6) =", sp.factor(d0_symbolic))
 print("det J(a1..a6) =", sp.factor(det_j["psi"]), "with (l1, l2) = (psi1, psi2)")
 print("d0 =", d0, "~", repr(float(d0)))
-print("cond_iii =", cond_iii)
 print("defining-system phi1 =", list(ph1), " phi2 =", list(ph2))
 
 # principal complex root of z + exp(-z) (scalar x' = -x(t-1) test case)
