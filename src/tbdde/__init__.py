@@ -14,8 +14,7 @@ Typical use::
     verdict = verify.quadratic_check(model, sol, basis, lin)
 """
 
-from .errors import (DegenerateNormalization, InputError, NearSingular,
-                     RankDeficiencyMismatch, TbddeError)
+from .errors import InputError, NearSingular, TbddeError
 from .model import (DdeModel, Linearization, eval_f, jac_x, jac_y, linearize,
                     param_der, second_dirder)
 from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
@@ -33,7 +32,6 @@ __all__ = [
     "NewtonReport",
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
-    "RankDeficiencyMismatch", "DegenerateNormalization",
     "build", "registry",
     "characteristic", "compute_basis", "double_zero_check", "eval_f",
     "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",

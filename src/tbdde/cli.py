@@ -27,7 +27,7 @@ from . import __version__, models
 from .defining import Functionals, NewtonOptions, TbCandidate, newton_solve
 from .eigenstructure import Check, compute_basis
 from .errors import InputError, TbddeError
-from .model import jac_x, jac_y
+from .model import linearize
 from .verify import quadratic_check
 
 EXIT_OK = 0
@@ -178,15 +178,14 @@ def _json(obj):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _verify_solution(model, solution, lin=None):
     """(verdict or None, error string or None, exit code) for a point, from
-    its linearization ``lin`` when given; otherwise f1 and f2 are evaluated
-    for the basis, and f only once it exists.  numpy's floating-point
-    warnings are off, as in Newton: a point far out gives a non-finite
-    linearization, which is a verify error."""
+    its linearization ``lin`` when given, else from one ``linearize`` call.
+    A point that is no TB point gets a FAIL verdict; the error is set only
+    when the certificate raises, as on the non-finite linearization of a
+    point far out (numpy's floating-point warnings are off, as in Newton)."""
     try:
-        x, lam, mu = solution.x, solution.lam, solution.mu
-        f1, f2 = ((lin.f1, lin.f2) if lin is not None
-                  else (jac_x(model, x, x, lam, mu), jac_y(model, x, x, lam, mu)))
-        verdict = quadratic_check(model, solution, compute_basis(f1, f2), lin)
+        if lin is None:
+            lin = linearize(model, solution.x, solution.lam, solution.mu)
+        verdict = quadratic_check(model, solution, compute_basis(lin.f1, lin.f2), lin)
     except TbddeError as exc:
         return None, f"{type(exc).__name__}: {exc}", EXIT_NOT_VERIFIED
     return verdict, None, EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED

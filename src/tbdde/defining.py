@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .eigenstructure import normalization
 from .errors import InputError, NearSingular
-from .model import DdeModel, Linearization, linearize
+from .model import DdeModel, Linearization, _real, linearize
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class Functionals:
     l2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "l1", np.asarray(self.l1, dtype=float))
-        object.__setattr__(self, "l2", np.asarray(self.l2, dtype=float))
+        object.__setattr__(self, "l1", _real(self.l1, "l1 has"))
+        object.__setattr__(self, "l2", _real(self.l2, "l2 has"))
         if not (np.any(self.l1) or np.any(self.l2)):
             raise InputError("l1 and l2 must not both be zero")
 

@@ -19,10 +19,3 @@ class NearSingular(TbddeError):
         super().__init__(message)
         self.cond = cond
 
-
-class RankDeficiencyMismatch(TbddeError):
-    """The matrix does not have the rank n-1 the double-zero theory requires."""
-
-
-class DegenerateNormalization(TbddeError):
-    """The basis normalization equations admit no usable solution."""

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NearSingular, RankDeficiencyMismatch
+from .errors import InputError, NearSingular
 
 _EPS = float(np.finfo(float).eps)
 #: solve() refuses systems whose exact 2-norm condition number exceeds this
@@ -84,12 +84,13 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 def rank_and_nullspace(A):
     """(rank, right, left, pinv) from one SVD A = U diag(s) V^T.
 
-    rank counts the singular values above DEFAULT_TOL max(1, max(s)); rank <
-    n-1 is an error (the theory requires a geometrically simple zero), and at
-    full rank the other three are None.  At rank n-1 they are the unit null
-    vectors and pinv = V1 diag(1/s1) U1^T over the first n-1 singular
-    triples: it solves A x = r in range(A) with right.x = 0 (Golub & Van
-    Loan, Matrix Computations, section 5.5).  So does the bordered matrix
+    rank counts the singular values above DEFAULT_TOL max(1, max(s)).  At
+    every rank but n-1 the other three are None: the double-zero theory
+    needs a geometrically simple zero, and ``eigenstructure.compute_basis``
+    reports any other rank as a failed check.  At rank n-1 they are the
+    unit null vectors and pinv = V1 diag(1/s1) U1^T over the first n-1
+    singular triples: it solves A x = r in range(A) with right.x = 0 (Golub
+    & Van Loan, Matrix Computations, section 5.5).  So does the bordered matrix
     [[A, left], [right^T, 0]], whose singular values are s_0 ... s_{n-2} and
     (sqrt(e^2 + 4) +- e)/2, e = s_{n-1}: where its exact cond_2 exceeds
     COND_LIMIT, NearSingular carries it as ``cond``.  A non-finite A has no
@@ -101,10 +102,7 @@ def rank_and_nullspace(A):
         raise NearSingular("matrix has non-finite entries", cond=np.nan)
     U, s, Vt = np.linalg.svd(A)
     rank = int(np.sum(s > DEFAULT_TOL * max(1.0, s[0])))
-    if rank < n - 1:
-        raise RankDeficiencyMismatch(
-            f"rank {rank} < n-1 = {n - 1}: zero eigenvalue is not simple")
-    if rank == n:
+    if rank != n - 1:
         return rank, None, None, None
     sigma = (math.hypot(s[-1], 2.0) + s[-1]) / 2.0   # the other is 1 / sigma
     c = max(s[0], sigma) * (max(sigma, 1.0 / s[-2]) if n > 1 else sigma)

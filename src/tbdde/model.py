@@ -27,9 +27,9 @@ Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
 and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
 differentiated along one direction, from one ``_dirder`` call.  The public
 functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
-``param_der``) check their arguments and then run the same code on a single
-value.  Every supplier's result must be real and have its documented shape,
-or the call raises ``InputError``.
+``param_der``) and ``linearize`` check their vectors and run the same code
+on one value.  A vector argument that is not n real numbers, or a supplier's
+result not real or of the wrong shape, is an ``InputError`` naming it.
 """
 
 from __future__ import annotations
@@ -88,8 +88,22 @@ class DdeModel:
             raise InputError(f"delay must be positive and finite, got {self.tau}")
 
 
+def _real(v, what: str) -> np.ndarray:
+    """``v`` as a float array, or InputError led by ``what`` ("x has",
+    "model f returned") unless v is real numbers: a complex v is not cast."""
+    try:
+        v = np.asarray(v)
+    except (TypeError, ValueError) as exc:   # a ragged nesting
+        raise InputError(f"{what} no array of numbers: {exc}") from exc
+    if v.dtype is not _FLOAT:   # float64, the usual value, needs no check
+        if v.dtype.kind not in "biuf":
+            raise InputError(f"{what} {v.dtype} values, not real numbers")
+        v = v.astype(float)
+    return v
+
+
 def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = _real(v, f"{label} has")
     if v.shape != (model.n,):
         raise InputError(f"{label} must have length {model.n}, got shape {v.shape}")
     return v
@@ -98,14 +112,7 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
 def _checked(model: DdeModel, name: str, out, shape: tuple) -> np.ndarray:
     """A callback's result in delay-1 time (``tau * out``, exactly ``out`` at
     tau = 1): real numbers of ``shape``; ``name`` names the callback."""
-    try:
-        out = np.asarray(out)
-    except (TypeError, ValueError) as exc:   # a ragged nesting
-        raise InputError(f"model {name} returned no array of numbers: {exc}") from exc
-    if out.dtype is not _FLOAT:   # float64, the usual result, needs no check
-        if out.dtype.kind not in "biuf":
-            raise InputError(f"model {name} returned {out.dtype} values, not real numbers")
-        out = out.astype(float)
+    out = _real(out, f"model {name} returned")
     if out.shape != shape:
         raise InputError(f"model {name} returned shape {out.shape}, expected {shape}")
     return out if model.tau == 1.0 else model.tau * out

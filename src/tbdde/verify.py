@@ -83,9 +83,9 @@ def double_zero_check(model: DdeModel, x, lam: float, mu: float):
     f, f1 and f2 are evaluated once; ``tb_existence_test`` on (f1, f2) decides
     the double zero, and x is an equilibrium when |f|_inf <= its threshold
     ``TbExistence.tol``.  Returns (|f|_inf, range value, nondegeneracy
-    value, ok), the middle two the existence test's.  A non-finite linearization
-    raises NearSingular, and f1 + f2 of rank below n-1 raises
-    RankDeficiencyMismatch, as in the existence test.
+    value, ok), the middle two the existence test's (NaN where it stops
+    before them): ok is False at any point that is no double zero.  Only a
+    non-finite or too ill-conditioned linearization raises NearSingular.
     """
     f, f1, f2 = _finite_point(model, x, lam, mu, eval_f, jac_x, jac_y)
     existence = tb_existence_test(f1, f2)
@@ -295,7 +295,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     and "equilibrium" when |f|_inf <= tol, tol = ``existence.tol``; the
     existence test alone decides the double zero and that its chain ends.
     Where transversality fails, c, nu and the kernel direction are not
-    formed: ``c_lam_mu``, ``nu``, ``psi2_nu`` and ``d0`` are NaN, and "d0" fails.
+    formed: ``c_lam_mu``, ``nu``, ``psi2_nu`` and ``d0`` are NaN, and "d0" fails;
+    so are they, and transversality, on the NaN basis of a failed existence test.
 
     ``basis`` must be the one built at ``solution``: its linearization
     (f1, f2) and existence test are the point's, so the point's f1 and f2

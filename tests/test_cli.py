@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbdde import DdeModel, DegenerateNormalization, TbCandidate, cli, models
+from tbdde import DdeModel, NearSingular, TbCandidate, cli, models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
@@ -42,11 +42,10 @@ VERDICTS = {
                                        ("range", -0.19611613513818393, 1e-08, False),
                                        ("nondegeneracy", None, 1e-08, False)),
                       "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
-        "checks": checks(("transversality", 0.7140741917751116, 1e-08, True),
-                         ("d0", 0.11784276895768496, 1e-08, True),
+        "checks": checks(("transversality", None, 1e-08, False),
+                         ("d0", None, 1e-08, False),
                          ("equilibrium", 0.09999999999999998, 1e-08, False)),
-        "c_lam_mu": -0.04999999999999999, "nu": [0.0, 0.49999999999999983],
-        "psi2_nu": -0.35703709588755567, "passed": False,
+        "c_lam_mu": None, "nu": [None, None], "psi2_nu": None, "passed": False,
     },
 }
 
@@ -247,15 +246,15 @@ class TestSolve:
 
     def test_verification_error_plain(self, capsys, monkeypatch):
         # a converged run whose certificate raises prints the error, exit 3
-        def degenerate(f1, f2):
-            raise DegenerateNormalization("no usable basis")
+        def refused(f1, f2):
+            raise NearSingular("condition estimate refused")
 
-        monkeypatch.setattr(cli, "compute_basis", degenerate)
+        monkeypatch.setattr(cli, "compute_basis", refused)
         code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]))
         assert code == 3
         assert "converged in 6 iterations" in out
         assert out.splitlines()[-1] == \
-            "verification error: DegenerateNormalization: no usable basis"
+            "verification error: NearSingular: condition estimate refused"
 
     def test_missing_config_flag_exit_4(self, capsys):
         code, _, err = run(capsys, "solve")
@@ -428,11 +427,32 @@ class TestVerify:
         payload = strict_json(out)
         assert payload["verdict"] == VERDICTS["verify_pp_off"]
         # range and equilibrium fail on their values; nondegeneracy, not
-        # evaluated off the range, fails with a null value, as d0 does where
-        # transversality fails
+        # evaluated off the range, fails with a null value, and so do
+        # transversality and d0 on the NaN basis of a failed existence test
         verdict = payload["verdict"]
-        assert failed(verdict) == {"range", "nondegeneracy", "equilibrium"}
+        assert failed(verdict) == {"range", "nondegeneracy", "transversality", "d0",
+                                   "equilibrium"}
         assert verdict["existence"]["checks"]["nondegeneracy"]["value"] is None
+
+    def test_full_rank_point_gets_a_verdict(self, capsys):
+        # the predator-prey equilibrium at D = 0.4, K = 2 has no zero
+        # eigenvalue: not a verify error but a FAIL verdict naming the rank
+        # check, with the equilibrium check still reported, ok
+        code, out, _ = run(capsys, "verify", "--config",
+                           str(FIXTURES / "verify_pp_full_rank.json"), "--json")
+        assert code == 3
+        payload = strict_json(out)
+        verdict = payload["verdict"]
+        assert payload["verify_error"] is None and not verdict["passed"]
+        assert verdict["existence"]["checks"]["rank"] == {"value": 2, "threshold": 1,
+                                                          "ok": False}
+        assert verdict["checks"]["equilibrium"] == {"value": 0.0, "threshold": 1e-08,
+                                                    "ok": True}
+        code, out, _ = run(capsys, "verify", "--config",
+                           str(FIXTURES / "verify_pp_full_rank.json"))
+        assert code == 3
+        assert "rank            2  threshold 1: FAIL" in out.splitlines()
+        assert out.splitlines()[-1] == "verdict: FAIL"
 
     def test_d0_fails_exactly_where_the_defining_system_is_singular(self, capsys,
                                                                      tmp_path):
@@ -555,10 +575,21 @@ class TestVerify:
         assert [dict(c) for c in built_models] == [{"f": 1, "d1": 1, "d2": 1}]
         assert len(svds) == 1
 
-    def test_failed_basis_costs_no_f_call(self, capsys, tmp_path, built_models):
+    def test_failed_basis_costs_no_f_call(self, capsys, tmp_path, monkeypatch,
+                                          counted_model):
         # the predator-prey equilibrium at D = 0.4, K = 2 is off the TB point:
-        # S = f1 + f2 has full rank, so compute_basis raises, and f, which
-        # only the certificate after it reads, is never evaluated
+        # S = f1 + f2 has full rank, so the basis is NaN, and the verdict
+        # reports equilibrium and transversality, from one call each of f,
+        # d1, d2, dlam and dmu, and no second derivative
+        counts, build = [], models.build
+
+        def counted_build(*args):
+            model, calls = counted_model(build(*args), ("f", "d1", "d2", "dlam", "dmu",
+                                                        "ddir"))
+            counts.append(calls)
+            return model
+
+        monkeypatch.setattr(models, "build", counted_build)
         D, K = 0.4, 2.0
         x1 = (1.0 - math.sqrt(1.0 - 4.0 * D * D)) / (2.0 * D)
         cfg = {"model": "predator-prey",
@@ -566,8 +597,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
                            "--json")
         assert code == 3
-        assert strict_json(out)["verify_error"].startswith("DegenerateNormalization")
-        assert [dict(c) for c in built_models] == [{"d1": 1, "d2": 1}]
+        assert strict_json(out)["verify_error"] is None
+        assert [dict(c) for c in counts] == [{"f": 1, "d1": 1, "d2": 1, "dlam": 1,
+                                              "dmu": 1}]
 
 
 class TestScan:

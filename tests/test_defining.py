@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestCandidate:
     def test_functionals_not_both_zero(self):
         with pytest.raises(InputError):
             Functionals(l1=[0.0, 0.0], l2=[0.0, 0.0])
+
+    @pytest.mark.parametrize("bad, expected", [
+        (np.array([1.0 + 2.0j, 0.0]), "complex128 values, not real"),
+        (["1", "0"], "<U1 values, not real"),
+        ([1.0, [0.0, 0.0]], "no array of numbers")],
+        ids=["complex", "strings", "ragged"])
+    @pytest.mark.parametrize("label", ["l1", "l2"])
+    def test_functionals_must_be_real(self, label, bad, expected):
+        # a complex row is an error naming it, not cast to its real part
+        rows = {"l1": [1.0, 0.0], "l2": [1.0, 0.0], label: bad}
+        with pytest.raises(InputError, match=re.escape(f"{label} has {expected}")):
+            Functionals(**rows)
 
 
 BAD_SHAPES = {

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tbdde import (DegenerateNormalization, InputError, NearSingular, compute_basis,
+from tbdde import (InputError, NearSingular, compute_basis,
                    eval_f, jac_x, jac_y, predator_prey, synthetic_tb,
                    tb_existence_test)
 from tbdde.linalg import rank_and_nullspace
 
 F1_PP = np.array([[0.0, -0.5], [0.0, 0.0]])
 F2_PP = np.zeros((2, 2))
+
+
+def assert_nan_basis(basis):
+    for v in (basis.phi1, basis.phi2, basis.psi1, basis.psi2):
+        assert v.shape == basis.f1.shape[:1] and np.isnan(v).all()
 
 
 class TestExistenceTest:
@@ -128,18 +134,58 @@ class TestComputeBasis:
             self.check_residuals(basis_residuals, f1, f2, basis)
 
     def test_full_rank_rejected(self):
-        with pytest.raises(DegenerateNormalization):
-            compute_basis(np.eye(2), np.zeros((2, 2)))
+        # no zero eigenvalue: the rank check fails and the basis is NaN
+        basis = compute_basis(np.eye(2), np.zeros((2, 2)))
+        assert basis.existence.checks["rank"] == (2, 1, False)
+        assert not basis.existence.passed and basis.pinv is None
+        assert_nan_basis(basis)
 
     def test_triple_zero_rejected(self):
         # f1 the nilpotent 3 x 3 Jordan block, f2 = 0: a triple zero, whose
-        # chain does not terminate, so the normalization coefficient is 0
+        # chain does not terminate, so the normalization coefficient, the
+        # nondegeneracy value, is 0 and the basis is NaN
         f1, f2 = np.diag([1.0, 1.0], 1), np.zeros((3, 3))
-        ex = tb_existence_test(f1, f2)
+        basis = compute_basis(f1, f2)
+        ex = basis.existence
         assert ex.checks["rank"].value == 2 and ex.checks["range"].ok
         assert ex.checks["nondegeneracy"] == (0.0, ex.tol, False)
-        with pytest.raises(DegenerateNormalization, match="normalization coefficient"):
-            compute_basis(f1, f2)
+        assert_nan_basis(basis)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["full", "tb", "rank-n-1", "low"]))
+    def test_existence_decides_the_basis(self, n, seed, kind):
+        # over random pairs with S = f1 + f2 of rank n, n-1 (a TB pair, with
+        # f2 moved so that (f2 + I) ph1 is in the range, or any f2) and below
+        # n-1: the only error is NearSingular, the existence test is the
+        # basis's, and the basis is finite exactly where that test passes
+        rng = np.random.default_rng(seed)
+        if kind == "low":
+            n = max(n, 2)
+            rank = int(rng.integers(0, n - 1))
+        else:
+            rank = n if kind == "full" else n - 1
+        U, _, Vt = np.linalg.svd(rng.standard_normal((n, n)))
+        S = U @ np.diag(np.r_[rng.uniform(0.5, 2.0, rank), np.zeros(n - rank)]) @ Vt
+        f2 = rng.standard_normal((n, n))
+        if kind == "tb":
+            _, ph1, ps2, _ = rank_and_nullspace(S)
+            f2 -= (ps2 @ (f2 + np.eye(n)) @ ph1) * np.outer(ps2, ph1)
+        try:
+            basis = compute_basis(S - f2, f2)
+        except NearSingular:
+            with pytest.raises(NearSingular):
+                tb_existence_test(S - f2, f2)
+            return
+        ex, test = basis.existence, tb_existence_test(S - f2, f2)
+        assert list(ex.checks) == list(test.checks) and ex.tol == test.tol
+        assert np.array_equal(np.array(list(ex.checks.values()), dtype=float),
+                              np.array(list(test.checks.values()), dtype=float),
+                              equal_nan=True)
+        assert ex.checks["rank"].value == rank
+        assert ex.passed == (kind == "tb")
+        vectors = np.stack([basis.phi1, basis.phi2, basis.psi1, basis.psi2])
+        assert np.isfinite(vectors).all() if ex.passed else np.isnan(vectors).all()
 
     def test_normalization_coefficient_is_the_nondegeneracy_value(self):
         # with the unit null vectors ph1, ps2 of S = f1 + f2 that compute_basis

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tbdde import InputError, NearSingular, RankDeficiencyMismatch
+from tbdde import InputError, NearSingular
 from tbdde import linalg
 
 
@@ -146,8 +146,9 @@ class TestRankAndNullspace:
         assert linalg.rank_and_nullspace(A)[0] == rank
 
     def test_rank_deficiency_mismatch(self):
-        with pytest.raises(RankDeficiencyMismatch):
-            linalg.rank_and_nullspace(np.zeros((2, 2)))
+        # rank 0 < n-1 is no error here: no null vectors and no pinv, and the
+        # existence test reports the rank as a failed check
+        assert linalg.rank_and_nullspace(np.zeros((2, 2))) == (0, None, None, None)
 
     def test_residuals_and_norms(self):
         rng = np.random.default_rng(5)

@@ -302,6 +302,36 @@ def test_non_real_results_are_input_errors(pp, name, bad, expected):
             linearize(model, TB_ARGS[0], 0.5, 2.0).along(TB_ARGS[0])
 
 
+#: each public entry point as a function of its vector arguments, and their names
+ENTRY_POINTS = {
+    "eval_f": (lambda pp, v: eval_f(pp, v["x"], v["y"], 0.5, 2.0), "xy"),
+    "jac_x": (lambda pp, v: jac_x(pp, v["x"], v["y"], 0.5, 2.0), "xy"),
+    "jac_y": (lambda pp, v: jac_y(pp, v["x"], v["y"], 0.5, 2.0), "xy"),
+    "second_dirder": (lambda pp, v: second_dirder(pp, "12", v["x"], v["y"], 0.5, 2.0,
+                                                  v["u"], v["w"]), "xyuw"),
+    "param_der": (lambda pp, v: param_der(pp, "1lam", v["x"], v["y"], 0.5, 2.0), "xy"),
+    "linearize": (lambda pp, v: linearize(pp, v["x"], 0.5, 2.0), "x"),
+}
+
+
+@pytest.mark.parametrize("bad, expected", [
+    (np.array([1.0 + 1.0j, 1.0]), "complex128 values, not real"),
+    ([1.0 + 0.0j, 1.0], "complex128 values, not real"),
+    (["1.0", "1.0"], "<U3 values, not real"),
+    ([1.0, [1.0, 0.0]], "no array of numbers")],
+    ids=["complex", "complex-list", "strings", "ragged"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_real_arguments_are_input_errors(pp, entry, bad, expected):
+    # a complex vector argument is an error naming it, not cast to float
+    # with its imaginary part dropped (eval_f at x = (1 + 1j, 1) returned
+    # f(1, 1) = 0), and so is one numpy cannot make real numbers of
+    call, labels = ENTRY_POINTS[entry]
+    for label in labels:
+        args = dict.fromkeys("xyuw", np.ones(2)) | {label: bad}
+        with pytest.raises(InputError, match=re.escape(f"{label} has {expected}")):
+            call(pp, args)
+
+
 def test_newton_rejects_a_misshapen_supplier(pp):
     model = dataclasses.replace(pp, d2=lambda x, y, l, u: np.zeros(2))
     v = TbCandidate(x=np.array([1.1, 1.1]), phi1=np.array([1.0, 0.0]),

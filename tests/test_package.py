@@ -2,9 +2,9 @@ import tbdde
 
 # the package's public names: a change here is a change to its interface
 PUBLIC = [
-    "DdeModel", "DegenerateNormalization", "EigenBasis",
+    "DdeModel", "EigenBasis",
     "Functionals", "InputError", "Linearization", "NearSingular", "NewtonOptions",
-    "NewtonReport", "PredatorPreyParams", "RankDeficiencyMismatch",
+    "NewtonReport", "PredatorPreyParams",
     "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError",
     "build", "characteristic", "compute_basis", "double_zero_check", "eval_f",
