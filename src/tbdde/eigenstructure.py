@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
+from .model import _real
 
 
 def normalization(q1, q2, p1, p2, g1, g2):
@@ -124,7 +125,7 @@ def compute_basis(f1, f2) -> EigenBasis:
     rank is n-1.  A non-finite S raises NearSingular, and so does a bordered
     matrix of ph2p too ill-conditioned, whether "range" holds or not.
     """
-    f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
+    f1, f2 = _real(f1, "f1 has"), _real(f2, "f2 has")
     if f1.ndim != 2 or f1.shape[0] != f1.shape[1] or f1.shape != f2.shape:
         raise InputError(f"f1 and f2 must be square matrices of one shape, "
                          f"got {f1.shape} and {f2.shape}")

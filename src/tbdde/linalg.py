@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import InputError, NearSingular
+from .model import _real
 
 _EPS = float(np.finfo(float).eps)
 #: solve() refuses systems whose exact 2-norm condition number exceeds this
@@ -54,8 +55,7 @@ def solve_with_cond(A, b):
     raises NearSingular with it as ``cond`` (nan for a non-finite A).  x is
     ``np.linalg.solve``'s.
     """
-    A = _square(A).astype(float)
-    b = np.asarray(b, dtype=float)
+    A, b = _square(_real(A, "A has")), _real(b, "b has")
     if b.shape != (A.shape[0],):
         raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
     try:
@@ -96,7 +96,7 @@ def rank_and_nullspace(A):
     COND_LIMIT, NearSingular carries it as ``cond``.  A non-finite A has no
     numerical rank: NearSingular with ``cond`` nan.
     """
-    A = _square(A).astype(float)
+    A = _square(_real(A, "A has"))
     n = A.shape[0]
     if not np.isfinite(A).all():
         raise NearSingular("matrix has non-finite entries", cond=np.nan)
@@ -121,10 +121,11 @@ def bordered_solve(A, col_border, row_border, rhs):
     pinv gives without this second factorization.  A bad border raises
     NearSingular, and borders or rhs not vectors of length n InputError.
     """
-    A = _square(A).astype(float)
+    A = _square(_real(A, "A has"))
     n = A.shape[0]
-    col, row = (np.asarray(v, dtype=float).ravel() for v in (col_border, row_border))
-    rhs = np.asarray(rhs, dtype=float)
+    col = _real(col_border, "col_border has").ravel()
+    row = _real(row_border, "row_border has").ravel()
+    rhs = _real(rhs, "rhs has")
     if not col.size == row.size == n or rhs.shape != (n,):
         raise InputError(f"borders and rhs must have length {n}, "
                          f"got {col.size}, {row.size} and rhs shape {rhs.shape}")

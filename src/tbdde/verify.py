@@ -10,11 +10,11 @@ each one named ``Check``; the verdict PASSes when every check holds.
 A separate spectral scan checks that no other root lies on the imaginary
 axis, the strip |Re z| <= delta = 1e-3, by excluding it: the roots near it
 have |z| <= R = |f1|_2 + |f2|_2 e^delta, a trapezoid rule for the argument
-principle counts and locates those near 0, and a Weyl bound on
-sigma_min(M(i w)) clears the rest, up to rounding (Rump, Acta Numerica 19,
-2010).  f1 and f2 are real (``model`` rejects a complex callback result), so
-M(conj z) = conj M(z): the roots come in conjugate pairs, and the trapezoid
-rule needs only its nodes with Im z >= 0.
+principle counts and locates those near 0, and a first-order bound from
+M(i w)^-1 clears the rest, up to the rounding of the inverses (Rump, Acta
+Numerica 19, 2010).  f1 and f2 are real (``model`` rejects a complex
+callback result), so M(conj z) = conj M(z): the roots come in conjugate
+pairs, and the trapezoid rule needs only its nodes with Im z >= 0.
 """
 
 from __future__ import annotations
@@ -109,20 +109,45 @@ def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
     return out
 
 
+def _matrices(f1: np.ndarray, f2: np.ndarray, z: np.ndarray):
+    """(k, M(z[k]), e^{-z[k]}) for slices k of z, M(z) = zI - f1 - f2 e^{-z},
+    in batches of at most 2^20 matrix entries each."""
+    n = f1.shape[0]
+    step = max(1, 2 ** 20 // (n * n))
+    for k in range(0, z.size, step):
+        zk = z[k:k + step]
+        e = np.exp(-zk)
+        M = zk[:, None, None] * np.eye(n) - f1 - e[:, None, None] * f2
+        yield slice(k, k + step), M, e
+
+
+def _inverse_map(f1: np.ndarray, f2: np.ndarray, z: np.ndarray, fn, at_root) -> np.ndarray:
+    """fn(X, e) at every entry of z, X = M(z)^-1 and e = e^{-z}, from one
+    batched inverse per batch of ``_matrices``: ``at_root`` where M(z) is
+    exactly singular (a zero pivot of its LU factors), that is at an exact
+    root, and NaN where M(z) is not finite."""
+    parts = []
+    for _, M, e in _matrices(f1, f2, z):
+        try:
+            parts.append(fn(np.linalg.inv(M), e))
+        except np.linalg.LinAlgError:
+            finite = np.isfinite(M).all(axis=(1, 2))
+            regular = finite & (np.linalg.slogdet(M)[0] != 0)
+            part = np.where(finite, at_root, np.nan)
+            part[regular] = fn(np.linalg.inv(M[regular]), e[regular])
+            parts.append(part)
+    return np.concatenate(parts)
+
+
 def _log_det_slope(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """tr(M(z)^-1 M'(z)) = Delta'(z) / Delta(z) at every entry of z, by one
-    stacked solve, where M(z) = zI - f1 - f2 e^{-z}; inf where M(z) is
-    exactly singular, that is at an exact root."""
-    e = np.exp(-z)[:, None, None]
-    eye = np.eye(f1.shape[0])
-    M, dM = z[:, None, None] * eye - f1 - e * f2, eye + e * f2
-    try:
-        return np.trace(np.linalg.solve(M, dM), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        regular = np.linalg.det(M) != 0
-        out = np.full(z.shape, np.inf, dtype=complex)
-        out[regular] = np.trace(np.linalg.solve(M[regular], dM[regular]), axis1=1, axis2=2)
-        return out
+    """tr(M(z)^-1 M'(z)) = Delta'(z) / Delta(z) at every entry of z, where
+    M(z) = zI - f1 - f2 e^{-z} and M'(z) = I + e^{-z} f2, as tr(X) +
+    e^{-z} <X, f2^T> from X = M(z)^-1; inf at an exact root."""
+    n, f2t = f1.shape[0], f2.T.ravel()
+
+    def slope(X, e):
+        return np.einsum("kii->k", X) + e * (X.reshape(len(X), n * n) @ f2t)
+    return _inverse_map(f1, f2, z, slope, complex(np.inf))
 
 
 def _disk_sums(f1: np.ndarray, f2: np.ndarray, rho: float) -> tuple:
@@ -136,16 +161,27 @@ def _disk_sums(f1: np.ndarray, f2: np.ndarray, rho: float) -> tuple:
     return tuple(float(v) * rho ** p for p, v in enumerate(sums, 1))
 
 
+def _cleared(f1: np.ndarray, f2: np.ndarray, w: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The half-width that step 3 of ``spectral_scan`` clears about each i w,
+    from X = M(i w)^-1 and e = e^{-i w}: the larger of sqrt(rho^2 - delta^2),
+    rho = 2 / (p + sqrt(p^2 + 2 q)) with p = |X + e X f2|_F and q =
+    e^delta |X f2|_F, and (1 / |X|_F - a) / b; 0 where M(i w) is exactly
+    singular, and NaN where neither is a number, as where X is not finite."""
+    def radius(X, e):
+        Y = X @ f2
+        parts = np.concatenate([X + e[:, None, None] * Y, Y, X]).view(float)
+        p, q, x = np.sqrt(np.einsum("kij,kij->k", parts, parts)).reshape(3, -1)
+        rho = 2.0 / (p + np.sqrt(p * p + 2.0 * math.exp(_DELTA) * q))
+        return np.fmax(np.sqrt(rho * rho - _DELTA * _DELTA), (1.0 / x - a) / b)
+    return _inverse_map(f1, f2, 1j * w, radius, 0.0)
+
+
 def _sigma_min(f1: np.ndarray, f2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sigma_min(M(z)) at every entry of z, by batched SVDs of at most 2^20
-    matrix entries each."""
-    n = f1.shape[0]
+    """sigma_min(M(z)) at every entry of z, by one batched SVD per batch of
+    ``_matrices``."""
     out = np.empty(z.shape)
-    step = max(1, 2 ** 20 // (n * n))
-    for k in range(0, z.size, step):
-        zk = z[k:k + step]
-        M = zk[:, None, None] * np.eye(n) - f1 - np.exp(-zk)[:, None, None] * f2
-        out[k:k + step] = np.linalg.svd(M, compute_uv=False)[:, -1]
+    for k, M, _ in _matrices(f1, f2, z):
+        out[k] = np.linalg.svd(M, compute_uv=False)[:, -1]
     return out
 
 
@@ -157,7 +193,8 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
 
     1. A root with Re z >= -delta has z v = f1 v + e^{-z} f2 v for a unit v,
        so |z| <= R = |f1|_2 + |f2|_2 e^delta.  Roots come in conjugate pairs,
-       so Im z >= 0 is enough.  R > 512 raises InputError before any SVD of M.
+       so Im z >= 0 is enough.  R > 512 raises InputError before any M(z) is
+       formed.
     2. A 64-point trapezoid rule for (1/2 pi i) * contour integral of z^p
        tr(M^-1 M') = z^p Delta'/Delta on |z| = rho counts the roots inside
        (p = 0) and sums them and their squares (p = 1, 2); it converges
@@ -171,17 +208,24 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
        is within 0.01 of 0, or of 2 with the double zero, so a pair +-i w
        near it is left outside.  A count not within 0.01 of 0, 1 or 2 by
        rho = 4 delta raises NearSingular; other roots there seed step 4.
-    3. On Im z in [sqrt(rho^2 - delta^2), R], [-delta, delta] x [w - h, w + h]
-       holds no root when sigma_min(M(i w)) > a + b h, a = delta + |f2|_2
-       (e^delta - 1), b = 1 + |f2|_2 e^delta, which bounds |M(z) - M(i w)|_2
-       there (Weyl: sigma_min(A + E) >= sigma_min(A) - |E|_2).
-       sigma_min(M(i w)) is the distance to the DDE's pseudospectra
-       (Michiels, Green, Wagenknecht and Niculescu, Linear Algebra Appl. 418,
-       2006).  So each centre w clears its own radius (sigma_min - a) / b:
-       intervals of half-width 0.25 lose that much from their middle, and the
-       two pieces left go on, one batch of SVDs per round, down to half-width
-       1e-3.  The SVDs follow sigma_min, not the worst case b allows.
-    4. Newton on log Delta (step 1 / tr(M^-1 M')) starts from every piece
+    3. On Im z in [sqrt(rho^2 - delta^2), R], take a centre i w and X =
+       M(i w)^-1.  For |Re z| <= delta, M(z) = M(i w) + (z - i w) M'(i w)
+       - eps f2 with |eps| <= |z - i w|^2 e^delta / 2, and X M'(i w) = X +
+       e^{-i w} X f2.  So X M(z) = I + E, |E|_2 <= s p + s^2 q / 2 with
+       s = |z - i w|, p = |X + e^{-i w} X f2|_F and q = e^delta |X f2|_F,
+       and M(z) is nonsingular for s < rho_w = 2 / (p + sqrt(p^2 + 2 q)).
+       The box [-delta, delta] x [w - r, w + r] then holds no root for r =
+       sqrt(rho_w^2 - delta^2), and for r = (1 / |X|_F - a) / b as well:
+       a + b r, a = delta + |f2|_2 (e^delta - 1), b = 1 + |f2|_2 e^delta,
+       bounds |M(z) - M(i w)|_2 there (Weyl: sigma_min(A + E) >=
+       sigma_min(A) - |E|_2, and sigma_min(M(i w)) >= 1 / |X|_F).  Each
+       centre clears the larger (``_cleared``).  Near a simple root rho_w
+       is close to the distance to it.  Intervals of half-width 0.25 lose
+       that much from their middle, and the two pieces left go on, one
+       batch of inverses per round, down to half-width 1e-3.  A radius
+       that is not a number, as from a non-finite inverse, clears nothing.
+    4. Newton on log Delta (step 1 / tr(M^-1 M'), with tr(M^-1 M') = tr(X)
+       + e^{-z} <X, f2^T> from the same inverses) starts from every piece
        left.  A run that converges to |Re z| > delta, near a root off the
        strip, or, from step 3, into the disk, is dropped.  One that converges
        in the strip is a root when sigma_min(M(z)) <= 1e-12 (1 + |z| +
@@ -189,9 +233,10 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
        M is large, and unlike sigma_min / sigma_max, it holds at n = 1.  Any
        other run raises NearSingular: it does not show the axis clear.
 
-    The exclusion holds up to the rounding of the SVDs and norms, and the
-    count only where it rounds with room to spare; a verified version would
-    bound both (Rump).  Returns (roots, warn):
+    The exclusion holds up to the rounding of the inverses and norms, and
+    the count only where it rounds with room to spare; a verified version
+    would bound both (Rump).  SVDs give only |f1|_2, |f2|_2 and the
+    acceptance of a root.  Returns (roots, warn):
     ``warn`` the axis roots other than the double zero, both of each pair,
     by modulus; ``roots`` is ``warn`` and, first, 0j when the disk holds the
     double zero.  A non-finite linearization raises NearSingular.
@@ -223,15 +268,16 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     lo = math.sqrt(rho * rho - _DELTA * _DELTA)
     edges = np.linspace(lo, R, math.ceil(max(0.0, R - lo) / (2 * _H_START)) + 1)
     left, right, seeds = edges[:-1], edges[1:], [disk]
-    while left.size:
-        c, h = (left + right) / 2, (right - left) / 2
-        r = np.maximum((_sigma_min(f1, f2, 1j * c) - a) / b, 0.0)
-        live, last = r < h, h <= _H_MIN
-        seeds.append(1j * c[live & last])
-        live &= ~last
-        c, r = c[live], r[live]
-        left = np.concatenate([left[live], c + r])
-        right = np.concatenate([c - r, right[live]])
+    with np.errstate(all="ignore"):
+        while left.size:
+            c, h = (left + right) / 2, (right - left) / 2
+            r = _cleared(f1, f2, c, a, b)
+            live, last = ~(r >= h), h <= _H_MIN   # a NaN radius clears nothing
+            seeds.append(1j * c[live & last])
+            live &= ~last
+            c, r = c[live], np.fmax(r[live], 0.0)
+            left = np.concatenate([left[live], c + r])
+            right = np.concatenate([c - r, right[live]])
     z = np.concatenate(seeds).astype(complex)
     in_disk = np.arange(z.size) < len(disk)
 

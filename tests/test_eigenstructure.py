@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,17 @@ class TestExistenceTest:
 def test_malformed_pair_rejected(check, f1, f2):
     with pytest.raises(InputError, match="square matrices of one shape"):
         check(f1, f2)
+
+
+@pytest.mark.parametrize("name", ["f1", "f2"])
+def test_complex_matrix_rejected(name):
+    # cast to float, F1_PP + 1j would pass the existence test
+    args = {"f1": F1_PP, "f2": F2_PP}
+    args[name] = args[name] + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{name} has complex128 values"):
+            compute_basis(**args)
 
 
 class TestComputeBasis:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,16 @@ class TestSolve:
         with pytest.raises(InputError, match="rhs shape"):
             linalg.solve_with_cond(np.eye(2), b)
 
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_complex_input_rejected(self, name):
+        # the imaginary part is not dropped with a ComplexWarning
+        args = {"A": np.eye(2), "b": np.ones(2)}
+        args[name] = args[name] + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{name} has complex128 values"):
+                linalg.solve_with_cond(args["A"], args["b"])
+
 
 class TestRankAndNullspace:
     def test_hand_example(self):
@@ -175,6 +186,13 @@ class TestRankAndNullspace:
             linalg.rank_and_nullspace(np.array([[bad, 1.0], [1.0, 1.0]]))
         assert np.isnan(exc.value.cond)
 
+    def test_complex_matrix_rejected(self):
+        # cast to float, the predator-prey S + 1j would be rank 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^A has complex128 values"):
+                linalg.rank_and_nullspace(np.array([[0.0, -0.5], [0.0, 0.0]]) + 1j)
+
 
 class TestBorderedSolve:
     A = np.diag([0.0, 1.0])
@@ -217,6 +235,15 @@ class TestBorderedSolve:
     def test_rhs_shape_rejected(self, rhs):
         with pytest.raises(InputError, match="length 2"):
             linalg.bordered_solve(self.A, self.e1, self.e1, rhs)
+
+    @pytest.mark.parametrize("name", ["A", "col_border", "row_border", "rhs"])
+    def test_complex_input_rejected(self, name):
+        args = {"A": self.A, "col_border": self.e1, "row_border": self.e1, "rhs": [0.0, 1.0]}
+        args[name] = np.asarray(args[name]) + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{name} has complex128 values"):
+                linalg.bordered_solve(**args)
 
     def test_bad_border_rejected(self):
         # column border inside range(A) leaves the bordered matrix singular

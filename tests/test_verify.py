@@ -94,6 +94,18 @@ def lifted_linear(n, seed, hidden=False, turns=0):
 DEFAULT_BOX = ((-1.0, 1.0), (-8.0, 8.0))
 
 
+def counted_matrices(monkeypatch, *names):
+    """Count, by name, the matrices given to the np.linalg functions ``names``
+    from now on: a stack counts each of its matrices."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(M, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += len(M) if np.ndim(M) == 3 else 1
+            return _fn(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def linear_model(f1, f2):
     """x' = f1 x + f2 x(t-1), with both matrices supplied."""
     f1, f2 = np.atleast_2d(f1).astype(float), np.atleast_2d(f2).astype(float)
@@ -400,36 +412,116 @@ class TestSpectralScan:
             spectral_scan(lifted_linear(3, 0, hidden=True), np.zeros(3), 0.0, 0.0)
 
     def test_strong_delayed_coupling_stays_cheap(self, monkeypatch):
-        # |f2|_2 = 102: each centre clears its own radius, so the exclusion
-        # takes a few hundred matrices, where a grid sized for the worst
+        # |f2|_2 = 102: each centre clears its own first-order radius, so the
+        # scan takes a few hundred matrices, where a grid sized for the worst
         # case, (R - rho)(1 + |f2|_2 e^delta) / 0.5 intervals, took 21,717
-        svd, matrices = np.linalg.svd, []
-
-        def counted(M, *args, **kwargs):
-            matrices.append(len(M) if M.ndim == 3 else 1)
-            return svd(M, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        matrices = counted_matrices(monkeypatch, "svd", "inv", "solve")
         omega = 32.5 * np.pi
         roots, warn = spectral_scan(lifted_linear(8, 3, True, 16), np.zeros(8), 0.0, 0.0)
         assert roots == [0j] + warn and len(warn) == 2
         assert abs(warn[0] + 1j * omega) <= 1e-10
         assert abs(warn[1] - 1j * omega) <= 1e-10
-        assert sum(matrices) < 2000
+        assert sum(matrices.values()) < 500
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_hidden_pair_takes_few_rounds(self, monkeypatch, n):
+        # near a simple root the first-order radius is about the distance to
+        # it, so the exclusion ends within 5 rounds of inverses
+        rounds = []
+        cleared = verify._cleared
+        monkeypatch.setattr(verify, "_cleared", lambda *a: rounds.append(1) or cleared(*a))
+        for seed in range(4):
+            rounds.clear()
+            assert len(spectral_scan(lifted_linear(n, seed, True), np.zeros(n), 0.0, 0.0)[1]) == 2
+            assert len(rounds) <= 5
 
     def test_disk_count_solves_the_upper_half_circle(self, monkeypatch):
         # M(conj z) = conj M(z) for real f1 and f2, so the 64-node count
-        # solves only its 33 nodes with Im z >= 0; this plain model's axis is
-        # cleared by SVDs alone, so the disk's one radius is the only solve
-        solve, matrices = np.linalg.solve, []
+        # inverts M only at its 33 nodes with Im z >= 0; this plain model's
+        # disk takes one radius, every other inverse is at a centre on the
+        # axis, and nothing is solved
+        batches, inverse_map = [], verify._inverse_map
 
-        def counted(M, *args, **kwargs):
-            matrices.append(len(M))
-            return solve(M, *args, **kwargs)
+        def recorded(f1, f2, z, *args):
+            batches.append(z)
+            return inverse_map(f1, f2, z, *args)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(verify, "_inverse_map", recorded)
+        solves = counted_matrices(monkeypatch, "solve")
         assert spectral_scan(lifted_linear(8, 0), np.zeros(8), 0.0, 0.0) == ([0j], [])
-        assert matrices == [33]
+        assert [len(z) for z in batches if np.any(z.real)] == [33]
+        assert np.array_equal(batches[0], 0.3 * verify._UNIT)
+        assert solves == {"solve": 0}
+
+    @pytest.mark.parametrize("fill", [np.inf, np.nan])
+    def test_non_finite_inverse_clears_nothing(self, monkeypatch, fill):
+        # every inverse after the disk count's is non-finite, as if it
+        # overflowed: its radius clears nothing, so the axis is not reported
+        # clear; Newton, from the same inverses, then refuses
+        inv, calls = np.linalg.inv, []
+
+        def overflowing(M):
+            calls.append(len(M))
+            return inv(M) if len(calls) == 1 else np.full(M.shape, fill, dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "inv", overflowing)
+        with pytest.raises(NearSingular, match="not at a root"):
+            spectral_scan(lifted_linear(3, 0, hidden=True), np.zeros(3), 0.0, 0.0)
+        assert calls[0] == 33
+
+    def test_inverses_come_in_batches_of_at_most_2_20_entries(self, monkeypatch):
+        # at n = 128 a batch holds 2^20 / 128^2 = 64 matrices, so 100 points
+        # take two, and the slope is the trace of the solve at every one
+        n, z = 128, 1j * np.linspace(1.0, 2.0, 100)
+        rng = np.random.default_rng(0)
+        f1, f2 = rng.normal(size=(2, n, n)) / np.sqrt(n)
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inverses.append(len(M)) or inv(M))
+        got = verify._log_det_slope(f1, f2, z)
+        assert inverses == [64, 36]
+        e = np.exp(-z)[:, None, None]
+        M, dM = z[:, None, None] * np.eye(n) - f1 - e * f2, np.eye(n) + e * f2
+        want = np.trace(np.linalg.solve(M, dM), axis1=1, axis2=2)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_slope_tells_a_root_from_a_non_finite_point(self):
+        # at an exact root M has no inverse and the slope is inf, so Newton
+        # stops there; at a non-finite z, as where a run diverged, it is NaN,
+        # so the run is not taken for a root
+        z = np.array([1.0, 0.0, np.nan]) + 0j
+        with np.errstate(all="ignore"):   # as in the scan's Newton loop
+            got = verify._log_det_slope(np.zeros((2, 2)), np.zeros((2, 2)), z)
+        assert got[0] == 2.0 and got[1] == np.inf and np.isnan(got[2])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 6), seed=st.integers(0, 2 ** 16), turns=st.integers(0, 15))
+    def test_cleared_boxes_hold_no_root(self, n, seed, turns):
+        # every box [-delta, delta] x [w - r, w + r] that the exclusion
+        # clears is nonsingular on a grid, corners included, and holds
+        # neither hidden root +-i w0, w0 = (1/2 + 2 turns) pi; |f2|_2 reaches
+        # w0, up to about 96
+        boxes, cleared = [], verify._cleared
+
+        def recorded(f1, f2, w, a, b):
+            r = cleared(f1, f2, w, a, b)
+            boxes.append((w, r))
+            return r
+
+        m, x = lifted_linear(n, seed, hidden=True, turns=turns), np.zeros(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_cleared", recorded)
+            warn = spectral_scan(m, x, 0.0, 0.0)[1]
+        w0 = (0.5 + 2.0 * turns) * np.pi
+        assert len(warn) == 2 and abs(warn[1] - 1j * w0) <= 1e-10
+        w, r = (np.concatenate(v) for v in zip(*boxes))
+        w, r = w[r > 0], r[r > 0]
+        assert not np.any(np.abs(w - w0) <= r)
+        z = (np.array([-verify._DELTA, 0.0, verify._DELTA])[:, None, None]
+             + 1j * (w + r * np.linspace(-1.0, 1.0, 5)[:, None])).ravel()
+        f1, f2 = jac_x(m, x, x, 0.0, 0.0), jac_y(m, x, x, 0.0, 0.0)
+        M = z[:, None, None] * np.eye(n) - f1 - np.exp(-z)[:, None, None] * f2
+        assert np.all(np.linalg.svd(M, compute_uv=False)[:, -1] > 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
@@ -512,12 +604,13 @@ class TestCollocationSize:
 
     def test_infeasible_box_is_an_input_error(self, monkeypatch):
         # R = 600 e^delta bounds the roots near the axis: above 512 it is
-        # refused before any SVD of M(z) is taken
-        svd = []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd.append(a))
+        # refused before any M(z) is factored or inverted
+        calls = []
+        for name in ("svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(a))
         with pytest.raises(InputError, match=r"R = 600\.6"):
             spectral_scan(linear_model(0.0, -600.0), [0.0], 0.0, 0.0)
-        assert not svd
+        assert not calls
 
     def test_large_model_on_the_default_box_is_not_refused(self):
         # n = 400 needs 4800 rows at N = 11; the size check lets it through

@@ -4,14 +4,19 @@ Run it from the root of a checkout as ``python3 tools/scan_cost.py``.  It
 imports the package from ``src/`` and the lifted models from
 ``bench/lifted.py`` (which it only imports), pins BLAS to one thread, and
 times one scan of each case by process time, as the median of a few runs
-after one untimed run, whose answer is checked:
+after one untimed run, whose answer is checked and whose kernel matrices
+are counted:
 
 - the lifted model at n = 2, 8, 32 and 128 without a hidden component
   ("plain"), and at n = 8, 32 and 128 with one ("hidden"; n = 2 has no room
   for it), each at its exact double zero, the origin;
 - the predator-prey Takens-Bogdanov point, x = (1, 1), lambda = 0.5, mu = 2.
 
-It prints one JSON line, the milliseconds per scan by case.  It exits 1 if
+It prints one JSON line: the milliseconds per scan by case, and by case the
+matrices that the untimed scan gives to each of numpy's ``linalg.inv``,
+``linalg.svd`` and ``linalg.solve`` (a stack counts each of its matrices).
+The counts repeat exactly from run to run, where the timings on a shared
+host drift.  It exits 1 if
 a hidden model's scan misses its roots +-i pi/2, or if the scan of a plain
 model or of the predator-prey point reports a root other than the double
 zero.
@@ -23,6 +28,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib
 import importlib
 import json
 import statistics
@@ -41,6 +47,28 @@ from lifted import HIDDEN_ROOTS, build_lifted  # noqa: E402
 SIZES = (2, 8, 32, 128)
 RUNS = 5            # timed scans per case; the median is reported
 ROOT_TOL = 1e-10    # distance of a found root from +-i pi/2
+KERNELS = ("inv", "svd", "solve")   # the np.linalg functions whose matrices are counted
+
+
+@contextlib.contextmanager
+def counted_kernels():
+    """Count the matrices given to each of KERNELS while the block runs."""
+    counts = dict.fromkeys(KERNELS, 0)
+    saved = {name: getattr(np.linalg, name) for name in KERNELS}
+
+    def counted(name):
+        def call(a, *args, **kwargs):
+            counts[name] += len(a) if np.ndim(a) == 3 else 1
+            return saved[name](a, *args, **kwargs)
+        return call
+
+    try:
+        for name in KERNELS:
+            setattr(np.linalg, name, counted(name))
+        yield counts
+    finally:
+        for name, fn in saved.items():
+            setattr(np.linalg, name, fn)
 
 
 def cases(tb):
@@ -59,9 +87,10 @@ def cases(tb):
 def main() -> int:
     tb = SimpleNamespace(**{m: importlib.import_module(f"tbdde.{m}") for m in
                             ("defining", "eigenstructure", "model", "models", "verify")})
-    ms, wrong = {}, []
+    ms, matrices, wrong = {}, {}, []
     for name, model, x, lam, mu, expected in cases(tb):
-        _, warn = tb.verify.spectral_scan(model, x, lam, mu)
+        with counted_kernels() as matrices[name]:
+            _, warn = tb.verify.spectral_scan(model, x, lam, mu)
         times = []
         for _ in range(RUNS):
             start = time.process_time()
@@ -72,7 +101,7 @@ def main() -> int:
         want = sorted(expected, key=lambda z: z.imag)
         if len(got) != len(want) or any(abs(g - w) > ROOT_TOL for g, w in zip(got, want)):
             wrong.append(f"{name}: axis roots {got}, expected {want}")
-    print(json.dumps({"scan_ms": ms, "runs": RUNS, "blas_threads": 1}))
+    print(json.dumps({"scan_ms": ms, "matrices": matrices, "runs": RUNS, "blas_threads": 1}))
     for line in wrong:
         print(f"error: {line}", file=sys.stderr)
     return 1 if wrong else 0
