@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .eigenstructure import normalization
 from .errors import InputError, NearSingular
-from .model import DdeModel, Linearization, _real, linearize
+from .model import DdeModel, Linearization, _check_vec, _real, linearize
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class TbCandidate:
 
     @staticmethod
     def unpack(v: np.ndarray, n: int) -> "TbCandidate":
-        v = np.asarray(v, dtype=float)
+        v = _real(v, "candidate vector has")
         if v.shape != (3 * n + 2,):
             raise InputError(f"candidate vector must have length {3 * n + 2}")
         return TbCandidate(x=v[:n].copy(), phi1=v[n:2 * n].copy(),
@@ -104,12 +104,11 @@ def _system(f, a, b, g1, g2, p1, p2, L: Functionals) -> np.ndarray:
 
 
 def _linearize(model: DdeModel, v: TbCandidate, L: Functionals) -> Linearization:
-    """The linearization at v, after checking v's and L's vectors against model.n."""
+    """The linearization at v, after checking that v's and L's vectors are
+    model.n real numbers each."""
     for label, vec in (("x", v.x), ("phi1", v.phi1), ("phi2", v.phi2),
                        ("l1", L.l1), ("l2", L.l2)):
-        if np.shape(vec) != (model.n,):
-            raise InputError(f"{label} must have length {model.n}, "
-                             f"got shape {np.shape(vec)}")
+        _check_vec(model, vec, label)
     return linearize(model, v.x, v.lam, v.mu)
 
 
@@ -147,7 +146,7 @@ def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
     if lin is None:
         lin = _linearize(model, v, L)
     n = model.n
-    p1, p2, f2 = np.asarray(v.phi1, dtype=float), np.asarray(v.phi2, dtype=float), lin.f2
+    p1, p2, f2 = _check_vec(model, v.phi1, "phi1"), _check_vec(model, v.phi2, "phi2"), lin.f2
     S = lin.f1 + f2
     flam, fmu = lin.param_derivatives()
     f1lam, f2lam = lin.along(dlam=1.0)

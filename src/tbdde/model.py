@@ -27,14 +27,18 @@ Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
 and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
 differentiated along one direction, from one ``_dirder`` call.  The public
 functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
-``param_der``) and ``linearize`` check their vectors and run the same code
-on one value.  A vector argument that is not n real numbers, or a supplier's
-result not real or of the wrong shape, is an ``InputError`` naming it.
+``param_der``) and ``linearize`` check their vectors and numbers and run the
+same code on one value.  A vector argument that is not n real numbers, a
+lam or mu that is not one real number, or a supplier's result not real or of
+the wrong shape, is an ``InputError`` naming it.  A callback that raises
+ZeroDivisionError or OverflowError, as Python float arithmetic does where
+numpy's gives inf or nan, has the value NaN.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -82,8 +86,13 @@ class DdeModel:
     d11 = d12 = d21 = d22 = d1lam = d2lam = d1mu = d2mu = None
 
     def __post_init__(self):
+        # numpy's integer and float scalars are numbers.Integral and numbers.Real
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise InputError(f"state dimension must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError(f"state dimension must be >= 1, got {self.n}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise InputError(f"delay must be a real number, got {self.tau!r}")
         if not 0 < self.tau < math.inf:
             raise InputError(f"delay must be positive and finite, got {self.tau}")
 
@@ -102,6 +111,21 @@ def _real(v, what: str) -> np.ndarray:
     return v
 
 
+def _check_params(lam, mu) -> tuple:
+    """(lam, mu) as floats, or InputError naming the one that is not one real
+    number: the built-in callbacks read them with ``float``, which would take
+    a string."""
+    out = []
+    for label, v in (("lam", lam), ("mu", mu)):
+        if type(v) is not float:   # the usual value needs no check
+            v = _real(v, f"{label} has")
+            if v.shape != ():
+                raise InputError(f"{label} must be a number, got shape {v.shape}")
+            v = float(v)
+        out.append(v)
+    return tuple(out)
+
+
 def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     v = _real(v, f"{label} has")
     if v.shape != (model.n,):
@@ -109,9 +133,19 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     return v
 
 
-def _checked(model: DdeModel, name: str, out, shape: tuple) -> np.ndarray:
-    """A callback's result in delay-1 time (``tau * out``, exactly ``out`` at
-    tau = 1): real numbers of ``shape``; ``name`` names the callback."""
+def _call(model: DdeModel, name: str, shape: tuple, *args) -> np.ndarray:
+    """The callback ``name`` ("f", "d1", ...) at ``args``, in delay-1 time
+    (``tau`` times its result, exactly the result at tau = 1): real numbers
+    of ``shape``.
+
+    Python float arithmetic raises ZeroDivisionError or OverflowError where
+    numpy's returns inf or nan; such a call's value is NaN, warned of (or
+    raised) as np.errstate says for an invalid value.
+    """
+    try:
+        out = getattr(model, name)(*args)
+    except (ZeroDivisionError, OverflowError):
+        out = np.full(shape, np.divide(0.0, 0.0))
     out = _real(out, f"model {name} returned")
     if out.shape != shape:
         raise InputError(f"model {name} returned shape {out.shape}, expected {shape}")
@@ -122,7 +156,7 @@ def _checked(model: DdeModel, name: str, out, shape: tuple) -> np.ndarray:
 #    of length model.n
 
 def _f(model: DdeModel, x, y, lam, mu) -> np.ndarray:
-    return _checked(model, "f", model.f(x, y, lam, mu), (model.n,))
+    return _call(model, "f", (model.n,), x, y, lam, mu)
 
 
 def _fd_jac(func, base: np.ndarray) -> np.ndarray:
@@ -140,9 +174,8 @@ def _fd_jac(func, base: np.ndarray) -> np.ndarray:
 
 def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
     """f1 (``slot`` "1", the x slot) or f2 ("2", the delayed slot)."""
-    supplier = model.d1 if slot == "1" else model.d2
-    if supplier is not None:
-        return _checked(model, "d" + slot, supplier(x, y, lam, mu), (model.n, model.n))
+    if (model.d1 if slot == "1" else model.d2) is not None:
+        return _call(model, "d" + slot, (model.n, model.n), x, y, lam, mu)
     if slot == "1":
         return _fd_jac(lambda xv: _f(model, xv, y, lam, mu), x)
     return _fd_jac(lambda yv: _f(model, x, yv, lam, mu), y)
@@ -161,9 +194,9 @@ def _dirder(model: DdeModel, x, y, lam, mu,
     """
     if model.ddir is not None:
         zero = np.zeros(model.n)
-        out = model.ddir(x, y, lam, mu, zero if dx is None else dx,
-                         zero if dy is None else dy, dlam or 0.0, dmu or 0.0)
-        out = _checked(model, "ddir", out, (2, model.n, model.n))
+        out = _call(model, "ddir", (2, model.n, model.n), x, y, lam, mu,
+                    zero if dx is None else dx, zero if dy is None else dy,
+                    dlam or 0.0, dmu or 0.0)
         return out[0], out[1]
     top, size = 1.0, 0.0
     if dx is not None:
@@ -191,9 +224,8 @@ def _param(model: DdeModel, which: str, x, y, lam, mu):
     """One parameter derivative (see ``param_der``), from a supplier or by differences."""
     if which[0] in "12":   # "1lam": f1 along (0, 0, 1, 0), the pair's first matrix
         return _dirder(model, x, y, lam, mu, **{"d" + which[1:]: 1.0})[int(which[0]) - 1]
-    supplier = model.dlam if which == "lam" else model.dmu
-    if supplier is not None:
-        return _checked(model, "d" + which, supplier(x, y, lam, mu), (model.n,))
+    if (model.dlam if which == "lam" else model.dmu) is not None:
+        return _call(model, "d" + which, (model.n,), x, y, lam, mu)
     p = lam if which == "lam" else mu
     h = H1 * max(1.0, abs(p))
 
@@ -242,8 +274,9 @@ class Linearization(NamedTuple):
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
-    """f, f1 and f2 at (x, x, lam, mu), each evaluated once, x checked once."""
-    x = _check_vec(model, x, "x")
+    """f, f1 and f2 at (x, x, lam, mu), each evaluated once, x, lam and mu
+    checked once."""
+    x, (lam, mu) = _check_vec(model, x, "x"), _check_params(lam, mu)
     return Linearization(model, x, lam, mu, _f(model, x, x, lam, mu),
                          _first(model, "1", x, x, lam, mu),
                          _first(model, "2", x, x, lam, mu))
@@ -253,19 +286,20 @@ def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
 
 def eval_f(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """Evaluate the right-hand side; with ``x == y`` this is the steady-state residual."""
-    return _f(model, _check_vec(model, x, "x"), _check_vec(model, y, "y"), lam, mu)
+    return _f(model, _check_vec(model, x, "x"), _check_vec(model, y, "y"),
+              *_check_params(lam, mu))
 
 
 def jac_x(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """d f / d x, analytic when supplied, else central differences."""
     return _first(model, "1", _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-                  lam, mu)
+                  *_check_params(lam, mu))
 
 
 def jac_y(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """d f / d y (delayed slot), analytic when supplied, else central differences."""
     return _first(model, "2", _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-                  lam, mu)
+                  *_check_params(lam, mu))
 
 
 def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
@@ -284,6 +318,7 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     y = _check_vec(model, y, "y")
     u = _check_vec(model, u, "u")
     w = _check_vec(model, w, "w")
+    lam, mu = _check_params(lam, mu)
     pair = (_dirder(model, x, y, lam, mu, dx=u) if which[0] == "1"
             else _dirder(model, x, y, lam, mu, dy=u))
     return pair[int(which[1]) - 1] @ w
@@ -301,4 +336,4 @@ def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
     if which not in _PARAM_KEYS:
         raise InputError(f"which must be one of {_PARAM_KEYS}, got {which!r}")
     return _param(model, which, _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-                  lam, mu)
+                  *_check_params(lam, mu))

@@ -11,6 +11,15 @@ Two models ship with the package:
   origin at zero parameters is a quadratic double-zero point with exactly
   representable eigendata; its reference quantities were derived in exact
   arithmetic (tools/synthetic_oracle.py) and frozen into the test suite.
+
+Every callback runs on Python floats: it reads each input once (``x.tolist()``,
+``y.item(0)``, ``float(lam)``) and returns one ``np.array`` built from them.
+A solve calls the callbacks over a hundred times, and on 2-vectors numpy's
+scalar arithmetic and small matrix products cost several times more than the
+arithmetic itself (synthetic-tb's ``f`` took 11 us as ``A @ x + B @ y + ...``
+and takes about 1 us so).  Where Python float arithmetic raises (division by
+K = 0, a square that overflows) and numpy's would give inf or nan, the
+package reads the call's value as NaN (``model._call``).
 """
 
 from __future__ import annotations
@@ -60,37 +69,38 @@ def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
         return 2.0 * y1 * (y1 * y1 - 3.0 * a) / (a + y1 * y1) ** 3
 
     def f(x, y, D, K):
+        (x0, x1), y0, K = x.tolist(), y.item(0), float(K)
         return np.array([
-            r * x[0] * (1.0 - x[0] / K) - y[0] * x[1] / (a + y[0] * y[0]),
-            x[1] * (m * g(y[0]) - D),
+            r * x0 * (1.0 - x0 / K) - y0 * x1 / (a + y0 * y0),
+            x1 * (m * g(y0) - float(D)),
         ])
 
     def d1(x, y, D, K):
+        g0 = g(y.item(0))
         return np.array([
-            [r * (1.0 - 2.0 * x[0] / K), -g(y[0])],
-            [0.0, m * g(y[0]) - D],
+            [r * (1.0 - 2.0 * x.item(0) / float(K)), -g0],
+            [0.0, m * g0 - float(D)],
         ])
 
     def d2(x, y, D, K):
+        x1, g1 = x.item(1), gp(y.item(0))
         return np.array([
-            [-x[1] * gp(y[0]), 0.0],
-            [x[1] * m * gp(y[0]), 0.0],
+            [-x1 * g1, 0.0],
+            [x1 * m * g1, 0.0],
         ])
 
     def dlam(x, y, D, K):
-        return np.array([0.0, -x[1]])
+        return np.array([0.0, -x.item(1)])
 
     def dmu(x, y, D, K):
-        return np.array([r * x[0] ** 2 / K ** 2, 0.0])
+        return np.array([r * x.item(0) ** 2 / float(K) ** 2, 0.0])
 
-    # ddir works on Python floats: numpy scalar arithmetic would cost more
-    # than building the matrices
     def ddir(x, y, D, K, dx, dy, dD, dK):
-        K, dD, dK = float(K), float(dD), float(dK)
-        x1, dx0, dx1, dy0 = x.item(1), dx.item(0), dx.item(1), dy.item(0)
-        g1, g2 = gp(y.item(0)), gpp(y.item(0))
+        (x0, x1), (dx0, dx1), dy0 = x.tolist(), dx.tolist(), dy.item(0)
+        K, dD, dK, y0 = float(K), float(dD), float(dK), y.item(0)
+        g1, g2 = gp(y0), gpp(y0)
         return np.array([
-            [[-(2.0 * r / K) * dx0 + 2.0 * r * x.item(0) / K ** 2 * dK, -g1 * dy0],
+            [[-(2.0 * r / K) * dx0 + 2.0 * r * x0 / K ** 2 * dK, -g1 * dy0],
              [0.0, m * g1 * dy0 - dD]],
             [[-g1 * dx1 - x1 * g2 * dy0, 0.0],
              [m * g1 * dx1 + x1 * m * g2 * dy0, 0.0]],
@@ -136,44 +146,51 @@ def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
     params = params or SyntheticTbParams()
     a1, a2, a3, a4, a5, a6 = (params.a1, params.a2, params.a3,
                               params.a4, params.a5, params.a6)
-    A = np.array([[-1.0, 1.0], [0.0, 0.0]])
-    B = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p = np.array([0.0, 1.0])
-    q = np.array([1.0, 1.0])
-    C = np.array([[0.0, 0.0], [1.0, 0.0]])
-    E = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    # Each entry sums the matrix form's terms in its order, the quadratics
+    # last.  A term the form multiplies by 0 is +-0 and one it multiplies by 1
+    # is exact, so dropping them changes at most the sign of an exact zero;
+    # the 0.0 + ... and dlam * 0.0 kept below fix that sign as the form does
+    # (a row of A @ x sums from +0.0), so each value is bit for bit the form's.
 
     def f(x, y, lam, mu):
-        quad = np.array([
-            a1 * x[0] ** 2 + a2 * x[0] * y[0] + a3 * y[1] ** 2,
-            a4 * x[1] ** 2 + a5 * x[1] * y[0] + a6 * y[0] ** 2,
+        (x0, x1), (y0, y1), lam, mu = x.tolist(), y.tolist(), float(lam), float(mu)
+        return np.array([
+            0.0 - x0 + x1 + y0 + mu + mu * y1
+            + (a1 * x0 ** 2 + a2 * x0 * y0 + a3 * y1 ** 2),
+            0.0 + lam + mu + lam * x0
+            + (a4 * x1 ** 2 + a5 * x1 * y0 + a6 * y0 ** 2),
         ])
-        return A @ x + B @ y + lam * p + mu * q + lam * (C @ x) + mu * (E @ y) + quad
 
     def d1(x, y, lam, mu):
-        return A + lam * C + np.array([
-            [2.0 * a1 * x[0] + a2 * y[0], 0.0],
-            [0.0, 2.0 * a4 * x[1] + a5 * y[0]],
+        (x0, x1), y0 = x.tolist(), y.item(0)
+        return np.array([
+            [-1.0 + (2.0 * a1 * x0 + a2 * y0), 1.0],
+            [float(lam) + 0.0, 0.0 + (2.0 * a4 * x1 + a5 * y0)],
         ])
 
     def d2(x, y, lam, mu):
-        return B + mu * E + np.array([
-            [a2 * x[0], 2.0 * a3 * y[1]],
-            [a5 * x[1] + 2.0 * a6 * y[0], 0.0],
+        (x0, x1), (y0, y1) = x.tolist(), y.tolist()
+        return np.array([
+            [1.0 + a2 * x0, 0.0 + float(mu) + 2.0 * a3 * y1],
+            [0.0 + (a5 * x1 + 2.0 * a6 * y0), 0.0],
         ])
 
     def dlam(x, y, lam, mu):
-        return p + C @ x
+        return np.array([0.0, 1.0 + x.item(0)])
 
     def dmu(x, y, lam, mu):
-        return q + E @ y
+        return np.array([1.0 + y.item(1), 1.0])
 
     def ddir(x, y, lam, mu, dx, dy, dlam, dmu):
+        (dx0, dx1), (dy0, dy1) = dx.tolist(), dy.tolist()
+        dlam, dmu = float(dlam), float(dmu)
+        zl, zm = dlam * 0.0, dmu * 0.0
         return np.array([
-            dlam * C + np.array([[2.0 * a1 * dx[0] + a2 * dy[0], 0.0],
-                                 [0.0, 2.0 * a4 * dx[1] + a5 * dy[0]]]),
-            dmu * E + np.array([[a2 * dx[0], 2.0 * a3 * dy[1]],
-                                [a5 * dx[1] + 2.0 * a6 * dy[0], 0.0]]),
+            [[zl + (2.0 * a1 * dx0 + a2 * dy0), 0.0],
+             [dlam + 0.0, zl + (2.0 * a4 * dx1 + a5 * dy0)]],
+            [[zm + a2 * dx0, dmu + 2.0 * a3 * dy1],
+             [zm + (a5 * dx1 + 2.0 * a6 * dy0), 0.0]],
         ])
 
     return DdeModel(

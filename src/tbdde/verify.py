@@ -29,7 +29,7 @@ from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import Check, EigenBasis, TbExistence, tb_existence_test
 from .errors import InputError, NearSingular
-from .model import DdeModel, Linearization, eval_f, jac_x, jac_y
+from .model import DdeModel, Linearization, _check_vec, eval_f, jac_x, jac_y
 
 #: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
 _DELTA = 1e-3
@@ -70,7 +70,7 @@ class TbVerdict:
 def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> complex:
     """Delta(z) = det(zI - f1 - f2 exp(-z)) at the equilibrium x, in delay-1 time:
     a root z is tau times a root s of the model's det(sI - A - B exp(-s tau))."""
-    x = np.asarray(x, dtype=float)
+    x = _check_vec(model, x, "x")
     f1 = jac_x(model, x, x, lam, mu)
     f2 = jac_y(model, x, x, lam, mu)
     M = z * np.eye(model.n) - f1 - f2 * cmath.exp(-z)
@@ -101,7 +101,7 @@ def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
     They are evaluated under np.errstate, and a non-finite value raises
     NearSingular with ``cond`` nan, as ``linalg.rank_and_nullspace`` does.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_vec(model, x, "x")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = [fn(model, x, x, lam, mu) for fn in funcs]
     if not all(np.isfinite(v).all() for v in out):
@@ -199,7 +199,7 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
        tr(M^-1 M') = z^p Delta'/Delta on |z| = rho counts the roots inside
        (p = 0) and sums them and their squares (p = 1, 2); it converges
        exponentially (Trefethen and Weideman, SIAM Rev. 56, 2014).  f1 and
-       f2 are real, as ``model._checked`` rejects a complex callback
+       f2 are real, as ``model._call`` rejects a complex callback
        result, so the term at a node's conjugate is the conjugate of the term
        at the node: the rule is evaluated at its 33 nodes with Im z >= 0, and
        the count and sums are real by symmetry (``_disk_sums``).  Two
@@ -353,7 +353,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     called once per direction.
     """
     if lin is None:
-        x, lam, mu = np.asarray(solution.x, dtype=float), solution.lam, solution.mu
+        x, lam, mu = _check_vec(model, solution.x, "x"), solution.lam, solution.mu
         lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu),
                             basis.f1, basis.f2)
     tol = basis.existence.tol

@@ -168,6 +168,30 @@ def test_vector_of_wrong_shape_is_input_error(pp, case, solve):
         fn(pp, v, L)
 
 
+def test_complex_candidate_vector_is_input_error():
+    with pytest.raises(InputError, match="^candidate vector has complex128 values"):
+        TbCandidate.unpack(V_STAR.pack() + 1j, 2)
+
+
+@pytest.mark.parametrize("label", ["x", "phi1", "phi2"])
+@pytest.mark.parametrize("solve", ["newton_solve", "residual", "jacobian"])
+def test_complex_vector_is_input_error(pp, solve, label):
+    # a complex phi1 in the start surfaced only inside Newton, as "b has
+    # complex128 values"; jacobian cast the chain vectors to float
+    v = dataclasses.replace(V_STAR, **{label: getattr(V_STAR, label) + 1j})
+    fn = {"newton_solve": newton_solve, "residual": residual, "jacobian": jacobian}[solve]
+    with pytest.raises(InputError, match=f"^{label} has complex128 values, not real"):
+        fn(pp, v, L10)
+
+
+@pytest.mark.parametrize("label", ["phi1", "phi2"])
+def test_jacobian_given_a_linearization_checks_the_chain(pp, label):
+    lin = defining.linearize(pp, V_STAR.x, V_STAR.lam, V_STAR.mu)
+    v = dataclasses.replace(V_STAR, **{label: getattr(V_STAR, label) + 1j})
+    with pytest.raises(InputError, match=f"^{label} has complex128 values, not real"):
+        jacobian(pp, v, L10, lin)
+
+
 class TestResidual:
     def test_zero_at_solution(self, pp):
         r = residual(pp, V_STAR, L10)

@@ -235,6 +235,49 @@ def test_invalid_construction():
         DdeModel(n=1, tau=-1.0, f=lambda x, y, l, u: x)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 2.0}, "state dimension must be an integer, got 2.0"),
+    ({"n": True}, "state dimension must be an integer, got True"),
+    ({"n": "2"}, "state dimension must be an integer, got '2'"),
+    ({"tau": "1"}, "delay must be a real number, got '1'"),
+    ({"tau": True}, "delay must be a real number, got True"),
+    ({"tau": 1j}, "delay must be a real number, got 1j")],
+    ids=["n-float", "n-bool", "n-string", "tau-string", "tau-bool", "tau-complex"])
+def test_construction_rejects_what_is_no_number(kwargs, message):
+    # n = True used to fail later as "x must have length True", and n = "2"
+    # or tau = "1" as a bare TypeError
+    with pytest.raises(InputError, match=re.escape(message)):
+        DdeModel(**({"n": 2, "tau": 1.0, "f": lambda x, y, l, u: x} | kwargs))
+
+
+def test_construction_takes_numpy_scalars():
+    model = DdeModel(n=np.int64(2), tau=np.float32(0.5), f=lambda x, y, l, u: x)
+    assert eval_f(model, [1.0, 2.0], [0.0, 0.0], 0.0, 0.0) == pytest.approx([0.5, 1.0])
+
+
+class TestPythonFloatArithmeticErrors:
+    """Python float arithmetic raises ZeroDivisionError or OverflowError where
+    numpy's returns inf or nan: such a callback value is NaN."""
+
+    def test_division_by_zero_is_nan_and_warned(self, pp):
+        # predator-prey divides by its carrying capacity mu = K
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            out = eval_f(pp, *TB_ARGS[:3], 0.0)
+        assert out.shape == (2,) and np.isnan(out).all()
+
+    def test_overflow_is_nan_silently_under_errstate(self):
+        model = DdeModel(n=1, tau=2.0, f=lambda x, y, l, u: np.array([x.item(0) ** 2]))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(eval_f(model, [1e200], [0.0], 0.0, 0.0)).all()
+
+    def test_newton_start_with_zero_K_diverges(self, pp):
+        v = TbCandidate(x=np.array([1.1, 1.1]), phi1=np.array([1.0, 0.0]),
+                        phi2=np.array([3.0, 0.0]), lam=0.4, mu=0.0)
+        report = newton_solve(pp, v, Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0]))
+        assert not report.converged and report.failure_reason == "diverged"
+        assert report.iterations == 0 and np.isnan(report.residual_history[0])
+
+
 def test_replaced_suppliers_are_not_fields(pp):
     # ddir replaced the bilinear and parameter-matrix suppliers; their old
     # names stay readable, always None, but cannot be set.  It also replaced
@@ -330,6 +373,39 @@ def test_non_real_arguments_are_input_errors(pp, entry, bad, expected):
         args = dict.fromkeys("xyuw", np.ones(2)) | {label: bad}
         with pytest.raises(InputError, match=re.escape(f"{label} has {expected}")):
             call(pp, args)
+
+
+#: each public entry point as a function of its numbers lam and mu
+X1 = TB_ARGS[0]
+NUMBER_ENTRY_POINTS = {
+    "eval_f": lambda pp, lam, mu: eval_f(pp, X1, X1, lam, mu),
+    "jac_x": lambda pp, lam, mu: jac_x(pp, X1, X1, lam, mu),
+    "jac_y": lambda pp, lam, mu: jac_y(pp, X1, X1, lam, mu),
+    "second_dirder": lambda pp, lam, mu: second_dirder(pp, "11", X1, X1, lam, mu, X1, X1),
+    "param_der": lambda pp, lam, mu: param_der(pp, "mu", X1, X1, lam, mu),
+    "linearize": lambda pp, lam, mu: linearize(pp, X1, lam, mu),
+}
+
+
+@pytest.mark.parametrize("bad, expected", [
+    (0.5 + 1e-3j, "has complex128 values, not real"),
+    ("0.5", "has <U3 values, not real"),
+    (np.array([0.5]), "must be a number, got shape (1,)")],
+    ids=["complex", "string", "vector"])
+@pytest.mark.parametrize("label", ["lam", "mu"])
+@pytest.mark.parametrize("entry", sorted(NUMBER_ENTRY_POINTS))
+def test_non_number_parameters_are_input_errors(pp, entry, label, bad, expected):
+    # the built-in callbacks read lam and mu with float(), which raised a
+    # bare TypeError on a complex number and would take the string "0.5"
+    args = {"lam": 0.5, "mu": 2.0, label: bad}
+    with pytest.raises(InputError, match=re.escape(f"{label} {expected}")):
+        NUMBER_ENTRY_POINTS[entry](pp, args["lam"], args["mu"])
+
+
+def test_numpy_parameters_are_accepted(pp):
+    got = linearize(pp, TB_ARGS[0], np.float32(0.5), np.array(2.0))
+    assert type(got.lam) is float and type(got.mu) is float
+    assert np.array_equal(got.f1, jac_x(pp, *TB_ARGS))
 
 
 def test_newton_rejects_a_misshapen_supplier(pp):

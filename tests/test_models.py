@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -186,3 +187,180 @@ class TestSyntheticPoint:
         d_base = second_dirder(base, "11", z, z, 0.0, 0.0, u, u)
         d_other = second_dirder(other, "11", z, z, 0.0, 0.0, u, u)
         assert d_other[0] == pytest.approx(3.0 * d_base[0])
+
+
+# -- the callbacks as they were written before they ran on Python floats:
+#    synthetic-tb in its matrix form, predator-prey on numpy scalars.  The
+#    models' callbacks must give these values bit for bit.
+
+def matrix_synthetic_tb(params):
+    a1, a2, a3, a4, a5, a6 = (params.a1, params.a2, params.a3,
+                              params.a4, params.a5, params.a6)
+    A = np.array([[-1.0, 1.0], [0.0, 0.0]])
+    B = np.array([[1.0, 0.0], [0.0, 0.0]])
+    p = np.array([0.0, 1.0])
+    q = np.array([1.0, 1.0])
+    C = np.array([[0.0, 0.0], [1.0, 0.0]])
+    E = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def f(x, y, lam, mu):
+        quad = np.array([
+            a1 * x[0] ** 2 + a2 * x[0] * y[0] + a3 * y[1] ** 2,
+            a4 * x[1] ** 2 + a5 * x[1] * y[0] + a6 * y[0] ** 2,
+        ])
+        return A @ x + B @ y + lam * p + mu * q + lam * (C @ x) + mu * (E @ y) + quad
+
+    def d1(x, y, lam, mu):
+        return A + lam * C + np.array([
+            [2.0 * a1 * x[0] + a2 * y[0], 0.0],
+            [0.0, 2.0 * a4 * x[1] + a5 * y[0]],
+        ])
+
+    def d2(x, y, lam, mu):
+        return B + mu * E + np.array([
+            [a2 * x[0], 2.0 * a3 * y[1]],
+            [a5 * x[1] + 2.0 * a6 * y[0], 0.0],
+        ])
+
+    def dlam(x, y, lam, mu):
+        return p + C @ x
+
+    def dmu(x, y, lam, mu):
+        return q + E @ y
+
+    def ddir(x, y, lam, mu, dx, dy, dlam, dmu):
+        return np.array([
+            dlam * C + np.array([[2.0 * a1 * dx[0] + a2 * dy[0], 0.0],
+                                 [0.0, 2.0 * a4 * dx[1] + a5 * dy[0]]]),
+            dmu * E + np.array([[a2 * dx[0], 2.0 * a3 * dy[1]],
+                                [a5 * dx[1] + 2.0 * a6 * dy[0], 0.0]]),
+        ])
+
+    return dict(f=f, d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir)
+
+
+def numpy_predator_prey(params):
+    r, a, m = params.r, params.a, params.mu_growth
+
+    def g(y1):
+        return y1 / (a + y1 * y1)
+
+    def gp(y1):
+        return (a - y1 * y1) / (a + y1 * y1) ** 2
+
+    def gpp(y1):
+        return 2.0 * y1 * (y1 * y1 - 3.0 * a) / (a + y1 * y1) ** 3
+
+    def f(x, y, D, K):
+        return np.array([
+            r * x[0] * (1.0 - x[0] / K) - y[0] * x[1] / (a + y[0] * y[0]),
+            x[1] * (m * g(y[0]) - D),
+        ])
+
+    def d1(x, y, D, K):
+        return np.array([
+            [r * (1.0 - 2.0 * x[0] / K), -g(y[0])],
+            [0.0, m * g(y[0]) - D],
+        ])
+
+    def d2(x, y, D, K):
+        return np.array([
+            [-x[1] * gp(y[0]), 0.0],
+            [x[1] * m * gp(y[0]), 0.0],
+        ])
+
+    def dlam(x, y, D, K):
+        return np.array([0.0, -x[1]])
+
+    def dmu(x, y, D, K):
+        return np.array([r * x[0] ** 2 / K ** 2, 0.0])
+
+    def ddir(x, y, D, K, dx, dy, dD, dK):
+        g1, g2 = gp(y[0]), gpp(y[0])
+        return np.array([
+            [[-(2.0 * r / K) * dx[0] + 2.0 * r * x[0] / K ** 2 * dK, -g1 * dy[0]],
+             [0.0, m * g1 * dy[0] - dD]],
+            [[-g1 * dx[1] - x[1] * g2 * dy[0], 0.0],
+             [m * g1 * dx[1] + x[1] * m * g2 * dy[0], 0.0]],
+        ])
+
+    return dict(f=f, d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir)
+
+
+# a number of either sign and of magnitude 1e-8 to 1e3, or an exact zero of
+# either sign
+_nonzero = st.builds(lambda sign, m, k: sign * m * 10.0 ** k, st.sampled_from([1.0, -1.0]),
+                     st.floats(1.0, 10.0), st.integers(-8, 2))
+_value = st.sampled_from([0.0, -0.0]) | _nonzero
+
+
+def assert_bitwise(got, want):
+    """Equal values and equal signs, so an exact zero keeps its sign too."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \
+        (got, want)
+
+
+def assert_same_callbacks(model, reference, point, direction):
+    x, y = np.array(point[:2]), np.array(point[2:4])
+    args = (x, y, *point[4:])
+    for name in ("f", "d1", "d2", "dlam", "dmu"):
+        assert_bitwise(getattr(model, name)(*args), reference[name](*args))
+    d = (np.array(direction[:2]), np.array(direction[2:4]), *direction[4:])
+    assert_bitwise(model.ddir(*args, *d), reference["ddir"](*args, *d))
+
+
+SYNTHETIC_PARAMS = [
+    SyntheticTbParams(), SyntheticTbParams(a4=-1.75, a6=1.2), SyntheticTbParams(a6=0.0),
+    # quadratics that can be -0.0, so that the sign of a zero linear part shows in f
+    SyntheticTbParams(a1=-1.0, a2=0.5, a3=-2.0, a4=-1.0, a5=0.0, a6=-0.5)]
+
+
+class TestCallbacksOnPythonFloats:
+    """Each callback gives its reference form's values bit for bit, the sign
+    of an exact zero included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(params=st.sampled_from(SYNTHETIC_PARAMS),
+           point=st.lists(_value, min_size=6, max_size=6),
+           direction=st.lists(_value, min_size=6, max_size=6))
+    def test_synthetic_tb_equals_the_matrix_form(self, params, point, direction):
+        assert_same_callbacks(synthetic_tb(params), matrix_synthetic_tb(params),
+                              point, direction)
+
+    @pytest.mark.parametrize("params", SYNTHETIC_PARAMS)
+    def test_synthetic_tb_at_every_signed_zero(self, params):
+        # every point and direction whose entries are +-0.0: where the sign
+        # of a zero can differ at all
+        model, reference = synthetic_tb(params), matrix_synthetic_tb(params)
+        for zeros in itertools.product([0.0, -0.0], repeat=6):
+            assert_same_callbacks(model, reference, list(zeros), list(zeros))
+
+    @pytest.mark.parametrize("K", [2.0, -0.5])
+    def test_predator_prey_at_every_signed_zero(self, K):
+        model, reference = predator_prey(), numpy_predator_prey(PredatorPreyParams())
+        for zeros in itertools.product([0.0, -0.0], repeat=6):
+            assert_same_callbacks(model, reference, [*zeros[:5], K], list(zeros))
+
+    @settings(max_examples=400, deadline=None)
+    @given(params=st.sampled_from([PredatorPreyParams(),
+                                   PredatorPreyParams(r=1.3, a=0.7, mu_growth=2.0)]),
+           point=st.lists(_value, min_size=5, max_size=5), K=_nonzero,
+           direction=st.lists(_value, min_size=6, max_size=6))
+    def test_predator_prey_equals_numpy_scalars(self, params, point, K, direction):
+        assert_same_callbacks(predator_prey(params), numpy_predator_prey(params),
+                              point + [K], direction)
+
+    @pytest.mark.parametrize("name", ["predator-prey", "synthetic-tb"])
+    def test_numpy_scalar_arguments(self, name):
+        # lam, mu and the direction's numbers may be numpy scalars, as
+        # Newton's TbCandidate.unpack and a caller's arrays give them
+        model = build(name)
+        x, y = np.array([1.1, 0.9]), np.array([0.8, 1.2])
+        lam, mu, dlam, dmu = np.float64(0.45), np.float64(1.9), np.float64(0.3), np.float64(-0.2)
+        for cb in ("f", "d1", "d2", "dlam", "dmu"):
+            assert_bitwise(getattr(model, cb)(x, y, lam, mu),
+                           getattr(model, cb)(x, y, float(lam), float(mu)))
+        assert_bitwise(model.ddir(x, y, lam, mu, y, x, dlam, dmu),
+                       model.ddir(x, y, 0.45, 1.9, y, x, 0.3, -0.2))

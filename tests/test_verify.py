@@ -660,6 +660,30 @@ class TestNonFiniteLinearization:
                 check(pp, x, 0.5, 2.0)
         assert np.isnan(exc.value.cond)
 
+    def test_zero_carrying_capacity_is_near_singular(self, pp):
+        # predator-prey divides by mu = K, which on Python floats raises
+        with pytest.raises(NearSingular, match="not finite"):
+            double_zero_check(pp, TB_X, 0.5, 0.0)
+
+
+#: the verify entry points that take a point x, as functions of it
+POINT_CHECKS = {
+    "characteristic": lambda pp, x: characteristic(pp, x, 0.5, 2.0, 0.1j),
+    "double_zero_check": lambda pp, x: double_zero_check(pp, x, 0.5, 2.0),
+    "spectral_scan": lambda pp, x: spectral_scan(pp, x, 0.5, 2.0),
+    "quadratic_check": lambda pp, x: quadratic_check(
+        pp, dataclasses.replace(TB_SOL, x=x),
+        compute_basis(jac_x(pp, TB_X, TB_X, 0.5, 2.0), jac_y(pp, TB_X, TB_X, 0.5, 2.0))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_CHECKS))
+def test_complex_point_is_input_error(pp, entry):
+    # cast to float, x = (1 + 1j, 1) was the TB point (1, 1): double_zero_check
+    # returned ok, spectral_scan the double zero alone and quadratic_check PASS
+    with pytest.raises(InputError, match="^x has complex128 values, not real"):
+        POINT_CHECKS[entry](pp, np.array([1.0 + 1.0j, 1.0]))
+
 
 class TestQuadraticCheck:
     def basis_for(self, model, x, lam, mu):
@@ -958,6 +982,8 @@ class TestSyntheticOracle:
     def test_exact_derivation_matches(self):
         pytest.importorskip("sympy")
         script = Path(__file__).resolve().parents[1] / "tools" / "synthetic_oracle.py"
+        # the script asserts that the model's callbacks are its exact
+        # derivatives to a few ulps, then derives the reference values
         ref = runpy.run_path(str(script))
         m = synthetic_tb()
         sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),

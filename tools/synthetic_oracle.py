@@ -1,10 +1,14 @@
 """Exact-arithmetic derivation of the synthetic-tb reference data.
 
-Needs sympy + mpmath, which are development-only dependencies.  Run it as
-``python3 tools/synthetic_oracle.py`` to print the values; the values frozen
-in tests/test_verify.py (test_synthetic_frozen_values, DELAYED_SCALAR_ROOT)
+Needs sympy + mpmath, which are development-only dependencies.  Run it from
+the root of a checkout as ``python3 tools/synthetic_oracle.py`` to print the
+values; it imports the package from ``src/``.  The values frozen in
+tests/test_verify.py (test_synthetic_frozen_values, DELAYED_SCALAR_ROOT)
 came from it, and TestSyntheticOracle there runs it and compares d0, c_lam_mu,
-nu and the root of z + exp(-z) with the package.  The construction
+nu and the root of z + exp(-z) with the package.  The script itself asserts
+that the package's synthetic-tb callbacks (f, d1, d2, dlam, dmu, ddir) give
+the model's exact derivatives to a few ulps at a few points, which checks
+their hand-expanded arithmetic against the mathematics.  The construction
 mirrors the basis normalization conventions of tbdde.eigenstructure but is
 carried out symbolically, so it is an independent oracle for the floating
 point implementation.
@@ -18,8 +22,15 @@ system is singular.  The printed values are at the defaults of
 ``SyntheticTbParams`` (a1 ... a5 = 1, a6 = -1).
 """
 
+import sys
+from pathlib import Path
+
 import mpmath
+import numpy as np
 import sympy as sp
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from tbdde.models import SyntheticTbParams, synthetic_tb  # noqa: E402
 
 a1, a2, a3, a4, a5, a6 = coeffs = sp.symbols("a1:7")
 DEFAULTS = {a1: 1, a2: 1, a3: 1, a4: 1, a5: 1, a6: -1}
@@ -178,6 +189,55 @@ print("d0(a1..a6) =", sp.factor(d0_symbolic))
 print("det J(a1..a6) =", sp.factor(det_j["psi"]), "with (l1, l2) = (psi1, psi2)")
 print("d0 =", d0, "~", repr(float(d0)))
 print("defining-system phi1 =", list(ph1), " phi2 =", list(ph2))
+
+# The package's callbacks against the model's own derivatives: at a few
+# points and directions (x1, x2, y1, y2, lam, mu), and coefficient sets,
+# f, d1, d2, dlam, dmu and ddir must equal f, F1, F2, f_lam, f_mu and the
+# derivatives of F1 and F2 along the direction, to a few ulps.  Each number
+# is taken at its exact binary value, so the only error is the callback's
+# own rounding; an ulp is eps times the largest of 1 and the entries of the
+# callback's exact value.
+STATE = (x1, x2, y1, y2, lam, mu)
+CALLBACK_ULPS = 8
+CALLBACK_CASES = [
+    # coefficients a1 .. a6, point, direction
+    ((1.0, 1.0, 1.0, 1.0, 1.0, -1.0), (0.3, -1.7, 0.9, 2.2, -0.4, 0.6),
+     (1.1, -0.2, 0.7, -1.3, 0.5, -0.9)),
+    ((1.0, 1.0, 1.0, -1.75, 1.0, 1.2), (-1.25, 0.1, -0.6, 1.0 / 3.0, 0.05, -1.5),
+     (-0.3, 0.8, -1.9, 0.45, 0.0, 1.0)),
+    ((-2.0, 0.5, 3.0, 1.0, -0.7, 0.0), (2.0, 1.9, -2.1, -0.01, 1.0 / 7.0, 0.0),
+     (0.0, 1.0, 0.0, 0.0, -2.0, 0.25)),
+]
+
+
+def callback_ulps(values, point, direction) -> float:
+    """The largest error of the package's synthetic-tb callbacks at one
+    case, in ulps; asserts it is at most CALLBACK_ULPS."""
+    model = synthetic_tb(SyntheticTbParams(*values))
+    at = dict(zip(coeffs + STATE, (sp.Rational(v) for v in values + point)))
+    dv = [sp.Rational(v) for v in direction]
+    args = (np.array(point[:2]), np.array(point[2:4]), *point[4:])
+    exact = {
+        "f": [f], "d1": [F1], "d2": [F2], "dlam": [f.diff(lam)], "dmu": [f.diff(mu)],
+        "ddir": [sum((M.diff(v) * c for v, c in zip(STATE, dv)), sp.zeros(2, 2))
+                 for M in (F1, F2)],
+    }
+    worst = 0.0
+    for name, want in exact.items():
+        extra = ((np.array(direction[:2]), np.array(direction[2:4]), *direction[4:])
+                 if name == "ddir" else ())
+        got = np.ravel(getattr(model, name)(*args, *extra))
+        want = np.array([float(v) for M in want for v in M.subs(at)])
+        ulps = float(np.max(np.abs(got - want))) / (
+            np.finfo(float).eps * max(1.0, float(np.max(np.abs(want)))))
+        assert ulps <= CALLBACK_ULPS, (name, values, point, direction, ulps)
+        worst = max(worst, ulps)
+    return worst
+
+
+worst = max(callback_ulps(*case) for case in CALLBACK_CASES)
+print(f"callbacks: f, d1, d2, dlam, dmu, ddir within {worst:.2f} ulps at "
+      f"{len(CALLBACK_CASES)} points")
 
 # principal complex root of z + exp(-z) (scalar x' = -x(t-1) test case)
 mpmath.mp.dps = 30
