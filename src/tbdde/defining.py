@@ -103,9 +103,15 @@ def _system(f, a, b, g1, g2, p1, p2, L: Functionals) -> np.ndarray:
     return np.concatenate([f, a, b - (g1 + p1), n5[None], n6[None]])
 
 
-def _linearize(model: DdeModel, v: TbCandidate, L: Functionals) -> Linearization:
-    """The linearization at v, after checking that v's and L's vectors are
-    model.n real numbers each."""
+def _linearize(model: DdeModel, v: TbCandidate, L: Functionals,
+               lin: Linearization | None = None) -> Linearization:
+    """``lin`` after checking that its x has model.n entries, or when it is
+    None the linearization at v, after checking that v's and L's vectors
+    are model.n real numbers each."""
+    if lin is not None:
+        if lin.x.shape != (model.n,):
+            raise InputError(f"lin must be at a point of length {model.n}, got shape {lin.x.shape}")
+        return lin
     for label, vec in (("x", v.x), ("phi1", v.phi1), ("phi2", v.phi2),
                        ("l1", L.l1), ("l2", L.l2)):
         _check_vec(model, vec, label)
@@ -118,10 +124,10 @@ def residual(model: DdeModel, v: TbCandidate, L: Functionals,
 
     ``lin`` is the linearization at v when the caller has it (``newton_solve``
     shares one between the residual and the Jacobian at each iterate); it is
-    evaluated, and v and L checked, when it is not given.
+    evaluated, and v and L checked, when it is not given.  A ``lin`` whose x
+    is not of length model.n is an InputError.
     """
-    if lin is None:
-        lin = _linearize(model, v, L)
+    lin = _linearize(model, v, L, lin)
     p1, p2, f2 = v.phi1, v.phi2, lin.f2
     S = lin.f1 + f2
     h = _system(lin.f, S @ p1, S @ p2, f2 @ p1, f2 @ p2, p1, p2, L)
@@ -131,50 +137,43 @@ def residual(model: DdeModel, v: TbCandidate, L: Functionals,
 
 def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
              lin: Linearization | None = None) -> np.ndarray:
-    """Jacobian of the defining system at v: ``_system`` on a derivative table.
+    """Jacobian of the defining system at v: ``_system`` on derivative tables.
 
     Each datum of ``_system`` is replaced by its derivative along the
-    unknowns (x, phi1, phi2, lambda, mu).  Along x, S phi and f2 phi change
-    by (Dx + Dy)(phi) and Dy(phi) applied to the step, where Dx(phi) and
-    Dy(phi) are f1 + f2 differentiated along (phi, 0, 0, 0) and
-    (0, phi, 0, 0); along lambda and mu, by f1 and f2 differentiated along
-    (0, 0, 1, 0) and (0, 0, 0, 1) (``Linearization.along``).  So any model
+    unknowns (x, phi1, phi2, lambda, mu), the seven tables slices of one
+    array.  Along x, S phi and f2 phi change by (Dx + Dy)(phi) and Dy(phi)
+    applied to the step, where Dx(phi) and Dy(phi) are f1 + f2
+    differentiated along (phi, 0, 0, 0) and (0, phi, 0, 0); along lambda and
+    mu, by f1 and f2 differentiated along (0, 0, 1, 0) and (0, 0, 0, 1): six
+    directions, from one ``Linearization.along_each`` call.  So any model
     works: suppliers are used where present and finite differences of f1,
     f2 stand in for the rest.  ``lin`` is as for ``residual``: f1 and f2
     are its.
     """
-    if lin is None:
-        lin = _linearize(model, v, L)
-    n = model.n
+    lin = _linearize(model, v, L, lin)
+    n, m = model.n, 3 * model.n
     p1, p2, f2 = _check_vec(model, v.phi1, "phi1"), _check_vec(model, v.phi2, "phi2"), lin.f2
     S = lin.f1 + f2
     flam, fmu = lin.param_derivatives()
-    f1lam, f2lam = lin.along(dlam=1.0)
-    f1mu, f2mu = lin.along(dmu=1.0)
-    Slam = f1lam + f2lam
-    Smu = f1mu + f2mu
-    Dx1, Dy1 = np.add(*lin.along(p1)), np.add(*lin.along(dy=p1))
-    Dx2, Dy2 = np.add(*lin.along(p2)), np.add(*lin.along(dy=p2))
-    I = np.eye(n)
-    columns = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), 3 * n, 3 * n + 1)
-
-    def table(dx, dp1, dp2, dlam, dmu):
-        """A datum's derivative table; None stands for a zero block."""
-        T = np.zeros((n, 3 * n + 2))
-        for j, block in zip(columns, (dx, dp1, dp2, dlam, dmu)):
-            if block is not None:
-                T[:, j] = block
-        return T
-
-    return _system(
-        table(S, None, None, flam, fmu),
-        table(Dx1 + Dy1, S, None, Slam @ p1, Smu @ p1),
-        table(Dx2 + Dy2, None, S, Slam @ p2, Smu @ p2),
-        table(Dy1, f2, None, f2lam @ p1, f2mu @ p1),
-        table(Dy2, None, f2, f2lam @ p2, f2mu @ p2),
-        table(None, I, None, None, None),
-        table(None, None, I, None, None),
-        L)
+    (Slam, f2lam), (Smu, f2mu), *D = lin.along_each(
+        (None, None, 1.0, None), (None, None, None, 1.0), (p1, None, None, None),
+        (None, p1, None, None), (p2, None, None, None), (None, p2, None, None))
+    Slam += f2lam   # S differentiated along lambda and mu, summed in place
+    Smu += f2mu
+    T = np.zeros((7, n, m + 2))
+    T[0, :, :n] = T[1, :, n:2 * n] = T[2, :, 2 * n:m] = S
+    T[3, :, n:2 * n] = T[4, :, 2 * n:m] = f2
+    T[0, :, m], T[0, :, m + 1] = flam, fmu
+    for k, p, (dx, dx2), (dy, dy2) in ((1, p1, *D[:2]), (2, p2, *D[2:])):
+        dy += dy2   # Dy(phi), then (Dx + Dy)(phi), summed in place
+        dx += dx2
+        dx += dy
+        T[k, :, :n], T[k + 2, :, :n] = dx, dy
+        T[k, :, m], T[k, :, m + 1] = Slam @ p, Smu @ p
+        T[k + 2, :, m], T[k + 2, :, m + 1] = f2lam @ p, f2mu @ p
+    # the identity blocks: entries (i, n + i) of T[5] and (i, 2n + i) of T[6]
+    T[5].reshape(-1)[n::m + 3] = T[6].reshape(-1)[2 * n::m + 3] = 1.0
+    return _system(*T, L)
 
 
 #: ``newton_solve`` takes the structured step from this state dimension up:
@@ -184,8 +183,9 @@ _STRUCTURED_N = 24
 
 
 def _sq(*blocks) -> float:
-    """The sum of the squares of the blocks' entries."""
-    return sum(float(np.vdot(B, B)) for B in blocks)
+    """The sum of the squares of the blocks' entries, a strided view read in place."""
+    return sum(float(np.vdot(B, B) if B.flags.c_contiguous else np.einsum("ij,ij->", B, B))
+               for B in blocks)
 
 
 def _structured_step(J: np.ndarray, r: np.ndarray, phi1: np.ndarray, beta: np.ndarray):
@@ -227,8 +227,10 @@ def _structured_step(J: np.ndarray, r: np.ndarray, phi1: np.ndarray, beta: np.nd
         beta = q / q_norm
     P, m = Mi[:, :n], 3 * n
     # columns: the constant, z, then the first 3n entries of the right-hand
-    # side, whose images are X (in the rows of u) and Z (in the slacks)
-    U, s = np.zeros((m, 6 + m)), np.zeros((3, 6 + m))
+    # side, whose images are X (in the rows of u) and Z (in the slacks);
+    # rows: u, then E's, the slacks and the normalization rows
+    G = np.zeros((m + 5, 6 + m))
+    U, e = G[:m], G[m:]
     for i in range(3):
         rows, c = slice(i * n, (i + 1) * n), 6 + i * n
         w = -(J[rows, :i * n] @ U[:i * n, :c])
@@ -237,8 +239,8 @@ def _structured_step(J: np.ndarray, r: np.ndarray, phi1: np.ndarray, beta: np.nd
         ui = P @ w
         ui[:, 1 + i] += Mi[:, n]
         U[rows, :c], U[rows, c:c + n] = ui[:n], P[:n]
-        s[i, :c], s[i, c:c + n] = ui[n], q
-    e = np.vstack([s, J[m:, :m] @ U])
+        e[i, :c], e[i, c:c + n] = ui[n], q
+    np.matmul(J[m:, :m], U, out=e[3:])
     e[3:, 0] += r[m:]
     e[3:, 4:6] += J[m:, m:]
     try:

@@ -17,22 +17,23 @@ Every second and parameter derivative is a derivative of f1 = df/dx or
 f2 = df/dy along one direction (dx, dy, dlam, dmu) of (x, y, lambda, mu),
 and every request wants both: the supplier ``ddir`` returns the pair
 (f1', f2') of matrices, so along x alone its first matrix is f11[dx, .],
-along lambda alone f1_lambda.  One function, ``_dirder``, serves the pair
-along one direction, from one ``ddir`` call or, when that is missing, from
-one central difference of f1 and f2 at the same shifted points.
+along lambda alone f1_lambda.  One function, ``_dirder``, serves the pairs
+along any number of directions, each from one ``ddir`` call or, when that is
+missing, from one central difference of f1 and f2 at the same shifted points.
 
 A ``Linearization`` is the model at one steady state (x, x, lambda, mu):
 f, f1 and f2, evaluated once, which the defining system's residual and
 Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
 and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
-differentiated along one direction, from one ``_dirder`` call.  The public
-functions below (``eval_f``, ``jac_x``, ``jac_y``, ``second_dirder``,
-``param_der``) and ``linearize`` check their vectors and numbers and run the
-same code on one value.  A vector argument that is not n real numbers, a
-lam or mu that is not one real number, or a supplier's result not real or of
-the wrong shape, is an ``InputError`` naming it.  A callback that raises
-ZeroDivisionError or OverflowError, as Python float arithmetic does where
-numpy's gives inf or nan, has the value NaN.
+differentiated along one direction, ``along_each`` along several, from one
+``_dirder`` call.  The public functions below (``eval_f``, ``jac_x``,
+``jac_y``, ``second_dirder``, ``param_der``) and ``linearize`` check their
+vectors and numbers and run the same code on one value.  A vector argument
+that is not n real numbers, a lam or mu that is not one real number, or a
+supplier's result not real or of the wrong shape, is an ``InputError``
+naming it.  A callback that raises ZeroDivisionError or OverflowError, as
+Python float arithmetic does where numpy's gives inf or nan, has the value
+NaN.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def _call(model: DdeModel, name: str, shape: tuple, *args) -> np.ndarray:
         out = getattr(model, name)(*args)
     except (ZeroDivisionError, OverflowError):
         out = np.full(shape, np.divide(0.0, 0.0))
-    out = _real(out, f"model {name} returned")
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT:   # float64 needs no cast
+        out = _real(out, f"model {name} returned")
     if out.shape != shape:
         raise InputError(f"model {name} returned shape {out.shape}, expected {shape}")
     return out if model.tau == 1.0 else model.tau * out
@@ -181,49 +183,57 @@ def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
     return _fd_jac(lambda yv: _f(model, x, yv, lam, mu), y)
 
 
-def _dirder(model: DdeModel, x, y, lam, mu,
-            dx=None, dy=None, dlam=None, dmu=None) -> tuple:
-    """(f1', f2'): f1 and f2 differentiated along the direction
-    (dx, dy, dlam, dmu), two n x n matrices.
+def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
+    """(f1', f2') along each of ``directions``: f1 and f2 differentiated along
+    each (dx, dy, dlam, dmu), a component None being zero, as a list of
+    pairs of n x n matrices that the caller owns (and may sum in place).
 
-    A component left None is zero.  The pair comes from one ``ddir`` call
-    when supplied, else from one central difference of f1 and f2 at
-    (x, y, lam, mu) +- h (dx, dy, dlam, dmu), with
-    h = eps**(1/4) max(1, max|moved base|) / max|direction|, where the moved
-    base is each of x, y, lam, mu that the direction moves.
+    Each pair comes from one ``ddir`` call when supplied, else from one
+    central difference of f1 and f2 at (x, y, lam, mu) +- h (dx, dy, dlam, dmu),
+    with h = eps**(1/4) max(1, max|moved base|) / max|direction|, where the
+    moved base is each of x, y, lam, mu that the direction moves.  max|v| is
+    taken once per call for each vector v, however many directions share it.
     """
+    n = model.n
     if model.ddir is not None:
-        zero = np.zeros(model.n)
-        out = _call(model, "ddir", (2, model.n, model.n), x, y, lam, mu,
-                    zero if dx is None else dx, zero if dy is None else dy,
-                    dlam or 0.0, dmu or 0.0)
-        return out[0], out[1]
-    top, size = 1.0, 0.0
-    if dx is not None:
-        top, size = max(top, np.abs(x).max()), max(size, np.abs(dx).max())
-    if dy is not None:
-        top, size = max(top, np.abs(y).max()), max(size, np.abs(dy).max())
-    if dlam is not None:
-        top, size = max(top, abs(lam)), max(size, abs(dlam))
-    if dmu is not None:
-        top, size = max(top, abs(mu)), max(size, abs(dmu))
-    if size == 0.0:
-        zero = np.zeros((2, model.n, model.n))
-        return zero[0], zero[1]
-    h = H2 * top / size
-    hi, lo = [x, y, lam, mu], [x, y, lam, mu]
-    for i, d in enumerate((dx, dy, dlam, dmu)):
-        if d is not None:
-            e = h * d
-            hi[i], lo[i] = hi[i] + e, lo[i] - e
-    return ((_first(model, "1", *hi) - _first(model, "1", *lo)) / (2.0 * h),
-            (_first(model, "2", *hi) - _first(model, "2", *lo)) / (2.0 * h))
+        zero = np.zeros(n)
+        return [tuple(np.array(_call(model, "ddir", (2, n, n), x, y, lam, mu,
+                                     zero if dx is None else dx, zero if dy is None else dy,
+                                     dlam or 0.0, dmu or 0.0)))
+                for dx, dy, dlam, dmu in directions]
+    bases, peaks, out = (x, y, lam, mu), {}, []
+
+    def peak(v, i):   # |v| for a parameter, max|v| for a vector, once per vector
+        if i < 2 and id(v) not in peaks:
+            peaks[id(v)] = np.abs(v).max()
+        return peaks[id(v)] if i < 2 else abs(v)
+
+    for direction in directions:
+        top, size, hi, lo = 1.0, 0.0, list(bases), list(bases)
+        for i, d in enumerate(direction):
+            if d is not None:
+                top, size = max(top, peak(bases[i], i)), max(size, peak(d, i))
+        if size == 0.0:
+            out.append(tuple(np.zeros((2, n, n))))
+            continue
+        h = H2 * top / size
+        for i, d in enumerate(direction):
+            if d is not None:
+                e = h * d
+                hi[i], lo[i] = hi[i] + e, lo[i] - e
+        f1d = _first(model, "1", *hi) - _first(model, "1", *lo)
+        f2d = _first(model, "2", *hi) - _first(model, "2", *lo)
+        f1d /= 2.0 * h
+        f2d /= 2.0 * h
+        out.append((f1d, f2d))
+    return out
 
 
 def _param(model: DdeModel, which: str, x, y, lam, mu):
     """One parameter derivative (see ``param_der``), from a supplier or by differences."""
     if which[0] in "12":   # "1lam": f1 along (0, 0, 1, 0), the pair's first matrix
-        return _dirder(model, x, y, lam, mu, **{"d" + which[1:]: 1.0})[int(which[0]) - 1]
+        direction = (None, None, 1.0, None) if which[1:] == "lam" else (None, None, None, 1.0)
+        return _dirder(model, x, y, lam, mu, direction)[0][int(which[0]) - 1]
     if (model.dlam if which == "lam" else model.dmu) is not None:
         return _call(model, "d" + which, (model.n,), x, y, lam, mu)
     p = lam if which == "lam" else mu
@@ -262,15 +272,19 @@ class Linearization(NamedTuple):
         return _param(model, "lam", x, x, lam, mu), _param(model, "mu", x, x, lam, mu)
 
     def along(self, dx=None, dy=None, dlam=None, dmu=None) -> tuple:
-        """(f1', f2'): f1 and f2 differentiated along (dx, dy, dlam, dmu), from
-        one ``_dirder`` call; a component left None is zero.
+        """(f1', f2'): f1 and f2 differentiated along (dx, dy, dlam, dmu); a
+        component left None is zero.
 
         Along (u, u, 0, 0), (f1' + f2') @ w is the second derivative of
         g(x) = f(x, x) along u and w; along (0, 0, 1, 0), f1' and f2' are
         f1_lam and f2_lam.
         """
-        model, x, lam, mu = self.model, self.x, self.lam, self.mu
-        return _dirder(model, x, x, lam, mu, dx, dy, dlam, dmu)
+        return self.along_each((dx, dy, dlam, dmu))[0]
+
+    def along_each(self, *directions) -> list:
+        """``along`` for each direction (dx, dy, dlam, dmu) at once, from one
+        ``_dirder`` call: a list of pairs."""
+        return _dirder(self.model, self.x, self.x, self.lam, self.mu, *directions)
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
@@ -319,8 +333,8 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     u = _check_vec(model, u, "u")
     w = _check_vec(model, w, "w")
     lam, mu = _check_params(lam, mu)
-    pair = (_dirder(model, x, y, lam, mu, dx=u) if which[0] == "1"
-            else _dirder(model, x, y, lam, mu, dy=u))
+    direction = (u, None, None, None) if which[0] == "1" else (None, u, None, None)
+    (pair,) = _dirder(model, x, y, lam, mu, direction)
     return pair[int(which[1]) - 1] @ w
 
 

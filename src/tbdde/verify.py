@@ -324,9 +324,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     + f_mu) (``EigenBasis.pinv``) solves S nu = -(c f_lam + f_mu) pinned by
     phi1.nu = 0.  Along it, S changes by a A + s B and f2 by a A2 + s B2,
     where (A1, A2) and (B1, B2) are f1 and f2 differentiated along
-    (phi1, phi1, 0, 0) and (nu, nu, c, 1) (``Linearization.along``),
-    A = A1 + A2 and B = B1 + B2.  Blocks 2 and 3 of J are then solvable
-    exactly when
+    (phi1, phi1, 0, 0) and (nu, nu, c, 1), A = A1 + A2 and B = B1 + B2.
+    Blocks 2 and 3 of J are then solvable exactly when
 
         a m11 + s m12 = 0,  m11 = psi2 A phi1,  m12 = psi2 B phi1,
         a m21 + s m22 = 0,  m21 = psi1 A phi1 + psi2 A phi2 - psi2 A2 phi1,
@@ -349,13 +348,19 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     are evaluated once, by the caller.  ``lin`` is the point's
     ``Linearization`` when the caller has it (a ``NewtonReport`` carries
     one); f is evaluated to make it when it is not given.  The derivatives
-    come from it: f_lam, f_mu and the two directions above, each supplier
-    called once per direction.
+    come from it: f_lam, f_mu and the two directions above, from one
+    ``Linearization.along_each`` call.  A ``basis`` whose f1 or f2 is not
+    n x n, or a ``lin`` whose x is not of length n, is an InputError.
     """
+    n = model.n
+    if (shapes := (np.shape(basis.f1), np.shape(basis.f2))) != ((n, n), (n, n)):
+        raise InputError(f"basis must be of {n} x {n} matrices, got shapes {shapes}")
     if lin is None:
         x, lam, mu = _check_vec(model, solution.x, "x"), solution.lam, solution.mu
         lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu),
                             basis.f1, basis.f2)
+    elif lin.x.shape != (n,):
+        raise InputError(f"lin must be at a point of length {n}, got shape {lin.x.shape}")
     tol = basis.existence.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
@@ -367,8 +372,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         nu = -basis.pinv @ (c * flam + fmu)
         psi2_nu = float(q2 @ nu)
 
-        A1, A2 = lin.along(p1, p1)
-        B1, B2 = lin.along(nu, nu, c, 1.0)
+        (A1, A2), (B1, B2) = lin.along_each((p1, p1, None, None), (nu, nu, c, 1.0))
         A, B = A1 + A2, B1 + B2
 
         m11 = q2 @ A @ p1

@@ -9,8 +9,10 @@ from tbdde import (DdeModel, Functionals, InputError, NewtonOptions, TbCandidate
                    characteristic, compute_basis, jac_x, jac_y, jacobian, newton_solve,
                    predator_prey, quadratic_check, residual, synthetic_tb)
 from tbdde import defining, linalg
+from tbdde.model import H2, Linearization, _call, _check_vec, _first
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
+PP_POINT = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
 V_STAR = TbCandidate(x=np.array([1.0, 1.0]), phi1=np.array([1.0, 0.0]),
                      phi2=np.array([0.0, -2.0]), lam=0.5, mu=2.0)
@@ -24,14 +26,15 @@ TABLE1 = [
 ]
 
 
-def lifted(n, seed=0):
+def lifted(n, seed=0, ddir=False):
     """synthetic-tb on (x0, x1) plus n - 2 stable delayed components driven by x0.
 
     x_k' = -a_k x_k + b_k x_k(t-1) + c_k x0 + e_k x0^2 with a_k in [1, 2] and
-    |b_k| <= 1/2, supplying only f, d1 and d2; the origin at lambda = mu = 0
-    stays a TB point.  Returns the model and its exact point for L10: the
-    synthetic chain (2/3, 0), (4/27, 4/3) continued into each component by
-    the rows of S phi1 = 0 and S phi2 = (f2 + I) phi1.
+    |b_k| <= 1/2, supplying only f, d1 and d2, and ``ddir`` too if asked;
+    the origin at lambda = mu = 0 stays a TB point.  Returns the model and
+    its exact point for L10: the synthetic chain (2/3, 0), (4/27, 4/3)
+    continued into each component by the rows of S phi1 = 0 and
+    S phi2 = (f2 + I) phi1.
     """
     base = synthetic_tb()
     rng = np.random.default_rng(seed)
@@ -59,8 +62,15 @@ def lifted(n, seed=0):
     p1 = np.concatenate([[2.0 / 3.0, 0.0], c * (2.0 / 3.0) / (a - b)])
     p2 = np.concatenate([[4.0 / 27.0, 4.0 / 3.0],
                          (c * 4.0 / 27.0 - (b + 1.0) * p1[2:]) / (a - b)])
+    def dd(x, y, lam, mu, dx, dy, dlam, dmu):
+        out = np.zeros((2, n, n))
+        out[:, :2, :2] = base.ddir(x[:2], y[:2], lam, mu, dx[:2], dy[:2], dlam, dmu)
+        out[0, 2:, 0] = 2.0 * e * dx[0]
+        return out
+
     exact = TbCandidate(x=np.zeros(n), phi1=p1, phi2=p2, lam=0.0, mu=0.0)
-    return DdeModel(n=n, tau=1.0, f=f, d1=d1, d2=d2, name=f"lifted-n{n}"), exact
+    return DdeModel(n=n, tau=1.0, f=f, d1=d1, d2=d2, ddir=dd if ddir else None,
+                    name=f"lifted-n{n}"), exact
 
 
 def first_order(model):
@@ -638,3 +648,207 @@ class TestParameterSwap:
         assert verdicts[0].passed and verdicts[1].passed
         assert c == pytest.approx(-1.0 / s, rel=1e-8)
         assert c_sw == pytest.approx(1.0 / c, rel=1e-12)
+
+
+def scalar_ddir(x, y, lam, mu, dx, dy, dlam, dmu):
+    """``scalar_tb``'s f1 = 2 - 2x and f2 = mu, differentiated along a direction."""
+    return np.array([[[-2.0 * dx[0]]], [[dmu]]])
+
+
+def coupled3_ddir(x, y, lam, mu, dx, dy, dlam, dmu):
+    """``coupled3``'s f1 and f2, differentiated along a direction."""
+    return np.array([[[dy[2], 0.0, 0.0], [0.0, dmu, -np.sin(x[2]) * dx[2]],
+                      [dx[1], dx[0], dy[1]]],
+                     [[0.0, dlam, dx[0]], [-2.0 * dy[0], 0.0, 0.0],
+                      [dlam * mu + lam * dmu, dx[2], 0.0]]])
+
+
+def reference_models(n):
+    """(model, exact point or None) at state dimension n, supplying ddir."""
+    if n == 1:
+        model, exact = scalar_tb(1.0)
+        return dataclasses.replace(model, ddir=scalar_ddir), exact
+    if n == 2:
+        return predator_prey(), V_STAR
+    if n == 3:
+        return dataclasses.replace(coupled3(), ddir=coupled3_ddir), None
+    return lifted(n, 0, ddir=True)
+
+
+def reference_dirder(model, x, y, lam, mu, dx=None, dy=None, dlam=None, dmu=None):
+    """The one-direction derivative pair as the package computed it before its
+    directions were batched (``model._dirder`` then), verbatim."""
+    if model.ddir is not None:
+        zero = np.zeros(model.n)
+        out = _call(model, "ddir", (2, model.n, model.n), x, y, lam, mu,
+                    zero if dx is None else dx, zero if dy is None else dy,
+                    dlam or 0.0, dmu or 0.0)
+        return out[0], out[1]
+    top, size = 1.0, 0.0
+    if dx is not None:
+        top, size = max(top, np.abs(x).max()), max(size, np.abs(dx).max())
+    if dy is not None:
+        top, size = max(top, np.abs(y).max()), max(size, np.abs(dy).max())
+    if dlam is not None:
+        top, size = max(top, abs(lam)), max(size, abs(dlam))
+    if dmu is not None:
+        top, size = max(top, abs(mu)), max(size, abs(dmu))
+    if size == 0.0:
+        zero = np.zeros((2, model.n, model.n))
+        return zero[0], zero[1]
+    h = H2 * top / size
+    hi, lo = [x, y, lam, mu], [x, y, lam, mu]
+    for i, d in enumerate((dx, dy, dlam, dmu)):
+        if d is not None:
+            e = h * d
+            hi[i], lo[i] = hi[i] + e, lo[i] - e
+    return ((_first(model, "1", *hi) - _first(model, "1", *lo)) / (2.0 * h),
+            (_first(model, "2", *hi) - _first(model, "2", *lo)) / (2.0 * h))
+
+
+def reference_along(lin, dx=None, dy=None, dlam=None, dmu=None):
+    return reference_dirder(lin.model, lin.x, lin.x, lin.lam, lin.mu, dx, dy, dlam, dmu)
+
+
+def reference_jacobian(model, v, L, lin=None):
+    """The Jacobian as assembled before (six ``along`` calls, seven tables), verbatim."""
+    if lin is None:
+        lin = defining._linearize(model, v, L)
+    n = model.n
+    p1, p2, f2 = _check_vec(model, v.phi1, "phi1"), _check_vec(model, v.phi2, "phi2"), lin.f2
+    S = lin.f1 + f2
+    flam, fmu = lin.param_derivatives()
+    f1lam, f2lam = reference_along(lin, dlam=1.0)
+    f1mu, f2mu = reference_along(lin, dmu=1.0)
+    Slam = f1lam + f2lam
+    Smu = f1mu + f2mu
+    Dx1, Dy1 = np.add(*reference_along(lin, p1)), np.add(*reference_along(lin, dy=p1))
+    Dx2, Dy2 = np.add(*reference_along(lin, p2)), np.add(*reference_along(lin, dy=p2))
+    I = np.eye(n)
+    columns = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), 3 * n, 3 * n + 1)
+
+    def table(dx, dp1, dp2, dlam, dmu):
+        """A datum's derivative table; None stands for a zero block."""
+        T = np.zeros((n, 3 * n + 2))
+        for j, block in zip(columns, (dx, dp1, dp2, dlam, dmu)):
+            if block is not None:
+                T[:, j] = block
+        return T
+
+    return defining._system(
+        table(S, None, None, flam, fmu),
+        table(Dx1 + Dy1, S, None, Slam @ p1, Smu @ p1),
+        table(Dx2 + Dy2, None, S, Slam @ p2, Smu @ p2),
+        table(Dy1, f2, None, f2lam @ p1, f2mu @ p1),
+        table(Dy2, None, f2, f2lam @ p2, f2mu @ p2),
+        table(None, I, None, None, None),
+        table(None, None, I, None, None),
+        L)
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaN where NaN, and equal sign bits (so -0.0 is not 0.0)."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+#: which derivatives a reference model keeps
+SUPPLIERS = {"ddir": ("d1", "d2", "ddir"), "d1-d2": ("d1", "d2"), "f-only": ()}
+
+
+def reference_model(n, suppliers, tau):
+    model, exact = reference_models(n)
+    kept = {name: getattr(model, name) for name in SUPPLIERS[suppliers]}
+    return DdeModel(n=n, tau=tau, f=model.f, **kept), exact
+
+
+class TestAgainstTheUnbatchedDerivatives:
+    """The batched derivative pairs give the unbatched code's bits: the
+    Jacobian, and the four matrices of ``quadratic_check``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 8, 32]), suppliers=st.sampled_from(sorted(SUPPLIERS)),
+           tau=st.sampled_from([1.0, 1.3]), seed=st.integers(0, 2 ** 32 - 1),
+           case=st.sampled_from(["plain", "zero-phi1", "zero-phi2", "nan-phi", "nan-x"]))
+    def test_jacobian(self, n, suppliers, tau, seed, case):
+        model, _ = reference_model(n, suppliers, tau)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 1.0)
+        x = rng.uniform(0.5, 1.5, n) * np.where(rng.random(n) < 0.5, 1.0, scale)
+        p1, p2 = scale * rng.standard_normal(n), rng.standard_normal(n)
+        if case.startswith("zero"):
+            (p1 if case == "zero-phi1" else p2)[:] = 0.0
+        elif case.startswith("nan"):
+            (p1 if case == "nan-phi" else x)[rng.integers(n)] = np.nan
+        v = TbCandidate(x=x, phi1=p1, phi2=p2, lam=rng.uniform(0.2, 0.8),
+                        mu=rng.uniform(0.5, 2.5))
+        L = Functionals(l1=np.eye(n)[0], l2=rng.standard_normal(n))
+        with np.errstate(all="ignore"):
+            lin = defining.linearize(model, x, v.lam, v.mu)
+            assert_same_bits(jacobian(model, v, L, lin), reference_jacobian(model, v, L, lin))
+            assert_same_bits(jacobian(model, v, L), reference_jacobian(model, v, L))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 8, 32]), suppliers=st.sampled_from(sorted(SUPPLIERS)),
+           tau=st.sampled_from([1.0, 1.3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_quadratic_check(self, n, suppliers, tau, seed):
+        # at a TB point (scalar_tb's moves with tau; the others are TB points
+        # at tau = 1 only) moved by rounding-sized offsets
+        if n == 1:
+            model, exact = scalar_tb(tau)
+            model = reference_model(1, suppliers, tau)[0]
+        else:
+            assume(tau == 1.0)
+            model, exact = reference_model(n, suppliers, tau)
+        rng = np.random.default_rng(seed)
+        x = exact.x + 1e-14 * rng.standard_normal(n)
+        point = dataclasses.replace(exact, x=x)
+        basis = compute_basis(jac_x(model, x, x, exact.lam, exact.mu),
+                              jac_y(model, x, x, exact.lam, exact.mu))
+        assume(basis.existence.passed)
+        calls = []
+        real = Linearization.along_each
+
+        def along_each(lin, *directions):
+            out = real(lin, *directions)
+            calls.append((lin, directions, [tuple(m.copy() for m in pair) for pair in out]))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Linearization, "along_each", along_each)
+            verdict = quadratic_check(model, point, basis)
+        if not verdict.checks["transversality"].ok:
+            assert not calls
+            return
+        (lin, directions, pairs), = calls
+        (u, u2, none, none2), (nu, nu2, c, one) = directions
+        assert u is basis.phi1 and u2 is basis.phi1 and none is None and none2 is None
+        assert nu is nu2 and np.array_equal(nu, verdict.nu) and c == verdict.c_lam_mu
+        assert one == 1.0
+        for direction, pair in zip(directions, pairs, strict=True):
+            for got, want in zip(pair, reference_along(lin, *direction), strict=True):
+                assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("entry", ["residual", "jacobian", "quadratic_check"])
+def test_linearization_of_another_dimension_is_input_error(pp, entry):
+    # a lin of a 3-dimensional model broadcast or failed inside numpy
+    lin = defining.linearize(coupled3(), np.ones(3), 0.5, 2.0)
+    call = {"residual": lambda: residual(pp, V_STAR, L10, lin),
+            "jacobian": lambda: jacobian(pp, V_STAR, L10, lin),
+            "quadratic_check": lambda: quadratic_check(
+                pp, V_STAR, compute_basis(jac_x(pp, *PP_POINT), jac_y(pp, *PP_POINT)), lin)}
+    with pytest.raises(InputError, match=re.escape("lin must be at a point of length 2, "
+                                                   "got shape (3,)")):
+        call[entry]()
+
+
+@pytest.mark.parametrize("f1, f2", [(np.eye(3), np.zeros((3, 3))), (np.eye(1), np.eye(1))],
+                         ids=["3x3", "1x1"])
+def test_basis_of_another_dimension_is_input_error(pp, f1, f2):
+    # quadratic_check raised numpy's "matmul: Input operand 1 has a mismatch"
+    n = f1.shape[0]
+    with pytest.raises(InputError, match=re.escape(
+            f"basis must be of 2 x 2 matrices, got shapes (({n}, {n}), ({n}, {n}))")):
+        quadratic_check(pp, V_STAR, compute_basis(f1, f2))

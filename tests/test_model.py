@@ -6,6 +6,7 @@ import pytest
 
 from tbdde import (DdeModel, Functionals, InputError, TbCandidate, eval_f, jac_x, jac_y,
                    linearize, newton_solve, param_der, predator_prey, second_dirder)
+from tbdde.model import _real
 
 TB_ARGS = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
@@ -331,7 +332,7 @@ def test_supplier_shapes_are_checked(pp, name, bad, expected):
     (lambda v: "abc", "<U3 values, not real"),
     (lambda v: [v[0], [v[1], 0.0]], "no array of numbers")],
     ids=["complex-array", "complex-list", "string", "ragged"])
-@pytest.mark.parametrize("name", ["f", "ddir"])
+@pytest.mark.parametrize("name", ["f", "d1", "ddir"])
 def test_non_real_results_are_input_errors(pp, name, bad, expected):
     # a complex result is an error, not cast to float with its imaginary part
     # dropped; one numpy cannot make an array of numbers is one too, and
@@ -339,10 +340,48 @@ def test_non_real_results_are_input_errors(pp, name, bad, expected):
     supplier = getattr(pp, name)
     model = dataclasses.replace(pp, **{name: lambda *args: bad(supplier(*args))})
     with pytest.raises(InputError, match=re.escape(f"model {name} returned {expected}")):
-        if name == "f":
-            eval_f(model, *TB_ARGS)
-        else:
-            linearize(model, TB_ARGS[0], 0.5, 2.0).along(TB_ARGS[0])
+        _value_of(model, name)
+
+
+def _value_of(model, name):
+    """The model layer's value from the callback ``name`` at TB_ARGS."""
+    if name == "f":
+        return eval_f(model, *TB_ARGS)
+    if name == "d1":
+        return jac_x(model, *TB_ARGS)
+    return np.stack(linearize(model, TB_ARGS[0], 0.5, 2.0).along(TB_ARGS[0]))
+
+
+@pytest.mark.parametrize("convert", [
+    lambda v: np.rint(4.0 * np.asarray(v)).astype(int), lambda v: np.asarray(v, np.float32),
+    lambda v: np.asarray(v).tolist(), lambda v: np.asarray(v, ">f8")],
+    ids=["int", "float32", "list", "big-endian"])
+@pytest.mark.parametrize("tau", [1.0, 1.3])
+@pytest.mark.parametrize("name", ["f", "d1", "ddir"])
+def test_results_that_are_not_float64_arrays_are_cast(pp, name, tau, convert):
+    # a float64 array is taken as it is; any other real result is cast to
+    # one exactly as model._real casts it, then scaled by tau
+    supplier = getattr(pp, name)
+    calls = []
+
+    def converted(*args):
+        calls.append(convert(supplier(*args)))
+        return calls[-1]
+
+    got = _value_of(dataclasses.replace(pp, tau=tau, **{name: converted}), name)
+    want = _real(calls[-1], "")
+    want = want if tau == 1.0 else tau * want
+    assert got.dtype == np.float64 and got.dtype.isnative
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("f", np.zeros(3)), ("d1", np.zeros((2, 3))), ("ddir", np.zeros((2, 2, 3)))])
+def test_float64_result_of_the_wrong_shape_is_input_error(pp, name, bad):
+    # the float64 results that skip the cast still have their shape checked
+    model = dataclasses.replace(pp, **{name: lambda *args: bad})
+    with pytest.raises(InputError, match=re.escape(f"model {name} returned shape {bad.shape}")):
+        _value_of(model, name)
 
 
 #: each public entry point as a function of its vector arguments, and their names

@@ -135,10 +135,9 @@ class TestSuppliedDerivatives:
         model = build(name)
         fd = dataclasses.replace(model, ddir=None)
         x, y = np.array(point[:2]), np.array(point[2:])
-        d = dict(dx=np.array(direction[:2]), dy=np.array(direction[2:4]),
-                 dlam=direction[4], dmu=direction[5])
-        for got, want in zip(_dirder(model, x, y, *params, **d),
-                             _dirder(fd, x, y, *params, **d), strict=True):
+        d = (np.array(direction[:2]), np.array(direction[2:4]), direction[4], direction[5])
+        for got, want in zip(*_dirder(model, x, y, *params, d),
+                             *_dirder(fd, x, y, *params, d), strict=True):
             assert got == pytest.approx(want, rel=1e-4, abs=1e-5)
 
 
