@@ -27,13 +27,13 @@ Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
 and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
 differentiated along one direction, ``along_each`` along several, from one
 ``_dirder`` call.  The public functions below (``eval_f``, ``jac_x``,
-``jac_y``, ``second_dirder``, ``param_der``) and ``linearize`` check their
-vectors and numbers and run the same code on one value.  A vector argument
-that is not n real numbers, a lam or mu that is not one real number, or a
-supplier's result not real or of the wrong shape, is an ``InputError``
-naming it.  A callback that raises ZeroDivisionError or OverflowError, as
-Python float arithmetic does where numpy's gives inf or nan, has the value
-NaN.
+``jac_y``, ``second_dirder``, ``param_der``), ``linearize`` and the two
+``along`` methods check their vectors and numbers and run the same code on
+one value.  A vector argument that is not n real numbers, a lam, mu or
+direction number that is not one real number, or a supplier's result not
+real or of the wrong shape, is an ``InputError`` naming it.  A callback
+that raises ZeroDivisionError or OverflowError, as Python float arithmetic
+does where numpy's gives inf or nan, has the value NaN.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -112,19 +113,20 @@ def _real(v, what: str) -> np.ndarray:
     return v
 
 
+def _check_num(v, label: str) -> float:
+    """``v`` as a float, or InputError naming ``label`` unless v is one real
+    number (the built-in callbacks' ``float`` would take a string)."""
+    if type(v) is not float:   # the usual value needs no check
+        v = _real(v, f"{label} has")
+        if v.shape != ():
+            raise InputError(f"{label} must be a number, got shape {v.shape}")
+        v = float(v)
+    return v
+
+
 def _check_params(lam, mu) -> tuple:
-    """(lam, mu) as floats, or InputError naming the one that is not one real
-    number: the built-in callbacks read them with ``float``, which would take
-    a string."""
-    out = []
-    for label, v in (("lam", lam), ("mu", mu)):
-        if type(v) is not float:   # the usual value needs no check
-            v = _real(v, f"{label} has")
-            if v.shape != ():
-                raise InputError(f"{label} must be a number, got shape {v.shape}")
-            v = float(v)
-        out.append(v)
-    return tuple(out)
+    """(lam, mu) as floats, or InputError naming the one that is not one real number."""
+    return _check_num(lam, "lam"), _check_num(mu, "mu")
 
 
 def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
@@ -132,6 +134,17 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     if v.shape != (model.n,):
         raise InputError(f"{label} must have length {model.n}, got shape {v.shape}")
     return v
+
+
+def _check_direction(model: DdeModel, direction, k=None) -> tuple:
+    """``direction`` (dx, dy, dlam, dmu), the k-th of several, its vectors
+    checked as model.n real numbers and its numbers as one, a None kept."""
+    where = "" if k is None else f"direction {k}: "
+    if not isinstance(direction, (tuple, list)) or len(direction) != 4:
+        raise InputError(f"direction {k} is not (dx, dy, dlam, dmu): {direction!r}")
+    return tuple(d if d is None else _check_vec(model, d, where + label) if label in ("dx", "dy")
+                 else _check_num(d, where + label)
+                 for label, d in zip(("dx", "dy", "dlam", "dmu"), direction))
 
 
 def _call(model: DdeModel, name: str, shape: tuple, *args) -> np.ndarray:
@@ -201,28 +214,33 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
                                      zero if dx is None else dx, zero if dy is None else dy,
                                      dlam or 0.0, dmu or 0.0)))
                 for dx, dy, dlam, dmu in directions]
+    # f1 and f2 at a point: the suppliers', else differences of f
+    first = [partial(_call, model, "d" + s, (n, n)) if getattr(model, "d" + s) is not None
+             else partial(_first, model, s) for s in "12"]
     bases, peaks, out = (x, y, lam, mu), {}, []
 
-    def peak(v, i):   # |v| for a parameter, max|v| for a vector, once per vector
-        if i < 2 and id(v) not in peaks:
+    def peak(v):   # max|v| of a vector, once per vector
+        if id(v) not in peaks:
             peaks[id(v)] = np.abs(v).max()
-        return peaks[id(v)] if i < 2 else abs(v)
+        return peaks[id(v)]
 
     for direction in directions:
-        top, size, hi, lo = 1.0, 0.0, list(bases), list(bases)
+        top, size, moved = 1.0, 0.0, []
         for i, d in enumerate(direction):
             if d is not None:
-                top, size = max(top, peak(bases[i], i)), max(size, peak(d, i))
+                top = max(top, peak(bases[i]) if i < 2 else abs(bases[i]))
+                size = max(size, peak(d) if i < 2 else abs(d))
+                moved.append(i)
         if size == 0.0:
             out.append(tuple(np.zeros((2, n, n))))
             continue
         h = H2 * top / size
-        for i, d in enumerate(direction):
-            if d is not None:
-                e = h * d
-                hi[i], lo[i] = hi[i] + e, lo[i] - e
-        f1d = _first(model, "1", *hi) - _first(model, "1", *lo)
-        f2d = _first(model, "2", *hi) - _first(model, "2", *lo)
+        hi, lo = list(bases), list(bases)
+        for i in moved:
+            e = h * direction[i]
+            hi[i], lo[i] = bases[i] + e, bases[i] - e
+        f1d = first[0](*hi) - first[0](*lo)
+        f2d = first[1](*hi) - first[1](*lo)
         f1d /= 2.0 * h
         f2d /= 2.0 * h
         out.append((f1d, f2d))
@@ -252,7 +270,8 @@ class Linearization(NamedTuple):
 
     ``x`` is a float vector of length ``model.n``.  Build it with
     ``linearize``, which checks x once; its methods then run on it
-    without checking again.  (A named tuple, not a frozen dataclass: every
+    without checking again, ``along`` and ``along_each`` checking only
+    their directions.  (A named tuple, not a frozen dataclass: every
     command-line run imports the package afresh, and creating a dataclass
     costs about a millisecond.)
     """
@@ -279,12 +298,14 @@ class Linearization(NamedTuple):
         g(x) = f(x, x) along u and w; along (0, 0, 1, 0), f1' and f2' are
         f1_lam and f2_lam.
         """
-        return self.along_each((dx, dy, dlam, dmu))[0]
+        direction = _check_direction(self.model, (dx, dy, dlam, dmu))
+        return _dirder(self.model, self.x, self.x, self.lam, self.mu, direction)[0]
 
     def along_each(self, *directions) -> list:
         """``along`` for each direction (dx, dy, dlam, dmu) at once, from one
         ``_dirder`` call: a list of pairs."""
-        return _dirder(self.model, self.x, self.x, self.lam, self.mu, *directions)
+        return _dirder(self.model, self.x, self.x, self.lam, self.mu,
+                       *(_check_direction(self.model, d, k) for k, d in enumerate(directions)))
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:

@@ -29,7 +29,7 @@ from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import Check, EigenBasis, TbExistence, tb_existence_test
 from .errors import InputError, NearSingular
-from .model import DdeModel, Linearization, _check_vec, eval_f, jac_x, jac_y
+from .model import DdeModel, Linearization, _check_vec, _dirder, eval_f, jac_x, jac_y
 
 #: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
 _DELTA = 1e-3
@@ -349,7 +349,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     ``Linearization`` when the caller has it (a ``NewtonReport`` carries
     one); f is evaluated to make it when it is not given.  The derivatives
     come from it: f_lam, f_mu and the two directions above, from one
-    ``Linearization.along_each`` call.  A ``basis`` whose f1 or f2 is not
+    ``model._dirder`` call.  A ``basis`` whose f1 or f2 is not
     n x n, or a ``lin`` whose x is not of length n, is an InputError.
     """
     n = model.n
@@ -372,7 +372,8 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         nu = -basis.pinv @ (c * flam + fmu)
         psi2_nu = float(q2 @ nu)
 
-        (A1, A2), (B1, B2) = lin.along_each((p1, p1, None, None), (nu, nu, c, 1.0))
+        (A1, A2), (B1, B2) = _dirder(model, lin.x, lin.x, lin.lam, lin.mu,
+                                     (p1, p1, None, None), (nu, nu, c, 1.0))
         A, B = A1 + A2, B1 + B2
 
         m11 = q2 @ A @ p1

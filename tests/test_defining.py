@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from tbdde import (DdeModel, Functionals, InputError, NewtonOptions, TbCandidate,
                    characteristic, compute_basis, jac_x, jac_y, jacobian, newton_solve,
                    predator_prey, quadratic_check, residual, synthetic_tb)
-from tbdde import defining, linalg
-from tbdde.model import H2, Linearization, _call, _check_vec, _first
+from tbdde import defining, linalg, verify
+from tbdde.model import H2, _call, _check_vec, _first
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
 PP_POINT = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
@@ -200,6 +200,37 @@ def test_jacobian_given_a_linearization_checks_the_chain(pp, label):
     v = dataclasses.replace(V_STAR, **{label: getattr(V_STAR, label) + 1j})
     with pytest.raises(InputError, match=f"^{label} has complex128 values, not real"):
         jacobian(pp, v, L10, lin)
+
+
+#: a chain vector or row that is not 2 real numbers, with the error's wording
+BAD_GIVEN_LIN = {
+    "phi1-complex": ("phi1", V_STAR.phi1 + 1j, "phi1 has complex128 values, not real"),
+    "phi2-complex": ("phi2", V_STAR.phi2 + 1j, "phi2 has complex128 values, not real"),
+    "phi1-length": ("phi1", np.ones(3), "phi1 must have length 2, got shape (3,)"),
+    "phi2-length": ("phi2", np.ones(3), "phi2 must have length 2, got shape (3,)"),
+    "l1-length": ("l1", np.ones(3), "l1 must have length 2, got shape (3,)"),
+    "l2-length": ("l2", np.ones(3), "l2 must have length 2, got shape (3,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GIVEN_LIN))
+@pytest.mark.parametrize("entry", ["residual", "jacobian"])
+def test_given_a_linearization_the_vectors_are_still_checked(pp, entry, case):
+    # with lin given, residual checked neither chain nor rows: a complex phi1
+    # gave a complex128 residual, a length-3 vector numpy's "matmul: Input
+    # operand 1 has a mismatch"; jacobian checked the chain but not l1, l2
+    label, bad, expected = BAD_GIVEN_LIN[case]
+    lin = defining.linearize(pp, V_STAR.x, V_STAR.lam, V_STAR.mu)
+    v, L = V_STAR, L10
+    if label.startswith("l"):
+        L = Functionals(**{"l1": L10.l1, "l2": L10.l2, label: bad})
+    else:
+        v = dataclasses.replace(V_STAR, **{label: bad})
+    fn = {"residual": residual, "jacobian": jacobian}[entry]
+    with pytest.raises(InputError, match="^" + re.escape(expected)):
+        fn(pp, v, L, lin)
+    with pytest.raises(InputError, match="^" + re.escape(expected)):
+        fn(pp, v, L)
 
 
 class TestResidual:
@@ -437,8 +468,9 @@ class TestStructuredStep:
            tau=st.floats(0.5, 2.0), radius=st.floats(0.01, 0.1))
     def test_matches_the_dense_step(self, n, seed, tau, radius):
         # along a dense-step Newton loop: every structured step is proved
-        # safe, its bound is at least cond_2(J), and it is the dense step to
-        # 1e-12; newton_solve takes the same number of steps to the same point
+        # safe, its bound is at least ||J||_F ||J^-1||_F (so at least
+        # cond_2(J)) up to rounding, and it is the dense step to 1e-12;
+        # newton_solve takes the same number of steps to the same point
         model, exact = lifted(n, seed)
         model = dataclasses.replace(model, tau=tau)
         L = Functionals(l1=np.eye(n)[0], l2=np.eye(n)[0])
@@ -454,7 +486,10 @@ class TestStructuredStep:
             dense = np.linalg.solve(J, -r)
             step, bound, border = defining._structured_step(J, r, v.phi1, border)
             assert step is not None
-            assert bound >= linalg.cond_estimate(J)
+            cond = linalg.cond_estimate(J)
+            assert bound >= cond
+            frobenius = np.linalg.norm(J) * np.linalg.norm(np.linalg.inv(J))
+            assert bound >= frobenius * (1.0 - 10 * J.shape[0] * cond * np.finfo(float).eps)
             assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
             v = TbCandidate.unpack(v.pack() + dense, n)
         report = newton_solve(model, TbCandidate.unpack(start, n), L)
@@ -480,6 +515,91 @@ class TestStructuredStep:
         report = newton_solve(model, v, L)
         assert report.failure_reason == "singular_jacobian" and report.iterations == 0
         assert report.final_cond == cond
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reference_newton_solve(model, v0, L, opts=None):
+    """``newton_solve`` as it was before its loop ran on one packed iterate,
+    verbatim but for the entry check (``_linearize`` then, which checked v0
+    and L and linearized at v0)."""
+    opts = opts or NewtonOptions()
+
+    structured = model.n >= defining._STRUCTURED_N
+    border = np.full(model.n, model.n ** -0.5)   # any fixed unit vector to start
+    v = v0
+    lin = defining.linearize(model, v.x, v.lam, v.mu)
+    r = residual(model, v, L, lin)
+    res_hist = [float(np.max(np.abs(r)))]
+    final_cond = np.nan
+
+    for k in range(opts.max_iter):
+        if res_hist[-1] <= opts.tol_res:
+            return defining.NewtonReport(True, k, res_hist, final_cond, None, v, lin)
+        if res_hist[-1] > 1e12 or not np.isfinite(res_hist[-1]):
+            return defining.NewtonReport(False, k, res_hist, final_cond, "diverged", v, lin)
+        J = jacobian(model, v, L, lin)
+        step = None
+        if structured:
+            step, final_cond, border = defining._structured_step(J, r, v.phi1, border)
+        if step is None:
+            try:
+                step, final_cond = linalg.solve_with_cond(J, -r)
+            except defining.NearSingular as exc:
+                return defining.NewtonReport(False, k, res_hist, exc.cond, "singular_jacobian",
+                                             v, lin)
+        vnew = v.pack() + step
+        v = TbCandidate.unpack(vnew, model.n)
+        lin = defining.linearize(model, v.x, v.lam, v.mu)
+        r = residual(model, v, L, lin)
+        res_hist.append(float(np.max(np.abs(r))))
+        if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
+            converged = res_hist[-1] <= opts.tol_res
+            return defining.NewtonReport(converged, k + 1, res_hist, final_cond,
+                                         None if converged else "stalled", v, lin)
+
+    converged = res_hist[-1] <= opts.tol_res
+    return defining.NewtonReport(converged, opts.max_iter, res_hist, final_cond,
+                                 None if converged else "max_iter", v, lin)
+
+
+def newton_starts(kind):
+    """(model, L, 20 starts): lifted n = 32 moved by up to 0.1 in every
+    unknown, or the four predator-prey fixture starts moved by up to 2%."""
+    rng = np.random.default_rng(32)
+    if kind == "lifted-n32":
+        model, exact = lifted(32)
+        L = Functionals(l1=np.eye(32)[0], l2=np.eye(32)[0])
+        return model, L, [TbCandidate.unpack(exact.pack() + 0.1 * rng.uniform(-1, 1, 98), 32)
+                          for _ in range(20)]
+    starts = [candidate(TABLE1[k % 4][0]).pack() for k in range(20)]
+    return predator_prey(), L10, [
+        TbCandidate.unpack(s + 0.02 * np.maximum(1.0, np.abs(s)) * rng.uniform(-1, 1, 8), 2)
+        for s in starts]
+
+
+class TestAgainstTheUnpackedLoop:
+    """Newton on one packed iterate gives the reports of the loop that
+    unpacked a candidate at every step, bit for bit."""
+
+    @pytest.mark.parametrize("opts, ending", [
+        (NewtonOptions(), None), (NewtonOptions(max_iter=2), "max_iter"),
+        (NewtonOptions(tol_res=1e-15, tol_step=1e-3), "stalled")],
+        ids=["default", "max-iter", "stall"])
+    @pytest.mark.parametrize("kind", ["lifted-n32", "predator-prey"])
+    def test_reports(self, kind, opts, ending):
+        model, L, starts = newton_starts(kind)
+        reasons = set()
+        for v0 in starts:
+            got, want = newton_solve(model, v0, L, opts), reference_newton_solve(model, v0, L, opts)
+            assert got.residual_history == want.residual_history
+            assert got.iterations == want.iterations
+            assert got.failure_reason == want.failure_reason
+            assert_same_bits(np.array([got.final_cond]), np.array([want.final_cond]))
+            assert_same_bits(got.solution.pack(), want.solution.pack())
+            for a, b in zip(got.linearization[1:], want.linearization[1:]):
+                assert_same_bits(np.asarray(a), np.asarray(b))
+            reasons.add(got.failure_reason)
+        assert ending in reasons
 
 
 class TestNewtonPointsCertify:
@@ -712,8 +832,8 @@ def reference_along(lin, dx=None, dy=None, dlam=None, dmu=None):
 
 def reference_jacobian(model, v, L, lin=None):
     """The Jacobian as assembled before (six ``along`` calls, seven tables), verbatim."""
-    if lin is None:
-        lin = defining._linearize(model, v, L)
+    if lin is None:   # as the unchecked input's linearization was then
+        lin = defining.linearize(model, v.x, v.lam, v.mu)
     n = model.n
     p1, p2, f2 = _check_vec(model, v.phi1, "phi1"), _check_vec(model, v.phi2, "phi2"), lin.f2
     S = lin.f1 + f2
@@ -808,26 +928,26 @@ class TestAgainstTheUnbatchedDerivatives:
                               jac_y(model, x, x, exact.lam, exact.mu))
         assume(basis.existence.passed)
         calls = []
-        real = Linearization.along_each
+        real = verify._dirder
 
-        def along_each(lin, *directions):
-            out = real(lin, *directions)
-            calls.append((lin, directions, [tuple(m.copy() for m in pair) for pair in out]))
+        def dirder(*args):   # model, x, y, lam, mu, then the directions
+            out = real(*args)
+            calls.append((args[:5], args[5:], [tuple(m.copy() for m in pair) for pair in out]))
             return out
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Linearization, "along_each", along_each)
+            patch.setattr(verify, "_dirder", dirder)
             verdict = quadratic_check(model, point, basis)
         if not verdict.checks["transversality"].ok:
             assert not calls
             return
-        (lin, directions, pairs), = calls
+        (at, directions, pairs), = calls
         (u, u2, none, none2), (nu, nu2, c, one) = directions
         assert u is basis.phi1 and u2 is basis.phi1 and none is None and none2 is None
         assert nu is nu2 and np.array_equal(nu, verdict.nu) and c == verdict.c_lam_mu
         assert one == 1.0
         for direction, pair in zip(directions, pairs, strict=True):
-            for got, want in zip(pair, reference_along(lin, *direction), strict=True):
+            for got, want in zip(pair, reference_dirder(*at, *direction), strict=True):
                 assert_same_bits(got, want)
 
 

@@ -453,3 +453,65 @@ def test_newton_rejects_a_misshapen_supplier(pp):
                     phi2=np.array([3.0, 0.0]), lam=0.4, mu=1.0)
     with pytest.raises(InputError, match="d2 returned shape"):
         newton_solve(model, v, Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0]))
+
+
+#: bad direction components, as (value, the error's wording after the label)
+BAD_DIRECTION_VECTORS = {
+    "length-3": (np.ones(3), "must have length 2, got shape (3,)"),
+    "string": ("ab", "has <U2 values, not real"),
+    "complex": (np.array([1.0 + 1.0j, 0.0]), "has complex128 values, not real"),
+}
+BAD_DIRECTION_NUMBERS = {
+    "complex": (0.5 + 1e-3j, "has complex128 values, not real"),
+    "string": ("0.5", "has <U3 values, not real"),
+    "vector": (np.ones(2), "must be a number, got shape (2,)"),
+}
+
+
+@pytest.mark.parametrize("model", ["predator-prey", "bare"])
+@pytest.mark.parametrize("case", sorted(BAD_DIRECTION_VECTORS))
+@pytest.mark.parametrize("slot", [0, 1])
+def test_direction_vectors_are_checked(pp, model, case, slot):
+    # on predator-prey a length-3 dx raised "too many values to unpack" from
+    # inside ddir, a string an AttributeError, and a complex one was blamed
+    # on the model as "model ddir returned complex128 values"
+    model = pp if model == "predator-prey" else DdeModel(n=2, tau=1.0, f=pp.f)
+    lin = linearize(model, TB_ARGS[0], 0.5, 2.0)
+    bad, expected = BAD_DIRECTION_VECTORS[case]
+    label = ("dx", "dy")[slot]
+    with pytest.raises(InputError, match=re.escape(f"{label} {expected}")):
+        lin.along(**{label: bad})
+    directions = [(TB_ARGS[0], None, None, None), [None, None, None, None]]
+    directions[1][slot] = bad
+    with pytest.raises(InputError, match=re.escape(f"direction 1: {label} {expected}")):
+        lin.along_each(*directions)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIRECTION_NUMBERS))
+@pytest.mark.parametrize("label", ["dlam", "dmu"])
+def test_direction_numbers_are_checked(pp, case, label):
+    lin = linearize(pp, TB_ARGS[0], 0.5, 2.0)
+    bad, expected = BAD_DIRECTION_NUMBERS[case]
+    with pytest.raises(InputError, match=re.escape(f"{label} {expected}")):
+        lin.along(**{label: bad})
+    direction = (None, None, bad, None) if label == "dlam" else (None, None, None, bad)
+    with pytest.raises(InputError, match=re.escape(f"direction 0: {label} {expected}")):
+        lin.along_each(direction)
+
+
+@pytest.mark.parametrize("direction", [(TB_ARGS[0], None, None), "abcde", 1.0],
+                         ids=["three-components", "string", "number"])
+def test_direction_that_is_not_four_components_is_input_error(pp, direction):
+    lin = linearize(pp, TB_ARGS[0], 0.5, 2.0)
+    with pytest.raises(InputError, match=re.escape("direction 0 is not (dx, dy, dlam, dmu)")):
+        lin.along_each(direction)
+
+
+def test_checked_directions_give_the_same_bits(pp):
+    # lists and numpy numbers are converted, not rejected, to the same values
+    for model in (pp, DdeModel(n=2, tau=1.0, f=pp.f)):
+        lin = linearize(model, TB_ARGS[0], 0.5, 2.0)
+        u = np.array([0.3, -0.7])
+        for got, want in zip(lin.along(list(u), None, np.float32(0.5), 1),
+                             lin.along(u, None, float(np.float32(0.5)), 1.0)):
+            assert np.array_equal(got, want)

@@ -16,13 +16,23 @@ Each run is made once untimed, counting the model's callbacks and the
 matrices given to numpy's ``linalg.inv``, ``linalg.svd`` and
 ``linalg.solve``, and recording the iterates at which Newton forms a
 Jacobian.  At those iterates it then times, by process time, the median
-over iterates of:
+over iterates of each part of a step, in the unchecked form the Newton
+loop calls:
 
-- ``jacobian``;
+- the Jacobian (``_jacobian``);
 - the step both ways: the structured one (``_structured_step``, which
   Newton takes from n = ``_STRUCTURED_N`` up) and the dense guarded one
   (``linalg.solve_with_cond``), so that the crossover can be read off;
-- ``linearize`` plus ``residual`` at the iterate, the rest of a step.
+- ``linearize`` plus the residual (``_residual``) at the iterate, the rest
+  of a step.
+
+It also times each whole run (the median of REPEATS) and reports the
+step in situ: the runs' time less one ``linearize`` plus residual each,
+for the start, over their steps.  Beside it stands the sum of the parts
+a step takes (the Jacobian, the step Newton takes at that n, and
+``linearize`` plus residual).  What the in-situ step costs beyond that
+sum is the loop's own work, and what each part loses in a run to caches
+that its repeated timing at one iterate keeps warm.
 
 It prints one JSON line: by case, the steps, the callbacks and matrices
 per step (exact, repeating from run to run where the timings drift) and
@@ -89,18 +99,18 @@ def counted_kernels(counts: Counter):
 
 @contextlib.contextmanager
 def recorded_jacobians(defining, points: list):
-    """Record the iterate v of every ``defining.jacobian`` call while the block runs."""
-    saved = defining.jacobian
+    """Record (lin, phi1, phi2) of every ``defining._jacobian`` call while the block runs."""
+    saved = defining._jacobian
 
-    def jacobian(model, v, L, lin=None):
-        points.append(v)
-        return saved(model, v, L, lin)
+    def jacobian(lin, p1, p2, L):
+        points.append((lin, p1, p2))
+        return saved(lin, p1, p2, L)
 
-    defining.jacobian = jacobian
+    defining._jacobian = jacobian
     try:
         yield points
     finally:
-        defining.jacobian = saved
+        defining._jacobian = saved
 
 
 def counting_model(model, counts: Counter):
@@ -144,16 +154,15 @@ def part_times(tb, model, L, points) -> dict:
     """The median microseconds of each part of a step over the iterates ``points``."""
     d, n = tb.defining, model.n
     parts = {"jacobian": [], "structured_step": [], "dense_step": [], "linearize_residual": []}
-    for v in points:
-        lin = d.linearize(model, v.x, v.lam, v.mu)
-        J, r = d.jacobian(model, v, L, lin), d.residual(model, v, L, lin)
+    for lin, p1, p2 in points:
+        J, r = d._jacobian(lin, p1, p2, L), d._residual(lin, p1, p2, L)
         border = np.full(n, n ** -0.5)
-        parts["jacobian"].append(median_us(lambda: d.jacobian(model, v, L, lin)))
-        parts["structured_step"].append(median_us(lambda: d._structured_step(J, r, v.phi1,
+        parts["jacobian"].append(median_us(lambda: d._jacobian(lin, p1, p2, L)))
+        parts["structured_step"].append(median_us(lambda: d._structured_step(J, r, p1,
                                                                              border)))
         parts["dense_step"].append(median_us(lambda: tb.linalg.solve_with_cond(J, -r)))
-        parts["linearize_residual"].append(median_us(lambda: d.residual(
-            model, v, L, d.linearize(model, v.x, v.lam, v.mu))))
+        parts["linearize_residual"].append(median_us(lambda: d._residual(
+            d.linearize(model, lin.x, lin.lam, lin.mu), p1, p2, L)))
     return {part: round(statistics.median(times), 1) for part, times in parts.items()}
 
 
@@ -184,12 +193,19 @@ def main() -> int:
             points += run_points
         if not steps:
             continue
+        taken = "structured" if model.n >= tb.defining._STRUCTURED_N else "dense"
+        us = part_times(tb, model, L, points)
+        runs_us = sum(median_us(lambda: tb.defining.newton_solve(
+            model, tb.defining.TbCandidate.unpack(start, model.n), L)) for start in starts)
+        us["step_parts"] = round(us["jacobian"] + us[f"{taken}_step"]
+                                 + us["linearize_residual"], 1)
+        us["step_in_situ"] = round((runs_us - len(starts) * us["linearize_residual"]) / steps, 1)
         out[name] = {
             "steps": steps,
-            "step_taken": "structured" if model.n >= tb.defining._STRUCTURED_N else "dense",
+            "step_taken": taken,
             "callbacks_per_step": {k: v / steps for k, v in sorted(calls.items()) if v},
             "matrices_per_step": {k: matrices[k] / steps for k in KERNELS},
-            "us": part_times(tb, model, L, points),
+            "us": us,
         }
     print(json.dumps({"per_step": out, "starts": STARTS, "repeats": REPEATS,
                       "blas_threads": 1}))
