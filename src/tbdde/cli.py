@@ -129,13 +129,10 @@ def _functionals(cfg: dict, n: int):
 
 
 def _options(cfg: dict) -> NewtonOptions:
-    opts = NewtonOptions()
-    for f in dataclasses.fields(opts):   # config keys are the option names
-        if f.name in cfg:
-            setattr(opts, f.name, _number(cfg[f.name], f.name, type(f.default)))
-        if getattr(opts, f.name) < 0:
-            raise InputError(f"{f.name} must be >= 0, got {getattr(opts, f.name)}")
-    return opts
+    """The config's Newton options (its keys are the option names), each a
+    JSON number of the option's kind; ``NewtonOptions`` checks their range."""
+    return NewtonOptions(**{f.name: _number(cfg[f.name], f.name, type(f.default))
+                            for f in dataclasses.fields(NewtonOptions) if f.name in cfg})
 
 
 def _build_model(cfg: dict):

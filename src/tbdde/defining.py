@@ -15,7 +15,8 @@ to the data and ``jacobian`` to their derivatives, so J = dH by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,23 +51,41 @@ class TbCandidate:
 
 @dataclass(frozen=True)
 class Functionals:
-    """The fixed row vectors l1, l2 entering the scalar normalizations."""
+    """The fixed row vectors l1, l2 entering the scalar normalizations: real,
+    finite and not both zero, or an InputError naming them."""
 
     l1: np.ndarray
     l2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "l1", _real(self.l1, "l1 has"))
-        object.__setattr__(self, "l2", _real(self.l2, "l2 has"))
+        for label in ("l1", "l2"):
+            row = _real(getattr(self, label), f"{label} has")
+            if not np.isfinite(row).all():
+                raise InputError(f"{label} must be finite, got {row}")
+            object.__setattr__(self, label, row)
         if not (np.any(self.l1) or np.any(self.l2)):
             raise InputError("l1 and l2 must not both be zero")
 
 
 @dataclass
 class NewtonOptions:
+    """``newton_solve``'s stopping rules: tol_res and tol_step finite real
+    numbers >= 0, max_iter an integer >= 0 (not a bool), or an InputError
+    naming the field."""
+
     tol_res: float = 1e-12
     tol_step: float = 1e-13
     max_iter: int = 50
+
+    def __post_init__(self):
+        for f in fields(self):   # an option's kind is its default's, float or int
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) if kind is int
+                    else isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InputError(f"{f.name} must be a finite {kind.__name__}, got {value!r}")
+            if value < 0:
+                raise InputError(f"{f.name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -103,28 +122,22 @@ def _system(f, a, b, g1, g2, p1, p2, L: Functionals) -> np.ndarray:
     return np.concatenate([f, a, b - (g1 + p1), n5[None], n6[None]])
 
 
-def _checked(model: DdeModel, v: TbCandidate, L: Functionals,
-             lin: Linearization | None) -> tuple:
-    """(lin, phi1, phi2) after checking that v's chain vectors and L's rows
-    are model.n real numbers each, and that lin's x has model.n entries;
-    when lin is None, the linearization at v (which checks x, lam and mu)."""
-    if lin is not None and lin.x.shape != (model.n,):
-        raise InputError(f"lin must be at a point of length {model.n}, got shape {lin.x.shape}")
+def _checked(model: DdeModel, v: TbCandidate, L: Functionals) -> tuple:
+    """(lin, phi1, phi2): the linearization at v (which checks x, lam and mu),
+    after checking that v's chain vectors and L's rows are model.n real
+    numbers each."""
     p1, p2, *_ = (_check_vec(model, vec, label) for label, vec in (
         ("phi1", v.phi1), ("phi2", v.phi2), ("l1", L.l1), ("l2", L.l2)))
-    return linearize(model, v.x, v.lam, v.mu) if lin is None else lin, p1, p2
+    return linearize(model, v.x, v.lam, v.mu), p1, p2
 
 
-def residual(model: DdeModel, v: TbCandidate, L: Functionals,
-             lin: Linearization | None = None) -> np.ndarray:
+def residual(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
     """H(v), ``_system`` on the data at (x, x, lam, mu) with 1 taken off block 4.
 
-    ``lin`` is the linearization at v when the caller has it; it is
-    evaluated when it is not given.  v's vectors and L's rows are checked
-    either way, and a ``lin`` whose x is not of length model.n is an
-    InputError.
+    v's vectors and L's rows are checked, and f, f1 and f2 are evaluated
+    once at v, by ``linearize``.
     """
-    return _residual(*_checked(model, v, L, lin), L)
+    return _residual(*_checked(model, v, L), L)
 
 
 def _residual(lin: Linearization, p1, p2, L: Functionals) -> np.ndarray:
@@ -136,8 +149,7 @@ def _residual(lin: Linearization, p1, p2, L: Functionals) -> np.ndarray:
     return h
 
 
-def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
-             lin: Linearization | None = None) -> np.ndarray:
+def jacobian(model: DdeModel, v: TbCandidate, L: Functionals) -> np.ndarray:
     """Jacobian of the defining system at v: ``_system`` on derivative tables.
 
     Each datum of ``_system`` is replaced by its derivative along the
@@ -148,10 +160,10 @@ def jacobian(model: DdeModel, v: TbCandidate, L: Functionals,
     mu, by f1 and f2 differentiated along (0, 0, 1, 0) and (0, 0, 0, 1): six
     directions, from one ``model._dirder`` call.  So any model works:
     suppliers are used where present and finite differences of f1, f2
-    stand in for the rest.  ``lin`` and the checks are as for ``residual``:
-    f1 and f2 are lin's.
+    stand in for the rest.  The checks and the linearization at v, from
+    which f1, f2, f_lambda and f_mu come, are as for ``residual``.
     """
-    return _jacobian(*_checked(model, v, L, lin), L)
+    return _jacobian(*_checked(model, v, L), L)
 
 
 def _jacobian(lin: Linearization, p1, p2, L: Functionals) -> np.ndarray:
@@ -290,7 +302,7 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     """
     opts = opts or NewtonOptions()
     n, m = model.n, 3 * model.n
-    lin, p1, p2 = _checked(model, v0, L, None)
+    lin, p1, p2 = _checked(model, v0, L)
     w = np.concatenate([lin.x, p1, p2, [lin.lam, lin.mu]])   # the iterate, packed
 
     def report(converged, k, cond, reason):   # its solution views the iterate

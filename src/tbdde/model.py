@@ -23,15 +23,15 @@ missing, from one central difference of f1 and f2 at the same shifted points.
 
 A ``Linearization`` is the model at one steady state (x, x, lambda, mu):
 f, f1 and f2, evaluated once, which the defining system's residual and
-Jacobian and the certificate share.  ``param_derivatives`` gives f_lambda
-and f_mu there, and ``along(dx, dy, dlam, dmu)`` gives f1 and f2
-differentiated along one direction, ``along_each`` along several, from one
-``_dirder`` call.  The public functions below (``eval_f``, ``jac_x``,
-``jac_y``, ``second_dirder``, ``param_der``), ``linearize`` and the two
-``along`` methods check their vectors and numbers and run the same code on
-one value.  A vector argument that is not n real numbers, a lam, mu or
-direction number that is not one real number, or a supplier's result not
-real or of the wrong shape, is an ``InputError`` naming it.  A callback
+Jacobian and every certificate share: ``linearize`` is how the package
+evaluates a point.  ``param_derivatives`` gives f_lambda and f_mu there,
+and ``along(dx, dy, dlam, dmu)`` f1 and f2 differentiated along one
+direction.  The public functions below (``eval_f``, ``jac_x``, ``jac_y``,
+``second_dirder``, ``param_der``), which no package code calls, serve one
+value at any (x, y, lam, mu), checked once by ``_check_point``.  A vector
+argument that is not n real numbers, a lam, mu or direction number that is
+not one real number, or a supplier's result not real or of the wrong
+shape, is an ``InputError`` naming it.  A callback
 that raises ZeroDivisionError or OverflowError, as Python float arithmetic
 does where numpy's gives inf or nan, has the value NaN.
 """
@@ -136,15 +136,9 @@ def _check_vec(model: DdeModel, v, label: str) -> np.ndarray:
     return v
 
 
-def _check_direction(model: DdeModel, direction, k=None) -> tuple:
-    """``direction`` (dx, dy, dlam, dmu), the k-th of several, its vectors
-    checked as model.n real numbers and its numbers as one, a None kept."""
-    where = "" if k is None else f"direction {k}: "
-    if not isinstance(direction, (tuple, list)) or len(direction) != 4:
-        raise InputError(f"direction {k} is not (dx, dy, dlam, dmu): {direction!r}")
-    return tuple(d if d is None else _check_vec(model, d, where + label) if label in ("dx", "dy")
-                 else _check_num(d, where + label)
-                 for label, d in zip(("dx", "dy", "dlam", "dmu"), direction))
+def _check_point(model: DdeModel, x, y, lam, mu) -> tuple:
+    """(x, y, lam, mu) checked: x and y as model.n real numbers, lam and mu as one."""
+    return _check_vec(model, x, "x"), _check_vec(model, y, "y"), *_check_params(lam, mu)
 
 
 def _call(model: DdeModel, name: str, shape: tuple, *args) -> np.ndarray:
@@ -247,11 +241,9 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
     return out
 
 
-def _param(model: DdeModel, which: str, x, y, lam, mu):
-    """One parameter derivative (see ``param_der``), from a supplier or by differences."""
-    if which[0] in "12":   # "1lam": f1 along (0, 0, 1, 0), the pair's first matrix
-        direction = (None, None, 1.0, None) if which[1:] == "lam" else (None, None, None, 1.0)
-        return _dirder(model, x, y, lam, mu, direction)[0][int(which[0]) - 1]
+def _param(model: DdeModel, which: str, x, y, lam, mu) -> np.ndarray:
+    """f_lam (``which`` "lam") or f_mu ("mu"), from ``dlam`` or ``dmu``, else
+    differences of f (step eps**(1/3))."""
     if (model.dlam if which == "lam" else model.dmu) is not None:
         return _call(model, "d" + which, (model.n,), x, y, lam, mu)
     p = lam if which == "lam" else mu
@@ -270,10 +262,9 @@ class Linearization(NamedTuple):
 
     ``x`` is a float vector of length ``model.n``.  Build it with
     ``linearize``, which checks x once; its methods then run on it
-    without checking again, ``along`` and ``along_each`` checking only
-    their directions.  (A named tuple, not a frozen dataclass: every
-    command-line run imports the package afresh, and creating a dataclass
-    costs about a millisecond.)
+    without checking again, ``along`` checking only its direction.  (A
+    named tuple, not a frozen dataclass: every command-line run imports the
+    package afresh, and creating a dataclass costs about a millisecond.)
     """
 
     model: DdeModel
@@ -298,14 +289,12 @@ class Linearization(NamedTuple):
         g(x) = f(x, x) along u and w; along (0, 0, 1, 0), f1' and f2' are
         f1_lam and f2_lam.
         """
-        direction = _check_direction(self.model, (dx, dy, dlam, dmu))
-        return _dirder(self.model, self.x, self.x, self.lam, self.mu, direction)[0]
-
-    def along_each(self, *directions) -> list:
-        """``along`` for each direction (dx, dy, dlam, dmu) at once, from one
-        ``_dirder`` call: a list of pairs."""
-        return _dirder(self.model, self.x, self.x, self.lam, self.mu,
-                       *(_check_direction(self.model, d, k) for k, d in enumerate(directions)))
+        model = self.model
+        direction = (None if dx is None else _check_vec(model, dx, "dx"),
+                     None if dy is None else _check_vec(model, dy, "dy"),
+                     None if dlam is None else _check_num(dlam, "dlam"),
+                     None if dmu is None else _check_num(dmu, "dmu"))
+        return _dirder(model, self.x, self.x, self.lam, self.mu, direction)[0]
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
@@ -321,20 +310,17 @@ def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
 
 def eval_f(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """Evaluate the right-hand side; with ``x == y`` this is the steady-state residual."""
-    return _f(model, _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-              *_check_params(lam, mu))
+    return _f(model, *_check_point(model, x, y, lam, mu))
 
 
 def jac_x(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """d f / d x, analytic when supplied, else central differences."""
-    return _first(model, "1", _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-                  *_check_params(lam, mu))
+    return _first(model, "1", *_check_point(model, x, y, lam, mu))
 
 
 def jac_y(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """d f / d y (delayed slot), analytic when supplied, else central differences."""
-    return _first(model, "2", _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-                  *_check_params(lam, mu))
+    return _first(model, "2", *_check_point(model, x, y, lam, mu))
 
 
 def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
@@ -349,13 +335,10 @@ def second_dirder(model: DdeModel, which: str, x, y, lam: float, mu: float,
     which = str(which)
     if which not in _SECOND_KEYS:
         raise InputError(f"which must be one of {_SECOND_KEYS}, got {which!r}")
-    x = _check_vec(model, x, "x")
-    y = _check_vec(model, y, "y")
-    u = _check_vec(model, u, "u")
-    w = _check_vec(model, w, "w")
-    lam, mu = _check_params(lam, mu)
+    point = _check_point(model, x, y, lam, mu)
+    u, w = _check_vec(model, u, "u"), _check_vec(model, w, "w")
     direction = (u, None, None, None) if which[0] == "1" else (None, u, None, None)
-    (pair,) = _dirder(model, x, y, lam, mu, direction)
+    (pair,) = _dirder(model, *point, direction)
     return pair[int(which[1]) - 1] @ w
 
 
@@ -370,5 +353,8 @@ def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
     """
     if which not in _PARAM_KEYS:
         raise InputError(f"which must be one of {_PARAM_KEYS}, got {which!r}")
-    return _param(model, which, _check_vec(model, x, "x"), _check_vec(model, y, "y"),
-                  *_check_params(lam, mu))
+    point = _check_point(model, x, y, lam, mu)
+    if which[0] in "12":   # "1lam": f1 along (0, 0, 1, 0), the pair's first matrix
+        direction = (None, None, 1.0, None) if which[1:] == "lam" else (None, None, None, 1.0)
+        return _dirder(model, *point, direction)[0][int(which[0]) - 1]
+    return _param(model, which, *point)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import linalg
 from .defining import TbCandidate
 from .eigenstructure import Check, EigenBasis, TbExistence, tb_existence_test
 from .errors import InputError, NearSingular
-from .model import DdeModel, Linearization, _check_vec, _dirder, eval_f, jac_x, jac_y
+from .model import DdeModel, Linearization, _check_params, _check_vec, _dirder, _f, linearize
 
 #: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
 _DELTA = 1e-3
@@ -69,44 +70,44 @@ class TbVerdict:
 
 def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> complex:
     """Delta(z) = det(zI - f1 - f2 exp(-z)) at the equilibrium x, in delay-1 time:
-    a root z is tau times a root s of the model's det(sI - A - B exp(-s tau))."""
-    x = _check_vec(model, x, "x")
-    f1 = jac_x(model, x, x, lam, mu)
-    f2 = jac_y(model, x, x, lam, mu)
-    M = z * np.eye(model.n) - f1 - f2 * cmath.exp(-z)
+    a root z is tau times a root s of the model's det(sI - A - B exp(-s tau)).
+    f1 and f2 come from ``linearize``, which evaluates f too: a non-finite f,
+    f1 or f2 raises NearSingular, and a z not one finite number InputError."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex) or not cmath.isfinite(z):
+        raise InputError(f"z must be one finite number, real or complex, got {z!r}")
+    lin = _linearized(model, x, lam, mu)
+    M = z * np.eye(model.n) - lin.f1 - lin.f2 * cmath.exp(-z)
     return complex(linalg.det(M))
 
 
 def double_zero_check(model: DdeModel, x, lam: float, mu: float):
     """Certify an equilibrium with a double zero at z = 0, without a basis.
 
-    f, f1 and f2 are evaluated once; ``tb_existence_test`` on (f1, f2) decides
-    the double zero, and x is an equilibrium when |f|_inf <= its threshold
-    ``TbExistence.tol``.  Returns (|f|_inf, range value, nondegeneracy
-    value, ok), the middle two the existence test's (NaN where it stops
-    before them): ok is False at any point that is no double zero.  Only a
-    non-finite or too ill-conditioned linearization raises NearSingular.
+    f, f1 and f2 are evaluated once, by ``linearize``; ``tb_existence_test``
+    on (f1, f2) decides the double zero, and x is an equilibrium when |f|_inf
+    <= its threshold ``TbExistence.tol``.  Returns (|f|_inf, range value,
+    nondegeneracy value, ok), the middle two the existence test's (NaN where
+    it stops before them): ok is False at any point that is no double zero.
+    Only a non-finite or too ill-conditioned linearization raises
+    NearSingular.
     """
-    f, f1, f2 = _finite_point(model, x, lam, mu, eval_f, jac_x, jac_y)
-    existence = tb_existence_test(f1, f2)
-    res = float(np.max(np.abs(f)))
+    lin = _linearized(model, x, lam, mu)
+    existence = tb_existence_test(lin.f1, lin.f2)
+    res = float(np.max(np.abs(lin.f)))
     checks = existence.checks
     return (res, checks["range"].value, checks["nondegeneracy"].value,
             res <= existence.tol and existence.passed)
 
 
-def _finite_point(model: DdeModel, x, lam: float, mu: float, *funcs) -> list:
-    """Each of ``funcs`` (``eval_f``, ``jac_x``, ``jac_y``) at the equilibrium x.
-
-    They are evaluated under np.errstate, and a non-finite value raises
-    NearSingular with ``cond`` nan, as ``linalg.rank_and_nullspace`` does.
-    """
-    x = _check_vec(model, x, "x")
+def _linearized(model: DdeModel, x, lam: float, mu: float) -> Linearization:
+    """``linearize`` at the equilibrium x, under np.errstate: a non-finite f,
+    f1 or f2 raises NearSingular with ``cond`` nan, as
+    ``linalg.rank_and_nullspace`` does."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = [fn(model, x, x, lam, mu) for fn in funcs]
-    if not all(np.isfinite(v).all() for v in out):
-        raise NearSingular(f"the linearization at x = {x} is not finite", cond=np.nan)
-    return out
+        lin = linearize(model, x, lam, mu)
+    if not all(np.isfinite(v).all() for v in (lin.f, lin.f1, lin.f2)):
+        raise NearSingular(f"the linearization at x = {lin.x} is not finite", cond=np.nan)
+    return lin
 
 
 def _matrices(f1: np.ndarray, f2: np.ndarray, z: np.ndarray):
@@ -239,9 +240,11 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     acceptance of a root.  Returns (roots, warn):
     ``warn`` the axis roots other than the double zero, both of each pair,
     by modulus; ``roots`` is ``warn`` and, first, 0j when the disk holds the
-    double zero.  A non-finite linearization raises NearSingular.
+    double zero.  f1 and f2 come from ``linearize``, which evaluates f too: a
+    non-finite f, f1 or f2 raises NearSingular.
     """
-    f1, f2 = _finite_point(model, x, lam, mu, jac_x, jac_y)
+    lin = _linearized(model, x, lam, mu)
+    f1, f2 = lin.f1, lin.f2
     norm1, norm2 = np.linalg.norm(np.stack([f1, f2]), 2, axis=(1, 2))
     R = norm1 + norm2 * math.exp(_DELTA)
     if not R <= _R_MAX:
@@ -355,10 +358,9 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     n = model.n
     if (shapes := (np.shape(basis.f1), np.shape(basis.f2))) != ((n, n), (n, n)):
         raise InputError(f"basis must be of {n} x {n} matrices, got shapes {shapes}")
-    if lin is None:
-        x, lam, mu = _check_vec(model, solution.x, "x"), solution.lam, solution.mu
-        lin = Linearization(model, x, lam, mu, eval_f(model, x, x, lam, mu),
-                            basis.f1, basis.f2)
+    if lin is None:   # as linearize would build it, with the basis's f1 and f2
+        x, (lam, mu) = _check_vec(model, solution.x, "x"), _check_params(solution.lam, solution.mu)
+        lin = Linearization(model, x, lam, mu, _f(model, x, x, lam, mu), basis.f1, basis.f2)
     elif lin.x.shape != (n,):
         raise InputError(f"lin must be at a point of length {n}, got shape {lin.x.shape}")
     tol = basis.existence.tol

@@ -156,6 +156,42 @@ class TestCandidate:
         with pytest.raises(InputError, match=re.escape(f"{label} has {expected}")):
             Functionals(**rows)
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.inf]], ids=["nan", "inf"])
+    @pytest.mark.parametrize("label", ["l1", "l2"])
+    def test_functionals_must_be_finite(self, pp, label, bad):
+        # a NaN row was accepted, and Newton then ended "diverged" at iteration 0
+        rows = {"l1": [1.0, 0.0], "l2": [1.0, 0.0], label: bad}
+        with pytest.raises(InputError, match=f"^{label} must be finite"):
+            Functionals(**rows)
+
+
+#: Newton options that are no stopping rule, with the error's wording
+BAD_OPTIONS = {
+    "max-iter-fraction": ({"max_iter": 2.5}, "max_iter must be a finite int, got 2.5"),
+    "max-iter-string": ({"max_iter": "3"}, "max_iter must be a finite int, got '3'"),
+    "max-iter-bool": ({"max_iter": True}, "max_iter must be a finite int, got True"),
+    "max-iter-negative": ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+    "tol-step-string": ({"tol_step": "x"}, "tol_step must be a finite float, got 'x'"),
+    "tol-step-negative": ({"tol_step": -1.0}, "tol_step must be >= 0, got -1.0"),
+    "tol-res-nan": ({"tol_res": np.nan}, "tol_res must be a finite float, got nan"),
+    "tol-res-inf": ({"tol_res": np.inf}, "tol_res must be a finite float, got inf"),
+    "tol-res-negative": ({"tol_res": -1e-12}, "tol_res must be >= 0, got -1e-12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_newton_options_are_checked(case):
+    # max_iter = 2.5 or "3" raised TypeError from range, tol_step = "x" a
+    # TypeError, and a NaN or negative tol_res ended a run "stalled"
+    fields, expected = BAD_OPTIONS[case]
+    with pytest.raises(InputError, match="^" + re.escape(expected)):
+        NewtonOptions(**fields)
+
+
+def test_newton_options_take_numpy_numbers():
+    opts = NewtonOptions(tol_res=np.float64(1e-10), tol_step=0, max_iter=np.int64(3))
+    assert (opts.tol_res, opts.tol_step, opts.max_iter) == (1e-10, 0, 3)
+
 
 BAD_SHAPES = {
     # the vectors of a candidate and of the functionals, against model.n = 2
@@ -194,14 +230,6 @@ def test_complex_vector_is_input_error(pp, solve, label):
         fn(pp, v, L10)
 
 
-@pytest.mark.parametrize("label", ["phi1", "phi2"])
-def test_jacobian_given_a_linearization_checks_the_chain(pp, label):
-    lin = defining.linearize(pp, V_STAR.x, V_STAR.lam, V_STAR.mu)
-    v = dataclasses.replace(V_STAR, **{label: getattr(V_STAR, label) + 1j})
-    with pytest.raises(InputError, match=f"^{label} has complex128 values, not real"):
-        jacobian(pp, v, L10, lin)
-
-
 #: a chain vector or row that is not 2 real numbers, with the error's wording
 BAD_GIVEN_LIN = {
     "phi1-complex": ("phi1", V_STAR.phi1 + 1j, "phi1 has complex128 values, not real"),
@@ -216,19 +244,16 @@ BAD_GIVEN_LIN = {
 @pytest.mark.parametrize("case", sorted(BAD_GIVEN_LIN))
 @pytest.mark.parametrize("entry", ["residual", "jacobian"])
 def test_given_a_linearization_the_vectors_are_still_checked(pp, entry, case):
-    # with lin given, residual checked neither chain nor rows: a complex phi1
-    # gave a complex128 residual, a length-3 vector numpy's "matmul: Input
-    # operand 1 has a mismatch"; jacobian checked the chain but not l1, l2
+    # residual and jacobian linearize at v themselves; a given linearization
+    # once let a complex phi1 give a complex128 residual, a length-3 vector
+    # numpy's "matmul: Input operand 1 has a mismatch", and l1, l2 go unchecked
     label, bad, expected = BAD_GIVEN_LIN[case]
-    lin = defining.linearize(pp, V_STAR.x, V_STAR.lam, V_STAR.mu)
     v, L = V_STAR, L10
     if label.startswith("l"):
         L = Functionals(**{"l1": L10.l1, "l2": L10.l2, label: bad})
     else:
         v = dataclasses.replace(V_STAR, **{label: bad})
     fn = {"residual": residual, "jacobian": jacobian}[entry]
-    with pytest.raises(InputError, match="^" + re.escape(expected)):
-        fn(pp, v, L, lin)
     with pytest.raises(InputError, match="^" + re.escape(expected)):
         fn(pp, v, L)
 
@@ -521,14 +546,16 @@ class TestStructuredStep:
 def reference_newton_solve(model, v0, L, opts=None):
     """``newton_solve`` as it was before its loop ran on one packed iterate,
     verbatim but for the entry check (``_linearize`` then, which checked v0
-    and L and linearized at v0)."""
+    and L and linearized at v0) and for ``residual`` and ``jacobian`` given
+    the iterate's linearization, which are ``_residual`` and ``_jacobian``
+    on it: the same arithmetic."""
     opts = opts or NewtonOptions()
 
     structured = model.n >= defining._STRUCTURED_N
     border = np.full(model.n, model.n ** -0.5)   # any fixed unit vector to start
     v = v0
     lin = defining.linearize(model, v.x, v.lam, v.mu)
-    r = residual(model, v, L, lin)
+    r = defining._residual(lin, v.phi1, v.phi2, L)
     res_hist = [float(np.max(np.abs(r)))]
     final_cond = np.nan
 
@@ -537,7 +564,7 @@ def reference_newton_solve(model, v0, L, opts=None):
             return defining.NewtonReport(True, k, res_hist, final_cond, None, v, lin)
         if res_hist[-1] > 1e12 or not np.isfinite(res_hist[-1]):
             return defining.NewtonReport(False, k, res_hist, final_cond, "diverged", v, lin)
-        J = jacobian(model, v, L, lin)
+        J = defining._jacobian(lin, v.phi1, v.phi2, L)
         step = None
         if structured:
             step, final_cond, border = defining._structured_step(J, r, v.phi1, border)
@@ -550,7 +577,7 @@ def reference_newton_solve(model, v0, L, opts=None):
         vnew = v.pack() + step
         v = TbCandidate.unpack(vnew, model.n)
         lin = defining.linearize(model, v.x, v.lam, v.mu)
-        r = residual(model, v, L, lin)
+        r = defining._residual(lin, v.phi1, v.phi2, L)
         res_hist.append(float(np.max(np.abs(r))))
         if np.max(np.abs(step)) <= opts.tol_step * max(1.0, np.max(np.abs(vnew))):
             converged = res_hist[-1] <= opts.tol_res
@@ -906,7 +933,8 @@ class TestAgainstTheUnbatchedDerivatives:
         L = Functionals(l1=np.eye(n)[0], l2=rng.standard_normal(n))
         with np.errstate(all="ignore"):
             lin = defining.linearize(model, x, v.lam, v.mu)
-            assert_same_bits(jacobian(model, v, L, lin), reference_jacobian(model, v, L, lin))
+            assert_same_bits(defining._jacobian(lin, p1, p2, L),
+                             reference_jacobian(model, v, L, lin))
             assert_same_bits(jacobian(model, v, L), reference_jacobian(model, v, L))
 
     @settings(max_examples=40, deadline=None)
@@ -951,17 +979,14 @@ class TestAgainstTheUnbatchedDerivatives:
                 assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("entry", ["residual", "jacobian", "quadratic_check"])
+@pytest.mark.parametrize("entry", ["quadratic_check"])
 def test_linearization_of_another_dimension_is_input_error(pp, entry):
     # a lin of a 3-dimensional model broadcast or failed inside numpy
     lin = defining.linearize(coupled3(), np.ones(3), 0.5, 2.0)
-    call = {"residual": lambda: residual(pp, V_STAR, L10, lin),
-            "jacobian": lambda: jacobian(pp, V_STAR, L10, lin),
-            "quadratic_check": lambda: quadratic_check(
-                pp, V_STAR, compute_basis(jac_x(pp, *PP_POINT), jac_y(pp, *PP_POINT)), lin)}
+    basis = compute_basis(jac_x(pp, *PP_POINT), jac_y(pp, *PP_POINT))
     with pytest.raises(InputError, match=re.escape("lin must be at a point of length 2, "
                                                    "got shape (3,)")):
-        call[entry]()
+        quadratic_check(pp, V_STAR, basis, lin)
 
 
 @pytest.mark.parametrize("f1, f2", [(np.eye(3), np.zeros((3, 3))), (np.eye(1), np.eye(1))],

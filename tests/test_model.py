@@ -481,10 +481,6 @@ def test_direction_vectors_are_checked(pp, model, case, slot):
     label = ("dx", "dy")[slot]
     with pytest.raises(InputError, match=re.escape(f"{label} {expected}")):
         lin.along(**{label: bad})
-    directions = [(TB_ARGS[0], None, None, None), [None, None, None, None]]
-    directions[1][slot] = bad
-    with pytest.raises(InputError, match=re.escape(f"direction 1: {label} {expected}")):
-        lin.along_each(*directions)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DIRECTION_NUMBERS))
@@ -494,17 +490,6 @@ def test_direction_numbers_are_checked(pp, case, label):
     bad, expected = BAD_DIRECTION_NUMBERS[case]
     with pytest.raises(InputError, match=re.escape(f"{label} {expected}")):
         lin.along(**{label: bad})
-    direction = (None, None, bad, None) if label == "dlam" else (None, None, None, bad)
-    with pytest.raises(InputError, match=re.escape(f"direction 0: {label} {expected}")):
-        lin.along_each(direction)
-
-
-@pytest.mark.parametrize("direction", [(TB_ARGS[0], None, None), "abcde", 1.0],
-                         ids=["three-components", "string", "number"])
-def test_direction_that_is_not_four_components_is_input_error(pp, direction):
-    lin = linearize(pp, TB_ARGS[0], 0.5, 2.0)
-    with pytest.raises(InputError, match=re.escape("direction 0 is not (dx, dy, dlam, dmu)")):
-        lin.along_each(direction)
 
 
 def test_checked_directions_give_the_same_bits(pp):

@@ -220,6 +220,21 @@ class TestCharacteristic:
                - characteristic(pp, TB_X, 0.5, 2.0, -h)) / (2.0 * h)).real
         assert cs == pytest.approx(cd, abs=1e-6 * max(1.0, abs(cs)))
 
+    @pytest.mark.parametrize("z", [[0.1, 0.2], np.ones(3), "0.1", None, True, np.nan,
+                                   complex(np.inf, 0.0)],
+                             ids=["list", "vector", "string", "none", "bool", "nan", "inf"])
+    def test_z_that_is_not_one_finite_number_is_input_error(self, pp, z):
+        # a list raised TypeError ("bad operand type for unary -"), a vector
+        # numpy's broadcasting ValueError, a string UFuncTypeError, and nan or
+        # inf a RuntimeWarning from det
+        with pytest.raises(InputError, match="^z must be one finite number"):
+            characteristic(pp, TB_X, 0.5, 2.0, z)
+
+    def test_numpy_numbers_are_accepted_as_z(self, pp):
+        for z in (np.float64(0.1), np.complex128(0.1j), np.int64(1)):
+            assert characteristic(pp, TB_X, 0.5, 2.0, z) == characteristic(
+                pp, TB_X, 0.5, 2.0, complex(z))
+
 
 class TestDoubleZeroCheck:
     def test_tb_point_passes(self, pp):
@@ -650,14 +665,29 @@ class TestCollocationSize:
             assert len(warn) == (2 if hidden else 0)
 
 
+#: the basis at predator-prey's TB point, from models not counted
+TB_BASIS = compute_basis(jac_x(predator_prey(), TB_X, TB_X, 0.5, 2.0),
+                         jac_y(predator_prey(), TB_X, TB_X, 0.5, 2.0))
+
+#: the verify entry points that take a point x, as functions of it
+POINT_CHECKS = {
+    "characteristic": lambda pp, x: characteristic(pp, x, 0.5, 2.0, 0.1j),
+    "double_zero_check": lambda pp, x: double_zero_check(pp, x, 0.5, 2.0),
+    "spectral_scan": lambda pp, x: spectral_scan(pp, x, 0.5, 2.0),
+    "quadratic_check": lambda pp, x: quadratic_check(
+        pp, dataclasses.replace(TB_SOL, x=x), TB_BASIS),
+}
+
+
 class TestNonFiniteLinearization:
     @pytest.mark.parametrize("x", [[np.nan, 1.0], [1e200, 1e200]], ids=["nan", "overflow"])
-    @pytest.mark.parametrize("check", [spectral_scan, double_zero_check])
+    @pytest.mark.parametrize("check", ["spectral_scan", "double_zero_check", "characteristic"])
     def test_near_singular_without_warning(self, pp, check, x):
+        # characteristic returned nan, with a RuntimeWarning from det
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NearSingular, match="not finite") as exc:
-                check(pp, x, 0.5, 2.0)
+                POINT_CHECKS[check](pp, x)
         assert np.isnan(exc.value.cond)
 
     def test_zero_carrying_capacity_is_near_singular(self, pp):
@@ -666,23 +696,23 @@ class TestNonFiniteLinearization:
             double_zero_check(pp, TB_X, 0.5, 0.0)
 
 
-#: the verify entry points that take a point x, as functions of it
-POINT_CHECKS = {
-    "characteristic": lambda pp, x: characteristic(pp, x, 0.5, 2.0, 0.1j),
-    "double_zero_check": lambda pp, x: double_zero_check(pp, x, 0.5, 2.0),
-    "spectral_scan": lambda pp, x: spectral_scan(pp, x, 0.5, 2.0),
-    "quadratic_check": lambda pp, x: quadratic_check(
-        pp, dataclasses.replace(TB_SOL, x=x),
-        compute_basis(jac_x(pp, TB_X, TB_X, 0.5, 2.0), jac_y(pp, TB_X, TB_X, 0.5, 2.0))),
-}
-
-
 @pytest.mark.parametrize("entry", sorted(POINT_CHECKS))
 def test_complex_point_is_input_error(pp, entry):
     # cast to float, x = (1 + 1j, 1) was the TB point (1, 1): double_zero_check
     # returned ok, spectral_scan the double zero alone and quadratic_check PASS
     with pytest.raises(InputError, match="^x has complex128 values, not real"):
         POINT_CHECKS[entry](pp, np.array([1.0 + 1.0j, 1.0]))
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_CHECKS))
+def test_one_evaluation_per_entry_point(pp, counted_model, entry):
+    # each point check reads f, f1 and f2 from one linearization; given a
+    # basis, quadratic_check evaluates only f (its derivatives come from
+    # predator-prey's dlam, dmu and ddir)
+    model, counts = counted_model(pp)
+    POINT_CHECKS[entry](model, TB_X)
+    want = {"f": 1} if entry == "quadratic_check" else {"f": 1, "d1": 1, "d2": 1}
+    assert counts == want
 
 
 class TestQuadraticCheck:
