@@ -138,7 +138,10 @@ def _options(cfg: dict) -> NewtonOptions:
 def _build_model(cfg: dict):
     if "model" not in cfg:
         raise InputError("config field 'model' is missing")
-    return models.build(str(cfg["model"]), cfg.get("model_constants"))
+    constants = cfg.get("model_constants", {})
+    if not isinstance(constants, dict):
+        raise InputError("config field 'model_constants' must be an object")
+    return models.build(str(cfg["model"]), constants)
 
 
 @functools.cache
@@ -341,7 +344,11 @@ def cmd_list_models(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the config-error code."""
+    """Argument parser whose usage errors exit with the config-error code;
+    ``commands`` maps each command's name to its parser (empty but on the
+    top parser)."""
+
+    commands: dict = {}
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -351,7 +358,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
-    ``main`` call: parsing leaves no state in it, and it must not be modified."""
+    ``main`` call: parsing leaves no state in it, and it must not be modified.
+    Its ``commands`` are the subparsers, which ``main`` calls directly."""
     parser = _Parser(
         prog="tbdde",
         description="Compute quadratic Takens-Bogdanov points of delay "
@@ -381,12 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list-models", help="list registered models")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_list_models)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        # a command's own parser reads the rest in one pass, as the top
+        # parser would hand it on; the top parser reads anything else (no
+        # argument, -h, an unknown command, an option before the command)
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

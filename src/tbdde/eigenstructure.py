@@ -30,10 +30,12 @@ def normalization(q1, q2, p1, p2, g1, g2):
     The basis puts (psi1, psi2, phi1, phi2) in (q1, q2, p1, p2); the defining
     system puts its row functionals (l1, l2) in place of (psi1, psi2).  With
     g = f2 p both sides are linear in (p, g): on derivative tables of p and g
-    they give the identities' gradients.
+    they give the identities' gradients.  Halving is exact, so q1 g1 and
+    q2 g1 are formed once for both sides.
     """
-    return (q1 @ p1 - 0.5 * q2 @ g1 + q1 @ g1,
-            q1 @ p2 - 0.5 * q1 @ g1 + q1 @ g2 + q2 @ g1 / 6.0 - 0.5 * q2 @ g2)
+    q1g1, q2g1 = q1 @ g1, q2 @ g1
+    return (q1 @ p1 - 0.5 * q2g1 + q1g1,
+            q1 @ p2 - 0.5 * q1g1 + q1 @ g2 + q2g1 / 6.0 - 0.5 * q2 @ g2)
 
 
 class Check(NamedTuple):

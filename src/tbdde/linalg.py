@@ -10,9 +10,11 @@ The solve guard proves most systems safe without an SVD, from the
 Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, section 6): it accepts
 only systems the exact condition number accepts too, up to rounding of
-relative order n cond_2(A) eps.  From state dimension 24 up, Newton takes
-most steps in ``defining`` instead, by block elimination, proved safe by a
-bound of the same kind.  The certificate takes one SVD and no inverse.
+relative order n cond_2(A) eps.  One LU factorization gives both the
+inverse the bound needs and the solution.  From state dimension 24 up,
+Newton takes most steps in ``defining`` instead, by block elimination,
+proved safe by a bound of the same kind.  The certificate takes one SVD and
+no inverse.
 """
 
 from __future__ import annotations
@@ -52,22 +54,30 @@ def solve_with_cond(A, b):
     underflow, those for ||A^-1||_F overflow, or (within a factor 2 of
     underflow) the subnormal sum keeps 15 digits.  Otherwise the exact
     cond_2(A) (``cond_estimate``) decides and is c; above COND_LIMIT it
-    raises NearSingular with it as ``cond`` (nan for a non-finite A).  x is
-    ``np.linalg.solve``'s.
+    raises NearSingular with it as ``cond`` (nan for a non-finite A).  x and
+    A^-1 come from one ``np.linalg.solve(A, [b | I])``, one LU: its last n
+    columns are ``np.linalg.inv(A)`` bit for bit, and its first is x.
     """
     A, b = _square(_real(A, "A has")), _real(b, "b has")
     if b.shape != (A.shape[0],):
         raise InputError(f"rhs shape {b.shape} does not match matrix {A.shape}")
+    n = A.shape[0]
+    rhs = np.eye(n, n + 1, 1)   # [b | I]
+    rhs[:, 0] = b
     try:
-        c = _frobenius(A) * _frobenius(np.linalg.inv(A))
+        X = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        c = np.inf
+        X, c = None, np.inf
+    else:
+        c = _frobenius(A) * _frobenius(X[:, 1:])
     if not c <= COND_LIMIT:
         c = cond_estimate(A)
         if not c <= COND_LIMIT:
             raise NearSingular(f"condition estimate {c:.3e} exceeds {COND_LIMIT:.3e}",
                                cond=c)
-    return np.linalg.solve(A, b), c
+    if X is None:   # an exactly singular LU of a system the SVD accepts
+        raise NearSingular("LU factorization is exactly singular", cond=c)
+    return X[:, 0], c
 
 
 def solve(A, b) -> np.ndarray:

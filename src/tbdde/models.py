@@ -24,6 +24,7 @@ package reads the call's value as NaN (``model._call``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -212,10 +213,22 @@ def registry() -> list[str]:
     return sorted(_BUILDERS)
 
 
+@functools.cache
+def _default(name: str) -> DdeModel:
+    return _BUILDERS[name]({})
+
+
 def build(name: str, constants: dict | None = None) -> DdeModel:
+    """The registered model ``name``, with ``constants`` in place of its
+    default constants.  Without constants (None or an empty dict) every call
+    returns one shared model, built on first use: a ``DdeModel`` is frozen
+    and its callbacks close over frozen constants, so sharing it is safe.
+    With constants each call builds a new model."""
     if name not in _BUILDERS:
         raise InputError(f"unknown model {name!r}; available: {registry()}")
+    if constants is None or (isinstance(constants, dict) and not constants):
+        return _default(name)
     try:
-        return _BUILDERS[name](dict(constants or {}))
+        return _BUILDERS[name](dict(constants))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad model constants for {name!r}: {exc}") from exc

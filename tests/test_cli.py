@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -58,28 +59,29 @@ def failed(verdict):
 # `tbdde solve --json` Newton reports on the four solve fixtures, frozen:
 # iterations, residual_history and solution, exactly
 SOLVED = {
-    "solve_pp_1": (6, [4.5054073421920116, 4.329587204852787, 0.16383379455546054,
-                       0.0013517276263422416, 3.7035034922854414e-06,
-                       1.908029289995131e-11, 4.68299741185087e-22],
-                   {"x": [1.0, 1.0], "phi1": [1.0, -4.68299741185087e-22],
-                    "phi2": [2.281370591769786e-23, -2.0], "lambda": 0.5, "mu": 2.0}),
+    "solve_pp_1": (6, [4.5054073421920116, 4.329587204852787, 0.1638337945554612,
+                       0.001351727626342242, 3.7035034922854414e-06,
+                       1.908029289995131e-11, 4.682981255979531e-22],
+                   {"x": [1.0, 1.0], "phi1": [1.0, -4.682981255979531e-22],
+                    "phi2": [2.2812898124130913e-23, -2.0], "lambda": 0.5, "mu": 2.0}),
     "solve_pp_2": (7, [5.017737167428111, 3.087738861904549, 0.6471880036342155,
                        0.1788878995287151, 0.02368785213156592, 0.0005362347672801682,
-                       2.8726131015962683e-07, 8.260059305147019e-14],
-                   {"x": [1.0, 1.0], "phi1": [0.9999999999999999, 3.871711652340449e-23],
-                    "phi2": [1.9033007297638725e-24, -1.9999999999999998],
+                       2.8726131015962403e-07, 8.260059305477932e-14],
+                   {"x": [1.0, 1.0], "phi1": [0.9999999999999999, 4.533536921739566e-23],
+                    "phi2": [-8.850048638583975e-24, -1.9999999999999998],
                     "lambda": 0.5, "mu": 1.9999999999998348}),
-    "solve_pp_3": (8, [3.5048076923076925, 0.8384989750934503, 0.44587512843631916,
-                       0.33733194324434435, 0.11694767233508567, 0.003562023055279096,
-                       2.4101530342631365e-05, 9.664066213943556e-10,
+    "solve_pp_3": (8, [3.5048076923076925, 0.8384989750934503, 0.4458751284363192,
+                       0.337331943244346, 0.11694767233508671, 0.003562023055279153,
+                       2.410153034263136e-05, 9.664066213943556e-10,
                        1.2737961047857211e-20],
                    {"x": [1.0, 1.0], "phi1": [1.0, 1.2737961047857211e-20],
-                    "phi2": [2.8254114811724603e-21, -2.0], "lambda": 0.5, "mu": 2.0}),
-    "solve_pp_4": (7, [4.47221052631579, 3.2652539442677213, 0.5287176282615771,
-                       0.11175897200640394, 0.007473637821121091, 6.2684560743805955e-06,
-                       9.378587827642536e-11, 4.0119875295955735e-21],
-                   {"x": [1.0, 1.0], "phi1": [1.0, -2.2540671692070004e-22],
-                    "phi2": [4.0119875295955735e-21, -2.0], "lambda": 0.5, "mu": 2.0}),
+                    "phi2": [2.825398556475389e-21, -2.0], "lambda": 0.5, "mu": 2.0}),
+    "solve_pp_4": (7, [4.47221052631579, 3.2652539442677213, 0.528717628261576,
+                       0.11175897200640339, 0.0074736378211212266, 6.268456074380595e-06,
+                       9.378610032272435e-11, 2.2204471760254037e-16],
+                   {"x": [1.0, 1.0], "phi1": [1.0, -2.253550181324155e-22],
+                    "phi2": [4.011981067247038e-21, -2.0], "lambda": 0.5,
+                    "mu": 2.0000000000000004}),
 }
 
 
@@ -391,6 +393,20 @@ def test_boolean_model_constant_exit_4(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
     assert code == 4 and out == ""
     assert "config error" in err and "a1" in err
+
+
+@pytest.mark.parametrize("constants", [[["tau", 2]], "abc", 0, "", [], False, None],
+                         ids=["pairs", "string", "zero", "empty-string", "empty-list",
+                              "false", "null"])
+def test_model_constants_must_be_an_object_exit_4(capsys, tmp_path, monkeypatch, constants):
+    # a list of pairs would otherwise run at tau = 2, and a falsy value at the
+    # default constants
+    runs = []
+    monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
+    cfg = json.loads(SOLVE_FIXTURES[0].read_text()) | {"model_constants": constants}
+    code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 4 and out == "" and not runs
+    assert err == "config error: config field 'model_constants' must be an object\n"
 
 
 class TestVerify:
@@ -868,6 +884,57 @@ def test_parser_built_once_and_stateless(capsys, tmp_path):
     for argv in sequence[:4] + sequence[5:]:
         assert (vars(cli.build_parser().parse_args(argv))
                 == vars(cli.build_parser.__wrapped__().parse_args(argv)))
+
+
+class TestOncePerCall:
+    """A call parses its arguments in one argparse pass, and the default
+    model is built once per process."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("solve", SOLVE_FIXTURES[0]), ("verify", FIXTURES / "verify_pp_point.json"),
+        ("scan", FIXTURES / "scan_pp.json"), ("list-models", None)])
+    def test_one_argparse_pass(self, capsys, monkeypatch, tmp_path, command, config):
+        passes, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            passes.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        argv = [command] if config is None else [command, "--config", str(config)]
+        if command == "scan":
+            argv += ["--csv", str(tmp_path / "scan.csv")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and passes == [f"tbdde {command}"]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["--json", "solve"], "the following arguments are required: --config"),
+        (["scan", "--config", str(FIXTURES / "scan_pp.json"), "--json"],
+         "unrecognized arguments: --json")])
+    def test_usage_error_exit_4(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("usage: tbdde") and message in err
+
+    def test_top_level_help_exits_0(self, capsys):
+        # a command's --help is TestSolve's
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tbdde [-h]")
+
+    def test_default_model_built_once(self, capsys, monkeypatch):
+        # a solve and two verifies of predator-prey build it once in all
+        built, make = [], models.predator_prey
+        monkeypatch.setattr(models, "predator_prey", lambda *a: built.append(a) or make(*a))
+        models._default.cache_clear()
+        codes = [run(capsys, command, "--config", str(FIXTURES / name), "--json")[0]
+                 for command, name in (("solve", SOLVE_FIXTURES[0].name),
+                                       ("verify", "verify_pp_point.json"),
+                                       ("verify", "verify_pp_off.json"))]
+        assert codes == [0, 0, 3] and len(built) == 1
 
 
 def test_console_entry_point_installed(monkeypatch, capsys):

@@ -352,8 +352,9 @@ class TestNewton:
 
     @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
     def test_steps_are_plain_newton_with_frobenius_cond(self, pp, row):
-        # every step is np.linalg.solve's, and final_cond is the Frobenius
-        # bound of the last Jacobian: between cond_2(J) and (3n+2) cond_2(J)
+        # every step is the first column of np.linalg.solve(J, [-r | I]), one
+        # LU, and final_cond is the Frobenius bound of the last Jacobian:
+        # between cond_2(J) and (3n+2) cond_2(J)
         report = newton_solve(pp, candidate(row), L10)
         v, history = candidate(row), []
         while True:
@@ -362,7 +363,8 @@ class TestNewton:
             if history[-1] <= NewtonOptions().tol_res:
                 break
             J = jacobian(pp, v, L10)
-            v = TbCandidate.unpack(v.pack() + np.linalg.solve(J, -r), 2)
+            step = np.linalg.solve(J, np.column_stack([-r, np.eye(len(r))]))[:, 0]
+            v = TbCandidate.unpack(v.pack() + step, 2)
         assert report.converged and report.iterations == len(history) - 1
         assert report.residual_history == history
         assert np.array_equal(report.solution.pack(), v.pack())

@@ -109,11 +109,41 @@ class TestSolve:
             assert exc.value.cond == exact
         else:
             x, c = linalg.solve_with_cond(A, b)
-            assert np.array_equal(x, np.linalg.solve(A, b))
+            one_lu = np.linalg.solve(A, np.column_stack([b, np.eye(n)]))
+            assert np.array_equal(x, one_lu[:, 0])
             # cond_2 <= c <= n cond_2, up to rounding of order n cond_2 eps
             slack = 10 * n * exact * np.finfo(float).eps
             assert exact * (1.0 - slack) <= c <= n * exact * (1.0 + slack)
 
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 26, 50, 98])
+    def test_one_factorization_gives_bound_and_step(self, monkeypatch, n):
+        # one np.linalg.solve(A, [b | I]) and no inverse: the bound is the
+        # Frobenius bound from np.linalg.inv bit for bit, and the step is
+        # backward stable
+        inv, calls = np.linalg.inv, []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            A = with_cond(rng, n, rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0))
+            b = rng.standard_normal(n)
+            calls.clear()
+            x, c = linalg.solve_with_cond(A, b)
+            assert calls == ["solve"]
+            assert c == linalg._frobenius(A) * linalg._frobenius(inv(A))
+            assert (np.linalg.norm(A @ x - b) <= 10 * n * np.finfo(float).eps
+                    * np.linalg.norm(A, 2) * np.linalg.norm(x))
+
+    def test_exactly_singular_matrix_refused(self):
+        # its LU fails; the SVD decides, and no step is returned
+        with pytest.raises(NearSingular) as exc:
+            linalg.solve_with_cond(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        assert exc.value.cond > linalg.COND_LIMIT
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError, match="square matrix"):

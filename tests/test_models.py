@@ -35,6 +35,16 @@ class TestRegistry:
         assert diff == pytest.approx([0.5 * 1.3 * (1.0 - 1.3 / 2.0), 0.0], abs=1e-15)
         assert model.tau == 0.5
 
+    @pytest.mark.parametrize("name", ["predator-prey", "synthetic-tb"])
+    def test_default_model_is_built_once(self, name):
+        # without constants every call shares one frozen model; with
+        # constants, or a falsy non-dict, each call builds its own
+        model = build(name)
+        assert build(name) is model and build(name, {}) is model
+        assert build(name, {"tau": 1.0}) is not model and build(name, []) is not model
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.tau = 2.0
+
     def test_unknown_name(self):
         with pytest.raises(InputError):
             build("lorenz")

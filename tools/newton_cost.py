@@ -41,7 +41,11 @@ converge, or if a step does not make exactly 13 ``d1``, 13 ``d2`` and
 5 ``f`` calls (lifted) or 6 ``ddir`` calls (predator-prey): the six
 derivative pairs of the Jacobian (two callbacks each, or one ``ddir``),
 f_lambda and f_mu (four ``f`` calls, or the suppliers), and the new
-iterate's f, f1 and f2.
+iterate's f, f1 and f2.  It also exits 1 unless each step factors its
+system once: a dense step gives one matrix to ``linalg.solve`` (which
+returns the step and the inverse its bound needs) and none to
+``linalg.inv``, a structured step two to ``linalg.inv`` and none to
+``linalg.solve``.
 """
 
 import os
@@ -75,6 +79,8 @@ KERNELS = ("inv", "svd", "solve")   # the np.linalg functions whose matrices are
 CALLBACKS = ("f", "d1", "d2", "dlam", "dmu", "ddir")
 #: callbacks per step, by model kind
 EXPECTED = {"lifted": {"d1": 13, "d2": 13, "f": 5}, "predator-prey": {"ddir": 6}}
+#: matrices per step given to np.linalg's inv and solve, by the step taken
+EXPECTED_MATRICES = {"dense": {"inv": 0, "solve": 1}, "structured": {"inv": 2, "solve": 0}}
 
 
 @contextlib.contextmanager
@@ -194,6 +200,10 @@ def main() -> int:
         if not steps:
             continue
         taken = "structured" if model.n >= tb.defining._STRUCTURED_N else "dense"
+        for kernel, per_step in EXPECTED_MATRICES[taken].items():
+            if matrices[kernel] != per_step * steps:
+                wrong.append(f"{name}: {matrices[kernel]} matrices to linalg.{kernel} in "
+                             f"{steps} {taken} steps, expected {per_step} a step")
         us = part_times(tb, model, L, points)
         runs_us = sum(median_us(lambda: tb.defining.newton_solve(
             model, tb.defining.TbCandidate.unpack(start, model.n), L)) for start in starts)
