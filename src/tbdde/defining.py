@@ -96,10 +96,10 @@ class NewtonReport:
     ``final_cond`` is the condition number the last step was guarded with
     (nan if no step was taken): an upper bound on cond_2(J) when one proved
     the step safe, and the exact cond_2(J) otherwise, as when the step was
-    refused (see ``linalg.solve_with_cond``).  From n = 24 up the bound is
+    refused (see ``linalg.solve_with_cond``).  From n = 20 up the bound is
     the structured step's, ||J||_F times a bound on ||J^-1||_F from the block
     elimination (``_structured_step``); on the lifted models at n = 8..48 it
-    was 9 to 190 times cond_2(J).  Below n = 24, or where that bound cannot
+    was 9 to 190 times cond_2(J).  Below n = 20, or where that bound cannot
     prove the step safe, it is the Frobenius bound ||J||_F ||J^-1||_F,
     between cond_2(J) and (3n+2) cond_2(J).
     """
@@ -195,9 +195,10 @@ def _jacobian(lin: Linearization, p1, p2, L: Functionals) -> np.ndarray:
 
 
 #: ``newton_solve`` takes the structured step from this state dimension up:
-#: over the steps of 30 lifted Newton runs (one BLAS thread) it took 1.13
-#: times the dense guarded step's time at n = 20 and 0.89 times at n = 24
-_STRUCTURED_N = 24
+#: at the iterates of three lifted Newton runs (``tools/layer_cost.py``, one
+#: BLAS thread, median of three runs) it took 1.17 times the dense guarded
+#: step's time at n = 16, and 0.86 times at n = 20, faster there in each run
+_STRUCTURED_N = 20
 
 
 def _sq(*blocks) -> float:

@@ -11,7 +11,7 @@ Frobenius bound ||A||_F ||A^-1||_F on cond_2(A) (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 2002, section 6): it accepts
 only systems the exact condition number accepts too, up to rounding of
 relative order n cond_2(A) eps.  One LU factorization gives both the
-inverse the bound needs and the solution.  From state dimension 24 up,
+inverse the bound needs and the solution.  From state dimension 20 up,
 Newton takes most steps in ``defining`` instead, by block elimination,
 proved safe by a bound of the same kind.  The certificate takes one SVD and
 no inverse.

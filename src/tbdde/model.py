@@ -168,26 +168,35 @@ def _f(model: DdeModel, x, y, lam, mu) -> np.ndarray:
     return _call(model, "f", (model.n,), x, y, lam, mu)
 
 
-def _fd_jac(func, base: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of ``func`` (vector valued) at ``base``."""
-    n = base.size
+_SLOTS = {"1": 0, "2": 1, "lam": 2, "mu": 3}   # slot -> its argument's place in (x, y, lam, mu)
+
+
+def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
+    """f1 (``slot`` "1", the x slot), f2 ("2", the delayed slot), f_lam
+    ("lam") or f_mu ("mu"): the supplier ``"d" + slot``'s value, else a
+    central difference of f in that argument with step
+    eps**(1/3) max(1, |component|), column by column for x or y."""
+    n, k = model.n, _SLOTS[slot]
+    if getattr(model, "d" + slot) is not None:
+        return _call(model, "d" + slot, (n, n) if k < 2 else (n,), x, y, lam, mu)
+    point = [x, y, lam, mu]
+    base = point[k]
+
+    def f_at(v):   # f with the slot's argument v
+        point[k] = v
+        return _f(model, *point)
+
+    if k > 1:
+        h = H1 * max(1.0, abs(base))
+        return (f_at(base + h) - f_at(base - h)) / (2.0 * h)
     J = np.empty((n, n))
     e = np.zeros(n)
     for i in range(n):
         h = H1 * max(1.0, abs(base[i]))
         e[i] = h
-        J[:, i] = (func(base + e) - func(base - e)) / (2.0 * h)
+        J[:, i] = (f_at(base + e) - f_at(base - e)) / (2.0 * h)
         e[i] = 0.0
     return J
-
-
-def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
-    """f1 (``slot`` "1", the x slot) or f2 ("2", the delayed slot)."""
-    if (model.d1 if slot == "1" else model.d2) is not None:
-        return _call(model, "d" + slot, (model.n, model.n), x, y, lam, mu)
-    if slot == "1":
-        return _fd_jac(lambda xv: _f(model, xv, y, lam, mu), x)
-    return _fd_jac(lambda yv: _f(model, x, yv, lam, mu), y)
 
 
 def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
@@ -241,20 +250,6 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
     return out
 
 
-def _param(model: DdeModel, which: str, x, y, lam, mu) -> np.ndarray:
-    """f_lam (``which`` "lam") or f_mu ("mu"), from ``dlam`` or ``dmu``, else
-    differences of f (step eps**(1/3))."""
-    if (model.dlam if which == "lam" else model.dmu) is not None:
-        return _call(model, "d" + which, (model.n,), x, y, lam, mu)
-    p = lam if which == "lam" else mu
-    h = H1 * max(1.0, abs(p))
-
-    def g(pv):
-        return _f(model, x, y, pv, mu) if which == "lam" else _f(model, x, y, lam, pv)
-
-    return (g(p + h) - g(p - h)) / (2.0 * h)
-
-
 # -- one point's linearization and its derivatives
 
 class Linearization(NamedTuple):
@@ -279,7 +274,7 @@ class Linearization(NamedTuple):
         """(f_lam, f_mu), from ``dlam`` and ``dmu`` or differences of f
         (step eps**(1/3))."""
         model, x, lam, mu = self.model, self.x, self.lam, self.mu
-        return _param(model, "lam", x, x, lam, mu), _param(model, "mu", x, x, lam, mu)
+        return _first(model, "lam", x, x, lam, mu), _first(model, "mu", x, x, lam, mu)
 
     def along(self, dx=None, dy=None, dlam=None, dmu=None) -> tuple:
         """(f1', f2'): f1 and f2 differentiated along (dx, dy, dlam, dmu); a
@@ -357,4 +352,4 @@ def param_der(model: DdeModel, which: str, x, y, lam: float, mu: float):
     if which[0] in "12":   # "1lam": f1 along (0, 0, 1, 0), the pair's first matrix
         direction = (None, None, 1.0, None) if which[1:] == "lam" else (None, None, None, 1.0)
         return _dirder(model, *point, direction)[0][int(which[0]) - 1]
-    return _param(model, which, *point)
+    return _first(model, which, *point)

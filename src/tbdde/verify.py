@@ -352,8 +352,10 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     ``Linearization`` when the caller has it (a ``NewtonReport`` carries
     one); f is evaluated to make it when it is not given.  The derivatives
     come from it: f_lam, f_mu and the two directions above, from one
-    ``model._dirder`` call.  A ``basis`` whose f1 or f2 is not
-    n x n, or a ``lin`` whose x is not of length n, is an InputError.
+    ``model._dirder`` call.  A ``basis`` whose f1 or f2 is not n x n is an
+    InputError, and so is a ``lin`` whose x is not of length n, that is not
+    ``model``'s, that is not at ``solution``'s x, lam and mu, or whose f1 and
+    f2 are not ``basis``'s.
     """
     n = model.n
     if (shapes := (np.shape(basis.f1), np.shape(basis.f2))) != ((n, n), (n, n)):
@@ -363,6 +365,14 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         lin = Linearization(model, x, lam, mu, _f(model, x, x, lam, mu), basis.f1, basis.f2)
     elif lin.x.shape != (n,):
         raise InputError(f"lin must be at a point of length {n}, got shape {lin.x.shape}")
+    elif lin.model is not model:
+        raise InputError("lin must be a linearization of model")
+    elif not (lin.x is solution.x or np.array_equal(lin.x, solution.x)) or (
+            lin.lam, lin.mu) != (solution.lam, solution.mu):
+        raise InputError("lin must be at solution's x, lam and mu")
+    elif not all(b is f or np.array_equal(b, f) for b, f in ((basis.f1, lin.f1),
+                                                              (basis.f2, lin.f2))):
+        raise InputError("basis must be built from lin's f1 and f2")
     tol = basis.existence.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2

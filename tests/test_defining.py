@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tbdde import (DdeModel, Functionals, InputError, NewtonOptions, TbCandidate,
                    characteristic, compute_basis, jac_x, jac_y, jacobian, newton_solve,
-                   predator_prey, quadratic_check, residual, synthetic_tb)
+                   param_der, predator_prey, quadratic_check, residual, synthetic_tb)
 from tbdde import defining, linalg, verify
-from tbdde.model import H2, _call, _check_vec, _first
+from tbdde.model import H1, H2, _call, _check_vec, _f, _first
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
 PP_POINT = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
@@ -981,6 +981,61 @@ class TestAgainstTheUnbatchedDerivatives:
                 assert_same_bits(got, want)
 
 
+def reference_fd_jac(func, base):
+    """f1 or f2 by differences as the package computed them before f1, f2,
+    f_lam and f_mu shared one rule (``model._fd_jac`` then), verbatim."""
+    n = base.size
+    J = np.empty((n, n))
+    e = np.zeros(n)
+    for i in range(n):
+        h = H1 * max(1.0, abs(base[i]))
+        e[i] = h
+        J[:, i] = (func(base + e) - func(base - e)) / (2.0 * h)
+        e[i] = 0.0
+    return J
+
+
+def reference_param(model, which, x, y, lam, mu):
+    """f_lam or f_mu as the package computed them then (``model._param``), verbatim."""
+    if (model.dlam if which == "lam" else model.dmu) is not None:
+        return _call(model, "d" + which, (model.n,), x, y, lam, mu)
+    p = lam if which == "lam" else mu
+    h = H1 * max(1.0, abs(p))
+
+    def g(pv):
+        return _f(model, x, y, pv, mu) if which == "lam" else _f(model, x, y, lam, pv)
+
+    return (g(p + h) - g(p - h)) / (2.0 * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 8, 32]), tau=st.sampled_from([1.0, 1.3]),
+       seed=st.integers(0, 2 ** 32 - 1), delayed=st.booleans())
+def test_one_difference_rule_keeps_the_bits(n, tau, seed, delayed):
+    # f1, f2, f_lam and f_mu of an f-only model, by _first's one rule, are
+    # the separate differences' bits, at a steady state (as linearize and
+    # the certificate evaluate them) and at y != x, zeros of either sign included
+    model, _ = reference_model(n, "f-only", tau)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 1.0)
+    x = rng.uniform(-1.5, 1.5, n) * np.where(rng.random(n) < 0.5, 1.0, scale)
+    x[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+    y = x + rng.standard_normal(n) if delayed else x
+    lam, mu = scale * rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.5)
+    want = {"1": reference_fd_jac(lambda xv: _f(model, xv, y, lam, mu), x),
+            "2": reference_fd_jac(lambda yv: _f(model, x, yv, lam, mu), y),
+            "lam": reference_param(model, "lam", x, y, lam, mu),
+            "mu": reference_param(model, "mu", x, y, lam, mu)}
+    for slot, value in want.items():
+        assert_same_bits(_first(model, slot, x, y, lam, mu), value)
+    for which in ("lam", "mu"):
+        assert_same_bits(param_der(model, which, x, y, lam, mu), want[which])
+    if not delayed:
+        lin = defining.linearize(model, x, lam, mu)
+        for got, slot in zip((lin.f1, lin.f2, *lin.param_derivatives()), want, strict=True):
+            assert_same_bits(got, want[slot])
+
+
 @pytest.mark.parametrize("entry", ["quadratic_check"])
 def test_linearization_of_another_dimension_is_input_error(pp, entry):
     # a lin of a 3-dimensional model broadcast or failed inside numpy
@@ -989,6 +1044,57 @@ def test_linearization_of_another_dimension_is_input_error(pp, entry):
     with pytest.raises(InputError, match=re.escape("lin must be at a point of length 2, "
                                                    "got shape (3,)")):
         quadratic_check(pp, V_STAR, basis, lin)
+
+
+def pp_certificate(pp):
+    """(solution, linearization, basis) of a converged predator-prey report."""
+    report = newton_solve(pp, TbCandidate(*TABLE1[0][0]), L10)
+    assert report.converged
+    lin = report.linearization
+    return report.solution, lin, compute_basis(lin.f1, lin.f2)
+
+
+def test_linearization_of_another_model_is_input_error(pp):
+    # predator-prey's linearization would lend synthetic-tb its f_lam and
+    # f_mu, a mixed certificate (d0 = 1.591 where predator-prey's is 0.0884)
+    sol, lin, basis = pp_certificate(pp)
+    with pytest.raises(InputError, match="lin must be a linearization of model"):
+        quadratic_check(synthetic_tb(), sol, basis, lin)
+
+
+@pytest.mark.parametrize("moved", [{"x": np.array([5.0, 5.0])}, {"lam": 9.0}, {"mu": 9.0},
+                                   {"x": np.array([5.0, 5.0]), "lam": 9.0, "mu": 9.0}],
+                         ids=["x", "lam", "mu", "all"])
+def test_linearization_at_another_point_is_input_error(pp, moved):
+    # a point moved far off fails on its own linearization; the report's
+    # linearization must not certify it in its place
+    sol, lin, basis = pp_certificate(pp)
+    sol = dataclasses.replace(sol, **moved)
+    assert not quadratic_check(pp, sol, compute_basis(jac_x(pp, sol.x, sol.x, sol.lam, sol.mu),
+                                                      jac_y(pp, sol.x, sol.x, sol.lam,
+                                                            sol.mu))).passed
+    with pytest.raises(InputError, match="lin must be at solution's x, lam and mu"):
+        quadratic_check(pp, sol, basis, lin)
+
+
+def test_basis_of_another_linearization_is_input_error(pp):
+    sol, lin, basis = pp_certificate(pp)
+    other = defining.linearize(pp, [1.2, 0.9], 0.5, 2.0)
+    with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
+        quadratic_check(pp, sol, compute_basis(other.f1, other.f2), lin)
+    with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
+        quadratic_check(pp, sol, compute_basis(lin.f1, other.f2), lin)
+
+
+def test_matching_linearization_gives_the_verdict_without_it(pp):
+    # a point, linearization and basis that match, by identity or by value
+    # (copies), give the verdict that the point and basis alone give
+    sol, lin, basis = pp_certificate(pp)
+    want = quadratic_check(pp, sol, basis)
+    copies = dataclasses.replace(sol, x=sol.x.copy())
+    for args in ((sol, basis), (copies, compute_basis(lin.f1.copy(), lin.f2.copy()))):
+        got = quadratic_check(pp, *args, lin)
+        assert got.passed and got.d0 == want.d0 and got.c_lam_mu == want.c_lam_mu
 
 
 @pytest.mark.parametrize("f1, f2", [(np.eye(3), np.zeros((3, 3))), (np.eye(1), np.eye(1))],
