@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from tbdde import (Functionals, TbCandidate, compute_basis, jac_x, jac_y,
-                   newton_solve, predator_prey, quadratic_check)
+from tbdde import (Functionals, TbCandidate, compute_basis, linearize, newton_solve,
+                   predator_prey, quadratic_check)
 
 model = predator_prey()
 
@@ -49,11 +49,11 @@ print(f"carrying cap.    K = {sol.mu}")
 print(f"eigenvector   phi1 = {sol.phi1}")
 print(f"generalized   phi2 = {sol.phi2}")
 
-# Certify the point independently of the solve: rebuild the eigenvector
-# chain from scratch and decide every check of the certificate.
-f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
-f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
-verdict = quadratic_check(model, sol, compute_basis(f1, f2))
+# Certify the point independently of the solve: evaluate f, f1 and f2 at it
+# afresh, rebuild the eigenvector chain from them and decide every check of
+# the certificate.
+lin = linearize(model, sol.x, sol.lam, sol.mu)
+verdict = quadratic_check(model, sol, compute_basis(lin.f1, lin.f2), lin)
 print()
 checks = {**verdict.existence.checks, **verdict.checks}
 for name, check in checks.items():

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from tbdde import (Functionals, TbCandidate, compute_basis, jac_x, jac_y,
-                   newton_solve, quadratic_check, synthetic_tb)
+from tbdde import (Functionals, TbCandidate, compute_basis, linearize, newton_solve,
+                   quadratic_check, synthetic_tb)
 
 model = synthetic_tb()
 L = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
@@ -32,9 +32,9 @@ print(f"converged in {report.iterations} iterations, "
 err = np.max(np.abs(report.solution.pack() - exact.pack()))
 print(f"distance to the designed point: {err:.1e}")
 
-f1 = jac_x(model, exact.x, exact.x, 0.0, 0.0)
-f2 = jac_y(model, exact.x, exact.x, 0.0, 0.0)
-basis = compute_basis(f1, f2)
+# The certificate at the designed point, whose closed-form values follow.
+lin = linearize(model, exact.x, exact.lam, exact.mu)
+basis = compute_basis(lin.f1, lin.f2)
 r2 = np.sqrt(2.0)
 print()
 print("eigenvector chain vs closed form:")
@@ -43,7 +43,7 @@ print(f"  phi2 = {basis.phi2}   (exact (sqrt2/8, sqrt2))")
 print(f"  psi1 = {basis.psi1}   (exact (sqrt2/2, 0))")
 print(f"  psi2 = {basis.psi2}   (exact (0, sqrt2/2))")
 
-verdict = quadratic_check(model, report.solution, basis)
+verdict = quadratic_check(model, exact, basis, lin)
 print()
 print(f"parameter ratio c = {verdict.c_lam_mu:+.12f}     (exact -1)")
 print(f"determinant   d0 = {verdict.d0:+.12f}  (exact 11*sqrt2/4 = {11 * r2 / 4:.12f})")

@@ -15,13 +15,10 @@ Typical use::
 """
 
 from .errors import InputError, NearSingular, TbddeError
-from .model import (DdeModel, Linearization, eval_f, jac_x, jac_y, linearize,
-                    param_der, second_dirder)
-from .eigenstructure import EigenBasis, TbExistence, compute_basis, tb_existence_test
-from .defining import (Functionals, NewtonOptions, NewtonReport, TbCandidate,
-                       jacobian, newton_solve, residual)
-from .verify import (TbVerdict, characteristic, double_zero_check,
-                     quadratic_check, spectral_scan)
+from .model import DdeModel, Linearization, linearize
+from .eigenstructure import EigenBasis, TbExistence, compute_basis
+from .defining import Functionals, NewtonOptions, NewtonReport, TbCandidate, newton_solve
+from .verify import TbVerdict, double_zero_check, quadratic_check, spectral_scan
 from .models import (PredatorPreyParams, SyntheticTbParams, build,
                      predator_prey, registry, synthetic_tb)
 
@@ -33,9 +30,6 @@ __all__ = [
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
     "build", "registry",
-    "characteristic", "compute_basis", "double_zero_check", "eval_f",
-    "jac_x", "jac_y", "jacobian", "linearize", "newton_solve",
-    "param_der",
-    "predator_prey", "quadratic_check", "residual", "second_dirder",
-    "spectral_scan", "synthetic_tb", "tb_existence_test",
+    "compute_basis", "double_zero_check", "linearize", "newton_solve",
+    "predator_prey", "quadratic_check", "spectral_scan", "synthetic_tb",
 ]

@@ -26,12 +26,12 @@ f, f1 and f2, evaluated once, which the defining system's residual and
 Jacobian and every certificate share: ``linearize`` is how the package
 evaluates a point.  ``param_derivatives`` gives f_lambda and f_mu there,
 and ``along(dx, dy, dlam, dmu)`` f1 and f2 differentiated along one
-direction.  The public functions below (``eval_f``, ``jac_x``, ``jac_y``,
-``second_dirder``, ``param_der``), which no package code calls, serve one
-value at any (x, y, lam, mu), checked once by ``_check_point``.  A vector
-argument that is not n real numbers, a lam, mu or direction number that is
-not one real number, or a supplier's result not real or of the wrong
-shape, is an ``InputError`` naming it.  A callback
+direction.  The functions below (``eval_f``, ``jac_x``, ``jac_y``,
+``second_dirder``, ``param_der``), which the package neither calls nor
+exports, serve one value at any (x, y, lam, mu), checked by
+``_check_point``.  A vector argument that is not n real numbers, a lam, mu
+or direction number that is not one real number, or a supplier's result
+not real or of the wrong shape, is an ``InputError`` naming it.  A callback
 that raises ZeroDivisionError or OverflowError, as Python float arithmetic
 does where numpy's gives inf or nan, has the value NaN.
 """
@@ -301,7 +301,7 @@ def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:
                          _first(model, "2", x, x, lam, mu))
 
 
-# -- the public entry points: one value each, arguments checked
+# -- one value each, arguments checked: only the benchmark calls these
 
 def eval_f(model: DdeModel, x, y, lam: float, mu: float) -> np.ndarray:
     """Evaluate the right-hand side; with ``x == y`` this is the steady-state residual."""

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import linalg
 from .defining import TbCandidate
-from .eigenstructure import Check, EigenBasis, TbExistence, tb_existence_test
+from .eigenstructure import Check, EigenBasis, TbExistence, compute_basis
 from .errors import InputError, NearSingular
-from .model import DdeModel, Linearization, _check_params, _check_vec, _dirder, _f, linearize
+from .model import DdeModel, Linearization, _dirder, linearize
 
 #: half-width of the strip |Re z| <= delta that spectral_scan calls the axis
 _DELTA = 1e-3
@@ -83,16 +83,17 @@ def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> com
 def double_zero_check(model: DdeModel, x, lam: float, mu: float):
     """Certify an equilibrium with a double zero at z = 0, without a basis.
 
-    f, f1 and f2 are evaluated once, by ``linearize``; ``tb_existence_test``
-    on (f1, f2) decides the double zero, and x is an equilibrium when |f|_inf
-    <= its threshold ``TbExistence.tol``.  Returns (|f|_inf, range value,
-    nondegeneracy value, ok), the middle two the existence test's (NaN where
-    it stops before them): ok is False at any point that is no double zero.
+    f, f1 and f2 are evaluated once, by ``linearize``; the existence test of
+    ``compute_basis(f1, f2)`` decides the double zero, and x is an
+    equilibrium when |f|_inf <= its threshold ``TbExistence.tol``.  Returns
+    (|f|_inf, range value, nondegeneracy value, ok), the middle two the
+    existence test's (NaN where it stops before them): ok is False at any
+    point that is no double zero.
     Only a non-finite or too ill-conditioned linearization raises
     NearSingular.
     """
     lin = _linearized(model, x, lam, mu)
-    existence = tb_existence_test(lin.f1, lin.f2)
+    existence = compute_basis(lin.f1, lin.f2).existence
     res = float(np.max(np.abs(lin.f)))
     checks = existence.checks
     return (res, checks["range"].value, checks["nondegeneracy"].value,
@@ -346,32 +347,24 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     formed: ``c_lam_mu``, ``nu``, ``psi2_nu`` and ``d0`` are NaN, and "d0" fails;
     so are they, and transversality, on the NaN basis of a failed existence test.
 
-    ``basis`` must be the one built at ``solution``: its linearization
-    (f1, f2) and existence test are the point's, so the point's f1 and f2
-    are evaluated once, by the caller.  ``lin`` is the point's
-    ``Linearization`` when the caller has it (a ``NewtonReport`` carries
-    one); f is evaluated to make it when it is not given.  The derivatives
-    come from it: f_lam, f_mu and the two directions above, from one
-    ``model._dirder`` call.  A ``basis`` whose f1 or f2 is not n x n is an
-    InputError, and so is a ``lin`` whose x is not of length n, that is not
-    ``model``'s, that is not at ``solution``'s x, lam and mu, or whose f1 and
-    f2 are not ``basis``'s.
+    ``basis`` must be the one built at ``solution``: its existence test is
+    the point's.  ``lin`` is the point's ``Linearization`` when the caller
+    has it (a ``NewtonReport`` carries one); without it, f, f1 and f2 are
+    evaluated once, by ``linearize``.  The derivatives come from it: f_lam,
+    f_mu and the two directions above, from one ``model._dirder`` call.  A
+    ``lin`` that is not ``model``'s or not at ``solution``'s x, lam and mu is
+    an InputError, and so is a ``basis`` whose f1 and f2 are not ``lin``'s,
+    as a basis built at another point or of another dimension.
     """
-    n = model.n
-    if (shapes := (np.shape(basis.f1), np.shape(basis.f2))) != ((n, n), (n, n)):
-        raise InputError(f"basis must be of {n} x {n} matrices, got shapes {shapes}")
-    if lin is None:   # as linearize would build it, with the basis's f1 and f2
-        x, (lam, mu) = _check_vec(model, solution.x, "x"), _check_params(solution.lam, solution.mu)
-        lin = Linearization(model, x, lam, mu, _f(model, x, x, lam, mu), basis.f1, basis.f2)
-    elif lin.x.shape != (n,):
-        raise InputError(f"lin must be at a point of length {n}, got shape {lin.x.shape}")
+    if lin is None:
+        lin = linearize(model, solution.x, solution.lam, solution.mu)
     elif lin.model is not model:
         raise InputError("lin must be a linearization of model")
     elif not (lin.x is solution.x or np.array_equal(lin.x, solution.x)) or (
             lin.lam, lin.mu) != (solution.lam, solution.mu):
         raise InputError("lin must be at solution's x, lam and mu")
-    elif not all(b is f or np.array_equal(b, f) for b, f in ((basis.f1, lin.f1),
-                                                              (basis.f2, lin.f2))):
+    if not all(b is f or np.array_equal(b, f) for b, f in ((basis.f1, lin.f1),
+                                                          (basis.f2, lin.f2))):
         raise InputError("basis must be built from lin's f1 and f2")
     tol = basis.existence.tol
     p1, p2 = basis.phi1, basis.phi2

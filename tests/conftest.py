@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tbdde import TbCandidate, residual
+from tbdde import TbCandidate
+from tbdde.defining import residual
 from tbdde.eigenstructure import normalization
 
 

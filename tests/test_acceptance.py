@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from tbdde import (Functionals, TbCandidate, cli, compute_basis, double_zero_check,
-                   jac_x, jac_y, jacobian, newton_solve, predator_prey,
-                   quadratic_check, residual, synthetic_tb, tb_existence_test)
+                   newton_solve, predator_prey, quadratic_check, synthetic_tb)
+from tbdde.defining import jacobian, residual
+from tbdde.eigenstructure import tb_existence_test
+from tbdde.model import jac_x, jac_y
 from tbdde import linalg
 
 FIXTURES = Path(__file__).parent / "fixtures"

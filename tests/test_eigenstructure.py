@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tbdde import (InputError, NearSingular, compute_basis,
-                   eval_f, jac_x, jac_y, predator_prey, synthetic_tb,
-                   tb_existence_test)
+from tbdde import InputError, NearSingular, compute_basis, predator_prey, synthetic_tb
+from tbdde.eigenstructure import tb_existence_test
+from tbdde.model import eval_f, jac_x, jac_y
 from tbdde.linalg import rank_and_nullspace
 
 F1_PP = np.array([[0.0, -0.5], [0.0, 0.0]])

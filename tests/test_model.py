@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from tbdde import (DdeModel, Functionals, InputError, TbCandidate, eval_f, jac_x, jac_y,
-                   linearize, newton_solve, param_der, predator_prey, second_dirder)
-from tbdde.model import _real
+from tbdde import (DdeModel, Functionals, InputError, TbCandidate, linearize,
+                   newton_solve, predator_prey)
+from tbdde.model import _real, eval_f, jac_x, jac_y, param_der, second_dirder
 
 TB_ARGS = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 

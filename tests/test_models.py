@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbdde import (DdeModel, InputError, PredatorPreyParams, SyntheticTbParams,
-                   build, eval_f, jac_x, jac_y, param_der, predator_prey,
-                   registry, second_dirder, synthetic_tb)
-from tbdde.model import _dirder
+                   build, predator_prey, registry, synthetic_tb)
+from tbdde.model import _dirder, eval_f, jac_x, jac_y, param_der, second_dirder
 
 # an entry of a direction, at least 0.1 in magnitude
 _entry = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)

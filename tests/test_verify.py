@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from tbdde import verify
 from tbdde import (DdeModel, Functionals, InputError, NearSingular,
-                   SyntheticTbParams, TbCandidate, TbddeError, build, characteristic,
-                   compute_basis, double_zero_check, eval_f, jac_x, jac_y, jacobian,
-                   linalg, linearize, predator_prey, quadratic_check, residual,
-                   spectral_scan, synthetic_tb, tb_existence_test)
+                   SyntheticTbParams, TbCandidate, TbddeError, build, compute_basis,
+                   double_zero_check, linalg, linearize, predator_prey, quadratic_check,
+                   spectral_scan, synthetic_tb)
+from tbdde.defining import jacobian, residual
+from tbdde.eigenstructure import tb_existence_test
+from tbdde.model import eval_f, jac_x, jac_y
+from tbdde.verify import characteristic
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -706,13 +709,12 @@ def test_complex_point_is_input_error(pp, entry):
 
 @pytest.mark.parametrize("entry", sorted(POINT_CHECKS))
 def test_one_evaluation_per_entry_point(pp, counted_model, entry):
-    # each point check reads f, f1 and f2 from one linearization; given a
-    # basis, quadratic_check evaluates only f (its derivatives come from
-    # predator-prey's dlam, dmu and ddir)
+    # each point check reads f, f1 and f2 from one linearization, quadratic_check
+    # without lin too (its other derivatives come from predator-prey's dlam,
+    # dmu and ddir)
     model, counts = counted_model(pp)
     POINT_CHECKS[entry](model, TB_X)
-    want = {"f": 1} if entry == "quadratic_check" else {"f": 1, "d1": 1, "d2": 1}
-    assert counts == want
+    assert counts == {"f": 1, "d1": 1, "d2": 1}
 
 
 class TestQuadraticCheck:
@@ -804,6 +806,8 @@ class TestQuadraticCheck:
             flam = rng.standard_normal(n) * (rng.random() >= 0.25)
             fmu, T = rng.standard_normal(n), rng.standard_normal((2, n, n, n))
             model = DdeModel(n=n, tau=1.0, f=lambda x, y, l, u, f=f: f,
+                             d1=lambda x, y, l, u, b=basis: b.f1,
+                             d2=lambda x, y, l, u, b=basis: b.f2,
                              dlam=lambda x, y, l, u, v=flam: v,
                              dmu=lambda x, y, l, u, v=fmu: v,
                              ddir=lambda x, y, l, u, dx, dy, dl, du, T=T: T @ (dx + dy))
@@ -866,6 +870,8 @@ class TestQuadraticCheck:
         swapped, counts = counted_model(DdeModel(
             n=2, tau=1.0,
             f=lambda x, y, l, u: pp.f(x, y, u, l),
+            d1=lambda x, y, l, u: pp.d1(x, y, u, l),
+            d2=lambda x, y, l, u: pp.d2(x, y, u, l),
             dlam=lambda x, y, l, u: pp.dmu(x, y, u, l),
             dmu=lambda x, y, l, u: pp.dlam(x, y, u, l)), ("f",))
         basis = self.basis_for(pp, TB_X, 0.5, 2.0)
@@ -880,6 +886,18 @@ class TestQuadraticCheck:
         assert math.isnan(v.c_lam_mu) and math.isnan(v.psi2_nu)
         assert math.isnan(v.d0) and not v.checks["d0"].ok
         assert v.nu.shape == (2,) and np.isnan(v.nu).all()
+
+    def test_basis_of_another_point_is_input_error(self, pp):
+        # the D = 0.45, K = 2 equilibrium is no TB point and FAILs on its own
+        # basis; certified with the TB point's basis (f1 and f2 at (1, 1, 0.5,
+        # 2)) and only its own f, it PASSed with transversality 0.676 and d0 0.113
+        D, K = 0.45, 2.0
+        x1 = (1.0 - np.sqrt(1.0 - 4.0 * D ** 2)) / (2.0 * D)
+        sol = TbCandidate(x=np.array([x1, (1.0 - x1 / K) * (1.0 + x1 * x1)]),
+                          phi1=TB_SOL.phi1, phi2=TB_SOL.phi2, lam=D, mu=K)
+        assert not quadratic_check(pp, sol, self.basis_for(pp, sol.x, D, K)).passed
+        with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
+            quadratic_check(pp, sol, self.basis_for(pp, TB_X, 0.5, 2.0))
 
     @pytest.mark.parametrize("tau, point, passes", [
         (2.0, (0.75, -0.5625, -0.5), True),    # the tau = 2 point
