@@ -6,8 +6,8 @@ confirms the collision by the existence test: its range value (Delta'(0)
 without Delta's scale) vanishes and its nondegeneracy value (Delta''(0)/2,
 likewise) does not.  The spectral scan then checks the imaginary axis: it
 counts the roots in a small disk around 0 and excludes the rest of the axis,
-up to the bound R on the roots near it, by singular values of
-M(i w) = i w I - f1 - f2 exp(-i w).
+up to the bound R on the roots near it, by a first-order bound from the
+inverse of M(i w) = i w I - f1 - f2 exp(-i w).
 
 Run:  python3 demos/characteristic_roots.py
 """
@@ -16,23 +16,26 @@ import sys
 
 import numpy as np
 
-from tbdde import double_zero_check, linearize, predator_prey, spectral_scan
+from tbdde import certify, linearize, predator_prey, spectral_scan
 
 model = predator_prey()
 x = np.array([1.0, 1.0])
 D, K = 0.5, 2.0
 
-res, range_value, nd_value, ok = double_zero_check(model, x, D, K)
+# One linearization (f, f1 and f2 at the point) serves the certificate and Delta
+lin = linearize(model, x, D, K)
+verdict = certify(lin)
+existence = verdict.existence.checks
+ok = verdict.passed
 print("double-zero certificate at the bifurcation point:")
-print(f"  |f|_inf             = {res:.3e}")
-print(f"  range value         = {range_value:+.3e}")
-print(f"  nondegeneracy value = {nd_value:+.3e}")
+print(f"  |f|_inf             = {verdict.checks['equilibrium'].value:.3e}")
+print(f"  range value         = {existence['range'].value:+.3e}")
+print(f"  nondegeneracy value = {existence['nondegeneracy'].value:+.3e}")
 print(f"  certified: {ok}")
 
-# Delta itself, formed from one linearization (f1 and f2 at the point) and
-# differentiated by a complex step and a second difference, for illustration:
-# its size carries the scale of the other roots, so nothing is decided on it
-lin = linearize(model, x, D, K)
+# Delta itself, differentiated by a complex step and a second difference, for
+# illustration: its size carries the scale of the other roots, so nothing is
+# decided on it
 
 
 def delta(z):
@@ -61,7 +64,7 @@ else:
 D_off = 0.45
 x1 = (1.0 - np.sqrt(1.0 - 4.0 * D_off ** 2)) / (2.0 * D_off)
 x_off = np.array([x1, (1.0 - x1 / K) * (1.0 + x1 * x1)])
-_, _, _, ok_off = double_zero_check(model, x_off, D_off, K)
+ok_off = certify(linearize(model, x_off, D_off, K)).passed
 print()
 print(f"certificate at the D = {D_off} equilibrium (should fail): {ok_off}")
 

@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from tbdde import (Functionals, TbCandidate, compute_basis, linearize, newton_solve,
-                   predator_prey, quadratic_check)
+from tbdde import Functionals, TbCandidate, certify, linearize, newton_solve, predator_prey
 
 model = predator_prey()
 
@@ -52,8 +51,7 @@ print(f"generalized   phi2 = {sol.phi2}")
 # Certify the point independently of the solve: evaluate f, f1 and f2 at it
 # afresh, rebuild the eigenvector chain from them and decide every check of
 # the certificate.
-lin = linearize(model, sol.x, sol.lam, sol.mu)
-verdict = quadratic_check(model, sol, compute_basis(lin.f1, lin.f2), lin)
+verdict = certify(linearize(model, sol.x, sol.lam, sol.mu))
 print()
 checks = {**verdict.existence.checks, **verdict.checks}
 for name, check in checks.items():

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from tbdde import (Functionals, TbCandidate, compute_basis, linearize, newton_solve,
-                   quadratic_check, synthetic_tb)
+from tbdde import (Functionals, TbCandidate, certify, compute_basis, linearize, newton_solve,
+                   synthetic_tb)
 
 model = synthetic_tb()
 L = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
@@ -43,7 +43,7 @@ print(f"  phi2 = {basis.phi2}   (exact (sqrt2/8, sqrt2))")
 print(f"  psi1 = {basis.psi1}   (exact (sqrt2/2, 0))")
 print(f"  psi2 = {basis.psi2}   (exact (0, sqrt2/2))")
 
-verdict = quadratic_check(model, exact, basis, lin)
+verdict = certify(lin)
 print()
 print(f"parameter ratio c = {verdict.c_lam_mu:+.12f}     (exact -1)")
 print(f"determinant   d0 = {verdict.d0:+.12f}  (exact 11*sqrt2/4 = {11 * r2 / 4:.12f})")

@@ -2,23 +2,21 @@
 
 Typical use::
 
-    from tbdde import models, defining, eigenstructure, verify
+    from tbdde import models, defining, verify
 
     model = models.predator_prey()
     L = defining.Functionals(l1=[1, 0], l2=[1, 0])
     v0 = defining.TbCandidate(x=[1.1, 1.1], phi1=[1, 0], phi2=[3, 0],
                               lam=0.4, mu=1.0)
     report = defining.newton_solve(model, v0, L)
-    sol, lin = report.solution, report.linearization   # f, f1, f2 at sol
-    basis = eigenstructure.compute_basis(lin.f1, lin.f2)
-    verdict = verify.quadratic_check(model, sol, basis, lin)
+    verdict = verify.certify(report.linearization)   # f, f1, f2 at the solution
 """
 
 from .errors import InputError, NearSingular, TbddeError
 from .model import DdeModel, Linearization, linearize
 from .eigenstructure import EigenBasis, TbExistence, compute_basis
 from .defining import Functionals, NewtonOptions, NewtonReport, TbCandidate, newton_solve
-from .verify import TbVerdict, double_zero_check, quadratic_check, spectral_scan
+from .verify import TbVerdict, certify, spectral_scan
 from .models import (PredatorPreyParams, SyntheticTbParams, build,
                      predator_prey, registry, synthetic_tb)
 
@@ -30,6 +28,6 @@ __all__ = [
     "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
     "build", "registry",
-    "compute_basis", "double_zero_check", "linearize", "newton_solve",
-    "predator_prey", "quadratic_check", "spectral_scan", "synthetic_tb",
+    "certify", "compute_basis", "linearize", "newton_solve",
+    "predator_prey", "spectral_scan", "synthetic_tb",
 ]

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__, models
 from .defining import Functionals, NewtonOptions, TbCandidate, newton_solve
-from .eigenstructure import Check, compute_basis
+from .eigenstructure import Check
 from .errors import InputError, TbddeError
 from .model import linearize
-from .verify import quadratic_check
+from .verify import certify
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -185,7 +185,7 @@ def _verify_solution(model, solution, lin=None):
     try:
         if lin is None:
             lin = linearize(model, solution.x, solution.lam, solution.mu)
-        verdict = quadratic_check(model, solution, compute_basis(lin.f1, lin.f2), lin)
+        verdict = certify(lin)
     except TbddeError as exc:
         return None, f"{type(exc).__name__}: {exc}", EXIT_NOT_VERIFIED
     return verdict, None, EXIT_OK if verdict.passed else EXIT_NOT_VERIFIED

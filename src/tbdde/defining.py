@@ -285,21 +285,21 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
                  opts: NewtonOptions | None = None) -> NewtonReport:
     """Undamped Newton on the defining system.
 
-    Stops when the residual infinity norm drops below tol_res, or the step
-    is negligible relative to the iterate, or max_iter is hit.  ``converged``
-    means the residual met tol_res: a negligible step above it ends the run
-    as "stalled".  A near singular Jacobian aborts the run; regularizing
-    would silently change the problem being solved.  numpy's floating-point
-    warnings are off while the model is evaluated: an iterate that runs far
-    out ends the run as "diverged" instead.  From n = _STRUCTURED_N up, a
-    step is the structured one (``_structured_step``), taken when its bound
-    proves it safe.  Otherwise, and at every step below that n, the step
-    is ``linalg.solve_with_cond``'s.  Either way a step is refused exactly
-    when the exact cond_2(J) exceeds ``linalg.COND_LIMIT``.  Each iterate's
-    linearization (f, f1, f2) is evaluated once and shared by its residual
-    and its Jacobian.  v0's and L's vectors are checked once, at the start;
-    the loop then runs unchecked on one packed iterate, whose slices are
-    the report's solution.
+    ``converged`` means the residual infinity norm met tol_res.  Else one
+    that is not finite or above 1e12 ends the run as "diverged", at the
+    start or after any step; a finite one, as "stalled" after a step
+    negligible relative to the iterate, or as "max_iter" after max_iter
+    steps.  A near singular Jacobian aborts the run; regularizing would
+    silently change the problem being solved.  numpy's floating-point
+    warnings are off while the model is evaluated.  From n = _STRUCTURED_N
+    up, a step is the structured one (``_structured_step``), taken when its
+    bound proves it safe.  Otherwise, and at every step below that n, the
+    step is ``linalg.solve_with_cond``'s.  Either way a step is refused
+    exactly when the exact cond_2(J) exceeds ``linalg.COND_LIMIT``.  Each
+    iterate's linearization (f, f1, f2) is evaluated once and shared by its
+    residual and its Jacobian.  v0's and L's vectors are checked once, at the
+    start; the loop then runs unchecked on one packed iterate, whose slices
+    are the report's solution.
     """
     opts = opts or NewtonOptions()
     n, m = model.n, 3 * model.n
@@ -316,11 +316,14 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
     res_hist = [float(np.abs(r).max())]
     final_cond = np.nan
 
-    for k in range(opts.max_iter):
+    k, stalled = 0, False
+    while True:   # the run's ending, decided here alone
         if res_hist[-1] <= opts.tol_res:
             return report(True, k, final_cond, None)
-        if res_hist[-1] > 1e12 or not math.isfinite(res_hist[-1]):
+        if not res_hist[-1] <= 1e12:   # not finite, or above 1e12
             return report(False, k, final_cond, "diverged")
+        if stalled or k == opts.max_iter:
+            return report(False, k, final_cond, "stalled" if stalled else "max_iter")
         J = _jacobian(lin, p1, p2, L)
         step = None
         if structured:
@@ -335,9 +338,5 @@ def newton_solve(model: DdeModel, v0: TbCandidate, L: Functionals,
         lin = linearize(model, w[:n], float(w[m]), float(w[m + 1]))
         r = _residual(lin, p1, p2, L)
         res_hist.append(float(np.abs(r).max()))
-        if np.abs(step).max() <= opts.tol_step * max(1.0, np.abs(w).max()):
-            converged = res_hist[-1] <= opts.tol_res
-            return report(converged, k + 1, final_cond, None if converged else "stalled")
-
-    converged = res_hist[-1] <= opts.tol_res
-    return report(converged, opts.max_iter, final_cond, None if converged else "max_iter")
+        k += 1
+        stalled = np.abs(step).max() <= opts.tol_step * max(1.0, np.abs(w).max())

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -217,9 +216,6 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
                                      zero if dx is None else dx, zero if dy is None else dy,
                                      dlam or 0.0, dmu or 0.0)))
                 for dx, dy, dlam, dmu in directions]
-    # f1 and f2 at a point: the suppliers', else differences of f
-    first = [partial(_call, model, "d" + s, (n, n)) if getattr(model, "d" + s) is not None
-             else partial(_first, model, s) for s in "12"]
     bases, peaks, out = (x, y, lam, mu), {}, []
 
     def peak(v):   # max|v| of a vector, once per vector
@@ -242,8 +238,8 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
         for i in moved:
             e = h * direction[i]
             hi[i], lo[i] = bases[i] + e, bases[i] - e
-        f1d = first[0](*hi) - first[0](*lo)
-        f2d = first[1](*hi) - first[1](*lo)
+        f1d = _first(model, "1", *hi) - _first(model, "1", *lo)
+        f2d = _first(model, "2", *hi) - _first(model, "2", *lo)
         f1d /= 2.0 * h
         f2d /= 2.0 * h
         out.append((f1d, f2d))

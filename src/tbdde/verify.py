@@ -51,7 +51,7 @@ _H_START, _H_MIN = 0.25, 1e-3
 @dataclass(frozen=True)
 class TbVerdict:
     """The certificate: ``existence`` and the checks "transversality"
-    (psi2 f_lambda), "d0" and "equilibrium" (|f|_inf); see ``quadratic_check``."""
+    (psi2 f_lambda), "d0" and "equilibrium" (|f|_inf); see ``_verdict``."""
 
     existence: TbExistence
     checks: dict
@@ -314,8 +314,23 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
     return ([0j] if double_zero else []) + warn, warn
 
 
-def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
-                    lin: Linearization | None = None) -> TbVerdict:
+def certify(lin: Linearization) -> TbVerdict:
+    """The certificate of the point of ``lin``: ``_verdict`` with the basis
+    built from lin's f1 and f2, which evaluates none of f, f1 and f2 again."""
+    return _verdict(lin, compute_basis(lin.f1, lin.f2))
+
+
+def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis) -> TbVerdict:
+    """``certify`` at ``solution`` with ``basis``, for the benchmark: an
+    InputError unless basis's f1 and f2 are those at solution, as for a
+    basis built at another point or of another dimension."""
+    lin = linearize(model, solution.x, solution.lam, solution.mu)
+    if not all(np.array_equal(b, f) for b, f in ((basis.f1, lin.f1), (basis.f2, lin.f2))):
+        raise InputError("basis must be built from the f1 and f2 at solution")
+    return _verdict(lin, basis)
+
+
+def _verdict(lin: Linearization, basis: EigenBasis) -> TbVerdict:
     """Evaluate the quadratic nondegeneracy conditions at a converged point.
 
     The conditions are those under which the point, with its chain and
@@ -347,25 +362,9 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
     formed: ``c_lam_mu``, ``nu``, ``psi2_nu`` and ``d0`` are NaN, and "d0" fails;
     so are they, and transversality, on the NaN basis of a failed existence test.
 
-    ``basis`` must be the one built at ``solution``: its existence test is
-    the point's.  ``lin`` is the point's ``Linearization`` when the caller
-    has it (a ``NewtonReport`` carries one); without it, f, f1 and f2 are
-    evaluated once, by ``linearize``.  The derivatives come from it: f_lam,
-    f_mu and the two directions above, from one ``model._dirder`` call.  A
-    ``lin`` that is not ``model``'s or not at ``solution``'s x, lam and mu is
-    an InputError, and so is a ``basis`` whose f1 and f2 are not ``lin``'s,
-    as a basis built at another point or of another dimension.
+    ``basis`` is built from lin's f1 and f2; f, f_lam, f_mu and the two
+    directions above come from ``lin``, the last two from one ``_dirder`` call.
     """
-    if lin is None:
-        lin = linearize(model, solution.x, solution.lam, solution.mu)
-    elif lin.model is not model:
-        raise InputError("lin must be a linearization of model")
-    elif not (lin.x is solution.x or np.array_equal(lin.x, solution.x)) or (
-            lin.lam, lin.mu) != (solution.lam, solution.mu):
-        raise InputError("lin must be at solution's x, lam and mu")
-    if not all(b is f or np.array_equal(b, f) for b, f in ((basis.f1, lin.f1),
-                                                          (basis.f2, lin.f2))):
-        raise InputError("basis must be built from lin's f1 and f2")
     tol = basis.existence.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
@@ -377,7 +376,7 @@ def quadratic_check(model: DdeModel, solution: TbCandidate, basis: EigenBasis,
         nu = -basis.pinv @ (c * flam + fmu)
         psi2_nu = float(q2 @ nu)
 
-        (A1, A2), (B1, B2) = _dirder(model, lin.x, lin.x, lin.lam, lin.mu,
+        (A1, A2), (B1, B2) = _dirder(lin.model, lin.x, lin.x, lin.lam, lin.mu,
                                      (p1, p1, None, None), (nu, nu, c, 1.0))
         A, B = A1 + A2, B1 + B2
 

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbdde import (Functionals, TbCandidate, cli, compute_basis, double_zero_check,
-                   newton_solve, predator_prey, quadratic_check, synthetic_tb)
+from tbdde import (Functionals, TbCandidate, certify, cli, compute_basis, newton_solve,
+                   predator_prey, synthetic_tb)
 from tbdde.defining import jacobian, residual
 from tbdde.eigenstructure import tb_existence_test
+from tbdde.verify import double_zero_check
 from tbdde.model import jac_x, jac_y
 from tbdde import linalg
 
@@ -162,9 +163,7 @@ def test_09_synthetic_reference_point():
     assert report.converged
     sol = report.solution
     assert np.max(np.abs(sol.pack() - target.pack())) <= 1e-10
-    f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
-    f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
-    verdict = quadratic_check(model, sol, compute_basis(f1, f2))
+    verdict = certify(report.linearization)
     assert abs(verdict.d0 - 11.0 * np.sqrt(2.0) / 4.0) <= 1e-9
     _ok(9, f"designed point recovered to 1e-10; d0 = {verdict.d0:.12f} "
            f"(exact 11*sqrt(2)/4)")

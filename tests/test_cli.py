@@ -248,10 +248,10 @@ class TestSolve:
 
     def test_verification_error_plain(self, capsys, monkeypatch):
         # a converged run whose certificate raises prints the error, exit 3
-        def refused(f1, f2):
+        def refused(lin):
             raise NearSingular("condition estimate refused")
 
-        monkeypatch.setattr(cli, "compute_basis", refused)
+        monkeypatch.setattr(cli, "certify", refused)
         code, out, _ = run(capsys, "solve", "--config", str(SOLVE_FIXTURES[0]))
         assert code == 3
         assert "converged in 6 iterations" in out

@@ -3,18 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from tbdde import (DdeModel, Functionals, InputError, NewtonOptions, TbCandidate,
-                   compute_basis, newton_solve, predator_prey, quadratic_check,
-                   synthetic_tb)
+from tbdde import (DdeModel, Functionals, InputError, NewtonOptions, TbCandidate, certify,
+                   compute_basis, linearize, newton_solve, predator_prey, synthetic_tb)
 from tbdde import defining, linalg, verify
 from tbdde.defining import jacobian, residual
-from tbdde.model import H1, H2, _call, _check_vec, _f, _first, jac_x, jac_y, param_der
+from tbdde.model import H1, H2, _call, _check_vec, _f, _first, param_der
 from tbdde.verify import characteristic
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
-PP_POINT = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5, 2.0)
 
 V_STAR = TbCandidate(x=np.array([1.0, 1.0]), phi1=np.array([1.0, 0.0]),
                      phi2=np.array([0.0, -2.0]), lam=0.5, mu=2.0)
@@ -465,6 +463,28 @@ class TestNewton:
         assert not report.converged
         assert report.failure_reason in ("diverged", "singular_jacobian", "max_iter")
 
+    @pytest.mark.parametrize("max_iter, ending", [(0, ("max_iter", 0)), (1, ("diverged", 1)),
+                                                  (2, ("diverged", 1)), (50, ("diverged", 1))])
+    def test_divergence_after_any_step(self, max_iter, ending):
+        # one step takes the residual from 1.6 to 3.3e290: with max_iter = 1
+        # the run ended "max_iter" there, with 2 or 50 "diverged"
+        model = DdeModel(n=1, tau=1.0, f=lambda x, y, lam, mu:
+                         lam + mu * y + 2.0 * x - x * x + 1e-6 * np.exp(x))
+        v0 = TbCandidate.unpack(np.array([1.55, -0.02, 0.18, 1.71, -0.51]), 1)
+        report = newton_solve(model, v0, Functionals([1.0], [1.0]),
+                              NewtonOptions(max_iter=max_iter))
+        assert (report.failure_reason, report.iterations) == ending
+        assert report.residual_history[-1] == pytest.approx(1.617 if max_iter == 0 else 3.327e290,
+                                                            rel=1e-3)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 50])
+    def test_divergence_at_the_start(self, pp, max_iter):
+        # a start residual of 1e19 ended "max_iter" at max_iter = 0
+        far = dataclasses.replace(V_STAR, x=np.array([1e5, -1e5]), mu=1e-9)
+        report = newton_solve(pp, far, L10, NewtonOptions(max_iter=max_iter))
+        assert (report.failure_reason, report.iterations) == ("diverged", 0)
+        assert report.residual_history == [pytest.approx(1e19, rel=1e-3)]
+
     def test_singular_jacobian_aborts(self):
         # phi1 = 0 makes the chain rows and normalization rows degenerate
         m = synthetic_tb()
@@ -649,11 +669,9 @@ class TestNewtonPointsCertify:
         for k in starts:
             report = newton_solve(model, TbCandidate.unpack(exact.pack() + 0.1 * noise[k], n), L)
             assert report.converged
-            sol = report.solution
+            sol, lin = report.solution, report.linearization
             assert np.max(np.abs(sol.pack() - exact.pack())) <= 1e-10
-            f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
-            f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
-            yield model, sol, f1 + f2, quadratic_check(model, sol, compute_basis(f1, f2))
+            yield model, sol, lin.f1 + lin.f2, certify(lin)
 
     def test_near_rank_n_minus_2_by_rounding_certifies(self):
         # sigma_min/sigma_max of f1 + f2 lies above n eps at these points,
@@ -724,28 +742,51 @@ SCALED_MODELS = {
 
 
 class TestFunctionalScaling:
+    """l1 -> a l1 and l2 -> b l2, with phi -> phi / a, scale the l2 terms of
+    the normalization rows by b / a: Newton's iterates are invariant when
+    b = a only.  With b apart from a, a run may converge to another TB point
+    of the model (synthetic-tb has one at x = (0.2594, -0.3360))."""
+
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(SCALED_MODELS)),
            log_factors=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
            signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
            offset=st.lists(st.floats(-0.05, 0.05), min_size=8, max_size=8))
+    # with b apart from a, Newton took 39 steps to synthetic-tb's other TB
+    # point from the first and ended singular_jacobian from the second
+    @example(name="synthetic-tb", log_factors=[-0.8562448314810793, 0.7927557907071039],
+             signs=[-1.0, 1.0], offset=[0.0465319819932392, 0.0, 0.0, 0.0, 0.0, 0.03125,
+                                        0.0078125, 0.0])
+    @example(name="synthetic-tb", log_factors=[-0.859375, 0.791015625], signs=[-1.0, 1.0],
+             offset=[0.0465319819932392, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     def test_point_and_d0_do_not_depend_on_the_scale_of_l1_l2(
             self, name, log_factors, signs, offset):
         build, exact, d0, tol, l1, l2 = SCALED_MODELS[name]
         model = build()
         a, b = (sign * 10.0 ** e for sign, e in zip(signs, log_factors))
         start = exact.pack() + np.array(offset) * np.maximum(1.0, np.abs(exact.pack()))
-        start[2:6] /= a   # at the point, phi1 and phi2 scale by 1/a
-        L = Functionals(l1=a * np.array(l1), l2=b * np.array(l2))
-        report = newton_solve(model, TbCandidate.unpack(start, 2), L)
-        assert report.converged
-        sol = report.solution
+        plain = newton_solve(model, TbCandidate.unpack(start, 2), Functionals(l1, l2))
+        assert plain.converged
+        sol = plain.solution
         assert np.max(np.abs(sol.x - exact.x)) <= tol
         assert max(abs(sol.lam - exact.lam), abs(sol.mu - exact.mu)) <= tol
-        f1 = jac_x(model, sol.x, sol.x, sol.lam, sol.mu)
-        f2 = jac_y(model, sol.x, sol.x, sol.lam, sol.mu)
-        verdict = quadratic_check(model, sol, compute_basis(f1, f2))
-        assert verdict.d0 == pytest.approx(d0, rel=1e-8)
+        assert certify(plain.linearization).d0 == pytest.approx(d0, rel=1e-8)
+
+        start[2:6] /= a   # at the point, phi1 and phi2 scale by 1/a
+        same = newton_solve(model, TbCandidate.unpack(start, 2),
+                            Functionals(l1=a * np.array(l1), l2=a * np.array(l2)))
+        assert (same.converged, same.failure_reason) == (True, None)
+        # the chain blocks of the residual scale by 1/a, so its stopping test
+        # may end the same iterates one step apart
+        assert abs(same.iterations - plain.iterations) <= 1
+        assert np.max(np.abs(same.solution.x - sol.x)) <= tol
+        assert max(abs(same.solution.lam - sol.lam), abs(same.solution.mu - sol.mu)) <= tol
+        assert certify(same.linearization).d0 == pytest.approx(d0, rel=1e-8)
+
+        report = newton_solve(model, TbCandidate.unpack(start, 2),
+                              Functionals(l1=a * np.array(l1), l2=b * np.array(l2)))
+        if report.converged:
+            assert certify(report.linearization).passed
 
 
 def reparametrized(s, a, b, swap=False):
@@ -789,12 +830,8 @@ class TestParameterSwap:
         # certified at the exact point in either orientation
         verdicts = []
         for swap, (lam, mu) in ((False, (a, b)), (True, (b, a))):
-            model = reparametrized(s, a, b, swap)
-            point = TbCandidate(x=np.zeros(2), phi1=SYNTHETIC_STAR.phi1,
-                                phi2=SYNTHETIC_STAR.phi2, lam=lam, mu=mu)
-            f1 = jac_x(model, point.x, point.x, lam, mu)
-            f2 = jac_y(model, point.x, point.x, lam, mu)
-            verdicts.append(quadratic_check(model, point, compute_basis(f1, f2)))
+            verdicts.append(certify(linearize(reparametrized(s, a, b, swap), np.zeros(2),
+                                              lam, mu)))
         c, c_sw = (v.c_lam_mu for v in verdicts)
         assert verdicts[0].passed and verdicts[1].passed
         assert c == pytest.approx(-1.0 / s, rel=1e-8)
@@ -916,7 +953,7 @@ def reference_model(n, suppliers, tau):
 
 class TestAgainstTheUnbatchedDerivatives:
     """The batched derivative pairs give the unbatched code's bits: the
-    Jacobian, and the four matrices of ``quadratic_check``."""
+    Jacobian, and the four matrices of ``certify``."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 8, 32]), suppliers=st.sampled_from(sorted(SUPPLIERS)),
@@ -955,9 +992,8 @@ class TestAgainstTheUnbatchedDerivatives:
             model, exact = reference_model(n, suppliers, tau)
         rng = np.random.default_rng(seed)
         x = exact.x + 1e-14 * rng.standard_normal(n)
-        point = dataclasses.replace(exact, x=x)
-        basis = compute_basis(jac_x(model, x, x, exact.lam, exact.mu),
-                              jac_y(model, x, x, exact.lam, exact.mu))
+        lin = linearize(model, x, exact.lam, exact.mu)
+        basis = compute_basis(lin.f1, lin.f2)
         assume(basis.existence.passed)
         calls = []
         real = verify._dirder
@@ -969,13 +1005,13 @@ class TestAgainstTheUnbatchedDerivatives:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_dirder", dirder)
-            verdict = quadratic_check(model, point, basis)
+            verdict = certify(lin)
         if not verdict.checks["transversality"].ok:
             assert not calls
             return
         (at, directions, pairs), = calls
         (u, u2, none, none2), (nu, nu2, c, one) = directions
-        assert u is basis.phi1 and u2 is basis.phi1 and none is None and none2 is None
+        assert u is u2 and np.array_equal(u, basis.phi1) and none is None and none2 is None
         assert nu is nu2 and np.array_equal(nu, verdict.nu) and c == verdict.c_lam_mu
         assert one == 1.0
         for direction, pair in zip(directions, pairs, strict=True):
@@ -1038,16 +1074,6 @@ def test_one_difference_rule_keeps_the_bits(n, tau, seed, delayed):
             assert_same_bits(got, want[slot])
 
 
-@pytest.mark.parametrize("entry", ["quadratic_check"])
-def test_linearization_of_another_dimension_is_input_error(pp, entry):
-    # a lin of a 3-dimensional model broadcast or failed inside numpy; it is
-    # another model's, which is what the check names
-    lin = defining.linearize(coupled3(), np.ones(3), 0.5, 2.0)
-    basis = compute_basis(jac_x(pp, *PP_POINT), jac_y(pp, *PP_POINT))
-    with pytest.raises(InputError, match="lin must be a linearization of model"):
-        quadratic_check(pp, V_STAR, basis, lin)
-
-
 def pp_certificate(pp):
     """(solution, linearization, basis) of a converged predator-prey report."""
     report = newton_solve(pp, TbCandidate(*TABLE1[0][0]), L10)
@@ -1056,47 +1082,46 @@ def pp_certificate(pp):
     return report.solution, lin, compute_basis(lin.f1, lin.f2)
 
 
-def test_linearization_of_another_model_is_input_error(pp):
-    # predator-prey's linearization would lend synthetic-tb its f_lam and
-    # f_mu, a mixed certificate (d0 = 1.591 where predator-prey's is 0.0884)
-    sol, lin, basis = pp_certificate(pp)
-    with pytest.raises(InputError, match="lin must be a linearization of model"):
-        quadratic_check(synthetic_tb(), sol, basis, lin)
-
-
 @pytest.mark.parametrize("moved", [{"x": np.array([5.0, 5.0])}, {"lam": 9.0}, {"mu": 9.0},
                                    {"x": np.array([5.0, 5.0]), "lam": 9.0, "mu": 9.0}],
                          ids=["x", "lam", "mu", "all"])
 def test_linearization_at_another_point_is_input_error(pp, moved):
-    # a point moved far off fails on its own linearization; the report's
-    # linearization must not certify it in its place
+    # a point moved far off fails on its own linearization; a basis built
+    # from the report's linearization must not certify it in its place
     sol, lin, basis = pp_certificate(pp)
     sol = dataclasses.replace(sol, **moved)
-    assert not quadratic_check(pp, sol, compute_basis(jac_x(pp, sol.x, sol.x, sol.lam, sol.mu),
-                                                      jac_y(pp, sol.x, sol.x, sol.lam,
-                                                            sol.mu))).passed
-    with pytest.raises(InputError, match="lin must be at solution's x, lam and mu"):
-        quadratic_check(pp, sol, basis, lin)
+    assert not certify(linearize(pp, sol.x, sol.lam, sol.mu)).passed
+    with pytest.raises(InputError, match="basis must be built from the f1 and f2 at solution"):
+        verify.quadratic_check(pp, sol, basis)
 
 
 def test_basis_of_another_linearization_is_input_error(pp):
     sol, lin, basis = pp_certificate(pp)
     other = defining.linearize(pp, [1.2, 0.9], 0.5, 2.0)
-    with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
-        quadratic_check(pp, sol, compute_basis(other.f1, other.f2), lin)
-    with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
-        quadratic_check(pp, sol, compute_basis(lin.f1, other.f2), lin)
+    for f1, f2 in ((other.f1, other.f2), (lin.f1, other.f2)):
+        with pytest.raises(InputError, match="basis must be built from the f1 and f2 at solution"):
+            verify.quadratic_check(pp, sol, compute_basis(f1, f2))
 
 
-def test_matching_linearization_gives_the_verdict_without_it(pp):
-    # a point, linearization and basis that match, by identity or by value
-    # (copies), give the verdict that the point and basis alone give
-    sol, lin, basis = pp_certificate(pp)
-    want = quadratic_check(pp, sol, basis)
-    copies = dataclasses.replace(sol, x=sol.x.copy())
-    for args in ((sol, basis), (copies, compute_basis(lin.f1.copy(), lin.f2.copy()))):
-        got = quadratic_check(pp, *args, lin)
-        assert got.passed and got.d0 == want.d0 and got.c_lam_mu == want.c_lam_mu
+def verdict_bits(v) -> bytes:
+    """Every number of a verdict, NaNs and signs included, as raw bytes."""
+    checks = [*v.existence.checks.values(), *v.checks.values()]
+    return np.array([x for c in checks for x in c] + [v.existence.tol, v.c_lam_mu,
+                                                      v.psi2_nu, *v.nu]).tobytes()
+
+
+def test_quadratic_check_is_certify_bit_for_bit():
+    # the benchmark's three-argument form linearizes the point itself and
+    # gives the verdict that certify gives on that linearization, on both
+    # built-in models and a lifted one, at the TB point and off it
+    for model, exact in ((predator_prey(), V_STAR), (synthetic_tb(), SYNTHETIC_STAR),
+                         lifted(8)):
+        for point in (exact, dataclasses.replace(exact, lam=exact.lam + 0.05)):
+            lin = linearize(model, point.x, point.lam, point.mu)
+            want = certify(lin)
+            got = verify.quadratic_check(model, point, compute_basis(lin.f1, lin.f2))
+            assert verdict_bits(got) == verdict_bits(want)
+            assert got.passed == want.passed == (point is exact)
 
 
 @pytest.mark.parametrize("f1, f2", [(np.eye(3), np.zeros((3, 3))), (np.eye(1), np.eye(1))],
@@ -1104,5 +1129,5 @@ def test_matching_linearization_gives_the_verdict_without_it(pp):
 def test_basis_of_another_dimension_is_input_error(pp, f1, f2):
     # quadratic_check raised numpy's "matmul: Input operand 1 has a mismatch";
     # such a basis is not built from the point's 2 x 2 f1 and f2
-    with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
-        quadratic_check(pp, V_STAR, compute_basis(f1, f2))
+    with pytest.raises(InputError, match="basis must be built from the f1 and f2 at solution"):
+        verify.quadratic_check(pp, V_STAR, compute_basis(f1, f2))

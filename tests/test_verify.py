@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from tbdde import verify
 from tbdde import (DdeModel, Functionals, InputError, NearSingular,
-                   SyntheticTbParams, TbCandidate, TbddeError, build, compute_basis,
-                   double_zero_check, linalg, linearize, predator_prey, quadratic_check,
-                   spectral_scan, synthetic_tb)
+                   SyntheticTbParams, TbCandidate, TbddeError, build, certify, compute_basis,
+                   linalg, linearize, predator_prey, spectral_scan, synthetic_tb)
 from tbdde.defining import jacobian, residual
 from tbdde.eigenstructure import tb_existence_test
 from tbdde.model import eval_f, jac_x, jac_y
-from tbdde.verify import characteristic
+from tbdde.verify import characteristic, double_zero_check, quadratic_check
 
 TB_X = np.array([1.0, 1.0])
 TB_SOL = TbCandidate(x=TB_X, phi1=np.array([1.0, 0.0]),
@@ -270,9 +269,7 @@ class TestDoubleZeroCheck:
         res, range_value, nd_value, ok = double_zero_check(m, [0.5], 3.0, -1.0)
         assert res == 3.25 and range_value == 0.0 and nd_value == 0.5
         assert not ok
-        v = quadratic_check(m, TbCandidate(x=np.array([0.5]), phi1=np.array([1.0]),
-                                           phi2=np.array([0.0]), lam=3.0, mu=-1.0),
-                            compute_basis(np.array([[1.0]]), np.array([[-1.0]])))
+        v = certify(linearize(m, [0.5], 3.0, -1.0))
         assert v.checks["equilibrium"].value == 3.25 and v.existence.passed
         assert not v.checks["equilibrium"].ok and not v.passed
 
@@ -709,23 +706,17 @@ def test_complex_point_is_input_error(pp, entry):
 
 @pytest.mark.parametrize("entry", sorted(POINT_CHECKS))
 def test_one_evaluation_per_entry_point(pp, counted_model, entry):
-    # each point check reads f, f1 and f2 from one linearization, quadratic_check
-    # without lin too (its other derivatives come from predator-prey's dlam,
-    # dmu and ddir)
+    # each point check reads f, f1 and f2 from one linearization, the
+    # benchmark's quadratic_check too (its other derivatives come from
+    # predator-prey's dlam, dmu and ddir)
     model, counts = counted_model(pp)
     POINT_CHECKS[entry](model, TB_X)
     assert counts == {"f": 1, "d1": 1, "d2": 1}
 
 
 class TestQuadraticCheck:
-    def basis_for(self, model, x, lam, mu):
-        f1 = jac_x(model, x, x, lam, mu)
-        f2 = jac_y(model, x, x, lam, mu)
-        return compute_basis(f1, f2)
-
     def test_predator_prey_passes(self, pp):
-        basis = self.basis_for(pp, TB_X, 0.5, 2.0)
-        v = quadratic_check(pp, TB_SOL, basis)
+        v = certify(linearize(pp, TB_X, 0.5, 2.0))
         assert v.passed
         # f_mu has no component along psi2, so the parameter ratio vanishes
         assert v.c_lam_mu == pytest.approx(0.0, abs=1e-12)
@@ -733,11 +724,7 @@ class TestQuadraticCheck:
         assert np.max(np.abs(v.nu - np.array([0.0, 0.5]))) <= 1e-9
 
     def test_synthetic_frozen_values(self):
-        m = synthetic_tb()
-        sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
-                          phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
-        basis = self.basis_for(m, sol.x, 0.0, 0.0)
-        v = quadratic_check(m, sol, basis)
+        v = certify(linearize(synthetic_tb(), np.zeros(2), 0.0, 0.0))
         assert v.passed
         assert v.c_lam_mu == pytest.approx(-1.0, abs=1e-12)
         assert v.d0 == pytest.approx(11.0 * np.sqrt(2.0) / 4.0, abs=1e-9)
@@ -746,9 +733,10 @@ class TestQuadraticCheck:
 
     def test_two_directions_per_certificate(self, pp):
         # f1 and f2 are differentiated along phi1 and along J's kernel
-        # direction (nu, nu, c, 1) only: the directional supplier twice,
-        # and nothing else evaluated when the linearization is given
-        calls = {"f": 0, "d1": 0, "d2": 0, "ddir": 0}
+        # direction (nu, nu, c, 1) only: the directional supplier twice, the
+        # parameter suppliers once each, and f, f1 and f2 not again, read
+        # from the linearization
+        calls = {"f": 0, "d1": 0, "d2": 0, "ddir": 0, "dlam": 0, "dmu": 0}
 
         def counted(name):
             fn = getattr(pp, name)
@@ -760,10 +748,9 @@ class TestQuadraticCheck:
 
         model = dataclasses.replace(pp, **{name: counted(name) for name in calls})
         lin = linearize(model, TB_X, 0.5, 2.0)
-        basis = compute_basis(lin.f1, lin.f2)
         calls.update(dict.fromkeys(calls, 0))
-        assert quadratic_check(model, TB_SOL, basis, lin).passed
-        assert calls == {"f": 0, "d1": 0, "d2": 0, "ddir": 2}
+        assert certify(lin).passed
+        assert calls == {"f": 0, "d1": 0, "d2": 0, "ddir": 2, "dlam": 1, "dmu": 1}
 
     def test_one_svd_per_certificate(self, pp, counted_calls):
         # phi2', psi1' and nu are products with the basis's pseudoinverse,
@@ -771,10 +758,10 @@ class TestQuadraticCheck:
         # factored, inverted or solved
         lin = linearize(pp, TB_X, 0.5, 2.0)
         calls = counted_calls(np.linalg, "svd", "inv", "solve")
-        basis = compute_basis(lin.f1, lin.f2)
-        v = quadratic_check(pp, TB_SOL, basis, lin)
+        v = certify(lin)
         assert v.passed and calls == {"svd": 1, "inv": 0, "solve": 0}
         # pinv's rows are orthogonal to phi1 and its columns to psi2
+        basis = compute_basis(lin.f1, lin.f2)
         assert np.max(np.abs(basis.phi1 @ basis.pinv)) <= 1e-15
         assert np.max(np.abs(basis.pinv @ basis.psi2)) <= 1e-15
 
@@ -811,9 +798,7 @@ class TestQuadraticCheck:
                              dlam=lambda x, y, l, u, v=flam: v,
                              dmu=lambda x, y, l, u, v=fmu: v,
                              ddir=lambda x, y, l, u, dx, dy, dl, du, T=T: T @ (dx + dy))
-            sol = TbCandidate(x=np.zeros(n), phi1=basis.phi1, phi2=basis.phi2,
-                              lam=0.0, mu=0.0)
-            v = quadratic_check(model, sol, basis)
+            v = certify(linearize(model, np.zeros(n), 0.0, 0.0))
             checks = {**v.existence.checks, **v.checks}
             assert list(checks) == list(relation)
             assert v.passed == all(c.ok for c in checks.values())
@@ -836,10 +821,7 @@ class TestQuadraticCheck:
             dmu=lambda x, y, l, u: np.zeros(2),
             ddir=lambda x, y, l, u, dx, dy, dl, du: [[[2.0 * dx[0], 0.0], [0.0, 0.0]],
                                                      np.zeros((2, 2))])
-        sol = TbCandidate(x=np.zeros(2), phi1=np.array([1.0, 0.0]),
-                          phi2=np.array([0.0, 1.0]), lam=0.0, mu=0.0)
-        basis = self.basis_for(m, sol.x, 0.0, 0.0)
-        v = quadratic_check(m, sol, basis)
+        v = certify(linearize(m, np.zeros(2), 0.0, 0.0))
         assert v.c_lam_mu == 0.0
 
     def test_swapped_parameter_roles_reciprocal_ratio(self):
@@ -854,12 +836,8 @@ class TestQuadraticCheck:
             dlam=lambda x, y, l, u: base.dmu(x, y, u, l),
             dmu=lambda x, y, l, u: base.dlam(x, y, u, l),
             ddir=lambda x, y, l, u, dx, dy, dl, du: base.ddir(x, y, u, l, dx, dy, du, dl))
-        sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
-                          phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
-        b1 = self.basis_for(base, sol.x, 0.0, 0.0)
-        b2 = self.basis_for(swapped, sol.x, 0.0, 0.0)
-        c1 = quadratic_check(base, sol, b1).c_lam_mu
-        c2 = quadratic_check(swapped, sol, b2).c_lam_mu
+        c1, c2 = (certify(linearize(m, np.zeros(2), 0.0, 0.0)).c_lam_mu
+                  for m in (base, swapped))
         assert c2 == pytest.approx(1.0 / c1, abs=1e-10)
 
     def test_condition_i_failure_is_a_fail_verdict(self, pp, counted_model):
@@ -874,10 +852,7 @@ class TestQuadraticCheck:
             d2=lambda x, y, l, u: pp.d2(x, y, u, l),
             dlam=lambda x, y, l, u: pp.dmu(x, y, u, l),
             dmu=lambda x, y, l, u: pp.dlam(x, y, u, l)), ("f",))
-        basis = self.basis_for(pp, TB_X, 0.5, 2.0)
-        sol = TbCandidate(x=TB_X, phi1=TB_SOL.phi1, phi2=TB_SOL.phi2,
-                          lam=2.0, mu=0.5)
-        v = quadratic_check(swapped, sol, basis)
+        v = certify(linearize(swapped, TB_X, 2.0, 0.5))
         assert counts["f"] == 1
         transversality = v.checks["transversality"]
         assert not v.passed and not transversality.ok
@@ -895,9 +870,10 @@ class TestQuadraticCheck:
         x1 = (1.0 - np.sqrt(1.0 - 4.0 * D ** 2)) / (2.0 * D)
         sol = TbCandidate(x=np.array([x1, (1.0 - x1 / K) * (1.0 + x1 * x1)]),
                           phi1=TB_SOL.phi1, phi2=TB_SOL.phi2, lam=D, mu=K)
-        assert not quadratic_check(pp, sol, self.basis_for(pp, sol.x, D, K)).passed
-        with pytest.raises(InputError, match="basis must be built from lin's f1 and f2"):
-            quadratic_check(pp, sol, self.basis_for(pp, TB_X, 0.5, 2.0))
+        assert not certify(linearize(pp, sol.x, D, K)).passed
+        tb = linearize(pp, TB_X, 0.5, 2.0)
+        with pytest.raises(InputError, match="basis must be built from the f1 and f2 at solution"):
+            quadratic_check(pp, sol, compute_basis(tb.f1, tb.f2))
 
     @pytest.mark.parametrize("tau, point, passes", [
         (2.0, (0.75, -0.5625, -0.5), True),    # the tau = 2 point
@@ -909,9 +885,7 @@ class TestQuadraticCheck:
         # point is a double zero only when the delay is 1
         m = double_zero_scalar(tau)
         x, lam, mu = point
-        sol = TbCandidate(x=np.array([x]), phi1=np.array([1.0]),
-                          phi2=np.array([0.0]), lam=lam, mu=mu)
-        v = quadratic_check(m, sol, self.basis_for(m, sol.x, lam, mu))
+        v = certify(linearize(m, [x], lam, mu))
         assert v.checks["equilibrium"].value == 0.0 and v.checks["equilibrium"].ok
         assert v.existence.checks["range"].ok == passes and v.passed == passes
         assert v.existence.checks["range"].value == pytest.approx(1.0 + tau * mu, abs=1e-9)
@@ -920,7 +894,7 @@ class TestQuadraticCheck:
         # at tau = 8, max|f1| + max|f2| = 4: the existence test and every
         # other check but the rank are decided against 4e-8, existence.tol
         m = build("predator-prey", {"tau": 8.0})
-        v = quadratic_check(m, TB_SOL, self.basis_for(m, TB_X, 0.5, 2.0))
+        v = certify(linearize(m, TB_X, 0.5, 2.0))
         assert v.passed
         assert v.existence.tol == pytest.approx(4e-8, rel=1e-15)
         thresholds = {c.threshold for c in [*v.existence.checks.values(),
@@ -928,8 +902,7 @@ class TestQuadraticCheck:
         assert thresholds == {1, v.existence.tol}
 
     def test_nu_residual(self, pp):
-        basis = self.basis_for(pp, TB_X, 0.5, 2.0)
-        v = quadratic_check(pp, TB_SOL, basis)
+        v = certify(linearize(pp, TB_X, 0.5, 2.0))
         f1 = jac_x(pp, TB_X, TB_X, 0.5, 2.0)
         f2 = jac_y(pp, TB_X, TB_X, 0.5, 2.0)
         flam = np.array([0.0, -1.0])
@@ -939,7 +912,7 @@ class TestQuadraticCheck:
 
 
 def _synthetic_origin(params):
-    """quadratic_check's verdict at synthetic-tb's exact origin (False where it
+    """certify's verdict at synthetic-tb's exact origin (False where it
     raises) and sigma_min / sigma_max of the defining system's Jacobian there,
     at the basis chain with the basis's own functionals L = (psi1, psi2)."""
     model = synthetic_tb(params)
@@ -947,7 +920,7 @@ def _synthetic_origin(params):
     try:
         basis = compute_basis(lin.f1, lin.f2)
         sol = TbCandidate(lin.x, basis.phi1, basis.phi2, 0.0, 0.0)
-        passed = quadratic_check(model, sol, basis, lin).passed
+        passed = certify(lin).passed
     except TbddeError:
         return False, math.nan
     L = Functionals(basis.psi1, basis.psi2)
@@ -980,7 +953,7 @@ def _with_quadratic(base, Q):
 
 class TestRegularRoot:
     """A PASS is a regular root of the defining system: d0 = 0 exactly where
-    its Jacobian J is singular (the solvability argument of quadratic_check)."""
+    its Jacobian J is singular (the solvability argument of ``verify._verdict``)."""
 
     @pytest.mark.parametrize("name, value, passes", [
         ("a4", -1.75, False), ("a6", 1.2, False), ("a4", -2.0, True), ("a6", 1.0, True)],
@@ -1007,7 +980,7 @@ class TestRegularRoot:
             lin = linearize(model, np.zeros(2), 0.0, 0.0)
             basis = compute_basis(lin.f1, lin.f2)
             sol = TbCandidate(lin.x, basis.phi1, basis.phi2, 0.0, 0.0)
-            d0 = quadratic_check(model, sol, basis, lin).d0
+            d0 = certify(lin).d0
             det_j = np.linalg.det(jacobian(model, sol, Functionals(basis.psi1, basis.psi2)))
             ratios.append(d0 / det_j)
         # the oracle's ratio for synthetic-tb's own terms: d0 = sqrt(2) P / 4,
@@ -1033,12 +1006,7 @@ class TestSyntheticOracle:
         # the script asserts that the model's callbacks are its exact
         # derivatives to a few ulps, then derives the reference values
         ref = runpy.run_path(str(script))
-        m = synthetic_tb()
-        sol = TbCandidate(x=np.zeros(2), phi1=np.array([2.0 / 3.0, 0.0]),
-                          phi2=np.array([4.0 / 27.0, 4.0 / 3.0]), lam=0.0, mu=0.0)
-        f1 = jac_x(m, sol.x, sol.x, 0.0, 0.0)
-        f2 = jac_y(m, sol.x, sol.x, 0.0, 0.0)
-        v = quadratic_check(m, sol, compute_basis(f1, f2))
+        v = certify(linearize(synthetic_tb(), np.zeros(2), 0.0, 0.0))
         assert v.d0 == pytest.approx(float(ref["d0"]), abs=1e-12)
         assert v.c_lam_mu == pytest.approx(float(ref["clm"]), abs=1e-12)
         nu = np.array([float(c) for c in ref["nu"]])
