@@ -2,9 +2,9 @@
 
 A delay system has infinitely many characteristic roots.  At a double-zero
 bifurcation point exactly two of them collide at the origin; the certificate
-confirms the collision by the existence test: its range value (Delta'(0)
-without Delta's scale) vanishes and its nondegeneracy value (Delta''(0)/2,
-likewise) does not.  The spectral scan then checks the imaginary axis: it
+confirms the collision by its checks "range" and "nondegeneracy": the range
+value (Delta'(0) without Delta's scale) vanishes and the nondegeneracy value
+(Delta''(0)/2, likewise) does not.  The spectral scan then checks the imaginary axis: it
 counts the roots in a small disk around 0 and excludes the rest of the axis,
 up to the bound R on the roots near it, by a first-order bound from the
 inverse of M(i w) = i w I - f1 - f2 exp(-i w).
@@ -25,12 +25,11 @@ D, K = 0.5, 2.0
 # One linearization (f, f1 and f2 at the point) serves the certificate and Delta
 lin = linearize(model, x, D, K)
 verdict = certify(lin)
-existence = verdict.existence.checks
-ok = verdict.passed
+checks, ok = verdict.checks, verdict.passed
 print("double-zero certificate at the bifurcation point:")
-print(f"  |f|_inf             = {verdict.checks['equilibrium'].value:.3e}")
-print(f"  range value         = {existence['range'].value:+.3e}")
-print(f"  nondegeneracy value = {existence['nondegeneracy'].value:+.3e}")
+print(f"  |f|_inf             = {checks['equilibrium'].value:.3e}")
+print(f"  range value         = {checks['range'].value:+.3e}")
+print(f"  nondegeneracy value = {checks['nondegeneracy'].value:+.3e}")
 print(f"  certified: {ok}")
 
 # Delta itself, differentiated by a complex step and a second difference, for

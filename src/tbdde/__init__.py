@@ -14,7 +14,7 @@ Typical use::
 
 from .errors import InputError, NearSingular, TbddeError
 from .model import DdeModel, Linearization, linearize
-from .eigenstructure import EigenBasis, TbExistence, compute_basis
+from .eigenstructure import EigenBasis, compute_basis
 from .defining import Functionals, NewtonOptions, NewtonReport, TbCandidate, newton_solve
 from .verify import TbVerdict, certify, spectral_scan
 from .models import (PredatorPreyParams, SyntheticTbParams, build,
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DdeModel", "EigenBasis", "Functionals", "Linearization", "NewtonOptions",
-    "NewtonReport",
-    "PredatorPreyParams", "SyntheticTbParams", "TbCandidate", "TbExistence",
+    "NewtonReport", "PredatorPreyParams", "SyntheticTbParams", "TbCandidate",
     "TbVerdict", "TbddeError", "InputError", "NearSingular",
     "build", "registry",
     "certify", "compute_basis", "linearize", "newton_solve",

@@ -192,12 +192,12 @@ def _verify_solution(model, solution, lin=None):
 
 
 def _print_verdict(verdict: dict | None, error: str | None) -> None:
-    """A run's verify error, or its JSON verdict: one line per check, the
-    existence test's first, then the verdict line."""
+    """A run's verify error, or its JSON verdict: one line per check, then
+    the verdict line."""
     if verdict is None:
         print(f"verification error: {error}")
         return
-    for name, c in (*verdict["existence"]["checks"].items(), *verdict["checks"].items()):
+    for name, c in verdict["checks"].items():
         print(f"{name:<15} {c['value']}  threshold {c['threshold']}: "
               f"{'ok' if c['ok'] else 'FAIL'}")
     print(f"verdict: {'PASS' if verdict['passed'] else 'FAIL'}")

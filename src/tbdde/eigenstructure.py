@@ -48,30 +48,14 @@ class Check(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TbExistence:
-    """The double-zero decision: the checks "rank", "range" and
-    "nondegeneracy" of ``compute_basis``, by name."""
-
-    checks: dict
-    tol: float
-    spectral_caveat: str = (
-        "the test assumes no other eigenvalue on the imaginary axis; "
-        "run a spectral scan to check"
-    )
-
-    @property
-    def passed(self) -> bool:
-        return all(check.ok for check in self.checks.values())
-
-
-@dataclass(frozen=True)
 class EigenBasis:
     """Coefficient vectors of the double-zero eigenspace basis and its dual.
 
     The basis also carries the linearization it was built from, (f1, f2),
-    its existence test and the pseudoinverse ``pinv`` of S = f1 + f2, so a
-    certificate taken with it needs neither matrix nor decomposition again.
-    Where the existence test fails, the four vectors are NaN.
+    the existence test's checks "rank", "range" and "nondegeneracy" by name
+    against their threshold ``tol``, and the pseudoinverse ``pinv`` of
+    S = f1 + f2, so a certificate taken with it needs neither matrix nor
+    decomposition again.  Where a check fails, the four vectors are NaN.
     """
 
     phi1: np.ndarray
@@ -80,13 +64,19 @@ class EigenBasis:
     psi2: np.ndarray  # row vector
     f1: np.ndarray
     f2: np.ndarray
-    existence: TbExistence
+    checks: dict
+    tol: float
     pinv: np.ndarray
 
+    @property
+    def passed(self) -> bool:
+        return all(check.ok for check in self.checks.values())
 
-def tb_existence_test(f1, f2) -> TbExistence:
-    """The three double-zero checks on (f1, f2): ``compute_basis(f1, f2).existence``."""
-    return compute_basis(f1, f2).existence
+
+def tb_existence_test(f1, f2) -> EigenBasis:
+    """The three double-zero checks on (f1, f2), with their ``tol`` and
+    ``passed``: ``compute_basis(f1, f2)``, under the name the benchmark traces."""
+    return compute_basis(f1, f2)
 
 
 def compute_basis(f1, f2) -> EigenBasis:
@@ -110,8 +100,8 @@ def compute_basis(f1, f2) -> EigenBasis:
     (0, 1), M(z) = zI - f1 - f2 e^{-z} (Govaerts, Numerical Methods for
     Bifurcations of Dynamical Equilibria, SIAM 2000): g = det M / det of
     that matrix is the characteristic function without the scale of its
-    other roots.  The imaginary-axis spectral hypothesis is reported as a
-    caveat, not verified here.
+    other roots.  That no other root is on the imaginary axis is left to
+    ``verify.spectral_scan``.
 
     With phi1 = c*ph1, psi2 = d*ps2, psi1 = d*ps1p and phi2 = c*ph2p + t*ph1
     the normalization identities (5) and (6) reduce to
@@ -142,13 +132,13 @@ def compute_basis(f1, f2) -> EigenBasis:
             ph2p, ps1p = X @ (B @ ph1), (ps2 @ B) @ X
             alpha, gamma = map(float, normalization(ps1p, ps2, ph1, ph2p,
                                                     f2 @ ph1, f2 @ ph2p))
-    existence = TbExistence({"rank": Check(rank, n - 1, rank == n - 1),
-                             "range": Check(range_value, tol, abs(range_value) <= tol),
-                             "nondegeneracy": Check(alpha, tol, abs(alpha) > tol)}, tol)
-    if not existence.passed:
+    checks = {"rank": Check(rank, n - 1, rank == n - 1),
+              "range": Check(range_value, tol, abs(range_value) <= tol),
+              "nondegeneracy": Check(alpha, tol, abs(alpha) > tol)}
+    if not all(check.ok for check in checks.values()):
         nan = np.full(n, np.nan)
-        return EigenBasis(nan, nan, nan, nan, f1, f2, existence, X)
+        return EigenBasis(nan, nan, nan, nan, f1, f2, checks, tol, X)
     c = 1.0 / np.sqrt(abs(alpha))
     d = np.sign(alpha) / np.sqrt(abs(alpha))
     t = -gamma / (alpha * alpha * d)
-    return EigenBasis(c * ph1, c * ph2p + t * ph1, d * ps1p, d * ps2, f1, f2, existence, X)
+    return EigenBasis(c * ph1, c * ph2p + t * ph1, d * ps1p, d * ps2, f1, f2, checks, tol, X)

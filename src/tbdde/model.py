@@ -100,13 +100,13 @@ class DdeModel:
 
 def _real(v, what: str) -> np.ndarray:
     """``v`` as a float array, or InputError led by ``what`` ("x has",
-    "model f returned") unless v is real numbers: a complex v is not cast."""
+    "model f returned") unless v is real numbers: a complex or bool v is not cast."""
     try:
         v = np.asarray(v)
     except (TypeError, ValueError) as exc:   # a ragged nesting
         raise InputError(f"{what} no array of numbers: {exc}") from exc
     if v.dtype is not _FLOAT:   # float64, the usual value, needs no check
-        if v.dtype.kind not in "biuf":
+        if v.dtype.kind not in "iuf":
             raise InputError(f"{what} {v.dtype} values, not real numbers")
         v = v.astype(float)
     return v

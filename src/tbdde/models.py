@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +49,10 @@ class PredatorPreyParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not 0 < value < math.inf:
-                raise InputError(f"{f.name} must be a positive finite number, got {value!r}")
+        for name, value in vars(self).items():   # the fields, in order
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value < math.inf:
+                raise InputError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
@@ -131,10 +132,10 @@ class SyntheticTbParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise InputError(f"{f.name} must be a finite number, got {value!r}")
+        for name, value in vars(self).items():   # the fields, in order
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
@@ -145,8 +146,7 @@ def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
     C = [[0, 0], [1, 0]], E = [[0, 1], [0, 0]].
     """
     params = params or SyntheticTbParams()
-    a1, a2, a3, a4, a5, a6 = (params.a1, params.a2, params.a3,
-                              params.a4, params.a5, params.a6)
+    a1, a2, a3, a4, a5, a6 = (params.a1, params.a2, params.a3, params.a4, params.a5, params.a6)
 
     # Each entry sums the matrix form's terms in its order, the quadratics
     # last.  A term the form multiplies by 0 is +-0 and one it multiplies by 1

@@ -1,11 +1,11 @@
 """Post-solution certification of a computed double-zero point.
 
-The verdict decides, against the existence test's one threshold per point,
-that the point is an equilibrium, that the characteristic function
-Delta(z) = det(zI - f1 - f2 e^{-z}) has a double root at z = 0 (the
-existence test alone decides this), and that the quadratic nondegeneracy
-conditions hold (transversality and the 2x2 degeneracy determinant d0),
-each one named ``Check``; the verdict PASSes when every check holds.
+The verdict is one table of named ``Check``s against the basis's one
+threshold per point: "rank", "range" and "nondegeneracy" alone decide that
+Delta(z) = det(zI - f1 - f2 e^{-z}) has a double root at z = 0,
+"transversality" and "d0" (the 2x2 degeneracy determinant) are the quadratic
+nondegeneracy conditions, and "equilibrium" checks f = 0; the verdict PASSes
+when every check holds.
 
 A separate spectral scan checks that no other root lies on the imaginary
 axis, the strip |Re z| <= delta = 1e-3, by excluding it: the roots near it
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .defining import TbCandidate
-from .eigenstructure import Check, EigenBasis, TbExistence, compute_basis
+from .eigenstructure import Check, EigenBasis, compute_basis
 from .errors import InputError, NearSingular
 from .model import DdeModel, Linearization, _dirder, linearize
 
@@ -50,10 +50,11 @@ _H_START, _H_MIN = 0.25, 1e-3
 
 @dataclass(frozen=True)
 class TbVerdict:
-    """The certificate: ``existence`` and the checks "transversality"
-    (psi2 f_lambda), "d0" and "equilibrium" (|f|_inf); see ``_verdict``."""
+    """The certificate: one table ``checks``, "rank", "range" and
+    "nondegeneracy" of the basis, then "transversality" (psi2 f_lambda),
+    "d0" and "equilibrium" (|f|_inf); see ``_verdict``.  It assumes no other
+    root on the imaginary axis; run ``spectral_scan`` to check."""
 
-    existence: TbExistence
     checks: dict
     c_lam_mu: float
     nu: np.ndarray
@@ -65,7 +66,7 @@ class TbVerdict:
 
     @property
     def passed(self) -> bool:
-        return self.existence.passed and all(c.ok for c in self.checks.values())
+        return all(c.ok for c in self.checks.values())
 
 
 def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> complex:
@@ -83,21 +84,20 @@ def characteristic(model: DdeModel, x, lam: float, mu: float, z: complex) -> com
 def double_zero_check(model: DdeModel, x, lam: float, mu: float):
     """Certify an equilibrium with a double zero at z = 0, without a basis.
 
-    f, f1 and f2 are evaluated once, by ``linearize``; the existence test of
-    ``compute_basis(f1, f2)`` decides the double zero, and x is an
-    equilibrium when |f|_inf <= its threshold ``TbExistence.tol``.  Returns
+    f, f1 and f2 are evaluated once, by ``linearize``; the checks of
+    ``compute_basis(f1, f2)`` decide the double zero, and x is an
+    equilibrium when |f|_inf <= their threshold ``EigenBasis.tol``.  Returns
     (|f|_inf, range value, nondegeneracy value, ok), the middle two the
-    existence test's (NaN where it stops before them): ok is False at any
+    basis's (NaN where it stops before them): ok is False at any
     point that is no double zero.
     Only a non-finite or too ill-conditioned linearization raises
     NearSingular.
     """
     lin = _linearized(model, x, lam, mu)
-    existence = compute_basis(lin.f1, lin.f2).existence
+    basis = compute_basis(lin.f1, lin.f2)
     res = float(np.max(np.abs(lin.f)))
-    checks = existence.checks
-    return (res, checks["range"].value, checks["nondegeneracy"].value,
-            res <= existence.tol and existence.passed)
+    return (res, basis.checks["range"].value, basis.checks["nondegeneracy"].value,
+            res <= basis.tol and basis.passed)
 
 
 def _linearized(model: DdeModel, x, lam: float, mu: float) -> Linearization:
@@ -356,16 +356,16 @@ def _verdict(lin: Linearization, basis: EigenBasis) -> TbVerdict:
     psi2.nu = 0 is not always attainable by shifting along phi1 (psi2.phi1
     vanishes at a double-zero point), so psi2.nu is computed and reported
     instead of enforced.  "transversality" and "d0" hold when |value| > tol,
-    and "equilibrium" when |f|_inf <= tol, tol = ``existence.tol``; the
-    existence test alone decides the double zero and that its chain ends.
+    and "equilibrium" when |f|_inf <= tol, tol = ``basis.tol``; the
+    basis's checks alone decide the double zero and that its chain ends.
     Where transversality fails, c, nu and the kernel direction are not
     formed: ``c_lam_mu``, ``nu``, ``psi2_nu`` and ``d0`` are NaN, and "d0" fails;
-    so are they, and transversality, on the NaN basis of a failed existence test.
+    so are they, and transversality, on the NaN basis of a failed basis check.
 
     ``basis`` is built from lin's f1 and f2; f, f_lam, f_mu and the two
     directions above come from ``lin``, the last two from one ``_dirder`` call.
     """
-    tol = basis.existence.tol
+    tol = basis.tol
     p1, p2 = basis.phi1, basis.phi2
     q1, q2 = basis.psi1, basis.psi2
     flam, fmu = lin.param_derivatives()
@@ -390,7 +390,7 @@ def _verdict(lin: Linearization, basis: EigenBasis) -> TbVerdict:
         nu = np.full(p1.shape, math.nan)
 
     res = float(np.max(np.abs(lin.f)))
-    checks = {"transversality": Check(cond_i, tol, abs(cond_i) > tol),
+    checks = {**basis.checks, "transversality": Check(cond_i, tol, abs(cond_i) > tol),
               "d0": Check(d0, tol, abs(d0) > tol),
               "equilibrium": Check(res, tol, res <= tol)}
-    return TbVerdict(basis.existence, checks, c, nu, psi2_nu)
+    return TbVerdict(checks, c, nu, psi2_nu)

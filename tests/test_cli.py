@@ -16,10 +16,6 @@ SOLVE_FIXTURES = sorted(FIXTURES.glob("solve_pp_*.json"))
 
 POINT = {"x": [1.0, 1.0], "lambda": 0.5, "mu": 2.0}
 
-SPECTRAL_CAVEAT = ("the test assumes no other eigenvalue on the imaginary axis; "
-                   "run a spectral scan to check")
-
-
 def checks(*rows):
     """A JSON checks table from (name, value, threshold, ok) rows."""
     return {name: {"value": value, "threshold": threshold, "ok": ok}
@@ -29,21 +25,19 @@ def checks(*rows):
 # `tbdde verify --json` verdicts on the two verify fixtures, frozen
 VERDICTS = {
     "verify_pp_point": {
-        "existence": {"checks": checks(("rank", 1, 1, True), ("range", 0.0, 1e-08, True),
-                                       ("nondegeneracy", -2.0, 1e-08, True)),
-                      "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT, "passed": True},
-        "checks": checks(("transversality", 0.7071067811865475, 1e-08, True),
+        "checks": checks(("rank", 1, 1, True), ("range", 0.0, 1e-08, True),
+                         ("nondegeneracy", -2.0, 1e-08, True),
+                         ("transversality", 0.7071067811865475, 1e-08, True),
                          ("d0", 0.0883883476483184, 1e-08, True),
                          ("equilibrium", 0.0, 1e-08, True)),
         "c_lam_mu": -0.0, "nu": [0.0, 0.5], "psi2_nu": -0.35355339059327373,
         "passed": True,
     },
     "verify_pp_off": {
-        "existence": {"checks": checks(("rank", 1, 1, True),
-                                       ("range", -0.19611613513818393, 1e-08, False),
-                                       ("nondegeneracy", None, 1e-08, False)),
-                      "tol": 1e-08, "spectral_caveat": SPECTRAL_CAVEAT, "passed": False},
-        "checks": checks(("transversality", None, 1e-08, False),
+        "checks": checks(("rank", 1, 1, True),
+                         ("range", -0.19611613513818393, 1e-08, False),
+                         ("nondegeneracy", None, 1e-08, False),
+                         ("transversality", None, 1e-08, False),
                          ("d0", None, 1e-08, False),
                          ("equilibrium", 0.09999999999999998, 1e-08, False)),
         "c_lam_mu": None, "nu": [None, None], "psi2_nu": None, "passed": False,
@@ -52,9 +46,8 @@ VERDICTS = {
 
 
 def failed(verdict):
-    """The names of a JSON verdict's failed checks, the existence test's included."""
-    return {name for table in (verdict["existence"]["checks"], verdict["checks"])
-            for name, check in table.items() if not check["ok"]}
+    """The names of a JSON verdict's failed checks."""
+    return {name for name, check in verdict["checks"].items() if not check["ok"]}
 
 # `tbdde solve --json` Newton reports on the four solve fixtures, frozen:
 # iterations, residual_history and solution, exactly
@@ -416,6 +409,9 @@ class TestVerify:
         assert code == 0
         payload = strict_json(out)
         assert payload["verdict"] == VERDICTS["verify_pp_point"]
+        # one table, in the order plain verify prints it
+        assert list(payload["verdict"]["checks"]) == ["rank", "range", "nondegeneracy",
+                                                      "transversality", "d0", "equilibrium"]
         assert json.loads(json.dumps(payload)) == payload
 
     def test_point_without_chain_vectors(self, capsys, tmp_path):
@@ -448,7 +444,7 @@ class TestVerify:
         verdict = payload["verdict"]
         assert failed(verdict) == {"range", "nondegeneracy", "transversality", "d0",
                                    "equilibrium"}
-        assert verdict["existence"]["checks"]["nondegeneracy"]["value"] is None
+        assert verdict["checks"]["nondegeneracy"]["value"] is None
 
     def test_full_rank_point_gets_a_verdict(self, capsys):
         # the predator-prey equilibrium at D = 0.4, K = 2 has no zero
@@ -460,8 +456,7 @@ class TestVerify:
         payload = strict_json(out)
         verdict = payload["verdict"]
         assert payload["verify_error"] is None and not verdict["passed"]
-        assert verdict["existence"]["checks"]["rank"] == {"value": 2, "threshold": 1,
-                                                          "ok": False}
+        assert verdict["checks"]["rank"] == {"value": 2, "threshold": 1, "ok": False}
         assert verdict["checks"]["equilibrium"] == {"value": 0.0, "threshold": 1e-08,
                                                     "ok": True}
         code, out, _ = run(capsys, "verify", "--config",
@@ -481,7 +476,7 @@ class TestVerify:
         verdict = strict_json(out)["verdict"]
         assert failed(verdict) == {"d0"}
         d0 = verdict["checks"]["d0"]
-        assert abs(d0["value"]) <= d0["threshold"] == verdict["existence"]["tol"]
+        assert abs(d0["value"]) <= d0["threshold"] == verdict["checks"]["range"]["threshold"]
         cfg = {"model": "synthetic-tb", "model_constants": {"a4": -2.0},
                "initial": {"x": [0.05, -0.04], "phi1": [0.7, 0.03],
                            "phi2": [0.1, 1.3], "lambda": 0.04, "mu": -0.03},

@@ -330,8 +330,9 @@ def test_supplier_shapes_are_checked(pp, name, bad, expected):
     (lambda v: v * (1.0 + 1e-3j), "complex128 values, not real"),
     (lambda v: (np.asarray(v) + 1j).tolist(), "complex128 values, not real"),
     (lambda v: "abc", "<U3 values, not real"),
-    (lambda v: [v[0], [v[1], 0.0]], "no array of numbers")],
-    ids=["complex-array", "complex-list", "string", "ragged"])
+    (lambda v: [v[0], [v[1], 0.0]], "no array of numbers"),
+    (lambda v: np.asarray(v) != 0, "bool values, not real")],
+    ids=["complex-array", "complex-list", "string", "ragged", "bool"])
 @pytest.mark.parametrize("name", ["f", "d1", "ddir"])
 def test_non_real_results_are_input_errors(pp, name, bad, expected):
     # a complex result is an error, not cast to float with its imaginary part
@@ -439,6 +440,18 @@ def test_non_number_parameters_are_input_errors(pp, entry, label, bad, expected)
     args = {"lam": 0.5, "mu": 2.0, label: bad}
     with pytest.raises(InputError, match=re.escape(f"{label} {expected}")):
         NUMBER_ENTRY_POINTS[entry](pp, args["lam"], args["mu"])
+
+
+@pytest.mark.parametrize("label", ["x", "lam", "mu", "phi1", "l1"])
+def test_bool_arguments_are_input_errors(pp, label):
+    # a bool is no number: cast to float, x = (True, True) was the TB point
+    # (1, 1), and lam = True was 1.0
+    args = {"x": [1.0, 1.0], "lam": 0.5, "mu": 2.0, "phi1": [1.0, 0.0], "l1": [1.0, 0.0]}
+    args[label] = True if label in ("lam", "mu") else [True, True]
+    with pytest.raises(InputError, match=re.escape(f"{label} has bool values, not real")):
+        newton_solve(pp, TbCandidate(x=args["x"], phi1=args["phi1"], phi2=[0.0, -2.0],
+                                     lam=args["lam"], mu=args["mu"]),
+                     Functionals(l1=args["l1"], l2=[1.0, 0.0]))
 
 
 def test_numpy_parameters_are_accepted(pp):

@@ -70,6 +70,15 @@ class TestRegistry:
         with pytest.raises(InputError):
             PredatorPreyParams(tau=0.0)
 
+    @pytest.mark.parametrize("params, field", [(PredatorPreyParams, "r"),
+                                               (SyntheticTbParams, "a1")])
+    @pytest.mark.parametrize("value", ["1", 1j], ids=["string", "complex"])
+    def test_non_real_constants_rejected(self, params, field, value):
+        # the class itself, not only models.build, raises the typed error
+        # naming the field; the comparison raised a bare TypeError
+        with pytest.raises(InputError, match=f"^{field} must be a"):
+            params(**{field: value})
+
     @pytest.mark.parametrize("params, field", [
         (PredatorPreyParams, "tau"), (PredatorPreyParams, "r"),
         (SyntheticTbParams, "a3"), (SyntheticTbParams, "tau")])

@@ -15,8 +15,7 @@ PUBLIC = [
     "DdeModel", "EigenBasis",
     "Functionals", "InputError", "Linearization", "NearSingular", "NewtonOptions",
     "NewtonReport", "PredatorPreyParams",
-    "SyntheticTbParams", "TbCandidate", "TbExistence",
-    "TbVerdict", "TbddeError",
+    "SyntheticTbParams", "TbCandidate", "TbVerdict", "TbddeError",
     "build", "certify", "compute_basis", "linearize", "newton_solve",
     "predator_prey", "registry",
     "spectral_scan", "synthetic_tb",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import runpy
 import warnings
@@ -270,7 +271,8 @@ class TestDoubleZeroCheck:
         assert res == 3.25 and range_value == 0.0 and nd_value == 0.5
         assert not ok
         v = certify(linearize(m, [0.5], 3.0, -1.0))
-        assert v.checks["equilibrium"].value == 3.25 and v.existence.passed
+        assert v.checks["equilibrium"].value == 3.25
+        assert all(v.checks[name].ok for name in ("rank", "range", "nondegeneracy"))
         assert not v.checks["equilibrium"].ok and not v.passed
 
 
@@ -799,15 +801,27 @@ class TestQuadraticCheck:
                              dmu=lambda x, y, l, u, v=fmu: v,
                              ddir=lambda x, y, l, u, dx, dy, dl, du, T=T: T @ (dx + dy))
             v = certify(linearize(model, np.zeros(n), 0.0, 0.0))
-            checks = {**v.existence.checks, **v.checks}
-            assert list(checks) == list(relation)
-            assert v.passed == all(c.ok for c in checks.values())
-            for name, c in checks.items():
+            assert list(v.checks) == list(relation)
+            assert v.passed == all(c.ok for c in v.checks.values())
+            for name, c in v.checks.items():
                 assert c.ok == relation[name](c), name
                 outcomes.add((name, c.ok))
             outcomes.add(("passed", v.passed))
         assert outcomes == {(name, ok) for name in [*relation, "passed"]
                             for ok in (False, True)} - {("rank", False)}
+
+    @pytest.mark.parametrize("fixture", ["verify_pp_point", "verify_pp_off",
+                                         "verify_pp_full_rank"])
+    def test_verdict_opens_with_the_basis_checks(self, pp, fixture):
+        # one table: its first three rows are the basis's checks, and the
+        # verdict PASSes exactly when every row is ok
+        path = Path(__file__).parent / "fixtures" / f"{fixture}.json"
+        point = json.loads(path.read_text())["point"]
+        lin = linearize(pp, point["x"], point["lambda"], point["mu"])
+        v = certify(lin)
+        np.testing.assert_equal(list(v.checks.items())[:3],
+                                list(compute_basis(lin.f1, lin.f2).checks.items()))
+        assert v.passed == all(c.ok for c in v.checks.values())
 
     def test_mu_independent_model_zero_ratio(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -857,7 +871,8 @@ class TestQuadraticCheck:
         transversality = v.checks["transversality"]
         assert not v.passed and not transversality.ok
         assert abs(transversality.value) <= transversality.threshold
-        assert v.existence.passed and v.checks["equilibrium"].ok
+        assert all(v.checks[name].ok for name in ("rank", "range", "nondegeneracy",
+                                                   "equilibrium"))
         assert math.isnan(v.c_lam_mu) and math.isnan(v.psi2_nu)
         assert math.isnan(v.d0) and not v.checks["d0"].ok
         assert v.nu.shape == (2,) and np.isnan(v.nu).all()
@@ -887,19 +902,18 @@ class TestQuadraticCheck:
         x, lam, mu = point
         v = certify(linearize(m, [x], lam, mu))
         assert v.checks["equilibrium"].value == 0.0 and v.checks["equilibrium"].ok
-        assert v.existence.checks["range"].ok == passes and v.passed == passes
-        assert v.existence.checks["range"].value == pytest.approx(1.0 + tau * mu, abs=1e-9)
+        assert v.checks["range"].ok == passes and v.passed == passes
+        assert v.checks["range"].value == pytest.approx(1.0 + tau * mu, abs=1e-9)
 
     def test_one_threshold_per_point(self):
-        # at tau = 8, max|f1| + max|f2| = 4: the existence test and every
-        # other check but the rank are decided against 4e-8, existence.tol
+        # at tau = 8, max|f1| + max|f2| = 4: every check but the rank is
+        # decided against 4e-8, the basis's tol
         m = build("predator-prey", {"tau": 8.0})
-        v = certify(linearize(m, TB_X, 0.5, 2.0))
+        lin = linearize(m, TB_X, 0.5, 2.0)
+        v, tol = certify(lin), compute_basis(lin.f1, lin.f2).tol
         assert v.passed
-        assert v.existence.tol == pytest.approx(4e-8, rel=1e-15)
-        thresholds = {c.threshold for c in [*v.existence.checks.values(),
-                                            *v.checks.values()]}
-        assert thresholds == {1, v.existence.tol}
+        assert tol == pytest.approx(4e-8, rel=1e-15)
+        assert {c.threshold for c in v.checks.values()} == {1, tol}
 
     def test_nu_residual(self, pp):
         v = certify(linearize(pp, TB_X, 0.5, 2.0))
