@@ -17,16 +17,14 @@ from .model import DdeModel, Linearization, linearize
 from .eigenstructure import EigenBasis, compute_basis
 from .defining import Functionals, NewtonOptions, NewtonReport, TbCandidate, newton_solve
 from .verify import TbVerdict, certify, spectral_scan
-from .models import (PredatorPreyParams, SyntheticTbParams, build,
-                     predator_prey, registry, synthetic_tb)
+from .models import build, predator_prey, registry, synthetic_tb
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DdeModel", "EigenBasis", "Functionals", "Linearization", "NewtonOptions",
-    "NewtonReport", "PredatorPreyParams", "SyntheticTbParams", "TbCandidate",
-    "TbVerdict", "TbddeError", "InputError", "NearSingular",
-    "build", "registry",
+    "NewtonReport", "TbCandidate", "TbVerdict", "TbddeError", "InputError",
+    "NearSingular", "build", "registry",
     "certify", "compute_basis", "linearize", "newton_solve",
     "predator_prey", "spectral_scan", "synthetic_tb",
 ]

@@ -17,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import re
 import sys
 
@@ -35,15 +34,8 @@ EXIT_NOT_CONVERGED = 2
 EXIT_NOT_VERIFIED = 3
 EXIT_CONFIG = 4
 
-OUTPUT_DIR_ENV = "TBDDE_OUTPUT_DIR"
-
 #: the most runs (the product of its counts) of a scan grid: under an hour at 2 ms a run
 MAX_SCAN_RUNS = 10 ** 6
-
-
-def _out_path(path: str) -> str:
-    # joining keeps an absolute path, and an unset directory keeps any path
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), path)
 
 
 def _non_finite(constant: str):
@@ -55,6 +47,17 @@ def _non_finite(constant: str):
 #: keys are their names
 _CONFIG_KEYS = frozenset({"model", "model_constants", "initial", "point", "l1", "l2",
                           "scan", *(f.name for f in dataclasses.fields(NewtonOptions))})
+#: the keys of a candidate ("initial", "point") and of a scan axis
+_CANDIDATE_KEYS = frozenset({"x", "phi1", "phi2", "lambda", "mu"})
+_AXIS_KEYS = frozenset({"min", "max", "count"})
+
+
+def _known_keys(section: dict, keys: frozenset, prefix: str = "") -> None:
+    """Refuse the keys of a config object not in ``keys``, each named after
+    ``prefix``, the object's path, so that a typo is not silently ignored."""
+    unknown = [repr(prefix + key) for key in sorted(set(section) - keys)]
+    if unknown:
+        raise InputError(f"unknown config field {', '.join(unknown)}")
 
 
 def _load_config(path: str) -> dict:
@@ -67,9 +70,7 @@ def _load_config(path: str) -> dict:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config root must be a JSON object")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
-    if unknown:
-        raise InputError(f"unknown config field {', '.join(map(repr, unknown))}")
+    _known_keys(cfg, _CONFIG_KEYS)
     return cfg
 
 
@@ -105,6 +106,7 @@ def _candidate(section: dict, n: int, label: str, chain: bool = True) -> TbCandi
     and are then NaN; a given one is checked all the same."""
     if not isinstance(section, dict):
         raise InputError(f"config field {label!r} must be an object")
+    _known_keys(section, _CANDIDATE_KEYS, f"{label}.")
     x, phi1, phi2 = (_vector(section, key, n) if chain or key in section
                      else np.full(n, np.nan) for key in ("x", "phi1", "phi2"))
     scalars = {}
@@ -246,8 +248,9 @@ def cmd_solve(args) -> int:
 
 def _pack_index(key: str, spec, n: int):
     """(index in ``TbCandidate.pack()``, count) of a scan axis "x[0]", "lambda", ..."""
-    if not isinstance(spec, dict) or not {"min", "max", "count"} <= set(spec):
+    if not isinstance(spec, dict) or not _AXIS_KEYS <= set(spec):
         raise InputError(f"scan axis {key!r} needs min/max/count")
+    _known_keys(spec, _AXIS_KEYS, f"scan.{key}.")
     count = _number(spec["count"], f"scan.{key}.count", int)
     if count < 1:
         raise InputError(f"scan axis {key!r}: count must be >= 1")
@@ -289,7 +292,7 @@ def cmd_scan(args) -> int:
     # every config field is checked by now; the target opens before any run and
     # gets each row, flushed by line buffering, as its run ends
     try:
-        out = open(_out_path(args.csv), "w", newline="", buffering=1) if args.csv else None
+        out = open(args.csv, "w", newline="", buffering=1) if args.csv else None
     except OSError as exc:
         raise InputError(f"cannot write CSV {args.csv}: {exc}") from exc
     converged, distinct = 0, []

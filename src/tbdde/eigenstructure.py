@@ -118,8 +118,8 @@ def compute_basis(f1, f2) -> EigenBasis:
     matrix of ph2p too ill-conditioned, whether "range" holds or not.
     """
     f1, f2 = _real(f1, "f1 has"), _real(f2, "f2 has")
-    if f1.ndim != 2 or f1.shape[0] != f1.shape[1] or f1.shape != f2.shape:
-        raise InputError(f"f1 and f2 must be square matrices of one shape, "
+    if f1.ndim != 2 or f1.shape[0] != f1.shape[1] or f1.shape != f2.shape or not f1.size:
+        raise InputError(f"f1 and f2 must be non-empty square matrices of one shape, "
                          f"got {f1.shape} and {f2.shape}")
     n = f1.shape[0]
     tol = linalg.DEFAULT_TOL * max(1.0, float(np.max(np.abs(f1)) + np.max(np.abs(f2))))

@@ -12,6 +12,9 @@ Two models ship with the package:
   representable eigendata; its reference quantities were derived in exact
   arithmetic (tools/synthetic_oracle.py) and frozen into the test suite.
 
+A builder's keyword arguments are its model's constants, with their defaults
+(``predator_prey(r=1.3)``); ``build(name, {"r": 1.3})`` passes them by name.
+
 Every callback runs on Python floats: it reads each input once (``x.tolist()``,
 ``y.item(0)``, ``float(lam)``) and returns one ``np.array`` built from them.
 A solve calls the callbacks over a hundred times, and on 2-vectors numpy's
@@ -27,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,31 +37,23 @@ from .errors import InputError
 from .model import DdeModel
 
 
-@dataclass(frozen=True)
-class PredatorPreyParams:
-    """Constants of the delayed predator-prey system: r, a, mu_growth and tau.
-
-    The death rate D and the carrying capacity K are not among them: they are
-    the free parameters lambda and mu, which the solver varies.
-    """
-
-    r: float = 1.0
-    a: float = 1.0
-    mu_growth: float = 1.0
-    tau: float = 1.0
-
-    def __post_init__(self):
-        for name, value in vars(self).items():   # the fields, in order
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 < value < math.inf:
-                raise InputError(f"{name} must be a positive finite number, got {value!r}")
+def _checked(positive: bool, **constants) -> None:
+    """Raise InputError on the first of ``constants`` that is not a finite
+    real number (a bool is not), or with ``positive`` not a positive one."""
+    low = 0 if positive else -math.inf
+    for name, value in constants.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not low < value < math.inf:
+            raise InputError(f"{name} must be a {'positive ' * positive}finite number, "
+                             f"got {value!r}")
 
 
-def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
+def predator_prey(r=1.0, a=1.0, mu_growth=1.0, tau=1.0) -> DdeModel:
     """x1' = r x1 (1 - x1/K) - y1 x2 / (a + y1^2),
-    x2' = x2 (m y1 / (a + y1^2) - D),  with lambda = D and mu = K."""
-    params = params or PredatorPreyParams()
-    r, a, m = params.r, params.a, params.mu_growth
+    x2' = x2 (m y1 / (a + y1^2) - D),  with lambda = D, mu = K and
+    m = mu_growth; r, a, m and the delay tau are positive."""
+    _checked(True, r=r, a=a, mu_growth=mu_growth, tau=tau)
+    m = mu_growth
 
     def g(y1):
         return y1 / (a + y1 * y1)
@@ -108,45 +102,21 @@ def predator_prey(params: PredatorPreyParams | None = None) -> DdeModel:
              [m * g1 * dx1 + x1 * m * g2 * dy0, 0.0]],
         ])
 
-    return DdeModel(
-        n=2, tau=params.tau, f=f,
-        d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir,
-        name="predator-prey",
-    )
+    return DdeModel(n=2, tau=tau, f=f, d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir,
+                    name="predator-prey")
 
 
-@dataclass(frozen=True)
-class SyntheticTbParams:
-    """Coefficients of the engineered polynomial model (see module docstring).
-
-    The defaults are the values the exact-arithmetic oracle was run with;
-    changing them invalidates the frozen reference data.
-    """
-
-    a1: float = 1.0   # x1^2 in the first component
-    a2: float = 1.0   # x1*y1 in the first component
-    a3: float = 1.0   # y2^2 in the first component
-    a4: float = 1.0   # x2^2 in the second component
-    a5: float = 1.0   # x2*y1 in the second component
-    a6: float = -1.0  # y1^2 in the second component
-    tau: float = 1.0
-
-    def __post_init__(self):
-        for name, value in vars(self).items():   # the fields, in order
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise InputError(f"{name} must be a finite number, got {value!r}")
-
-
-def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
+def synthetic_tb(a1=1.0, a2=1.0, a3=1.0, a4=1.0, a5=1.0, a6=-1.0, tau=1.0) -> DdeModel:
     """Polynomial DDE whose origin is a designed quadratic double zero at tau = 1.
 
     f = A x + B y + lam*p + mu*q + lam*C x + mu*E y + quadratics, with
     A = [[-1, 1], [0, 0]], B = [[1, 0], [0, 0]], p = (0, 1), q = (1, 1),
-    C = [[0, 0], [1, 0]], E = [[0, 1], [0, 0]].
+    C = [[0, 0], [1, 0]], E = [[0, 1], [0, 0]], and the quadratics
+    a1 x1^2 + a2 x1 y1 + a3 y2^2 and a4 x2^2 + a5 x2 y1 + a6 y1^2.  The
+    defaults are the values the exact-arithmetic oracle was run with;
+    changing them invalidates the frozen reference data.
     """
-    params = params or SyntheticTbParams()
-    a1, a2, a3, a4, a5, a6 = (params.a1, params.a2, params.a3, params.a4, params.a5, params.a6)
+    _checked(False, a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, a6=a6, tau=tau)
 
     # Each entry sums the matrix form's terms in its order, the quadratics
     # last.  A term the form multiplies by 0 is +-0 and one it multiplies by 1
@@ -194,19 +164,11 @@ def synthetic_tb(params: SyntheticTbParams | None = None) -> DdeModel:
              [zm + (a5 * dx1 + 2.0 * a6 * dy0), 0.0]],
         ])
 
-    return DdeModel(
-        n=2, tau=params.tau, f=f,
-        d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir,
-        name="synthetic-tb",
-    )
+    return DdeModel(n=2, tau=tau, f=f, d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir,
+                    name="synthetic-tb")
 
 
-_BUILDERS = {
-    "predator-prey": lambda consts: predator_prey(
-        PredatorPreyParams(**consts) if consts else None),
-    "synthetic-tb": lambda consts: synthetic_tb(
-        SyntheticTbParams(**consts) if consts else None),
-}
+_BUILDERS = {"predator-prey": predator_prey, "synthetic-tb": synthetic_tb}
 
 
 def registry() -> list[str]:
@@ -215,20 +177,20 @@ def registry() -> list[str]:
 
 @functools.cache
 def _default(name: str) -> DdeModel:
-    return _BUILDERS[name]({})
+    return _BUILDERS[name]()
 
 
 def build(name: str, constants: dict | None = None) -> DdeModel:
     """The registered model ``name``, with ``constants`` in place of its
     default constants.  Without constants (None or an empty dict) every call
     returns one shared model, built on first use: a ``DdeModel`` is frozen
-    and its callbacks close over frozen constants, so sharing it is safe.
+    and its callbacks close over the builder's arguments, so sharing it is safe.
     With constants each call builds a new model."""
     if name not in _BUILDERS:
         raise InputError(f"unknown model {name!r}; available: {registry()}")
     if constants is None or (isinstance(constants, dict) and not constants):
         return _default(name)
     try:
-        return _BUILDERS[name](dict(constants))
+        return _BUILDERS[name](**dict(constants))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad model constants for {name!r}: {exc}") from exc

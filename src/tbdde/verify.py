@@ -317,6 +317,9 @@ def spectral_scan(model: DdeModel, x, lam: float, mu: float):
 def certify(lin: Linearization) -> TbVerdict:
     """The certificate of the point of ``lin``: ``_verdict`` with the basis
     built from lin's f1 and f2, which evaluates none of f, f1 and f2 again."""
+    if not isinstance(lin, Linearization):
+        raise InputError(f"certify takes a Linearization, as report.linearization "
+                         f"or linearize(...) gives one, not {type(lin).__name__}")
     return _verdict(lin, compute_basis(lin.f1, lin.f2))
 
 

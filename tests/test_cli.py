@@ -1,8 +1,8 @@
 import argparse
 import csv
+import functools
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 
@@ -332,6 +332,10 @@ BAD_CONFIGS = {
     "scan-count-0": ("scan", ("scan", "lambda", "count"), 0),
     "scan-axis-y": ("scan", ("scan",), {"y[0]": {"min": 0, "max": 1, "count": 2}}),
     "max-iter-misspelled": ("solve", ("max_iters",), 1),
+    # a key inside a section is checked as a top-level one is
+    "initial-tol-res": ("solve", ("initial", "tol_res"), 1e-3),
+    "point-misspelled": ("verify", ("point", "lamda"), 7),
+    "scan-axis-step": ("scan", ("scan", "lambda", "step"), 5),
 }
 
 
@@ -341,7 +345,8 @@ def test_bad_config_value_exit_4(capsys, tmp_path, monkeypatch, command, path, v
     # every config field is checked before any run
     runs = []
     monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
-    base = SOLVE_FIXTURES[0] if command == "solve" else FIXTURES / "scan_pp.json"
+    base = {"solve": SOLVE_FIXTURES[0], "scan": FIXTURES / "scan_pp.json",
+            "verify": FIXTURES / "verify_pp_point.json"}[command]
     cfg = json.loads(base.read_text()) if path else value
     section = cfg
     for key in path[:-1]:
@@ -365,6 +370,18 @@ def test_unknown_config_key_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
     assert code == 4 and out == ""
     assert err.startswith("config error: unknown config field 'max_iters'")
+
+
+@pytest.mark.parametrize("command, fixture, path", [
+    ("solve", SOLVE_FIXTURES[0].name, ("initial", "tol_res")),
+    ("verify", "verify_pp_point.json", ("point", "lamda")),
+    ("scan", "scan_pp.json", ("scan", "lambda", "step"))], ids=["initial", "point", "axis"])
+def test_unknown_section_key_is_named_with_its_path(capsys, tmp_path, command, fixture, path):
+    cfg = json.loads((FIXTURES / fixture).read_text())
+    functools.reduce(dict.__getitem__, path[:-1], cfg)[path[-1]] = 1
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
+    assert code == 4 and out == ""
+    assert err == f"config error: unknown config field {'.'.join(path)!r}\n"
 
 
 def test_every_command_reads_one_set_of_keys(capsys):
@@ -643,15 +660,6 @@ class TestScan:
         assert float(row["x0"]) == pytest.approx(sol["x"][0], abs=1e-12)
         assert int(row["iterations"]) == strict_json(out)["report"]["iterations"]
 
-    def test_output_dir_env_redirects_csv(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
-        cfg = json.loads((FIXTURES / "scan_pp.json").read_text())
-        cfg["scan"] = {"mu": {"min": 1.0, "max": 1.0, "count": 1}}
-        code, _, _ = run(capsys, "scan", "--config",
-                         write_config(tmp_path, cfg), "--csv", "rel.csv")
-        assert code == 0
-        assert os.path.exists(tmp_path / "rel.csv")
-
     def test_unwritable_csv_exit_4_before_the_grid(self, capsys, tmp_path, monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
@@ -923,7 +931,8 @@ class TestOncePerCall:
     def test_default_model_built_once(self, capsys, monkeypatch):
         # a solve and two verifies of predator-prey build it once in all
         built, make = [], models.predator_prey
-        monkeypatch.setattr(models, "predator_prey", lambda *a: built.append(a) or make(*a))
+        monkeypatch.setitem(models._BUILDERS, "predator-prey",
+                            lambda **k: built.append(k) or make(**k))
         models._default.cache_clear()
         codes = [run(capsys, command, "--config", str(FIXTURES / name), "--json")[0]
                  for command, name in (("solve", SOLVE_FIXTURES[0].name),

@@ -60,7 +60,8 @@ class TestExistenceTest:
 @pytest.mark.parametrize("check", [tb_existence_test, compute_basis])
 @pytest.mark.parametrize("f1, f2", [
     (np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
-    (np.ones(2), np.ones(2))], ids=["sizes", "non-square", "vectors"])
+    (np.ones(2), np.ones(2)), (np.zeros((0, 0)), np.zeros((0, 0)))],
+    ids=["sizes", "non-square", "vectors", "empty"])
 def test_malformed_pair_rejected(check, f1, f2):
     with pytest.raises(InputError, match="square matrices of one shape"):
         check(f1, f2)

@@ -1,12 +1,13 @@
 import dataclasses
+import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tbdde import (DdeModel, InputError, PredatorPreyParams, SyntheticTbParams,
-                   build, predator_prey, registry, synthetic_tb)
+from tbdde import DdeModel, InputError, build, predator_prey, registry, synthetic_tb
 from tbdde.model import _dirder, eval_f, jac_x, jac_y, param_der, second_dirder
 
 # an entry of a direction, at least 0.1 in magnitude
@@ -65,27 +66,34 @@ class TestRegistry:
             build(name, constants)
 
     def test_positivity_validated(self):
-        with pytest.raises(InputError):
-            PredatorPreyParams(r=-0.1)
-        with pytest.raises(InputError):
-            PredatorPreyParams(tau=0.0)
+        with pytest.raises(InputError, match="^r must be a positive finite number, got -0.1$"):
+            predator_prey(r=-0.1)
+        with pytest.raises(InputError, match="^tau must be a positive finite number"):
+            predator_prey(tau=0.0)
 
-    @pytest.mark.parametrize("params, field", [(PredatorPreyParams, "r"),
-                                               (SyntheticTbParams, "a1")])
+    @pytest.mark.parametrize("builder, field", [(predator_prey, "r"), (synthetic_tb, "a1")])
     @pytest.mark.parametrize("value", ["1", 1j], ids=["string", "complex"])
-    def test_non_real_constants_rejected(self, params, field, value):
-        # the class itself, not only models.build, raises the typed error
-        # naming the field; the comparison raised a bare TypeError
-        with pytest.raises(InputError, match=f"^{field} must be a"):
-            params(**{field: value})
+    def test_non_real_constants_rejected(self, builder, field, value):
+        # the builder itself, not only models.build, raises the typed error
+        # naming the constant and its value; the comparison raised a bare TypeError
+        with pytest.raises(InputError, match=f"^{field} must be a (positive )?finite number, "
+                                             f"got {re.escape(repr(value))}$"):
+            builder(**{field: value})
 
-    @pytest.mark.parametrize("params, field", [
-        (PredatorPreyParams, "tau"), (PredatorPreyParams, "r"),
-        (SyntheticTbParams, "a3"), (SyntheticTbParams, "tau")])
+    @pytest.mark.parametrize("name, first", [("predator-prey", "r"), ("synthetic-tb", "a1")])
+    def test_constants_checked_in_signature_order(self, name, first):
+        # the first bad constant in the builder's order is named, whatever
+        # the order of the keys given
+        with pytest.raises(InputError, match=f"^{first} must be a"):
+            build(name, {"tau": np.nan, first: np.inf})
+
+    @pytest.mark.parametrize("builder, field", [
+        (predator_prey, "tau"), (predator_prey, "r"),
+        (synthetic_tb, "a3"), (synthetic_tb, "tau")])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_non_finite_constants_rejected(self, params, field, value):
+    def test_non_finite_constants_rejected(self, builder, field, value):
         with pytest.raises(InputError, match=field):
-            params(**{field: value})
+            builder(**{field: value})
 
     @pytest.mark.parametrize("tau", [np.inf, np.nan])
     def test_non_finite_delay_rejected(self, tau):
@@ -166,11 +174,12 @@ class TestPredatorPreyPoint:
         assert np.max(np.abs(eval_f(model, x, x, 0.5, 2.0))) == 0.0
 
     def test_parameter_identities(self):
-        # at the double-zero point: m^2 = 4 a D^2 and m = K D
-        p = PredatorPreyParams()
+        # at the double-zero point: m^2 = 4 a D^2 and m = K D, at the
+        # builder's default constants
+        p = {k: v.default for k, v in inspect.signature(predator_prey).parameters.items()}
         D, K = 0.5, 2.0
-        assert abs(p.mu_growth ** 2 - 4.0 * p.a * D * D) <= 1e-12
-        assert abs(p.mu_growth - K * D) <= 1e-12
+        assert abs(p["mu_growth"] ** 2 - 4.0 * p["a"] * D * D) <= 1e-12
+        assert abs(p["mu_growth"] - K * D) <= 1e-12
 
     def test_rank_drop_only_at_point(self):
         model = predator_prey()
@@ -196,7 +205,7 @@ class TestSyntheticPoint:
 
     def test_custom_coefficients_change_quadratics_only(self):
         base = synthetic_tb()
-        other = synthetic_tb(SyntheticTbParams(a1=3.0))
+        other = synthetic_tb(a1=3.0)
         z = np.zeros(2)
         assert np.array_equal(jac_x(base, z, z, 0.0, 0.0),
                               jac_x(other, z, z, 0.0, 0.0))
@@ -210,9 +219,7 @@ class TestSyntheticPoint:
 #    synthetic-tb in its matrix form, predator-prey on numpy scalars.  The
 #    models' callbacks must give these values bit for bit.
 
-def matrix_synthetic_tb(params):
-    a1, a2, a3, a4, a5, a6 = (params.a1, params.a2, params.a3,
-                              params.a4, params.a5, params.a6)
+def matrix_synthetic_tb(a1=1.0, a2=1.0, a3=1.0, a4=1.0, a5=1.0, a6=-1.0, tau=1.0):
     A = np.array([[-1.0, 1.0], [0.0, 0.0]])
     B = np.array([[1.0, 0.0], [0.0, 0.0]])
     p = np.array([0.0, 1.0])
@@ -256,8 +263,8 @@ def matrix_synthetic_tb(params):
     return dict(f=f, d1=d1, d2=d2, dlam=dlam, dmu=dmu, ddir=ddir)
 
 
-def numpy_predator_prey(params):
-    r, a, m = params.r, params.a, params.mu_growth
+def numpy_predator_prey(r=1.0, a=1.0, mu_growth=1.0, tau=1.0):
+    m = mu_growth
 
     def g(y1):
         return y1 / (a + y1 * y1)
@@ -329,9 +336,9 @@ def assert_same_callbacks(model, reference, point, direction):
 
 
 SYNTHETIC_PARAMS = [
-    SyntheticTbParams(), SyntheticTbParams(a4=-1.75, a6=1.2), SyntheticTbParams(a6=0.0),
+    {}, {"a4": -1.75, "a6": 1.2}, {"a6": 0.0},
     # quadratics that can be -0.0, so that the sign of a zero linear part shows in f
-    SyntheticTbParams(a1=-1.0, a2=0.5, a3=-2.0, a4=-1.0, a5=0.0, a6=-0.5)]
+    {"a1": -1.0, "a2": 0.5, "a3": -2.0, "a4": -1.0, "a5": 0.0, "a6": -0.5}]
 
 
 class TestCallbacksOnPythonFloats:
@@ -343,30 +350,29 @@ class TestCallbacksOnPythonFloats:
            point=st.lists(_value, min_size=6, max_size=6),
            direction=st.lists(_value, min_size=6, max_size=6))
     def test_synthetic_tb_equals_the_matrix_form(self, params, point, direction):
-        assert_same_callbacks(synthetic_tb(params), matrix_synthetic_tb(params),
+        assert_same_callbacks(synthetic_tb(**params), matrix_synthetic_tb(**params),
                               point, direction)
 
     @pytest.mark.parametrize("params", SYNTHETIC_PARAMS)
     def test_synthetic_tb_at_every_signed_zero(self, params):
         # every point and direction whose entries are +-0.0: where the sign
         # of a zero can differ at all
-        model, reference = synthetic_tb(params), matrix_synthetic_tb(params)
+        model, reference = synthetic_tb(**params), matrix_synthetic_tb(**params)
         for zeros in itertools.product([0.0, -0.0], repeat=6):
             assert_same_callbacks(model, reference, list(zeros), list(zeros))
 
     @pytest.mark.parametrize("K", [2.0, -0.5])
     def test_predator_prey_at_every_signed_zero(self, K):
-        model, reference = predator_prey(), numpy_predator_prey(PredatorPreyParams())
+        model, reference = predator_prey(), numpy_predator_prey()
         for zeros in itertools.product([0.0, -0.0], repeat=6):
             assert_same_callbacks(model, reference, [*zeros[:5], K], list(zeros))
 
     @settings(max_examples=400, deadline=None)
-    @given(params=st.sampled_from([PredatorPreyParams(),
-                                   PredatorPreyParams(r=1.3, a=0.7, mu_growth=2.0)]),
+    @given(params=st.sampled_from([{}, {"r": 1.3, "a": 0.7, "mu_growth": 2.0}]),
            point=st.lists(_value, min_size=5, max_size=5), K=_nonzero,
            direction=st.lists(_value, min_size=6, max_size=6))
     def test_predator_prey_equals_numpy_scalars(self, params, point, K, direction):
-        assert_same_callbacks(predator_prey(params), numpy_predator_prey(params),
+        assert_same_callbacks(predator_prey(**params), numpy_predator_prey(**params),
                               point + [K], direction)
 
     @pytest.mark.parametrize("name", ["predator-prey", "synthetic-tb"])

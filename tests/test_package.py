@@ -14,8 +14,7 @@ SRC = ROOT / "src"
 PUBLIC = [
     "DdeModel", "EigenBasis",
     "Functionals", "InputError", "Linearization", "NearSingular", "NewtonOptions",
-    "NewtonReport", "PredatorPreyParams",
-    "SyntheticTbParams", "TbCandidate", "TbVerdict", "TbddeError",
+    "NewtonReport", "TbCandidate", "TbVerdict", "TbddeError",
     "build", "certify", "compute_basis", "linearize", "newton_solve",
     "predator_prey", "registry",
     "spectral_scan", "synthetic_tb",

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbdde import verify
-from tbdde import (DdeModel, Functionals, InputError, NearSingular,
-                   SyntheticTbParams, TbCandidate, TbddeError, build, certify, compute_basis,
-                   linalg, linearize, predator_prey, spectral_scan, synthetic_tb)
+from tbdde import (DdeModel, Functionals, InputError, NearSingular, TbCandidate,
+                   TbddeError, build, certify, compute_basis, linalg, linearize,
+                   newton_solve, predator_prey, spectral_scan, synthetic_tb)
 from tbdde.defining import jacobian, residual
 from tbdde.eigenstructure import tb_existence_test
 from tbdde.model import eval_f, jac_x, jac_y
@@ -890,6 +890,16 @@ class TestQuadraticCheck:
         with pytest.raises(InputError, match="basis must be built from the f1 and f2 at solution"):
             quadratic_check(pp, sol, compute_basis(tb.f1, tb.f2))
 
+    def test_certify_takes_a_linearization(self, pp):
+        # a report, a point or None failed on a missing attribute f1; the
+        # typed error names the report's linearization to pass instead
+        report = newton_solve(pp, TB_SOL, Functionals([1.0, 0.0], [1.0, 0.0]))
+        assert certify(report.linearization).passed
+        for wrong, name in ((report, "NewtonReport"), (TB_SOL, "TbCandidate"),
+                            (None, "NoneType")):
+            with pytest.raises(InputError, match=f"report.linearization .* not {name}$"):
+                certify(wrong)
+
     @pytest.mark.parametrize("tau, point, passes", [
         (2.0, (0.75, -0.5625, -0.5), True),    # the tau = 2 point
         (2.0, (0.5, -0.25, -1.0), False),      # the tau = 1 point, at tau = 2
@@ -925,11 +935,10 @@ class TestQuadraticCheck:
         assert np.max(np.abs(res)) <= 1e-9
 
 
-def _synthetic_origin(params):
-    """certify's verdict at synthetic-tb's exact origin (False where it
-    raises) and sigma_min / sigma_max of the defining system's Jacobian there,
-    at the basis chain with the basis's own functionals L = (psi1, psi2)."""
-    model = synthetic_tb(params)
+def _synthetic_origin(model):
+    """certify's verdict at the exact origin of a synthetic-tb ``model`` (False
+    where it raises) and sigma_min / sigma_max of the defining system's Jacobian
+    there, at the basis chain with the basis's own functionals L = (psi1, psi2)."""
     lin = linearize(model, np.zeros(2), 0.0, 0.0)
     try:
         basis = compute_basis(lin.f1, lin.f2)
@@ -973,7 +982,7 @@ class TestRegularRoot:
         ("a4", -1.75, False), ("a6", 1.2, False), ("a4", -2.0, True), ("a6", 1.0, True)],
         ids=["a4=-1.75", "a6=1.2", "a4=-2.0", "a6=1.0"])
     def test_synthetic_origin(self, name, value, passes):
-        passed, ratio = _synthetic_origin(SyntheticTbParams(**{name: value}))
+        passed, ratio = _synthetic_origin(synthetic_tb(**{name: value}))
         assert passed is passes
         # d0 = (a1 a5 + a1 + a2 a5 + a2 - 4 a4 a6 + a5^2 + a5 - a6) sqrt(2) / 4
         # (tools/synthetic_oracle.py): 0 at the first two, -+sqrt(2)/4 at the others
@@ -985,7 +994,7 @@ class TestRegularRoot:
         # quadratic terms and whichever slots they couple; synthetic-tb's own
         # terms cannot show a missing slot, since its delayed-slot terms
         # along nu leave d0 unchanged
-        base = synthetic_tb(SyntheticTbParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        base = synthetic_tb(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         rng = np.random.default_rng(21)
         ratios = []
         for _ in range(12):
@@ -1008,7 +1017,7 @@ class TestRegularRoot:
     def test_pass_implies_regular_jacobian(self, coeffs, tau):
         # quarter-integer coefficients and delays make det J = 0 exactly on
         # a share of the draws, where d0 must read as zero too
-        passed, ratio = _synthetic_origin(SyntheticTbParams(*coeffs, tau=tau))
+        passed, ratio = _synthetic_origin(synthetic_tb(*coeffs, tau=tau))
         if passed:
             assert ratio > 1e-8
 

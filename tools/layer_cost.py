@@ -315,8 +315,8 @@ def cli(tb, wrong: list) -> dict:
     tb.models._default.cache_clear()
     with patched(*((owner, attr, timed(phase, getattr(owner, attr)))
                    for phase, fns in phases.items() for owner, attr in fns),
-                 *((tb.models, attr, counting(builds, attr, getattr(tb.models, attr)))
-                   for attr in ("predator_prey", "synthetic_tb"))):
+                 (tb.models, "_BUILDERS", {name: counting(builds, name, fn)
+                                           for name, fn in tb.models._BUILDERS.items()})):
         for _ in range(CALLS):
             for name, argv, expected in COMMANDS:
                 seconds.clear()
@@ -339,8 +339,8 @@ def cli(tb, wrong: list) -> dict:
               for key in ("total", *phases, "other")}
         result[name] = {"us": us, "argparse_passes_per_call":
                         statistics.mean(c["passes"] for c in calls)}
-    if builds["predator_prey"] != 1:
-        wrong.append(f"cli: predator-prey built {builds['predator_prey']} times, expected once")
+    if builds["predator-prey"] != 1:
+        wrong.append(f"cli: predator-prey built {builds['predator-prey']} times, expected once")
     return {"per_call": result, "calls": CALLS, "model_builds": dict(builds)}
 
 

@@ -19,7 +19,7 @@ Jacobian of the defining system is derived from its equations, not from the
 certificate's formulas; the script asserts that d0 is a non-zero constant
 times det J for every a1 ... a6, so d0 vanishes exactly where the defining
 system is singular.  The printed values are at the defaults of
-``SyntheticTbParams`` (a1 ... a5 = 1, a6 = -1).
+``synthetic_tb`` (a1 ... a5 = 1, a6 = -1).
 """
 
 import sys
@@ -30,7 +30,7 @@ import numpy as np
 import sympy as sp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from tbdde.models import SyntheticTbParams, synthetic_tb  # noqa: E402
+from tbdde.models import synthetic_tb  # noqa: E402
 
 a1, a2, a3, a4, a5, a6 = coeffs = sp.symbols("a1:7")
 DEFAULTS = {a1: 1, a2: 1, a3: 1, a4: 1, a5: 1, a6: -1}
@@ -213,7 +213,7 @@ CALLBACK_CASES = [
 def callback_ulps(values, point, direction) -> float:
     """The largest error of the package's synthetic-tb callbacks at one
     case, in ulps; asserts it is at most CALLBACK_ULPS."""
-    model = synthetic_tb(SyntheticTbParams(*values))
+    model = synthetic_tb(*values)
     at = dict(zip(coeffs + STATE, (sp.Rational(v) for v in values + point)))
     dv = [sp.Rational(v) for v in direction]
     args = (np.array(point[:2]), np.array(point[2:4]), *point[4:])
