@@ -174,7 +174,7 @@ def _jacobian(lin: Linearization, p1, p2, L: Functionals) -> np.ndarray:
     (Slam, f2lam), (Smu, f2mu), *D = _dirder(
         model, lin.x, lin.x, lin.lam, lin.mu, (None, None, 1.0, None),
         (None, None, None, 1.0), (p1, None, None, None), (None, p1, None, None),
-        (p2, None, None, None), (None, p2, None, None))
+        (p2, None, None, None), (None, p2, None, None), base=(lin.f1, f2))
     Slam += f2lam   # S differentiated along lambda and mu, summed in place
     Smu += f2mu
     T = np.zeros((7, n, m + 2))

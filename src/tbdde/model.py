@@ -9,9 +9,12 @@ callback, which leaves equilibria and parameter values untouched but
 changes the linearization, and with it the chain conditions and Delta.
 
 Derivatives are served analytically when the model supplies them and by
-central finite differences otherwise.  First derivatives use a step of
-``eps**(1/3)``, second derivatives ``eps**(1/4)``, both relative to the
-magnitude of the perturbed component.
+finite differences otherwise.  First derivatives are central differences of
+f with a step of ``eps**(1/3)``, error O(h^2).  A second derivative
+differentiates f1 and f2: by a forward difference with a step of
+``eps**(1/2)``, error O(h), where the model supplies both (so they are
+exact), else by a central difference with a step of ``eps**(1/4)``, error
+O(h^2).  Each step is relative to the magnitude of the perturbed component.
 
 Every second and parameter derivative is a derivative of f1 = df/dx or
 f2 = df/dy along one direction (dx, dy, dlam, dmu) of (x, y, lambda, mu),
@@ -19,7 +22,7 @@ and every request wants both: the supplier ``ddir`` returns the pair
 (f1', f2') of matrices, so along x alone its first matrix is f11[dx, .],
 along lambda alone f1_lambda.  One function, ``_dirder``, serves the pairs
 along any number of directions, each from one ``ddir`` call or, when that is
-missing, from one central difference of f1 and f2 at the same shifted points.
+missing, from one difference of f1 and f2 at the same shifted points.
 
 A ``Linearization`` is the model at one steady state (x, x, lambda, mu):
 f, f1 and f2, evaluated once, which the defining system's residual and
@@ -50,7 +53,8 @@ from .errors import InputError
 _EPS = np.finfo(float).eps
 _FLOAT = np.dtype(float)
 H1 = _EPS ** (1.0 / 3.0)   # first-derivative step factor
-H2 = _EPS ** (1.0 / 4.0)   # second-derivative step factor
+H2 = _EPS ** (1.0 / 4.0)   # second-derivative step factor, central
+H2F = _EPS ** 0.5          # second-derivative step factor, forward from exact f1, f2
 
 VecFunc = Callable[..., np.ndarray]
 
@@ -198,16 +202,20 @@ def _first(model: DdeModel, slot: str, x, y, lam, mu) -> np.ndarray:
     return J
 
 
-def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
+def _dirder(model: DdeModel, x, y, lam, mu, *directions, base=None) -> list:
     """(f1', f2') along each of ``directions``: f1 and f2 differentiated along
     each (dx, dy, dlam, dmu), a component None being zero, as a list of
     pairs of n x n matrices that the caller owns (and may sum in place).
 
-    Each pair comes from one ``ddir`` call when supplied, else from one
-    central difference of f1 and f2 at (x, y, lam, mu) +- h (dx, dy, dlam, dmu),
-    with h = eps**(1/4) max(1, max|moved base|) / max|direction|, where the
-    moved base is each of x, y, lam, mu that the direction moves.  max|v| is
-    taken once per call for each vector v, however many directions share it.
+    Each pair comes from one ``ddir`` call when supplied.  Else, where the
+    model supplies ``d1`` and ``d2``, it is the forward difference
+    (f_k(p + h d) - f_k(p)) / h of each, error O(h), from ``base``, the pair
+    (f1, f2) at p = (x, y, lam, mu) when the caller holds it (else evaluated
+    once here), with h = eps**(1/2) M; otherwise it is the central difference
+    (f_k(p + h d) - f_k(p - h d)) / (2 h), error O(h^2), with
+    h = eps**(1/4) M.  M = max(1, max|moved base|) / max|d|, where the moved
+    base is each of x, y, lam, mu that d moves.  max|v| is taken once per
+    call for each vector v, however many directions share it.
     """
     n = model.n
     if model.ddir is not None:
@@ -216,6 +224,9 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
                                      zero if dx is None else dx, zero if dy is None else dy,
                                      dlam or 0.0, dmu or 0.0)))
                 for dx, dy, dlam, dmu in directions]
+    forward = model.d1 is not None and model.d2 is not None
+    if forward and base is None:
+        base = _first(model, "1", x, y, lam, mu), _first(model, "2", x, y, lam, mu)
     bases, peaks, out = (x, y, lam, mu), {}, []
 
     def peak(v):   # max|v| of a vector, once per vector
@@ -233,15 +244,19 @@ def _dirder(model: DdeModel, x, y, lam, mu, *directions) -> list:
         if size == 0.0:
             out.append(tuple(np.zeros((2, n, n))))
             continue
-        h = H2 * top / size
+        h = (H2F if forward else H2) * top / size
         hi, lo = list(bases), list(bases)
         for i in moved:
             e = h * direction[i]
             hi[i], lo[i] = bases[i] + e, bases[i] - e
-        f1d = _first(model, "1", *hi) - _first(model, "1", *lo)
-        f2d = _first(model, "2", *hi) - _first(model, "2", *lo)
-        f1d /= 2.0 * h
-        f2d /= 2.0 * h
+        if forward:
+            lo1, lo2, width = *base, h
+        else:
+            lo1, lo2, width = _first(model, "1", *lo), _first(model, "2", *lo), 2.0 * h
+        f1d = _first(model, "1", *hi) - lo1
+        f2d = _first(model, "2", *hi) - lo2
+        f1d /= width
+        f2d /= width
         out.append((f1d, f2d))
     return out
 
@@ -285,7 +300,8 @@ class Linearization(NamedTuple):
                      None if dy is None else _check_vec(model, dy, "dy"),
                      None if dlam is None else _check_num(dlam, "dlam"),
                      None if dmu is None else _check_num(dmu, "dmu"))
-        return _dirder(model, self.x, self.x, self.lam, self.mu, direction)[0]
+        return _dirder(model, self.x, self.x, self.lam, self.mu, direction,
+                       base=(self.f1, self.f2))[0]
 
 
 def linearize(model: DdeModel, x, lam: float, mu: float) -> Linearization:

@@ -39,13 +39,18 @@ from .model import DdeModel
 
 def _checked(positive: bool, **constants) -> None:
     """Raise InputError on the first of ``constants`` that is not a finite
-    real number (a bool is not), or with ``positive`` not a positive one."""
+    real number as a float (a bool is not, nor an int too large for one), or
+    with ``positive`` not a positive one."""
     low = 0 if positive else -math.inf
     for name, value in constants.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not low < value < math.inf:
-            raise InputError(f"{name} must be a {'positive ' * positive}finite number, "
-                             f"got {value!r}")
+        what = f"{name} must be a {'positive ' * positive}finite number"
+        try:
+            ok = not isinstance(value, bool) and isinstance(value, numbers.Real) \
+                and low < float(value) < math.inf
+        except OverflowError as exc:   # an int too large for a float
+            raise InputError(f"{what}: {exc}") from exc
+        if not ok:
+            raise InputError(f"{what}, got {value!r}")
 
 
 def predator_prey(r=1.0, a=1.0, mu_growth=1.0, tau=1.0) -> DdeModel:

@@ -380,7 +380,8 @@ def _verdict(lin: Linearization, basis: EigenBasis) -> TbVerdict:
         psi2_nu = float(q2 @ nu)
 
         (A1, A2), (B1, B2) = _dirder(lin.model, lin.x, lin.x, lin.lam, lin.mu,
-                                     (p1, p1, None, None), (nu, nu, c, 1.0))
+                                     (p1, p1, None, None), (nu, nu, c, 1.0),
+                                     base=(lin.f1, lin.f2))
         A, B = A1 + A2, B1 + B2
 
         m11 = q2 @ A @ p1

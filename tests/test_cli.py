@@ -405,6 +405,19 @@ def test_boolean_model_constant_exit_4(capsys, tmp_path):
     assert "config error" in err and "a1" in err
 
 
+@pytest.mark.parametrize("model, name", [("predator-prey", "r"), ("synthetic-tb", "a6")])
+def test_integer_model_constant_too_large_for_a_float_exit_4(capsys, tmp_path, monkeypatch,
+                                                            model, name):
+    # 0 < 10**400 < inf holds for a Python int, which ran to "diverged"
+    runs = []
+    monkeypatch.setattr(cli, "newton_solve", lambda *a: runs.append(a))
+    cfg = json.loads(SOLVE_FIXTURES[0].read_text())
+    cfg.update(model=model, model_constants={name: 10 ** 400})
+    code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 4 and out == "" and not runs
+    assert err.startswith(f"config error: {name} must be a ") and "too large" in err
+
+
 @pytest.mark.parametrize("constants", [[["tau", 2]], "abc", 0, "", [], False, None],
                          ids=["pairs", "string", "zero", "empty-string", "empty-list",
                               "false", "null"])

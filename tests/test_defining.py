@@ -9,7 +9,7 @@ from tbdde import (DdeModel, Functionals, InputError, NewtonOptions, TbCandidate
                    compute_basis, linearize, newton_solve, predator_prey, synthetic_tb)
 from tbdde import defining, linalg, verify
 from tbdde.defining import jacobian, residual
-from tbdde.model import H1, H2, _call, _check_vec, _f, _first, param_der
+from tbdde.model import H1, H2, _call, _check_vec, _dirder, _f, _first, param_der
 from tbdde.verify import characteristic
 
 L10 = Functionals(l1=[1.0, 0.0], l2=[1.0, 0.0])
@@ -377,12 +377,12 @@ class TestNewton:
         pytest.param(32, 0, id="n32-0"), pytest.param(32, 1, id="n32-1")])
     def test_one_linearization_per_iterate_lifted(self, counted_model, monkeypatch, n, seed):
         # the Jacobian reuses the residual's f1 = d1 and f2 = d2 at its
-        # iterate: per step, 12 of each for the table (x +- h phi and
-        # y +- h phi for phi1, phi2; lambda +- h, mu +- h) and one for the
-        # next residual; f is evaluated at lambda +- h, mu +- h and once
-        # for the next residual.  At n = 32 every step is the structured
-        # one, which calls no callback either; at n = 6 every step is the
-        # dense guard's.
+        # iterate, also as the base of its forward differences: per step,
+        # 6 of each for the table (x + h phi and y + h phi for phi1, phi2;
+        # lambda + h, mu + h) and one for the next residual; f is evaluated
+        # at lambda +- h, mu +- h and once for the next residual.  At
+        # n = 32 every step is the structured one, which calls no callback
+        # either; at n = 6 every step is the dense guard's.
         dense = []
         guarded = linalg.solve_with_cond
         monkeypatch.setattr(linalg, "solve_with_cond",
@@ -395,9 +395,24 @@ class TestNewton:
         report = newton_solve(model, TbCandidate.unpack(start, n), L)
         k = report.iterations
         assert report.converged and k >= 3
-        assert counts["d1"] == counts["d2"] == 1 + 13 * k
+        assert counts["d1"] == counts["d2"] == 1 + 7 * k
         assert counts["f"] == 1 + 5 * k
         assert len(dense) == (0 if n >= defining._STRUCTURED_N else k)
+
+    @pytest.mark.parametrize("n, counts", [
+        (8, [5, 5, 5, 5, 5, 5, 5, 4, 5, 4, 5, 4, 5, 5, 5, 5, 5, 5, 5, 5]),
+        (32, [4, 5, 5, 4, 6, 4, 5, 5, 4, 5, 6, 5, 4, 4, 4, 5, 5, 4, 5, 5])])
+    def test_lifted_iteration_counts(self, n, counts):
+        # 20 starts within 0.2 of the exact point in every unknown take the
+        # same steps whether the Jacobian's pairs are forward or central
+        # differences of the exact f1 and f2: these are the central ones'
+        model, exact = lifted(n)
+        L = Functionals(l1=np.eye(n)[0], l2=np.eye(n)[0])
+        rng = np.random.default_rng([41, n])
+        reports = [newton_solve(model, TbCandidate.unpack(
+            exact.pack() + 0.2 * rng.uniform(-1, 1, 3 * n + 2), n), L) for _ in counts]
+        assert all(r.converged for r in reports)
+        assert [r.iterations for r in reports] == counts
 
     @pytest.mark.parametrize("row", [row for row, _ in TABLE1])
     def test_one_linearization_per_iterate_predator_prey(self, pp, counted_model, row):
@@ -943,6 +958,9 @@ def assert_same_bits(got, want):
 
 #: which derivatives a reference model keeps
 SUPPLIERS = {"ddir": ("d1", "d2", "ddir"), "d1-d2": ("d1", "d2"), "f-only": ()}
+#: the supplier sets whose derivative pairs are still the unbatched code's
+#: (a "d1-d2" model's are forward differences, checked by TestForwardDifferences)
+UNBATCHED = ["ddir", "f-only"]
 
 
 def reference_model(n, suppliers, tau):
@@ -956,7 +974,7 @@ class TestAgainstTheUnbatchedDerivatives:
     Jacobian, and the four matrices of ``certify``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.sampled_from([1, 2, 3, 8, 32]), suppliers=st.sampled_from(sorted(SUPPLIERS)),
+    @given(n=st.sampled_from([1, 2, 3, 8, 32]), suppliers=st.sampled_from(UNBATCHED),
            tau=st.sampled_from([1.0, 1.3]), seed=st.integers(0, 2 ** 32 - 1),
            case=st.sampled_from(["plain", "zero-phi1", "zero-phi2", "nan-phi", "nan-x"]))
     def test_jacobian(self, n, suppliers, tau, seed, case):
@@ -979,7 +997,7 @@ class TestAgainstTheUnbatchedDerivatives:
             assert_same_bits(jacobian(model, v, L), reference_jacobian(model, v, L))
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.sampled_from([1, 2, 8, 32]), suppliers=st.sampled_from(sorted(SUPPLIERS)),
+    @given(n=st.sampled_from([1, 2, 8, 32]), suppliers=st.sampled_from(UNBATCHED),
            tau=st.sampled_from([1.0, 1.3]), seed=st.integers(0, 2 ** 32 - 1))
     def test_quadratic_check(self, n, suppliers, tau, seed):
         # at a TB point (scalar_tb's moves with tau; the others are TB points
@@ -998,8 +1016,8 @@ class TestAgainstTheUnbatchedDerivatives:
         calls = []
         real = verify._dirder
 
-        def dirder(*args):   # model, x, y, lam, mu, then the directions
-            out = real(*args)
+        def dirder(*args, **kwargs):   # model, x, y, lam, mu, then the directions
+            out = real(*args, **kwargs)
             calls.append((args[:5], args[5:], [tuple(m.copy() for m in pair) for pair in out]))
             return out
 
@@ -1017,6 +1035,39 @@ class TestAgainstTheUnbatchedDerivatives:
         for direction, pair in zip(directions, pairs, strict=True):
             for got, want in zip(pair, reference_dirder(*at, *direction), strict=True):
                 assert_same_bits(got, want)
+
+
+class TestForwardDifferences:
+    """A model supplying d1 and d2 but no ddir has its pairs from forward
+    differences of f1 and f2: they are the same model's exact ddir pairs to
+    about sqrt(eps)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 8, 32]), tau=st.sampled_from([1.0, 1.3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pairs_match_the_exact_ones(self, n, tau, seed):
+        # along x, y, lambda, mu and all four at once, at (x, y) by _dirder
+        # alone and at (x, x) by along, which passes its f1 and f2 as the base
+        exact, model = reference_model(n, "ddir", tau)[0], reference_model(n, "d1-d2", tau)[0]
+        rng = np.random.default_rng(seed)
+        x, y = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+        u, w = rng.standard_normal(n), rng.standard_normal(n)
+        lam, mu, dlam, dmu = rng.uniform(0.2, 0.8), rng.uniform(0.5, 2.5), *rng.standard_normal(2)
+        directions = [(u, None, None, None), (None, u, None, None), (None, None, dlam, None),
+                      (None, None, None, dmu), (u, w, dlam, dmu)]
+        lin = linearize(model, x, lam, mu)
+        for at, pairs in (((x, y, lam, mu), _dirder(model, x, y, lam, mu, *directions)),
+                          ((x, x, lam, mu), [lin.along(*d) for d in directions])):
+            for direction, pair in zip(directions, pairs, strict=True):
+                for got, want in zip(pair, _dirder(exact, *at, direction)[0], strict=True):
+                    assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
+
+    def test_certificate_differences_from_the_linearization(self, counted_model):
+        # the certificate's two directions cost one d1 and one d2 call each,
+        # beside the linearization's; f runs once there and at lambda +- h, mu +- h
+        model, counts = counted_model(lifted(8)[0])
+        assert certify(linearize(model, np.zeros(8), 0.0, 0.0)).passed
+        assert counts == {"f": 5, "d1": 3, "d2": 3}
 
 
 def reference_fd_jac(func, base):

@@ -157,7 +157,7 @@ class TestSuppliedDerivatives:
     def test_directional_suppliers_match_their_fallback(self, name, point, params,
                                                         direction):
         # ddir along a direction moving x, y, lambda and mu at once agrees
-        # with one central difference of d1 and d2 along it
+        # with one forward difference of d1 and d2 along it
         model = build(name)
         fd = dataclasses.replace(model, ddir=None)
         x, y = np.array(point[:2]), np.array(point[2:])

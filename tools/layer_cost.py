@@ -28,9 +28,10 @@ one ``linearize`` plus residual each (for the start) over their steps,
 beside the sum of the parts the step takes: the gap is the loop's own work
 and what each part loses in a run to caches that its repeated timing at
 one iterate keeps warm.  It fails if a run does not converge, if a step
-makes other than 13 ``d1``, 13 ``d2`` and 5 ``f`` calls (lifted) or 6
+makes other than 7 ``d1``, 7 ``d2`` and 5 ``f`` calls (lifted) or 6
 ``ddir`` calls (predator-prey): the six derivative pairs of the Jacobian
-(two callbacks each, or one ``ddir``), f_lambda and f_mu (four ``f``
+(one ``d1`` and one ``d2`` call each, differenced forward from the
+iterate's f1 and f2, or one ``ddir``), f_lambda and f_mu (four ``f``
 calls, or the suppliers), and the new iterate's f, f1 and f2; or unless
 each step factors its system once: a dense step gives one matrix to
 ``linalg.solve`` (which returns the step and the inverse its bound needs)
@@ -98,7 +99,7 @@ CALLBACKS = ("f", "d1", "d2", "dlam", "dmu", "ddir")
 NEWTON_SIZES = (8, 16, 20, 24, 32, 64)
 STARTS = 3          # Newton runs per case
 #: callbacks per step, by model kind
-PER_STEP = {"lifted": {"d1": 13, "d2": 13, "f": 5}, "predator-prey": {"ddir": 6}}
+PER_STEP = {"lifted": {"d1": 7, "d2": 7, "f": 5}, "predator-prey": {"ddir": 6}}
 #: matrices per step given to np.linalg's inv and solve, by the step taken
 MATRICES_PER_STEP = {"dense": {"inv": 0, "solve": 1}, "structured": {"inv": 2, "solve": 0}}
 
